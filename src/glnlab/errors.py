@@ -9,10 +9,6 @@ class GlnLabError(Exception):
     """Base class for all library errors."""
 
 
-class NotPrime(GlnLabError):
-    pass
-
-
 class CapExceeded(GlnLabError):
     """An exhaustive enumeration would exceed the configured size cap."""
 
@@ -75,3 +71,7 @@ class BaseMismatch(GlnLabError):
 
 class InvalidConfig(GlnLabError):
     pass
+
+
+class NotPrime(InvalidConfig):
+    """A prime parameter is not prime; a configuration error."""

@@ -6,6 +6,12 @@ computations are exact, done p-locally over Q (matrix entries are
 rationals whose valuations drive every membership test) with
 coefficients in Laurent polynomials in a formal square root of q.
 Haar normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
+
+Convolution and the coset-count oracle read one invariant off each
+coset instead of testing it against every candidate: g K = p^r K with
+r the row-minimum valuations of g exactly when sum(r) = v(det g), and
+the Iwasawa torus part of g (the lam with g in N p^lam K) is the
+diagonal of g's column reduction.
 """
 
 from __future__ import annotations
@@ -15,13 +21,15 @@ from fractions import Fraction
 
 from .errors import (
     CharacterMismatch,
+    NotPrime,
     PrecisionExhausted,
     UnsupportedRank,
     ZeroEntry,
 )
-from .rings import HalfPowerLaurent
+from .rings import HalfPowerLaurent, is_prime
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
+MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
 
 
 def vp(x, p):
@@ -80,20 +88,21 @@ def is_dominant(lam):
 # ---------------------------------------------------------------------------
 # coset decomposition
 
-def coset_decompose(lam, n, p, precision=24):
+def coset_decompose(lam, n, p):
     """Representatives g_i with K p^lam K = union of g_i K (disjoint).
 
     Enumerates upper-triangular Hermite forms with p-power diagonal and
     keeps those whose elementary divisors are exactly lam.  Exact; the
-    precision parameter only bounds the size of cocharacters accepted.
+    entries of lam are bounded by MAX_ENTRY in absolute value.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     lam = tuple(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("need a weakly decreasing integer vector of length n")
-    if max(abs(c) for c in lam) > precision:
-        raise PrecisionExhausted("cocharacter exceeds the precision budget")
+    if max(abs(c) for c in lam) > MAX_ENTRY:
+        raise PrecisionExhausted(
+            f"cocharacter entries exceed {MAX_ENTRY} in absolute value")
     shift = lam[-1]
     m = tuple(c - shift for c in lam)
     total = sum(m)
@@ -121,24 +130,9 @@ def coset_decompose(lam, n, p, precision=24):
     return reps
 
 
-def _in_gln_o(rows, p):
-    """Membership in GL_n(Z_p): integral entries and unit determinant."""
-    for r in rows:
-        for x in r:
-            if vp(x, p) < 0:
-                return False
-    return vp(_fr_det([list(r) for r in rows]), p) == 0
-
-
 def _mat_mul_fr(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def _diag_p_power(lam, p):
-    n = len(lam)
-    return tuple(tuple(Fraction(p)**lam[i] if i == j else Fraction(0)
                        for j in range(n)) for i in range(n))
 
 
@@ -150,6 +144,8 @@ class HeckeElement:
     formal sqrt-q Laurent ring."""
 
     def __init__(self, n, p, support=None):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.n = n
         self.p = p
         self.q = p
@@ -197,39 +193,32 @@ class HeckeElement:
         return f"HeckeElement(n={self.n}, p={self.p}, {{{terms}}})"
 
 
-def _dominant_range(lo, hi, n, total):
-    """Dominant vectors with entries in [lo, hi] and fixed coordinate sum."""
-    out = []
-    for lam in itertools.product(range(hi, lo - 1, -1), repeat=n):
-        if sum(lam) == total and is_dominant(lam):
-            out.append(lam)
-    return out
+def convolve(f, g):
+    """Convolution with vol(K) = 1, by binning coset products.
 
-
-def convolve(f, g, precision=24):
-    """Convolution with vol(K) = 1, by coset-product membership counting."""
+    (1_{K p^lam K} * 1_{K p^mu K})(p^nu) counts the pairs (g_i, h_j) of
+    coset representatives with g_i h_j K = p^nu K.  Each product's row
+    minimum valuations r satisfy v(det) >= sum(r), with equality exactly
+    when g_i h_j K = p^r K; v(det) = sum(lam) + sum(mu) for every pair.
+    """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
     out = {}
     for lam, cf in f.support.items():
-        reps_f = coset_decompose(lam, n, p, precision)
+        reps_f = coset_decompose(lam, n, p)
         for mu, cg in g.support.items():
-            reps_g = coset_decompose(mu, n, p, precision)
-            lo = lam[-1] + mu[-1]
-            hi = lam[0] + mu[0]
+            reps_g = coset_decompose(mu, n, p)
             total = sum(lam) + sum(mu)
-            for nu in _dominant_range(lo, hi, n, total):
-                x_inv = _diag_p_power(tuple(-c for c in nu), p)
-                count = 0
-                for gf in reps_f:
-                    for gg in reps_g:
-                        prod = _mat_mul_fr(x_inv, _mat_mul_fr(gf, gg))
-                        if _in_gln_o(prod, p):
-                            count += 1
-                if count:
-                    coeff = (cf * cg) * count
-                    out[nu] = out.get(nu, HalfPowerLaurent(p)) + coeff
+            hits = {}
+            for gf in reps_f:
+                for gg in reps_g:
+                    r = tuple(min(vp(x, p) for x in row)
+                              for row in _mat_mul_fr(gf, gg))
+                    if sum(r) == total and is_dominant(r):
+                        hits[r] = hits.get(r, 0) + 1
+            for nu, count in hits.items():
+                out[nu] = out.get(nu, HalfPowerLaurent(p)) + (cf * cg) * count
     return HeckeElement(n, p, out)
 
 
@@ -278,12 +267,6 @@ def modulus_delta(a, n, q):
         raise ArithmeticError(
             f"counted modulus exponent {e_counted} != closed form {e}")
     return HalfPowerLaurent.v_power(q, 2 * e)
-
-
-def modulus_delta_half(a, n, q):
-    """delta^{1/2}(t) as a formal half power of q."""
-    modulus_delta(a, n, q)  # runs the counting cross-check
-    return HalfPowerLaurent.v_power(q, modulus_delta_exponent(a, n))
 
 
 # ---------------------------------------------------------------------------
@@ -466,42 +449,35 @@ def satake_transform(f, box_bound=None, enable_rank3=False):
     return image
 
 
-def satake_by_coset_count(f, box_bound=None, precision=24):
-    """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : p^-lam g_i in
-    N(F) * GL_n(O)}, using the coset decomposition directly."""
+def satake_by_coset_count(f, box_bound=None):
+    """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : g_i in
+    N(F) p^lam GL_n(O)}, using the coset decomposition directly.
+
+    Each coset representative's Iwasawa torus part is computed once and
+    counted when it lies in the box |lam_i| <= bound.
+    """
     n, q = f.n, f.q
     b = f.bound() if box_bound is None else box_bound
-    coeffs = {}
-    for lam in itertools.product(range(-b, b + 1), repeat=n):
-        acc = HalfPowerLaurent(q)
-        t_inv = _diag_p_power(tuple(-c for c in lam), f.p)
-        for mu, cmu in f.support.items():
-            count = 0
-            for g in coset_decompose(mu, n, f.p, precision):
-                h = _mat_mul_fr(t_inv, g)
-                if _in_unipotent_times_k(h, f.p):
-                    count += 1
-            if count:
-                acc = acc + cmu * count
-        if not acc.is_zero():
-            half = HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n))
-            coeffs[lam] = half * acc
-    return SatakeImage(n, q, coeffs)
+    acc = {}
+    for mu, cmu in f.support.items():
+        for g in coset_decompose(mu, n, f.p):
+            lam = _iwasawa_torus_part(g, f.p)
+            if max(abs(c) for c in lam) <= b:
+                acc[lam] = acc.get(lam, HalfPowerLaurent(q)) + cmu
+    return SatakeImage(n, q, {
+        lam: HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n)) * c
+        for lam, c in acc.items()})
 
 
-def _in_unipotent_times_k(rows, p):
-    """h in N(F) * GL_n(O): column reduction leaves unit diagonal."""
+def _iwasawa_torus_part(rows, p):
+    """The lam with g in N(F) p^lam GL_n(O), g nonsingular: the diagonal
+    valuations after column reduction to upper-triangular form."""
     n = len(rows)
     work = [list(r) for r in rows]
     for i in range(n - 1, 0, -1):
-        piv = None
-        best = BIG
-        for j in range(i + 1):
-            v = vp(work[i][j], p)
-            if v < best:
-                best, piv = v, j
-        if best >= BIG:
-            return False
+        # a pivot of least valuation in the row keeps every column
+        # operation below integral, i.e. inside GL_n(O)
+        piv = min(range(i + 1), key=lambda j: vp(work[i][j], p))
         if piv != i:
             for r in range(n):
                 work[r][piv], work[r][i] = work[r][i], work[r][piv]
@@ -509,13 +485,9 @@ def _in_unipotent_times_k(rows, p):
             if work[i][j] == 0:
                 continue
             cfac = -work[i][j] / work[i][i]
-            if vp(cfac, p) < 0:
-                return False
             for r in range(n):
                 work[r][j] += cfac * work[r][i]
-    # h = b * k with b the left factor; h in N K iff all of b's diagonal
-    # valuations vanish
-    return all(vp(work[i][i], p) == 0 for i in range(n))
+    return tuple(vp(work[i][i], p) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 
 from .errors import (
     CapExceeded,
+    InvalidConfig,
     MatchFailure,
     NoTrivialization,
     NotACocycle,
@@ -27,7 +28,7 @@ from .rings import (
 
 
 def factor_prime_power(q):
-    """(p, v) with q = p^v, or raise ValueError."""
+    """(p, v) with q = p^v, or raise InvalidConfig."""
     for p in range(2, q + 1):
         if q % p == 0:
             v = 0
@@ -37,8 +38,8 @@ def factor_prime_power(q):
                 v += 1
             if m == 1 and is_prime(p):
                 return p, v
-            raise ValueError(f"{q} is not a prime power")
-    raise ValueError(f"{q} is not a prime power")
+            raise InvalidConfig(f"{q} is not a prime power")
+    raise InvalidConfig(f"{q} is not a prime power")
 
 
 class GaloisModule:
@@ -92,42 +93,6 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-# ---------------------------------------------------------------------------
-# semidirect product elements
-
-class SemidirectElement:
-    """(sigma^a, g) with (s^a, g)(s^b, h) = (s^{a+b}, g * sigma^a(h))."""
-
-    __slots__ = ("power", "matrix", "module")
-
-    def __init__(self, power, matrix, module):
-        self.power = power % module.d
-        self.matrix = matrix
-        self.module = module
-
-    def _sig(self, m, e):
-        for _ in range(e % self.module.d):
-            m = self.module.sigma(m)
-        return m
-
-    def __mul__(self, other):
-        return SemidirectElement(
-            self.power + other.power,
-            self.matrix * self._sig(other.matrix, self.power),
-            self.module)
-
-    def inverse(self):
-        inv = self._sig(self.matrix.inverse(), -self.power % self.module.d)
-        return SemidirectElement(-self.power, inv, self.module)
-
-    def __eq__(self, other):
-        return (isinstance(other, SemidirectElement)
-                and self.power == other.power and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.power, self.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +468,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         x, e, big, _ = lang_preimage(a, module)
         # Y = X sigma^n(X^-1), fixed by the q-power map
         xinv = x.inverse()
-        y = x * _frob_power(xinv, v * n)
-        if _frob_power(y, v) != y:
+        y = x * xinv.sigma(v * n)
+        if y.sigma(v) != y:
             raise MatchFailure("norm construction did not land in GL_s(F_q)")
         y_small = _pullback_matrix(y, base, big)
         plain_cl = next(c for c in plain if y_small in c["orbit"])
@@ -549,11 +514,6 @@ def emb_small_to_ext(small, ext, a):
     if key not in _EMBED_CACHE:
         _EMBED_CACHE[key] = embed_field(small, ext)
     return _EMBED_CACHE[key](a)
-
-
-def _frob_power(m, e):
-    return Mat(m.ring, [[a.frobenius(e) for a in row] for row in m.rows],
-               m.offset)
 
 
 def _pullback_matrix(m, small, big):

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import (
     BadSubfield,
     CapExceeded,
+    InvalidConfig,
     NotInvertible,
     NotPrime,
 )
@@ -123,7 +124,7 @@ class FiniteField:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if d < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InvalidConfig("extension degree must be >= 1")
         if p**d > cap:
             raise CapExceeded(f"field size {p}^{d} exceeds cap {cap}")
         self.p = p
@@ -263,14 +264,6 @@ def ff_make(p, d, cap=DEFAULT_FIELD_CAP):
     return FiniteField(p, d, cap=cap)
 
 
-def ff_frobenius(a, e=1):
-    return a.frobenius(e)
-
-
-def ff_norm(a, e=1):
-    return a.norm(e)
-
-
 # ---------------------------------------------------------------------------
 # truncated unramified local rings
 
@@ -287,7 +280,7 @@ class TruncatedLocalRing:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if n < 1:
-            raise ValueError("precision must be >= 1")
+            raise InvalidConfig("precision must be >= 1")
         if p**d > cap:
             raise CapExceeded(f"residue field size {p}^{d} exceeds cap {cap}")
         self.p = p
@@ -431,11 +424,6 @@ class TruncatedLocalRing:
     def reduce_mod_p(self, a):
         return self.residue_field.element(a.coeffs)
 
-    def reduce_to_level(self, a, m):
-        """Image in the same ring at lower precision m <= n."""
-        target = TruncatedLocalRing(self.p, m, self.d)
-        return target.element(a.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedLocalRing)
                 and (self.p, self.n, self.d) == (other.p, other.n, other.d))
@@ -538,10 +526,6 @@ class LocalRingElement:
 
 def ring_make(p, n, d, cap=DEFAULT_FIELD_CAP):
     return TruncatedLocalRing(p, n, d, cap=cap)
-
-
-def ring_frobenius_lift(ring):
-    return ring.frobenius_image
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +661,6 @@ class Mat:
                          for r in self.rows)
         off = f" * p^{self.offset}" if self.offset else ""
         return f"Mat[{body}]{off}"
-
-
-def mat_det(m):
-    return m.det()
-
-
-def mat_invert(m):
-    return m.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_09_satake_transform():
     from glnlab.hecke import (HeckeElement, SatakeImage, convolve,
                               satake_by_coset_count, satake_transform)
     from glnlab.rings import HalfPowerLaurent
-    with Budget(120.0):
+    with Budget(30.0):
         for p in (2, 3):
             v1 = HalfPowerLaurent.v_power(p, 1)
             t10 = HeckeElement.basis((1, 0), p)

@@ -25,6 +25,19 @@ class TestExitCodes:
         assert run(["satake", "--n", "2", "--p", "2", "--lam", "0,1"]) == 2
         assert run(["hecke", "--n", "2", "--p", "2",
                     "--left", "1,0", "--right", "x"]) == 2
+        for argv in (
+                "satake --n 2 --p 4 --lam 1,0",
+                "satake --n 2 --p 1 --lam 1,0",
+                "satake --n 2 --p 0 --lam 1,0",
+                "hecke --n 2 --p 6 --left 1,0 --right 1,0",
+                "hecke --n 2 --p 1 --left 1,0 --right 1,0",
+                "hecke --n 2 --p 0 --left 1,0 --right 1,0",
+                "lang --p 4 --d 2",
+                "h1 --p 2 --d 0",
+                "lang --p 2 --d 0",
+                "dm-check --s 1 --q 6 --n 2",
+                "building iwasawa --precision 0"):
+            assert run(argv.split()) == 2, argv
 
     def test_cap_exceeded_is_three(self):
         assert run(["--cap", "10", "roots", "--n", "5"]) == 3

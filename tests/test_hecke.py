@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 import sympy
 
@@ -7,6 +11,7 @@ from glnlab.hecke import (
     HeckeElement,
     SatakeImage,
     UnitCharacter,
+    _iwasawa_torus_part,
     chi_t,
     convolve,
     coset_decompose,
@@ -17,12 +22,39 @@ from glnlab.hecke import (
     satake_by_coset_count,
     satake_transform,
     smith_exponents,
+    vp,
 )
 from glnlab.rings import FiniteField, HalfPowerLaurent
 
 
 def v_pow(q, k):
     return HalfPowerLaurent.v_power(q, k)
+
+
+def dominant_box(n, b):
+    return [lam for lam in itertools.product(range(b, -b - 1, -1), repeat=n)
+            if all(lam[i] >= lam[i + 1] for i in range(n - 1))]
+
+
+def coset_count(lam, q):
+    """|K p^lam K / K| = q^<2rho, lam> [n]_t! / prod_k [m_k]_t!, t = 1/q,
+    m_k the multiplicities of the entries of lam (Macdonald V.2)."""
+    t = Fraction(1, q)
+
+    def qfact(k):
+        out = Fraction(1)
+        for j in range(1, k + 1):
+            out *= (1 - t**j) / (1 - t)
+        return out
+
+    n = len(lam)
+    count = Fraction(q)**sum(lam[i] - lam[j]
+                             for i in range(n) for j in range(i + 1, n))
+    count *= qfact(n)
+    for m in Counter(lam).values():
+        count /= qfact(m)
+    assert count.denominator == 1
+    return int(count)
 
 
 class TestCosets:
@@ -62,6 +94,27 @@ class TestCosets:
         for p in (2, 3):
             reps = coset_decompose((1, 1, 0), 3, p)
             assert len(reps) == p * p + p + 1
+
+    def test_count_closed_form(self):
+        for p in (2, 3):
+            for n, b in ((2, 2), (3, 1)):
+                for lam in dominant_box(n, b):
+                    assert len(coset_decompose(lam, n, p)) \
+                        == coset_count(lam, p), (p, lam)
+
+    def test_iwasawa_torus_part_is_a_coset_invariant(self):
+        # g and g k lie in the same N p^lam K for k in GL_n(Z_p); the
+        # triangular representatives show lam on their diagonal
+        ks = [((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+              ((1, 0, 0), (3, 1, 0), (-2, 5, 1)),
+              ((2, 1, 1), (1, 1, 0), (1, 0, 0))]
+        for lam, p in (((1, 0, -1), 2), ((2, 1, 0), 3)):
+            for g in coset_decompose(lam, 3, p):
+                diag = tuple(vp(g[i][i], p) for i in range(3))
+                for k in ks:
+                    gk = [[sum(g[i][m] * k[m][j] for m in range(3))
+                           for j in range(3)] for i in range(3)]
+                    assert _iwasawa_torus_part(gk, p) == diag
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):
@@ -120,6 +173,21 @@ class TestConvolution:
         z = HeckeElement.basis((1, 1, 1), 2)
         t = HeckeElement.basis((1, 0, 0), 2)
         assert convolve(z, t) == HeckeElement.basis((2, 1, 1), 2)
+
+    def test_degree_law(self):
+        # f -> sum_nu f(nu) |K nu K / K| is a ring homomorphism
+        p = 2
+        doms = dominant_box(2, 2)
+        pairs = [(lam, mu) for i, lam in enumerate(doms) for mu in doms[i:]]
+        pairs.append(((1, 0, 0), (0, 0, -1)))
+        for lam, mu in pairs:
+            prod = convolve(HeckeElement.basis(lam, p),
+                            HeckeElement.basis(mu, p))
+            assert all(c.b == 0 for c in prod.support.values())
+            degree = sum(c.a * coset_count(nu, p)
+                         for nu, c in prod.support.items())
+            assert degree == coset_count(lam, p) * coset_count(mu, p), \
+                (lam, mu)
 
 
 class TestModulus:
@@ -197,7 +265,9 @@ class TestTransformGl2:
         for p in (2, 3):
             for lam in [(1, 0), (1, 1), (2, 0), (2, 1)]:
                 f = HeckeElement.basis(lam, p)
-                assert satake_transform(f) == satake_by_coset_count(f)
+                for bb in (None, 1):
+                    assert satake_transform(f, box_bound=bb) \
+                        == satake_by_coset_count(f, box_bound=bb)
 
     def test_oracle_agreement_combination(self):
         p = 2
@@ -233,10 +303,13 @@ class TestTransformGl3:
         assert img == SatakeImage(3, 2, {(1, 1, 1): 1})
 
     def test_oracle_agreement(self):
-        for lam in [(1, 0, 0), (1, 1, 0)]:
-            t = HeckeElement.basis(lam, 2)
+        cases = [(lam, 2) for lam in dominant_box(3, 1)]
+        cases += [(lam, 3) for lam in [(1, 0, 0), (1, 1, 0), (0, 0, -1),
+                                       (1, 0, -1), (1, -1, -1)]]
+        for lam, p in cases:
+            t = HeckeElement.basis(lam, p)
             assert satake_transform(t, enable_rank3=True) \
-                == satake_by_coset_count(t)
+                == satake_by_coset_count(t), (lam, p)
 
     def test_homomorphism_with_central(self):
         z = HeckeElement.basis((1, 1, 1), 2)

@@ -2,7 +2,6 @@ import pytest
 
 from glnlab.errors import NotACocycle
 from glnlab.lang import (
-    SemidirectElement,
     char_poly,
     congruence_kernel_module,
     descend_conjugator,
@@ -138,25 +137,6 @@ class TestTwistedNormAndClasses:
         for a in m.elements[::17]:
             for c in char_poly(twisted_norm(a, m, 2)):
                 assert c.frobenius() == c
-
-
-class TestSemidirect:
-    def test_associativity_exhaustive_small(self):
-        m = gl1_field_module(2, 2)
-        els = [SemidirectElement(k, g, m) for k in range(2) for g in m.elements]
-        for x in els:
-            for y in els:
-                for z in els:
-                    assert (x * y) * z == x * (y * z)
-
-    def test_inverse_formula(self):
-        m = gl1_field_module(3, 2)
-        for k in range(2):
-            for g in m.elements:
-                x = SemidirectElement(k, g, m)
-                ident = SemidirectElement(0, m.identity(), m)
-                assert x * x.inverse() == ident
-                assert x.inverse() * x == ident
 
 
 class TestDMBijection:
