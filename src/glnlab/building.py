@@ -106,7 +106,7 @@ def membership(g, pattern):
     i = -vdet // n
     for r in range(n):
         for c in range(n):
-            v = g.rows[r][c].valuation()
+            v = g[r, c].valuation()
             saturated = v >= ring.n
             v += g.offset + i
             need = pattern.entries[r][c]

@@ -20,13 +20,14 @@ import itertools
 from fractions import Fraction
 
 from .errors import (
+    CapExceeded,
     CharacterMismatch,
     NotPrime,
     PrecisionExhausted,
     UnsupportedRank,
     ZeroEntry,
 )
-from .rings import HalfPowerLaurent, is_prime
+from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent, is_prime
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
 MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
@@ -93,7 +94,8 @@ def coset_decompose(lam, n, p):
 
     Enumerates upper-triangular Hermite forms with p-power diagonal and
     keeps those whose elementary divisors are exactly lam.  Exact; the
-    entries of lam are bounded by MAX_ENTRY in absolute value.
+    entries of lam are bounded by MAX_ENTRY in absolute value, and the
+    number of Hermite forms to scan by DEFAULT_GROUP_CAP.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
@@ -107,11 +109,17 @@ def coset_decompose(lam, n, p):
     m = tuple(c - shift for c in lam)
     total = sum(m)
     target = tuple(sorted(m))
+    diags = [diag for diag in itertools.product(range(total + 1), repeat=n)
+             if sum(diag) == total]
+    # diagonal p^diag leaves p^diag[i] choices for each entry right of it
+    candidates = sum(p ** sum(c * (n - 1 - i) for i, c in enumerate(diag))
+                     for diag in diags)
+    if candidates > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"{candidates} Hermite forms to scan exceed cap "
+                          f"{DEFAULT_GROUP_CAP}")
     reps = []
     scale = Fraction(p)**shift
-    for diag in itertools.product(range(total + 1), repeat=n):
-        if sum(diag) != total:
-            continue
+    for diag in diags:
         ranges = []
         for i in range(n):
             for j in range(i + 1, n):

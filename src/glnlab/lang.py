@@ -2,12 +2,15 @@
 
 Groups are handled by exhaustive enumeration below a hard size cap, so
 every statement verified here (surjectivity counts, H^1 triviality, the
-norm-vs-conjugacy matching) is exact, never sampled.
+norm-vs-conjugacy matching) is exact, never sampled.  The enumeration
+loops work on the flat code tuples of ``Mat`` (see ``rings``) and wrap
+only their results as matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     CapExceeded,
@@ -21,6 +24,7 @@ from .rings import (
     DEFAULT_FIELD_CAP,
     DEFAULT_GROUP_CAP,
     FiniteField,
+    LocalRingElement,
     Mat,
     TruncatedLocalRing,
     is_prime,
@@ -46,7 +50,7 @@ class GaloisModule:
     """An enumerated matrix group with a cyclic Frobenius action.
 
     ``sigma`` maps group elements to group elements and has order
-    dividing ``d``.
+    dividing ``d``.  Elements are ``Mat``s over one ring with offset 0.
     """
 
     def __init__(self, elements, sigma, d, ring=None, size=None):
@@ -62,37 +66,34 @@ class GaloisModule:
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
-    """All of GL_s over an enumerable finite ring, by exhaustive scan."""
-    try:
-        nel = ring.size()
-    except AttributeError:
-        nel = ring.q
+    """All of GL_s over an enumerable finite ring, in coefficient order.
+
+    Rows with every entry in the maximal ideal cannot occur, so the scan
+    runs over the other rows only; the determinant test decides the rest.
+    """
+    nel = ring.size()
     if nel ** (s * s) > cap:
         raise CapExceeded(
             f"enumerating {nel}^{s * s} candidate matrices exceeds cap {cap}")
-    els = list(ring.elements())
+    unit, det = ring.is_unit, ring.mat_det
+    rows = [r for r in itertools.product(range(nel), repeat=s)
+            if any(map(unit, r))]
     out = []
-    for entries in itertools.product(els, repeat=s * s):
-        m = Mat(ring, [entries[i * s:(i + 1) * s] for i in range(s)])
-        if m.is_invertible():
-            out.append(m)
+    for m in itertools.product(rows, repeat=s):
+        codes = sum(m, ())
+        if unit(det(s, codes)):
+            out.append(Mat.from_codes(ring, s, codes))
     return out
 
 
 def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     """GL_s over a finite field or truncated local ring with entrywise
     Frobenius^sigma_exponent as the Galois action."""
-    d = ring.d // _gcd(ring.d, sigma_exponent)
+    d = ring.d // math.gcd(ring.d, sigma_exponent)
     sig = (lambda m: m.sigma(sigma_exponent))
     module = GaloisModule(gl_elements(ring, s, cap=cap), sig, d, ring=ring)
     module.sigma_exponent = sigma_exponent % ring.d or ring.d
     return module
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,41 @@ def lang_map(x, module):
     return x.inverse() * module.sigma(x)
 
 
+def _coded(module):
+    """(ring, matrix size, {codes: codes of sigma}) of a module, in the
+    order of its elements."""
+    first = module.elements[0]
+    sigma = {m.codes: module.sigma(m).codes for m in module.elements}
+    return first.ring, first.size, sigma
+
+
+def _orbits(codes, orbit_of):
+    """The orbits through codes, each once, in the order of codes."""
+    seen = set()
+    for a in codes:
+        if a not in seen:
+            orbit = orbit_of(a)
+            seen |= orbit
+            yield orbit
+
+
+def _classes(ring, s, codes, lefts, rights):
+    """Orbits a -> u * a * w, u and w paired from lefts and rights."""
+    mul = ring.mat_mul
+    out = []
+    for orbit in _orbits(codes, lambda a: {
+            mul(s, mul(s, u, a), w) for u, w in zip(lefts, rights)}):
+        out.append({"representative": Mat.from_codes(ring, s, min(orbit)),
+                    "size": len(orbit),
+                    "orbit": {Mat.from_codes(ring, s, c) for c in orbit}})
+    return out
+
+
 def lang_image(module):
-    return {lang_map(x, module) for x in module.elements}
+    ring, s, sigma = _coded(module)
+    mul, inv = ring.mat_mul, ring.mat_inv
+    image = {mul(s, inv(s, x), sx) for x, sx in sigma.items()}
+    return {Mat.from_codes(ring, s, c) for c in image}
 
 
 def twisted_norm(a, module, m):
@@ -123,36 +157,17 @@ def twisted_classes(module):
     Returns a list of dicts with canonical (coeff-key-least) represen-
     tative, orbit size, and the orbit itself.
     """
-    sig_inv = {}
-    for v in module.elements:
-        sig_inv[v] = module.sigma(v).inverse()
-    seen = set()
-    classes = []
-    for a in module.elements:
-        if a in seen:
-            continue
-        orbit = {v * a * sig_inv[v] for v in module.elements}
-        seen |= orbit
-        rep = min(orbit, key=lambda m: m.coeff_key())
-        classes.append({"representative": rep, "size": len(orbit),
-                        "orbit": orbit})
-    return classes
+    ring, s, sigma = _coded(module)
+    return _classes(ring, s, sigma, sigma,
+                    [ring.mat_inv(s, sv) for sv in sigma.values()])
 
 
 def ordinary_classes(elements):
     """Plain conjugacy classes of an enumerated group."""
-    inv = {g: g.inverse() for g in elements}
-    seen = set()
-    classes = []
-    for a in elements:
-        if a in seen:
-            continue
-        orbit = {g * a * inv[g] for g in elements}
-        seen |= orbit
-        rep = min(orbit, key=lambda m: m.coeff_key())
-        classes.append({"representative": rep, "size": len(orbit),
-                        "orbit": orbit})
-    return classes
+    ring, s = elements[0].ring, elements[0].size
+    codes = [g.codes for g in elements]
+    return _classes(ring, s, codes, codes,
+                    [ring.mat_inv(s, g) for g in codes])
 
 
 # ---------------------------------------------------------------------------
@@ -167,33 +182,17 @@ def embed_field(small, big):
     """
     if small.p != big.p or big.d % small.d:
         raise ValueError("no embedding between these fields")
-    if small.d == 1:
-        img = big.one()
-        return lambda a, img=img: big.from_int(a.coeffs[0])
-    root = None
-    for cand in sorted(big.elements(), key=lambda e: e.coeffs):
-        acc = big.zero()
-        power = big.one()
-        for c in small.modulus:
-            if c:
-                acc = acc + big.from_int(c) * power
-            power = power * cand
-        if acc.is_zero():
-            root = cand
-            break
+    root = next((a for a in range(big.size())  # in coefficient order
+                 if not big.evaluate(small.modulus, a)), None)
     if root is None:
         raise ArithmeticError("modulus has no root in the big field")
-
-    powers = [big.one()]
+    powers = [big.one_code]
     for _ in range(small.d - 1):
-        powers.append(powers[-1] * root)
+        powers.append(big.mul(powers[-1], root))
 
     def emb(a):
-        acc = big.zero()
-        for c, rp in zip(a.coeffs, powers):
-            if c:
-                acc = acc + big.from_int(c) * rp
-        return acc
+        return LocalRingElement(
+            big, big.dot([big.encode((c,)) for c in a.coeffs], powers))
 
     return emb
 
@@ -263,24 +262,13 @@ def _lang_solve_linear(ybig, big, s, sig_exp, kernel_cap):
     """Invertible solution of sigma(x) = x*y over the big field, if any."""
     p, M = big.p, big.d
     nvars = s * s * M
-    basis_elems = []
-    for i in range(s):
-        for j in range(s):
-            for k in range(M):
-                coeffs = tuple(1 if t == k else 0 for t in range(M))
-                basis_elems.append((i, j, big.element(coeffs)))
-
     rows = []
-    for (i, j, b) in basis_elems:
-        zero = big.zero()
-        mat = Mat(big, [[b if (i, j) == (r, c) else zero for c in range(s)]
-                        for r in range(s)])
-        img = mat.sigma(sig_exp) + (mat * ybig).scale(big.from_int(-1))
-        col = []
-        for r in range(s):
-            for c in range(s):
-                col.extend(img.rows[r][c].coeffs)
-        rows.append(col)
+    for idx in range(s * s):
+        for basis in big.weights:  # the code of x^k, k = 0..M-1
+            mat = Mat.from_codes(big, s, tuple(
+                basis if t == idx else 0 for t in range(s * s)))
+            img = mat.sigma(sig_exp) + (mat * ybig).scale(big.from_int(-1))
+            rows.append([c for a in img.codes for c in big.decode(a)])
     # rows currently hold images of basis vectors; transpose to the matrix
     # acting on coordinate columns
     mat_rows = [[rows[v][eq] for v in range(nvars)] for eq in range(nvars)]
@@ -296,10 +284,8 @@ def _lang_solve_linear(ybig, big, s, sig_exp, kernel_cap):
         for c, bvec in zip(combo, kernel):
             if c:
                 vec = [(x + c * y) % p for x, y in zip(vec, bvec)]
-        entries = []
-        for idx in range(s * s):
-            entries.append(big.element(tuple(vec[idx * M:(idx + 1) * M])))
-        x = Mat(big, [entries[i * s:(i + 1) * s] for i in range(s)])
+        x = Mat.from_codes(big, s, tuple(big.encode(vec[idx * M:(idx + 1) * M])
+                                         for idx in range(s * s)))
         if x.is_invertible():
             return x
     return None
@@ -311,27 +297,31 @@ def _lang_solve_linear(ybig, big, s, sig_exp, kernel_cap):
 def h1_cyclic(module):
     """Cocycles c with c sigma(c) ... sigma^{d-1}(c) = 1 and their classes
     under c ~ a^-1 c sigma(a)."""
-    ident = module.identity()
-    cocycles = [c for c in module.elements
-                if twisted_norm(c, module, module.d) == ident]
+    ring, s, sigma = _coded(module)
+    mul = ring.mat_mul
+    ident = Mat.identity(ring, s).codes
+
+    def norm(c):
+        acc = cur = c
+        for _ in range(module.d - 1):
+            cur = sigma[cur]
+            acc = mul(s, acc, cur)
+        return acc
+
+    cocycles = [c for c in sigma if norm(c) == ident]
     cocycle_set = set(cocycles)
-    seen = set()
+    inv = ring.mat_inv
     classes = []
-    for c in cocycles:
-        if c in seen:
-            continue
-        orbit = set()
-        for a in module.elements:
-            t = a.inverse() * c * module.sigma(a)
-            orbit.add(t)
+    # inverses are recomputed per class, not stored: H^1 is mostly trivial
+    for orbit in _orbits(cocycles, lambda c: {
+            mul(s, mul(s, inv(s, a), c), sa) for a, sa in sigma.items()}):
         orbit &= cocycle_set
-        seen |= orbit
-        rep = min(orbit, key=lambda m: m.coeff_key())
-        classes.append({"representative": rep, "size": len(orbit),
+        classes.append({"representative": Mat.from_codes(ring, s, min(orbit)),
+                        "size": len(orbit),
                         "contains_identity": ident in orbit})
     return {
         "cocycle_count": len(cocycles),
-        "cocycles": cocycles,
+        "cocycles": [Mat.from_codes(ring, s, c) for c in cocycles],
         "classes": classes,
         "h1_size": len(classes),
     }
@@ -346,13 +336,11 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     per_entry = step**d
     if per_entry ** (s * s) > cap:
         raise CapExceeded("congruence kernel enumeration exceeds cap")
-    entry_values = [ring.element(tuple(pa * t for t in coeffs))
+    entry_values = [ring.encode([pa * t for t in coeffs])
                     for coeffs in itertools.product(range(step), repeat=d)]
-    ident = Mat.identity(ring, s)
-    out = []
-    for entries in itertools.product(entry_values, repeat=s * s):
-        delta = Mat(ring, [entries[i * s:(i + 1) * s] for i in range(s)])
-        out.append(ident + delta)
+    ident = Mat.identity(ring, s).codes
+    out = [Mat.from_codes(ring, s, tuple(map(ring.add, ident, delta)))
+           for delta in itertools.product(entry_values, repeat=s * s)]
     return GaloisModule(out, lambda m: m.sigma(1), d, ring=ring)
 
 
@@ -360,7 +348,7 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     """|H^1| for GL_s at each truncation level and for the congruence
     kernels between consecutive levels, plus level-compatibility."""
     report = {"levels": [], "kernels": [], "compatible": True}
-    prev_cocycles = None
+    low = prev_cocycles = None
     for n in range(1, max_level + 1):
         ring = TruncatedLocalRing(p, n, d)
         module = gl_module(ring, s, cap=cap)
@@ -368,16 +356,14 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
         report["levels"].append({"level": n, "group_order": module.size,
                                  "h1_size": res["h1_size"],
                                  "cocycle_count": res["cocycle_count"]})
-        if prev_cocycles is not None:
+        cocycles = {c.codes for c in res["cocycles"]}
+        if low is not None:
             # reduction must carry level-n cocycles to level-(n-1) cocycles
-            low = TruncatedLocalRing(p, n - 1, d)
-            reduced = {
-                Mat(low, [[low.element(a.coeffs) for a in row]
-                          for row in c.rows])
-                for c in res["cocycles"]}
-            if not reduced <= set(prev_cocycles):
+            reduced = {tuple(low.encode(ring.decode(a)) for a in c)
+                       for c in cocycles}
+            if not reduced <= prev_cocycles:
                 report["compatible"] = False
-        prev_cocycles = res["cocycles"]
+        low, prev_cocycles = ring, cocycles
     for a in range(1, max_level):
         module = congruence_kernel_module(p, d, a, a + 1, s, cap=cap)
         res = h1_cyclic(module)
@@ -432,14 +418,13 @@ def char_poly(m):
         if r == 0:
             coeffs.append(ring.one())
             continue
-        acc = None
-        for rows in itertools.combinations(range(s), r):
-            sub = [[m.rows[i][j] for j in rows] for i in rows]
-            term = m._det(sub)
-            acc = term if acc is None else acc + term
-        if (s - k) % 2:
-            acc = -acc
-        coeffs.append(acc)
+        acc = 0
+        for idx in itertools.combinations(range(s), r):
+            sub = tuple(m.codes[i * s + j] for i in idx for j in idx)
+            acc = ring.add(acc, ring.mat_det(r, sub))
+        if r % 2:
+            acc = ring.neg(acc)
+        coeffs.append(LocalRingElement(ring, acc))
     return tuple(coeffs)
 
 
@@ -460,6 +445,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     plain = ordinary_classes(gl_elements(base, s, cap=cap))
     module = gl_module(ext, s, sigma_exponent=v, cap=cap)
     twisted = twisted_classes(module)
+    to_ext = embed_field(base, ext)
+    mul = ext.mat_mul
 
     matches = []
     used = set()
@@ -480,12 +467,14 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         # cross-check: N(A) = A sigma(A)...sigma^{n-1}(A) is conjugate to
         # the inverse of Y inside GL_s(F_{q^n})
         na = twisted_norm(a, module, n)
-        target = Mat(ext, [[emb_small_to_ext(base, ext, c)
-                            for c in row] for row in y_small.inverse().rows])
+        target = Mat(ext, [[to_ext(c) for c in row]
+                           for row in y_small.inverse().rows])
         if char_poly(na) != char_poly(target):
             raise MatchFailure("characteristic polynomial prefilter failed")
+        # g * na * g^-1 = target, tested as g * na = target * g
         conj = next((g for g in module.elements
-                     if g * na * g.inverse() == target), None)
+                     if mul(s, g.codes, na.codes)
+                     == mul(s, target.codes, g.codes)), None)
         if conj is None:
             raise MatchFailure("no explicit conjugator found")
         matches.append({
@@ -504,16 +493,6 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         "bijective": bijective,
         "matches": matches,
     }
-
-
-_EMBED_CACHE = {}
-
-
-def emb_small_to_ext(small, ext, a):
-    key = (small.p, small.d, ext.d)
-    if key not in _EMBED_CACHE:
-        _EMBED_CACHE[key] = embed_field(small, ext)
-    return _EMBED_CACHE[key](a)
 
 
 def _pullback_matrix(m, small, big):

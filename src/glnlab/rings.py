@@ -1,19 +1,28 @@
 """Exact arithmetic substrate.
 
-Finite fields F_{p^d}, truncated unramified local rings (Z/p^n)[x]/(F)
-with a canonical Frobenius lift, square matrices over either (with an
-optional global p-power factor), and the coefficient ring of Laurent
-polynomials in a formal square root of q.
+One integer-coded ring class, ``TruncatedLocalRing(p, n, d)``: the ring
+(Z/p^n)[x]/(F), F the canonical degree-d field modulus, with the
+canonical Frobenius lift sigma.  ``FiniteField(p, d)`` is its level-1
+case, where sigma is the p-power map.  An element is an int code in
+[0, p^(nd)) whose base-p^n digits are its coefficients, constant term
+most significant, so code order is coefficient-tuple order.  The ring
+fixes its arithmetic at construction from (p, n, d): native ints mod p^n
+when d = 1; add, mul, negation, inverse and sigma tables when d > 1 and
+the ring has at most 256 elements (so an N x N table holds at most 2^16
+codes); schoolbook products of decoded coefficients otherwise.
 
-Field/ring elements are immutable; all operations are pure.  Polynomials
-are coefficient lists, low degree first.
+``Mat`` is a square matrix as a flat row-major tuple of codes plus a
+global p-power offset.  Element objects are thin (ring, code) pairs for
+code that works one entry at a time.  Last, the coefficient ring of
+Laurent polynomials in a formal square root of q.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     BadSubfield,
@@ -25,6 +34,7 @@ from .errors import (
 
 DEFAULT_FIELD_CAP = 1 << 16
 DEFAULT_GROUP_CAP = 10**6
+_TABLE_MAX = 1 << 8  # largest tabulated ring: an N x N table has <= 2^16 codes
 
 
 def is_prime(m):
@@ -39,7 +49,7 @@ def is_prime(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Z/m (coefficient lists, low degree first)
+# polynomial helpers over Z/m (coefficient tuples, low degree first)
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -72,11 +82,6 @@ def _poly_mod(a, f, m):
     return _poly_trim(tuple(c % m for c in a))
 
 
-def _poly_divides(g, f, p):
-    """True if monic g divides f over Z/p."""
-    return not _poly_mod(f, g, p)
-
-
 def _is_irreducible(f, p):
     """Exhaustive irreducibility test for monic f over Z/p.
 
@@ -90,8 +95,7 @@ def _is_irreducible(f, p):
         return True
     for k in range(1, d // 2 + 1):
         for tail in itertools.product(range(p), repeat=k):
-            g = tuple(tail) + (1,)
-            if _poly_divides(g, f, p):
+            if not _poly_mod(f, tuple(tail) + (1,), p):
                 return False
     return True
 
@@ -109,320 +113,318 @@ def _canonical_modulus(p, d):
     raise NotPrime(f"no irreducible polynomial of degree {d} over Z/{p}")
 
 
-# ---------------------------------------------------------------------------
-# finite fields
-
-class FiniteField:
-    """The field with p^d elements, modulus chosen canonically.
-
-    The modulus is the lexicographically least monic irreducible of
-    degree d over Z/p (coefficients compared highest degree first), so
-    two fields with the same (p, d) are interchangeable.
-    """
-
-    def __init__(self, p, d, cap=DEFAULT_FIELD_CAP):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if d < 1:
-            raise InvalidConfig("extension degree must be >= 1")
-        if p**d > cap:
-            raise CapExceeded(f"field size {p}^{d} exceeds cap {cap}")
-        self.p = p
-        self.d = d
-        self.q = p**d
-        self.modulus = _canonical_modulus(p, d)
-
-    # -- element constructors ------------------------------------------------
-    def element(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) < self.d:
-            coeffs = coeffs + (0,) * (self.d - len(coeffs))
-        if len(coeffs) != self.d:
-            raise ValueError("too many coefficients")
-        return FqElement(self, coeffs)
-
-    def zero(self):
-        return self.element(())
-
-    def one(self):
-        return self.element((1,))
-
-    def gen(self):
-        if self.d == 1:
-            return self.element((1,))
-        return self.element((0, 1))
-
-    def from_int(self, k):
-        return self.element((k % self.p,))
-
-    def elements(self):
-        for t in itertools.product(range(self.p), repeat=self.d):
-            yield FqElement(self, t)
-
-    def units(self):
-        for a in self.elements():
-            if a.coeffs != (0,) * self.d:
-                yield a
-
-    # -- raw tuple arithmetic (shared with the element wrapper) --------------
-    def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def _mul(self, a, b):
-        r = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
-        return r + (0,) * (self.d - len(r))
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteField)
-                and (self.p, self.d) == (other.p, other.d))
-
-    def __hash__(self):
-        return hash(("FiniteField", self.p, self.d))
-
-    def __repr__(self):
-        return f"FiniteField({self.p}, {self.d})"
-
-
-class FqElement:
-    """Element of a FiniteField, as a tuple of d residues mod p."""
-
-    __slots__ = ("field", "coeffs", "_hash")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-        self._hash = hash((field.p, field.d, coeffs))
-
-    def __add__(self, other):
-        return FqElement(self.field, self.field._add(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field._neg(self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return FqElement(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def inverse(self):
-        if self.is_zero():
-            raise NotInvertible("zero has no inverse")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def frobenius(self, e=1):
-        """Apply the p-power Frobenius e times (e taken mod d)."""
-        e %= self.field.d
-        return self ** (self.field.p**e)
-
-    def norm(self, e=1):
-        """Norm down to the subfield of degree e over the prime field."""
-        d = self.field.d
-        if d % e:
-            raise BadSubfield(f"{e} does not divide {d}")
-        result = self.field.one()
-        a = self
-        for _ in range(d // e):
-            result = result * a
-            a = a.frobenius(e)
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, FqElement)
-                and self.coeffs == other.coeffs
-                and self.field == other.field)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Fq({self.field.p}^{self.field.d}){list(self.coeffs)}"
-
-
-def ff_make(p, d, cap=DEFAULT_FIELD_CAP):
-    return FiniteField(p, d, cap=cap)
+def _minor(a, s, i, j):
+    """The flat s x s matrix a without row i and column j."""
+    return tuple(a[r * s + c] for r in range(s) if r != i
+                 for c in range(s) if c != j)
 
 
 # ---------------------------------------------------------------------------
-# truncated unramified local rings
+# the three arithmetics of a ring's codes; each returns add, mul, neg, dot
+# (sum of products), inv, is_unit, decode, and linear (images of the basis
+# 1, x, .., x^(d-1) -> the additive map of codes they define)
+
+def _native_ops(ring):
+    p, m = ring.p, ring.pn
+
+    def inv(a):
+        if a % p == 0:
+            raise NotInvertible("not a unit")
+        return pow(a, -1, m)
+
+    return (lambda a, b: (a + b) % m, lambda a, b: a * b % m,
+            lambda a: -a % m,
+            lambda xs, ys: sum(map(operator.mul, xs, ys)) % m,
+            inv, lambda a: a % p != 0, lambda a: (a,), None)
+
+
+def _table_ops(ring):
+    p, pn, d, size = ring.p, ring.pn, ring.d, ring.size()
+    coeffs = list(itertools.product(range(pn), repeat=d))  # code order
+    add = []
+    for ca in coeffs:
+        row = [0]
+        for ai, w in zip(ca, ring.weights):
+            row = [r + (ai + t) % pn * w for r in row for t in range(pn)]
+        add += row
+
+    def linear(images):
+        row = [0]
+        for img in images:
+            mult = [0]
+            for _ in range(pn - 1):
+                mult.append(add[mult[-1] * size + img])
+            row = [add[r * size + m] for r in row for m in mult]
+        return row
+
+    # x * x^j = x^(j+1), and x * x^(d-1) = x^d = x^d - F
+    times_x = linear(ring.weights[1:] + (
+        ring.encode([-c for c in ring.modulus_lift]),))
+    mul = []
+    for a in range(size):
+        images = [a]
+        for _ in range(d - 1):
+            images.append(times_x[images[-1]])
+        mul += linear(images)
+    unit = [any(c % p for c in ca) for ca in coeffs]
+    inverse = [mul.index(ring.one_code, a * size, (a + 1) * size) - a * size
+               if unit[a] else -1 for a in range(size)]
+
+    def dot(xs, ys):
+        acc = 0
+        for a, b in zip(xs, ys):
+            acc = add[acc * size + mul[a * size + b]]
+        return acc
+
+    def inv(a):
+        if inverse[a] < 0:
+            raise NotInvertible("not a unit")
+        return inverse[a]
+
+    return (lambda a, b: add[a * size + b], lambda a, b: mul[a * size + b],
+            [ring.encode([-c for c in ca]) for ca in coeffs].__getitem__,
+            dot, inv, unit.__getitem__, coeffs.__getitem__,
+            lambda images: linear(images).__getitem__)
+
+
+def _poly_ops(ring):
+    p, pn, d, f = ring.p, ring.pn, ring.d, ring.modulus_lift
+    encode = ring.encode
+
+    def decode(a):
+        out = [0] * d
+        for i in range(d - 1, -1, -1):
+            a, out[i] = divmod(a, pn)
+        return tuple(out)
+
+    def add(a, b):
+        return encode([x + y for x, y in zip(decode(a), decode(b))])
+
+    def mul(a, b):
+        return encode(_poly_mod(_poly_mul(decode(a), decode(b), pn), f, pn))
+
+    def inv(a):
+        # solve a * z = 1 by Gauss-Jordan elimination with unit pivots;
+        # column j of the system holds the coefficients of a * x^j
+        cols, col = [], list(decode(a))
+        for _ in range(d):
+            cols.append(col)
+            top = col[-1]  # x * x^(d-1) = x^d - F
+            col = [c - top * fc for c, fc in zip([0] + col[:-1], f)]
+        rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
+                for i in range(d)]
+        for c in range(d):
+            piv = next((r for r in range(c, d) if rows[r][c] % p), None)
+            if piv is None:
+                raise NotInvertible("not a unit")
+            rows[c], rows[piv] = rows[piv], rows[c]
+            k = pow(rows[c][c], -1, pn)
+            rows[c] = [x * k % pn for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c]:
+                    g = rows[r][c]
+                    rows[r] = [(x - g * y) % pn
+                               for x, y in zip(rows[r], rows[c])]
+        return encode([row[d] for row in rows])
+
+    def linear(images):
+        columns = [decode(img) for img in images]
+
+        def apply(b):
+            acc = [0] * d
+            for bj, col in zip(decode(b), columns):
+                acc = [x + bj * y for x, y in zip(acc, col)]
+            return encode(acc)
+        return apply
+
+    return (add, mul, lambda a: encode([-c for c in decode(a)]),
+            lambda xs, ys: reduce(add, map(mul, xs, ys)),
+            inv, lambda a: any(c % p for c in decode(a)), decode, linear)
+
+
+# ---------------------------------------------------------------------------
+# the integer-coded ring
 
 class TruncatedLocalRing:
     """(Z/p^n)[x]/(F), F the canonical field modulus read mod p^n.
 
     Models the ring of integers of the unramified degree-d extension
     truncated at p-adic precision n.  Carries the canonical Frobenius
-    lift: the unique root of F congruent to x^p mod p, found by Newton
-    iteration.
+    lift: the unique root of F congruent to x^p mod p.  The operations
+    on codes (``add``, ``mul``, ``neg``, ``dot``, ``inv``, ``is_unit``,
+    ``decode``) are fixed at construction; the ``mat_*`` methods apply
+    them to flat row-major matrices of codes.
     """
 
     def __init__(self, p, n, d, cap=DEFAULT_FIELD_CAP):
+        self._setup(p, n, d, cap)
+
+    def _setup(self, p, n, d, cap):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if n < 1:
             raise InvalidConfig("precision must be >= 1")
+        if d < 1:
+            raise InvalidConfig("extension degree must be >= 1")
         if p**d > cap:
             raise CapExceeded(f"residue field size {p}^{d} exceeds cap {cap}")
-        self.p = p
-        self.n = n
-        self.d = d
+        self.p, self.n, self.d = p, n, d
+        self.q = p**d
         self.pn = p**n
-        self.residue_field = FiniteField(p, d, cap=cap)
-        self.modulus_lift = tuple(c % self.pn for c in self.residue_field.modulus)
-        self.frobenius_image = self._lift_frobenius()
-        self._sigma_powers = self._sigma_tables()
+        self.modulus = _canonical_modulus(p, d)
+        self.modulus_lift = tuple(c % self.pn for c in self.modulus)
+        # code weight of each coefficient; the constant term weighs most
+        self.weights = tuple(self.pn**(d - 1 - i) for i in range(d))
+        self.one_code = self.weights[0]
+        ops = (_native_ops if d == 1 else
+               _table_ops if self.size() <= _TABLE_MAX else _poly_ops)
+        (self.add, self.mul, self.neg, self.dot, self.inv, self.is_unit,
+         self.decode, self._linear) = ops(self)
+        self._frobenius_code = y = self._lift_frobenius()
+        if d > 1:
+            powers = [self.one_code]
+            for _ in range(d - 1):
+                powers.append(self.mul(powers[-1], y))
+            self._sigma = self._linear(powers)
+            if self.sigma(y, d - 1) != self.weights[1]:
+                raise ArithmeticError("Frobenius lift does not have order d")
 
-    # -- element constructors ------------------------------------------------
+    # -- Frobenius ------------------------------------------------------------
+    @property
+    def frobenius_image(self):
+        return LocalRingElement(self, self._frobenius_code)
+
+    def _eval_poly(self, coeffs, y):
+        """Evaluate a Z/p^n-coefficient polynomial at the element with
+        coefficient tuple y; returns the value's coefficient tuple."""
+        return self.decode(self.evaluate(coeffs, self.encode(y)))
+
+    def evaluate(self, coeffs, y):
+        """Code of the value at code y of an integer-coefficient polynomial."""
+        acc = 0
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, y), c % self.pn * self.one_code)
+        return acc
+
+    def _lift_frobenius(self):
+        """Code of sigma(x): the root of F congruent to x^p mod p, by
+        Newton iteration from x^p."""
+        if self.d == 1:
+            return self.one_code
+        f = self.modulus_lift
+        fprime = tuple(i * c for i, c in enumerate(f))[1:]
+        y = self._pow_code(self.weights[1], self.p)
+        for _ in range(self.n):
+            fy = self.evaluate(f, y)
+            if not fy:
+                break
+            step = self.mul(fy, self.inv(self.evaluate(fprime, y)))
+            y = self.add(y, self.neg(step))
+        if self.evaluate(f, y):
+            raise ArithmeticError("Newton iteration failed to lift Frobenius")
+        return y
+
+    def _pow_code(self, a, e):
+        result = self.one_code
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def sigma(self, a, e=1):
+        """Code of sigma^e(a), e taken mod d."""
+        for _ in range(e % self.d):
+            a = self._sigma(a)
+        return a
+
+    # -- codes and element constructors ---------------------------------------
+    def encode(self, coeffs):
+        """Code of the element with these coefficients (at most d), each
+        read mod p^n."""
+        pn = self.pn
+        return sum(c % pn * w for c, w in zip(coeffs, self.weights))
+
     def element(self, coeffs):
-        coeffs = tuple(c % self.pn for c in coeffs)
-        if len(coeffs) < self.d:
-            coeffs = coeffs + (0,) * (self.d - len(coeffs))
-        if len(coeffs) != self.d:
+        coeffs = tuple(coeffs)
+        if len(coeffs) > self.d:
             raise ValueError("too many coefficients")
-        return LocalRingElement(self, coeffs)
+        return LocalRingElement(self, self.encode(coeffs))
 
     def zero(self):
-        return self.element(())
+        return LocalRingElement(self, 0)
 
     def one(self):
-        return self.element((1,))
+        return LocalRingElement(self, self.one_code)
 
     def gen(self):
-        if self.d == 1:
-            return self.element((1,))
-        return self.element((0, 1))
+        return LocalRingElement(self, self.weights[min(1, self.d - 1)])
 
     def from_int(self, k):
-        return self.element((k % self.pn,))
+        return LocalRingElement(self, k % self.pn * self.one_code)
 
     def elements(self):
-        for t in itertools.product(range(self.pn), repeat=self.d):
-            yield LocalRingElement(self, t)
+        """Every element, in coefficient-tuple order."""
+        for a in range(self.size()):
+            yield LocalRingElement(self, a)
 
     def units(self):
-        for a in self.elements():
-            if a.is_unit():
-                yield a
+        for a in range(self.size()):
+            if self.is_unit(a):
+                yield LocalRingElement(self, a)
 
     def size(self):
         return self.pn**self.d
 
-    # -- raw tuple arithmetic -------------------------------------------------
-    def _add(self, a, b):
-        return tuple((x + y) % self.pn for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple((-x) % self.pn for x in a)
-
-    def _mul(self, a, b):
-        r = _poly_mod(_poly_mul(a, b, self.pn), self.modulus_lift, self.pn)
-        return r + (0,) * (self.d - len(r))
-
-    def _inv(self, a):
-        """Invert a unit by lifting the residue-field inverse Newton-style."""
-        red = self.residue_field.element(a)
-        if red.is_zero():
-            raise NotInvertible("not a unit in the truncated local ring")
-        z = red.inverse().coeffs
-        one = (1,) + (0,) * (self.d - 1)
-        # z <- z(2 - az) doubles the number of correct p-adic digits
-        for _ in range(max(1, self.n.bit_length() + 1)):
-            az = self._mul(a, z)
-            err = tuple((x - y) % self.pn for x, y in zip(one, az))
-            if not any(err):
-                break
-            two_minus = tuple((2 * o - x) % self.pn for o, x in zip(one, az))
-            z = self._mul(z, two_minus)
-        return z
-
-    def _eval_poly(self, coeffs, y):
-        """Evaluate a Z/p^n-coefficient polynomial at ring element y (tuple)."""
-        acc = (0,) * self.d
-        for c in reversed(coeffs):
-            acc = self._mul(acc, y)
-            acc = tuple((v + (c if i == 0 else 0)) % self.pn
-                        for i, v in enumerate(acc))
-        return acc
-
-    def _lift_frobenius(self):
-        if self.d == 1:
-            return self.one()
-        xp = self._eval_poly((0,) * self.p + (1,), self.gen().coeffs)
-        fprime = tuple((i * c) % self.pn
-                       for i, c in enumerate(self.modulus_lift))[1:]
-        y = xp
-        for _ in range(max(1, self.n.bit_length() + 1)):
-            fy = self._eval_poly(self.modulus_lift, y)
-            if not any(fy):
-                break
-            inv = self._inv(self._eval_poly(fprime, y))
-            step = self._mul(fy, inv)
-            y = tuple((a - b) % self.pn for a, b in zip(y, step))
-        if any(self._eval_poly(self.modulus_lift, y)):
-            raise ArithmeticError("Newton iteration failed to lift Frobenius")
-        return LocalRingElement(self, y)
-
-    def _sigma_tables(self):
-        """Powers of the basis image under each sigma^e, e = 0..d-1."""
-        tables = []
-        y = self.gen().coeffs
-        for _ in range(self.d):
-            powers = []
-            acc = (1,) + (0,) * (self.d - 1)
-            for _ in range(self.d):
-                powers.append(acc)
-                acc = self._mul(acc, y)
-            tables.append(powers)
-            y = self._apply_sigma_once(y)
-        # sigma^d must return the generator
-        if self._apply_sigma_once(tables[-1][1] if self.d > 1 else (1,)) != \
-                self.gen().coeffs:
-            raise ArithmeticError("Frobenius lift does not have order d")
-        return tables
-
-    def _apply_sigma_once(self, a):
-        y = self.frobenius_image.coeffs
-        acc = (0,) * self.d
-        ypow = (1,) + (0,) * (self.d - 1)
-        for c in a:
-            if c:
-                acc = self._add(acc, tuple((c * v) % self.pn for v in ypow))
-            ypow = self._mul(ypow, y)
-        return acc
-
-    def _sigma(self, a, e=1):
-        e %= self.d
-        if e == 0:
-            return a
-        powers = self._sigma_powers[e]
-        acc = (0,) * self.d
-        for c, yp in zip(a, powers):
-            if c:
-                acc = self._add(acc, tuple((c * v) % self.pn for v in yp))
-        return acc
-
     def reduce_mod_p(self, a):
-        return self.residue_field.element(a.coeffs)
+        return FiniteField(self.p, self.d).element(a.coeffs)
+
+    # -- flat matrices of codes -----------------------------------------------
+    def mat_mul(self, s, a, b):
+        """Product of two flat s x s matrices."""
+        dot = self.dot
+        if s == 2:  # the hot case, unrolled
+            r0, r1, c0, c1 = a[:2], a[2:], b[::2], b[1::2]
+            return (dot(r0, c0), dot(r0, c1), dot(r1, c0), dot(r1, c1))
+        cols = [b[j::s] for j in range(s)]
+        return tuple([dot(a[i:i + s], col)
+                      for i in range(0, s * s, s) for col in cols])
+
+    def mat_det(self, s, a):
+        """Determinant by cofactor expansion along the first row."""
+        if s == 1:
+            return a[0]
+        if s == 2:
+            return self.dot((a[0], a[1]), (a[3], self.neg(a[2])))
+        cof = [self.mat_det(s - 1, _minor(a, s, 0, j)) for j in range(s)]
+        return self.dot(a[:s], [self.neg(c) if j % 2 else c
+                                for j, c in enumerate(cof)])
+
+    def mat_inv(self, s, a):
+        """Inverse by the adjugate; NotInvertible unless det is a unit."""
+        det = self.mat_det(s, a)
+        if not self.is_unit(det):
+            raise NotInvertible("determinant is not a unit")
+        dinv = self.inv(det)
+        mul, neg = self.mul, self.neg
+        if s == 1:
+            return (dinv,)
+        if s == 2:
+            return (mul(a[3], dinv), neg(mul(a[1], dinv)),
+                    neg(mul(a[2], dinv)), mul(a[0], dinv))
+        out = []
+        for i in range(s):
+            for j in range(s):
+                c = mul(self.mat_det(s - 1, _minor(a, s, j, i)), dinv)
+                out.append(neg(c) if (i + j) % 2 else c)
+        return tuple(out)
+
+    def mat_sigma(self, a, e=1):
+        """Entry-wise sigma^e."""
+        for _ in range(e % self.d):
+            a = tuple(map(self._sigma, a))
+        return a
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedLocalRing)
@@ -435,45 +437,64 @@ class TruncatedLocalRing:
         return f"TruncatedLocalRing(p={self.p}, n={self.n}, d={self.d})"
 
 
+class FiniteField(TruncatedLocalRing):
+    """The field with p^d elements: the level-1 truncated ring.
+
+    The modulus is the lexicographically least monic irreducible of
+    degree d over Z/p (coefficients compared highest degree first), so
+    two fields with the same (p, d) are interchangeable.
+    """
+
+    def __init__(self, p, d, cap=DEFAULT_FIELD_CAP):
+        self._setup(p, 1, d, cap)
+
+    def __repr__(self):
+        return f"FiniteField({self.p}, {self.d})"
+
+
+def ff_make(p, d, cap=DEFAULT_FIELD_CAP):
+    return FiniteField(p, d, cap=cap)
+
+
+def ring_make(p, n, d, cap=DEFAULT_FIELD_CAP):
+    return TruncatedLocalRing(p, n, d, cap=cap)
+
+
 class LocalRingElement:
-    """Element of a TruncatedLocalRing, as d residues mod p^n."""
+    """Element of a ring above: its code, decoded on demand."""
 
-    __slots__ = ("ring", "coeffs", "_hash")
+    __slots__ = ("ring", "code")
 
-    def __init__(self, ring, coeffs):
+    def __init__(self, ring, code):
         self.ring = ring
-        self.coeffs = coeffs
-        self._hash = hash((ring.p, ring.n, ring.d, coeffs))
+        self.code = code
+
+    @property
+    def coeffs(self):
+        return self.ring.decode(self.code)
 
     def __add__(self, other):
-        return LocalRingElement(self.ring, self.ring._add(self.coeffs, other.coeffs))
+        return LocalRingElement(self.ring, self.ring.add(self.code, other.code))
 
     def __neg__(self):
-        return LocalRingElement(self.ring, self.ring._neg(self.coeffs))
+        return LocalRingElement(self.ring, self.ring.neg(self.code))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return LocalRingElement(self.ring, self.ring._mul(self.coeffs, other.coeffs))
+        return LocalRingElement(self.ring, self.ring.mul(self.code, other.code))
 
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return LocalRingElement(self.ring, self.ring._pow_code(self.code, e))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return self.code == 0
 
     def is_unit(self):
-        return any(c % self.ring.p for c in self.coeffs)
+        return self.ring.is_unit(self.code)
 
     def valuation(self):
         """p-adic valuation in {0,..,n}; n exactly for the zero element."""
@@ -485,7 +506,7 @@ class LocalRingElement:
         return v
 
     def inverse(self):
-        return LocalRingElement(self.ring, self.ring._inv(self.coeffs))
+        return LocalRingElement(self.ring, self.ring.inv(self.code))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -498,9 +519,11 @@ class LocalRingElement:
         exactly at the ring's full precision.
         """
         pv = self.ring.p**v
-        if any(c % pv for c in self.coeffs):
+        coeffs = self.coeffs
+        if any(c % pv for c in coeffs):
             raise NotInvertible(f"element is not divisible by p^{v}")
-        return LocalRingElement(self.ring, tuple(c // pv for c in self.coeffs))
+        return LocalRingElement(self.ring,
+                                self.ring.encode([c // pv for c in coeffs]))
 
     def unit_part(self):
         """(u, v) with self = p^v * u and u either a unit or zero."""
@@ -510,151 +533,145 @@ class LocalRingElement:
         return self.divide_exact_p_power(v), v
 
     def sigma(self, e=1):
-        return LocalRingElement(self.ring, self.ring._sigma(self.coeffs, e))
+        """The Frobenius lift applied e times (e taken mod d); on a
+        finite field, the p-power Frobenius."""
+        return LocalRingElement(self.ring, self.ring.sigma(self.code, e))
+
+    frobenius = sigma
+
+    def norm(self, e=1):
+        """Norm down to the subring of sigma^e-fixed points, e | d."""
+        d = self.ring.d
+        if d % e:
+            raise BadSubfield(f"{e} does not divide {d}")
+        result = self.ring.one()
+        a = self
+        for _ in range(d // e):
+            result = result * a
+            a = a.sigma(e)
+        return result
 
     def __eq__(self, other):
         return (isinstance(other, LocalRingElement)
-                and self.coeffs == other.coeffs
-                and self.ring == other.ring)
+                and self.code == other.code
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ring.pn, self.ring.d, self.code))
 
     def __repr__(self):
-        return f"R(p={self.ring.p},n={self.ring.n},d={self.ring.d}){list(self.coeffs)}"
+        r = self.ring
+        return f"R(p={r.p},n={r.n},d={r.d}){list(self.coeffs)}"
 
 
-def ring_make(p, n, d, cap=DEFAULT_FIELD_CAP):
-    return TruncatedLocalRing(p, n, d, cap=cap)
+FqElement = LocalRingElement
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 class Mat:
-    """Square matrix over a FiniteField or TruncatedLocalRing.
+    """Square matrix over a ring above, as a flat row-major code tuple.
 
     ``offset`` is a global p-power exponent e: the matrix represents
     p^e times the stored integral entries, which lets diag(p^-1, 1)-type
     group elements live at finite precision.  Over finite fields the
-    offset must stay 0.
+    offset must stay 0.  ``rows`` and ``m[i, j]`` give element objects.
     """
 
-    __slots__ = ("ring", "size", "rows", "offset", "_hash")
+    __slots__ = ("ring", "size", "codes", "offset")
 
     def __init__(self, ring, rows, offset=0):
+        rows = [tuple(r) for r in rows]
+        self._set(ring, len(rows), tuple(a.code for r in rows for a in r),
+                  offset)
+
+    def _set(self, ring, size, codes, offset):
         self.ring = ring
-        self.rows = tuple(tuple(r) for r in rows)
-        self.size = len(self.rows)
+        self.size = size
+        self.codes = codes
         self.offset = offset
-        self._hash = hash((self.rows, offset))
+
+    @classmethod
+    def from_codes(cls, ring, size, codes, offset=0):
+        """Matrix from its flat row-major tuple of codes."""
+        m = object.__new__(cls)
+        m._set(ring, size, codes, offset)
+        return m
 
     @classmethod
     def identity(cls, ring, size):
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(size)]
-                          for i in range(size)])
+        one = ring.one_code
+        return cls.from_codes(ring, size, tuple(
+            one if i == j else 0 for i in range(size) for j in range(size)))
 
     @classmethod
     def from_ints(cls, ring, rows, offset=0):
-        return cls(ring, [[ring.from_int(c) for c in r] for r in rows], offset)
+        one, pn = ring.one_code, ring.pn
+        return cls.from_codes(ring, len(rows), tuple(
+            c % pn * one for r in rows for c in r), offset)
+
+    @property
+    def rows(self):
+        ring, s, codes = self.ring, self.size, self.codes
+        return tuple(tuple(LocalRingElement(ring, c) for c in codes[i:i + s])
+                     for i in range(0, s * s, s))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return LocalRingElement(self.ring, self.codes[i * self.size + j])
+
+    def _like(self, codes, offset):
+        return Mat.from_codes(self.ring, self.size, codes, offset)
 
     def __mul__(self, other):
-        s = self.size
-        rows = []
-        for i in range(s):
-            row = []
-            for j in range(s):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, s):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return Mat(self.ring, rows, self.offset + other.offset)
+        return self._like(self.ring.mat_mul(self.size, self.codes, other.codes),
+                          self.offset + other.offset)
 
     def __add__(self, other):
         if self.offset != other.offset:
             raise ValueError("cannot add matrices with different offsets")
-        return Mat(self.ring,
-                   [[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)],
-                   self.offset)
+        return self._like(tuple(map(self.ring.add, self.codes, other.codes)),
+                          self.offset)
 
     def scale(self, c):
-        return Mat(self.ring, [[c * a for a in r] for r in self.rows], self.offset)
+        mul, k = self.ring.mul, c.code
+        return self._like(tuple(mul(k, a) for a in self.codes), self.offset)
 
     def det(self):
         """Determinant of the integral part, by cofactor expansion."""
-        return self._det(self.rows)
-
-    def _det(self, rows):
-        s = len(rows)
-        if s == 1:
-            return rows[0][0]
-        acc = None
-        for j in range(s):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * self._det(minor)
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        return LocalRingElement(self.ring,
+                                self.ring.mat_det(self.size, self.codes))
 
     def is_invertible(self):
-        d = self.det()
-        if isinstance(d, LocalRingElement):
-            return d.is_unit()
-        return not d.is_zero()
+        return self.ring.is_unit(self.ring.mat_det(self.size, self.codes))
 
     def inverse(self):
-        d = self.det()
-        if isinstance(d, LocalRingElement):
-            if not d.is_unit():
-                raise NotInvertible("determinant is not a unit")
-        elif d.is_zero():
-            raise NotInvertible("determinant is zero")
-        dinv = d.inverse()
-        s = self.size
-        if s == 1:
-            return Mat(self.ring, [[dinv]], -self.offset)
-        cof = []
-        for i in range(s):
-            row = []
-            for j in range(s):
-                minor = [r[:i] + r[i + 1:]
-                         for k, r in enumerate(self.rows) if k != j]
-                term = self._det(minor) * dinv
-                if (i + j) % 2:
-                    term = -term
-                row.append(term)
-            cof.append(row)
-        return Mat(self.ring, cof, -self.offset)
+        return self._like(self.ring.mat_inv(self.size, self.codes),
+                          -self.offset)
 
     def sigma(self, e=1):
-        """Entry-wise Frobenius (field p-power map or ring lift)."""
-        if isinstance(self.rows[0][0], LocalRingElement):
-            return Mat(self.ring, [[a.sigma(e) for a in r] for r in self.rows],
-                       self.offset)
-        return Mat(self.ring, [[a.frobenius(e) for a in r] for r in self.rows],
-                   self.offset)
+        """Entry-wise Frobenius lift (the p-power map over a field)."""
+        return self._like(self.ring.mat_sigma(self.codes, e), self.offset)
 
     def transpose(self):
-        return Mat(self.ring, list(zip(*self.rows)), self.offset)
+        s = self.size
+        return self._like(tuple(self.codes[j * s + i]
+                                for i in range(s) for j in range(s)),
+                          self.offset)
 
     def coeff_key(self):
-        """Total-order key: offset, then entry coefficient tuples row-major."""
-        return (self.offset, tuple(a.coeffs for r in self.rows for a in r))
+        """Total-order key: offset, then the entries row-major in
+        coefficient-tuple order (which is code order)."""
+        return (self.offset, self.codes)
 
     def __eq__(self, other):
-        return (isinstance(other, Mat) and self.rows == other.rows
-                and self.offset == other.offset)
+        return (isinstance(other, Mat) and self.codes == other.codes
+                and self.offset == other.offset
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.codes, self.offset))
 
     def __repr__(self):
         body = "; ".join(",".join(str(list(a.coeffs)) for a in r)

@@ -8,6 +8,7 @@ rational matrix.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import CapExceeded, NonIntegral, NotPositiveDefinite
@@ -231,7 +232,6 @@ def check_root_system(roots, form=None):
     since GL_n root sets only span the sum-zero sublattice.
     """
     roots = [_as_vec(v) for v in roots]
-    rootset = set(roots)
     n = len(roots[0])
     report = {}
 
@@ -239,41 +239,56 @@ def check_root_system(roots, form=None):
     report["spans"] = (rank == n)
     report["span_codimension"] = n - rank
 
+    # integral roots under the dot product (the common case) take an int
+    # path; equal ints and Fractions hash alike, so set membership agrees
+    if form is None and all(c.denominator == 1 for v in roots for c in v):
+        roots = [tuple(int(c) for c in v) for v in roots]
+
+        def ip(u, v):
+            return sum(map(operator.mul, u, v))
+    else:
+        def ip(u, v):
+            return inner(u, v, form)
+    rootset = set(roots)
+
     reduced = True
     for a in roots:
+        k = next(i for i, y in enumerate(a) if y != 0)
         for b in roots:
             if a == b:
                 continue
             # b a scalar multiple of a other than -a violates reducedness
-            ratios = {Fraction(x, 1) / y for x, y in zip(b, a) if y != 0}
-            if len(ratios) == 1 and all(
-                    (x == 0) == (y == 0) for x, y in zip(b, a)):
-                if ratios != {Fraction(-1)}:
-                    reduced = False
+            if all((x == 0) == (y == 0) and x * a[k] == y * b[k]
+                   for x, y in zip(b, a)) and b[k] != -a[k]:
+                reduced = False
     report["reduced"] = reduced
 
-    closed = all(reflect(a, b, form) in rootset for a in roots for b in roots)
-    report["reflection_closed"] = closed
-
-    crystallographic = True
+    closed = crystallographic = True
     for a in roots:
         for b in roots:
-            # projection coefficient of b on a must be in (1/2)Z
-            c = inner(a, b, form) / inner(a, a, form)
-            if (2 * c).denominator != 1:
+            # the projection coefficient of b on a must lie in (1/2)Z
+            num, den = 2 * ip(a, b), ip(a, a)
+            c, rest = divmod(num, den)
+            if rest:
                 crystallographic = False
+                c = Fraction(num) / den
+            if tuple(y - c * x for x, y in zip(a, b)) not in rootset:
+                closed = False
+    report["reflection_closed"] = closed
     report["crystallographic"] = crystallographic
 
     # primed reformulations, computed independently
     closed_prime = True
     integral_prime = True
     for a in roots:
+        norm = ip(a, a)
         for b in roots:
-            c = 2 * inner(a, b, form) / inner(a, a, form)
+            c = Fraction(2 * ip(a, b), 1) / norm
             if c.denominator != 1:
                 integral_prime = False
-            sab = tuple(Fraction(x) - c * Fraction(y) for x, y in zip(b, a))
-            if sab not in rootset:
+            else:
+                c = int(c)
+            if tuple(x - c * y for x, y in zip(b, a)) not in rootset:
                 closed_prime = False
     report["reflection_closed_prime"] = closed_prime
     report["crystallographic_prime"] = integral_prime
@@ -312,9 +327,9 @@ def _reflection_matrix(alpha, form, n):
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                 for row in a)
 
 
 def weyl_group(simple, form=None, cap=DEFAULT_WEYL_CAP):

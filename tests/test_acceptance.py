@@ -58,7 +58,7 @@ def test_criterion_02_root_axioms_and_weyl_orders():
 def test_criterion_03_h1_triviality():
     from glnlab.lang import gl_module, h1_cyclic, h1_level_tower
     from glnlab.rings import FiniteField
-    with Budget(60.0):
+    with Budget(20.0):
         assert h1_cyclic(gl_module(FiniteField(2, 2), 1))["h1_size"] == 1
         assert h1_cyclic(gl_module(FiniteField(3, 2), 1))["h1_size"] == 1
         assert h1_cyclic(gl_module(FiniteField(2, 2), 2))["h1_size"] == 1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,11 @@ class TestExitCodes:
 
     def test_cap_exceeded_is_three(self):
         assert run(["--cap", "10", "roots", "--n", "5"]) == 3
+        # about 2^25 Hermite forms: refused before the scan, not a hang
+        start = time.monotonic()
+        assert run(["hecke", "--n", "2", "--p", "2", "--left=24,0",
+                    "--right=0,0"]) == 3
+        assert time.monotonic() - start < 5.0
 
     def test_unsupported_without_gate_is_one(self):
         # rank-3 transform without the feature flag is an invariant error

@@ -1,0 +1,55 @@
+"""Byte-level regression test of CLI reports against checked-in goldens.
+
+Each golden file is the canonical report of one command with its
+``timing_ms`` key removed.  The enumeration order of the ring and matrix
+layers shows through representatives and serialized counterexamples, so
+a change to element encoding or enumeration order fails here.
+
+Regenerate (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from glnlab.cli import canonical_json, run
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "lang_p3_d2_s2": "lang --p 3 --d 2 --s 2",
+    "h1_p2_d1_s2_level3": "h1 --p 2 --d 1 --s 2 --level 3",
+    "h1_p3_d2_s1_level2": "h1 --p 3 --d 2 --s 1 --level 2",
+    "dm_check_s2_q2_n2": "dm-check --s 2 --q 2 --n 2",
+    "building_ub_audit_n2_p3": "building ub-audit --n 2 --p 3",
+    "building_self_norm_n2_p3": "building self-norm --n 2 --p 3",
+    "building_iwasawa_seed3_p5_prec64": (
+        "--seed 3 building iwasawa --p 5 --precision 64 --count 50"),
+}
+
+
+def report_text(argv):
+    """Canonical report printed by the CLI, without its timing."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(argv.split())
+    report = json.loads(out.getvalue())
+    report.pop("timing_ms")
+    return canonical_json(report)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden(name):
+    golden = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert report_text(COMMANDS[name]) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(report_text(argv))

@@ -146,15 +146,50 @@ class TestRootSystemChecker:
         assert report["primed_agree"]
 
     def test_a1_in_its_span(self):
-        report = check_root_system([(1, 0), (-1, 0)])
-        assert report["spans"] is False and report["span_codimension"] == 1 \
-            or report["spans"]  # ambient dim 2, span dim 1
-        assert report["reduced"] and report["reflection_closed"]
-        assert report["crystallographic"]
+        half = Fraction(1, 2)
+        for roots in ([(1, 0), (-1, 0)], [(half, half), (-half, -half)]):
+            report = check_root_system(roots)
+            assert report["spans"] is False \
+                and report["span_codimension"] == 1 \
+                or report["spans"]  # ambient dim 2, span dim 1
+            assert report["reduced"] and report["reflection_closed"]
+            assert report["crystallographic"]
 
     def test_non_reduced(self):
-        report = check_root_system([(1, 0), (2, 0), (-1, 0), (-2, 0)])
-        assert not report["reduced"]
+        half = Fraction(1, 2)
+        a1_2a1 = [(1, 0), (2, 0), (-1, 0), (-2, 0)]
+        for roots, form in ((a1_2a1, None), (a1_2a1, [[1, 0], [0, 1]]),
+                            ([(half, 0), (-half, 0), (1, 0), (-1, 0)], None)):
+            report = check_root_system(roots, form)
+            assert not report["reduced"]
+
+    def test_a2_and_g2_under_their_forms(self):
+        # simple-root coordinates, form = Gram matrix of the simple roots
+        a2 = [(1, 0), (0, 1), (1, 1)]
+        g2 = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+        for pos, form in ((a2, [[2, -1], [-1, 2]]),
+                          (g2, [[2, -3], [-3, 6]])):
+            roots = pos + [tuple(-c for c in v) for v in pos]
+            report = check_root_system(roots, form)
+            assert report["spans"]
+            assert report["reduced"]
+            assert report["reflection_closed"]
+            assert report["crystallographic"]
+            assert report["primed_agree"]
+
+    def test_failures_under_a_form(self):
+        form = [[1, 0], [0, 1]]
+        report = check_root_system([(1, 0), (-1, 0), (1, 2), (-1, -2)], form)
+        assert report["reduced"]
+        assert not report["reflection_closed"]
+        assert not report["crystallographic"]
+        assert report["primed_agree"]
+        # B2 with long roots twice too long: closed, pairings in (1/2)Z
+        pos = [(1, 0), (0, 1), (2, 2), (2, -2)]
+        report = check_root_system(pos + [(-a, -b) for a, b in pos], form)
+        assert report["reflection_closed"]
+        assert not report["crystallographic"]
+        assert report["primed_agree"]
 
     def test_gl_n_axioms(self):
         for n in range(2, 7):
