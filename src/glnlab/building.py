@@ -12,7 +12,7 @@ import itertools
 
 from .errors import CapExceeded, NotInvertible, PrecisionExhausted
 from .lang import gl_elements
-from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat
+from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
 
 
 def fundamental_simplices(n):
@@ -175,6 +175,31 @@ def iwasawa_decompose(g):
         raise PrecisionExhausted("collected column operations not invertible")
     b = Mat(ring, work, g.offset)
     return b, k
+
+
+def iwasawa_sample_failures(p, precision, count, rng):
+    """Failures of g = b * k among count random 2x2 samples.
+
+    Entries are drawn below p^precision, with a global p-power offset in
+    [-2, 2]; a sample is redrawn unless v(det g) < 3.  A sample fails
+    unless b * k == g, b is upper triangular and k has unit determinant.
+    """
+    ring = TruncatedLocalRing(p, precision, 1)
+    done = failures = 0
+    while done < count:
+        offset = rng.randint(-2, 2)
+        g = Mat.from_ints(ring, [[rng.randrange(p**precision)
+                                  for _ in range(2)] for _ in range(2)],
+                          offset=offset)
+        det = g.det()
+        if not (det.is_unit() or 0 < det.valuation() < 3):
+            continue
+        b, k = iwasawa_decompose(g)
+        if not (b * k == g and b.rows[1][0].is_zero()
+                and k.det().is_unit()):
+            failures += 1
+        done += 1
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ COMMANDS = {
     "building_self_norm_n2_p3": "building self-norm --n 2 --p 3",
     "building_iwasawa_seed3_p5_prec64": (
         "--seed 3 building iwasawa --p 5 --precision 64 --count 50"),
+    "suite_full_seed7": "--seed 7 suite full",
 }
 
 
