@@ -15,14 +15,17 @@ from .lang import gl_elements
 from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
 
 
-def fundamental_simplices(n):
+def fundamental_simplices(n, cap=DEFAULT_GROUP_CAP):
     """All 2^n - 1 nonempty vertex subsets, smallest-first canonical order.
 
     Vertex i is the homothety class of the standard lattice with the
-    first i basis vectors scaled by p.
+    first i basis vectors scaled by p.  The count is checked against the
+    cap before any subset is built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if 2**n - 1 > cap:
+        raise CapExceeded(f"{2**n - 1} simplices exceed cap {cap}")
     out = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -261,13 +264,29 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
 
 def audit_self_normalizing(n, p, subgroup=None, cap=DEFAULT_GROUP_CAP):
     """Normalizer of the residue image of the lower-equal-diagonal group
-    (or a supplied subgroup) inside GL_n(F_p)."""
+    (or a supplied subgroup) inside GL_n(F_p).
+
+    g normalizes the finite group U exactly when g s g^-1 lies in U for
+    every s of a generating set of U.  The lower-equal-diagonal group is
+    its central scalars times the lower unitriangular group, which the
+    elementary matrices 1 + E_rc (r > c) generate; a supplied subgroup
+    is tested on all of its elements.
+    """
     field = FiniteField(p, 1)
     g_all = gl_elements(field, n, cap=cap)
-    u_set = set(subgroup if subgroup is not None
-                else _residue_lower_equal_diag(field, n))
-    normalizer = [g for g in g_all
-                  if {g * u * g.inverse() for u in u_set} == u_set]
+    if subgroup is None:
+        u_set = set(_residue_lower_equal_diag(field, n))
+        gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))
+                                       for j in range(n)] for i in range(n)])
+                for r in range(n) for c in range(r)]
+    else:
+        u_set = set(subgroup)
+        gens = list(u_set)
+    normalizer = []
+    for g in g_all:
+        g_inv = g.inverse()
+        if all(g * s * g_inv in u_set for s in gens):
+            normalizer.append(g)
     return {
         "group_order": len(g_all),
         "u_order": len(u_set),

@@ -217,7 +217,7 @@ def cmd_building(args):
     if action != "iwasawa" and args.n < 1:
         raise InvalidConfig(f"building {action} needs --n >= 1")
     if action == "simplices":
-        simps = fundamental_simplices(args.n)
+        simps = fundamental_simplices(args.n, cap=args.cap)
         results = {"n": args.n, "count": len(simps),
                    "simplices": [list(s) for s in simps],
                    "patterns": [list(map(list, stabilizer_pattern(s, args.n)
@@ -311,8 +311,10 @@ def cmd_hecke(args):
 def cmd_lfactor(args):
     import sympy
 
+    from .lang import factor_prime_power
     from .lfactor import (X, DualRep, SatakeParameter, base_change_factor,
                           l_factor, rankin_selberg)
+    factor_prime_power(args.q)  # q is a residue-field size
     mode = args.mode
     if mode == "bc" and args.d < 1:
         raise InvalidConfig("lfactor bc needs --d >= 1")

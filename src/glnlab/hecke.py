@@ -2,21 +2,24 @@
 transform onto Weyl-invariants of the cocharacter group algebra.
 
 Double cosets are indexed by weakly decreasing integer vectors; all
-computations are exact, done p-locally over Q (matrix entries are
-rationals whose valuations drive every membership test) with
-coefficients in Laurent polynomials in a formal square root of q.
-Haar normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
+computations are exact and p-local.  A coset representative is a pair
+(shift, M) standing for g = p^shift * M, with M an upper-triangular int
+matrix whose diagonal entries are powers of p, so membership tests read
+int valuations and products cost int multiplies.  Transform coefficients
+lie in Laurent polynomials in a formal square root of q.  Haar
+normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
 Convolution and the coset-count oracle read one invariant off each
 coset instead of testing it against every candidate: g K = p^r K with
 r the row-minimum valuations of g exactly when sum(r) = v(det g), and
-the Iwasawa torus part of g (the lam with g in N p^lam K) is the
-diagonal of g's column reduction.
+the Iwasawa torus part of p^shift * M (the lam with g in N p^lam K) is
+shift plus the diagonal valuations of M.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -33,53 +36,67 @@ BIG = 10**9  # stands in for +infinity in valuation comparisons
 MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
 
 
-def vp(x, p):
-    """p-adic valuation of a rational; BIG for zero."""
-    x = Fraction(x)
+def _vint(x, p):
+    """p-adic valuation of an int; BIG for zero."""
     if x == 0:
         return BIG
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-def _minors_min_valuation(rows, k, p):
-    """Minimum valuation over all k x k minors of a rational matrix."""
-    n = len(rows)
-    best = BIG
-    for rr in itertools.combinations(range(n), k):
-        for cc in itertools.combinations(range(n), k):
-            sub = [[rows[i][j] for j in cc] for i in rr]
-            best = min(best, vp(_fr_det(sub), p))
-    return best
+def vp(x, p):
+    """p-adic valuation of an int or Fraction; BIG for zero."""
+    if x == 0:
+        return BIG
+    return _vint(x.numerator, p) - _vint(x.denominator, p)
 
 
-def _fr_det(rows):
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    acc = Fraction(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = Fraction(rows[0][j]) * _fr_det(minor)
-        acc += -term if j % 2 else term
-    return acc
+def _smith_int(rows, p):
+    """Elementary divisor exponents (ascending) of a nonsingular int
+    matrix over Z_(p).
+
+    Each step takes a pivot of least valuation (that of the gcd of the
+    remaining entries) and clears its column from the other rows,
+    scaling each of them only by the pivot's p-adic unit part, so the
+    work stays in ints and every operation is invertible over Z_(p).
+    The pivot's row and column then drop out.
+    """
+    rows = [list(r) for r in rows]
+    out = []
+    while rows:
+        g = math.gcd(*itertools.chain.from_iterable(rows))
+        if not g:
+            raise ValueError("singular matrix")
+        v = _vint(g, p)
+        out.append(v)
+        scale = p**v
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x % (scale * p):
+                    break
+            else:
+                continue
+            break
+        piv = rows.pop(i)
+        unit = piv.pop(j) // scale
+        for row in rows:
+            c = row.pop(j) // scale
+            row[:] = [unit * x - c * y for x, y in zip(row, piv)]
+    return tuple(out)
 
 
 def smith_exponents(rows, p):
-    """Elementary divisor exponents (ascending) of a nonsingular rational
-    matrix, via gcd valuations of k x k minors."""
-    n = len(rows)
-    mins = [0]
-    for k in range(1, n + 1):
-        mins.append(_minors_min_valuation(rows, k, p))
-    return tuple(mins[k] - mins[k - 1] for k in range(1, n + 1))
+    """Elementary divisor exponents (ascending) of a nonsingular matrix
+    of ints or Fractions, scaled first by the lcm L of the denominators
+    (which shifts every exponent by v(L))."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows]
+    shift = _vint(den, p)
+    return tuple(e - shift for e in _smith_int(ints, p))
 
 
 def is_dominant(lam):
@@ -90,12 +107,14 @@ def is_dominant(lam):
 # coset decomposition
 
 def coset_decompose(lam, n, p):
-    """Representatives g_i with K p^lam K = union of g_i K (disjoint).
+    """Representatives (shift, M) of the cosets g K in K p^lam K, with
+    g = p^shift * M and shift = lam[-1].
 
-    Enumerates upper-triangular Hermite forms with p-power diagonal and
-    keeps those whose elementary divisors are exactly lam.  Exact; the
-    entries of lam are bounded by MAX_ENTRY in absolute value, and the
-    number of Hermite forms to scan by DEFAULT_GROUP_CAP.
+    Enumerates upper-triangular int Hermite forms M with p-power
+    diagonal and keeps those whose elementary divisors are exactly
+    lam - shift.  Exact; the entries of lam are bounded by MAX_ENTRY in
+    absolute value, and the number of Hermite forms to scan by
+    DEFAULT_GROUP_CAP.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
@@ -117,31 +136,22 @@ def coset_decompose(lam, n, p):
     if candidates > DEFAULT_GROUP_CAP:
         raise CapExceeded(f"{candidates} Hermite forms to scan exceed cap "
                           f"{DEFAULT_GROUP_CAP}")
+    # row i of a form: i zeros, p^diag[i], then its n-1-i entries of fill
+    starts = [sum(n - 1 - k for k in range(i)) for i in range(n)]
     reps = []
-    scale = Fraction(p)**shift
     for diag in diags:
-        ranges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                ranges.append(range(p**diag[i]))
+        pows = [p**c for c in diag]
+        ranges = [range(pows[i]) for i in range(n) for _ in range(i + 1, n)]
         for fill in itertools.product(*ranges):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = Fraction(p)**diag[i]
-            idx = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rows[i][j] = Fraction(fill[idx])
-                    idx += 1
-            if smith_exponents(rows, p) == target:
-                reps.append(tuple(tuple(x * scale for x in r) for r in rows))
+            form = tuple((0,) * i + (pows[i],) + fill[s:s + n - 1 - i]
+                         for i, s in enumerate(starts))
+            if _smith_int(form, p) == target:
+                reps.append((shift, form))
     return reps
 
 
-def _mat_mul_fr(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
+def _diagonal_exponents(form, p):
+    return tuple(_vint(form[i][i], p) for i in range(len(form)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +217,32 @@ def convolve(f, g):
     (1_{K p^lam K} * 1_{K p^mu K})(p^nu) counts the pairs (g_i, h_j) of
     coset representatives with g_i h_j K = p^nu K.  Each product's row
     minimum valuations r satisfy v(det) >= sum(r), with equality exactly
-    when g_i h_j K = p^r K; v(det) = sum(lam) + sum(mu) for every pair.
+    when g_i h_j K = p^r K.  A product of forms is upper triangular with
+    p-power diagonal, so equality holds when each row's entries are
+    divisible by its diagonal entry; r is the shifts plus the diagonal
+    exponents.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = {}
     for lam, cf in f.support.items():
-        reps_f = coset_decompose(lam, n, p)
+        reps_f = [(s, _diagonal_exponents(m, p), m)
+                  for s, m in coset_decompose(lam, n, p)]
         for mu, cg in g.support.items():
-            reps_g = coset_decompose(mu, n, p)
-            total = sum(lam) + sum(mu)
+            reps_g = [(s, _diagonal_exponents(m, p), m)
+                      for s, m in coset_decompose(mu, n, p)]
             hits = {}
-            for gf in reps_f:
-                for gg in reps_g:
-                    r = tuple(min(vp(x, p) for x in row)
-                              for row in _mat_mul_fr(gf, gg))
-                    if sum(r) == total and is_dominant(r):
-                        hits[r] = hits.get(r, 0) + 1
+            for sf, ef, a in reps_f:
+                for sg, eg, b in reps_g:
+                    e = tuple(x + y for x, y in zip(ef, eg))
+                    if not is_dominant(e):
+                        continue
+                    if all(sum(a[i][k] * b[k][j] for k in range(i, j + 1))
+                           % p**e[i] == 0 for i, j in above):
+                        nu = tuple(sf + sg + x for x in e)
+                        hits[nu] = hits.get(nu, 0) + 1
             for nu, count in hits.items():
                 out[nu] = out.get(nu, HalfPowerLaurent(p)) + (cf * cg) * count
     return HeckeElement(n, p, out)
@@ -461,41 +479,21 @@ def satake_by_coset_count(f, box_bound=None):
     """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : g_i in
     N(F) p^lam GL_n(O)}, using the coset decomposition directly.
 
-    Each coset representative's Iwasawa torus part is computed once and
-    counted when it lies in the box |lam_i| <= bound.
+    A representative p^shift * M lies in N(F) p^lam GL_n(O) for lam the
+    shift plus the diagonal exponents of M; it is counted when lam lies
+    in the box |lam_i| <= bound.
     """
     n, q = f.n, f.q
     b = f.bound() if box_bound is None else box_bound
     acc = {}
     for mu, cmu in f.support.items():
-        for g in coset_decompose(mu, n, f.p):
-            lam = _iwasawa_torus_part(g, f.p)
+        for shift, form in coset_decompose(mu, n, f.p):
+            lam = tuple(shift + e for e in _diagonal_exponents(form, f.p))
             if max(abs(c) for c in lam) <= b:
                 acc[lam] = acc.get(lam, HalfPowerLaurent(q)) + cmu
     return SatakeImage(n, q, {
         lam: HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n)) * c
         for lam, c in acc.items()})
-
-
-def _iwasawa_torus_part(rows, p):
-    """The lam with g in N(F) p^lam GL_n(O), g nonsingular: the diagonal
-    valuations after column reduction to upper-triangular form."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    for i in range(n - 1, 0, -1):
-        # a pivot of least valuation in the row keeps every column
-        # operation below integral, i.e. inside GL_n(O)
-        piv = min(range(i + 1), key=lambda j: vp(work[i][j], p))
-        if piv != i:
-            for r in range(n):
-                work[r][piv], work[r][i] = work[r][i], work[r][piv]
-        for j in range(i):
-            if work[i][j] == 0:
-                continue
-            cfac = -work[i][j] / work[i][i]
-            for r in range(n):
-                work[r][j] += cfac * work[r][i]
-    return tuple(vp(work[i][i], p) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

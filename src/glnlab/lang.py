@@ -27,22 +27,20 @@ from .rings import (
     LocalRingElement,
     Mat,
     TruncatedLocalRing,
-    is_prime,
 )
 
 
 def factor_prime_power(q):
     """(p, v) with q = p^v, or raise InvalidConfig."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            v = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                v += 1
-            if m == 1 and is_prime(p):
-                return p, v
-            raise InvalidConfig(f"{q} is not a prime power")
+    if q >= 2:
+        # the least divisor above 1 is prime
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        v, m = 0, q
+        while m % p == 0:
+            m //= p
+            v += 1
+        if m == 1:
+            return p, v
     raise InvalidConfig(f"{q} is not a prime power")
 
 

@@ -15,7 +15,7 @@ from glnlab.building import (
     ub_product_identity_gl3,
     vertex_pattern,
 )
-from glnlab.errors import PrecisionExhausted
+from glnlab.errors import CapExceeded, PrecisionExhausted
 from glnlab.lang import gl_elements
 from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
 
@@ -29,6 +29,13 @@ class TestSimplices:
     def test_counts_general(self):
         for n in range(1, 13):
             assert len(fundamental_simplices(n)) == 2**n - 1
+
+    def test_count_checked_against_cap(self):
+        assert len(fundamental_simplices(3, cap=7)) == 7
+        with pytest.raises(CapExceeded):
+            fundamental_simplices(3, cap=6)
+        with pytest.raises(CapExceeded):
+            fundamental_simplices(40)
 
     def test_vertices_come_first(self):
         simps = fundamental_simplices(3)
@@ -242,6 +249,28 @@ class TestAudits:
         assert rep["u_order"] == 6
         # verified exhaustively, whatever the verdict
         assert rep["normalizer_order"] % rep["u_order"] == 0
+
+    def test_self_norm_matches_full_conjugation(self):
+        # the generator test against conjugating all of U by every g
+        for n, p in ((2, 3), (3, 2)):
+            F = FiniteField(p, 1)
+            u_set = {m for m in gl_elements(F, n)
+                     if all(m[i, j].is_zero() for i in range(n)
+                            for j in range(i + 1, n))
+                     and len({m[i, i] for i in range(n)}) == 1}
+            expect = sum(1 for g in gl_elements(F, n)
+                         if {g * u * g.inverse() for u in u_set} == u_set)
+            rep = audit_self_normalizing(n, p)
+            assert rep["u_order"] == len(u_set)
+            assert rep["normalizer_order"] == expect
+
+    def test_self_norm_is_the_lower_borel(self):
+        # U is the scalars times the lower unitriangular group, whose
+        # normalizer is the lower Borel: (p-1)^n p^(n(n-1)/2) elements
+        for n, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            rep = audit_self_normalizing(n, p)
+            assert rep["normalizer_order"] \
+                == (p - 1)**n * p**(n * (n - 1) // 2)
 
     def test_trivial_subgroup_normalizer_is_whole_group(self):
         F = FiniteField(2, 1)

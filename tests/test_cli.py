@@ -49,7 +49,12 @@ class TestExitCodes:
                 "lfactor bc --d 0 --q 2 --params a",
                 "h1 --p 2 --d 1 --level 0",
                 "h1 --p 2 --d 1 --level -1",
-                "building iwasawa --count -1"):
+                "building iwasawa --count -1",
+                "lfactor --q 0 --params a",
+                "lfactor --q -3 --params a",
+                "lfactor --q 1 --params a,b",
+                "lfactor --q 6 --params a",
+                "lfactor rankin --q 0 --left a --right b"):
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("invalid config: "), (argv, err)
@@ -61,6 +66,10 @@ class TestExitCodes:
         start = time.monotonic()
         assert run(["hecke", "--n", "2", "--p", "2", "--left=24,0",
                     "--right=0,0"]) == 3
+        assert time.monotonic() - start < 5.0
+        # 2^40 - 1 simplices: refused before any subset is built
+        start = time.monotonic()
+        assert run(["building", "simplices", "--n", "40"]) == 3
         assert time.monotonic() - start < 5.0
 
     def test_unsupported_without_gate_is_one(self):

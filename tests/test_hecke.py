@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from glnlab import hecke
 from glnlab.errors import CharacterMismatch, UnsupportedRank
 from glnlab.hecke import (
     Gl1TwistedElement,
     HeckeElement,
     SatakeImage,
     UnitCharacter,
-    _iwasawa_torus_part,
     chi_t,
     convolve,
     coset_decompose,
@@ -57,10 +57,38 @@ def coset_count(lam, q):
     return int(count)
 
 
+def matrix(rep, p):
+    """The matrix g = p^shift * M of a coset representative (shift, M)."""
+    shift, form = rep
+    return [[Fraction(p)**shift * x for x in row] for row in form]
+
+
+def iwasawa_torus_part(rows, p):
+    """The lam with g in N(F) p^lam GL_n(O), g nonsingular: the diagonal
+    valuations after column reduction to upper-triangular form."""
+    n = len(rows)
+    work = [list(r) for r in rows]
+    for i in range(n - 1, 0, -1):
+        # a pivot of least valuation in the row keeps every column
+        # operation below integral, i.e. inside GL_n(O)
+        piv = min(range(i + 1), key=lambda j: vp(work[i][j], p))
+        if piv != i:
+            for r in range(n):
+                work[r][piv], work[r][i] = work[r][i], work[r][piv]
+        for j in range(i):
+            if work[i][j] == 0:
+                continue
+            cfac = -work[i][j] / work[i][i]
+            for r in range(n):
+                work[r][j] += cfac * work[r][i]
+    return tuple(vp(work[i][i], p) for i in range(n))
+
+
 class TestCosets:
     def test_gl2_minuscule_p2(self):
         reps = coset_decompose((1, 0), 2, 2)
-        mats = {tuple(tuple(int(x) for x in r) for r in m) for m in reps}
+        mats = {tuple(tuple(int(x) for x in r) for r in matrix(m, 2))
+                for m in reps}
         assert mats == {((2, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (0, 2))}
 
     def test_gl2_minuscule_count(self):
@@ -71,7 +99,7 @@ class TestCosets:
         for p in (2, 3):
             reps = coset_decompose((1, 1), 2, p)
             assert len(reps) == 1
-            assert reps[0] == ((p, 0), (0, p))
+            assert matrix(reps[0], p) == [[p, 0], [0, p]]
 
     def test_gl2_weight_two(self):
         # number of index-p^2 sublattices with divisors (1, p^2)
@@ -83,7 +111,7 @@ class TestCosets:
         reps = coset_decompose((0, -1), 2, 2)
         assert len(reps) == 3
         for m in reps:
-            assert smith_exponents([list(r) for r in m], 2) == (-1, 0)
+            assert smith_exponents(matrix(m, 2), 2) == (-1, 0)
 
     def test_gl3_minuscule_count(self):
         for p in (2, 3):
@@ -109,12 +137,35 @@ class TestCosets:
               ((1, 0, 0), (3, 1, 0), (-2, 5, 1)),
               ((2, 1, 1), (1, 1, 0), (1, 0, 0))]
         for lam, p in (((1, 0, -1), 2), ((2, 1, 0), 3)):
-            for g in coset_decompose(lam, 3, p):
+            for rep in coset_decompose(lam, 3, p):
+                g = matrix(rep, p)
                 diag = tuple(vp(g[i][i], p) for i in range(3))
                 for k in ks:
                     gk = [[sum(g[i][m] * k[m][j] for m in range(3))
                            for j in range(3)] for i in range(3)]
-                    assert _iwasawa_torus_part(gk, p) == diag
+                    assert iwasawa_torus_part(gk, p) == diag
+
+    def test_representatives_are_int_forms(self, monkeypatch):
+        # the coset layer runs on ints: M upper triangular with p-power
+        # diagonal, and no Fraction is built on integral input
+        def refuse(*args):
+            raise AssertionError("Fraction built on integral input")
+
+        monkeypatch.setattr(hecke, "Fraction", refuse)
+        for lam, p in (((2, 0, -1), 2), ((1, 1, -1), 3), ((3, -2), 3)):
+            n = len(lam)
+            for shift, form in coset_decompose(lam, n, p):
+                assert shift == lam[-1]
+                assert all(type(x) is int for row in form for x in row)
+                assert all(form[i][j] == 0 for i in range(n)
+                           for j in range(i))
+                assert all(p**vp(form[i][i], p) == form[i][i]
+                           for i in range(n))
+        assert smith_exponents([[4, 2, 1], [0, 2, 3], [0, 0, 1]], 2) \
+            == (0, 1, 2)
+        f = HeckeElement.basis((1, 0), 2)
+        g = HeckeElement.basis((0, -1), 2)
+        assert convolve(f, g) == convolve(g, f)
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):

@@ -1,12 +1,13 @@
 import pytest
 
-from glnlab.errors import NotACocycle
+from glnlab.errors import InvalidConfig, NotACocycle
 from glnlab.lang import (
     char_poly,
     congruence_kernel_module,
     descend_conjugator,
     dm_bijection_check,
     embed_field,
+    factor_prime_power,
     gl_elements,
     gl_module,
     h1_cyclic,
@@ -23,6 +24,18 @@ from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
 
 def gl1_field_module(p, d, sigma_exponent=1):
     return gl_module(FiniteField(p, d), 1, sigma_exponent=sigma_exponent)
+
+
+class TestFactorPrimePower:
+    def test_prime_powers(self):
+        for q, pv in ((2, (2, 1)), (9, (3, 2)), (64, (2, 6)), (49, (7, 2)),
+                      (3**13, (3, 13)), (2**31 - 1, (2**31 - 1, 1))):
+            assert factor_prime_power(q) == pv
+
+    def test_others_are_invalid(self):
+        for q in (-3, 0, 1, 6, 12, 45, 2 * (2**31 - 1)):
+            with pytest.raises(InvalidConfig):
+                factor_prime_power(q)
 
 
 class TestLangMap:

@@ -1,11 +1,12 @@
 """Randomized algebraic-law checks on the exact arithmetic layer."""
 
+import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glnlab.hecke import smith_exponents, vp
+from glnlab.hecke import BIG, smith_exponents, vp
 from glnlab.rings import FiniteField, HalfPowerLaurent, TruncatedLocalRing
 
 rationals = st.fractions(
@@ -93,3 +94,65 @@ class TestSmithInvariance:
         m = [[Fraction(p)**d0, Fraction(0)], [Fraction(0), Fraction(p)**d1]]
         sheared = [m[0], [m[1][0] + c * m[0][0], m[1][1] + c * m[0][1]]]
         assert smith_exponents(m, p) == smith_exponents(sheared, p)
+
+
+def fr_det(rows):
+    n = len(rows)
+    if n == 1:
+        return Fraction(rows[0][0])
+    acc = Fraction(0)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = Fraction(rows[0][j]) * fr_det(minor)
+        acc += -term if j % 2 else term
+    return acc
+
+
+def minors_min_valuation(rows, k, p):
+    """Minimum valuation over all k x k minors of a rational matrix."""
+    n = len(rows)
+    best = BIG
+    for rr in itertools.combinations(range(n), k):
+        for cc in itertools.combinations(range(n), k):
+            sub = [[rows[i][j] for j in cc] for i in rr]
+            best = min(best, vp(fr_det(sub), p))
+    return best
+
+
+def minors_smith_exponents(rows, p):
+    """Elementary divisor exponents as differences of the gcd valuations
+    of the k x k minors: the definition, independent of elimination."""
+    mins = [0] + [minors_min_valuation(rows, k, p)
+                  for k in range(1, len(rows) + 1)]
+    return tuple(mins[k] - mins[k - 1] for k in range(1, len(rows) + 1))
+
+
+# entries with p-power and other denominators, and p-power factors
+# so that valuations beyond 0 and 1 occur
+entries = st.one_of(
+    st.builds(lambda a, e: a * 2**e * 3**(e // 2),
+              st.integers(min_value=-20, max_value=20),
+              st.integers(min_value=0, max_value=4)),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
+                 max_denominator=36))
+
+
+@st.composite
+def square_matrices(draw, elements):
+    n = draw(st.integers(min_value=2, max_value=3))
+    rows = [[draw(elements) for _ in range(n)] for _ in range(n)]
+    assume(fr_det(rows) != 0)
+    return rows
+
+
+class TestSmithOracle:
+    @given(rows=square_matrices(st.integers(min_value=-30, max_value=30)),
+           p=st.sampled_from([2, 3]))
+    @settings(max_examples=150)
+    def test_integer_matrices(self, rows, p):
+        assert smith_exponents(rows, p) == minors_smith_exponents(rows, p)
+
+    @given(rows=square_matrices(entries), p=st.sampled_from([2, 3]))
+    @settings(max_examples=150)
+    def test_rational_matrices(self, rows, p):
+        assert smith_exponents(rows, p) == minors_smith_exponents(rows, p)
