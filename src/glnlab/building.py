@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceeded, NotInvertible, PrecisionExhausted
+from .errors import CapExceeded, PrecisionExhausted
 from .lang import gl_elements
 from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
 
@@ -24,8 +24,8 @@ def fundamental_simplices(n, cap=DEFAULT_GROUP_CAP):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if 2**n - 1 > cap:
-        raise CapExceeded(f"{2**n - 1} simplices exceed cap {cap}")
+    if n > cap.bit_length() or 2**n - 1 > cap:
+        raise CapExceeded(f"2^{n} - 1 simplices exceed cap {cap}")
     out = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -127,79 +127,68 @@ def membership(g, pattern):
 # ---------------------------------------------------------------------------
 # Iwasawa decomposition g = b * k
 
-def _pivot_divide(entry, pivot):
-    """entry / pivot when v(entry) >= v(pivot); exact in the truncated ring."""
-    u, v = pivot.unit_part()
-    return entry.divide_exact_p_power(v) * u.inverse()
-
-
 def iwasawa_decompose(g):
     """g = b * k with b upper triangular and k integral with unit det.
 
     Column operations (exact over the ring: swaps and integral shears)
     are applied to clear each row left of a minimal-valuation pivot,
-    working bottom row up; ties break to the leftmost pivot.
+    working bottom row up; ties break to the leftmost pivot.  k is the
+    product of their inverses, applied to the identity as row
+    operations: a swap of columns a and b swaps rows a and b of k, and
+    "column j += c * column i" is "row i of k -= c * row j".
     """
-    n = g.size
-    ring = g.ring
-    work = [list(row) for row in g.rows]
-    emat = [list(row) for row in Mat.identity(ring, n).rows]
-
-    def col_swap(a, b):
-        for r in range(n):
-            work[r][a], work[r][b] = work[r][b], work[r][a]
-            emat[r][a], emat[r][b] = emat[r][b], emat[r][a]
-
-    def col_add(dst, src, c):
-        for r in range(n):
-            work[r][dst] = work[r][dst] + c * work[r][src]
-            emat[r][dst] = emat[r][dst] + c * emat[r][src]
-
+    n, ring = g.size, g.ring
+    add, mul = ring.add, ring.mul
+    row = [slice(r * n, r * n + n) for r in range(n)]
+    work = list(g.codes)
+    k = [ring.one_code if r == c else 0 for r in range(n) for c in range(n)]
     for i in range(n - 1, 0, -1):
-        vals = [work[i][j].valuation() for j in range(i + 1)]
-        best = min(vals)
-        if best >= ring.n:
+        vals = [ring.valuation(a) for a in work[row[i]][:i + 1]]
+        v = min(vals)
+        if v >= ring.n:
             raise PrecisionExhausted("pivot row vanishes at working precision")
-        piv = vals.index(best)  # leftmost minimal valuation
+        piv = vals.index(v)  # leftmost minimal valuation
         if piv != i:
-            col_swap(piv, i)
-        pivot = work[i][i]
+            work[piv::n], work[i::n] = work[i::n], work[piv::n]
+            k[row[piv]], k[row[i]] = k[row[i]], k[row[piv]]
+        # the pivot is p^v times a unit u
+        u_inv = ring.inv(ring.divide_exact_p_power(work[i * n + i], v))
         for j in range(i):
-            if work[i][j].is_zero():
+            if not work[i * n + j]:
                 continue
-            c = -_pivot_divide(work[i][j], pivot)
-            col_add(j, i, c)
-            if not work[i][j].is_zero():
+            # t = entry / pivot; column j -= t * column i
+            t = mul(ring.divide_exact_p_power(work[i * n + j], v), u_inv)
+            c = ring.neg(t)
+            work[j::n] = [add(x, mul(c, y))
+                          for x, y in zip(work[j::n], work[i::n])]
+            k[row[i]] = [add(x, mul(t, y))
+                         for x, y in zip(k[row[i]], k[row[j]])]
+            if work[i * n + j]:
                 raise PrecisionExhausted("shear failed to clear the entry")
-    e = Mat(ring, emat)
-    try:
-        k = e.inverse()
-    except NotInvertible:
-        raise PrecisionExhausted("collected column operations not invertible")
-    b = Mat(ring, work, g.offset)
-    return b, k
+    return (Mat.from_codes(ring, n, tuple(work), g.offset),
+            Mat.from_codes(ring, n, tuple(k)))
 
 
 def iwasawa_sample_failures(p, precision, count, rng):
     """Failures of g = b * k among count random 2x2 samples.
 
     Entries are drawn below p^precision, with a global p-power offset in
-    [-2, 2]; a sample is redrawn unless v(det g) < 3.  A sample fails
+    [-2, 2]; a sample is redrawn unless v(det g) < min(3, precision), so
+    its determinant is nonzero at working precision.  A sample fails
     unless b * k == g, b is upper triangular and k has unit determinant.
     """
     ring = TruncatedLocalRing(p, precision, 1)
+    top, bound = p**precision, min(3, precision)
     done = failures = 0
     while done < count:
         offset = rng.randint(-2, 2)
-        g = Mat.from_ints(ring, [[rng.randrange(p**precision)
-                                  for _ in range(2)] for _ in range(2)],
-                          offset=offset)
-        det = g.det()
-        if not (det.is_unit() or 0 < det.valuation() < 3):
+        codes = tuple(rng.randrange(top) for _ in range(4))  # row-major
+        if ring.valuation(ring.mat_det(2, codes)) >= bound:
             continue
-        b, k = iwasawa_decompose(g)
-        if not (b * k == g and b.rows[1][0].is_zero()
-                and k.det().is_unit()):
+        b, k = iwasawa_decompose(Mat.from_codes(ring, 2, codes, offset))
+        if not (ring.mat_mul(2, b.codes, k.codes) == codes
+                and b.offset + k.offset == offset and not b.codes[2]
+                and ring.is_unit(ring.mat_det(2, k.codes))):
             failures += 1
         done += 1
     return failures

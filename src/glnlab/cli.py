@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .errors import CapExceeded, GlnLabError, InvalidConfig
@@ -217,14 +218,20 @@ def cmd_building(args):
     if action != "iwasawa" and args.n < 1:
         raise InvalidConfig(f"building {action} needs --n >= 1")
     if action == "simplices":
-        simps = fundamental_simplices(args.n, cap=args.cap)
-        results = {"n": args.n, "count": len(simps),
+        # the report holds an n x n pattern per simplex; 2^n is not
+        # formed when n alone exceeds the bit length of the cap
+        n, cap = args.n, args.cap
+        if n > cap.bit_length() or (2**n - 1) * n**2 > cap:
+            raise CapExceeded(f"(2^{n} - 1) * {n}^2 stabilizer-pattern "
+                              f"entries exceed cap {cap}")
+        simps = fundamental_simplices(n, cap=cap)
+        results = {"n": n, "count": len(simps),
                    "simplices": [list(s) for s in simps],
-                   "patterns": [list(map(list, stabilizer_pattern(s, args.n)
+                   "patterns": [list(map(list, stabilizer_pattern(s, n)
                                          .entries)) for s in simps]}
         return {"results": results, "verdicts": [
             verdict("simplex count is 2^n - 1", "claim:simplex-count",
-                    len(simps) == 2**args.n - 1),
+                    len(simps) == 2**n - 1),
         ]}
     if action == "iwasawa":
         import random
@@ -411,7 +418,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built at the first call and shared by every
+    later ``run`` in the process."""
     p = _Parser(prog="glnlab", description=__doc__)
     p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
                    help="enumeration cap")

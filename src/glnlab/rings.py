@@ -20,6 +20,7 @@ Laurent polynomials in a formal square root of q.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -380,6 +381,33 @@ class TruncatedLocalRing:
     def reduce_mod_p(self, a):
         return FiniteField(self.p, self.d).element(a.coeffs)
 
+    # -- p-adic valuation on codes --------------------------------------------
+    def valuation(self, a):
+        """p-adic valuation of code a in {0,..,n}; n exactly for zero.
+
+        For d > 1 it is the valuation of the gcd of the coefficients."""
+        if not a:
+            return self.n
+        if self.d > 1:
+            a = math.gcd(*self.decode(a))
+        p, v = self.p, 0
+        while a % p == 0:
+            a //= p
+            v += 1
+        return v
+
+    def divide_exact_p_power(self, a, v):
+        """Code of a / p^v, each coefficient divided by p^v; NotInvertible
+        unless p^v divides every coefficient.  Multiplying back by p^v
+        recovers a exactly at the ring's full precision."""
+        pv = self.p**v
+        coeffs = (a,) if self.d == 1 else self.decode(a)
+        if any(c % pv for c in coeffs):
+            raise NotInvertible(f"element is not divisible by p^{v}")
+        if self.d == 1:
+            return a // pv
+        return self.encode([c // pv for c in coeffs])
+
     # -- flat matrices of codes -----------------------------------------------
     def mat_mul(self, s, a, b):
         """Product of two flat s x s matrices."""
@@ -498,12 +526,7 @@ class LocalRingElement:
 
     def valuation(self):
         """p-adic valuation in {0,..,n}; n exactly for the zero element."""
-        v = 0
-        p, n = self.ring.p, self.ring.n
-        coeffs = self.coeffs
-        while v < n and all(c % p**(v + 1) == 0 for c in coeffs):
-            v += 1
-        return v
+        return self.ring.valuation(self.code)
 
     def inverse(self):
         return LocalRingElement(self.ring, self.ring.inv(self.code))
@@ -512,25 +535,9 @@ class LocalRingElement:
         return self * other.inverse()
 
     def divide_exact_p_power(self, v):
-        """Divide by p^v; valid only when every coefficient is divisible.
-
-        The quotient is the canonical representative with coefficients
-        coeff // p^v; multiplying back by p^v recovers the element
-        exactly at the ring's full precision.
-        """
-        pv = self.ring.p**v
-        coeffs = self.coeffs
-        if any(c % pv for c in coeffs):
-            raise NotInvertible(f"element is not divisible by p^{v}")
+        """Divide by p^v; valid only when every coefficient is divisible."""
         return LocalRingElement(self.ring,
-                                self.ring.encode([c // pv for c in coeffs]))
-
-    def unit_part(self):
-        """(u, v) with self = p^v * u and u either a unit or zero."""
-        v = self.valuation()
-        if v >= self.ring.n:
-            return self, v
-        return self.divide_exact_p_power(v), v
+                                self.ring.divide_exact_p_power(self.code, v))
 
     def sigma(self, e=1):
         """The Frobenius lift applied e times (e taken mod d); on a

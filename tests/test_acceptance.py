@@ -70,7 +70,7 @@ def test_criterion_06_building_counts_and_conjugates():
 
 
 def test_criterion_07_iwasawa_factorization():
-    with Budget(10.0):
+    with Budget(1.0):
         ok, _ = audit.iwasawa_reconstruction(CAP, SEED)
     assert ok
 

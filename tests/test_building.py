@@ -20,6 +20,46 @@ from glnlab.lang import gl_elements
 from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
 
 
+def reference_iwasawa(g):
+    """The element-object decomposition: the same column operations on
+    rows of ring elements, with valuations and p-power quotients read
+    from the coefficients, and k as the matrix inverse of the collected
+    operations."""
+    n, ring = g.size, g.ring
+    p = ring.p
+
+    def valuation(a):
+        v = 0
+        while v < ring.n and all(c % p**(v + 1) == 0 for c in a.coeffs):
+            v += 1
+        return v
+
+    def quotient(a, v):
+        return ring.element([c // p**v for c in a.coeffs])
+
+    work = [list(row) for row in g.rows]
+    emat = [list(row) for row in Mat.identity(ring, n).rows]
+    for i in range(n - 1, 0, -1):
+        vals = [valuation(work[i][j]) for j in range(i + 1)]
+        best = min(vals)
+        if best >= ring.n:
+            raise PrecisionExhausted("pivot row vanishes at working precision")
+        piv = vals.index(best)
+        for m in (work, emat):
+            for row in m:
+                row[piv], row[i] = row[i], row[piv]
+        u = quotient(work[i][i], best)
+        for j in range(i):
+            if work[i][j].is_zero():
+                continue
+            c = -(quotient(work[i][j], best) * u.inverse())
+            for m in (work, emat):
+                for row in m:
+                    row[j] = row[j] + c * row[i]
+            assert work[i][j].is_zero()
+    return Mat(ring, work, g.offset), Mat(ring, emat).inverse()
+
+
 class TestSimplices:
     def test_counts(self):
         assert len(fundamental_simplices(2)) == 3
@@ -36,6 +76,8 @@ class TestSimplices:
             fundamental_simplices(3, cap=6)
         with pytest.raises(CapExceeded):
             fundamental_simplices(40)
+        with pytest.raises(CapExceeded):
+            fundamental_simplices(10**9)  # 2^n is neither formed nor printed
 
     def test_vertices_come_first(self):
         simps = fundamental_simplices(3)
@@ -208,6 +250,31 @@ class TestIwasawa:
                 assert b * k == g
                 assert b.rows[1][0].is_zero()
                 assert k.det().is_unit()
+
+    def test_matches_element_reference(self):
+        # the reports pin only failure counts; this pins (b, k) itself
+        rng = random.Random(11)
+        for p, n, d in ((2, 6, 1), (3, 5, 1), (2, 4, 2), (3, 2, 2), (2, 3, 3)):
+            R = TruncatedLocalRing(p, n, d)
+            # entries times p^e, e <= n, so that ties in valuation, zero
+            # entries and vanishing pivot rows all occur
+            p_powers = [R.from_int(p**e).code for e in range(n + 1)]
+            for size in (2, 3):
+                for _ in range(60):
+                    g = Mat.from_codes(
+                        R, size, tuple(R.mul(rng.randrange(R.size()),
+                                             rng.choice(p_powers))
+                                       for _ in range(size * size)),
+                        rng.randint(-2, 2))
+                    try:
+                        b0, k0 = reference_iwasawa(g)
+                    except PrecisionExhausted:
+                        with pytest.raises(PrecisionExhausted):
+                            iwasawa_decompose(g)
+                        continue
+                    b, k = iwasawa_decompose(g)
+                    assert (b.codes, b.offset, k.codes) \
+                        == (b0.codes, b0.offset, k0.codes), (p, n, d, g)
 
     def test_gl3(self):
         R = TruncatedLocalRing(2, 6, 1)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from glnlab.cli import canonical_json, lint_report, run, verdict
+import glnlab
+from glnlab.cli import build_parser, canonical_json, lint_report, run, verdict
 from glnlab.errors import InvalidConfig
 
 
@@ -71,6 +76,15 @@ class TestExitCodes:
         start = time.monotonic()
         assert run(["building", "simplices", "--n", "40"]) == 3
         assert time.monotonic() - start < 5.0
+        # 8191 simplices fit the cap, their 8191 * 13^2 pattern entries
+        # do not: refused before any pattern is built
+        start = time.monotonic()
+        assert run(["building", "simplices", "--n", "13"]) == 3
+        assert time.monotonic() - start < 5.0
+        # 2^n is not formed, nor printed, for a huge n
+        start = time.monotonic()
+        assert run(["building", "simplices", "--n", "1000000000"]) == 3
+        assert time.monotonic() - start < 5.0
 
     def test_unsupported_without_gate_is_one(self):
         # rank-3 transform without the feature flag is an invariant error
@@ -96,6 +110,14 @@ class TestReports:
         assert rep["verdicts"][0]["status"] == "documented"
         assert rep["results"]["product_set_size"] == 4
         assert [["0", "1"], ["1", "0"]] in rep["results"]["counterexamples"]
+
+    def test_iwasawa_at_low_precision(self, tmp_path):
+        # a determinant that vanishes at working precision is redrawn
+        for precision in ("1", "2"):
+            code, rep = run_json(["building", "iwasawa",
+                                  "--precision", precision], tmp_path)
+            assert code == 0, precision
+            assert rep["results"]["failures"] == 0
 
     def test_satake_report(self, tmp_path):
         code, rep = run_json(["satake", "--n", "2", "--p", "3",
@@ -150,6 +172,49 @@ class TestDeterminism:
                             "--count", "40"], tmp_path, "b.json")
         assert rep1["verdicts"][0]["status"] == "pass"
         assert rep2["verdicts"][0]["status"] == "pass"
+
+
+class TestCachedParser:
+    ARGVS = (["hecke", "--n", "2", "--p", "2", "--left", "1,0",
+              "--right", "x"],
+             ["--help"],
+             ["lang", "--p", "3", "--d", "2"],
+             ["--seed", "5", "building", "iwasawa", "--p", "3",
+              "--precision", "9", "--count", "30"])
+
+    @staticmethod
+    def strip_timing(text):
+        if not text.startswith("{"):
+            return text
+        report = json.loads(text)
+        report.pop("timing_ms")
+        return report
+
+    def run_here(self, argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, self.strip_timing(out), err
+
+    def run_fresh(self, argv):
+        src = str(Path(glnlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "glnlab.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        return proc.returncode, self.strip_timing(proc.stdout), proc.stderr
+
+    def test_reports_match_a_fresh_interpreter(self, capsys, monkeypatch):
+        # one parser serves every request of a process; a request that
+        # failed to parse or printed help must not change a later one
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at this width
+        assert build_parser() is build_parser()
+        here = [self.run_here(argv, capsys) for argv in self.ARGVS]
+        assert [code for code, _, _ in here] == [2, 0, 0, 0]
+        for argv, got in zip(self.ARGVS, here):
+            assert got == self.run_fresh(argv), argv
 
 
 class TestLinter:

@@ -6,8 +6,9 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from glnlab.building import iwasawa_decompose
 from glnlab.hecke import BIG, smith_exponents, vp
-from glnlab.rings import FiniteField, HalfPowerLaurent, TruncatedLocalRing
+from glnlab.rings import FiniteField, HalfPowerLaurent, Mat, TruncatedLocalRing
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=64)
@@ -110,10 +111,9 @@ def fr_det(rows):
 
 def minors_min_valuation(rows, k, p):
     """Minimum valuation over all k x k minors of a rational matrix."""
-    n = len(rows)
     best = BIG
-    for rr in itertools.combinations(range(n), k):
-        for cc in itertools.combinations(range(n), k):
+    for rr in itertools.combinations(range(len(rows)), k):
+        for cc in itertools.combinations(range(len(rows[0])), k):
             sub = [[rows[i][j] for j in cc] for i in rr]
             best = min(best, vp(fr_det(sub), p))
     return best
@@ -156,3 +156,35 @@ class TestSmithOracle:
     @settings(max_examples=150)
     def test_rational_matrices(self, rows, p):
         assert smith_exponents(rows, p) == minors_smith_exponents(rows, p)
+
+
+@st.composite
+def iwasawa_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    precision = draw(st.integers(min_value=1, max_value=8))
+    ring = TruncatedLocalRing(p, precision, 1)
+    size = draw(st.integers(min_value=2, max_value=3))
+    # entries times p^e so that valuations beyond 0 and 1 occur
+    entry = st.builds(lambda a, e: a * p**e % ring.pn,
+                      st.integers(min_value=0, max_value=ring.pn - 1),
+                      st.integers(min_value=0, max_value=precision))
+    codes = tuple(draw(entry) for _ in range(size * size))
+    assume(vp(ring.mat_det(size, codes), p) < precision)
+    return Mat.from_codes(ring, size, codes,
+                          draw(st.integers(min_value=-2, max_value=2)))
+
+
+class TestIwasawaOracle:
+    @given(g=iwasawa_inputs())
+    @settings(max_examples=150)
+    def test_diagonal_of_b_by_minors(self, g):
+        # g = b k with k in GL_n(O): the bottom r rows of g are those of
+        # b times k, so by Cauchy-Binet their r x r minors have the least
+        # valuation of [0 | lower-right r x r block of b], its determinant
+        b, _ = iwasawa_decompose(g)
+        ring, n = g.ring, g.size
+        rows = [list(g.codes[i:i + n]) for i in range(0, n * n, n)]
+        diag = [vp(b.codes[i * n + i], ring.p) for i in range(n)]
+        for r in range(1, n + 1):
+            assert sum(diag[n - r:]) \
+                == minors_min_valuation(rows[n - r:], r, ring.p), r
