@@ -33,10 +33,6 @@ class NotPositiveDefinite(GlnLabError):
     pass
 
 
-class NotFound(GlnLabError):
-    pass
-
-
 class NotACocycle(GlnLabError):
     pass
 

@@ -18,16 +18,8 @@ from .errors import (
     MatchFailure,
     NoTrivialization,
     NotACocycle,
-    NotFound,
 )
-from .rings import (
-    DEFAULT_FIELD_CAP,
-    DEFAULT_GROUP_CAP,
-    FiniteField,
-    LocalRingElement,
-    Mat,
-    TruncatedLocalRing,
-)
+from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
 
 
 def factor_prime_power(q):
@@ -89,9 +81,7 @@ def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     Frobenius^sigma_exponent as the Galois action."""
     d = ring.d // math.gcd(ring.d, sigma_exponent)
     sig = (lambda m: m.sigma(sigma_exponent))
-    module = GaloisModule(gl_elements(ring, s, cap=cap), sig, d, ring=ring)
-    module.sigma_exponent = sigma_exponent % ring.d or ring.d
-    return module
+    return GaloisModule(gl_elements(ring, s, cap=cap), sig, d, ring=ring)
 
 
 # ---------------------------------------------------------------------------
@@ -166,127 +156,6 @@ def ordinary_classes(elements):
     codes = [g.codes for g in elements]
     return _classes(ring, s, codes, codes,
                     [ring.mat_inv(s, g) for g in codes])
-
-
-# ---------------------------------------------------------------------------
-# Lang preimages via extension fields
-
-def embed_field(small, big):
-    """Canonical embedding F_{p^m} -> F_{p^M}, m | M.
-
-    Sends the generator to the lex-least root of the small modulus in
-    the big field; any such root works since the embeddings are Galois-
-    conjugate and commute with every p-power map.
-    """
-    if small.p != big.p or big.d % small.d:
-        raise ValueError("no embedding between these fields")
-    root = next((a for a in range(big.size())  # in coefficient order
-                 if not big.evaluate(small.modulus, a)), None)
-    if root is None:
-        raise ArithmeticError("modulus has no root in the big field")
-    powers = [big.one_code]
-    for _ in range(small.d - 1):
-        powers.append(big.mul(powers[-1], root))
-
-    def emb(a):
-        return LocalRingElement(
-            big, big.dot([big.encode((c,)) for c in a.coeffs], powers))
-
-    return emb
-
-
-def _solve_kernel_gfp(rows, p):
-    """Basis of the kernel of a matrix over Z/p (rows = list of row lists)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rows = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for c, rr in pivots.items():
-            vec[c] = (-rows[rr][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def lang_preimage(y, module, max_extension=None, kernel_cap=1 << 20):
-    """Solve x^-1 sigma(x) = y over extensions of the module's field.
-
-    Only supported for GL_s over a finite field.  The equation
-    sigma(x) = x*y is F_p-linear in the entries of x, so each extension
-    degree is a kernel computation plus a search for an invertible
-    kernel element.  Returns (x, extension_degree, big_field, embedding).
-    """
-    field = module.ring
-    if not isinstance(field, FiniteField):
-        raise NotFound("preimage search implemented over finite fields only")
-    p, m = field.p, field.d
-    s = y.size
-    sig_exp = getattr(module, "sigma_exponent", 1)
-    if max_extension is None:
-        # the order bound q^d - 1 = |field| - 1 is always sufficient
-        max_extension = max(1, field.q - 1)
-    for e in range(1, max_extension + 1):
-        if p**(m * e) > DEFAULT_FIELD_CAP:
-            break
-        big = FiniteField(p, m * e)
-        emb = embed_field(field, big)
-        ybig = Mat(big, [[emb(a) for a in row] for row in y.rows])
-        x = _lang_solve_linear(ybig, big, s, sig_exp, kernel_cap)
-        if x is not None:
-            return x, e, big, emb
-    raise NotFound("no Lang preimage within the extension bound")
-
-
-def _lang_solve_linear(ybig, big, s, sig_exp, kernel_cap):
-    """Invertible solution of sigma(x) = x*y over the big field, if any."""
-    p, M = big.p, big.d
-    nvars = s * s * M
-    rows = []
-    for idx in range(s * s):
-        for basis in big.weights:  # the code of x^k, k = 0..M-1
-            mat = Mat.from_codes(big, s, tuple(
-                basis if t == idx else 0 for t in range(s * s)))
-            img = mat.sigma(sig_exp) + (mat * ybig).scale(big.from_int(-1))
-            rows.append([c for a in img.codes for c in big.decode(a)])
-    # rows currently hold images of basis vectors; transpose to the matrix
-    # acting on coordinate columns
-    mat_rows = [[rows[v][eq] for v in range(nvars)] for eq in range(nvars)]
-    kernel = _solve_kernel_gfp(mat_rows, p)
-    if not kernel:
-        return None
-    if p**len(kernel) > kernel_cap:
-        raise CapExceeded("kernel too large to scan for an invertible point")
-    for combo in itertools.product(range(p), repeat=len(kernel)):
-        if not any(combo):
-            continue
-        vec = [0] * nvars
-        for c, bvec in zip(combo, kernel):
-            if c:
-                vec = [(x + c * y) % p for x, y in zip(vec, bvec)]
-        x = Mat.from_codes(big, s, tuple(big.encode(vec[idx * M:(idx + 1) * M])
-                                         for idx in range(s * s)))
-        if x.is_invertible():
-            return x
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -402,85 +271,118 @@ def _sigma_power(m, module, e):
 # ---------------------------------------------------------------------------
 # the norm-matching bijection between plain and twisted classes
 
-def char_poly(m):
-    """Characteristic polynomial coefficients (low degree first, monic).
+def _invariant_factors(ring, s, codes):
+    """Invariant factors of X*I - M over F[X], M the flat s x s matrix of
+    codes over the field ``ring``: the monic non-constant ones, each
+    dividing the next, as code tuples with the low degree first.
 
-    Coefficient of X^k is (-1)^{s-k} * (sum of (s-k)x(s-k) principal
-    minors); computed exactly over the entry ring.
+    Smith elimination: move an entry of least degree to the pivot, clear
+    its column and row by division with remainder, and repeat until the
+    pivot divides every entry left; the pivots are the factors.
     """
-    s = m.size
-    ring = m.ring
-    coeffs = []
-    for k in range(s + 1):
-        r = s - k  # minor size
-        if r == 0:
-            coeffs.append(ring.one())
-            continue
-        acc = 0
-        for idx in itertools.combinations(range(s), r):
-            sub = tuple(m.codes[i * s + j] for i in idx for j in idx)
-            acc = ring.add(acc, ring.mat_det(r, sub))
-        if r % 2:
-            acc = ring.neg(acc)
-        coeffs.append(LocalRingElement(ring, acc))
-    return tuple(coeffs)
+    add, mul, neg = ring.add, ring.mul, ring.neg
+
+    def trim(f):
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def minus(f, g):
+        out = f + [0] * (len(g) - len(f))
+        for i, b in enumerate(g):
+            out[i] = add(out[i], neg(b))
+        return trim(out)
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1) if f and g else []
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return out
+
+    def divide(f, g):
+        """(quotient, remainder) of f by g."""
+        quot, lead = [0] * max(len(f) - len(g) + 1, 0), ring.inv(g[-1])
+        while len(f) >= len(g):
+            k, c = len(f) - len(g), mul(f[-1], lead)
+            quot[k] = c
+            f = minus(f, [0] * k + [mul(c, b) for b in g])
+        return quot, f
+
+    m = [[trim([neg(codes[i * s + j])] + [ring.one_code] * (i == j))
+          for j in range(s)] for i in range(s)]
+    factors = []
+    for t in range(s):
+        while True:
+            # det(X*I - M) is nonzero, so the block left is never zero
+            _, i, j = min((len(m[i][j]), i, j) for i in range(t, s)
+                          for j in range(t, s) if m[i][j])
+            m[t], m[i] = m[i], m[t]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            piv = m[t][t]
+            for i in range(t + 1, s):
+                quot, m[i][t] = divide(m[i][t], piv)
+                m[i][t + 1:] = [minus(a, times(quot, b))
+                                for a, b in zip(m[i][t + 1:], m[t][t + 1:])]
+            for j in range(t + 1, s):
+                quot, m[t][j] = divide(m[t][j], piv)
+                for row in m[t + 1:]:
+                    row[j] = minus(row[j], times(quot, row[t]))
+            if any(m[i][t] or m[t][i] for i in range(t + 1, s)):
+                continue  # a remainder of lower degree is the next pivot
+            bad = next((row for row in m[t + 1:]
+                        if any(divide(a, piv)[1] for a in row[t + 1:])), None)
+            if bad is None:
+                break
+            m[t][t + 1:] = bad[t + 1:]  # add row bad; row t is zero there
+        factors.append(piv)
+    return tuple(tuple(mul(c, ring.inv(f[-1])) for c in f)
+                 for f in factors if len(f) > 1)
 
 
 def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     """Match plain conjugacy classes of GL_s(F_q) with twisted classes of
-    GL_s(F_{q^n}) under the q-power Frobenius.
+    GL_s(F_{q^n}) under the q-power Frobenius sigma (Shintani descent).
 
-    For each twisted class representative A: solve X^-1 sigma(X) = A
-    over an extension, form Y = X sigma^n(X^-1) (sigma-fixed, so an
-    F_q point), and locate Y's plain class.  The induced map must be a
-    bijection; a characteristic-polynomial cross-check (N(A) is
-    conjugate to Y^-1) and an explicit conjugator search confirm each
-    match.
+    Everything happens in F_{q^n}: GL_s(F_q) is the sigma-fixed subgroup,
+    and a class of it is determined by the invariant factors of X - g
+    (rational canonical form).  For each twisted class representative A,
+    the norm N(A) = A sigma(A) ... sigma^{n-1}(A) satisfies
+    sigma(N(A)) = A^-1 N(A) A, so the invariant factors of N(A)^-1 lie in
+    F_q[X]; they name the plain class A goes to.  The induced map must be
+    a bijection.
     """
     p, v = factor_prime_power(q)
-    base = FiniteField(p, v)
     ext = FiniteField(p, v * n)
-    plain = ordinary_classes(gl_elements(base, s, cap=cap))
     module = gl_module(ext, s, sigma_exponent=v, cap=cap)
+    sub = {c for c in range(ext.size()) if ext.sigma(c, v) == c}
+    plain = ordinary_classes([g for g in module.elements
+                              if sub.issuperset(g.codes)])
     twisted = twisted_classes(module)
-    to_ext = embed_field(base, ext)
-    mul = ext.mat_mul
 
+    by_factors = {}
+    for cl in plain:
+        key = _invariant_factors(ext, s, cl["representative"].codes)
+        if key in by_factors:
+            raise MatchFailure("two plain classes share invariant factors")
+        by_factors[key] = cl["representative"]
     matches = []
     used = set()
     for cl in twisted:
         a = cl["representative"]
-        x, e, big, _ = lang_preimage(a, module)
-        # Y = X sigma^n(X^-1), fixed by the q-power map
-        xinv = x.inverse()
-        y = x * xinv.sigma(v * n)
-        if y.sigma(v) != y:
-            raise MatchFailure("norm construction did not land in GL_s(F_q)")
-        y_small = _pullback_matrix(y, base, big)
-        plain_cl = next(c for c in plain if y_small in c["orbit"])
-        if id(plain_cl) in used:
+        key = _invariant_factors(
+            ext, s, twisted_norm(a, module, n).inverse().codes)
+        if not all(sub.issuperset(f) for f in key):
+            raise MatchFailure("invariant factors of N(A) are not in F_q[X]")
+        if key not in by_factors:
+            raise MatchFailure("no plain class has the invariant factors "
+                               "of N(A)^-1")
+        if key in used:
             raise MatchFailure("two twisted classes hit the same plain class")
-        used.add(id(plain_cl))
-
-        # cross-check: N(A) = A sigma(A)...sigma^{n-1}(A) is conjugate to
-        # the inverse of Y inside GL_s(F_{q^n})
-        na = twisted_norm(a, module, n)
-        target = Mat(ext, [[to_ext(c) for c in row]
-                           for row in y_small.inverse().rows])
-        if char_poly(na) != char_poly(target):
-            raise MatchFailure("characteristic polynomial prefilter failed")
-        # g * na * g^-1 = target, tested as g * na = target * g
-        conj = next((g for g in module.elements
-                     if mul(s, g.codes, na.codes)
-                     == mul(s, target.codes, g.codes)), None)
-        if conj is None:
-            raise MatchFailure("no explicit conjugator found")
-        matches.append({
-            "twisted_rep": a,
-            "plain_rep": plain_cl["representative"],
-            "extension_degree": e,
-            "char_poly": tuple(c.coeffs for c in char_poly(na)),
-        })
+        used.add(key)
+        matches.append({"twisted_rep": a, "plain_rep": by_factors[key],
+                        "invariant_factors": key})
     bijective = len(used) == len(plain) == len(twisted)
     if not bijective:
         raise MatchFailure(
@@ -491,14 +393,3 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         "bijective": bijective,
         "matches": matches,
     }
-
-
-def _pullback_matrix(m, small, big):
-    """Invert the canonical embedding entrywise (entries must lie in the
-    image of the small field)."""
-    emb = embed_field(small, big)
-    table = {emb(a): a for a in small.elements()}
-    try:
-        return Mat(small, [[table[a] for a in row] for row in m.rows])
-    except KeyError:
-        raise MatchFailure("matrix entry is not in the base field") from None

@@ -295,11 +295,6 @@ class TruncatedLocalRing:
     def frobenius_image(self):
         return LocalRingElement(self, self._frobenius_code)
 
-    def _eval_poly(self, coeffs, y):
-        """Evaluate a Z/p^n-coefficient polynomial at the element with
-        coefficient tuple y; returns the value's coefficient tuple."""
-        return self.decode(self.evaluate(coeffs, self.encode(y)))
-
     def evaluate(self, coeffs, y):
         """Code of the value at code y of an integer-coefficient polynomial."""
         acc = 0
@@ -478,14 +473,6 @@ class FiniteField(TruncatedLocalRing):
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.d})"
-
-
-def ff_make(p, d, cap=DEFAULT_FIELD_CAP):
-    return FiniteField(p, d, cap=cap)
-
-
-def ring_make(p, n, d, cap=DEFAULT_FIELD_CAP):
-    return TruncatedLocalRing(p, n, d, cap=cap)
 
 
 class LocalRingElement:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glnlab
 from glnlab.cli import build_parser, canonical_json, lint_report, run, verdict
@@ -16,6 +20,16 @@ def run_json(argv, tmp_path, name="out.json"):
     path = tmp_path / name
     code = run(["--json-out", str(path)] + argv)
     return code, json.loads(path.read_text())
+
+
+def gl_class_number(s, q):
+    """Number of conjugacy classes of GL_s(F_q), s <= 3."""
+    return {1: q - 1, 2: q**2 - 1, 3: q**3 - q}[s]
+
+
+def is_prime_power(q):
+    return q >= 2 and sum(q % p == 0 and all(p % k for k in range(2, p))
+                          for p in range(2, q + 1)) == 1
 
 
 class TestExitCodes:
@@ -152,6 +166,38 @@ class TestReports:
                         walk(v)
 
             walk(rep)
+
+
+class TestDMCheck:
+    @pytest.mark.parametrize("s,q,n", [
+        (1, 4, 2), (1, 5, 2), (1, 7, 2), (1, 8, 2), (1, 9, 2), (2, 3, 2),
+        (2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 10)])
+    def test_bijection_with_closed_form_counts(self, s, q, n, tmp_path):
+        code, rep = run_json(["dm-check", "--s", str(s), "--q", str(q),
+                              "--n", str(n)], tmp_path)
+        assert code == 0
+        res = rep["results"]
+        assert res["plain_class_count"] == res["twisted_class_count"] \
+            == gl_class_number(s, q)
+
+    @given(s=st.integers(-1, 3), q=st.integers(-2, 10),
+           n=st.integers(-1, 3))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_grammar_fuzz(self, s, q, n):
+        # the bijection is a theorem: no input may exit 1
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--cap", "5000", "dm-check", "--s", str(s),
+                        "--q", str(q), "--n", str(n)])
+        assert time.monotonic() - start < 10.0
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 2, 3), err.getvalue()
+        assert (code == 2) == (s < 1 or n < 1 or not is_prime_power(q))
+        if code == 0:
+            res = json.loads(out.getvalue())["results"]
+            assert res["plain_class_count"] == res["twisted_class_count"] \
+                == gl_class_number(s, q)
 
 
 class TestDeterminism:

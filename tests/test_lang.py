@@ -1,12 +1,14 @@
+import functools
+import itertools
+
 import pytest
 
 from glnlab.errors import InvalidConfig, NotACocycle
 from glnlab.lang import (
-    char_poly,
+    _invariant_factors,
     congruence_kernel_module,
     descend_conjugator,
     dm_bijection_check,
-    embed_field,
     factor_prime_power,
     gl_elements,
     gl_module,
@@ -14,16 +16,43 @@ from glnlab.lang import (
     h1_level_tower,
     lang_image,
     lang_map,
-    lang_preimage,
     ordinary_classes,
     twisted_classes,
     twisted_norm,
 )
-from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
+from glnlab.rings import FiniteField, TruncatedLocalRing
 
 
 def gl1_field_module(p, d, sigma_exponent=1):
     return gl_module(FiniteField(p, d), 1, sigma_exponent=sigma_exponent)
+
+
+def poly_mul(F, f, g):
+    """Product of two code-coefficient polynomials, low degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for (i, a), (j, b) in itertools.product(enumerate(f), enumerate(g)):
+        out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return tuple(out)
+
+
+def poly_divides(F, g, f):
+    """Whether monic g divides f, by long division."""
+    f = list(f)
+    while len(f) >= len(g):
+        c, k = f.pop(), len(f) - len(g) + 1
+        for i, b in enumerate(g[:-1]):
+            f[k + i] = F.add(f[k + i], F.neg(F.mul(c, b)))
+    return not any(f)
+
+
+def reference_conjugator(module, target, source):
+    """Some g in the group with g * source = target * g, by scanning the
+    whole group; the reference for the invariant-factor match."""
+    ring, s = module.ring, target.size
+    mul = ring.mat_mul
+    return next((g for g in module.elements
+                 if mul(s, g.codes, source.codes)
+                 == mul(s, target.codes, g.codes)), None)
 
 
 class TestFactorPrimePower:
@@ -75,37 +104,6 @@ class TestLangMap:
         assert lang_image(m) == {m.identity()}
 
 
-class TestLangPreimage:
-    def test_identity(self):
-        m = gl1_field_module(2, 2)
-        x, e, _, _ = lang_preimage(m.identity(), m)
-        assert e == 1 and lang_map(x, m) == m.identity()
-
-    def test_gl1_f4_generator_preimage_in_f4(self):
-        m = gl1_field_module(2, 2)
-        F = m.ring
-        y = Mat(F, [[F.gen()]])
-        x, e, big, emb = lang_preimage(y, m)
-        assert e == 1
-        assert x.inverse() * x.sigma(1) == Mat(big, [[emb(F.gen())]])
-
-    def test_round_trip(self):
-        m = gl1_field_module(3, 2)
-        for x0 in m.elements:
-            y = lang_map(x0, m)
-            x, e, big, emb = lang_preimage(y, m)
-            ybig = Mat(big, [[emb(a) for a in row] for row in y.rows])
-            assert x.inverse() * x.sigma(m.sigma_exponent) == ybig
-
-    def test_gl2_f4_preimages_exist(self):
-        m = gl_module(FiniteField(2, 2), 2)
-        # every group element has a Lang preimage within the degree bound
-        for a in m.elements[::37]:
-            x, e, big, emb = lang_preimage(a, m)
-            abig = Mat(big, [[emb(c) for c in row] for row in a.rows])
-            assert x.inverse() * x.sigma(1) == abig
-
-
 class TestTwistedNormAndClasses:
     def test_norm_identity(self):
         m = gl1_field_module(2, 2)
@@ -146,10 +144,46 @@ class TestTwistedNormAndClasses:
                 assert lhs == v * twisted_norm(a, m, 2) * v.inverse()
 
     def test_norm_charpoly_sigma_fixed(self):
+        # the invariant factors of N(A), whose product is its char poly,
+        # lie in F_2[X]
         m = gl_module(FiniteField(2, 2), 2)
+        F = m.ring
         for a in m.elements[::17]:
-            for c in char_poly(twisted_norm(a, m, 2)):
-                assert c.frobenius() == c
+            factors = _invariant_factors(F, 2, twisted_norm(a, m, 2).codes)
+            assert sum(len(f) - 1 for f in factors) == 2
+            for f in factors:
+                assert tuple(F.sigma(c) for c in f) == f
+
+
+class TestInvariantFactors:
+    @pytest.mark.parametrize("p,d,s", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                       (5, 1, 2), (2, 1, 3)])
+    def test_classes_are_invariant_factor_sequences(self, p, d, s):
+        # exhaustive over GL_s(F_q): two matrices share invariant factors
+        # exactly when they are conjugate
+        F = FiniteField(p, d)
+        keys = {}
+        for cl in ordinary_classes(gl_elements(F, s)):
+            found = {_invariant_factors(F, s, g.codes) for g in cl["orbit"]}
+            assert len(found) == 1
+            key = found.pop()
+            assert key not in keys
+            keys[key] = cl
+            assert sum(len(f) - 1 for f in key) == s
+            assert all(len(f) > 1 and f[-1] == F.one_code for f in key)
+            assert all(poly_divides(F, f, g) for f, g in zip(key, key[1:]))
+            if s == 2:
+                a = cl["representative"].codes
+                trace, det = F.add(a[0], a[3]), F.mat_det(2, a)
+                assert functools.reduce(
+                    lambda f, g: poly_mul(F, f, g), key) \
+                    == (det, F.neg(trace), F.one_code)
+
+    def test_scalar_and_companion(self):
+        F = FiniteField(3, 1)
+        # 2 * I: X - 2 twice; a companion matrix: its char poly once
+        assert _invariant_factors(F, 2, (2, 0, 0, 2)) == ((1, 1), (1, 1))
+        assert _invariant_factors(F, 2, (0, 1, 2, 1)) == ((1, 2, 1),)
 
 
 class TestDMBijection:
@@ -167,6 +201,21 @@ class TestDMBijection:
         rep = dm_bijection_check(2, 2, 2)
         assert rep["plain_class_count"] == rep["twisted_class_count"] == 3
         assert rep["bijective"]
+
+    @pytest.mark.parametrize("s,q,n", [(1, 4, 2), (1, 5, 2), (2, 2, 2),
+                                       (2, 2, 3), (2, 3, 2)])
+    def test_matches_are_conjugate(self, s, q, n):
+        # each match holds up to an explicit conjugator: some g in
+        # GL_s(F_{q^n}) has g N(A)^-1 g^-1 = plain_rep
+        rep = dm_bijection_check(s, q, n)
+        p, v = factor_prime_power(q)
+        module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
+        assert len(rep["matches"]) == rep["plain_class_count"]
+        for match in rep["matches"]:
+            assert match["plain_rep"].sigma(v) == match["plain_rep"]
+            na_inv = twisted_norm(match["twisted_rep"], module, n).inverse()
+            assert reference_conjugator(
+                module, match["plain_rep"], na_inv) is not None
 
 
 class TestH1:
@@ -219,20 +268,3 @@ class TestDescent:
         bad = next(x for x in full.elements if full.sigma(x) != x)
         with pytest.raises(NotACocycle):
             descend_conjugator(bad, u)
-
-
-class TestEmbedding:
-    def test_embedding_is_ring_hom(self):
-        small, big = FiniteField(2, 2), FiniteField(2, 4)
-        emb = embed_field(small, big)
-        els = list(small.elements())
-        for a in els:
-            for b in els:
-                assert emb(a * b) == emb(a) * emb(b)
-                assert emb(a + b) == emb(a) + emb(b)
-
-    def test_embedding_commutes_with_frobenius(self):
-        small, big = FiniteField(3, 2), FiniteField(3, 4)
-        emb = embed_field(small, big)
-        for a in small.elements():
-            assert emb(a.frobenius()) == emb(a).frobenius()
