@@ -287,8 +287,10 @@ def cmd_satake(args):
                         satake_transform)
     lam = _parse_int_vector(args.lam, args.n)
     f = HeckeElement.basis(lam, args.p)
-    img = satake_transform(f, enable_rank3=args.enable_gl3)
-    oracle = satake_by_coset_count(f)
+    # the oracle's entry bound and cap refuse a large lam before the
+    # transform expands P_lam, whose size grows with lam
+    oracle = satake_by_coset_count(f, cap=args.cap)
+    img = satake_transform(f)
     results = {"n": args.n, "p": args.p, "lam": list(lam),
                "image": ser_image(img), "oracle": ser_image(oracle)}
     return {"results": results, "verdicts": [
@@ -305,8 +307,8 @@ def cmd_hecke(args):
     mu = _parse_int_vector(args.right, args.n)
     f = HeckeElement.basis(lam, args.p)
     g = HeckeElement.basis(mu, args.p)
-    fg = convolve(f, g)
-    gf = convolve(g, f)
+    fg = convolve(f, g, cap=args.cap)
+    gf = convolve(g, f, cap=args.cap)
     results = {"n": args.n, "p": args.p, "left": list(lam),
                "right": list(mu), "product": ser_hecke(fg)}
     return {"results": results, "verdicts": [
@@ -472,7 +474,8 @@ def build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--lam", required=True,
                     help="comma-separated weakly decreasing vector")
-    sp.add_argument("--enable-gl3", action="store_true")
+    sp.add_argument("--enable-gl3", action="store_true",
+                    help="accepted and ignored: rank 3 needs no flag")
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("hecke")

@@ -45,10 +45,6 @@ class MatchFailure(GlnLabError):
     """A claimed bijection could not be completed."""
 
 
-class UnsupportedRank(GlnLabError):
-    pass
-
-
 class CharacterMismatch(GlnLabError):
     pass
 
@@ -71,3 +67,7 @@ class InvalidConfig(GlnLabError):
 
 class NotPrime(InvalidConfig):
     """A prime parameter is not prime; a configuration error."""
+
+
+class UnsupportedRank(InvalidConfig):
+    """A rank outside the supported range; a configuration error."""

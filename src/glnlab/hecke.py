@@ -1,11 +1,12 @@
-"""The spherical Hecke algebra for GL_n (n = 1, 2; n = 3 gated) and the
-transform onto Weyl-invariants of the cocharacter group algebra.
+"""The spherical Hecke algebra for GL_n (n = 1, 2, 3) and the transform
+onto Weyl-invariants of the cocharacter group algebra.
 
 Double cosets are indexed by weakly decreasing integer vectors; all
 computations are exact and p-local.  A coset representative is a pair
 (shift, M) standing for g = p^shift * M, with M an upper-triangular int
 matrix whose diagonal entries are powers of p, so membership tests read
-int valuations and products cost int multiplies.  Transform coefficients
+int valuations and products cost int multiplies.  The transform is
+Macdonald's closed form in Hall-Littlewood polynomials; its coefficients
 lie in Laurent polynomials in a formal square root of q.  Haar
 normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (
     CapExceeded,
     CharacterMismatch,
+    InvalidConfig,
     NotPrime,
-    PrecisionExhausted,
     UnsupportedRank,
     ZeroEntry,
 )
@@ -106,15 +108,14 @@ def is_dominant(lam):
 # ---------------------------------------------------------------------------
 # coset decomposition
 
-def coset_decompose(lam, n, p):
+def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     """Representatives (shift, M) of the cosets g K in K p^lam K, with
     g = p^shift * M and shift = lam[-1].
 
     Enumerates upper-triangular int Hermite forms M with p-power
     diagonal and keeps those whose elementary divisors are exactly
     lam - shift.  Exact; the entries of lam are bounded by MAX_ENTRY in
-    absolute value, and the number of Hermite forms to scan by
-    DEFAULT_GROUP_CAP.
+    absolute value, and the number of Hermite forms to scan by cap.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
@@ -122,7 +123,7 @@ def coset_decompose(lam, n, p):
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("need a weakly decreasing integer vector of length n")
     if max(abs(c) for c in lam) > MAX_ENTRY:
-        raise PrecisionExhausted(
+        raise InvalidConfig(
             f"cocharacter entries exceed {MAX_ENTRY} in absolute value")
     shift = lam[-1]
     m = tuple(c - shift for c in lam)
@@ -133,9 +134,9 @@ def coset_decompose(lam, n, p):
     # diagonal p^diag leaves p^diag[i] choices for each entry right of it
     candidates = sum(p ** sum(c * (n - 1 - i) for i, c in enumerate(diag))
                      for diag in diags)
-    if candidates > DEFAULT_GROUP_CAP:
+    if candidates > cap:
         raise CapExceeded(f"{candidates} Hermite forms to scan exceed cap "
-                          f"{DEFAULT_GROUP_CAP}")
+                          f"{cap}")
     # row i of a form: i zeros, p^diag[i], then its n-1-i entries of fill
     starts = [sum(n - 1 - k for k in range(i)) for i in range(n)]
     reps = []
@@ -211,7 +212,7 @@ class HeckeElement:
         return f"HeckeElement(n={self.n}, p={self.p}, {{{terms}}})"
 
 
-def convolve(f, g):
+def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     """Convolution with vol(K) = 1, by binning coset products.
 
     (1_{K p^lam K} * 1_{K p^mu K})(p^nu) counts the pairs (g_i, h_j) of
@@ -220,7 +221,7 @@ def convolve(f, g):
     when g_i h_j K = p^r K.  A product of forms is upper triangular with
     p-power diagonal, so equality holds when each row's entries are
     divisible by its diagonal entry; r is the shifts plus the diagonal
-    exponents.
+    exponents.  The number of pairs is checked against cap first.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
@@ -229,10 +230,13 @@ def convolve(f, g):
     out = {}
     for lam, cf in f.support.items():
         reps_f = [(s, _diagonal_exponents(m, p), m)
-                  for s, m in coset_decompose(lam, n, p)]
+                  for s, m in coset_decompose(lam, n, p, cap=cap)]
         for mu, cg in g.support.items():
             reps_g = [(s, _diagonal_exponents(m, p), m)
-                      for s, m in coset_decompose(mu, n, p)]
+                      for s, m in coset_decompose(mu, n, p, cap=cap)]
+            pairs = len(reps_f) * len(reps_g)
+            if pairs > cap:
+                raise CapExceeded(f"{pairs} coset pairs exceed cap {cap}")
             hits = {}
             for sf, ef, a in reps_f:
                 for sg, eg, b in reps_g:
@@ -254,45 +258,6 @@ def convolve(f, g):
 def modulus_delta_exponent(a, n):
     """Exponent e with delta(diag(p^a_i * units)) = q^e."""
     return -sum(a[i] * (n + 1 - 2 * (i + 1)) for i in range(n))
-
-
-def _volume_exponent_by_count(c, p):
-    """vol(p^c O) as q^e with vol(O) = 1, read off a finite cell count.
-
-    Cells of width p^-L tiling the window p^min(c,0) O are tested for
-    membership of their base point in p^c O; the count must come out an
-    exact power of p.
-    """
-    L = abs(c) + 1
-    m = min(c, 0)
-    # cosets of p^L O inside the window p^m O, base points k * p^m
-    inside = sum(1 for k in range(p**(L - m))
-                 if vp(Fraction(k) * Fraction(p)**m, p) >= c)
-    total = p**L  # cosets of p^L O making up O
-    e = 0
-    num, den = inside, total
-    while num > den:
-        num, e = num // p, e + 1
-    while num < den:
-        num, e = num * p, e - 1
-    if num != den:
-        raise ArithmeticError("cell count is not a power of p")
-    return e
-
-
-def modulus_delta(a, n, q):
-    """delta(t) as an exact power of q, cross-checked against a counting
-    model of the conjugation Jacobian on the unipotent coordinates."""
-    e = modulus_delta_exponent(a, n)
-    e_counted = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            # coordinate x_ij scales by p^(a_i - a_j)
-            e_counted += _volume_exponent_by_count(a[i] - a[j], q)
-    if e_counted != e:
-        raise ArithmeticError(
-            f"counted modulus exponent {e_counted} != closed form {e}")
-    return HalfPowerLaurent.v_power(q, 2 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -344,138 +309,100 @@ class SatakeImage:
         return f"SatakeImage(n={self.n}, q={self.q}, {{{terms}}})"
 
 
-def _shell_measure(c, q):
-    """Measure of the valuation-c shell of the field, vol(O) = 1."""
-    return Fraction(q)**(-c) * (1 - Fraction(1, q))
+def _poly_mul(f, g):
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    out = {}
+    for a, c in f.items():
+        for b, d in g.items():
+            e = tuple(x + y for x, y in zip(a, b))
+            out[e] = out.get(e, 0) + c * d
+    return {e: c for e, c in out.items() if c}
 
 
-def _ball_measure(c, q):
-    """Measure of {v >= c}."""
-    return Fraction(q)**(-c)
+def _hall_littlewood(lam, q):
+    """The Hall-Littlewood polynomial P_lam(x; t) at t = 1/q, as
+    {exponent tuple: Fraction}.
 
-
-def _integral_gl2(lam, support, q):
-    """Exact unipotent integral of f(t n(x)) for t = p^lam, by valuation
-    shells of the single coordinate."""
-    total = Fraction(0)
-    for mu, coeff_weight in support:
-        if lam[0] + lam[1] != mu[0] + mu[1]:
-            continue
-        lo = min(mu)  # required minimum elementary divisor exponent
-        a = min(lam)
-        if a < lo:
-            continue
-        if a == lo:
-            measure = _ball_measure(lo - lam[0], q)
-        else:
-            measure = _shell_measure(lo - lam[0], q)
-        total += coeff_weight * measure
-    return total
-
-
-def _integral_gl3(lam, support, q):
-    """Exact unipotent integral for rank 3.
-
-    Coordinates (x, y, z) of the unipotent matrix are summed over
-    valuation shells; the extra parameter w = v(xz - y) (which the 2x2
-    minors depend on) is handled by an exact joint measure, with
-    saturation buckets standing in for all larger valuations.
+    P_lam = (1/v_lam(t)) sum_{w in S_n} w(x^lam prod_{i<j}
+    (x_i - t x_j) / (x_i - x_j)) for lam >= 0 (Macdonald III (2.2)), and
+    P_{lam + c} = (x_1...x_n)^c P_lam.  Each factor x_i - t x_j is
+    (q x_i - x_j) / q, so the antisymmetrized numerator is an int
+    polynomial; it is divided exactly by the Vandermonde prod_{i<j}
+    (x_i - x_j), whose lex-leading coefficient is 1, by long division.
     """
-    sums = {sum(mu) for mu, _ in support}
-    if sum(lam) not in sums:
-        return Fraction(0)
-    mu_min = min(min(mu) for mu, _ in support)
-    pair_min = min(sorted(mu)[0] + sorted(mu)[1] for mu, _ in support)
-    a_lo = mu_min - lam[0]
-    b_lo = mu_min - lam[0]
-    c_lo = mu_min - lam[1]
-    hi = max(max(abs(m) for m in mu) for mu, _ in support) \
-        + max(abs(l) for l in lam) + 2
-    sat = hi + 1  # saturation bucket: any valuation >= sat acts like BIG
-
-    def axis(lo):
-        vals = [(v, _shell_measure(v, q)) for v in range(lo, sat)]
-        vals.append((BIG, _ball_measure(sat, q)))
-        return vals
-
-    total = Fraction(0)
-    for a, ma in axis(a_lo):
-        for c, mc in axis(c_lo):
-            s = a + c if a != BIG and c != BIG else BIG
-            for b, mb in axis(b_lo):
-                # joint cases for w = v(xz - y); each case carries the
-                # measure of the y-set {v(y) = b, v(xz - y) = w}
-                if b == s and s != BIG:
-                    # ultrametric tie: w >= b, distributed over shells
-                    tie = (_ball_measure(b, q) * (1 - Fraction(2, q))
-                           if q > 2 else Fraction(0))
-                    w_cases = [(b, tie)]
-                    for w in range(b + 1, sat):
-                        w_cases.append((w, _shell_measure(w, q)))
-                    w_cases.append((BIG, _ball_measure(sat, q)))
-                else:
-                    # w is forced to min(s, b); measure is that of the shell
-                    w_cases = [(min(s, b), mb)]
-                for w, mw in w_cases:
-                    measure = ma * mc * mw
-                    d1 = min(lam[0], lam[1], lam[2],
-                             _sat_add(lam[0], a), _sat_add(lam[0], b),
-                             _sat_add(lam[1], c))
-                    d12 = min(lam[0] + lam[1],
-                              _sat_add(lam[0] + lam[1], c),
-                              _sat_add(lam[0] + lam[1], w),
-                              lam[0] + lam[2],
-                              _sat_add(lam[0] + lam[2], a),
-                              lam[1] + lam[2])
-                    divisors = (d1, d12 - d1, sum(lam) - d12)
-                    for mu, coeff_weight in support:
-                        if divisors == tuple(sorted(mu)):
-                            total += coeff_weight * measure
-    return total
+    n = len(lam)
+    c = lam[-1]
+    lam = tuple(a - c for a in lam)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    num = {lam: 1}
+    vandermonde = {(0,) * n: 1}
+    for i, j in pairs:
+        num = _poly_mul(num, {unit[i]: q, unit[j]: -1})
+        vandermonde = _poly_mul(vandermonde, {unit[i]: 1, unit[j]: -1})
+    rest = {}
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in pairs)
+        for e, coeff in num.items():
+            w = tuple(e[k] for k in perm)
+            rest[w] = rest.get(w, 0) + sign * coeff
+    rest = {e: coeff for e, coeff in rest.items() if coeff}
+    lead = max(vandermonde)
+    quotient = {}
+    while rest:
+        top = max(rest)
+        mono = tuple(a - b for a, b in zip(top, lead))
+        if min(mono) < 0:
+            raise ArithmeticError("numerator not divisible by the Vandermonde")
+        coeff = rest[top]
+        quotient[mono] = coeff
+        for e, d in vandermonde.items():
+            key = tuple(a + b for a, b in zip(mono, e))
+            val = rest.get(key, 0) - coeff * d
+            if val:
+                rest[key] = val
+            else:
+                del rest[key]
+    # q^(number of pairs) from the factors, times v_lam(t) =
+    # prod over the multiplicities m of lam (zeros too) of
+    # prod_{j <= m} (1 - t^j) / (1 - t)
+    t = Fraction(1, q)
+    norm = Fraction(q)**len(pairs)
+    for m in Counter(lam).values():
+        for j in range(1, m + 1):
+            norm *= (1 - t**j) / (1 - t)
+    return {tuple(a + c for a in e): coeff / norm
+            for e, coeff in quotient.items()}
 
 
-def _sat_add(x, y):
-    return BIG if (x >= BIG or y >= BIG) else x + y
-
-
-def satake_transform(f, box_bound=None, enable_rank3=False):
+def satake_transform(f, box_bound=None):
     """The transform f -> f-hat on the box |lam_i| <= bound.
 
-    Each value is delta^{1/2}(p^lam) times the exact unipotent integral;
-    the result is checked Weyl-invariant before being returned.
+    By Macdonald's formula (Macdonald V (3.3)), the indicator of
+    K p^mu K goes to q^<rho, mu> P_mu(x; 1/q), x^nu standing for e_nu;
+    q^<rho, mu> is v to minus the modulus exponent of mu.  The sum over
+    S_n has no cap, so the rank is limited to 3.  The result is checked
+    Weyl-invariant before being returned.
     """
     n, q = f.n, f.q
-    if n == 3 and not enable_rank3:
-        raise UnsupportedRank("rank 3 transform is behind the feature gate")
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     b = f.bound() if box_bound is None else box_bound
+    zero = HalfPowerLaurent(q)
     coeffs = {}
-    for lam in itertools.product(range(-b, b + 1), repeat=n):
-        if n == 1:
-            val = f.support.get(lam)
-            if val is not None:
-                coeffs[lam] = val
-            continue
-        # per-mu so each coefficient of f weighs its own integral
-        acc = HalfPowerLaurent(q)
-        for mu in f.support:
-            single = [(mu, Fraction(1))]
-            part = (_integral_gl2(lam, single, q) if n == 2
-                    else _integral_gl3(lam, single, q))
-            if part:
-                acc = acc + f.support[mu] * part
-        if not acc.is_zero():
-            half = HalfPowerLaurent.v_power(
-                q, modulus_delta_exponent(lam, n))
-            coeffs[lam] = half * acc
+    for mu, cmu in f.support.items():
+        scale = cmu * HalfPowerLaurent.v_power(
+            q, -modulus_delta_exponent(mu, n))
+        for nu, c in _hall_littlewood(mu, q).items():
+            if max(abs(x) for x in nu) <= b:
+                coeffs[nu] = coeffs.get(nu, zero) + scale * c
     image = SatakeImage(n, q, coeffs)
     if not image.weyl_invariant():
         raise ArithmeticError("transform produced a non-invariant image")
     return image
 
 
-def satake_by_coset_count(f, box_bound=None):
+def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : g_i in
     N(F) p^lam GL_n(O)}, using the coset decomposition directly.
 
@@ -487,7 +414,7 @@ def satake_by_coset_count(f, box_bound=None):
     b = f.bound() if box_bound is None else box_bound
     acc = {}
     for mu, cmu in f.support.items():
-        for shift, form in coset_decompose(mu, n, f.p):
+        for shift, form in coset_decompose(mu, n, f.p, cap=cap):
             lam = tuple(shift + e for e in _diagonal_exponents(form, f.p))
             if max(abs(c) for c in lam) <= b:
                 acc[lam] = acc.get(lam, HalfPowerLaurent(q)) + cmu

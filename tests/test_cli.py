@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 import glnlab
 from glnlab.cli import build_parser, canonical_json, lint_report, run, verdict
 from glnlab.errors import InvalidConfig
+from glnlab.hecke import SatakeImage
+from glnlab.rings import HalfPowerLaurent
+from test_hecke import coset_count, rho_point
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -73,7 +77,11 @@ class TestExitCodes:
                 "lfactor --q -3 --params a",
                 "lfactor --q 1 --params a,b",
                 "lfactor --q 6 --params a",
-                "lfactor rankin --q 0 --left a --right b"):
+                "lfactor rankin --q 0 --left a --right b",
+                "satake --n 4 --p 2 --lam 1,0,0,0",
+                "hecke --n 4 --p 2 --left 1,0,0,0 --right 1,0,0,0",
+                "satake --n 2 --p 2 --lam=25,25",
+                "satake --n 3 --p 2 --lam=1000,0,-1000"):
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("invalid config: "), (argv, err)
@@ -99,10 +107,24 @@ class TestExitCodes:
         start = time.monotonic()
         assert run(["building", "simplices", "--n", "1000000000"]) == 3
         assert time.monotonic() - start < 5.0
+        # the coset layer honours --cap, and the oracle refuses its scan
+        # before the transform runs
+        for argv in ("--cap 10 satake --n 2 --p 3 --lam=3,-1",
+                     "--cap 10 hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
+                     "satake --n 3 --p 2 --lam=6,0,-6",
+                     "satake --n 3 --p 2 --lam=24,0,-24"):
+            start = time.monotonic()
+            assert run(argv.split()) == 3, argv
+            assert time.monotonic() - start < 5.0, argv
 
-    def test_unsupported_without_gate_is_one(self):
-        # rank-3 transform without the feature flag is an invariant error
-        assert run(["satake", "--n", "3", "--p", "2", "--lam", "1,0,0"]) == 1
+    def test_rank3_satake_needs_no_flag(self, tmp_path):
+        # --enable-gl3 is accepted and changes nothing
+        argv = ["satake", "--n", "3", "--p", "2", "--lam", "1,0,0"]
+        code, rep = run_json(argv, tmp_path, "a.json")
+        flagged_code, flagged = run_json(argv + ["--enable-gl3"], tmp_path,
+                                         "b.json")
+        assert code == flagged_code == 0
+        assert rep["results"] == flagged["results"]
 
 
 class TestReports:
@@ -143,6 +165,17 @@ class TestReports:
         code, rep = run_json(["satake", "--n", "3", "--p", "2",
                               "--lam", "1,1,1", "--enable-gl3"], tmp_path)
         assert code == 0
+
+    def test_satake_does_not_import_sympy(self):
+        src = str(Path(glnlab.__file__).resolve().parents[1])
+        code = ("import sys; from glnlab.cli import run; "
+                "assert run(['satake', '--n', '3', '--p', '2', "
+                "'--lam=2,0,-1']) == 0; "
+                "assert 'sympy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
 
     def test_lfactor_report(self, tmp_path):
         code, rep = run_json(["lfactor", "--rep", "wedge(2)",
@@ -198,6 +231,48 @@ class TestDMCheck:
             res = json.loads(out.getvalue())["results"]
             assert res["plain_class_count"] == res["twisted_class_count"] \
                 == gl_class_number(s, q)
+
+
+class TestHeckeGrammar:
+    @staticmethod
+    def vector(data, n):
+        # mostly of length n and weakly decreasing
+        size = data.draw(st.sampled_from([max(n, 0)] * 6 + [0, 1, 2, 3, 4]))
+        vec = data.draw(st.lists(st.integers(-3, 3), min_size=size,
+                                 max_size=size))
+        if data.draw(st.sampled_from([True, True, True, False])):
+            vec.sort(reverse=True)
+        return vec
+
+    @given(command=st.sampled_from(["satake", "hecke"]),
+           n=st.sampled_from(range(-1, 5)), p=st.sampled_from(range(-1, 8)),
+           data=st.data())
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_grammar_fuzz(self, command, n, p, data):
+        vecs = [self.vector(data, n)
+                for _ in range(1 if command == "satake" else 2)]
+        flags = ["--lam="] if command == "satake" else ["--left=", "--right="]
+        argv = ["--cap", "5000", command, "--n", str(n), "--p", str(p)]
+        argv += [flag + ",".join(map(str, vec))
+                 for flag, vec in zip(flags, vecs)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.monotonic() - start < 10.0
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        bad = (p not in (2, 3, 5, 7) or n not in (1, 2, 3)
+               or any(len(vec) != n or vec != sorted(vec, reverse=True)
+                      for vec in vecs))
+        assert (code == 2) == bad, (argv, err.getvalue())
+        if code == 0 and command == "satake":
+            image = json.loads(out.getvalue())["results"]["image"]
+            image = SatakeImage(n, p, {
+                tuple(map(int, nu.split(","))):
+                    HalfPowerLaurent(p, Fraction(c["a"]), Fraction(c["b"]))
+                for nu, c in image.items()})
+            assert rho_point(image) == coset_count(tuple(vecs[0]), p), argv
 
 
 class TestDeterminism:

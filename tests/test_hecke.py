@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from glnlab import hecke
-from glnlab.errors import CharacterMismatch, UnsupportedRank
+from glnlab.errors import CapExceeded, CharacterMismatch, UnsupportedRank
 from glnlab.hecke import (
     Gl1TwistedElement,
     HeckeElement,
@@ -17,7 +17,6 @@ from glnlab.hecke import (
     coset_decompose,
     gl1_convolution_by_finite_sum,
     gl1_twisted_convolve,
-    modulus_delta,
     modulus_delta_exponent,
     satake_by_coset_count,
     satake_transform,
@@ -55,6 +54,47 @@ def coset_count(lam, q):
         count /= qfact(m)
     assert count.denominator == 1
     return int(count)
+
+
+def rho_point(image):
+    """The image at the rho point: sum_nu c_nu v^(sum_i nu_i (n + 1 - 2i)).
+    It is the degree |K p^lam K / K| of the transformed element."""
+    n = image.n
+    return sum((c * v_pow(image.q, sum(x * (n - 1 - 2 * i)
+                                       for i, x in enumerate(nu)))
+                for nu, c in image.coeffs.items()), HalfPowerLaurent(image.q))
+
+
+def volume_exponent_by_count(c, p):
+    """vol(p^c O) as q^e with vol(O) = 1, read off a finite cell count.
+
+    Cells of width p^-L tiling the window p^min(c,0) O are tested for
+    membership of their base point in p^c O; the count must come out an
+    exact power of p.
+    """
+    L = abs(c) + 1
+    m = min(c, 0)
+    # cosets of p^L O inside the window p^m O, base points k * p^m
+    inside = sum(1 for k in range(p**(L - m))
+                 if vp(Fraction(k) * Fraction(p)**m, p) >= c)
+    total = p**L  # cosets of p^L O making up O
+    e = 0
+    num, den = inside, total
+    while num > den:
+        num, e = num // p, e + 1
+    while num < den:
+        num, e = num * p, e - 1
+    assert num == den, "cell count is not a power of p"
+    return e
+
+
+def modulus_delta_by_count(a, n, q):
+    """delta(p^a) from a counting model of the conjugation Jacobian on
+    the unipotent coordinates, where x_ij scales by p^(a_i - a_j)."""
+    e = sum(volume_exponent_by_count(a[i] - a[j], q)
+            for i in range(n) for j in range(i + 1, n))
+    assert e == modulus_delta_exponent(a, n), (a, e)
+    return v_pow(q, 2 * e)
 
 
 def matrix(rep, p):
@@ -215,6 +255,13 @@ class TestConvolution:
         c = HeckeElement.basis((0, -1), p)
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
+    def test_pairs_checked_against_cap(self):
+        # 40 Hermite forms give 36 cosets of (2, -1) at p = 3, so 1296
+        # coset pairs, refused before any product is formed
+        f = HeckeElement.basis((2, -1), 3)
+        with pytest.raises(CapExceeded, match="1296 coset pairs"):
+            convolve(f, f, cap=40)
+
     def test_gl1(self):
         f = HeckeElement.basis((1,), 3)
         g = HeckeElement.basis((2,), 3)
@@ -250,10 +297,10 @@ class TestModulus:
 
     def test_counting_cross_check(self):
         for q in (2, 3):
-            assert modulus_delta((1, 0), 2, q) == v_pow(q, -2)
-            assert modulus_delta((0, 0), 2, q) == v_pow(q, 0)
-            assert modulus_delta((2, -1), 2, q) == v_pow(q, -6)
-            assert modulus_delta((1, 0, -1), 3, q) == v_pow(q, -8)
+            assert modulus_delta_by_count((1, 0), 2, q) == v_pow(q, -2)
+            assert modulus_delta_by_count((0, 0), 2, q) == v_pow(q, 0)
+            assert modulus_delta_by_count((2, -1), 2, q) == v_pow(q, -6)
+            assert modulus_delta_by_count((1, 0, -1), 3, q) == v_pow(q, -8)
 
 
 class TestTransformGl2:
@@ -332,15 +379,10 @@ class TestTransformGl2:
 
 
 class TestTransformGl3:
-    def test_gate(self):
-        t = HeckeElement.basis((1, 0, 0), 2)
-        with pytest.raises(UnsupportedRank):
-            satake_transform(t)
-
     def test_minuscule(self):
         for p in (2, 3):
             t = HeckeElement.basis((1, 0, 0), p)
-            img = satake_transform(t, enable_rank3=True)
+            img = satake_transform(t)
             expect = SatakeImage(3, p, {
                 (1, 0, 0): v_pow(p, 2),
                 (0, 1, 0): v_pow(p, 2),
@@ -350,33 +392,49 @@ class TestTransformGl3:
 
     def test_central(self):
         t = HeckeElement.basis((1, 1, 1), 2)
-        img = satake_transform(t, enable_rank3=True)
+        img = satake_transform(t)
         assert img == SatakeImage(3, 2, {(1, 1, 1): 1})
 
     def test_oracle_agreement(self):
-        cases = [(lam, 2) for lam in dominant_box(3, 1)]
-        cases += [(lam, 3) for lam in [(1, 0, 0), (1, 1, 0), (0, 0, -1),
-                                       (1, 0, -1), (1, -1, -1)]]
+        # the whole box |lam_i| <= 2; at p = 3, (2, 1, -2) and (2, 2, -2)
+        # exceed the oracle's cap and three more take about 7 s each
+        slow = {(1, 1, -2), (2, 2, -1), (2, 0, -2), (2, 1, -2), (2, 2, -2)}
+        cases = [(lam, 2) for lam in dominant_box(3, 2)]
+        cases += [(lam, 3) for lam in dominant_box(3, 2) if lam not in slow]
         for lam, p in cases:
             t = HeckeElement.basis(lam, p)
-            assert satake_transform(t, enable_rank3=True) \
+            assert satake_transform(t) \
                 == satake_by_coset_count(t), (lam, p)
 
     def test_homomorphism_with_central(self):
         z = HeckeElement.basis((1, 1, 1), 2)
         t = HeckeElement.basis((1, 0, 0), 2)
-        lhs = satake_transform(convolve(z, t), box_bound=2, enable_rank3=True)
-        rhs = satake_transform(z, enable_rank3=True) \
-            * satake_transform(t, enable_rank3=True)
+        lhs = satake_transform(convolve(z, t), box_bound=2)
+        rhs = satake_transform(z) \
+            * satake_transform(t)
         assert lhs == rhs
 
     def test_homomorphism_minuscule_pair(self):
         t = HeckeElement.basis((1, 0, 0), 2)
         u = HeckeElement.basis((0, 0, -1), 2)
-        lhs = satake_transform(convolve(t, u), box_bound=2, enable_rank3=True)
-        rhs = satake_transform(t, enable_rank3=True) \
-            * satake_transform(u, enable_rank3=True)
+        lhs = satake_transform(convolve(t, u), box_bound=2)
+        rhs = satake_transform(t) \
+            * satake_transform(u)
         assert lhs == rhs
+
+
+class TestRhoPoint:
+    def test_degree_is_coset_count(self):
+        # needs no enumeration, so it reaches the lam the oracle's cap
+        # excludes; it tells t = 1/q from t = q and sees v_lam(t)
+        cases = [(lam, p) for p in (2, 3) for lam in dominant_box(1, 3)]
+        cases += [(lam, p) for p in (2, 3, 5) for lam in dominant_box(2, 3)]
+        cases += [(lam, p) for p in (2, 3) for lam in dominant_box(3, 2)]
+        cases += [(lam, 2) for lam in dominant_box(3, 3)]
+        assert len(cases) == 252
+        for lam, p in cases:
+            image = satake_transform(HeckeElement.basis(lam, p))
+            assert rho_point(image) == coset_count(lam, p), (lam, p)
 
 
 class TestChiT:
