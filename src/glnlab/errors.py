@@ -49,14 +49,6 @@ class CharacterMismatch(GlnLabError):
     pass
 
 
-class RankMismatch(GlnLabError):
-    pass
-
-
-class ZeroEntry(GlnLabError):
-    pass
-
-
 class BaseMismatch(GlnLabError):
     pass
 
@@ -71,3 +63,11 @@ class NotPrime(InvalidConfig):
 
 class UnsupportedRank(InvalidConfig):
     """A rank outside the supported range; a configuration error."""
+
+
+class RankMismatch(InvalidConfig):
+    """A representation needs a rank the parameter does not have."""
+
+
+class ZeroEntry(InvalidConfig):
+    """A torus value or Satake parameter that must be nonzero is zero."""

@@ -759,6 +759,3 @@ class HalfPowerLaurent:
         if self.b:
             parts.append(f"{self.b}*v" if self.b != 1 else "v")
         return " + ".join(parts) if parts else "0"
-
-    def as_string(self):
-        return repr(self)

@@ -1,13 +1,16 @@
 """Root systems for GL_n, Cartan matrices, and Weyl groups.
 
-Vectors are integer (or rational) tuples in the character lattice Z^n;
-all linear algebra is exact over Fraction.  The default bilinear form is
-the standard dot product, overridable by any symmetric positive-definite
-rational matrix.
+Vectors are integer (or rational) tuples in the character lattice Z^n.
+Arithmetic keeps the type of its input, so integer roots stay on ints;
+every quotient is an exact ``Fraction(num, den)``.  The default bilinear
+form is the standard dot product, overridable by any symmetric
+positive-definite rational matrix.  The Weyl group of GL_n is S_n acting
+on the coordinates, so its elements are permutation tuples.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -16,16 +19,11 @@ from .errors import CapExceeded, NonIntegral, NotPositiveDefinite
 DEFAULT_WEYL_CAP = 10**6
 
 
-def _as_vec(v):
-    return tuple(Fraction(c) for c in v)
-
-
 def inner(u, v, form=None):
     """Bilinear form; standard dot product when form is None."""
-    u, v = _as_vec(u), _as_vec(v)
     if form is None:
-        return sum(a * b for a, b in zip(u, v))
-    return sum(u[i] * Fraction(form[i][j]) * v[j]
+        return sum(map(operator.mul, u, v))
+    return sum(u[i] * form[i][j] * v[j]
                for i in range(len(u)) for j in range(len(v)))
 
 
@@ -46,7 +44,7 @@ def pairing(beta, alpha, form=None):
     denom = inner(alpha, alpha, form)
     if denom == 0:
         raise ZeroDivisionError("pairing against the zero vector")
-    val = 2 * inner(alpha, beta, form) / denom
+    val = Fraction(2 * inner(alpha, beta, form), denom)
     if val.denominator != 1:
         raise NonIntegral(f"pairing {val} is not an integer")
     return int(val)
@@ -54,8 +52,8 @@ def pairing(beta, alpha, form=None):
 
 def reflect(alpha, beta, form=None):
     """Reflection of beta in the hyperplane perpendicular to alpha."""
-    c = Fraction(2 * inner(alpha, beta, form), 1) / inner(alpha, alpha, form)
-    return tuple(Fraction(b) - c * Fraction(a) for a, b in zip(alpha, beta))
+    c = Fraction(2 * inner(alpha, beta, form), inner(alpha, alpha, form))
+    return tuple(b - c * a for a, b in zip(alpha, beta))
 
 
 class CartanMatrix:
@@ -92,31 +90,26 @@ def cartan_matrix(simple, form=None):
 
 
 def _leading_minors(S):
-    k = len(S)
+    """Leading principal minors of S, up to the first that is not positive.
+
+    One Gaussian elimination without row swaps: adding multiples of a row
+    to later rows keeps every leading minor, so the m-th minor is the
+    product of the first m pivots.
+    """
+    rows = [list(row) for row in S]
     minors = []
-    for m in range(1, k + 1):
-        sub = [row[:m] for row in S[:m]]
-        minors.append(_det(sub))
+    det = 1
+    for c, pivot_row in enumerate(rows):
+        det *= pivot_row[c]
+        minors.append(det)
+        if det <= 0:
+            break
+        for row in rows[c + 1:]:
+            if row[c]:
+                f = Fraction(row[c], pivot_row[c])
+                for j in range(c + 1, len(row)):
+                    row[j] -= f * pivot_row[j]
     return minors
-
-
-def _det(rows):
-    rows = [list(r) for r in rows]
-    k = len(rows)
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if rows[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, k):
-            f = rows[r][c] / rows[c][c]
-            for cc in range(c, k):
-                rows[r][cc] -= f * rows[c][cc]
-    return det
 
 
 def _symmetrizer(entries):
@@ -166,12 +159,13 @@ def ds_decompose(simple=None, form=None, entries=None):
         entries = cartan_matrix(simple, form).entries
     D = _symmetrizer(entries)
     if D is None:
-        raise NotPositiveDefinite("no positive symmetrizer exists")
-    S = tuple(tuple(Fraction(entries[i][j]) / D[i]
-                    for j in range(len(entries))) for i in range(len(entries)))
+        raise NotPositiveDefinite("no positive symmetrizer")
+    S = tuple(tuple(Fraction(a, d) for a in row)
+              for row, d in zip(entries, D))
     minors = _leading_minors(S)
     if any(m <= 0 for m in minors):
-        raise NotPositiveDefinite(f"leading minors {minors} not all positive")
+        raise NotPositiveDefinite(
+            f"symmetrized form not positive definite: minors {minors}")
     return CartanMatrix(entries, D=D, S=S), minors
 
 
@@ -194,20 +188,15 @@ def is_cartan(entries):
     ok, reason = is_generalized_cartan(entries)
     if not ok:
         return False, reason
-    D = _symmetrizer(entries)
-    if D is None:
-        return False, "no positive symmetrizer"
-    S = [[Fraction(entries[i][j]) / D[i] for j in range(len(entries))]
-         for i in range(len(entries))]
-    minors = _leading_minors(S)
-    if any(m <= 0 for m in minors):
-        return False, f"symmetrized form not positive definite: minors {minors}"
+    try:
+        ds_decompose(entries=entries)
+    except NotPositiveDefinite as exc:
+        return False, str(exc)
     return True, "ok"
 
 
 def _rank(vectors):
-    rows = [list(_as_vec(v)) for v in vectors]
-    rank = 0
+    rows = [list(map(Fraction, v)) for v in vectors]
     cols = len(rows[0]) if rows else 0
     r = 0
     for c in range(cols):
@@ -221,34 +210,24 @@ def _rank(vectors):
                 for cc in range(cols):
                     rows[i][cc] -= f * rows[r][cc]
         r += 1
-        rank += 1
-    return rank
+    return r
 
 
 def check_root_system(roots, form=None):
     """Axiom report for a finite set of nonzero vectors.
 
     Spanning is reported as a codimension rather than a hard failure,
-    since GL_n root sets only span the sum-zero sublattice.
+    since GL_n root sets only span the sum-zero sublattice.  Equal ints
+    and Fractions hash alike, so a reflected root is found in the set
+    whatever the type of its coordinates.
     """
-    roots = [_as_vec(v) for v in roots]
+    roots = [tuple(v) for v in roots]
     n = len(roots[0])
     report = {}
 
     rank = _rank(roots)
     report["spans"] = (rank == n)
     report["span_codimension"] = n - rank
-
-    # integral roots under the dot product (the common case) take an int
-    # path; equal ints and Fractions hash alike, so set membership agrees
-    if form is None and all(c.denominator == 1 for v in roots for c in v):
-        roots = [tuple(int(c) for c in v) for v in roots]
-
-        def ip(u, v):
-            return sum(map(operator.mul, u, v))
-    else:
-        def ip(u, v):
-            return inner(u, v, form)
     rootset = set(roots)
 
     reduced = True
@@ -265,13 +244,14 @@ def check_root_system(roots, form=None):
 
     closed = crystallographic = True
     for a in roots:
+        den = inner(a, a, form)
         for b in roots:
             # the projection coefficient of b on a must lie in (1/2)Z
-            num, den = 2 * ip(a, b), ip(a, a)
+            num = 2 * inner(a, b, form)
             c, rest = divmod(num, den)
             if rest:
                 crystallographic = False
-                c = Fraction(num) / den
+                c = Fraction(num, den)
             if tuple(y - c * x for x, y in zip(a, b)) not in rootset:
                 closed = False
     report["reflection_closed"] = closed
@@ -281,9 +261,9 @@ def check_root_system(roots, form=None):
     closed_prime = True
     integral_prime = True
     for a in roots:
-        norm = ip(a, a)
+        norm = inner(a, a, form)
         for b in roots:
-            c = Fraction(2 * ip(a, b), 1) / norm
+            c = Fraction(2 * inner(a, b, form), norm)
             if c.denominator != 1:
                 integral_prime = False
             else:
@@ -299,64 +279,68 @@ def check_root_system(roots, form=None):
 
 
 class WeylGroupElement:
-    """Orthogonal matrix generated by simple reflections, with a word."""
+    """Coordinate permutation generated by simple reflections, with a
+    word; ``apply(v)[i] == v[perm[i]]``."""
 
-    __slots__ = ("matrix", "word")
+    __slots__ = ("perm", "word")
 
-    def __init__(self, matrix, word):
-        self.matrix = matrix
+    def __init__(self, perm, word):
+        self.perm = perm
         self.word = word
 
     def apply(self, v):
-        return tuple(sum(row[j] * Fraction(v[j]) for j in range(len(v)))
-                     for row in self.matrix)
+        return tuple(v[i] for i in self.perm)
 
     def __eq__(self, other):
-        return isinstance(other, WeylGroupElement) and self.matrix == other.matrix
+        return isinstance(other, WeylGroupElement) and self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.perm)
 
 
-def _reflection_matrix(alpha, form, n):
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(reflect(alpha, e, form))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+def _reflection_perm(alpha, n):
+    """The reflection in alpha as the permutation p with (s v)_i = v[p[i]],
+    read off the images of the standard basis."""
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [reflect(alpha, e) for e in basis]
+    if sorted(images) != sorted(basis):
+        raise ValueError(
+            f"reflection in {alpha} does not permute the coordinates")
+    return tuple(row.index(1) for row in zip(*images))
 
 
-def _mat_mul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
-                 for row in a)
+def _check_order(n, cap):
+    """Refuse n! > cap, without forming n! for a large n."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > cap:
+            raise CapExceeded(f"Weyl group order {n}! exceeds cap {cap}")
 
 
-def weyl_group(simple, form=None, cap=DEFAULT_WEYL_CAP):
+def weyl_group(simple, cap=DEFAULT_WEYL_CAP):
     """Closure of the simple reflections under composition (BFS, so the
-    stored words are reduced expressions)."""
+    stored words are reduced expressions).
+
+    Each reflection permutes the coordinates, so the closure lies in S_n
+    and n! is checked against the cap before any product is formed.
+    """
     n = len(simple[0])
-    gens = [_reflection_matrix(a, form, n) for a in simple]
-    # integral generators (the common case) multiply much faster as ints
-    gens = [tuple(tuple(int(x) if Fraction(x).denominator == 1 else x
-                        for x in row) for row in g) for g in gens]
-    all_integral = all(isinstance(x, int) for g in gens for row in g
-                       for x in row)
-    ident = tuple(tuple((1 if all_integral else Fraction(1))
-                        if i == j else (0 if all_integral else Fraction(0))
-                        for j in range(n)) for i in range(n))
+    _check_order(n, cap)
+    gens = [_reflection_perm(a, n) for a in simple]
+    ident = tuple(range(n))
     seen = {ident: ()}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
+            word = seen[m]
             for gi, g in enumerate(gens):
-                prod = _mat_mul(m, g)
+                # the matrix product m * g as a permutation
+                prod = tuple(map(g.__getitem__, m))
                 if prod not in seen:
-                    seen[prod] = seen[m] + (gi,)
+                    seen[prod] = word + (gi,)
                     new.append(prod)
-                    if len(seen) > cap:
-                        raise CapExceeded("Weyl group exceeds cap")
         frontier = new
     return [WeylGroupElement(m, w) for m, w in seen.items()]
 
@@ -371,3 +355,16 @@ def full_root_set_gl(n):
                 v[i], v[j] = 1, -1
                 roots.append(tuple(v))
     return roots
+
+
+def check_type_a(n, cap=DEFAULT_WEYL_CAP):
+    """``(checks, weyl_order, axioms_hold, order_is_factorial)`` for GL_n:
+    the ``check_root_system`` report of its roots and the closure of its
+    simple reflections against n!.
+    """
+    _check_order(n, cap)  # before the n x n simple roots and the axiom scan
+    order = len(weyl_group(simple_roots_gl(n), cap))
+    checks = check_root_system(full_root_set_gl(n))
+    axioms_hold = all(checks[k] for k in ("reduced", "reflection_closed",
+                                          "crystallographic", "primed_agree"))
+    return checks, order, axioms_hold, order == math.factorial(n)

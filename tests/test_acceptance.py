@@ -40,7 +40,7 @@ def test_criterion_01_rank2_triple_bond_factorization():
 
 
 def test_criterion_02_root_axioms_and_weyl_orders():
-    with Budget(1.0):
+    with Budget(0.25):
         ok, _ = audit.root_axioms(CAP, SEED)
     assert ok
 

@@ -81,7 +81,10 @@ class TestExitCodes:
                 "satake --n 4 --p 2 --lam 1,0,0,0",
                 "hecke --n 4 --p 2 --left 1,0,0,0 --right 1,0,0,0",
                 "satake --n 2 --p 2 --lam=25,25",
-                "satake --n 3 --p 2 --lam=1000,0,-1000"):
+                "satake --n 3 --p 2 --lam=1000,0,-1000",
+                "lfactor --q 2 --params 0",
+                "lfactor --q 4 --params 1,2 --rep wedge(3)",
+                "lfactor --q 2 --params 2/0"):
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("invalid config: "), (argv, err)
@@ -112,7 +115,11 @@ class TestExitCodes:
         for argv in ("--cap 10 satake --n 2 --p 3 --lam=3,-1",
                      "--cap 10 hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
                      "satake --n 3 --p 2 --lam=6,0,-6",
-                     "satake --n 3 --p 2 --lam=24,0,-24"):
+                     "satake --n 3 --p 2 --lam=24,0,-24",
+                     # 12! Weyl elements and (300 - 1)^2 * 300 pairing
+                     # terms: refused before anything is built
+                     "roots --n 12",
+                     "cartan --n 300"):
             start = time.monotonic()
             assert run(argv.split()) == 3, argv
             assert time.monotonic() - start < 5.0, argv
@@ -273,6 +280,91 @@ class TestHeckeGrammar:
                     HalfPowerLaurent(p, Fraction(c["a"]), Fraction(c["b"]))
                 for nu, c in image.items()})
             assert rho_point(image) == coset_count(tuple(vecs[0]), p), argv
+
+
+def is_prime(p):
+    return p >= 2 and all(p % k for k in range(2, p))
+
+
+class TestGrammar:
+    """The subcommands without a fuzz of their own, under small and bad
+    integers.  Expansion sizes in ``lfactor`` have no cap, so parameter
+    lists and representation degrees stay small."""
+
+    # valid values first, and more of them, so that most commands run
+    PRIMES = [2, 3, 5, 7, 2, 3, -1, 0, 1, 4, 6, 9]
+    QS = [2, 3, 4, 5, 7, 8, 9, 2, 3, -2, 0, 1, 6, 10]
+    TOKENS = ["a", "b", "x_1", "1", "-2", "3/4"] * 3 + [
+        "0", "-0", "2/0", "", "1e3", "2*a"]
+    REPS = ["standard", "dual", "trivial", "sym(0)", "sym(2)", "sym(3)",
+            "wedge(0)", "wedge(2)", "wedge(3)", "sym(-1)", "tensor"]
+
+    @given(cap=st.sampled_from([5, 100, 5000, 5000]),
+           command=st.sampled_from(["roots", "cartan", "lang", "h1",
+                                    "building", "building", "lfactor",
+                                    "lfactor", "suite"]),
+           data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_grammar_fuzz(self, cap, command, data):
+        def draw(hi):
+            # 1..hi twice as often as the bad values 0 and -1
+            return str(data.draw(st.sampled_from([*range(1, hi + 1)] * 2
+                                                 + [0, -1])))
+
+        def params():
+            return ",".join(data.draw(st.lists(st.sampled_from(self.TOKENS),
+                                               min_size=1, max_size=3)))
+
+        argv = ["--cap", str(cap), command]
+        p = q = None
+        if command == "roots":
+            argv += ["--n", draw(9)]
+        elif command == "cartan":
+            form = data.draw(st.sampled_from(["n", "g2", "a2", "none"]))
+            if form == "n":
+                argv += ["--n", draw(20)]
+            elif form != "none":
+                argv += ["--preset", form]
+        elif command in ("lang", "h1"):
+            p = data.draw(st.sampled_from(self.PRIMES))
+            argv += ["--p", str(p), "--d", draw(4), "--s", draw(3)]
+            if command == "h1":
+                argv += ["--level", draw(3)]
+        elif command == "building":
+            action = data.draw(st.sampled_from(["simplices", "iwasawa",
+                                                "ub-audit", "self-norm",
+                                                "bogus"]))
+            argv += [action]
+            if action != "iwasawa":
+                argv += ["--n", draw(6)]
+            if action != "simplices":
+                p = data.draw(st.sampled_from(self.PRIMES))
+                argv += ["--p", str(p)]
+            if action == "iwasawa":
+                argv += ["--precision", draw(8), "--count", draw(5)]
+        elif command == "lfactor":
+            mode = data.draw(st.sampled_from(["", "plain", "rankin", "bc",
+                                              "other"]))
+            q = data.draw(st.sampled_from(self.QS))
+            argv += [mode] * bool(mode) + ["--q", str(q)]
+            if mode == "rankin":
+                argv += ["--left", params(), "--right", params()]
+            else:
+                argv += ["--rep", data.draw(st.sampled_from(self.REPS)),
+                         "--d", draw(3), "--params", params()]
+        else:
+            argv = ["--seed", draw(9)] + argv + [data.draw(
+                st.sampled_from(["paper-audit", "full", "nonsense"]))]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.monotonic() - start < 10.0, argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code == 0:
+            assert p is None or is_prime(p), argv
+            assert q is None or is_prime_power(q), argv
 
 
 class TestDeterminism:

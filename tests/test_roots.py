@@ -1,9 +1,14 @@
+import math
+import operator
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from glnlab.errors import NonIntegral, NotPositiveDefinite
+from glnlab.errors import CapExceeded, NonIntegral, NotPositiveDefinite
 from glnlab.roots import (
+    _leading_minors,
     cartan_matrix,
     check_root_system,
     ds_decompose,
@@ -13,6 +18,7 @@ from glnlab.roots import (
     is_generalized_cartan,
     pairing,
     reflect,
+    check_type_a,
     simple_roots_gl,
     weyl_group,
 )
@@ -20,6 +26,72 @@ from glnlab.roots import (
 # concrete G2 simple system: short root then long root, standard dot product
 G2_SIMPLE = [(1, -1, 0), (-1, 2, -1)]
 G2_MATRIX = ((2, -3), (-1, 2))
+
+
+def det_by_elimination(rows):
+    """Determinant by Gaussian elimination with row swaps, over Fraction."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    k = len(rows)
+    det = Fraction(1)
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, k):
+            f = rows[r][c] / rows[c][c]
+            for cc in range(c, k):
+                rows[r][cc] -= f * rows[c][cc]
+    return det
+
+
+def minors_by_determinants(S):
+    """Each leading principal minor from its own determinant."""
+    return [det_by_elimination([row[:m] for row in S[:m]])
+            for m in range(1, len(S) + 1)]
+
+
+def reflection_matrix(alpha, n):
+    """Columns are the reflected standard basis vectors."""
+    cols = [reflect(alpha, tuple(int(i == j) for i in range(n)))
+            for j in range(n)]
+    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                 for row in a)
+
+
+def weyl_group_by_matrices(simple):
+    """Closure of the reflection matrices under right multiplication, by
+    BFS: {matrix: reduced word}."""
+    n = len(simple[0])
+    gens = [reflection_matrix(a, n) for a in simple]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for gi, g in enumerate(gens):
+                prod = mat_mul(m, g)
+                if prod not in seen:
+                    seen[prod] = seen[m] + (gi,)
+                    new.append(prod)
+        frontier = new
+    return seen
+
+
+def perm_matrix(perm):
+    """The matrix M with (M v)_i = v[perm[i]]."""
+    n = len(perm)
+    return tuple(tuple(int(j == perm[i]) for j in range(n))
+                 for i in range(n))
 
 
 class TestSimpleRoots:
@@ -94,6 +166,40 @@ class TestDSDecomposition:
             ds_decompose(entries=((2, -2), (-2, 2)))
 
 
+class TestLeadingMinors:
+    def test_type_a_against_determinants(self):
+        for n in range(2, 16):
+            S = ds_decompose(simple_roots_gl(n))[0].S
+            assert _leading_minors(S) == minors_by_determinants(S) \
+                == [m + 1 for m in range(1, n)]
+
+    def test_random_symmetric_up_to_first_nonpositive(self):
+        rng = random.Random(0)
+        stopped = 0
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            S = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    S[i][j] = S[j][i] = Fraction(rng.randint(-4, 6),
+                                                 rng.randint(1, 3))
+            minors = _leading_minors(S)
+            full = minors_by_determinants(S)
+            cut = next((m + 1 for m, d in enumerate(full) if d <= 0), k)
+            assert minors == full[:cut]
+            stopped += cut < k
+        assert stopped > 50  # the early stop is exercised
+
+    def test_stops_after_first_nonpositive(self):
+        # minors 2, -5, -20: only the first two are reported
+        A = ((2, -3, -1), (-3, 2, -1), (-1, -1, 2))
+        assert _leading_minors(A) == [2, -5]
+        ok, reason = is_cartan(A)
+        assert not ok and reason == ("symmetrized form not positive "
+                                     "definite: minors [Fraction(2, 1), "
+                                     "Fraction(-5, 1)]")
+
+
 class TestCartanPredicates:
     def test_g2(self):
         assert is_generalized_cartan(G2_MATRIX)[0]
@@ -125,6 +231,22 @@ class TestReflectionAndPairing:
 
     def test_gl3_pairing(self):
         assert pairing((0, 1, -1), (1, -1, 0)) == -1
+
+    def test_int_input_gives_no_float(self):
+        for u in full_root_set_gl(3) + G2_SIMPLE:
+            for v in full_root_set_gl(3) + G2_SIMPLE:
+                assert type(inner(u, v)) is int
+                assert type(inner(u, v, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])) \
+                    is int
+                assert all(type(c) in (int, Fraction) for c in reflect(u, v))
+                try:
+                    assert type(pairing(u, v)) is int
+                except NonIntegral:
+                    pass
+        for simple in (G2_SIMPLE, simple_roots_gl(4)):
+            cm, minors = ds_decompose(simple)
+            values = list(cm.D) + [x for row in cm.S for x in row] + minors
+            assert all(type(x) is Fraction for x in values)
 
     def test_reflect_involution_preserves_form(self):
         roots = full_root_set_gl(3)
@@ -206,7 +328,6 @@ class TestWeylGroup:
         assert len(weyl_group([(1, -1)])) == 2
 
     def test_orders_are_factorials(self):
-        import math
         for n in range(2, 7):
             W = weyl_group(simple_roots_gl(n))
             assert len(W) == math.factorial(n)
@@ -214,9 +335,53 @@ class TestWeylGroup:
     def test_a2_permutes_coordinates(self):
         W = weyl_group(simple_roots_gl(3))
         for w in W:
-            # each matrix is a permutation matrix on Z^3
-            for row in w.matrix:
-                assert sorted(row) == [0, 0, 1]
+            # each element is a permutation of the coordinates of Z^3
+            assert sorted(w.perm) == [0, 1, 2]
+
+    def test_matrix_bfs_oracle(self):
+        for n in range(2, 6):
+            simple = simple_roots_gl(n)
+            W = weyl_group(simple)
+            oracle = weyl_group_by_matrices(simple)
+            assert {perm_matrix(w.perm): len(w.word) for w in W} \
+                == {m: len(word) for m, word in oracle.items()}
+            roots = full_root_set_gl(n)
+            gens = [reflection_matrix(a, n) for a in simple]
+            ident = perm_matrix(tuple(range(n)))
+            for w in W:
+                m = perm_matrix(w.perm)
+                for r in roots:
+                    assert w.apply(r) == tuple(sum(map(operator.mul, row, r))
+                                               for row in m)
+                product = ident
+                for gi in w.word:
+                    product = mat_mul(product, gens[gi])
+                assert product == m
+
+    def test_order_checked_before_enumeration(self):
+        start = time.monotonic()
+        for n in (10, 12, 1000):
+            with pytest.raises(CapExceeded):
+                weyl_group(simple_roots_gl(n))
+        with pytest.raises(CapExceeded):
+            weyl_group(simple_roots_gl(5), cap=119)
+        assert len(weyl_group(simple_roots_gl(5), cap=120)) == 120
+        assert time.monotonic() - start < 1.0
+
+    def test_non_permuting_reflection_rejected(self):
+        with pytest.raises(ValueError):
+            weyl_group(G2_SIMPLE)
+        with pytest.raises(ValueError):
+            weyl_group([(2, 0)])
+
+    def test_type_a_check(self):
+        for n in range(2, 7):
+            checks, order, axioms_hold, order_is_factorial = check_type_a(n)
+            assert checks == check_root_system(full_root_set_gl(n))
+            assert order == math.factorial(n)
+            assert axioms_hold and order_is_factorial
+        with pytest.raises(CapExceeded):
+            check_type_a(10 ** 9)
 
     def test_elements_permute_roots(self):
         roots = set(map(lambda v: tuple(map(Fraction, v)), full_root_set_gl(4)))
