@@ -2,9 +2,12 @@
 
 Groups are handled by exhaustive enumeration below a hard size cap, so
 every statement verified here (surjectivity counts, H^1 triviality, the
-norm-vs-conjugacy matching) is exact, never sampled.  The enumeration
-loops work on the flat code tuples of ``Mat`` (see ``rings``) and wrap
-only their results as matrices.
+norm-vs-conjugacy matching) is exact, never sampled.  H^1 enumerates
+every cocycle and closes each class under a generating set of the group
+(transvections and diagonal units for GL_s(O/p^n)); twisted and plain
+classes are orbits under the whole group.  The enumeration loops work on
+the flat code tuples of ``Mat`` (see ``rings``) and wrap only their
+results as matrices.
 """
 
 from __future__ import annotations
@@ -39,20 +42,26 @@ def factor_prime_power(q):
 class GaloisModule:
     """An enumerated matrix group with a cyclic Frobenius action.
 
-    ``sigma`` maps group elements to group elements and has order
-    dividing ``d``.  Elements are ``Mat``s over one ring with offset 0.
+    The action is entrywise sigma^exponent, sigma the Frobenius lift of
+    ``ring``; ``d`` is its order.  Elements are ``Mat``s over ``ring``
+    with offset 0.  ``generators``, if given, is a callable returning
+    flat code tuples that generate the group; ``h1_cyclic`` needs it and
+    calls it, so a module that never reaches H^1 builds none.
     """
 
-    def __init__(self, elements, sigma, d, ring=None, size=None):
+    def __init__(self, elements, ring, exponent=1, generators=None):
         self.elements = list(elements)
-        self.sigma = sigma
-        self.d = d
         self.ring = ring
-        self.size = len(self.elements) if size is None else size
+        self.exponent = exponent
+        self.d = ring.d // math.gcd(ring.d, exponent)
+        self.generators = generators
+
+    def sigma(self, m, k=1):
+        """sigma^k of a Mat."""
+        return m.sigma(self.exponent * k)
 
     def identity(self):
-        e = self.elements[0]
-        return Mat.identity(e.ring, e.size)
+        return Mat.identity(self.ring, self.elements[0].size)
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
@@ -76,12 +85,60 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     return out
 
 
+def _residue_primitive_root(ring):
+    """Code of the first element, in code order, with every coefficient
+    in [0, p) whose residue generates F_q^*: no power (q-1)/r of it, r a
+    prime dividing q - 1, is 1 mod p."""
+    q, one = ring.q, ring.one()
+    primes, m, r = [], q - 1, 2
+    while r * r <= m:
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    if m > 1:
+        primes.append(m)
+    for coeffs in itertools.product(range(ring.p), repeat=ring.d):
+        z = ring.element(coeffs)
+        if z.is_unit() and all((z ** ((q - 1) // r) - one).valuation() == 0
+                               for r in primes):
+            return z.code
+    raise ArithmeticError(f"no primitive root in F_{q}")
+
+
+def _plus(ring, s, j, l, c):
+    """Flat codes of the s x s identity plus code c at (j, l)."""
+    out = list(Mat.identity(ring, s).codes)
+    out[j * s + l] = ring.add(out[j * s + l], c)
+    return tuple(out)
+
+
+def _gl_generators(ring, s):
+    """Flat codes generating GL_s(R), R = O/p^n with residue field F_q.
+
+    The transvections 1 + x^i E_jl (j != l, i < d) generate SL_s(R);
+    diag(zeta, 1, ..), zeta's residue a primitive root, covers R^* mod
+    1 + pR; and diag(1 + p^k x^i, 1, ..) for 1 <= k < n, i < d map onto
+    an F_p-basis of each layer (1 + p^k R)/(1 + p^(k+1) R) = F_q.
+    """
+    basis = ring.weights  # the codes of 1, x, .., x^(d-1)
+    gens = [_plus(ring, s, j, l, c) for j in range(s) for l in range(s)
+            if j != l for c in basis]
+    zeta_minus_one = ring.add(_residue_primitive_root(ring),
+                              ring.neg(ring.one_code))
+    if zeta_minus_one:
+        gens.append(_plus(ring, s, 0, 0, zeta_minus_one))
+    gens += [_plus(ring, s, 0, 0, ring.p**k * c)
+             for k in range(1, ring.n) for c in basis]
+    return gens
+
+
 def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     """GL_s over a finite field or truncated local ring with entrywise
     Frobenius^sigma_exponent as the Galois action."""
-    d = ring.d // math.gcd(ring.d, sigma_exponent)
-    sig = (lambda m: m.sigma(sigma_exponent))
-    return GaloisModule(gl_elements(ring, s, cap=cap), sig, d, ring=ring)
+    return GaloisModule(gl_elements(ring, s, cap=cap), ring, sigma_exponent,
+                        generators=lambda: _gl_generators(ring, s))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +152,9 @@ def lang_map(x, module):
 def _coded(module):
     """(ring, matrix size, {codes: codes of sigma}) of a module, in the
     order of its elements."""
-    first = module.elements[0]
-    sigma = {m.codes: module.sigma(m).codes for m in module.elements}
-    return first.ring, first.size, sigma
+    ring, e = module.ring, module.exponent
+    sigma = {m.codes: ring.mat_sigma(m.codes, e) for m in module.elements}
+    return ring, module.elements[0].size, sigma
 
 
 def _orbits(codes, orbit_of):
@@ -163,9 +220,18 @@ def ordinary_classes(elements):
 
 def h1_cyclic(module):
     """Cocycles c with c sigma(c) ... sigma^{d-1}(c) = 1 and their classes
-    under c ~ a^-1 c sigma(a)."""
+    under c ~ a^-1 c sigma(a).
+
+    Every group element is tested for the cocycle condition.  Each class
+    is then closed under c -> g^-1 c sigma(g) for g in the module's
+    generating set, which reaches a^-1 c sigma(a) for every a in the
+    group at two products per cocycle and generator; a product outside
+    the cocycle set raises NotACocycle.  ``cocycles`` are code tuples.
+    """
+    if module.generators is None:
+        raise InvalidConfig("H^1 classes need a module with generators")
     ring, s, sigma = _coded(module)
-    mul = ring.mat_mul
+    mul, inv = ring.mat_mul, ring.mat_inv
     ident = Mat.identity(ring, s).codes
 
     def norm(c):
@@ -177,18 +243,29 @@ def h1_cyclic(module):
 
     cocycles = [c for c in sigma if norm(c) == ident]
     cocycle_set = set(cocycles)
-    inv = ring.mat_inv
-    classes = []
-    # inverses are recomputed per class, not stored: H^1 is mostly trivial
-    for orbit in _orbits(cocycles, lambda c: {
-            mul(s, mul(s, inv(s, a), c), sa) for a, sa in sigma.items()}):
-        orbit &= cocycle_set
-        classes.append({"representative": Mat.from_codes(ring, s, min(orbit)),
-                        "size": len(orbit),
-                        "contains_identity": ident in orbit})
+    moves = [(inv(s, g), ring.mat_sigma(g, module.exponent))
+             for g in module.generators()]
+
+    def orbit_of(c):
+        orbit, todo = {c}, [c]
+        while todo:
+            x = todo.pop()
+            for g_inv, sg in moves:
+                y = mul(s, mul(s, g_inv, x), sg)
+                if y not in orbit:
+                    if y not in cocycle_set:
+                        raise NotACocycle("a class leaves the cocycle set")
+                    orbit.add(y)
+                    todo.append(y)
+        return orbit
+
+    classes = [{"representative": Mat.from_codes(ring, s, min(orbit)),
+                "size": len(orbit),
+                "contains_identity": ident in orbit}
+               for orbit in _orbits(cocycles, orbit_of)]
     return {
         "cocycle_count": len(cocycles),
-        "cocycles": [Mat.from_codes(ring, s, c) for c in cocycles],
+        "cocycles": cocycles,
         "classes": classes,
         "h1_size": len(classes),
     }
@@ -196,7 +273,12 @@ def h1_cyclic(module):
 
 def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     """The group 1 + p^a M_s at precision b (so p^a O / p^b O entries),
-    with the lifted Frobenius action."""
+    with the lifted Frobenius action.  Its generators are the
+    1 + p^k x^i E_jl for a <= k < b, i < d and all j, l, which map onto
+    an F_p-basis of each layer (1 + p^k M_s)/(1 + p^(k+1) M_s) = M_s(F_q).
+    """
+    if not 1 <= a < b:
+        raise InvalidConfig("a congruence kernel needs 1 <= a < b")
     ring = TruncatedLocalRing(p, b, d)
     pa = p**a
     step = p**(b - a)
@@ -208,7 +290,9 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     ident = Mat.identity(ring, s).codes
     out = [Mat.from_codes(ring, s, tuple(map(ring.add, ident, delta)))
            for delta in itertools.product(entry_values, repeat=s * s)]
-    return GaloisModule(out, lambda m: m.sigma(1), d, ring=ring)
+    return GaloisModule(out, ring, generators=lambda: [
+        _plus(ring, s, j, l, p**k * c) for k in range(a, b)
+        for c in ring.weights for j in range(s) for l in range(s)])
 
 
 def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
@@ -220,10 +304,11 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
         ring = TruncatedLocalRing(p, n, d)
         module = gl_module(ring, s, cap=cap)
         res = h1_cyclic(module)
-        report["levels"].append({"level": n, "group_order": module.size,
+        report["levels"].append({"level": n,
+                                 "group_order": len(module.elements),
                                  "h1_size": res["h1_size"],
                                  "cocycle_count": res["cocycle_count"]})
-        cocycles = {c.codes for c in res["cocycles"]}
+        cocycles = set(res["cocycles"])
         if low is not None:
             # reduction must carry level-n cocycles to level-(n-1) cocycles
             reduced = {tuple(low.encode(ring.decode(a)) for a in c)
@@ -235,7 +320,7 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
         module = congruence_kernel_module(p, d, a, a + 1, s, cap=cap)
         res = h1_cyclic(module)
         report["kernels"].append({"from_level": a, "to_level": a + 1,
-                                  "group_order": module.size,
+                                  "group_order": len(module.elements),
                                   "h1_size": res["h1_size"]})
     return report
 
@@ -246,7 +331,7 @@ def descend_conjugator(g, u_module):
     u is found by exhaustive trivialization of the cocycle in U; if no
     trivializer exists the H^1 obstruction is reported, not patched.
     """
-    sig_inv_g = _sigma_power(g, u_module, u_module.d - 1)
+    sig_inv_g = u_module.sigma(g, u_module.d - 1)
     c = sig_inv_g.inverse() * g
     members = set(u_module.elements)
     ident = u_module.identity()
@@ -255,17 +340,11 @@ def descend_conjugator(g, u_module):
     if c not in members:
         raise NotACocycle("sigma^-1(g)^-1 * g does not lie in U")
     for u in u_module.elements:
-        if _sigma_power(u, u_module, u_module.d - 1) * u.inverse() == c:
+        if u_module.sigma(u, u_module.d - 1) * u.inverse() == c:
             g1 = g * u
             if u_module.sigma(g1) == g1:
                 return g1
     raise NoTrivialization("cocycle has no trivialization in U")
-
-
-def _sigma_power(m, module, e):
-    for _ in range(e % module.d):
-        m = module.sigma(m)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import functools
 import itertools
+import time
 
 import pytest
 
 from glnlab.errors import InvalidConfig, NotACocycle
 from glnlab.lang import (
+    GaloisModule,
+    _gl_generators,
     _invariant_factors,
     congruence_kernel_module,
     descend_conjugator,
@@ -20,7 +23,8 @@ from glnlab.lang import (
     twisted_classes,
     twisted_norm,
 )
-from glnlab.rings import FiniteField, TruncatedLocalRing
+from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
+from test_ring_core import gl_order
 
 
 def gl1_field_module(p, d, sigma_exponent=1):
@@ -53,6 +57,51 @@ def reference_conjugator(module, target, source):
     return next((g for g in module.elements
                  if mul(s, g.codes, source.codes)
                  == mul(s, target.codes, g.codes)), None)
+
+
+def whole_group_h1(module):
+    """(cocycles, classes) of H^1 with each class formed as
+    {a^-1 c sigma(a) : a in G} over the whole group: the reference for
+    the generator orbits of h1_cyclic."""
+    ident = module.identity()
+    cocycles = [c for c in module.elements
+                if twisted_norm(c, module, module.d) == ident]
+    pairs = [(a.inverse(), module.sigma(a)) for a in module.elements]
+    classes, seen = [], set()
+    for c in cocycles:
+        if c not in seen:
+            orbit = {a_inv * c * sa for a_inv, sa in pairs}
+            assert orbit <= set(cocycles)
+            seen |= orbit
+            classes.append({
+                "representative": min(orbit, key=Mat.coeff_key),
+                "size": len(orbit), "contains_identity": ident in orbit})
+    return cocycles, classes
+
+
+def closure(ring, s, gens):
+    """The codes of the group the flat code matrices gens generate."""
+    e = Mat.identity(ring, s).codes
+    seen, todo = {e}, [e]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = ring.mat_mul(s, x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def fixed_submodule(ring, s):
+    """GL_s of the sigma-fixed subring, with sigma acting trivially but
+    with the order d of the ring's sigma: its H^1 classes are the
+    conjugacy classes of elements with c^d = 1, so there can be more
+    than one.  Its generators are all its elements."""
+    full = gl_module(ring, s)
+    fixed = [x for x in full.elements if full.sigma(x) == x]
+    return GaloisModule(fixed, ring,
+                        generators=lambda: [x.codes for x in fixed])
 
 
 class TestFactorPrimePower:
@@ -263,8 +312,117 @@ class TestDescent:
         F = FiniteField(2, 2)
         full = gl_module(F, 1)
         fixed = [x for x in full.elements if full.sigma(x) == x]
-        from glnlab.lang import GaloisModule
-        u = GaloisModule(fixed, full.sigma, 2, ring=F)
+        u = GaloisModule(fixed, F)
         bad = next(x for x in full.elements if full.sigma(x) != x)
         with pytest.raises(NotACocycle):
             descend_conjugator(bad, u)
+
+
+class TestGenerators:
+    # d in {1, 2, 3}, s in {1, 2} and one s = 3; p = 2 with n >= 3, where
+    # 1 + 2R needs the k >= 2 generators
+    @pytest.mark.parametrize("p,n,d,s", [
+        (2, 1, 1, 1), (3, 1, 1, 1), (7, 1, 1, 1), (2, 1, 2, 1),
+        (2, 1, 3, 1), (3, 1, 2, 1), (2, 3, 1, 1), (2, 4, 1, 1),
+        (3, 3, 1, 1), (2, 14, 1, 1), (2, 2, 2, 1), (2, 4, 3, 1),
+        (3, 4, 2, 1), (5, 2, 1, 1), (2, 1, 1, 2), (3, 1, 1, 2),
+        (5, 1, 1, 2), (2, 1, 2, 2), (2, 1, 3, 2), (2, 2, 1, 2),
+        (2, 3, 1, 2), (3, 2, 1, 2), (2, 2, 2, 2), (2, 1, 1, 3)])
+    def test_closure_is_gl(self, p, n, d, s):
+        ring = TruncatedLocalRing(p, n, d)
+        gens = _gl_generators(ring, s)
+        assert all(ring.is_unit(ring.mat_det(s, g)) for g in gens)
+        assert len(closure(ring, s, gens)) == gl_order(p, n, d, s)
+
+    @pytest.mark.parametrize("p,d,a,b,s", [
+        (2, 2, 1, 2, 1), (2, 1, 1, 4, 1), (2, 2, 1, 3, 1), (3, 1, 1, 3, 1),
+        (2, 1, 1, 3, 2), (3, 1, 1, 2, 2), (2, 2, 2, 3, 2)])
+    def test_kernel_closure(self, p, d, a, b, s):
+        m = congruence_kernel_module(p, d, a, b, s)
+        group = closure(m.ring, s, m.generators())
+        assert len(group) == p ** (d * s * s * (b - a))
+        assert group == {x.codes for x in m.elements}
+
+    def test_only_h1_builds_generators(self, monkeypatch):
+        # lang and dm-check requests build no generating set
+        import glnlab.lang as lang
+        built = []
+        monkeypatch.setattr(lang, "_gl_generators",
+                            lambda ring, s: built.append(s) or [])
+        m = gl_module(FiniteField(2, 2), 2)
+        lang_image(m)
+        twisted_classes(m)
+        dm_bijection_check(1, 2, 2)
+        assert built == []
+        h1_cyclic(m)
+        assert built == [2]
+
+
+class TestH1Orbits:
+    # every module here is small enough for the whole-group scan
+    MODULES = {
+        "gl1_f4": lambda: gl1_field_module(2, 2),
+        "gl1_f9": lambda: gl1_field_module(3, 2),
+        "gl1_f8": lambda: gl1_field_module(2, 3),
+        "gl1_f16_sigma2": lambda: gl1_field_module(2, 4, sigma_exponent=2),
+        "gl1_z8": lambda: gl_module(TruncatedLocalRing(2, 3, 1), 1),
+        "gl1_w3f4": lambda: gl_module(TruncatedLocalRing(2, 3, 2), 1),
+        "gl1_w2f9": lambda: gl_module(TruncatedLocalRing(3, 2, 2), 1),
+        "gl2_f2": lambda: gl_module(FiniteField(2, 1), 2),
+        "gl2_f4": lambda: gl_module(FiniteField(2, 2), 2),
+        "gl2_z4": lambda: gl_module(TruncatedLocalRing(2, 2, 1), 2),
+        "gl2_f8": lambda: gl_module(FiniteField(2, 3), 2),
+        "kernel_s1": lambda: congruence_kernel_module(2, 2, 1, 3, 1),
+        "kernel_s2": lambda: congruence_kernel_module(2, 2, 1, 2, 2),
+        "fixed_gl1_f9": lambda: fixed_submodule(FiniteField(3, 2), 1),
+        "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
+        "fixed_gl1_f27": lambda: fixed_submodule(FiniteField(3, 3), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_generator_orbits_match_whole_group(self, name):
+        module = self.MODULES[name]()
+        cocycles, classes = whole_group_h1(module)
+        res = h1_cyclic(module)
+        assert res["cocycles"] == [c.codes for c in cocycles]
+        assert res["cocycle_count"] == len(cocycles)
+        assert res["classes"] == classes
+        assert res["h1_size"] == len(classes)
+
+    def test_fixed_submodules_have_nontrivial_h1(self):
+        # F_3^* with trivial action of order 2: c^2 = 1 gives {1, -1};
+        # GL_2(F_2) = S_3: the identity and the three involutions
+        sizes = [[c["size"] for c in
+                  h1_cyclic(fixed_submodule(FiniteField(p, d), s))["classes"]]
+                 for p, d, s in [(3, 2, 1), (2, 2, 2)]]
+        assert sorted(sizes[0]) == [1, 1]
+        assert sorted(sizes[1]) == [1, 3]
+
+    def test_module_without_generators_is_refused(self):
+        m = gl1_field_module(2, 2)
+        with pytest.raises(InvalidConfig):
+            h1_cyclic(GaloisModule(m.elements, m.ring))
+
+    def test_generators_outside_the_group_raise(self):
+        # F_3^* inside F_9 with the generator of F_9^*: its move leaves
+        # the cocycles of the subgroup
+        F = FiniteField(3, 2)
+        fixed = fixed_submodule(F, 1)
+        bad = GaloisModule(fixed.elements, F,
+                           generators=lambda: _gl_generators(F, 1))
+        with pytest.raises(NotACocycle):
+            h1_cyclic(bad)
+
+    def test_cocycle_count_closed_form(self):
+        # trivial H^1 makes the cocycles G / G^sigma, G^sigma the GL_s
+        # of the Frobenius-fixed subring, of residue degree 1
+        start = time.monotonic()
+        cases = [(p, d, s, level) for p in (2, 3, 5) for d in (1, 2, 3)
+                 for s in (1, 2) for level in (1, 2, 3, 4)
+                 if p ** (level * d * s * s) <= 10**5]
+        for p, d, s, level in cases:
+            res = h1_cyclic(gl_module(TruncatedLocalRing(p, level, d), s))
+            assert res["cocycle_count"] == \
+                gl_order(p, level, d, s) // gl_order(p, level, 1, s)
+            assert res["h1_size"] == 1
+        assert time.monotonic() - start < 10.0
