@@ -78,11 +78,11 @@ def simplex_counts(cap, seed):
     ok = [len(building.fundamental_simplices(n)) for n in (2, 3, 5)] \
         == [3, 7, 31]
     base = building.stabilizer_pattern((0,), 3)
-    ok &= building.conjugate_pattern(base, (1, 0, 0)).entries \
+    ok &= base.conjugate((1, 0, 0)).entries \
         == ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
-    ok &= building.conjugate_pattern(base, (0, 1, 0)).entries \
+    ok &= base.conjugate((0, 1, 0)).entries \
         == ((0, -1, 0), (1, 0, 1), (0, -1, 0))
-    ok &= building.conjugate_pattern(base, (0, 0, 1)).entries \
+    ok &= base.conjugate((0, 0, 1)).entries \
         == ((0, 0, -1), (0, 0, -1), (1, 1, 0))
     return ok, None
 

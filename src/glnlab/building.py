@@ -82,14 +82,6 @@ def stabilizer_pattern(simplex, n):
     return pat
 
 
-def conjugate_pattern(pattern, diag_exponents):
-    return pattern.conjugate(diag_exponents)
-
-
-def pattern_intersect(p1, p2):
-    return p1.intersect(p2)
-
-
 def membership(g, pattern):
     """Valuation test after removing the central p-power.
 

@@ -32,7 +32,12 @@ from .errors import (
     UnsupportedRank,
     ZeroEntry,
 )
-from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent, is_prime
+from .rings import (
+    DEFAULT_GROUP_CAP,
+    HalfPowerLaurent,
+    is_prime,
+    residue_primitive_root,
+)
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
 MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
@@ -467,16 +472,7 @@ class UnitCharacter:
             self._dlog = self._discrete_log_table()
 
     def _discrete_log_table(self):
-        gen = None
-        for a in sorted(self.field.units(), key=lambda e: e.coeffs):
-            seen = set()
-            cur = a
-            for _ in range(self.order):
-                seen.add(cur)
-                cur = cur * a
-            if len(seen) == self.order:
-                gen = a
-                break
+        gen = residue_primitive_root(self.field)
         table = {}
         cur = self.field.one()
         for k in range(self.order):

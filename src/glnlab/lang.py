@@ -2,12 +2,13 @@
 
 Groups are handled by exhaustive enumeration below a hard size cap, so
 every statement verified here (surjectivity counts, H^1 triviality, the
-norm-vs-conjugacy matching) is exact, never sampled.  H^1 enumerates
-every cocycle and closes each class under a generating set of the group
-(transvections and diagonal units for GL_s(O/p^n)); twisted and plain
-classes are orbits under the whole group.  The enumeration loops work on
-the flat code tuples of ``Mat`` (see ``rings``) and wrap only their
-results as matrices.
+norm-vs-conjugacy matching) is exact, never sampled.  Twisted classes
+and H^1 classes are orbits of c -> g^-1 c sigma(g), each closed under a
+generating set of the group (for GL_s(O/p^n): at most three matrices
+plus one diagonal unit per F_p-basis vector of each layer of 1 + pR).
+Plain conjugacy classes of GL_s(F_q) are the fibres of the rational
+canonical form.  The enumeration loops work on the flat code tuples of
+``Mat`` (see ``rings``) and wrap only their results as matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from .errors import (
     NoTrivialization,
     NotACocycle,
 )
-from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
+from .rings import (
+    DEFAULT_GROUP_CAP,
+    FiniteField,
+    Mat,
+    TruncatedLocalRing,
+    residue_primitive_root,
+)
 
 
 def factor_prime_power(q):
@@ -45,8 +52,9 @@ class GaloisModule:
     The action is entrywise sigma^exponent, sigma the Frobenius lift of
     ``ring``; ``d`` is its order.  Elements are ``Mat``s over ``ring``
     with offset 0.  ``generators``, if given, is a callable returning
-    flat code tuples that generate the group; ``h1_cyclic`` needs it and
-    calls it, so a module that never reaches H^1 builds none.
+    flat code tuples that generate the group.  ``twisted_classes`` and
+    ``h1_cyclic`` need it and call it, so a module that never reaches
+    them (as in ``lang_image``) builds none.
     """
 
     def __init__(self, elements, ring, exponent=1, generators=None):
@@ -85,28 +93,6 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     return out
 
 
-def _residue_primitive_root(ring):
-    """Code of the first element, in code order, with every coefficient
-    in [0, p) whose residue generates F_q^*: no power (q-1)/r of it, r a
-    prime dividing q - 1, is 1 mod p."""
-    q, one = ring.q, ring.one()
-    primes, m, r = [], q - 1, 2
-    while r * r <= m:
-        if m % r == 0:
-            primes.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        primes.append(m)
-    for coeffs in itertools.product(range(ring.p), repeat=ring.d):
-        z = ring.element(coeffs)
-        if z.is_unit() and all((z ** ((q - 1) // r) - one).valuation() == 0
-                               for r in primes):
-            return z.code
-    raise ArithmeticError(f"no primitive root in F_{q}")
-
-
 def _plus(ring, s, j, l, c):
     """Flat codes of the s x s identity plus code c at (j, l)."""
     out = list(Mat.identity(ring, s).codes)
@@ -115,22 +101,32 @@ def _plus(ring, s, j, l, c):
 
 
 def _gl_generators(ring, s):
-    """Flat codes generating GL_s(R), R = O/p^n with residue field F_q.
+    """Flat codes generating GL_s(R), R = O/p^n with residue field F_q:
+    diag(zeta, 1, ..) unless zeta = 1, zeta = ``residue_primitive_root``;
+    1 + E_12 and the cyclic shift P when s >= 2; and diag(1 + p^k x^i,
+    1, ..) for 1 <= k < n, i < d.
 
-    The transvections 1 + x^i E_jl (j != l, i < d) generate SL_s(R);
-    diag(zeta, 1, ..), zeta's residue a primitive root, covers R^* mod
-    1 + pR; and diag(1 + p^k x^i, 1, ..) for 1 <= k < n, i < d map onto
-    an F_p-basis of each layer (1 + p^k R)/(1 + p^(k+1) R) = F_q.
+    Proof.  Conjugating 1 + E_12 by diag(zeta, 1, ..)^k gives
+    1 + zeta^k E_12, and products of these give 1 + r E_12 for every r
+    in Z[zeta].  The residue of zeta generates F_q, so Z[zeta] + pR = R,
+    and Z[zeta] = R by Nakayama's lemma.  Conjugating by P moves E_12
+    around the cycle E_12, E_23, .., E_s1; commutators
+    [1 + a E_ij, 1 + b E_jl] = 1 + ab E_il (i != l) then give every
+    elementary transvection, and these generate SL_s(R), R being local.
+    Last, the determinants of the diagonal generators generate R^*: zeta
+    covers R^* mod 1 + pR, and the 1 + p^k x^i (i < d) map onto an
+    F_p-basis of each layer (1 + p^k R)/(1 + p^(k+1) R) = F_q.
     """
-    basis = ring.weights  # the codes of 1, x, .., x^(d-1)
-    gens = [_plus(ring, s, j, l, c) for j in range(s) for l in range(s)
-            if j != l for c in basis]
-    zeta_minus_one = ring.add(_residue_primitive_root(ring),
-                              ring.neg(ring.one_code))
-    if zeta_minus_one:
-        gens.append(_plus(ring, s, 0, 0, zeta_minus_one))
+    one = ring.one_code
+    zeta_minus_one = ring.add(residue_primitive_root(ring).code,
+                              ring.neg(one))
+    gens = [_plus(ring, s, 0, 0, zeta_minus_one)] if zeta_minus_one else []
+    if s >= 2:
+        gens.append(_plus(ring, s, 0, 1, one))
+        gens.append(tuple(one if l == (j + 1) % s else 0
+                          for j in range(s) for l in range(s)))
     gens += [_plus(ring, s, 0, 0, ring.p**k * c)
-             for k in range(1, ring.n) for c in basis]
+             for k in range(1, ring.n) for c in ring.weights]
     return gens
 
 
@@ -157,26 +153,52 @@ def _coded(module):
     return ring, module.elements[0].size, sigma
 
 
-def _orbits(codes, orbit_of):
-    """The orbits through codes, each once, in the order of codes."""
-    seen = set()
-    for a in codes:
-        if a not in seen:
-            orbit = orbit_of(a)
-            seen |= orbit
-            yield orbit
-
-
-def _classes(ring, s, codes, lefts, rights):
-    """Orbits a -> u * a * w, u and w paired from lefts and rights."""
-    mul = ring.mat_mul
+def _sandwich(ring, s, a, b):
+    """x -> a * x * b on flat s x s matrices: per entry, the indices into x
+    and the coefficients of its nonzero terms (at least one, as a row of a
+    and a column of b each hold a unit; at most 4 for the generators)."""
+    pairs = list(itertools.product(range(s), repeat=2))
     out = []
-    for orbit in _orbits(codes, lambda a: {
-            mul(s, mul(s, u, a), w) for u, w in zip(lefts, rights)}):
-        out.append({"representative": Mat.from_codes(ring, s, min(orbit)),
-                    "size": len(orbit),
-                    "orbit": {Mat.from_codes(ring, s, c) for c in orbit}})
+    for i, j in pairs:
+        terms = [(k * s + l, c) for k, l in pairs
+                 if (c := ring.mul(a[i * s + k], b[l * s + j]))]
+        out.append(tuple(zip(*terms)))
     return out
+
+
+def _twisted_orbits(module, codes, allowed, leaving):
+    """The orbits of c -> g^-1 c sigma(g) through codes, each once, in the
+    order of codes, as sets of codes.
+
+    Each orbit is closed under g in the module's generating set, which
+    reaches a^-1 c sigma(a) for every a in the group at one sparse
+    ``_sandwich`` per element and generator, and one inverse per
+    generator.  A move that lands outside ``allowed`` raises the
+    exception ``leaving``.
+    """
+    if module.generators is None:
+        raise InvalidConfig("orbits need a module with generators")
+    ring, s = module.ring, module.elements[0].size
+    dot = ring.dot
+    moves = [_sandwich(ring, s, ring.mat_inv(s, g),
+                       ring.mat_sigma(g, module.exponent))
+             for g in module.generators()]
+    seen = set()
+    for c in codes:
+        if c in seen:
+            continue
+        orbit, todo = {c}, [c]
+        while todo:
+            x = todo.pop()
+            for move in moves:
+                y = tuple([dot(cs, [x[k] for k in ks]) for ks, cs in move])
+                if y not in orbit:
+                    if y not in allowed:
+                        raise leaving
+                    orbit.add(y)
+                    todo.append(y)
+        seen |= orbit
+        yield orbit
 
 
 def lang_image(module):
@@ -197,22 +219,17 @@ def twisted_norm(a, module, m):
 
 
 def twisted_classes(module):
-    """Partition of the group under a ~ v * a * sigma(v)^-1.
-
-    Returns a list of dicts with canonical (coeff-key-least) represen-
-    tative, orbit size, and the orbit itself.
+    """Partition of the group under a ~ g^-1 * a * sigma(g), the twisted
+    conjugacy classes, in the order of the elements: dicts of the least
+    element (``representative``) and the ``size``.  A generator that
+    moves an element out of the group raises MatchFailure.
     """
-    ring, s, sigma = _coded(module)
-    return _classes(ring, s, sigma, sigma,
-                    [ring.mat_inv(s, sv) for sv in sigma.values()])
-
-
-def ordinary_classes(elements):
-    """Plain conjugacy classes of an enumerated group."""
-    ring, s = elements[0].ring, elements[0].size
-    codes = [g.codes for g in elements]
-    return _classes(ring, s, codes, codes,
-                    [ring.mat_inv(s, g) for g in codes])
+    ring, s = module.ring, module.elements[0].size
+    codes = [m.codes for m in module.elements]
+    leaving = MatchFailure("a twisted class leaves the group")
+    return [{"representative": Mat.from_codes(ring, s, min(orbit)),
+             "size": len(orbit)}
+            for orbit in _twisted_orbits(module, codes, set(codes), leaving)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +239,12 @@ def h1_cyclic(module):
     """Cocycles c with c sigma(c) ... sigma^{d-1}(c) = 1 and their classes
     under c ~ a^-1 c sigma(a).
 
-    Every group element is tested for the cocycle condition.  Each class
-    is then closed under c -> g^-1 c sigma(g) for g in the module's
-    generating set, which reaches a^-1 c sigma(a) for every a in the
-    group at two products per cocycle and generator; a product outside
-    the cocycle set raises NotACocycle.  ``cocycles`` are code tuples.
+    Every group element is tested for the cocycle condition; the classes
+    are ``_twisted_orbits`` of the cocycles, and a move outside the
+    cocycle set raises NotACocycle.  ``cocycles`` are code tuples.
     """
-    if module.generators is None:
-        raise InvalidConfig("H^1 classes need a module with generators")
     ring, s, sigma = _coded(module)
-    mul, inv = ring.mat_mul, ring.mat_inv
+    mul = ring.mat_mul
     ident = Mat.identity(ring, s).codes
 
     def norm(c):
@@ -242,27 +255,12 @@ def h1_cyclic(module):
         return acc
 
     cocycles = [c for c in sigma if norm(c) == ident]
-    cocycle_set = set(cocycles)
-    moves = [(inv(s, g), ring.mat_sigma(g, module.exponent))
-             for g in module.generators()]
-
-    def orbit_of(c):
-        orbit, todo = {c}, [c]
-        while todo:
-            x = todo.pop()
-            for g_inv, sg in moves:
-                y = mul(s, mul(s, g_inv, x), sg)
-                if y not in orbit:
-                    if y not in cocycle_set:
-                        raise NotACocycle("a class leaves the cocycle set")
-                    orbit.add(y)
-                    todo.append(y)
-        return orbit
-
+    leaving = NotACocycle("a class leaves the cocycle set")
     classes = [{"representative": Mat.from_codes(ring, s, min(orbit)),
                 "size": len(orbit),
                 "contains_identity": ident in orbit}
-               for orbit in _orbits(cocycles, orbit_of)]
+               for orbit in _twisted_orbits(module, cocycles, set(cocycles),
+                                            leaving)]
     return {
         "cocycle_count": len(cocycles),
         "cocycles": cocycles,
@@ -425,27 +423,24 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     GL_s(F_{q^n}) under the q-power Frobenius sigma (Shintani descent).
 
     Everything happens in F_{q^n}: GL_s(F_q) is the sigma-fixed subgroup,
-    and a class of it is determined by the invariant factors of X - g
-    (rational canonical form).  For each twisted class representative A,
-    the norm N(A) = A sigma(A) ... sigma^{n-1}(A) satisfies
-    sigma(N(A)) = A^-1 N(A) A, so the invariant factors of N(A)^-1 lie in
-    F_q[X]; they name the plain class A goes to.  The induced map must be
-    a bijection.
+    and its conjugacy classes are the fibres of the invariant factors of
+    X - g (rational canonical form); the elements come in code order, so
+    the first of each fibre is its least.  For each representative A of
+    ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
+    satisfies sigma(N(A)) = A^-1 N(A) A, so the invariant factors of
+    N(A)^-1 lie in F_q[X]; they name the plain class A goes to.  The
+    induced map must be a bijection.
     """
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
     module = gl_module(ext, s, sigma_exponent=v, cap=cap)
     sub = {c for c in range(ext.size()) if ext.sigma(c, v) == c}
-    plain = ordinary_classes([g for g in module.elements
-                              if sub.issuperset(g.codes)])
+    plain = {}  # invariant factors -> least element of the plain class
+    for g in module.elements:
+        if sub.issuperset(g.codes):
+            plain.setdefault(_invariant_factors(ext, s, g.codes), g)
     twisted = twisted_classes(module)
 
-    by_factors = {}
-    for cl in plain:
-        key = _invariant_factors(ext, s, cl["representative"].codes)
-        if key in by_factors:
-            raise MatchFailure("two plain classes share invariant factors")
-        by_factors[key] = cl["representative"]
     matches = []
     used = set()
     for cl in twisted:
@@ -454,13 +449,13 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
             ext, s, twisted_norm(a, module, n).inverse().codes)
         if not all(sub.issuperset(f) for f in key):
             raise MatchFailure("invariant factors of N(A) are not in F_q[X]")
-        if key not in by_factors:
+        if key not in plain:
             raise MatchFailure("no plain class has the invariant factors "
                                "of N(A)^-1")
         if key in used:
             raise MatchFailure("two twisted classes hit the same plain class")
         used.add(key)
-        matches.append({"twisted_rep": a, "plain_rep": by_factors[key],
+        matches.append({"twisted_rep": a, "plain_rep": plain[key],
                         "invariant_factors": key})
     bijective = len(used) == len(plain) == len(twisted)
     if not bijective:

@@ -251,13 +251,12 @@ def rep_matrix(rho, a, b=None):
 class LocalLFactor:
     """1/denominator with denominator = det(1 - rho(t sigma) X)."""
 
-    def __init__(self, denominator, q, xd=1):
+    def __init__(self, denominator, q):
         den = sympy.expand(denominator)
         if den.subs(X, 0) != 1:
             raise ValueError("denominator must have constant term 1")
         self.denominator = den
         self.q = q
-        self.xd = xd  # base-change exponent: den is a polynomial in X^xd
 
     def degree(self):
         return sympy.Poly(self.denominator, X).degree()
@@ -311,7 +310,7 @@ def base_change_factor(rho, t, d, q=None, action=None, t2=None):
     base = l_factor(rho, ed.t, q, t2=t2,
                     action=None if residual == tuple(range(t.n)) else residual)
     den = sympy.expand(base.denominator.subs(X, X**d))
-    return LocalLFactor(den, q, xd=d)
+    return LocalLFactor(den, q)
 
 
 def conjugate_orbit_product(alpha, d):
@@ -349,10 +348,6 @@ class EulerProduct:
     def as_rational(self):
         return 1 / sympy.expand(sympy.Mul(
             *[f.denominator for f in self.factors]))
-
-
-def euler_product(factors):
-    return EulerProduct(factors)
 
 
 def rankin_selberg(t1, t2, q=None):

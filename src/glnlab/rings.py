@@ -475,6 +475,21 @@ class FiniteField(TruncatedLocalRing):
         return f"FiniteField({self.p}, {self.d})"
 
 
+def residue_primitive_root(ring):
+    """The first element, in code order, with every coefficient in
+    [0, p) whose residue generates F_q^*: no power (q-1)/r of it, r a
+    prime dividing q - 1, is 1 mod p.  On a field it is the least
+    primitive element."""
+    q, one = ring.q, ring.one()
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    for coeffs in itertools.product(range(ring.p), repeat=ring.d):
+        z = ring.element(coeffs)
+        if z.is_unit() and all((z ** ((q - 1) // r) - one).valuation() == 0
+                               for r in primes):
+            return z
+    raise ArithmeticError(f"no primitive root in F_{q}")
+
+
 class LocalRingElement:
     """Element of a ring above: its code, decoded on demand."""
 

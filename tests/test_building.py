@@ -6,11 +6,9 @@ from glnlab.building import (
     ValuationPattern,
     audit_self_normalizing,
     audit_ub_factorization,
-    conjugate_pattern,
     fundamental_simplices,
     iwasawa_decompose,
     membership,
-    pattern_intersect,
     stabilizer_pattern,
     ub_product_identity_gl3,
     vertex_pattern,
@@ -96,34 +94,34 @@ class TestPatterns:
         assert stabilizer_pattern((0, 1), 2).entries == ((0, 1), (0, 0))
 
     def test_edge_is_intersection(self):
-        assert pattern_intersect(vertex_pattern(0, 2), vertex_pattern(1, 2)) \
+        assert vertex_pattern(0, 2).intersect(vertex_pattern(1, 2)) \
             == stabilizer_pattern((0, 1), 2)
 
     def test_gl3_conjugates_match_displays(self):
         base = stabilizer_pattern((0,), 3)
         # diag(p,1,1): off-diagonal row 1 gains p, column 1 gains p^-1
-        assert conjugate_pattern(base, (1, 0, 0)).entries == \
+        assert base.conjugate((1, 0, 0)).entries == \
             ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
         # diag(1,p,1)
-        assert conjugate_pattern(base, (0, 1, 0)).entries == \
+        assert base.conjugate((0, 1, 0)).entries == \
             ((0, -1, 0), (1, 0, 1), (0, -1, 0))
         # diag(1,1,p)
-        assert conjugate_pattern(base, (0, 0, 1)).entries == \
+        assert base.conjugate((0, 0, 1)).entries == \
             ((0, 0, -1), (0, 0, -1), (1, 1, 0))
 
     def test_zero_conjugation(self):
         pat = stabilizer_pattern((1, 2), 3)
-        assert conjugate_pattern(pat, (0, 0, 0)) == pat
+        assert pat.conjugate((0, 0, 0)) == pat
 
     def test_intersect_laws(self):
         pats = [stabilizer_pattern(s, 3) for s in fundamental_simplices(3)]
         for p1 in pats:
-            assert pattern_intersect(p1, p1) == p1
+            assert p1.intersect(p1) == p1
             for p2 in pats:
-                assert pattern_intersect(p1, p2) == pattern_intersect(p2, p1)
+                assert p1.intersect(p2) == p2.intersect(p1)
                 for p3 in pats:
-                    assert pattern_intersect(pattern_intersect(p1, p2), p3) \
-                        == pattern_intersect(p1, pattern_intersect(p2, p3))
+                    assert p1.intersect(p2).intersect(p3) \
+                        == p1.intersect(p2.intersect(p3))
 
     def test_simplex_pattern_is_vertex_intersection(self):
         for n in (2, 3, 4):
@@ -169,7 +167,7 @@ class TestMembership:
             if not g.is_invertible():
                 continue
             try:
-                lhs = membership(g, conjugate_pattern(pat, (1, 0)))
+                lhs = membership(g, pat.conjugate((1, 0)))
                 rhs = membership(dinv * g * d, pat)
             except PrecisionExhausted:
                 continue

@@ -211,7 +211,8 @@ class TestReports:
 class TestDMCheck:
     @pytest.mark.parametrize("s,q,n", [
         (1, 4, 2), (1, 5, 2), (1, 7, 2), (1, 8, 2), (1, 9, 2), (2, 3, 2),
-        (2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 10)])
+        (2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 10), (2, 7, 1), (2, 8, 1),
+        (2, 9, 1)])
     def test_bijection_with_closed_form_counts(self, s, q, n, tmp_path):
         code, rep = run_json(["dm-check", "--s", str(s), "--q", str(q),
                               "--n", str(n)], tmp_path)

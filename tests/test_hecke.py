@@ -23,7 +23,11 @@ from glnlab.hecke import (
     smith_exponents,
     vp,
 )
-from glnlab.rings import FiniteField, HalfPowerLaurent
+from glnlab.rings import (
+    FiniteField,
+    HalfPowerLaurent,
+    residue_primitive_root,
+)
 
 
 def v_pow(q, k):
@@ -508,6 +512,21 @@ class TestGl1Twisted:
         finite = gl1_convolution_by_finite_sum(f, g)
         assert {m: sympy.simplify(c) for m, c in finite.items()} \
             == algebraic.support
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (5, 1), (7, 1),
+                                     (2, 2), (2, 3), (3, 2), (5, 2)])
+    def test_dlog_generator_is_least_primitive_element(self, p, d):
+        # the search the discrete-log table used before: the first unit,
+        # in coefficient order, whose powers reach every unit
+        F = FiniteField(p, d)
+        units = sorted(F.units(), key=lambda e: e.coeffs)
+        old = next(a for a in units
+                   if len({a ** k for k in range(1, F.q)}) == F.q - 1)
+        gen = residue_primitive_root(F)
+        assert gen == old
+        table = UnitCharacter(1, F, exponent=1)._dlog
+        assert sorted(table.values()) == list(range(F.q - 1))
+        assert table[gen] == 1 % (F.q - 1)
 
     def test_character_mismatch(self):
         F = FiniteField(3, 1)

@@ -1,10 +1,12 @@
 import functools
 import itertools
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from glnlab.errors import InvalidConfig, NotACocycle
+from glnlab.errors import InvalidConfig, MatchFailure, NotACocycle
 from glnlab.lang import (
     GaloisModule,
     _gl_generators,
@@ -19,7 +21,6 @@ from glnlab.lang import (
     h1_level_tower,
     lang_image,
     lang_map,
-    ordinary_classes,
     twisted_classes,
     twisted_norm,
 )
@@ -39,14 +40,58 @@ def poly_mul(F, f, g):
     return tuple(out)
 
 
-def poly_divides(F, g, f):
-    """Whether monic g divides f, by long division."""
-    f = list(f)
+def poly_divmod(F, f, g):
+    """(quotient, remainder) of f by monic g, by long division."""
+    f, quot = list(f), [0] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g):
         c, k = f.pop(), len(f) - len(g) + 1
+        quot[k] = c
         for i, b in enumerate(g[:-1]):
             f[k + i] = F.add(f[k + i], F.neg(F.mul(c, b)))
-    return not any(f)
+    return tuple(quot), f
+
+
+def poly_divides(F, g, f):
+    """Whether monic g divides f."""
+    return not any(poly_divmod(F, f, g)[1])
+
+
+def irreducible_powers(F, f):
+    """{g: e} over the monic irreducible g with g^e exactly dividing the
+    monic f: trial division by the monic polynomials of each degree in
+    turn, so every divisor found is irreducible."""
+    out, deg = {}, 1
+    while len(f) > 1:
+        for tail in itertools.product(range(F.size()), repeat=deg):
+            g = tail + (F.one_code,)
+            while poly_divides(F, g, f):
+                f = poly_divmod(F, f, g)[0]
+                out[g] = out.get(g, 0) + 1
+        deg += 1
+    return out
+
+
+def centralizer_order(F, factors):
+    """|C_G(g)| for g in GL_s(F_q) with these invariant factors: the
+    product over irreducible f of a_lam(q^deg f), lam the partition of
+    f's exponents and a_lam(Q) = Q^(|lam| + 2 n(lam)) prod_i
+    phi_(m_i(lam))(1/Q) (Macdonald, Symmetric Functions and Hall
+    Polynomials, II (1.6) and IV 2)."""
+    exponents = {}
+    for inv in factors:
+        for f, e in irreducible_powers(F, inv).items():
+            exponents.setdefault(f, []).append(e)
+    order = Fraction(1)
+    for f, lam in exponents.items():
+        big_q = Fraction(F.q ** (len(f) - 1))
+        lam = sorted(lam, reverse=True)
+        n_lam = sum(i * x for i, x in enumerate(lam))
+        order *= big_q ** (sum(lam) + 2 * n_lam)
+        for m in Counter(lam).values():
+            for k in range(1, m + 1):
+                order *= 1 - 1 / big_q**k
+    assert order.denominator == 1
+    return order.numerator
 
 
 def reference_conjugator(module, target, source):
@@ -77,6 +122,42 @@ def whole_group_h1(module):
                 "representative": min(orbit, key=Mat.coeff_key),
                 "size": len(orbit), "contains_identity": ident in orbit})
     return cocycles, classes
+
+
+def whole_group_classes(elements, lefts, rights):
+    """Orbits a -> u * a * w, u and w paired from the code tuples lefts and
+    rights, each formed over the whole group in the order of elements,
+    with the least representative, the size and the orbit as Mats."""
+    ring, s = elements[0].ring, elements[0].size
+    mul = ring.mat_mul
+    classes, seen = [], set()
+    for a in (g.codes for g in elements):
+        if a not in seen:
+            orbit = {mul(s, mul(s, u, a), w) for u, w in zip(lefts, rights)}
+            seen |= orbit
+            classes.append({
+                "representative": Mat.from_codes(ring, s, min(orbit)),
+                "size": len(orbit),
+                "orbit": {Mat.from_codes(ring, s, c) for c in orbit}})
+    return classes
+
+
+def whole_group_twisted(module):
+    """Classes {v a sigma(v)^-1 : v in G}: the reference for the generator
+    orbits of twisted_classes."""
+    ring, s = module.ring, module.elements[0].size
+    codes = [g.codes for g in module.elements]
+    return whole_group_classes(module.elements, codes, [
+        ring.mat_inv(s, ring.mat_sigma(g, module.exponent)) for g in codes])
+
+
+def ordinary_classes(elements):
+    """Plain conjugacy classes of an enumerated group, from the whole
+    group: the reference for the invariant-factor fibres of dm-check."""
+    ring, s = elements[0].ring, elements[0].size
+    codes = [g.codes for g in elements]
+    return whole_group_classes(elements, codes,
+                               [ring.mat_inv(s, g) for g in codes])
 
 
 def closure(ring, s, gens):
@@ -184,6 +265,50 @@ class TestTwistedNormAndClasses:
         assert {c["representative"] for c in tw} == \
             {c["representative"] for c in ordinary}
 
+    # dm-check builds GL_s(F_{q^n}) with sigma^v, q = p^v; v > 1 below
+    # too, and truncated rings and subgroups with their own generators
+    MODULES = {
+        "gl1_f4": lambda: gl1_field_module(2, 2),
+        "gl1_f9": lambda: gl1_field_module(3, 2),
+        "gl1_f16_v2": lambda: gl1_field_module(2, 4, sigma_exponent=2),
+        "gl1_f64_v3": lambda: gl1_field_module(2, 6, sigma_exponent=3),
+        "gl1_f64_v2": lambda: gl1_field_module(2, 6, sigma_exponent=2),
+        "gl1_f81_v2": lambda: gl1_field_module(3, 4, sigma_exponent=2),
+        "gl1_z8": lambda: gl_module(TruncatedLocalRing(2, 3, 1), 1),
+        "gl1_w2f9": lambda: gl_module(TruncatedLocalRing(3, 2, 2), 1),
+        "gl2_f2": lambda: gl_module(FiniteField(2, 1), 2),
+        "gl2_f4": lambda: gl_module(FiniteField(2, 2), 2),
+        "gl2_f4_v2": lambda: gl_module(FiniteField(2, 2), 2, 2),
+        "gl2_f8": lambda: gl_module(FiniteField(2, 3), 2),
+        "gl2_f9": lambda: gl_module(FiniteField(3, 2), 2),
+        "gl2_z4": lambda: gl_module(TruncatedLocalRing(2, 2, 1), 2),
+        "gl3_f2": lambda: gl_module(FiniteField(2, 1), 3),
+        "kernel_s2": lambda: congruence_kernel_module(2, 2, 1, 2, 2),
+        "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_generator_orbits_match_whole_group(self, name):
+        # same representatives, sizes and order as the whole-group scan
+        module = self.MODULES[name]()
+        assert twisted_classes(module) == [
+            {"representative": c["representative"], "size": c["size"]}
+            for c in whole_group_twisted(module)]
+
+    def test_module_without_generators_is_refused(self):
+        m = gl1_field_module(2, 2)
+        with pytest.raises(InvalidConfig):
+            twisted_classes(GaloisModule(m.elements, m.ring))
+
+    def test_generators_outside_the_group_raise(self):
+        # F_3^* inside F_9 with the generator of F_9^*
+        F = FiniteField(3, 2)
+        fixed = fixed_submodule(F, 1)
+        bad = GaloisModule(fixed.elements, F,
+                           generators=lambda: _gl_generators(F, 1))
+        with pytest.raises(MatchFailure):
+            twisted_classes(bad)
+
     def test_norm_conjugation_identity(self):
         # N(V A sigma(V)^-1) = V N(A) V^-1, exhaustively at GL1/F9
         m = gl1_field_module(3, 2)
@@ -227,6 +352,21 @@ class TestInvariantFactors:
                 assert functools.reduce(
                     lambda f, g: poly_mul(F, f, g), key) \
                     == (det, F.neg(trace), F.one_code)
+
+    @pytest.mark.parametrize("p,d,s", [
+        (2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+        (7, 1, 2), (2, 3, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3)])
+    def test_fibre_sizes_are_centralizer_indices(self, p, d, s):
+        # each fibre of the invariant factors over GL_s(F_q) has
+        # |G|/|C_G(g)| elements, |C_G(g)| from the closed form
+        start = time.monotonic()
+        F = FiniteField(p, d)
+        group = gl_elements(F, s)
+        fibres = Counter(_invariant_factors(F, s, g.codes) for g in group)
+        assert len(group) == gl_order(p, 1, d, s)
+        for key, size in fibres.items():
+            assert size * centralizer_order(F, key) == len(group)
+        assert time.monotonic() - start < 5.0
 
     def test_scalar_and_companion(self):
         F = FiniteField(3, 1)
@@ -319,15 +459,17 @@ class TestDescent:
 
 
 class TestGenerators:
-    # d in {1, 2, 3}, s in {1, 2} and one s = 3; p = 2 with n >= 3, where
-    # 1 + 2R needs the k >= 2 generators
+    # d in {1, 2, 3}, s in {1, 2}, GL_2(F_9), GL_3(F_2), GL_3(F_3) and
+    # GL_4(F_2); p = 2 with n >= 3, where 1 + 2R needs the k >= 2
+    # generators.  GL_3(F_4) closes too, but takes 5 s.
     @pytest.mark.parametrize("p,n,d,s", [
         (2, 1, 1, 1), (3, 1, 1, 1), (7, 1, 1, 1), (2, 1, 2, 1),
         (2, 1, 3, 1), (3, 1, 2, 1), (2, 3, 1, 1), (2, 4, 1, 1),
         (3, 3, 1, 1), (2, 14, 1, 1), (2, 2, 2, 1), (2, 4, 3, 1),
         (3, 4, 2, 1), (5, 2, 1, 1), (2, 1, 1, 2), (3, 1, 1, 2),
         (5, 1, 1, 2), (2, 1, 2, 2), (2, 1, 3, 2), (2, 2, 1, 2),
-        (2, 3, 1, 2), (3, 2, 1, 2), (2, 2, 2, 2), (2, 1, 1, 3)])
+        (2, 3, 1, 2), (3, 2, 1, 2), (2, 2, 2, 2), (2, 1, 1, 3),
+        (3, 1, 2, 2), (3, 1, 1, 3), (2, 1, 1, 4)])
     def test_closure_is_gl(self, p, n, d, s):
         ring = TruncatedLocalRing(p, n, d)
         gens = _gl_generators(ring, s)
@@ -343,19 +485,27 @@ class TestGenerators:
         assert len(group) == p ** (d * s * s * (b - a))
         assert group == {x.codes for x in m.elements}
 
-    def test_only_h1_builds_generators(self, monkeypatch):
-        # lang and dm-check requests build no generating set
+    @pytest.mark.parametrize("p,n,d,s,count", [
+        (2, 1, 3, 2, 3), (2, 1, 2, 3, 3), (2, 2, 2, 2, 5), (2, 1, 1, 4, 2),
+        (2, 1, 1, 1, 0), (3, 1, 1, 1, 1), (2, 3, 1, 1, 2)])
+    def test_generator_count(self, p, n, d, s, count):
+        assert len(_gl_generators(TruncatedLocalRing(p, n, d), s)) == count
+
+    def test_only_orbit_routines_build_generators(self, monkeypatch):
+        # lang requests build no generating set; twisted classes,
+        # dm-check and H^1 build one each
         import glnlab.lang as lang
         built = []
+        real = lang._gl_generators
         monkeypatch.setattr(lang, "_gl_generators",
-                            lambda ring, s: built.append(s) or [])
+                            lambda ring, s: built.append(s) or real(ring, s))
         m = gl_module(FiniteField(2, 2), 2)
         lang_image(m)
+        assert built == []
         twisted_classes(m)
         dm_bijection_check(1, 2, 2)
-        assert built == []
         h1_cyclic(m)
-        assert built == [2]
+        assert built == [2, 1, 2]
 
 
 class TestH1Orbits:

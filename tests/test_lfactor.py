@@ -8,10 +8,10 @@ from glnlab.lfactor import (
     X,
     DualRep,
     DualTorusElement,
+    EulerProduct,
     SatakeParameter,
     base_change_factor,
     conjugate_orbit_product,
-    euler_product,
     l_factor,
     rankin_selberg,
     rep_apply,
@@ -197,17 +197,17 @@ class TestBaseChange:
 
 class TestEulerProduct:
     def test_empty(self):
-        assert euler_product([]).as_rational() == 1
+        assert EulerProduct([]).as_rational() == 1
 
     def test_single(self):
         f = l_factor(DualRep("standard"), param((alpha,)))
-        ep = euler_product([f])
+        ep = EulerProduct([f])
         assert sympy.simplify(ep.as_rational() - f.as_rational()) == 0
 
     def test_two_gl1(self):
         f = l_factor(DualRep("standard"), param((alpha,)))
         g = l_factor(DualRep("standard"), param((beta,)))
-        ep = euler_product([f, g])
+        ep = EulerProduct([f, g])
         want = 1 / sympy.expand((1 - alpha * X) * (1 - beta * X))
         assert sympy.simplify(ep.as_rational() - want) == 0
 
@@ -215,7 +215,7 @@ class TestEulerProduct:
         f = l_factor(DualRep("standard"), param((alpha,), q=2))
         g = l_factor(DualRep("standard"), param((beta,), q=3))
         with pytest.raises(BaseMismatch):
-            euler_product([f, g])
+            EulerProduct([f, g])
 
 
 class TestRankinSelberg:
