@@ -189,34 +189,23 @@ def iwasawa_sample_failures(p, precision, count, rng):
 # ---------------------------------------------------------------------------
 # residue-level audits
 
-def _residue_lower_equal_diag(field, n):
-    """Lower triangular matrices with one repeated unit on the diagonal."""
-    units = [a for a in field.elements() if not a.is_zero()]
-    els = list(field.elements())
+def _residue_triangular(field, n, lower):
+    """Lower triangular matrices with one repeated unit on the diagonal
+    (lower=True), or upper triangular ones with any unit diagonal."""
+    nel = field.size()
+    units = [a for a in range(nel) if field.is_unit(a)]
+    fill = [r * n + c for r in range(n) for c in range(n)
+            if (r > c if lower else r < c)]
+    diags = ([(a,) * n for a in units] if lower
+             else itertools.product(units, repeat=n))
     out = []
-    below = [(r, c) for r in range(n) for c in range(n) if r > c]
-    for a in units:
-        for fill in itertools.product(els, repeat=len(below)):
-            rows = [[a if r == c else field.zero() for c in range(n)]
-                    for r in range(n)]
-            for (r, c), val in zip(below, fill):
-                rows[r][c] = val
-            out.append(Mat(field, rows))
-    return out
-
-
-def _residue_upper_triangular(field, n):
-    units = [a for a in field.elements() if not a.is_zero()]
-    els = list(field.elements())
-    above = [(r, c) for r in range(n) for c in range(n) if r < c]
-    out = []
-    for diag in itertools.product(units, repeat=n):
-        for fill in itertools.product(els, repeat=len(above)):
-            rows = [[diag[r] if r == c else field.zero() for c in range(n)]
-                    for r in range(n)]
-            for (r, c), val in zip(above, fill):
-                rows[r][c] = val
-            out.append(Mat(field, rows))
+    for diag in diags:
+        for vals in itertools.product(range(nel), repeat=len(fill)):
+            codes = [0] * (n * n)
+            codes[::n + 1] = diag
+            for pos, v in zip(fill, vals):
+                codes[pos] = v
+            out.append(Mat.from_codes(field, n, tuple(codes)))
     return out
 
 
@@ -226,8 +215,8 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     elements not of the form u*b."""
     field = FiniteField(p, 1)
     g_all = gl_elements(field, n, cap=cap)
-    u_set = _residue_lower_equal_diag(field, n)
-    b_set = _residue_upper_triangular(field, n)
+    u_set = _residue_triangular(field, n, lower=True)
+    b_set = _residue_triangular(field, n, lower=False)
     if len(u_set) * len(b_set) > cap:
         raise CapExceeded("product-set enumeration exceeds cap")
     products = {u * b for u in u_set for b in b_set}
@@ -256,7 +245,7 @@ def audit_self_normalizing(n, p, subgroup=None, cap=DEFAULT_GROUP_CAP):
     field = FiniteField(p, 1)
     g_all = gl_elements(field, n, cap=cap)
     if subgroup is None:
-        u_set = set(_residue_lower_equal_diag(field, n))
+        u_set = set(_residue_triangular(field, n, lower=True))
         gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))
                                        for j in range(n)] for i in range(n)])
                 for r in range(n) for c in range(r)]

@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from functools import lru_cache
+from math import comb
 
 from . import __version__
 from .errors import CapExceeded, GlnLabError, InvalidConfig
@@ -73,24 +74,14 @@ def ser_half(x):
     return str(x)
 
 
-def ser_image(img):
+def ser_by_weight(coeffs):
+    """{lambda: coefficient} with each lambda written as "l1,l2,.."."""
     return {",".join(map(str, lam)): ser_half(c)
-            for lam, c in sorted(img.coeffs.items())}
-
-
-def ser_hecke(f):
-    return {",".join(map(str, lam)): ser_half(c)
-            for lam, c in sorted(f.support.items())}
+            for lam, c in sorted(coeffs.items())}
 
 
 def ser_mat(m):
-    def entry(e):
-        coeffs = getattr(e, "coeffs", None)
-        if coeffs is not None:
-            return str(coeffs[0]) if len(coeffs) == 1 \
-                else ",".join(map(str, coeffs))
-        return str(e)
-    return [[entry(e) for e in row] for row in m.rows]
+    return [[",".join(map(str, e.coeffs)) for e in row] for row in m.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,8 @@ def cmd_satake(args):
     oracle = satake_by_coset_count(f, cap=args.cap)
     img = satake_transform(f)
     results = {"n": args.n, "p": args.p, "lam": list(lam),
-               "image": ser_image(img), "oracle": ser_image(oracle)}
+               "image": ser_by_weight(img.coeffs),
+               "oracle": ser_by_weight(oracle.coeffs)}
     return {"results": results, "verdicts": [
         verdict("integral transform agrees with the coset-count oracle",
                 "claim:satake-oracle-agreement", img == oracle),
@@ -307,11 +299,29 @@ def cmd_hecke(args):
     fg = convolve(f, g, cap=args.cap)
     gf = convolve(g, f, cap=args.cap)
     results = {"n": args.n, "p": args.p, "left": list(lam),
-               "right": list(mu), "product": ser_hecke(fg)}
+               "right": list(mu), "product": ser_by_weight(fg.support)}
     return {"results": results, "verdicts": [
         verdict("convolution is commutative on these basis elements",
                 "claim:hecke-commutativity", fg == gf),
     ]}
+
+
+def _check_lfactor_cap(rho, params, cap):
+    """CapExceeded when expanding the factor of rho at params costs more
+    than cap, counted as dim times a bound on the term count.  The X^j
+    coefficient sums C(dim, j) products of j weights, each a monomial of
+    degree at most j*k in the s distinct symbols (k = 2 for tensor, the
+    degree for sym/wedge, else 1): at most min(C(dim, j), C(j*k + s, s))
+    terms."""
+    dim = rho.dimension(*[t.n for t in params])
+    k = {"sym": rho.k, "wedge": rho.k, "tensor": 2}.get(rho.kind, 1)
+    s = len(set().union(*[v.free_symbols for t in params for v in t.values]))
+    terms = 0
+    for j in range(dim + 1):
+        terms += min(comb(dim, j), comb(j * k + s, s))
+        if dim * terms > cap:
+            raise CapExceeded(f"a degree-{dim} L-factor in {s} symbols "
+                              f"exceeds cap {cap}")
 
 
 def cmd_lfactor(args):
@@ -327,11 +337,13 @@ def cmd_lfactor(args):
     if mode == "rankin":
         t1 = SatakeParameter(_parse_symbols(args.left), args.q)
         t2 = SatakeParameter(_parse_symbols(args.right), args.q)
+        _check_lfactor_cap(DualRep("tensor"), (t1, t2), args.cap)
         fac = rankin_selberg(t1, t2)
         expect_deg = t1.n * t2.n
     else:
         rho = _parse_rep(args.rep)
         t = SatakeParameter(_parse_symbols(args.params), args.q)
+        _check_lfactor_cap(rho, (t,), args.cap)
         if mode == "bc":
             fac = base_change_factor(rho, t, args.d)
         else:

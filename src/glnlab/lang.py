@@ -76,20 +76,30 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     """All of GL_s over an enumerable finite ring, in coefficient order.
 
     Rows with every entry in the maximal ideal cannot occur, so the scan
-    runs over the other rows only; the determinant test decides the rest.
+    runs over the other rows only (for s = 1 that is the whole test).
+    The cofactors of the last row are computed once per head of s - 1
+    rows; each candidate last row then costs one ``dot`` for its
+    determinant.
     """
     nel = ring.size()
     if nel ** (s * s) > cap:
         raise CapExceeded(
             f"enumerating {nel}^{s * s} candidate matrices exceeds cap {cap}")
-    unit, det = ring.is_unit, ring.mat_det
+    unit, dot, neg = ring.is_unit, ring.dot, ring.neg
     rows = [r for r in itertools.product(range(nel), repeat=s)
             if any(map(unit, r))]
+    if s == 1:  # a row of one unit is its own determinant
+        return [Mat.from_codes(ring, 1, r) for r in rows]
     out = []
-    for m in itertools.product(rows, repeat=s):
-        codes = sum(m, ())
-        if unit(det(s, codes)):
-            out.append(Mat.from_codes(ring, s, codes))
+    for head in itertools.product(rows, repeat=s - 1):
+        head = sum(head, ())
+        # minor j: the head without column j
+        minors = [ring.mat_det(s - 1, tuple(
+            head[i * s + c] for i in range(s - 1) for c in range(s) if c != j))
+            for j in range(s)]
+        cof = [neg(m) if (s - 1 + j) % 2 else m for j, m in enumerate(minors)]
+        out += [Mat.from_codes(ring, s, head + r)
+                for r in rows if unit(dot(r, cof))]
     return out
 
 

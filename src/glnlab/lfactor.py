@@ -2,10 +2,13 @@
 
 A closed menu of dual-group representations (standard, dual, sym(k),
 wedge(k), tensor) is applied to a semisimple parameter t, possibly
-twisted by a coordinate permutation recording the Galois action; the
-local factor is 1/det(1 - rho(t sigma) X) with X standing for q^(-s).
-All coefficients are exact (rationals, declared symbols, roots of
-unity); no floats anywhere.
+twisted by a coordinate permutation sigma recording the Galois action;
+the local factor is 1/det(1 - rho(t sigma) X) with X standing for
+q^(-s).  On the index-tuple basis of rho, rho(t sigma) is a monomial
+matrix, so det(1 - rho(t sigma) X) is the product over its cycles C of
+(1 - c_C X^|C|), c_C the product of the signed weights around C.  All
+coefficients are exact (rationals, declared symbols, roots of unity);
+no floats anywhere.
 """
 
 from __future__ import annotations
@@ -117,24 +120,14 @@ class DualTorusElement:
 
 
 def _perm_power(perm, m):
-    n = len(perm)
-    out = tuple(range(n))
-    base = perm
-    m = m % _perm_order(perm)
-    for _ in range(m):
-        out = tuple(base[out[i]] for i in range(n))
-    return out
-
-
-def _perm_order(perm):
-    n = len(perm)
-    cur = perm
-    order = 1
-    ident = tuple(range(n))
-    while cur != ident:
-        cur = tuple(perm[cur[i]] for i in range(n))
-        order += 1
-    return order
+    """perm applied m times, read off the cycle of each point."""
+    out = []
+    for i in range(len(perm)):
+        cycle = [i]
+        while perm[cycle[-1]] != i:
+            cycle.append(perm[cycle[-1]])
+        out.append(cycle[m % len(cycle)])
+    return tuple(out)
 
 
 def semidirect_power(e, m):
@@ -172,80 +165,50 @@ def semidirect_multiply(e1, e2):
 
 
 # ---------------------------------------------------------------------------
-# representation matrices and eigenvalues
+# the monomial matrix rho(diag(t) P_sigma)
+
+def _basis_action(rho, t, t2=None, action=None):
+    """rho(diag(t) P_sigma) on the index-tuple basis of rho, P_sigma
+    sending e_j to e_i where action(i) = j: a monomial matrix, given as
+    the list of (w, j) with basis vector number b going to w times
+    basis vector number j.  w is a product of the t_i (of the 1/t_i for
+    dual) with a sign for wedge, the parity of the reordering.  A tensor
+    basis pairs coordinates of t with coordinates n.. of t2, which
+    sigma fixes."""
+    n = t.n
+    rho.dimension(n, None if t2 is None else t2.n)  # the rank checks
+    vals = list(t.values)
+    inv = [0] * n
+    for i, j in enumerate(action or range(n)):
+        inv[j] = i
+    if rho.kind == "tensor":
+        basis = list(itertools.product(range(n), range(n, n + t2.n)))
+        vals += t2.values
+        inv += range(n, n + t2.n)
+    elif rho.kind == "sym":
+        basis = list(itertools.combinations_with_replacement(range(n), rho.k))
+    else:
+        k = 1 if rho.k is None else rho.k
+        basis = list(itertools.combinations(range(n), k))
+    if rho.kind == "dual":
+        vals = [1 / v for v in vals]
+    position = {b: i for i, b in enumerate(basis)}
+    out = []
+    for b in basis:
+        image = [inv[i] for i in b]
+        key = tuple(sorted(image))
+        w = sympy.Mul(*[vals[i] for i in key])
+        if rho.kind == "wedge" and sum(
+                x > y for x, y in itertools.combinations(image, 2)) % 2:
+            w = -w
+        out.append((w, position[key]))
+    return out
+
 
 def rep_apply(rho, t, t2=None):
     """Eigenvalue multiset of rho(t) for split parameters (trivial
     Galois twist)."""
-    vals = t.values
-    n = t.n
-    if rho.kind == "standard":
-        return list(vals)
-    if rho.kind == "dual":
-        return [sympy.together(1 / v) for v in vals]
-    if rho.kind == "sym":
-        out = []
-        for combo in itertools.combinations_with_replacement(range(n), rho.k):
-            out.append(sympy.expand(sympy.prod([vals[i] for i in combo])))
-        return out
-    if rho.kind == "wedge":
-        if rho.k > n:
-            raise RankMismatch(f"wedge({rho.k}) needs rank >= {rho.k}")
-        return [sympy.expand(sympy.prod([vals[i] for i in combo]))
-                for combo in itertools.combinations(range(n), rho.k)]
-    if t2 is None:
-        raise RankMismatch("tensor needs a second parameter")
-    return [sympy.expand(a * b) for a in vals for b in t2.values]
-
-
-def _perm_matrix(perm):
-    n = len(perm)
-    return sympy.Matrix(n, n, lambda i, j: 1 if perm[i] == j else 0)
-
-
-def _sym_power_matrix(a, k):
-    """Induced matrix of a on the degree-k monomial basis."""
-    n = a.shape[0]
-    xs = sympy.symbols(f"x0:{n}")
-    basis = list(itertools.combinations_with_replacement(range(n), k))
-    images = []
-    for combo in basis:
-        poly = sympy.Integer(1)
-        for i in combo:
-            poly *= sum(a[r, i] * xs[r] for r in range(n))
-        images.append(sympy.Poly(sympy.expand(poly), *xs))
-    rows = []
-    for bi in basis:
-        mono = [0] * n
-        for i in bi:
-            mono[i] += 1
-        rows.append([img.coeff_monomial(tuple(mono)) for img in images])
-    return sympy.Matrix(rows)
-
-
-def _wedge_power_matrix(a, k):
-    """Induced matrix of a on the k-th exterior power: k x k minors."""
-    n = a.shape[0]
-    subsets = list(itertools.combinations(range(n), k))
-    return sympy.Matrix(
-        [[a[rows, cols].det() for cols in subsets] for rows in subsets])
-
-
-def rep_matrix(rho, a, b=None):
-    """rho applied to an explicit invertible matrix a (and b for tensor)."""
-    if rho.kind == "standard":
-        return a
-    if rho.kind == "dual":
-        return a.inv().T
-    if rho.kind == "sym":
-        return _sym_power_matrix(a, rho.k)
-    if rho.kind == "wedge":
-        if rho.k > a.shape[0]:
-            raise RankMismatch(f"wedge({rho.k}) needs rank >= {rho.k}")
-        return _wedge_power_matrix(a, rho.k)
-    if b is None:
-        raise RankMismatch("tensor needs a second matrix")
-    return sympy.Matrix(sympy.kronecker_product(a, b))
+    return [sympy.expand(w) for w, _ in _basis_action(rho, t, t2)]
 
 
 class LocalLFactor:
@@ -273,27 +236,21 @@ class LocalLFactor:
 
 
 def l_factor(rho, t, q=None, t2=None, action=None):
-    """det(1 - rho(t sigma) X)^-1 exactly.
-
-    With trivial action this is prod(1 - eps X) over rep_apply
-    eigenvalues; a nontrivial coordinate permutation twists the matrix
-    before the determinant.
-    """
-    q = t.q if q is None else q
-    n = t.n
-    if rho.kind == "tensor" and t2 is None:
-        raise RankMismatch("tensor needs a second parameter")
-    trivial = action is None or tuple(action) == tuple(range(n))
-    if trivial:
-        den = sympy.expand(sympy.prod(
-            [1 - eps * X for eps in rep_apply(rho, t, t2)]))
-        return LocalLFactor(den, q)
-    a = sympy.diag(*t.values) * _perm_matrix(tuple(action))
-    b = sympy.diag(*t2.values) if t2 is not None else None
-    m = rep_matrix(rho, a, b)
-    dim = m.shape[0]
-    den = sympy.expand((sympy.eye(dim) - X * m).det())
-    return LocalLFactor(den, q)
+    """det(1 - rho(t sigma) X)^-1 exactly: the product over the cycles C
+    of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
+    product of the signed weights around C."""
+    images = _basis_action(rho, t, t2, action)
+    seen, factors = set(), []
+    for start in range(len(images)):
+        c, length, j = 1, 0, start
+        while j not in seen:
+            seen.add(j)
+            w, j = images[j]
+            c *= w
+            length += 1
+        if length:
+            factors.append(1 - c * X**length)
+    return LocalLFactor(sympy.Mul(*factors), t.q if q is None else q)
 
 
 def base_change_factor(rho, t, d, q=None, action=None, t2=None):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,13 +10,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glnlab
-from glnlab.cli import build_parser, canonical_json, lint_report, run, verdict
-from glnlab.errors import InvalidConfig
+from glnlab.cli import (_check_lfactor_cap, build_parser, canonical_json,
+                        lint_report, run, verdict)
+from glnlab.errors import CapExceeded, InvalidConfig
 from glnlab.hecke import SatakeImage
+from glnlab.lfactor import DualRep, SatakeParameter, l_factor, rankin_selberg
 from glnlab.rings import HalfPowerLaurent
 from test_hecke import coset_count, rho_point
 
@@ -123,6 +127,15 @@ class TestExitCodes:
             start = time.monotonic()
             assert run(argv.split()) == 3, argv
             assert time.monotonic() - start < 5.0, argv
+        # L-factor expansions of 2 * 10^7 or more terms x degree: refused
+        # before anything is expanded
+        for argv in ("lfactor --q 2 --params a,b,c,d,e,f --rep wedge(3)",
+                     "lfactor --q 2 --params a,b,c,d --rep sym(30)",
+                     "lfactor rankin --q 2 --left a,b,c,d,e,f,g,h "
+                     "--right i,j,k,l,m,n,o,p"):
+            start = time.monotonic()
+            assert run(argv.split()) == 3, argv
+            assert time.monotonic() - start < 1.0, argv
 
     def test_rank3_satake_needs_no_flag(self, tmp_path):
         # --enable-gl3 is accepted and changes nothing
@@ -287,18 +300,47 @@ def is_prime(p):
     return p >= 2 and all(p % k for k in range(2, p))
 
 
+class TestLFactorCap:
+    def test_bound_covers_the_expanded_terms(self):
+        # a cap of dim * (actual terms) - 1 is exceeded: the bound is
+        # never below the term count of the expanded denominator
+        alpha, beta, gamma = sympy.symbols("alpha beta gamma")
+        third = sympy.Rational(1, 3)
+        entries = (alpha, beta, gamma, -1, third)
+        reps = [DualRep("standard"), DualRep("dual"), DualRep("sym", 2),
+                DualRep("sym", 3), DualRep("wedge", 2), DualRep("wedge", 3)]
+        for vals in itertools.combinations_with_replacement(entries, 3):
+            t = SatakeParameter(vals, 3)
+            cases = [(rho, (t,), l_factor(rho, t)) for rho in reps]
+            cases.append((DualRep("tensor"), (t, t),
+                          rankin_selberg(t, t)))
+            for rho, params, fac in cases:
+                dim = rho.dimension(*[u.n for u in params])
+                terms = len(sympy.Add.make_args(fac.denominator))
+                with pytest.raises(CapExceeded):
+                    _check_lfactor_cap(rho, params, dim * terms - 1)
+        # without symbols each coefficient is one number: dim + 1 terms
+        t = SatakeParameter((2, third, -1), 3)
+        for rho, params in [(rho, (t,)) for rho in reps] + [
+                (DualRep("tensor"), (t, t))]:
+            dim = rho.dimension(*[u.n for u in params])
+            _check_lfactor_cap(rho, params, dim * (dim + 1))
+            with pytest.raises(CapExceeded):
+                _check_lfactor_cap(rho, params, dim * (dim + 1) - 1)
+
+
 class TestGrammar:
     """The subcommands without a fuzz of their own, under small and bad
-    integers.  Expansion sizes in ``lfactor`` have no cap, so parameter
-    lists and representation degrees stay small."""
+    integers."""
 
     # valid values first, and more of them, so that most commands run
     PRIMES = [2, 3, 5, 7, 2, 3, -1, 0, 1, 4, 6, 9]
     QS = [2, 3, 4, 5, 7, 8, 9, 2, 3, -2, 0, 1, 6, 10]
     TOKENS = ["a", "b", "x_1", "1", "-2", "3/4"] * 3 + [
         "0", "-0", "2/0", "", "1e3", "2*a"]
-    REPS = ["standard", "dual", "trivial", "sym(0)", "sym(2)", "sym(3)",
-            "wedge(0)", "wedge(2)", "wedge(3)", "sym(-1)", "tensor"]
+    REPS = ["standard", "dual", "trivial", "sym(-1)", "wedge(-1)",
+            "tensor"] + [f"{kind}({k})" for kind in ("sym", "wedge")
+                         for k in (0, 1, 2, 3, 4, 6, 10, 20, 30)]
 
     @given(cap=st.sampled_from([5, 100, 5000, 5000]),
            command=st.sampled_from(["roots", "cartan", "lang", "h1",
@@ -314,7 +356,7 @@ class TestGrammar:
 
         def params():
             return ",".join(data.draw(st.lists(st.sampled_from(self.TOKENS),
-                                               min_size=1, max_size=3)))
+                                               min_size=1, max_size=8)))
 
         argv = ["--cap", str(cap), command]
         p = q = None

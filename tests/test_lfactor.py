@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 import sympy
@@ -24,6 +25,89 @@ alpha, beta, gamma, delta = sympy.symbols("alpha beta gamma delta")
 
 def param(vals, q=3):
     return SatakeParameter(vals, q)
+
+
+# reference: rho(diag(t) P_sigma) as an explicit sympy matrix -----------------
+
+def perm_matrix(perm):
+    n = len(perm)
+    return sympy.Matrix(n, n, lambda i, j: 1 if perm[i] == j else 0)
+
+
+def sym_power_matrix(a, k):
+    """Induced matrix of a on the degree-k monomial basis."""
+    n = a.shape[0]
+    xs = sympy.symbols(f"x0:{n}")
+    basis = list(itertools.combinations_with_replacement(range(n), k))
+    images = []
+    for combo in basis:
+        poly = sympy.Integer(1)
+        for i in combo:
+            poly *= sum(a[r, i] * xs[r] for r in range(n))
+        images.append(sympy.Poly(sympy.expand(poly), *xs))
+    rows = []
+    for bi in basis:
+        mono = [0] * n
+        for i in bi:
+            mono[i] += 1
+        rows.append([img.coeff_monomial(tuple(mono)) for img in images])
+    return sympy.Matrix(rows)
+
+
+def wedge_power_matrix(a, k):
+    """Induced matrix of a on the k-th exterior power: k x k minors."""
+    n = a.shape[0]
+    subsets = list(itertools.combinations(range(n), k))
+    return sympy.Matrix(
+        [[a[rows, cols].det() for cols in subsets] for rows in subsets])
+
+
+def rep_matrix(rho, t, t2, action):
+    a = sympy.diag(*t.values) * perm_matrix(action)
+    if rho.kind == "standard":
+        return a
+    if rho.kind == "dual":
+        return a.inv().T
+    if rho.kind == "sym":
+        return sym_power_matrix(a, rho.k)
+    if rho.kind == "wedge":
+        return wedge_power_matrix(a, rho.k)
+    return sympy.Matrix(sympy.kronecker_product(a, sympy.diag(*t2.values)))
+
+
+def monomial_cycles(m):
+    """(c_C, |C|) for each cycle C of a monomial matrix m."""
+    target = {}
+    for j in range(m.shape[1]):
+        (i,) = [i for i in range(m.shape[0]) if m[i, j] != 0]
+        target[j] = (i, m[i, j])
+    seen, out = set(), []
+    for start in target:
+        c, length, j = sympy.Integer(1), 0, start
+        while j not in seen:
+            seen.add(j)
+            j, w = target[j]
+            c *= w
+            length += 1
+        if length:
+            out.append((c, length))
+    return out
+
+
+def menu(n):
+    """Every menu representation that makes sense at rank n."""
+    return ([DualRep("standard"), DualRep("dual"), DualRep("tensor")]
+            + [DualRep("sym", k) for k in range(4)]
+            + [DualRep("wedge", k) for k in range(n + 1)])
+
+
+def twisted_cases():
+    partner = param((gamma, delta))
+    for n in (1, 2, 3):
+        t = param((alpha, beta, sympy.Rational(2, 3))[:n])
+        for action in itertools.permutations(range(n)):
+            for rho in menu(n):
+                yield rho, t, partner if rho.kind == "tensor" else None, action
 
 
 class TestParameters:
@@ -122,6 +206,38 @@ class TestLFactor:
         f = l_factor(DualRep("sym", 2), param((alpha, beta)), action=(0, 1))
         g = l_factor(DualRep("sym", 2), param((alpha, beta)))
         assert f == g
+
+
+class TestMatrixOracle:
+    """l_factor against det(1 - rho(t sigma) X) of the explicit matrix,
+    for every sigma in S_n (n <= 3) and every menu representation."""
+
+    def test_determinant_of_explicit_matrix(self):
+        mismatches = []
+        for rho, t, t2, action in twisted_cases():
+            m = rep_matrix(rho, t, t2, action)
+            want = sympy.expand((sympy.eye(m.shape[0]) - X * m).det())
+            got = l_factor(rho, t, t2=t2, action=action).denominator
+            if str(got) != str(want):
+                mismatches.append((rho, t, action))
+        assert mismatches == []
+
+    def test_base_change_splits_each_cycle_by_gcd(self):
+        # (rho(t sigma))^d splits a cycle C into g = gcd(|C|, d) cycles
+        # of length |C|/g, each with product c_C^(d/g)
+        mismatches = []
+        for rho, t, t2, action in twisted_cases():
+            if t2 is not None:
+                continue
+            cycles = monomial_cycles(rep_matrix(rho, t, t2, action))
+            for d in range(1, 5):
+                want = sympy.expand(sympy.Mul(*[
+                    (1 - c**(d // g) * X**(d * size // g))**g
+                    for c, size in cycles for g in [gcd(size, d)]]))
+                got = base_change_factor(rho, t, d, action=action).denominator
+                if str(got) != str(want):
+                    mismatches.append((rho, t, action, d))
+        assert mismatches == []
 
 
 class TestSemidirect:
