@@ -306,21 +306,26 @@ def cmd_hecke(args):
     ]}
 
 
-def _check_lfactor_cap(rho, params, cap):
-    """CapExceeded when expanding the factor of rho at params costs more
-    than cap, counted as dim times a bound on the term count.  The X^j
-    coefficient sums C(dim, j) products of j weights, each a monomial of
-    degree at most j*k in the s distinct symbols (k = 2 for tensor, the
-    degree for sym/wedge, else 1): at most min(C(dim, j), C(j*k + s, s))
-    terms."""
+def _check_lfactor_cap(rho, params, cap, d=1):
+    """CapExceeded when the factor of rho at params, after base change of
+    degree d, costs more than cap, counted as terms times degree.
+
+    The d - 1 passes of the degree-d norm come first: pass i forms n
+    products of i + 1 parameters (monomials of degree i + 1, or
+    rationals of i + 1 factors), charged i + 1 each.  Then the X^j
+    coefficient of the factor, of degree dim*d in X, sums C(dim, j)
+    products of j weights, each a monomial of degree at most j*k*d in
+    the s distinct symbols (k = 2 for tensor, the degree for sym/wedge,
+    else 1): at most min(C(dim, j), C(j*k*d + s, s)) terms."""
     dim = rho.dimension(*[t.n for t in params])
     k = {"sym": rho.k, "wedge": rho.k, "tensor": 2}.get(rho.kind, 1)
     s = len(set().union(*[v.free_symbols for t in params for v in t.values]))
+    passes = params[0].n * (d * (d + 1) // 2 - 1)
     terms = 0
     for j in range(dim + 1):
-        terms += min(comb(dim, j), comb(j * k + s, s))
-        if dim * terms > cap:
-            raise CapExceeded(f"a degree-{dim} L-factor in {s} symbols "
+        terms += min(comb(dim, j), comb(j * k * d + s, s))
+        if passes + dim * d * terms > cap:
+            raise CapExceeded(f"a degree-{dim * d} L-factor in {s} symbols "
                               f"exceeds cap {cap}")
 
 
@@ -343,7 +348,8 @@ def cmd_lfactor(args):
     else:
         rho = _parse_rep(args.rep)
         t = SatakeParameter(_parse_symbols(args.params), args.q)
-        _check_lfactor_cap(rho, (t,), args.cap)
+        _check_lfactor_cap(rho, (t,), args.cap,
+                           args.d if mode == "bc" else 1)
         if mode == "bc":
             fac = base_change_factor(rho, t, args.d)
         else:

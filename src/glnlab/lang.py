@@ -6,13 +6,17 @@ norm-vs-conjugacy matching) is exact, never sampled.  Twisted classes
 and H^1 classes are orbits of c -> g^-1 c sigma(g), each closed under a
 generating set of the group (for GL_s(O/p^n): at most three matrices
 plus one diagonal unit per F_p-basis vector of each layer of 1 + pR).
-Plain conjugacy classes of GL_s(F_q) are the fibres of the rational
-canonical form.  The enumeration loops work on the flat code tuples of
-``Mat`` (see ``rings``) and wrap only their results as matrices.
+The H^1 cocycles of GL_s(O/p^n), n >= 2, are found among the lifts of
+those of GL_s(O/p^(n-1)), so only GL_s(F_q) is ever enumerated for
+them.  Plain conjugacy classes of GL_s(F_q) are the fibres of the
+rational canonical form.  The enumeration loops work on the flat code
+tuples of ``Mat`` (see ``rings``) and wrap only their results as
+matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -47,29 +51,52 @@ def factor_prime_power(q):
 
 
 class GaloisModule:
-    """An enumerated matrix group with a cyclic Frobenius action.
+    """A matrix group with a cyclic Frobenius action.
 
     The action is entrywise sigma^exponent, sigma the Frobenius lift of
-    ``ring``; ``d`` is its order.  Elements are ``Mat``s over ``ring``
-    with offset 0.  ``generators``, if given, is a callable returning
-    flat code tuples that generate the group.  ``twisted_classes`` and
-    ``h1_cyclic`` need it and call it, so a module that never reaches
-    them (as in ``lang_image``) builds none.
+    ``ring``; ``d`` is its order.  ``elements`` are ``Mat``s over
+    ``ring`` with offset 0: a list, or a callable that builds it on
+    first read (then ``s``, the matrix size, must be given).
+    ``generators``, if given, is a callable returning flat code tuples
+    that generate the group.  ``twisted_classes`` and ``h1_cyclic`` need
+    it and call it, so a module that never reaches them (as in
+    ``lang_image``) builds none.  ``below``, if given, is a callable
+    returning a pair (ring O/p^(n-1), the cocycles of the group's
+    reduction to it); ``h1_cyclic`` then tests only their lifts and
+    never reads ``elements``.
     """
 
-    def __init__(self, elements, ring, exponent=1, generators=None):
-        self.elements = list(elements)
+    def __init__(self, elements, ring, exponent=1, generators=None, s=None,
+                 below=None):
+        if callable(elements):
+            self._build = elements
+        else:
+            self.elements = list(elements)  # shadows the lazy property
         self.ring = ring
         self.exponent = exponent
         self.d = ring.d // math.gcd(ring.d, exponent)
         self.generators = generators
+        self.s = self.elements[0].size if s is None else s
+        self.below = below
+
+    @functools.cached_property
+    def elements(self):
+        return self._build()
 
     def sigma(self, m, k=1):
         """sigma^k of a Mat."""
         return m.sigma(self.exponent * k)
 
     def identity(self):
-        return Mat.identity(self.ring, self.elements[0].size)
+        return Mat.identity(self.ring, self.s)
+
+
+def _admit(ring, s, cap):
+    """CapExceeded unless the size^(s^2) candidate matrices fit cap."""
+    nel = ring.size()
+    if nel ** (s * s) > cap:
+        raise CapExceeded(
+            f"enumerating {nel}^{s * s} candidate matrices exceeds cap {cap}")
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
@@ -81,10 +108,8 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     rows; each candidate last row then costs one ``dot`` for its
     determinant.
     """
+    _admit(ring, s, cap)
     nel = ring.size()
-    if nel ** (s * s) > cap:
-        raise CapExceeded(
-            f"enumerating {nel}^{s * s} candidate matrices exceeds cap {cap}")
     unit, dot, neg = ring.is_unit, ring.dot, ring.neg
     rows = [r for r in itertools.product(range(nel), repeat=s)
             if any(map(unit, r))]
@@ -140,11 +165,27 @@ def _gl_generators(ring, s):
     return gens
 
 
-def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
-    """GL_s over a finite field or truncated local ring with entrywise
-    Frobenius^sigma_exponent as the Galois action."""
-    return GaloisModule(gl_elements(ring, s, cap=cap), ring, sigma_exponent,
-                        generators=lambda: _gl_generators(ring, s))
+def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP, below=None):
+    """GL_s over a finite field or truncated local ring R = O/p^n with
+    entrywise Frobenius^sigma_exponent as the Galois action.
+
+    The cap is checked here, the elements are enumerated on first read.
+    At level n >= 2 the module's ``below`` gives the cocycles of
+    GL_s(O/p^(n-1)): the pair ``below`` (that ring, its cocycles) if
+    given, else those of its own ``gl_module``, found on first use.
+    """
+    _admit(ring, s, cap)
+    if ring.n >= 2 and below is None:
+        def source():
+            # the residue field has passed its cap with ring
+            low = TruncatedLocalRing(ring.p, ring.n - 1, ring.d, cap=ring.q)
+            return low, _cocycles(gl_module(low, s, sigma_exponent, cap))
+    else:
+        source = None if below is None else lambda: below
+    return GaloisModule(lambda: gl_elements(ring, s, cap=cap), ring,
+                        sigma_exponent,
+                        generators=lambda: _gl_generators(ring, s), s=s,
+                        below=source)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +194,6 @@ def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
 def lang_map(x, module):
     """x^-1 * sigma(x)."""
     return x.inverse() * module.sigma(x)
-
-
-def _coded(module):
-    """(ring, matrix size, {codes: codes of sigma}) of a module, in the
-    order of its elements."""
-    ring, e = module.ring, module.exponent
-    sigma = {m.codes: ring.mat_sigma(m.codes, e) for m in module.elements}
-    return ring, module.elements[0].size, sigma
 
 
 def _sandwich(ring, s, a, b):
@@ -188,7 +221,7 @@ def _twisted_orbits(module, codes, allowed, leaving):
     """
     if module.generators is None:
         raise InvalidConfig("orbits need a module with generators")
-    ring, s = module.ring, module.elements[0].size
+    ring, s = module.ring, module.s
     dot = ring.dot
     moves = [_sandwich(ring, s, ring.mat_inv(s, g),
                        ring.mat_sigma(g, module.exponent))
@@ -212,9 +245,10 @@ def _twisted_orbits(module, codes, allowed, leaving):
 
 
 def lang_image(module):
-    ring, s, sigma = _coded(module)
-    mul, inv = ring.mat_mul, ring.mat_inv
-    image = {mul(s, inv(s, x), sx) for x, sx in sigma.items()}
+    ring, s, e = module.ring, module.s, module.exponent
+    mul, inv, sigma = ring.mat_mul, ring.mat_inv, ring.mat_sigma
+    image = {mul(s, inv(s, x), sigma(x, e))
+             for x in (m.codes for m in module.elements)}
     return {Mat.from_codes(ring, s, c) for c in image}
 
 
@@ -234,7 +268,7 @@ def twisted_classes(module):
     element (``representative``) and the ``size``.  A generator that
     moves an element out of the group raises MatchFailure.
     """
-    ring, s = module.ring, module.elements[0].size
+    ring, s = module.ring, module.s
     codes = [m.codes for m in module.elements]
     leaving = MatchFailure("a twisted class leaves the group")
     return [{"representative": Mat.from_codes(ring, s, min(orbit)),
@@ -245,26 +279,61 @@ def twisted_classes(module):
 # ---------------------------------------------------------------------------
 # H^1 for cyclic actions
 
+def _lifts(ring, low, cocycles):
+    """Every lift to ring = O/p^n of the flat code matrices ``cocycles``
+    over low = O/p^(n-1): each entry's coefficients read at level n, plus
+    p^(n-1) times a digit vector in [0, p)^d.  The coefficients are
+    below p^(n-1), so the sum is a sum of codes (no carry)."""
+    steps = [low.pn * ring.encode(t)
+             for t in itertools.product(range(ring.p), repeat=ring.d)]
+    for c in cocycles:
+        yield from itertools.product(
+            *[[ring.encode(low.decode(a)) + x for x in steps] for a in c])
+
+
+def _cocycles(module):
+    """The code tuples c with c sigma(c) ... sigma^(d-1)(c) = 1: among
+    the lifts of the module's ``below``, in code order, if it has one,
+    with sigma computed per candidate; else among all its elements, in
+    their order, with one sigma per element (sigma maps the group to
+    itself)."""
+    ring, s, e = module.ring, module.s, module.exponent
+    mul = ring.mat_mul
+    ident = Mat.identity(ring, s).codes
+    if module.below is None:
+        codes = [m.codes for m in module.elements]
+        sigma = {c: ring.mat_sigma(c, e) for c in codes}.__getitem__
+    else:
+        codes = _lifts(ring, *module.below())
+        sigma = functools.partial(ring.mat_sigma, e=e)
+
+    def is_cocycle(c):
+        acc = cur = c
+        for _ in range(module.d - 1):
+            cur = sigma(cur)
+            acc = mul(s, acc, cur)
+        return acc == ident
+
+    out = list(filter(is_cocycle, codes))
+    return out if module.below is None else sorted(out)
+
+
 def h1_cyclic(module):
     """Cocycles c with c sigma(c) ... sigma^{d-1}(c) = 1 and their classes
     under c ~ a^-1 c sigma(a).
 
-    Every group element is tested for the cocycle condition; the classes
-    are ``_twisted_orbits`` of the cocycles, and a move outside the
-    cocycle set raises NotACocycle.  ``cocycles`` are code tuples.
+    Reduction mod p^(n-1) is a sigma-equivariant homomorphism (the
+    canonical Frobenius lift reduces to the canonical lift), so every
+    cocycle of GL_s(O/p^n) lies over one of GL_s(O/p^(n-1)): at level
+    n >= 2 of ``gl_module`` only their lifts, |Z_(n-1)| q^(s^2) of them,
+    are tested, and the group is never enumerated.  Fields and other
+    modules test every element.  The classes are ``_twisted_orbits`` of
+    the cocycles, and a move outside the cocycle set raises NotACocycle.
+    ``cocycles`` are code tuples, in code order for ``gl_module``.
     """
-    ring, s, sigma = _coded(module)
-    mul = ring.mat_mul
+    ring, s = module.ring, module.s
     ident = Mat.identity(ring, s).codes
-
-    def norm(c):
-        acc = cur = c
-        for _ in range(module.d - 1):
-            cur = sigma[cur]
-            acc = mul(s, acc, cur)
-        return acc
-
-    cocycles = [c for c in sigma if norm(c) == ident]
+    cocycles = _cocycles(module)
     leaving = NotACocycle("a class leaves the cocycle set")
     classes = [{"representative": Mat.from_codes(ring, s, min(orbit)),
                 "size": len(orbit),
@@ -305,25 +374,34 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
 
 def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     """|H^1| for GL_s at each truncation level and for the congruence
-    kernels between consecutive levels, plus level-compatibility."""
+    kernels between consecutive levels, plus level-compatibility.
+
+    The levels are walked up once, each level's cocycles the ``below``
+    of the next, so only level 1 is enumerated; every lift of a unit
+    matrix is a unit, so |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
+    """
     report = {"levels": [], "kernels": [], "compatible": True}
-    low = prev_cocycles = None
+    below = None
     for n in range(1, max_level + 1):
         ring = TruncatedLocalRing(p, n, d)
-        module = gl_module(ring, s, cap=cap)
+        module = gl_module(ring, s, cap=cap, below=below)
         res = h1_cyclic(module)
+        if n == 1:
+            order = len(module.elements)
         report["levels"].append({"level": n,
-                                 "group_order": len(module.elements),
+                                 "group_order": order,
                                  "h1_size": res["h1_size"],
                                  "cocycle_count": res["cocycle_count"]})
-        cocycles = set(res["cocycles"])
-        if low is not None:
+        cocycles = res["cocycles"]
+        if below is not None:
             # reduction must carry level-n cocycles to level-(n-1) cocycles
+            low, prev_cocycles = below
             reduced = {tuple(low.encode(ring.decode(a)) for a in c)
                        for c in cocycles}
-            if not reduced <= prev_cocycles:
+            if not reduced <= set(prev_cocycles):
                 report["compatible"] = False
-        low, prev_cocycles = ring, cocycles
+        below = ring, cocycles
+        order *= ring.q**(s * s)
     for a in range(1, max_level):
         module = congruence_kernel_module(p, d, a, a + 1, s, cap=cap)
         res = h1_cyclic(module)

@@ -257,12 +257,15 @@ def base_change_factor(rho, t, d, q=None, action=None, t2=None):
     """Local factor after unramified base change of degree d.
 
     The parameter is replaced by its degree-d Galois norm and the
-    variable by X^d (the extension's q^(-s) is q^(-ds))."""
+    variable by X^d (the extension's q^(-s) is q^(-ds)).  A tensor
+    partner t2 is normed too, under the trivial action its coordinates
+    have in ``l_factor``: it becomes t2^d."""
     if d < 1:
         raise ValueError("need d >= 1")
     q = t.q if q is None else q
-    e = DualTorusElement(1, t, action=action)
-    ed = semidirect_power(e, d)
+    ed = semidirect_power(DualTorusElement(1, t, action=action), d)
+    if t2 is not None:
+        t2 = semidirect_power(DualTorusElement(1, t2), d).t
     residual = ed.action
     base = l_factor(rho, ed.t, q, t2=t2,
                     action=None if residual == tuple(range(t.n)) else residual)

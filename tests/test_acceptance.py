@@ -46,7 +46,7 @@ def test_criterion_02_root_axioms_and_weyl_orders():
 
 
 def test_criterion_03_h1_triviality():
-    with Budget(2.0):
+    with Budget(0.3):
         ok, _ = audit.h1_triviality(CAP, SEED)
     assert ok
 

@@ -19,7 +19,8 @@ from glnlab.cli import (_check_lfactor_cap, build_parser, canonical_json,
                         lint_report, run, verdict)
 from glnlab.errors import CapExceeded, InvalidConfig
 from glnlab.hecke import SatakeImage
-from glnlab.lfactor import DualRep, SatakeParameter, l_factor, rankin_selberg
+from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
+                            l_factor, rankin_selberg)
 from glnlab.rings import HalfPowerLaurent
 from test_hecke import coset_count, rho_point
 
@@ -123,7 +124,10 @@ class TestExitCodes:
                      # 12! Weyl elements and (300 - 1)^2 * 300 pairing
                      # terms: refused before anything is built
                      "roots --n 12",
-                     "cartan --n 300"):
+                     "cartan --n 300",
+                     # 64^4 candidate matrices over Z/64, though the
+                     # cocycles are found by lifting from level 1
+                     "h1 --p 2 --d 1 --s 2 --level 6"):
             start = time.monotonic()
             assert run(argv.split()) == 3, argv
             assert time.monotonic() - start < 5.0, argv
@@ -131,6 +135,8 @@ class TestExitCodes:
         # before anything is expanded
         for argv in ("lfactor --q 2 --params a,b,c,d,e,f --rep wedge(3)",
                      "lfactor --q 2 --params a,b,c,d --rep sym(30)",
+                     # about 10^10 for the norm's 10^5 passes
+                     "lfactor bc --d 100000 --params a,b --q 2",
                      "lfactor rankin --q 2 --left a,b,c,d,e,f,g,h "
                      "--right i,j,k,l,m,n,o,p"):
             start = time.monotonic()
@@ -328,6 +334,27 @@ class TestLFactorCap:
             with pytest.raises(CapExceeded):
                 _check_lfactor_cap(rho, params, dim * (dim + 1) - 1)
 
+    def test_base_change_charges_the_norm_passes(self):
+        # bc at degree d is charged its d - 1 norm passes on top of terms
+        # x degree of the base-changed factor, and never below them
+        alpha, beta = sympy.symbols("alpha beta")
+        reps = [DualRep("standard"), DualRep("sym", 2), DualRep("wedge", 2)]
+        for vals in [(alpha, beta), (alpha, sympy.Rational(1, 3), -1)]:
+            t = SatakeParameter(vals, 3)
+            for rho, d in itertools.product(reps, (1, 2, 3)):
+                fac = base_change_factor(rho, t, d)
+                terms = len(sympy.Add.make_args(fac.denominator))
+                passes = t.n * (d * (d + 1) // 2 - 1)
+                dim = rho.dimension(t.n)
+                with pytest.raises(CapExceeded):
+                    _check_lfactor_cap(rho, (t,), passes + dim * d * terms - 1,
+                                       d)
+        # the norm alone of 10^5 passes is about 10^10
+        with pytest.raises(CapExceeded):
+            _check_lfactor_cap(DualRep("standard"),
+                               (SatakeParameter((alpha, beta), 2),), 10**9,
+                               100000)
+
 
 class TestGrammar:
     """The subcommands without a fuzz of their own, under small and bad
@@ -393,8 +420,10 @@ class TestGrammar:
             if mode == "rankin":
                 argv += ["--left", params(), "--right", params()]
             else:
+                d = data.draw(st.sampled_from([*range(1, 4)] * 2
+                                              + [0, -1, 1000, 100000]))
                 argv += ["--rep", data.draw(st.sampled_from(self.REPS)),
-                         "--d", draw(3), "--params", params()]
+                         "--d", str(d), "--params", params()]
         else:
             argv = ["--seed", draw(9)] + argv + [data.draw(
                 st.sampled_from(["paper-audit", "full", "nonsense"]))]

@@ -124,6 +124,23 @@ def whole_group_h1(module):
     return cocycles, classes
 
 
+def whole_group_cocycles(module):
+    """Codes of the elements c with c sigma(c) ... sigma^(d-1)(c) = 1,
+    by a norm test of every element of the group: the reference for the
+    lifted cocycles of h1_cyclic."""
+    ring, s, e = module.ring, module.s, module.exponent
+    ident = Mat.identity(ring, s).codes
+    out = []
+    for g in module.elements:
+        acc = cur = g.codes
+        for _ in range(module.d - 1):
+            cur = ring.mat_sigma(cur, e)
+            acc = ring.mat_mul(s, acc, cur)
+        if acc == ident:
+            out.append(g.codes)
+    return out
+
+
 def whole_group_classes(elements, lefts, rights):
     """Orbits a -> u * a * w, u and w paired from the code tuples lefts and
     rights, each formed over the whole group in the order of elements,
@@ -565,14 +582,46 @@ class TestH1Orbits:
 
     def test_cocycle_count_closed_form(self):
         # trivial H^1 makes the cocycles G / G^sigma, G^sigma the GL_s
-        # of the Frobenius-fixed subring, of residue degree 1
+        # of the Frobenius-fixed subring, of residue degree 1; at levels
+        # >= 2 the lifted cocycles are those of a norm scan of the whole
+        # group.  The scan sets the size bound: the next sizes of the
+        # grid, 5^8 and 3^12, would add more than 10 s of scanning.
         start = time.monotonic()
         cases = [(p, d, s, level) for p in (2, 3, 5) for d in (1, 2, 3)
                  for s in (1, 2) for level in (1, 2, 3, 4)
                  if p ** (level * d * s * s) <= 10**5]
         for p, d, s, level in cases:
-            res = h1_cyclic(gl_module(TruncatedLocalRing(p, level, d), s))
+            module = gl_module(TruncatedLocalRing(p, level, d), s)
+            res = h1_cyclic(module)
             assert res["cocycle_count"] == \
                 gl_order(p, level, d, s) // gl_order(p, level, 1, s)
             assert res["h1_size"] == 1
+            assert res["cocycles"] == whole_group_cocycles(module)
         assert time.monotonic() - start < 10.0
+
+    def test_no_level_n_group_is_enumerated(self, monkeypatch):
+        # h1 and the tower enumerate GL_s of the residue field only
+        import glnlab.lang as lang
+        levels = []
+        real = lang.gl_elements
+        monkeypatch.setattr(lang, "gl_elements", lambda ring, *args, **kw:
+                            levels.append(ring.n) or real(ring, *args, **kw))
+        for p, n, d, s in [(2, 2, 2, 2), (3, 4, 2, 1), (2, 4, 1, 2),
+                           (2, 3, 1, 2)]:
+            h1_cyclic(gl_module(TruncatedLocalRing(p, n, d), s))
+        h1_level_tower(2, 2, 2, 2)
+        h1_level_tower(1, 3, 2, 4)
+        assert levels and set(levels) == {1}
+
+    def test_level_tower_orders_and_cocycles(self):
+        # the tower's orders are the closed form, and its counts those of
+        # h1_cyclic on each level's own module
+        for s, p, d, top in [(1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 1, 3)]:
+            rep = h1_level_tower(s, p, d, top)
+            assert rep["compatible"]
+            for level in rep["levels"]:
+                n = level["level"]
+                assert level["group_order"] == gl_order(p, n, d, s)
+                res = h1_cyclic(gl_module(TruncatedLocalRing(p, n, d), s))
+                assert level["cocycle_count"] == res["cocycle_count"]
+                assert level["h1_size"] == res["h1_size"] == 1

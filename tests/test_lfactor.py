@@ -227,14 +227,13 @@ class TestMatrixOracle:
         # of length |C|/g, each with product c_C^(d/g)
         mismatches = []
         for rho, t, t2, action in twisted_cases():
-            if t2 is not None:
-                continue
             cycles = monomial_cycles(rep_matrix(rho, t, t2, action))
             for d in range(1, 5):
                 want = sympy.expand(sympy.Mul(*[
                     (1 - c**(d // g) * X**(d * size // g))**g
                     for c, size in cycles for g in [gcd(size, d)]]))
-                got = base_change_factor(rho, t, d, action=action).denominator
+                got = base_change_factor(rho, t, d, action=action,
+                                         t2=t2).denominator
                 if str(got) != str(want):
                     mismatches.append((rho, t, action, d))
         assert mismatches == []
@@ -292,6 +291,11 @@ class TestBaseChange:
     def test_gl1_degree2(self):
         f = base_change_factor(DualRep("standard"), param((alpha,)), 2)
         assert f.denominator == sympy.expand(1 - alpha**2 * X**2)
+
+    def test_tensor_norms_both_parameters(self):
+        f = base_change_factor(DualRep("tensor"), param((alpha,)), 2,
+                               t2=param((beta,)))
+        assert f.denominator == sympy.expand(1 - alpha**2 * beta**2 * X**2)
 
     def test_trivial_rep_any_d(self):
         for d in (2, 3, 4):
