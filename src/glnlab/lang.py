@@ -165,27 +165,25 @@ def _gl_generators(ring, s):
     return gens
 
 
-def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP, below=None):
+def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     """GL_s over a finite field or truncated local ring R = O/p^n with
     entrywise Frobenius^sigma_exponent as the Galois action.
 
     The cap is checked here, the elements are enumerated on first read.
     At level n >= 2 the module's ``below`` gives the cocycles of
-    GL_s(O/p^(n-1)): the pair ``below`` (that ring, its cocycles) if
-    given, else those of its own ``gl_module``, found on first use.
+    GL_s(O/p^(n-1)), those of its own ``gl_module``, found on first use.
     """
     _admit(ring, s, cap)
-    if ring.n >= 2 and below is None:
-        def source():
+    below = None
+    if ring.n >= 2:
+        def below():
             # the residue field has passed its cap with ring
             low = TruncatedLocalRing(ring.p, ring.n - 1, ring.d, cap=ring.q)
             return low, _cocycles(gl_module(low, s, sigma_exponent, cap))
-    else:
-        source = None if below is None else lambda: below
     return GaloisModule(lambda: gl_elements(ring, s, cap=cap), ring,
                         sigma_exponent,
                         generators=lambda: _gl_generators(ring, s), s=s,
-                        below=source)
+                        below=below)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +279,14 @@ def twisted_classes(module):
 
 def _lifts(ring, low, cocycles):
     """Every lift to ring = O/p^n of the flat code matrices ``cocycles``
-    over low = O/p^(n-1): each entry's coefficients read at level n, plus
-    p^(n-1) times a digit vector in [0, p)^d.  The coefficients are
-    below p^(n-1), so the sum is a sum of codes (no carry)."""
-    steps = [low.pn * ring.encode(t)
-             for t in itertools.product(range(ring.p), repeat=ring.d)]
+    over low = O/p^(n-1): each entry's coefficients plus p^(n-1) times a
+    digit vector in [0, p)^d."""
+    digits = list(itertools.product(range(ring.p), repeat=ring.d))
     for c in cocycles:
-        yield from itertools.product(
-            *[[ring.encode(low.decode(a)) + x for x in steps] for a in c])
+        yield from itertools.product(*[
+            [ring.encode([x + low.pn * t for x, t in zip(low.decode(a), ts)])
+             for ts in digits]
+            for a in c])
 
 
 def _cocycles(module):
@@ -374,34 +372,31 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
 
 def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     """|H^1| for GL_s at each truncation level and for the congruence
-    kernels between consecutive levels, plus level-compatibility.
+    kernels between consecutive levels, plus level-compatibility: the
+    level-n cocycles must reduce onto the level-(n-1) ones, so each of
+    those must have a lift that is a cocycle.
 
-    The levels are walked up once, each level's cocycles the ``below``
-    of the next, so only level 1 is enumerated; every lift of a unit
-    matrix is a unit, so |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
+    Only level 1 is enumerated; every lift of a unit matrix is a unit,
+    so |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
     """
     report = {"levels": [], "kernels": [], "compatible": True}
-    below = None
+    low = prev_cocycles = None
     for n in range(1, max_level + 1):
         ring = TruncatedLocalRing(p, n, d)
-        module = gl_module(ring, s, cap=cap, below=below)
+        module = gl_module(ring, s, cap=cap)
         res = h1_cyclic(module)
-        if n == 1:
-            order = len(module.elements)
+        order = len(module.elements) if n == 1 else order * ring.q**(s * s)
         report["levels"].append({"level": n,
                                  "group_order": order,
                                  "h1_size": res["h1_size"],
                                  "cocycle_count": res["cocycle_count"]})
-        cocycles = res["cocycles"]
-        if below is not None:
-            # reduction must carry level-n cocycles to level-(n-1) cocycles
-            low, prev_cocycles = below
+        cocycles = set(res["cocycles"])
+        if low is not None:
             reduced = {tuple(low.encode(ring.decode(a)) for a in c)
                        for c in cocycles}
-            if not reduced <= set(prev_cocycles):
+            if reduced != prev_cocycles:
                 report["compatible"] = False
-        below = ring, cocycles
-        order *= ring.q**(s * s)
+        low, prev_cocycles = ring, cocycles
     for a in range(1, max_level):
         module = congruence_kernel_module(p, d, a, a + 1, s, cap=cap)
         res = h1_cyclic(module)
