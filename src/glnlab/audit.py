@@ -88,8 +88,8 @@ def simplex_counts(cap, seed):
 
 
 def iwasawa_reconstruction(cap, seed):
-    ok = building.iwasawa_sample_failures(2, 6, 1000,
-                                          random.Random(seed)) == 0
+    ok = building.iwasawa_sample_failures(2, 6, 1000, random.Random(seed),
+                                          cap=cap) == 0
     for p in (2, 3):
         for g in lang.gl_elements(FiniteField(p, 1), 2):
             b, k = building.iwasawa_decompose(g)

@@ -127,50 +127,72 @@ def iwasawa_decompose(g):
     working bottom row up; ties break to the leftmost pivot.  k is the
     product of their inverses, applied to the identity as row
     operations: a swap of columns a and b swaps rows a and b of k, and
-    "column j += c * column i" is "row i of k -= c * row j".
+    "column j += c * column i" is "row i of k -= c * row j".  Both are
+    updated in place, entry by entry, on flat row-major code lists.  A
+    column operation at row i skips the rows below i, whose entries in
+    the columns left of their pivots are already zero.
     """
     n, ring = g.size, g.ring
-    add, mul = ring.add, ring.mul
-    row = [slice(r * n, r * n + n) for r in range(n)]
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    valuation, divide = ring.valuation, ring.divide_exact_p_power
     work = list(g.codes)
     k = [ring.one_code if r == c else 0 for r in range(n) for c in range(n)]
     for i in range(n - 1, 0, -1):
-        vals = [ring.valuation(a) for a in work[row[i]][:i + 1]]
+        ri = i * n
+        vals = [valuation(a) for a in work[ri:ri + i + 1]]
         v = min(vals)
         if v >= ring.n:
             raise PrecisionExhausted("pivot row vanishes at working precision")
         piv = vals.index(v)  # leftmost minimal valuation
         if piv != i:
-            work[piv::n], work[i::n] = work[i::n], work[piv::n]
-            k[row[piv]], k[row[i]] = k[row[i]], k[row[piv]]
+            rp = piv * n
+            for r in range(0, ri + n, n):
+                work[r + piv], work[r + i] = work[r + i], work[r + piv]
+            for c in range(n):
+                k[rp + c], k[ri + c] = k[ri + c], k[rp + c]
         # the pivot is p^v times a unit u
-        u_inv = ring.inv(ring.divide_exact_p_power(work[i * n + i], v))
+        u_inv = ring.inv(divide(work[ri + i], v))
         for j in range(i):
-            if not work[i * n + j]:
+            if not work[ri + j]:
                 continue
             # t = entry / pivot; column j -= t * column i
-            t = mul(ring.divide_exact_p_power(work[i * n + j], v), u_inv)
-            c = ring.neg(t)
-            work[j::n] = [add(x, mul(c, y))
-                          for x, y in zip(work[j::n], work[i::n])]
-            k[row[i]] = [add(x, mul(t, y))
-                         for x, y in zip(k[row[i]], k[row[j]])]
-            if work[i * n + j]:
+            t = mul(divide(work[ri + j], v), u_inv)
+            c = neg(t)
+            for r in range(0, ri + n, n):
+                work[r + j] = add(work[r + j], mul(c, work[r + i]))
+            rj = j * n
+            for col in range(n):
+                k[ri + col] = add(k[ri + col], mul(t, k[rj + col]))
+            if work[ri + j]:
                 raise PrecisionExhausted("shear failed to clear the entry")
     return (Mat.from_codes(ring, n, tuple(work), g.offset),
             Mat.from_codes(ring, n, tuple(k)))
 
 
-def iwasawa_sample_failures(p, precision, count, rng):
+def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
     """Failures of g = b * k among count random 2x2 samples.
 
     Entries are drawn below p^precision, with a global p-power offset in
     [-2, 2]; a sample is redrawn unless v(det g) < min(3, precision), so
     its determinant is nonzero at working precision.  A sample fails
     unless b * k == g, b is upper triangular and k has unit determinant.
+
+    CapExceeded, before the ring is built (so p^precision is never
+    formed), when count * w exceeds the cap: a sample costs
+    w = ceil(bits/64)^2 work units, where bits = precision * bit length
+    of p bounds the bits of p^precision.  Measured per unit (2-core
+    x86-64, Python 3.11.7): 15-18 us at one word, 1.3-3.4 us at 3-5
+    words (p^precision of 149-161 bits), 0.02-0.12 us from 32 to 3125
+    words, so the square over-charges large precisions, and a request
+    the default cap of 10^6 accepts runs at most about 20 s there.  A
+    precision below 1 is charged nothing and refused by the ring.
     """
+    words = -(-max(precision, 0) * p.bit_length() // 64)
+    if count * words * words > cap:
+        raise CapExceeded(f"{count} samples of {words}^2 work units each "
+                          f"exceed cap {cap}")
     ring = TruncatedLocalRing(p, precision, 1)
-    top, bound = p**precision, min(3, precision)
+    top, bound = ring.pn, min(3, precision)
     done = failures = 0
     while done < count:
         offset = rng.randint(-2, 2)

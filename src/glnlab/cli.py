@@ -226,7 +226,8 @@ def cmd_building(args):
         if args.count < 1:
             raise InvalidConfig("building iwasawa needs --count >= 1")
         failures = iwasawa_sample_failures(args.p, args.precision, args.count,
-                                           random.Random(args.seed))
+                                           random.Random(args.seed),
+                                           cap=args.cap)
         results = {"p": args.p, "precision": args.precision,
                    "count": args.count, "failures": failures,
                    "seed": args.seed}

@@ -120,6 +120,37 @@ def _minor(a, s, i, j):
                  for c in range(s) if c != j)
 
 
+def _unit_inverse(p, n):
+    """The map a -> a^-1 mod p^n on integers a prime to p; NotInvertible
+    when p divides a.
+
+    Newton (Hensel) lifting, as in von zur Gathen-Gerhard, Modern
+    Computer Algebra, 9.1: the exponents n, ceil(n/2), ceil(n/4), ..
+    stop at the first e with p^e below 2^30 (or at e = 1), one pow
+    inverts a mod p^e, and each step x <- x(2 - ax) mod p^e', e' <= 2e,
+    lifts the inverse one rung up, with a read mod p^e'.  The ladder is
+    built here, once per ring.  pow alone is an extended Euclid,
+    quadratic in the bits of p^n; the steps cost a few products, the
+    largest at the top.  When p^n is below 2^30 the ladder is empty and
+    the map is one pow.
+    """
+    exps = [n]
+    while exps[-1] > 1 and p**exps[-1] >> 30:
+        exps.append((exps[-1] + 1) // 2)
+    base = p**exps.pop()
+    ladder = tuple(p**e for e in reversed(exps))
+
+    def inv(a):
+        if a % p == 0:
+            raise NotInvertible("not a unit")
+        x = pow(a, -1, base)
+        for m in ladder:
+            x = x * (2 - a % m * x) % m
+        return x
+
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # the three arithmetics of a ring's codes; each returns add, mul, neg, dot
 # (sum of products), inv, is_unit, decode, and linear (images of the basis
@@ -127,16 +158,11 @@ def _minor(a, s, i, j):
 
 def _native_ops(ring):
     p, m = ring.p, ring.pn
-
-    def inv(a):
-        if a % p == 0:
-            raise NotInvertible("not a unit")
-        return pow(a, -1, m)
-
     return (lambda a, b: (a + b) % m, lambda a, b: a * b % m,
             lambda a: -a % m,
             lambda xs, ys: sum(map(operator.mul, xs, ys)) % m,
-            inv, lambda a: a % p != 0, lambda a: (a,), None)
+            _unit_inverse(p, ring.n), lambda a: a % p != 0,
+            lambda a: (a,), None)
 
 
 def _table_ops(ring):
@@ -190,7 +216,7 @@ def _table_ops(ring):
 
 def _poly_ops(ring):
     p, pn, d, f = ring.p, ring.pn, ring.d, ring.modulus_lift
-    encode = ring.encode
+    encode, unit_inv = ring.encode, _unit_inverse(p, ring.n)
 
     def decode(a):
         out = [0] * d
@@ -219,7 +245,7 @@ def _poly_ops(ring):
             if piv is None:
                 raise NotInvertible("not a unit")
             rows[c], rows[piv] = rows[piv], rows[c]
-            k = pow(rows[c][c], -1, pn)
+            k = unit_inv(rows[c][c])
             rows[c] = [x * k % pn for x in rows[c]]
             for r in range(d):
                 if r != c and rows[r][c]:
@@ -395,6 +421,8 @@ class TruncatedLocalRing:
         """Code of a / p^v, each coefficient divided by p^v; NotInvertible
         unless p^v divides every coefficient.  Multiplying back by p^v
         recovers a exactly at the ring's full precision."""
+        if not v:
+            return a
         pv = self.p**v
         coeffs = (a,) if self.d == 1 else self.decode(a)
         if any(c % pv for c in coeffs):

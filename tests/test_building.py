@@ -8,6 +8,7 @@ from glnlab.building import (
     audit_ub_factorization,
     fundamental_simplices,
     iwasawa_decompose,
+    iwasawa_sample_failures,
     membership,
     stabilizer_pattern,
     ub_product_identity_gl3,
@@ -252,7 +253,9 @@ class TestIwasawa:
     def test_matches_element_reference(self):
         # the reports pin only failure counts; this pins (b, k) itself
         rng = random.Random(11)
-        for p, n, d in ((2, 6, 1), (3, 5, 1), (2, 4, 2), (3, 2, 2), (2, 3, 3)):
+        # the last three are above 2^30, where the unit inverse is lifted
+        for p, n, d in ((2, 6, 1), (3, 5, 1), (2, 4, 2), (3, 2, 2), (2, 3, 3),
+                        (2, 160, 1), (3, 100, 1), (5, 64, 1)):
             R = TruncatedLocalRing(p, n, d)
             # entries times p^e, e <= n, so that ties in valuation, zero
             # entries and vanishing pivot rows all occur
@@ -273,6 +276,21 @@ class TestIwasawa:
                     b, k = iwasawa_decompose(g)
                     assert (b.codes, b.offset, k.codes) \
                         == (b0.codes, b0.offset, k0.codes), (p, n, d, g)
+
+    def test_sample_cap(self):
+        # count times ceil(bits / 64)^2, bits = precision * bit length of p
+        assert iwasawa_sample_failures(2, 32, 10, random.Random(1),
+                                       cap=10) == 0
+        assert iwasawa_sample_failures(2, 64, 10, random.Random(1),
+                                       cap=40) == 0
+        with pytest.raises(CapExceeded):
+            iwasawa_sample_failures(2, 64, 10, random.Random(1), cap=39)
+        # refused before p^precision is formed and before any draw
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(CapExceeded):
+            iwasawa_sample_failures(3, 10**12, 1, rng)
+        assert rng.getstate() == state
 
     def test_gl3(self):
         R = TruncatedLocalRing(2, 6, 1)

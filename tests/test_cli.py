@@ -138,7 +138,12 @@ class TestExitCodes:
                      # about 10^10 for the norm's 10^5 passes
                      "lfactor bc --d 100000 --params a,b --q 2",
                      "lfactor rankin --q 2 --left a,b,c,d,e,f,g,h "
-                     "--right i,j,k,l,m,n,o,p"):
+                     "--right i,j,k,l,m,n,o,p",
+                     # Iwasawa samples times work units a sample: refused
+                     # before p^precision is formed or a sample is drawn
+                     "building iwasawa --count 1000000000 --precision 6",
+                     "building iwasawa --p 2 --count 1 --precision 1000000000",
+                     "--cap 10 building iwasawa --count 100000"):
             start = time.monotonic()
             assert run(argv.split()) == 3, argv
             assert time.monotonic() - start < 1.0, argv
@@ -411,7 +416,13 @@ class TestGrammar:
                 p = data.draw(st.sampled_from(self.PRIMES))
                 argv += ["--p", str(p)]
             if action == "iwasawa":
-                argv += ["--precision", draw(8), "--count", draw(5)]
+                # small and bad values at least half the time, else
+                # large sizes, which the cap must refuse or bound
+                precision = data.draw(st.sampled_from(
+                    [draw(8)] * 3 + ["64", "1000", "10000"]))
+                count = data.draw(st.sampled_from(
+                    [draw(5)] * 3 + ["1000000", "1000000000"]))
+                argv += ["--precision", precision, "--count", count]
         elif command == "lfactor":
             mode = data.draw(st.sampled_from(["", "plain", "rankin", "bc",
                                               "other"]))

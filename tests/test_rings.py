@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from glnlab import rings
 from glnlab.errors import BadSubfield, CapExceeded, NotInvertible, NotPrime
 from glnlab.rings import (
     FiniteField,
@@ -197,6 +199,77 @@ class TestTruncatedRing:
         a = R.element((4, 6))
         b = a.divide_exact_p_power(1)
         assert b * R.from_int(2) == a
+
+
+class TestLiftedInverse:
+    """The unit inverse mod p^n: one pow below 2^30, Newton steps above."""
+
+    @staticmethod
+    def precisions(p):
+        # 1, the word boundary (the largest e with p^e below 2^30) and its
+        # neighbours, and precisions far above it
+        e = 1
+        while p**(e + 1) < 1 << 30:
+            e += 1
+        return sorted({1, e - 1, e, e + 1, 64, 161, 1000})
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_pow(self, p):
+        rng = random.Random(p)
+        for n in self.precisions(p):
+            R, pn = TruncatedLocalRing(p, n, 1), p**n
+            for a in [1, pn - 1, p + 1, pn - p + 1] + [
+                    rng.randrange(pn) for _ in range(50)]:
+                if a % p:
+                    assert R.inv(a) == pow(a, -1, pn), (p, n, a)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_non_units_raise(self, p):
+        rng = random.Random(p)
+        for n in self.precisions(p):
+            R = TruncatedLocalRing(p, n, 1)
+            units = [u for u in (rng.randrange(R.pn) for _ in range(20))
+                     if u % p]
+            for a in [0] + [p * u % R.pn for u in units]:
+                with pytest.raises(NotInvertible):
+                    R.inv(a)
+
+    def test_one_pow_per_inverse(self, monkeypatch):
+        # below 2^30 the one pow is mod p^n itself; above, it is mod a
+        # modulus below 2^30 and Newton steps do the rest
+        moduli = []
+
+        def counting_pow(a, e, m):
+            moduli.append(m)
+            return pow(a, e, m)
+
+        monkeypatch.setattr(rings, "pow", counting_pow, raising=False)
+        for p, n in ((2, 29), (3, 18), (2, 30), (5, 64), (2, 1000)):
+            R = TruncatedLocalRing(p, n, 1)
+            moduli.clear()
+            R.inv(R.pn - 1)
+            assert len(moduli) == 1, (p, n)
+            if R.pn < 1 << 30:
+                assert moduli == [R.pn]
+            else:
+                assert moduli[0] < 1 << 30 and R.pn % moduli[0] == 0
+
+    @pytest.mark.parametrize("p,n", [(2, 100), (3, 64), (5, 40)])
+    def test_degree_two_at_large_precision(self, p, n):
+        # schoolbook rings: the elimination's pivots use the same inverse
+        R = TruncatedLocalRing(p, n, 2)
+        rng = random.Random(n)
+        done = 0
+        while done < 30:
+            a = rng.randrange(R.size())
+            if not R.is_unit(a):
+                with pytest.raises(NotInvertible):
+                    R.inv(a)
+                continue
+            assert R.mul(a, R.inv(a)) == R.one_code
+            done += 1
+        with pytest.raises(NotInvertible):
+            R.inv(R.encode((p, p * 3)))
 
 
 class TestMatrices:
