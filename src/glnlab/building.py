@@ -148,8 +148,7 @@ def iwasawa_decompose(g):
             rp = piv * n
             for r in range(0, ri + n, n):
                 work[r + piv], work[r + i] = work[r + i], work[r + piv]
-            for c in range(n):
-                k[rp + c], k[ri + c] = k[ri + c], k[rp + c]
+            k[rp:rp + n], k[ri:ri + n] = k[ri:ri + n], k[rp:rp + n]
         # the pivot is p^v times a unit u
         u_inv = ring.inv(divide(work[ri + i], v))
         for j in range(i):
