@@ -10,10 +10,13 @@ Macdonald's closed form in Hall-Littlewood polynomials; its coefficients
 lie in Laurent polynomials in a formal square root of q.  Haar
 normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
-Convolution and the coset-count oracle read one invariant off each
-coset instead of testing it against every candidate: g K = p^r K with
-r the row-minimum valuations of g exactly when sum(r) = v(det g), and
-the Iwasawa torus part of p^shift * M (the lam with g in N p^lam K) is
+Convolution and the coset-count oracle read invariants off the cosets
+of one factor and never form a product.  Convolution counts the cosets
+g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2), testing
+membership by Smith's theorem: the sum of the first k elementary
+divisors of a matrix is the least valuation of its k x k minors, and
+for p^-nu p^shift M that is read off the minors of M alone.  The
+Iwasawa torus part of p^shift * M (the lam with g in N p^lam K) is
 shift plus the diagonal valuations of M.
 """
 
@@ -115,12 +118,18 @@ def is_dominant(lam):
 
 def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     """Representatives (shift, M) of the cosets g K in K p^lam K, with
-    g = p^shift * M and shift = lam[-1].
+    g = p^shift * M and shift = lam[-1], M an upper-triangular int
+    Hermite form with p-power diagonal p^d, in the order of d and then
+    of the entries above the diagonal.
 
-    Enumerates upper-triangular int Hermite forms M with p-power
-    diagonal and keeps those whose elementary divisors are exactly
-    lam - shift.  Exact; the entries of lam are bounded by MAX_ENTRY in
-    absolute value, and the number of Hermite forms to scan by cap.
+    At rank 2, with m = lam_1 - lam_2, the members are built directly:
+    [[p^d0, x], [0, p^d1]] with d0 + d1 = m has first elementary
+    divisor p^min(d0, d1, v(x)), so it is a member exactly when
+    d0 * d1 = 0 (any x in [0, p^d0)) or x is a unit mod p^d0.  At ranks 1
+    and 3 every form is scanned and kept when its elementary divisors
+    are exactly lam - shift.  Exact; the entries of lam are bounded by
+    MAX_ENTRY in absolute value, and the number of Hermite forms by cap
+    at every rank.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
@@ -142,6 +151,8 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     if candidates > cap:
         raise CapExceeded(f"{candidates} Hermite forms to scan exceed cap "
                           f"{cap}")
+    if n == 2:
+        return [(shift, form) for form in _rank2_forms(total, p)]
     # row i of a form: i zeros, p^diag[i], then its n-1-i entries of fill
     starts = [sum(n - 1 - k for k in range(i)) for i in range(n)]
     reps = []
@@ -156,8 +167,35 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     return reps
 
 
+def _rank2_forms(m, p):
+    """The members [[p^d0, x], [0, p^d1]] of K diag(p^m, 1) K, d0 = 0..m."""
+    forms = []
+    for d0 in range(m + 1):
+        top, bottom = p**d0, p**(m - d0)
+        xs = range(top) if d0 == m or d0 == 0 else \
+            (x for x in range(top) if x % p)
+        forms += [((top, x), (0, bottom)) for x in xs]
+    return forms
+
+
 def _diagonal_exponents(form, p):
     return tuple(_vint(form[i][i], p) for i in range(len(form)))
+
+
+def _minor_valuations(form, subsets, ptop, logs):
+    """(w_S) for the row subsets S: the least valuation of the |S| x |S|
+    minors of form on rows S, for |S| <= 2.  ptop = p^top with top at
+    least every w_S, so gcd(ptop, minors) = p^w_S; logs maps p^k to k."""
+    out = []
+    for rows in subsets:
+        if len(rows) == 1:
+            out.append(logs[math.gcd(ptop, *form[rows[0]])])
+        else:
+            a, b = form[rows[0]], form[rows[1]]
+            out.append(logs[math.gcd(ptop, *(
+                a[i] * b[j] - a[j] * b[i]
+                for i, j in itertools.combinations(range(len(a)), 2)))])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +256,56 @@ class HeckeElement:
 
 
 def convolve(f, g, cap=DEFAULT_GROUP_CAP):
-    """Convolution with vol(K) = 1, by binning coset products.
+    """Convolution with vol(K) = 1, by one count per coset of f.
 
-    (1_{K p^lam K} * 1_{K p^mu K})(p^nu) counts the pairs (g_i, h_j) of
-    coset representatives with g_i h_j K = p^nu K.  Each product's row
-    minimum valuations r satisfy v(det) >= sum(r), with equality exactly
-    when g_i h_j K = p^r K.  A product of forms is upper triangular with
-    p-power diagonal, so equality holds when each row's entries are
-    divisible by its diagonal entry; r is the shifts plus the diagonal
-    exponents.  The number of pairs is checked against cap first.
+    With K p^lam K the disjoint union of the g_i K,
+    (1_{K p^lam K} * 1_{K p^mu K})(p^nu) = #{i : p^-nu g_i in K p^-mu K}
+    (Macdonald V.2).  For g_i = p^s M, the sum D_k of the first k
+    elementary divisor exponents of p^-nu g_i is the least valuation of
+    its k x k minors, min over k-row subsets S of w_S + sum_{r in S}
+    (s - nu_r), with w_S the least valuation of the k x k minors of M on
+    rows S (Smith's theorem).  The cosets are counted by their profile
+    (s, (w_S)_S), which does not depend on nu; a profile is a hit for nu
+    when D_k = -(mu_1 + ... + mu_k) for every k < n (k = n is the
+    determinant, equal once sum(nu) = sum(lam) + sum(mu)).  Only the
+    dominant nu with that sum and lam_n + mu_n <= nu_i <= lam_1 + mu_1
+    can be hit.  The number of coset pairs is checked against cap
+    first, though no product is formed.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
-    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    subsets = [rows for k in range(1, n)
+               for rows in itertools.combinations(range(n), k)]
+    levels = [[i for i, rows in enumerate(subsets) if len(rows) == k]
+              for k in range(1, n)]
     out = {}
     for lam, cf in f.support.items():
-        reps_f = [(s, _diagonal_exponents(m, p), m)
-                  for s, m in coset_decompose(lam, n, p, cap=cap)]
+        reps = coset_decompose(lam, n, p, cap=cap)
+        # every w_S is at most the sum of the diagonal exponents on S
+        top = sum(lam) - n * lam[-1]
+        logs = {p**k: k for k in range(top + 1)}
+        profiles = Counter((s, _minor_valuations(m, subsets, p**top, logs))
+                           for s, m in reps)
         for mu, cg in g.support.items():
-            reps_g = [(s, _diagonal_exponents(m, p), m)
-                      for s, m in coset_decompose(mu, n, p, cap=cap)]
-            pairs = len(reps_f) * len(reps_g)
+            pairs = len(reps) * len(coset_decompose(mu, n, p, cap=cap))
             if pairs > cap:
                 raise CapExceeded(f"{pairs} coset pairs exceed cap {cap}")
-            hits = {}
-            for sf, ef, a in reps_f:
-                for sg, eg, b in reps_g:
-                    e = tuple(x + y for x, y in zip(ef, eg))
-                    if not is_dominant(e):
-                        continue
-                    if all(sum(a[i][k] * b[k][j] for k in range(i, j + 1))
-                           % p**e[i] == 0 for i, j in above):
-                        nu = tuple(sf + sg + x for x in e)
-                        hits[nu] = hits.get(nu, 0) + 1
-            for nu, count in hits.items():
-                out[nu] = out.get(nu, HalfPowerLaurent(p)) + (cf * cg) * count
+            scale = cf * cg
+            targets = list(itertools.accumulate(-c for c in mu[:-1]))
+            total = sum(lam) + sum(mu)
+            box = range(lam[0] + mu[0], lam[-1] + mu[-1] - 1, -1)
+            for nu in itertools.combinations_with_replacement(box, n):
+                if sum(nu) != total:
+                    continue
+                count = 0
+                for (s, w), mult in profiles.items():
+                    offs = [sum(s - nu[r] for r in rows) for rows in subsets]
+                    if all(min(w[i] + offs[i] for i in level) == t
+                           for level, t in zip(levels, targets)):
+                        count += mult
+                if count:
+                    out[nu] = out.get(nu, HalfPowerLaurent(p)) + scale * count
     return HeckeElement(n, p, out)
 
 

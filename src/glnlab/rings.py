@@ -38,14 +38,39 @@ DEFAULT_GROUP_CAP = 10**6
 _TABLE_MAX = 1 << 8  # largest tabulated ring: an N x N table has <= 2^16 codes
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least composite that passes the strong test to every base in
+# _SMALL_PRIMES (Sorenson and Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def is_prime(m):
+    """Exact primality: trial division by the primes up to 37, then a
+    strong (Miller-Rabin) test to those bases, which has no false
+    positive below _MILLER_RABIN_BOUND; above it, sympy.isprime."""
     if m < 2:
         return False
-    i = 2
-    while i * i <= m:
-        if m % i == 0:
+    for b in _SMALL_PRIMES:
+        if m % b == 0:
+            return m == b
+    if m < 37 * 37:
+        return True
+    if m >= _MILLER_RABIN_BOUND:
+        import sympy
+        return bool(sympy.isprime(m))
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 

@@ -95,6 +95,16 @@ class TestExitCodes:
             assert err.startswith("invalid config: "), (argv, err)
             assert "Traceback" not in err, argv
 
+    def test_large_prime_is_not_a_hang(self):
+        # 10^18 + 3 is prime, and the primality test runs before any cap
+        for argv, code in (
+                ("satake --n 2 --p 1000000000000000003 --lam=1,0", 3),
+                ("building iwasawa --p 1000000000000000003 --count 1 "
+                 "--precision 1", 3)):
+            start = time.monotonic()
+            assert run(argv.split()) == code, argv
+            assert time.monotonic() - start < 2.0, argv
+
     def test_cap_exceeded_is_three(self):
         assert run(["--cap", "10", "roots", "--n", "5"]) == 3
         # about 2^25 Hermite forms: refused before the scan, not a hang
@@ -270,7 +280,7 @@ class TestHeckeGrammar:
     def vector(data, n):
         # mostly of length n and weakly decreasing
         size = data.draw(st.sampled_from([max(n, 0)] * 6 + [0, 1, 2, 3, 4]))
-        vec = data.draw(st.lists(st.integers(-3, 3), min_size=size,
+        vec = data.draw(st.lists(st.integers(-6, 6), min_size=size,
                                  max_size=size))
         if data.draw(st.sampled_from([True, True, True, False])):
             vec.sort(reverse=True)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -128,6 +130,60 @@ def iwasawa_torus_part(rows, p):
     return tuple(vp(work[i][i], p) for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def hermite_scan_cosets(lam, p):
+    """Reference coset list: every upper-triangular Hermite form with
+    p-power diagonal p^d, in the order of d and then of the entries
+    above the diagonal, kept when its elementary divisors are exactly
+    lam - lam[-1]."""
+    n = len(lam)
+    shift = lam[-1]
+    m = tuple(c - shift for c in lam)
+    target = tuple(sorted(m))
+    starts = [sum(n - 1 - k for k in range(i)) for i in range(n)]
+    reps = []
+    for diag in itertools.product(range(sum(m) + 1), repeat=n):
+        if sum(diag) != sum(m):
+            continue
+        pows = [p**c for c in diag]
+        ranges = [range(pows[i]) for i in range(n) for _ in range(i + 1, n)]
+        for fill in itertools.product(*ranges):
+            form = tuple((0,) * i + (pows[i],) + fill[s:s + n - 1 - i]
+                         for i, s in enumerate(starts))
+            if hecke._smith_int(form, p) == target:
+                reps.append((shift, form))
+    return tuple(reps)
+
+
+def pair_binning_convolve(f, g):
+    """Reference convolution: form every coset product g_i h_j of the
+    scanned representatives and bin it at p^nu with nu the shifts plus
+    the diagonal exponents, when each row of the (upper-triangular,
+    p-power diagonal) product is divisible by its diagonal entry, that
+    is, when its row-minimum valuations sum to v(det)."""
+    n, p = f.n, f.p
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    reps = {lam: [(s, tuple(vp(m[i][i], p) for i in range(n)), m)
+                  for s, m in hermite_scan_cosets(lam, p)]
+            for lam in set(f.support) | set(g.support)}
+    out = {}
+    for lam, cf in f.support.items():
+        for mu, cg in g.support.items():
+            hits = Counter()
+            for sf, ef, a in reps[lam]:
+                for sg, eg, b in reps[mu]:
+                    e = tuple(x + y for x, y in zip(ef, eg))
+                    if any(e[i] < e[i + 1] for i in range(n - 1)):
+                        continue
+                    if all(sum(a[i][k] * b[k][j] for k in range(i, j + 1))
+                           % p**e[i] == 0 for i, j in above):
+                        hits[tuple(sf + sg + x for x in e)] += 1
+            for nu, count in hits.items():
+                out[nu] = out.get(nu, HalfPowerLaurent(p)) + cf * cg * count
+    return HeckeElement(n, p, out)
+
+
 class TestCosets:
     def test_gl2_minuscule_p2(self):
         reps = coset_decompose((1, 0), 2, 2)
@@ -211,6 +267,14 @@ class TestCosets:
         g = HeckeElement.basis((0, -1), 2)
         assert convolve(f, g) == convolve(g, f)
 
+    def test_rank2_direct_equals_scan(self):
+        # same list, same order: reports list representatives
+        for p in (2, 3, 5):
+            for spread in range(6):
+                for lam in ((spread, 0), (spread - 2, -2), (3, 3 - spread)):
+                    assert coset_decompose(lam, 2, p) \
+                        == list(hermite_scan_cosets(lam, p)), (lam, p)
+
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):
             coset_decompose((1, 0, 0, 0), 4, 2)
@@ -265,6 +329,45 @@ class TestConvolution:
         f = HeckeElement.basis((2, -1), 3)
         with pytest.raises(CapExceeded, match="1296 coset pairs"):
             convolve(f, f, cap=40)
+
+    def test_agrees_with_pair_binning(self):
+        # every ordered pair: convolve counts the cosets of its left
+        # factor, so (lam, mu) and (mu, lam) take different paths to
+        # the one product the reference computes
+        rank2 = [lam for lam in dominant_box(2, 3)
+                 if lam[1] >= -2 and lam[0] - lam[1] <= 4]
+        rank3 = dominant_box(3, 1)
+
+        def pairs(lams):
+            return [(lam, mu) for i, lam in enumerate(lams)
+                    for mu in lams[i:]]
+
+        cases = [(lam, mu, p) for p in (2, 3) for lam, mu in pairs(rank2)]
+        cases += [(lam, mu, 2) for lam, mu in pairs(rank3)]
+        cases += [(lam, mu, 3) for lam, mu in pairs(rank3)
+                  if lam[0] - lam[2] + mu[0] - mu[2] <= 3]
+        cases += [((a,), (b,), 5) for a in (-2, 0, 3) for b in (-1, 2)]
+        assert len(cases) == 2 * 210 + 55 + 49 + 6
+        for lam, mu, p in cases:
+            f = HeckeElement.basis(lam, p)
+            g = HeckeElement.basis(mu, p)
+            expect = pair_binning_convolve(f, g)
+            assert convolve(f, g) == expect, (lam, mu, p)
+            assert convolve(g, f) == expect, (mu, lam, p)
+        f = HeckeElement(2, 2, {(1, 0): 3, (2, -1): v_pow(2, 1)})
+        g = HeckeElement(2, 2, {(1, 1): 2, (0, -1): 1})
+        assert convolve(f, g) == pair_binning_convolve(f, g)
+
+    def test_large_product_is_fast(self):
+        # 972 x 324 coset pairs; a count per coset of the left factor
+        # needs no product of them
+        f = HeckeElement.basis((6, 0), 3)
+        g = HeckeElement.basis((5, 0), 3)
+        start = time.monotonic()
+        prod = convolve(f, g)
+        assert time.monotonic() - start < 0.5
+        assert sum(c.a * coset_count(nu, 3)
+                   for nu, c in prod.support.items()) == 972 * 324
 
     def test_gl1(self):
         f = HeckeElement.basis((1,), 3)

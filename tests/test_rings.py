@@ -14,6 +14,29 @@ from glnlab.rings import (
 )
 
 
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def by_trial_division(m):
+            return m >= 2 and all(m % k for k in range(2, int(m**0.5) + 1))
+
+        for m in range(-3, 20000):
+            assert rings.is_prime(m) == by_trial_division(m), m
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the prime bases up to 7 and
+        # up to 23 (3825123056546413051 = 149491 * 747451 * 34233211)
+        assert 3215031751 == 151 * 751 * 28351
+        assert not rings.is_prime(3215031751)
+        assert not rings.is_prime(3825123056546413051)
+        # the least one to every base up to 37 is left to sympy
+        assert not rings.is_prime(rings._MILLER_RABIN_BOUND)
+
+    def test_mersenne_primes(self):
+        assert rings.is_prime(2**61 - 1)
+        assert rings.is_prime(2**89 - 1)
+        assert not rings.is_prime(2**67 - 1)
+
+
 class TestFieldConstruction:
     def test_prime_field_modulus_is_x(self):
         F = FiniteField(2, 1)
