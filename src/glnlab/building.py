@@ -285,22 +285,3 @@ def audit_self_normalizing(n, p, subgroup=None, cap=DEFAULT_GROUP_CAP):
         "self_normalizing": set(normalizer) == u_set,
     }
 
-
-def ub_product_identity_gl3():
-    """Symbolic check of the 3x3 (lower-equal-diagonal) * (upper) product.
-
-    Returns True iff the expanded product matches the expected closed
-    form entry by entry.
-    """
-    import sympy
-
-    a, d, g, h = sympy.symbols("a d g h")
-    a2, b2, c2, e2, f2, k2 = sympy.symbols("a2 b2 c2 e2 f2 k2")
-    u = sympy.Matrix([[a, 0, 0], [d, a, 0], [g, h, a]])
-    b = sympy.Matrix([[a2, b2, c2], [0, e2, f2], [0, 0, k2]])
-    expected = sympy.Matrix([
-        [a * a2, a * b2, a * c2],
-        [d * a2, d * b2 + a * e2, d * c2 + a * f2],
-        [g * a2, g * b2 + h * e2, g * c2 + h * f2 + a * k2],
-    ])
-    return sympy.simplify(u * b - expected) == sympy.zeros(3, 3)

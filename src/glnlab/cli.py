@@ -358,16 +358,17 @@ def cmd_lfactor(args):
         expect_deg = rho.dimension(t.n)
         if mode == "bc":
             expect_deg *= args.d
+    # one conversion per request: each costs as much as the expansion
     poly = sympy.Poly(fac.denominator, X)
     results = {"q": args.q, "mode": mode,
                "denominator": str(fac.denominator),
                "num": "1",
                "den": {str(m[0]): str(c) for m, c in
                        zip(poly.monoms(), poly.coeffs())},
-               "degree": fac.degree()}
+               "degree": poly.degree()}
     return {"results": results, "verdicts": [
         verdict("denominator degree equals the representation dimension",
-                "claim:lfactor-degree", fac.degree() == expect_deg),
+                "claim:lfactor-degree", poly.degree() == expect_deg),
         verdict("denominator has constant term one",
                 "claim:lfactor-constant-term",
                 fac.denominator.subs(X, 0) == 1),

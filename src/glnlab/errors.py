@@ -13,10 +13,6 @@ class CapExceeded(GlnLabError):
     """An exhaustive enumeration would exceed the configured size cap."""
 
 
-class BadSubfield(GlnLabError):
-    pass
-
-
 class NotInvertible(GlnLabError):
     pass
 
@@ -37,19 +33,11 @@ class NotACocycle(GlnLabError):
     pass
 
 
-class NoTrivialization(GlnLabError):
-    pass
-
-
 class MatchFailure(GlnLabError):
     """A claimed bijection could not be completed."""
 
 
 class CharacterMismatch(GlnLabError):
-    pass
-
-
-class BaseMismatch(GlnLabError):
     pass
 
 

@@ -22,6 +22,7 @@ shift plus the diagonal valuations of M.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -57,13 +58,6 @@ def _vint(x, p):
     return v
 
 
-def vp(x, p):
-    """p-adic valuation of an int or Fraction; BIG for zero."""
-    if x == 0:
-        return BIG
-    return _vint(x.numerator, p) - _vint(x.denominator, p)
-
-
 def _smith_int(rows, p):
     """Elementary divisor exponents (ascending) of a nonsingular int
     matrix over Z_(p).
@@ -96,17 +90,6 @@ def _smith_int(rows, p):
             c = row.pop(j) // scale
             row[:] = [unit * x - c * y for x, y in zip(row, piv)]
     return tuple(out)
-
-
-def smith_exponents(rows, p):
-    """Elementary divisor exponents (ascending) of a nonsingular matrix
-    of ints or Fractions, scaled first by the lcm L of the denominators
-    (which shifts every exponent by v(L))."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row]
-            for row in rows]
-    shift = _vint(den, p)
-    return tuple(e - shift for e in _smith_int(ints, p))
 
 
 def is_dominant(lam):
@@ -226,10 +209,6 @@ class HeckeElement:
             raise ValueError("basis elements are indexed by dominant vectors")
         return cls(len(lam), p, {lam: 1})
 
-    @classmethod
-    def unit(cls, n, p):
-        return cls(n, p, {(0,) * n: 1})
-
     def bound(self):
         if not self.support:
             return 0
@@ -240,10 +219,6 @@ class HeckeElement:
         for lam, c in other.support.items():
             out[lam] = out.get(lam, HalfPowerLaurent(self.q)) + c
         return HeckeElement(self.n, self.p, out)
-
-    def scale(self, c):
-        return HeckeElement(self.n, self.p,
-                            {lam: v * c for lam, v in self.support.items()})
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
@@ -376,9 +351,11 @@ def _poly_mul(f, g):
     return {e: c for e, c in out.items() if c}
 
 
+@functools.lru_cache(maxsize=256)
 def _hall_littlewood(lam, q):
-    """The Hall-Littlewood polynomial P_lam(x; t) at t = 1/q, as
-    {exponent tuple: Fraction}.
+    """The Hall-Littlewood polynomial P_lam(x; t) at t = 1/q, as a tuple
+    of (exponent tuple, Fraction) pairs; cached, and immutable so that
+    no caller can change the cached value.
 
     P_lam = (1/v_lam(t)) sum_{w in S_n} w(x^lam prod_{i<j}
     (x_i - t x_j) / (x_i - x_j)) for lam >= 0 (Macdonald III (2.2)), and
@@ -428,8 +405,8 @@ def _hall_littlewood(lam, q):
     for m in Counter(lam).values():
         for j in range(1, m + 1):
             norm *= (1 - t**j) / (1 - t)
-    return {tuple(a + c for a in e): coeff / norm
-            for e, coeff in quotient.items()}
+    return tuple((tuple(a + c for a in e), coeff / norm)
+                 for e, coeff in quotient.items())
 
 
 def satake_transform(f, box_bound=None):
@@ -450,7 +427,7 @@ def satake_transform(f, box_bound=None):
     for mu, cmu in f.support.items():
         scale = cmu * HalfPowerLaurent.v_power(
             q, -modulus_delta_exponent(mu, n))
-        for nu, c in _hall_littlewood(mu, q).items():
+        for nu, c in _hall_littlewood(mu, q):
             if max(abs(x) for x in nu) <= b:
                 coeffs[nu] = coeffs.get(nu, zero) + scale * c
     image = SatakeImage(n, q, coeffs)

@@ -20,13 +20,7 @@ import functools
 import itertools
 import math
 
-from .errors import (
-    CapExceeded,
-    InvalidConfig,
-    MatchFailure,
-    NoTrivialization,
-    NotACocycle,
-)
+from .errors import CapExceeded, InvalidConfig, MatchFailure, NotACocycle
 from .rings import (
     DEFAULT_GROUP_CAP,
     FiniteField,
@@ -86,9 +80,6 @@ class GaloisModule:
     def sigma(self, m, k=1):
         """sigma^k of a Mat."""
         return m.sigma(self.exponent * k)
-
-    def identity(self):
-        return Mat.identity(self.ring, self.s)
 
 
 def _admit(ring, s, cap):
@@ -188,11 +179,6 @@ def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
 
 # ---------------------------------------------------------------------------
 # the Lang map
-
-def lang_map(x, module):
-    """x^-1 * sigma(x)."""
-    return x.inverse() * module.sigma(x)
-
 
 def _sandwich(ring, s, a, b):
     """x -> a * x * b on flat s x s matrices: per entry, the indices into x
@@ -404,28 +390,6 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
                                   "group_order": len(module.elements),
                                   "h1_size": res["h1_size"]})
     return report
-
-
-def descend_conjugator(g, u_module):
-    """Given g with sigma^-1(g)^-1 g in U, return g1 = g*u fixed by sigma.
-
-    u is found by exhaustive trivialization of the cocycle in U; if no
-    trivializer exists the H^1 obstruction is reported, not patched.
-    """
-    sig_inv_g = u_module.sigma(g, u_module.d - 1)
-    c = sig_inv_g.inverse() * g
-    members = set(u_module.elements)
-    ident = u_module.identity()
-    if c == ident:
-        return g
-    if c not in members:
-        raise NotACocycle("sigma^-1(g)^-1 * g does not lie in U")
-    for u in u_module.elements:
-        if u_module.sigma(u, u_module.d - 1) * u.inverse() == c:
-            g1 = g * u
-            if u_module.sigma(g1) == g1:
-                return g1
-    raise NoTrivialization("cocycle has no trivialization in U")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import comb
 
 import sympy
 
-from .errors import BaseMismatch, RankMismatch, ZeroEntry
+from .errors import RankMismatch, ZeroEntry
 
 X = sympy.Symbol("X")
 
@@ -34,13 +34,6 @@ class SatakeParameter:
         self.values = vals
         self.n = len(vals)
         self.q = q
-
-    def weyl_equal(self, other):
-        """Equality up to coordinate permutation."""
-        if not isinstance(other, SatakeParameter) or self.q != other.q:
-            return False
-        key = sorted(map(sympy.srepr, self.values))
-        return key == sorted(map(sympy.srepr, other.values))
 
     def __eq__(self, other):
         return (isinstance(other, SatakeParameter)
@@ -149,21 +142,6 @@ def semidirect_power(e, m):
                             action=_perm_power(e.action, m), order=e.order)
 
 
-def semidirect_multiply(e1, e2):
-    """(sigma^a, g)(sigma^b, g') = (sigma^(a+b), g * sigma^a(g'));
-    requires a shared underlying action."""
-    # e1's action permutation is the action of its own Galois component
-    g = [sympy.expand(a * b) for a, b in
-         zip(e1.t.values, e1.apply_action(e2.t.values, times=1))]
-    t_new = SatakeParameter(g, e1.t.q)
-    power = e1.galois_power + e2.galois_power
-    action = tuple(e1.action[e2.action[i]] for i in range(len(e1.action)))
-    order = e1.order
-    if order is not None:
-        power %= order
-    return DualTorusElement(power, t_new, action=action, order=order)
-
-
 # ---------------------------------------------------------------------------
 # the monomial matrix rho(diag(t) P_sigma)
 
@@ -205,12 +183,6 @@ def _basis_action(rho, t, t2=None, action=None):
     return out
 
 
-def rep_apply(rho, t, t2=None):
-    """Eigenvalue multiset of rho(t) for split parameters (trivial
-    Galois twist)."""
-    return [sympy.expand(w) for w, _ in _basis_action(rho, t, t2)]
-
-
 class LocalLFactor:
     """1/denominator with denominator = det(1 - rho(t sigma) X)."""
 
@@ -223,9 +195,6 @@ class LocalLFactor:
 
     def degree(self):
         return sympy.Poly(self.denominator, X).degree()
-
-    def as_rational(self):
-        return 1 / self.denominator
 
     def __eq__(self, other):
         return (isinstance(other, LocalLFactor) and self.q == other.q
@@ -289,25 +258,6 @@ def conjugate_orbit_product(alpha, d):
              * sympy.prod([g**k for g, k in zip(gens, e)])
              for e, c in zip(poly.monoms(), poly.coeffs())]
     return sympy.expand(sympy.Add(*terms))
-
-
-class EulerProduct:
-    """Finite product of local factors, kept factored."""
-
-    def __init__(self, factors):
-        qs = {f.q for f in factors}
-        if len(qs) > 1:
-            raise BaseMismatch("all factors must share the same q")
-        self.factors = list(factors)
-        self.q = qs.pop() if qs else None
-
-    def denominator(self):
-        return sympy.Mul(*[f.denominator for f in self.factors],
-                         evaluate=False) if self.factors else sympy.Integer(1)
-
-    def as_rational(self):
-        return 1 / sympy.expand(sympy.Mul(
-            *[f.denominator for f in self.factors]))
 
 
 def rankin_selberg(t1, t2, q=None):

@@ -25,13 +25,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .errors import (
-    BadSubfield,
-    CapExceeded,
-    InvalidConfig,
-    NotInvertible,
-    NotPrime,
-)
+from .errors import CapExceeded, InvalidConfig, NotInvertible, NotPrime
 
 DEFAULT_FIELD_CAP = 1 << 16
 DEFAULT_GROUP_CAP = 10**6
@@ -332,7 +326,7 @@ class TruncatedLocalRing:
                _table_ops if self.size() <= _TABLE_MAX else _poly_ops)
         (self.add, self.mul, self.neg, self.dot, self.inv, self.is_unit,
          self.decode, self._linear) = ops(self)
-        self._frobenius_code = y = self._lift_frobenius()
+        y = self._lift_frobenius()
         if d > 1:
             powers = [self.one_code]
             for _ in range(d - 1):
@@ -342,10 +336,6 @@ class TruncatedLocalRing:
                 raise ArithmeticError("Frobenius lift does not have order d")
 
     # -- Frobenius ------------------------------------------------------------
-    @property
-    def frobenius_image(self):
-        return LocalRingElement(self, self._frobenius_code)
-
     def evaluate(self, coeffs, y):
         """Code of the value at code y of an integer-coefficient polynomial."""
         acc = 0
@@ -399,17 +389,8 @@ class TruncatedLocalRing:
             raise ValueError("too many coefficients")
         return LocalRingElement(self, self.encode(coeffs))
 
-    def zero(self):
-        return LocalRingElement(self, 0)
-
     def one(self):
         return LocalRingElement(self, self.one_code)
-
-    def gen(self):
-        return LocalRingElement(self, self.weights[min(1, self.d - 1)])
-
-    def from_int(self, k):
-        return LocalRingElement(self, k % self.pn * self.one_code)
 
     def elements(self):
         """Every element, in coefficient-tuple order."""
@@ -423,9 +404,6 @@ class TruncatedLocalRing:
 
     def size(self):
         return self.pn**self.d
-
-    def reduce_mod_p(self, a):
-        return FiniteField(self.p, self.d).element(a.coeffs)
 
     # -- p-adic valuation on codes --------------------------------------------
     def valuation(self, a):
@@ -599,20 +577,6 @@ class LocalRingElement:
         finite field, the p-power Frobenius."""
         return LocalRingElement(self.ring, self.ring.sigma(self.code, e))
 
-    frobenius = sigma
-
-    def norm(self, e=1):
-        """Norm down to the subring of sigma^e-fixed points, e | d."""
-        d = self.ring.d
-        if d % e:
-            raise BadSubfield(f"{e} does not divide {d}")
-        result = self.ring.one()
-        a = self
-        for _ in range(d // e):
-            result = result * a
-            a = a.sigma(e)
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, LocalRingElement)
                 and self.code == other.code
@@ -704,9 +668,6 @@ class Mat:
         """Determinant of the integral part, by cofactor expansion."""
         return LocalRingElement(self.ring,
                                 self.ring.mat_det(self.size, self.codes))
-
-    def is_invertible(self):
-        return self.ring.is_unit(self.ring.mat_det(self.size, self.codes))
 
     def inverse(self):
         return self._like(self.ring.mat_inv(self.size, self.codes),

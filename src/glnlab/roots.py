@@ -2,10 +2,9 @@
 
 Vectors are integer (or rational) tuples in the character lattice Z^n.
 Arithmetic keeps the type of its input, so integer roots stay on ints;
-every quotient is an exact ``Fraction(num, den)``.  The default bilinear
-form is the standard dot product, overridable by any symmetric
-positive-definite rational matrix.  The Weyl group of GL_n is S_n acting
-on the coordinates, so its elements are permutation tuples.
+every quotient is an exact ``Fraction(num, den)``.  The bilinear form is
+the standard dot product.  The Weyl group of GL_n is S_n acting on the
+coordinates, so its elements are permutation tuples.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ from .errors import CapExceeded, NonIntegral, NotPositiveDefinite
 DEFAULT_WEYL_CAP = 10**6
 
 
-def inner(u, v, form=None):
-    """Bilinear form; standard dot product when form is None."""
-    if form is None:
-        return sum(map(operator.mul, u, v))
-    return sum(u[i] * form[i][j] * v[j]
-               for i in range(len(u)) for j in range(len(v)))
+def inner(u, v):
+    """The standard dot product."""
+    return sum(map(operator.mul, u, v))
 
 
 def simple_roots_gl(n):
@@ -39,20 +35,20 @@ def simple_roots_gl(n):
     return roots
 
 
-def pairing(beta, alpha, form=None):
+def pairing(beta, alpha):
     """The Cartan integer 2(alpha,beta)/(alpha,alpha); linear in beta only."""
-    denom = inner(alpha, alpha, form)
+    denom = inner(alpha, alpha)
     if denom == 0:
         raise ZeroDivisionError("pairing against the zero vector")
-    val = Fraction(2 * inner(alpha, beta, form), denom)
+    val = Fraction(2 * inner(alpha, beta), denom)
     if val.denominator != 1:
         raise NonIntegral(f"pairing {val} is not an integer")
     return int(val)
 
 
-def reflect(alpha, beta, form=None):
+def reflect(alpha, beta):
     """Reflection of beta in the hyperplane perpendicular to alpha."""
-    c = Fraction(2 * inner(alpha, beta, form), inner(alpha, alpha, form))
+    c = Fraction(2 * inner(alpha, beta), inner(alpha, alpha))
     return tuple(b - c * a for a, b in zip(alpha, beta))
 
 
@@ -77,14 +73,14 @@ class CartanMatrix:
         return f"CartanMatrix({self.entries})"
 
 
-def cartan_matrix(simple, form=None):
+def cartan_matrix(simple):
     """Cartan integers a[j][i] = 2(r_i, r_j)/(r_j, r_j) of a simple system."""
     k = len(simple)
     entries = []
     for j in range(k):
         row = []
         for i in range(k):
-            row.append(pairing(simple[i], simple[j], form))
+            row.append(pairing(simple[i], simple[j]))
         entries.append(row)
     return CartanMatrix(entries)
 
@@ -149,14 +145,13 @@ def _symmetrizer(entries):
     return tuple(D)
 
 
-def ds_decompose(simple=None, form=None, entries=None):
-    """Factor the Cartan matrix as A = D*S, D positive diagonal, S symmetric.
+def ds_decompose(simple):
+    """Factor the Cartan matrix of a simple system as A = D*S, D positive
+    diagonal, S symmetric.
 
-    S must come out positive definite (exact leading-minor test).  Accepts
-    either a simple system or a precomputed integer matrix.
+    S must come out positive definite (exact leading-minor test).
     """
-    if entries is None:
-        entries = cartan_matrix(simple, form).entries
+    entries = cartan_matrix(simple).entries
     D = _symmetrizer(entries)
     if D is None:
         raise NotPositiveDefinite("no positive symmetrizer")
@@ -167,32 +162,6 @@ def ds_decompose(simple=None, form=None, entries=None):
         raise NotPositiveDefinite(
             f"symmetrized form not positive definite: minors {minors}")
     return CartanMatrix(entries, D=D, S=S), minors
-
-
-def is_generalized_cartan(entries):
-    """(verdict, reason) for the generalized-Cartan axioms."""
-    k = len(entries)
-    for i in range(k):
-        if entries[i][i] != 2:
-            return False, f"diagonal entry a[{i}][{i}] != 2"
-        for j in range(k):
-            if i != j and entries[i][j] > 0:
-                return False, f"off-diagonal a[{i}][{j}] > 0"
-            if i != j and (entries[i][j] == 0) != (entries[j][i] == 0):
-                return False, f"zero asymmetry at ({i},{j})"
-    return True, "ok"
-
-
-def is_cartan(entries):
-    """(verdict, reason): generalized axioms plus positive-definite S."""
-    ok, reason = is_generalized_cartan(entries)
-    if not ok:
-        return False, reason
-    try:
-        ds_decompose(entries=entries)
-    except NotPositiveDefinite as exc:
-        return False, str(exc)
-    return True, "ok"
 
 
 def _rank(vectors):
@@ -213,7 +182,7 @@ def _rank(vectors):
     return r
 
 
-def check_root_system(roots, form=None):
+def check_root_system(roots):
     """Axiom report for a finite set of nonzero vectors.
 
     Spanning is reported as a codimension rather than a hard failure,
@@ -244,10 +213,10 @@ def check_root_system(roots, form=None):
 
     closed = crystallographic = True
     for a in roots:
-        den = inner(a, a, form)
+        den = inner(a, a)
         for b in roots:
             # the projection coefficient of b on a must lie in (1/2)Z
-            num = 2 * inner(a, b, form)
+            num = 2 * inner(a, b)
             c, rest = divmod(num, den)
             if rest:
                 crystallographic = False
@@ -261,9 +230,9 @@ def check_root_system(roots, form=None):
     closed_prime = True
     integral_prime = True
     for a in roots:
-        norm = inner(a, a, form)
+        norm = inner(a, a)
         for b in roots:
-            c = Fraction(2 * inner(a, b, form), norm)
+            c = Fraction(2 * inner(a, b), norm)
             if c.denominator != 1:
                 integral_prime = False
             else:
@@ -280,16 +249,13 @@ def check_root_system(roots, form=None):
 
 class WeylGroupElement:
     """Coordinate permutation generated by simple reflections, with a
-    word; ``apply(v)[i] == v[perm[i]]``."""
+    word; it sends v to the vector with entries v[perm[i]]."""
 
     __slots__ = ("perm", "word")
 
     def __init__(self, perm, word):
         self.perm = perm
         self.word = word
-
-    def apply(self, v):
-        return tuple(v[i] for i in self.perm)
 
     def __eq__(self, other):
         return isinstance(other, WeylGroupElement) and self.perm == other.perm

@@ -317,6 +317,44 @@ class TestHeckeGrammar:
             assert rho_point(image) == coset_count(tuple(vecs[0]), p), argv
 
 
+class TestBuildingGrammar:
+    # valid values first and more often, and iwasawa, which the shared
+    # fuzz reaches least, twice as often; 10^18 + 3 is a prime above the
+    # ring's residue-field cap
+    @given(action=st.sampled_from(["simplices", "iwasawa", "iwasawa",
+                                   "ub-audit", "self-norm", "bogus"]),
+           n=st.sampled_from([1, 2, 3, 4] * 3 + [-1, 0, 5, 6, 7]),
+           p=st.sampled_from([2, 3, 5, 7, 11] * 3 + [-1, 0, 1, 4, 6, 9,
+                                                     2**61 - 1, 10**18 + 3]),
+           count=st.sampled_from([1, 2, 50, 1000] * 2 + [-1, 0, 5001, 10**6,
+                                                         10**9]),
+           precision=st.sampled_from([1, 2, 6, 64, 1000] * 2
+                                     + [-1, 0, 10**4, 10**9]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_grammar_fuzz(self, action, n, p, count, precision):
+        argv = ["--cap", "5000", "building", action, "--n", str(n),
+                "--p", str(p), "--count", str(count),
+                "--precision", str(precision)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.monotonic() - start < 10.0, argv
+        assert "Traceback" not in err.getvalue(), argv
+        if action == "iwasawa":
+            bad = count < 1 or precision < 1 or not sympy.isprime(p)
+        else:
+            bad = action == "bogus" or n < 1 or (
+                action != "simplices" and not sympy.isprime(p))
+        if bad:
+            # iwasawa charges the cap before it builds (and so checks) its
+            # ring, so a request both invalid and too large may exit 3
+            assert code == 2 or (action == "iwasawa" and count >= 1
+                                 and code == 3), (argv, err.getvalue())
+        else:
+            assert code in (0, 3), (argv, err.getvalue())
+
+
 def is_prime(p):
     return p >= 2 and all(p % k for k in range(2, p))
 

@@ -22,6 +22,9 @@ from glnlab.cli import canonical_json, run
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "roots_n4": "roots --n 4",
+    "cartan_n4": "cartan --n 4",
+    "cartan_g2": "cartan --preset g2",
     "lang_p3_d2_s2": "lang --p 3 --d 2 --s 2",
     "h1_p2_d1_s2_level3": "h1 --p 2 --d 1 --s 2 --level 3",
     "h1_p3_d2_s1_level2": "h1 --p 3 --d 2 --s 1 --level 2",

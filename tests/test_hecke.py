@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,10 +11,13 @@ import sympy
 from glnlab import hecke
 from glnlab.errors import CapExceeded, CharacterMismatch, UnsupportedRank
 from glnlab.hecke import (
+    BIG,
     Gl1TwistedElement,
     HeckeElement,
     SatakeImage,
     UnitCharacter,
+    _smith_int,
+    _vint,
     chi_t,
     convolve,
     coset_decompose,
@@ -22,8 +26,6 @@ from glnlab.hecke import (
     modulus_delta_exponent,
     satake_by_coset_count,
     satake_transform,
-    smith_exponents,
-    vp,
 )
 from glnlab.rings import (
     FiniteField,
@@ -34,6 +36,24 @@ from glnlab.rings import (
 
 def v_pow(q, k):
     return HalfPowerLaurent.v_power(q, k)
+
+
+def vp(x, p):
+    """p-adic valuation of an int or Fraction; BIG for zero."""
+    if x == 0:
+        return BIG
+    return _vint(x.numerator, p) - _vint(x.denominator, p)
+
+
+def smith_exponents(rows, p):
+    """Elementary divisor exponents (ascending) of a nonsingular matrix
+    of ints or Fractions, scaled first by the lcm L of the denominators
+    (which shifts every exponent by v(L))."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows]
+    shift = _vint(den, p)
+    return tuple(e - shift for e in _smith_int(ints, p))
 
 
 def dominant_box(n, b):
@@ -288,7 +308,7 @@ class TestConvolution:
     def test_unit(self):
         for p in (2, 3):
             t = HeckeElement.basis((2, 1), p)
-            e = HeckeElement.unit(2, p)
+            e = HeckeElement.basis((0, 0), p)
             assert convolve(t, e) == t
             assert convolve(e, t) == t
 
@@ -413,7 +433,8 @@ class TestModulus:
 class TestTransformGl2:
     def test_unit(self):
         for p in (2, 3):
-            img = satake_transform(HeckeElement.unit(2, p), box_bound=1)
+            img = satake_transform(HeckeElement.basis((0, 0), p),
+                                   box_bound=1)
             assert img == SatakeImage(2, p, {(0, 0): 1})
 
     def test_minuscule(self):

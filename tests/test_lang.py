@@ -12,7 +12,6 @@ from glnlab.lang import (
     _gl_generators,
     _invariant_factors,
     congruence_kernel_module,
-    descend_conjugator,
     dm_bijection_check,
     factor_prime_power,
     gl_elements,
@@ -20,7 +19,6 @@ from glnlab.lang import (
     h1_cyclic,
     h1_level_tower,
     lang_image,
-    lang_map,
     twisted_classes,
     twisted_norm,
 )
@@ -30,6 +28,10 @@ from test_ring_core import gl_order
 
 def gl1_field_module(p, d, sigma_exponent=1):
     return gl_module(FiniteField(p, d), 1, sigma_exponent=sigma_exponent)
+
+
+def identity(module):
+    return Mat.identity(module.ring, module.s)
 
 
 def poly_mul(F, f, g):
@@ -108,7 +110,7 @@ def whole_group_h1(module):
     """(cocycles, classes) of H^1 with each class formed as
     {a^-1 c sigma(a) : a in G} over the whole group: the reference for
     the generator orbits of h1_cyclic."""
-    ident = module.identity()
+    ident = identity(module)
     cocycles = [c for c in module.elements
                 if twisted_norm(c, module, module.d) == ident]
     pairs = [(a.inverse(), module.sigma(a)) for a in module.elements]
@@ -216,15 +218,14 @@ class TestFactorPrimePower:
 
 class TestLangMap:
     def test_identity(self):
-        m = gl1_field_module(2, 2)
-        ident = m.identity()
-        assert lang_map(ident, m) == ident
+        # the image of the identity is the identity
+        for m in (gl1_field_module(2, 2), gl_module(FiniteField(3, 2), 2)):
+            assert identity(m) in lang_image(m)
 
     def test_gl1_f4_is_identity_map(self):
-        # x^-1 * x^2 = x for every x in F4*
+        # x^-1 * x^2 = x for every x in F4*, so the image is the group
         m = gl1_field_module(2, 2)
-        for x in m.elements:
-            assert lang_map(x, m) == x
+        assert lang_image(m) == set(m.elements)
 
     def test_gl1_f9_image_is_squares(self):
         m = gl1_field_module(3, 2)
@@ -248,18 +249,18 @@ class TestLangMap:
     def test_trivial_sigma_constant(self):
         m = gl_module(FiniteField(2, 1), 2)
         assert m.d == 1
-        assert lang_image(m) == {m.identity()}
+        assert lang_image(m) == {identity(m)}
 
 
 class TestTwistedNormAndClasses:
     def test_norm_identity(self):
         m = gl1_field_module(2, 2)
-        assert twisted_norm(m.identity(), m, 2) == m.identity()
+        assert twisted_norm(identity(m), m, 2) == identity(m)
 
     def test_gl1_f4_norm_trivial(self):
         m = gl1_field_module(2, 2)
         for a in m.elements:
-            assert twisted_norm(a, m, 2) == m.identity()
+            assert twisted_norm(a, m, 2) == identity(m)
 
     def test_gl1_f9_norm_two_values(self):
         m = gl1_field_module(3, 2)
@@ -449,30 +450,6 @@ class TestH1:
         m = congruence_kernel_module(2, 2, 1, 2, 1)
         assert len(m.elements) == 4
         assert h1_cyclic(m)["h1_size"] == 1
-
-
-class TestDescent:
-    def test_already_fixed(self):
-        m = gl1_field_module(2, 2)
-        g = m.identity()
-        assert descend_conjugator(g, m) == g
-
-    def test_gl1_descends(self):
-        m = gl1_field_module(2, 2)
-        for g in m.elements:
-            g1 = descend_conjugator(g, m)
-            assert m.sigma(g1) == g1
-
-    def test_not_a_cocycle(self):
-        # U = the sigma-fixed subgroup only: a non-fixed g has its
-        # cocycle outside U
-        F = FiniteField(2, 2)
-        full = gl_module(F, 1)
-        fixed = [x for x in full.elements if full.sigma(x) == x]
-        u = GaloisModule(fixed, F)
-        bad = next(x for x in full.elements if full.sigma(x) != x)
-        with pytest.raises(NotACocycle):
-            descend_conjugator(bad, u)
 
 
 class TestGenerators:

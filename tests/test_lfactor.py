@@ -4,19 +4,17 @@ from math import gcd
 import pytest
 import sympy
 
-from glnlab.errors import BaseMismatch, RankMismatch, ZeroEntry
+from glnlab.errors import RankMismatch, ZeroEntry
 from glnlab.lfactor import (
     X,
     DualRep,
     DualTorusElement,
-    EulerProduct,
     SatakeParameter,
+    _basis_action,
     base_change_factor,
     conjugate_orbit_product,
     l_factor,
     rankin_selberg,
-    rep_apply,
-    semidirect_multiply,
     semidirect_power,
 )
 
@@ -25,6 +23,26 @@ alpha, beta, gamma, delta = sympy.symbols("alpha beta gamma delta")
 
 def param(vals, q=3):
     return SatakeParameter(vals, q)
+
+
+def rep_apply(rho, t, t2=None):
+    """Eigenvalue multiset of rho(t) for split parameters (trivial
+    Galois twist): the weights of the basis action."""
+    return [sympy.expand(w) for w, _ in _basis_action(rho, t, t2)]
+
+
+def semidirect_multiply(e1, e2):
+    """(sigma^a, g)(sigma^b, g') = (sigma^(a+b), g * sigma^a(g')), the
+    product that semidirect_power iterates; e1's action permutation is
+    the action of its own Galois component."""
+    g = [sympy.expand(a * b) for a, b in
+         zip(e1.t.values, e1.apply_action(e2.t.values, times=1))]
+    power = e1.galois_power + e2.galois_power
+    action = tuple(e1.action[e2.action[i]] for i in range(len(e1.action)))
+    if e1.order is not None:
+        power %= e1.order
+    return DualTorusElement(power, SatakeParameter(g, e1.t.q),
+                            action=action, order=e1.order)
 
 
 # reference: rho(diag(t) P_sigma) as an explicit sympy matrix -----------------
@@ -114,10 +132,6 @@ class TestParameters:
     def test_zero_rejected(self):
         with pytest.raises(ZeroEntry):
             param((alpha, 0))
-
-    def test_weyl_equality(self):
-        assert param((alpha, beta)).weyl_equal(param((beta, alpha)))
-        assert not param((alpha, beta)).weyl_equal(param((alpha, alpha)))
 
 
 class TestRepApply:
@@ -313,29 +327,6 @@ class TestBaseChange:
         f = base_change_factor(DualRep("standard"), param((alpha, beta)), 2,
                                action=(1, 0))
         assert f.denominator == sympy.expand((1 - alpha * beta * X**2)**2)
-
-
-class TestEulerProduct:
-    def test_empty(self):
-        assert EulerProduct([]).as_rational() == 1
-
-    def test_single(self):
-        f = l_factor(DualRep("standard"), param((alpha,)))
-        ep = EulerProduct([f])
-        assert sympy.simplify(ep.as_rational() - f.as_rational()) == 0
-
-    def test_two_gl1(self):
-        f = l_factor(DualRep("standard"), param((alpha,)))
-        g = l_factor(DualRep("standard"), param((beta,)))
-        ep = EulerProduct([f, g])
-        want = 1 / sympy.expand((1 - alpha * X) * (1 - beta * X))
-        assert sympy.simplify(ep.as_rational() - want) == 0
-
-    def test_mixed_q_rejected(self):
-        f = l_factor(DualRep("standard"), param((alpha,), q=2))
-        g = l_factor(DualRep("standard"), param((beta,), q=3))
-        with pytest.raises(BaseMismatch):
-            EulerProduct([f, g])
 
 
 class TestRankinSelberg:

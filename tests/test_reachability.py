@@ -1,0 +1,169 @@
+"""Every public definition of ``glnlab`` is reached from a claim, or is
+listed in ``ALLOWLIST`` with the reason it stays.
+
+A claim is a CLI subcommand or a row of the paper audit, so the walk
+starts at ``cli.main`` (the console script), ``cli.run``, every
+``cli.cmd_*`` and ``audit.CRITERIA`` and ``audit.RANDOM_ORACLE``.  From
+a reached definition it follows every name that is read, to the
+top-level definitions of that name in any module, and every attribute
+that is read, to the top-level definitions and class members of that
+name.  A reached class also reaches its bases and its dunder members,
+which run without being named.  Names are not resolved to scopes, so a
+name shared by two definitions reaches both: the walk over-approximates,
+and a definition it leaves unreached has no caller in ``src/``.
+Definitions are functions, classes and assignments, at the top level of
+a module or in a class body.
+"""
+
+import ast
+import pathlib
+from collections import defaultdict
+
+PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "glnlab"
+
+ROOTS = ("cli.main", "cli.run", "audit.CRITERIA", "audit.RANDOM_ORACLE")
+
+_TWISTED = ("the rank-1 twisted Hecke algebra, a claim the README states; "
+            "reaching it needs a subcommand of its own")
+_TRACED = ("perfbench/tracer.py patches it by name, so `--trace 1` needs it")
+
+ALLOWLIST = {
+    "hecke.UnitCharacter": _TWISTED,
+    "hecke.Gl1TwistedElement": _TWISTED,
+    "hecke.gl1_twisted_convolve": _TWISTED,
+    "hecke.gl1_convolution_by_finite_sum": _TWISTED + " (its oracle)",
+    "errors.CharacterMismatch": _TWISTED + " (raised by its convolution)",
+    "rings.TruncatedLocalRing.units": _TWISTED + " (its oracle's units)",
+    "building.membership": ("defines what a ValuationPattern means: the "
+                            "valuation test the pattern stands for"),
+    "rings.Mat.det": _TRACED + "; building.membership reads it too",
+    "rings.Mat.transpose": _TRACED,
+    "rings.Mat.scale": _TRACED,
+    "rings.FqElement": _TRACED,
+}
+
+# Looked up by perfbench/tracer.py in a class's own __dict__ (or in the
+# module), so each must stay defined exactly there, reached or not.
+TRACER_LOOKUPS = (
+    "rings.Mat.__mul__", "rings.Mat.inverse", "rings.Mat.det",
+    "rings.Mat.__add__", "rings.Mat.sigma", "rings.Mat.scale",
+    "rings.Mat.transpose", "rings.Mat.from_ints", "rings.Mat.identity",
+    "rings.FiniteField.__init__", "rings.TruncatedLocalRing.__init__",
+    "rings.FqElement", "rings.LocalRingElement.__mul__",
+    "rings.LocalRingElement.__add__",
+)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _targets(stmt):
+    """Names an assignment statement binds."""
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    elif isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def definitions():
+    """{qualified name: (node, member)}: functions, classes and
+    assignments at the top level of each module or in a class body;
+    member is True for those in a class body.  An assignment's node is
+    the statement."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            names = ([stmt.name] if isinstance(
+                stmt, (ast.FunctionDef, ast.ClassDef)) else _targets(stmt))
+            for name in names:
+                out[f"{module}.{name}"] = (stmt, False)
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    names = ([item.name] if isinstance(
+                        item, (ast.FunctionDef, ast.ClassDef))
+                        else _targets(item))
+                    for name in names:
+                        out[f"{module}.{stmt.name}.{name}"] = (item, True)
+    return out
+
+
+def _references(node):
+    """(names, attributes) read anywhere inside node."""
+    names, attrs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attrs.add(sub.attr)
+    return names, attrs
+
+
+def reached(defs):
+    """The qualified names the walk reaches from ROOTS and every cmd_*."""
+    by_name, by_attr = defaultdict(list), defaultdict(list)
+    for qual, (_, member) in defs.items():
+        name = qual.rsplit(".", 1)[1]
+        by_attr[name].append(qual)
+        if not member:
+            by_name[name].append(qual)
+    todo = list(ROOTS) + [q for q in defs if q.startswith("cli.cmd_")]
+    seen = set()
+    while todo:
+        qual = todo.pop()
+        if qual in seen:
+            continue
+        seen.add(qual)
+        node, _ = defs[qual]
+        if isinstance(node, ast.ClassDef):
+            # the class statement without its members: bases, decorators
+            parts = node.bases + node.keywords + node.decorator_list
+            todo += [m for m in defs if m.startswith(qual + ".")
+                     and _is_dunder(m.rsplit(".", 1)[1])]
+        else:
+            parts = [node]
+        for part in parts:
+            names, attrs = _references(part)
+            for name in names:
+                todo += by_name[name]
+            for attr in attrs:
+                todo += by_attr[attr]
+    return seen
+
+
+def _public(qual):
+    return not any(part.startswith("_") for part in qual.split(".")[1:])
+
+
+def _excused(qual):
+    """Allowlisted, or a member of an allowlisted class."""
+    parts = qual.split(".")
+    return any(".".join(parts[:k]) in ALLOWLIST
+               for k in range(2, len(parts) + 1))
+
+
+def test_every_public_definition_is_reached_or_allowlisted():
+    defs = definitions()
+    seen = reached(defs)
+    missing = sorted(q for q in defs
+                     if _public(q) and q not in seen and not _excused(q))
+    assert not missing, f"reached from no claim: {missing}"
+
+
+def test_allowlist_is_current():
+    defs = definitions()
+    seen = reached(defs)
+    gone = sorted(q for q in ALLOWLIST if q not in defs)
+    assert not gone, f"allowlisted but no longer defined: {gone}"
+    now_reached = sorted(q for q in ALLOWLIST if q in seen)
+    assert not now_reached, f"allowlisted but reached: {now_reached}"
+
+
+def test_the_names_the_tracer_patches_are_defined_where_it_looks():
+    defs = definitions()
+    missing = [q for q in TRACER_LOOKUPS if q not in defs]
+    assert not missing, missing

@@ -123,7 +123,7 @@ class TestRingLaws:
         codes = tuple(data.draw(st.lists(st.integers(0, R.size() - 1),
                                          min_size=s * s, max_size=s * s)))
         m = Mat.from_codes(R, s, codes)
-        if m.is_invertible():
+        if m.det().is_unit():
             assert m * m.inverse() == Mat.identity(R, s)
             assert m.inverse() * m == Mat.identity(R, s)
 
