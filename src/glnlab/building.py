@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceeded, PrecisionExhausted
+from .errors import CapExceeded, NotPrime, PrecisionExhausted
 from .lang import gl_elements
-from .rings import DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing
+from .rings import (DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing,
+                    is_prime)
 
 
 def fundamental_simplices(n, cap=DEFAULT_GROUP_CAP):
@@ -176,16 +177,19 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
     its determinant is nonzero at working precision.  A sample fails
     unless b * k == g, b is upper triangular and k has unit determinant.
 
-    CapExceeded, before the ring is built (so p^precision is never
-    formed), when count * w exceeds the cap: a sample costs
-    w = ceil(bits/64)^2 work units, where bits = precision * bit length
-    of p bounds the bits of p^precision.  Measured per unit (2-core
-    x86-64, Python 3.11.7): 15-18 us at one word, 1.3-3.4 us at 3-5
-    words (p^precision of 149-161 bits), 0.02-0.12 us from 32 to 3125
-    words, so the square over-charges large precisions, and a request
-    the default cap of 10^6 accepts runs at most about 20 s there.  A
-    precision below 1 is charged nothing and refused by the ring.
+    NotPrime unless p is prime, then CapExceeded, before the ring is
+    built (so p^precision is never formed), when count * w exceeds the
+    cap: a sample costs w = ceil(bits/64)^2 work units, where bits =
+    precision * bit length of p bounds the bits of p^precision.
+    Measured per unit (2-core x86-64, Python 3.11.7): 15-18 us at one
+    word, 1.3-3.4 us at 3-5 words (p^precision of 149-161 bits),
+    0.02-0.12 us from 32 to 3125 words, so the square over-charges
+    large precisions, and a request the default cap of 10^6 accepts
+    runs at most about 20 s there.  A precision below 1 is charged
+    nothing and refused by the ring.
     """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     words = -(-max(precision, 0) * p.bit_length() // 64)
     if count * words * words > cap:
         raise CapExceeded(f"{count} samples of {words}^2 work units each "

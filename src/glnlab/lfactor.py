@@ -184,21 +184,29 @@ def _basis_action(rho, t, t2=None, action=None):
 
 
 class LocalLFactor:
-    """1/denominator with denominator = det(1 - rho(t sigma) X)."""
+    """1/denominator with denominator = det(1 - rho(t sigma) X), held as
+    one Poly in X with coefficients in the parameters' ring (their
+    fraction field for dual)."""
 
-    def __init__(self, denominator, q):
-        den = sympy.expand(denominator)
-        if den.subs(X, 0) != 1:
+    def __init__(self, poly, q):
+        if poly.coeff_monomial(1) != 1:
             raise ValueError("denominator must have constant term 1")
-        self.denominator = den
+        self.poly = poly
         self.q = q
 
+    @property
+    def denominator(self):
+        """The expanded expression, built for the report."""
+        if self.poly.domain.is_PolynomialRing:
+            return self.poly.inject().as_expr()
+        return sympy.expand(self.poly.as_expr())
+
     def degree(self):
-        return sympy.Poly(self.denominator, X).degree()
+        return self.poly.degree()
 
     def __eq__(self, other):
         return (isinstance(other, LocalLFactor) and self.q == other.q
-                and sympy.expand(self.denominator - other.denominator) == 0)
+                and self.denominator == other.denominator)
 
     def __repr__(self):
         return f"LocalLFactor(1/({self.denominator}), q={self.q})"
@@ -209,7 +217,7 @@ def l_factor(rho, t, q=None, t2=None, action=None):
     of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
     product of the signed weights around C."""
     images = _basis_action(rho, t, t2, action)
-    seen, factors = set(), []
+    seen, poly = set(), sympy.Poly(1, X)
     for start in range(len(images)):
         c, length, j = 1, 0, start
         while j not in seen:
@@ -218,8 +226,8 @@ def l_factor(rho, t, q=None, t2=None, action=None):
             c *= w
             length += 1
         if length:
-            factors.append(1 - c * X**length)
-    return LocalLFactor(sympy.Mul(*factors), t.q if q is None else q)
+            poly *= sympy.Poly(1 - c * X**length, X)
+    return LocalLFactor(poly, t.q if q is None else q)
 
 
 def base_change_factor(rho, t, d, q=None, action=None, t2=None):
@@ -238,8 +246,7 @@ def base_change_factor(rho, t, d, q=None, action=None, t2=None):
     residual = ed.action
     base = l_factor(rho, ed.t, q, t2=t2,
                     action=None if residual == tuple(range(t.n)) else residual)
-    den = sympy.expand(base.denominator.subs(X, X**d))
-    return LocalLFactor(den, q)
+    return LocalLFactor(base.poly.compose(sympy.Poly(X**d, X)), q)
 
 
 def conjugate_orbit_product(alpha, d):

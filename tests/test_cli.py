@@ -89,7 +89,13 @@ class TestExitCodes:
                 "satake --n 3 --p 2 --lam=1000,0,-1000",
                 "lfactor --q 2 --params 0",
                 "lfactor --q 4 --params 1,2 --rep wedge(3)",
-                "lfactor --q 2 --params 2/0"):
+                "lfactor --q 2 --params 2/0",
+                # X is the variable of the L-factor, not a parameter
+                "lfactor --q 2 --params a,X",
+                "lfactor rankin --q 2 --left X --right a",
+                # p is checked before the samples are charged
+                "building iwasawa --p 4 --count 1000000000",
+                "building iwasawa --p 1 --count 1000000000 --precision 50"):
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("invalid config: "), (argv, err)
@@ -409,6 +415,18 @@ class TestLFactorCap:
                                100000)
 
 
+class TestNearCap:
+    """Requests the default cap accepts, close to it, finish promptly."""
+
+    def test_lfactor(self):
+        # charged 406 800 of the default 10^6
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["lfactor", "--q", "2", "--params", "a,b,c",
+                        "--rep", "sym(4)"]) == 0
+        assert time.monotonic() - start < 3.0
+
+
 class TestGrammar:
     """The subcommands without a fuzz of their own, under small and bad
     integers."""
@@ -417,7 +435,7 @@ class TestGrammar:
     PRIMES = [2, 3, 5, 7, 2, 3, -1, 0, 1, 4, 6, 9]
     QS = [2, 3, 4, 5, 7, 8, 9, 2, 3, -2, 0, 1, 6, 10]
     TOKENS = ["a", "b", "x_1", "1", "-2", "3/4"] * 3 + [
-        "0", "-0", "2/0", "", "1e3", "2*a"]
+        "0", "-0", "2/0", "", "1e3", "2*a", "X"]
     REPS = ["standard", "dual", "trivial", "sym(-1)", "wedge(-1)",
             "tensor"] + [f"{kind}({k})" for kind in ("sym", "wedge")
                          for k in (0, 1, 2, 3, 4, 6, 10, 20, 30)]

@@ -43,6 +43,11 @@ COMMANDS = {
         "lfactor bc --d 2 --rep sym(2) --params a,b --q 2"),
     "lfactor_rankin_ab_c_half_q5": (
         "lfactor rankin --left a,b --right c,1/2 --q 5"),
+    "lfactor_dual_a_half_c_q3": "lfactor --rep dual --params a,1/2,c --q 3",
+    "lfactor_sym3_rational_q3": (
+        "lfactor --rep sym(3) --params 2,1/3,-1 --q 3"),
+    "lfactor_bc_d3_wedge2_abc_q2": (
+        "lfactor bc --d 3 --rep wedge(2) --params a,b,c --q 2"),
 }
 
 
