@@ -91,7 +91,9 @@ def iwasawa_reconstruction(cap, seed):
     ok = building.iwasawa_sample_failures(2, 6, 1000, random.Random(seed),
                                           cap=cap) == 0
     for p in (2, 3):
-        for g in lang.gl_elements(FiniteField(p, 1), 2):
+        field = FiniteField(p, 1)
+        for codes in lang.gl_elements(field, 2):
+            g = Mat.from_codes(field, 2, codes)
             b, k = building.iwasawa_decompose(g)
             ok &= b * k == g and b.rows[1][0].is_zero()
     return ok, None

@@ -195,17 +195,18 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
         raise CapExceeded(f"{count} samples of {words}^2 work units each "
                           f"exceed cap {cap}")
     ring = TruncatedLocalRing(p, precision, 1)
+    mul, det, _ = ring.mat_kernels(2)
     top, bound = ring.pn, min(3, precision)
     done = failures = 0
     while done < count:
         offset = rng.randint(-2, 2)
         codes = tuple(rng.randrange(top) for _ in range(4))  # row-major
-        if ring.valuation(ring.mat_det(2, codes)) >= bound:
+        if ring.valuation(det(codes)) >= bound:
             continue
         b, k = iwasawa_decompose(Mat.from_codes(ring, 2, codes, offset))
-        if not (ring.mat_mul(2, b.codes, k.codes) == codes
+        if not (mul(b.codes, k.codes) == codes
                 and b.offset + k.offset == offset and not b.codes[2]
-                and ring.is_unit(ring.mat_det(2, k.codes))):
+                and ring.is_unit(det(k.codes))):
             failures += 1
         done += 1
     return failures
@@ -244,9 +245,10 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     b_set = _residue_triangular(field, n, lower=False)
     if len(u_set) * len(b_set) > cap:
         raise CapExceeded("product-set enumeration exceeds cap")
-    products = {u * b for u in u_set for b in b_set}
-    missing = sorted((g for g in g_all if g not in products),
-                     key=lambda m: m.coeff_key())
+    products = {(u * b).codes for u in u_set for b in b_set}
+    # g_all is in coefficient order, so missing is too
+    missing = [Mat.from_codes(field, n, g) for g in g_all
+               if g not in products]
     return {
         "group_order": len(g_all),
         "u_order": len(u_set),
@@ -268,7 +270,8 @@ def audit_self_normalizing(n, p, subgroup=None, cap=DEFAULT_GROUP_CAP):
     is tested on all of its elements.
     """
     field = FiniteField(p, 1)
-    g_all = gl_elements(field, n, cap=cap)
+    g_all = [Mat.from_codes(field, n, g)
+             for g in gl_elements(field, n, cap=cap)]
     if subgroup is None:
         u_set = set(_residue_triangular(field, n, lower=True))
         gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))

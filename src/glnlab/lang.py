@@ -9,9 +9,13 @@ plus one diagonal unit per F_p-basis vector of each layer of 1 + pR).
 The H^1 cocycles of GL_s(O/p^n), n >= 2, are found among the lifts of
 those of GL_s(O/p^(n-1)), so only GL_s(F_q) is ever enumerated for
 them.  Plain conjugacy classes of GL_s(F_q) are the fibres of the
-rational canonical form.  The enumeration loops work on the flat code
-tuples of ``Mat`` (see ``rings``) and wrap only their results as
-matrices.
+rational canonical form.
+
+Group elements, cocycles and Lang images are flat row-major code tuples
+(as in ``Mat.codes``, see ``rings``).  Each loop binds the ring's
+kernels once (``mat_kernels``, ``form``, ``sandwich``) and runs on the
+tuples; only the class representatives and matches a report names are
+wrapped as ``Mat``s.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ class GaloisModule:
     """A matrix group with a cyclic Frobenius action.
 
     The action is entrywise sigma^exponent, sigma the Frobenius lift of
-    ``ring``; ``d`` is its order.  ``elements`` are ``Mat``s over
-    ``ring`` with offset 0: a list, or a callable that builds it on
-    first read (then ``s``, the matrix size, must be given).
+    ``ring``; ``d`` is its order.  ``elements`` are the flat code tuples
+    of s x s matrices over ``ring``: a list, or a callable that builds
+    it on first read (then ``s``, the matrix size, must be given).
     ``generators``, if given, is a callable returning flat code tuples
     that generate the group.  ``twisted_classes`` and ``h1_cyclic`` need
     it and call it, so a module that never reaches them (as in
@@ -70,16 +74,16 @@ class GaloisModule:
         self.exponent = exponent
         self.d = ring.d // math.gcd(ring.d, exponent)
         self.generators = generators
-        self.s = self.elements[0].size if s is None else s
+        self.s = math.isqrt(len(self.elements[0])) if s is None else s
         self.below = below
 
     @functools.cached_property
     def elements(self):
         return self._build()
 
-    def sigma(self, m, k=1):
-        """sigma^k of a Mat."""
-        return m.sigma(self.exponent * k)
+    def sigma(self, x, k=1):
+        """sigma^k of a flat code tuple."""
+        return self.ring.mat_sigma(x, self.exponent * k)
 
 
 def _admit(ring, s, cap):
@@ -91,21 +95,22 @@ def _admit(ring, s, cap):
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
-    """All of GL_s over an enumerable finite ring, in coefficient order.
+    """All of GL_s over an enumerable finite ring, as flat code tuples in
+    coefficient order.
 
     Rows with every entry in the maximal ideal cannot occur, so the scan
     runs over the other rows only (for s = 1 that is the whole test).
     The cofactors of the last row are computed once per head of s - 1
-    rows; each candidate last row then costs one ``dot`` for its
-    determinant.
+    rows; each candidate last row then costs one call of their linear
+    ``form`` for its determinant.
     """
     _admit(ring, s, cap)
     nel = ring.size()
-    unit, dot, neg = ring.is_unit, ring.dot, ring.neg
+    unit, neg = ring.is_unit, ring.neg
     rows = [r for r in itertools.product(range(nel), repeat=s)
             if any(map(unit, r))]
     if s == 1:  # a row of one unit is its own determinant
-        return [Mat.from_codes(ring, 1, r) for r in rows]
+        return rows
     out = []
     for head in itertools.product(rows, repeat=s - 1):
         head = sum(head, ())
@@ -113,9 +118,10 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
         minors = [ring.mat_det(s - 1, tuple(
             head[i * s + c] for i in range(s - 1) for c in range(s) if c != j))
             for j in range(s)]
-        cof = [neg(m) if (s - 1 + j) % 2 else m for j, m in enumerate(minors)]
-        out += [Mat.from_codes(ring, s, head + r)
-                for r in rows if unit(dot(r, cof))]
+        form = ring.form([neg(m) if (s - 1 + j) % 2 else m
+                          for j, m in enumerate(minors)])
+        out += [head + r for r in
+                itertools.compress(rows, map(unit, map(form, rows)))]
     return out
 
 
@@ -180,35 +186,21 @@ def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
 # ---------------------------------------------------------------------------
 # the Lang map
 
-def _sandwich(ring, s, a, b):
-    """x -> a * x * b on flat s x s matrices: per entry, the indices into x
-    and the coefficients of its nonzero terms (at least one, as a row of a
-    and a column of b each hold a unit; at most 4 for the generators)."""
-    pairs = list(itertools.product(range(s), repeat=2))
-    out = []
-    for i, j in pairs:
-        terms = [(k * s + l, c) for k, l in pairs
-                 if (c := ring.mul(a[i * s + k], b[l * s + j]))]
-        out.append(tuple(zip(*terms)))
-    return out
-
-
 def _twisted_orbits(module, codes, allowed, leaving):
     """The orbits of c -> g^-1 c sigma(g) through codes, each once, in the
     order of codes, as sets of codes.
 
     Each orbit is closed under g in the module's generating set, which
-    reaches a^-1 c sigma(a) for every a in the group at one sparse
-    ``_sandwich`` per element and generator, and one inverse per
-    generator.  A move that lands outside ``allowed`` raises the
-    exception ``leaving``.
+    reaches a^-1 c sigma(a) for every a in the group.  Each generator's
+    move is the ring's ``sandwich`` of g^-1 and sigma(g), built once:
+    its nonzero terms (at most 4 an entry for the generators) are
+    resolved then, so a move costs one call per element.  A move that
+    lands outside ``allowed`` raises the exception ``leaving``.
     """
     if module.generators is None:
         raise InvalidConfig("orbits need a module with generators")
     ring, s = module.ring, module.s
-    dot = ring.dot
-    moves = [_sandwich(ring, s, ring.mat_inv(s, g),
-                       ring.mat_sigma(g, module.exponent))
+    moves = [ring.sandwich(s, ring.mat_inv(s, g), module.sigma(g))
              for g in module.generators()]
     seen = set()
     for c in codes:
@@ -218,7 +210,7 @@ def _twisted_orbits(module, codes, allowed, leaving):
         while todo:
             x = todo.pop()
             for move in moves:
-                y = tuple([dot(cs, [x[k] for k in ks]) for ks, cs in move])
+                y = move(x)
                 if y not in orbit:
                     if y not in allowed:
                         raise leaving
@@ -229,20 +221,18 @@ def _twisted_orbits(module, codes, allowed, leaving):
 
 
 def lang_image(module):
-    ring, s, e = module.ring, module.s, module.exponent
-    mul, inv, sigma = ring.mat_mul, ring.mat_inv, ring.mat_sigma
-    image = {mul(s, inv(s, x), sigma(x, e))
-             for x in (m.codes for m in module.elements)}
-    return {Mat.from_codes(ring, s, c) for c in image}
+    """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples."""
+    mul, _, inv = module.ring.mat_kernels(module.s)
+    sigma = functools.partial(module.ring.mat_sigma, e=module.exponent)
+    return {mul(inv(x), sigma(x)) for x in module.elements}
 
 
 def twisted_norm(a, module, m):
-    """a * sigma(a) * ... * sigma^{m-1}(a)."""
-    acc = a
-    cur = a
+    """a * sigma(a) * ... * sigma^{m-1}(a), a a flat code tuple."""
+    acc = cur = a
     for _ in range(m - 1):
         cur = module.sigma(cur)
-        acc = acc * cur
+        acc = module.ring.mat_mul(module.s, acc, cur)
     return acc
 
 
@@ -253,7 +243,7 @@ def twisted_classes(module):
     moves an element out of the group raises MatchFailure.
     """
     ring, s = module.ring, module.s
-    codes = [m.codes for m in module.elements]
+    codes = module.elements
     leaving = MatchFailure("a twisted class leaves the group")
     return [{"representative": Mat.from_codes(ring, s, min(orbit)),
              "size": len(orbit)}
@@ -282,10 +272,10 @@ def _cocycles(module):
     their order, with one sigma per element (sigma maps the group to
     itself)."""
     ring, s, e = module.ring, module.s, module.exponent
-    mul = ring.mat_mul
+    mul = ring.mat_kernels(s)[0]
     ident = Mat.identity(ring, s).codes
     if module.below is None:
-        codes = [m.codes for m in module.elements]
+        codes = module.elements
         sigma = {c: ring.mat_sigma(c, e) for c in codes}.__getitem__
     else:
         codes = _lifts(ring, *module.below())
@@ -295,7 +285,7 @@ def _cocycles(module):
         acc = cur = c
         for _ in range(module.d - 1):
             cur = sigma(cur)
-            acc = mul(s, acc, cur)
+            acc = mul(acc, cur)
         return acc == ident
 
     out = list(filter(is_cocycle, codes))
@@ -349,7 +339,7 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     entry_values = [ring.encode([pa * t for t in coeffs])
                     for coeffs in itertools.product(range(step), repeat=d)]
     ident = Mat.identity(ring, s).codes
-    out = [Mat.from_codes(ring, s, tuple(map(ring.add, ident, delta)))
+    out = [tuple(map(ring.add, ident, delta))
            for delta in itertools.product(entry_values, repeat=s * s)]
     return GaloisModule(out, ring, generators=lambda: [
         _plus(ring, s, j, l, p**k * c) for k in range(a, b)
@@ -484,8 +474,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     sub = {c for c in range(ext.size()) if ext.sigma(c, v) == c}
     plain = {}  # invariant factors -> least element of the plain class
     for g in module.elements:
-        if sub.issuperset(g.codes):
-            plain.setdefault(_invariant_factors(ext, s, g.codes), g)
+        if sub.issuperset(g):
+            plain.setdefault(_invariant_factors(ext, s, g), g)
     twisted = twisted_classes(module)
 
     matches = []
@@ -493,7 +483,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     for cl in twisted:
         a = cl["representative"]
         key = _invariant_factors(
-            ext, s, twisted_norm(a, module, n).inverse().codes)
+            ext, s, ext.mat_inv(s, twisted_norm(a.codes, module, n)))
         if not all(sub.issuperset(f) for f in key):
             raise MatchFailure("invariant factors of N(A) are not in F_q[X]")
         if key not in plain:
@@ -502,7 +492,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         if key in used:
             raise MatchFailure("two twisted classes hit the same plain class")
         used.add(key)
-        matches.append({"twisted_rep": a, "plain_rep": plain[key],
+        matches.append({"twisted_rep": a,
+                        "plain_rep": Mat.from_codes(ext, s, plain[key]),
                         "invariant_factors": key})
     bijective = len(used) == len(plain) == len(twisted)
     if not bijective:

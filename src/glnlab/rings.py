@@ -7,9 +7,17 @@ case, where sigma is the p-power map.  An element is an int code in
 [0, p^(nd)) whose base-p^n digits are its coefficients, constant term
 most significant, so code order is coefficient-tuple order.  The ring
 fixes its arithmetic at construction from (p, n, d): native ints mod p^n
-when d = 1; add, mul, negation, inverse and sigma tables when d > 1 and
-the ring has at most 256 elements (so an N x N table holds at most 2^16
-codes); schoolbook products of decoded coefficients otherwise.
+when d = 1; add and mul row tables (``A[a][b]``, ``M[a][b]``) and
+negation, inverse and sigma tables when d > 1 and the ring has at most
+256 elements (so an N x N table holds at most 2^16 codes); schoolbook
+products of decoded coefficients otherwise.  Every ring also fixes its
+matrix kernels on flat code tuples: the 2 x 2 product, determinant and
+inverse (``mul2``, ``det2``, ``inv2``), the linear form r -> sum r_i c_i
+of fixed codes (``form``) and the sandwich x -> a x b of fixed a, b
+(``sandwich``).  Over the tables they are unrolled and read the rows
+directly, with each fixed operand's row looked up once; the other
+rings build them from their operations on codes, so their arithmetic
+is the same one.
 
 ``Mat`` is a square matrix as a flat row-major tuple of codes plus a
 global p-power offset.  Element objects are thin (ring, code) pairs for
@@ -23,7 +31,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .errors import CapExceeded, InvalidConfig, NotInvertible, NotPrime
 
@@ -173,53 +181,99 @@ def _unit_inverse(p, n):
 # ---------------------------------------------------------------------------
 # the three arithmetics of a ring's codes; each returns add, mul, neg, dot
 # (sum of products), inv, is_unit, decode, and linear (images of the basis
-# 1, x, .., x^(d-1) -> the additive map of codes they define)
+# 1, x, .., x^(d-1) -> the additive map of codes they define), then the
+# matrix kernels of _op_kernels
+
+def _op_kernels(mul, neg, dot, inv, is_unit):
+    """The matrix kernels from a ring's operations on codes: the 2 x 2
+    product, determinant and inverse of flat code tuples, the linear
+    form r -> sum r_i c_i of fixed codes c, and the sandwich x -> a x b
+    of flat s x s matrices for fixed a, b."""
+
+    def mul2(x, y):
+        r0, r1, c0, c1 = x[:2], x[2:], y[::2], y[1::2]
+        return (dot(r0, c0), dot(r0, c1), dot(r1, c0), dot(r1, c1))
+
+    def det2(x):
+        return dot((x[0], x[1]), (x[3], neg(x[2])))
+
+    def inv2(x):
+        det = det2(x)
+        if not is_unit(det):
+            raise NotInvertible("determinant is not a unit")
+        k = inv(det)
+        return (mul(x[3], k), neg(mul(x[1], k)), neg(mul(x[2], k)),
+                mul(x[0], k))
+
+    def form(cs):
+        return lambda r: dot(r, cs)
+
+    def sandwich(s, a, b):
+        # per entry, the indices into x and the coefficients of its
+        # nonzero terms; 0 * x[0] stands for an entry with none
+        pairs = list(itertools.product(range(s), repeat=2))
+        terms = []
+        for i, j in pairs:
+            t = [(k * s + l, c) for k, l in pairs
+                 if (c := mul(a[i * s + k], b[l * s + j]))]
+            terms.append(tuple(zip(*t)) if t else ((0,), (0,)))
+        return lambda x: tuple([dot(cs, [x[k] for k in ks])
+                                for ks, cs in terms])
+
+    return mul2, det2, inv2, form, sandwich
+
 
 def _native_ops(ring):
     p, m = ring.p, ring.pn
-    return (lambda a, b: (a + b) % m, lambda a, b: a * b % m,
-            lambda a: -a % m,
-            lambda xs, ys: sum(map(operator.mul, xs, ys)) % m,
-            _unit_inverse(p, ring.n), lambda a: a % p != 0,
-            lambda a: (a,), None)
+    mul, neg = (lambda a, b: a * b % m), (lambda a: -a % m)
+    inv, is_unit = _unit_inverse(p, ring.n), (lambda a: a % p != 0)
+
+    def dot(xs, ys):
+        return sum(map(operator.mul, xs, ys)) % m
+
+    return ((lambda a, b: (a + b) % m, mul, neg, dot, inv, is_unit,
+             lambda a: (a,), None) + _op_kernels(mul, neg, dot, inv, is_unit))
 
 
 def _table_ops(ring):
+    """Row tables A[a][b] = a + b and M[a][b] = a b, and the negation,
+    inverse and unit tables; the kernels read them directly."""
     p, pn, d, size = ring.p, ring.pn, ring.d, ring.size()
     coeffs = list(itertools.product(range(pn), repeat=d))  # code order
-    add = []
+    A = []
     for ca in coeffs:
         row = [0]
         for ai, w in zip(ca, ring.weights):
             row = [r + (ai + t) % pn * w for r in row for t in range(pn)]
-        add += row
+        A.append(row)
 
     def linear(images):
         row = [0]
         for img in images:
             mult = [0]
             for _ in range(pn - 1):
-                mult.append(add[mult[-1] * size + img])
-            row = [add[r * size + m] for r in row for m in mult]
+                mult.append(A[mult[-1]][img])
+            row = [A[r][m] for r in row for m in mult]
         return row
 
     # x * x^j = x^(j+1), and x * x^(d-1) = x^d = x^d - F
     times_x = linear(ring.weights[1:] + (
         ring.encode([-c for c in ring.modulus_lift]),))
-    mul = []
+    M = []
     for a in range(size):
         images = [a]
         for _ in range(d - 1):
             images.append(times_x[images[-1]])
-        mul += linear(images)
+        M.append(linear(images))
     unit = [any(c % p for c in ca) for ca in coeffs]
-    inverse = [mul.index(ring.one_code, a * size, (a + 1) * size) - a * size
-               if unit[a] else -1 for a in range(size)]
+    neg = [ring.encode([-c for c in ca]) for ca in coeffs]
+    inverse = [M[a].index(ring.one_code) if unit[a] else -1
+               for a in range(size)]
 
     def dot(xs, ys):
         acc = 0
         for a, b in zip(xs, ys):
-            acc = add[acc * size + mul[a * size + b]]
+            acc = A[acc][M[a][b]]
         return acc
 
     def inv(a):
@@ -227,10 +281,59 @@ def _table_ops(ring):
             raise NotInvertible("not a unit")
         return inverse[a]
 
-    return (lambda a, b: add[a * size + b], lambda a, b: mul[a * size + b],
-            [ring.encode([-c for c in ca]) for ca in coeffs].__getitem__,
-            dot, inv, unit.__getitem__, coeffs.__getitem__,
-            lambda images: linear(images).__getitem__)
+    def mul2(x, y):
+        a, b, c, e = x
+        ma, mb, mc, me = M[a], M[b], M[c], M[e]
+        return (A[ma[y[0]]][mb[y[2]]], A[ma[y[1]]][mb[y[3]]],
+                A[mc[y[0]]][me[y[2]]], A[mc[y[1]]][me[y[3]]])
+
+    def det2(x):
+        return A[M[x[0]][x[3]]][neg[M[x[1]][x[2]]]]
+
+    def inv2(x):
+        a, b, c, e = x
+        k = inverse[A[M[a][e]][neg[M[b][c]]]]
+        if k < 0:
+            raise NotInvertible("determinant is not a unit")
+        mk = M[k]
+        return (mk[e], neg[mk[b]], neg[mk[c]], mk[a])
+
+    def form(cs):
+        rows = [M[c] for c in cs]
+        if len(rows) == 2:
+            m0, m1 = rows
+            return lambda r: A[m0[r[0]]][m1[r[1]]]
+
+        def apply(r):
+            acc = 0
+            for m, x in zip(rows, r):
+                acc = A[acc][m[x]]
+            return acc
+        return apply
+
+    def sandwich(s, a, b):
+        # entry i is first[i] = (k, row): row[x[k]], plus row[x[k]] for
+        # each further nonzero term (i, k, row) of more; (0, M[0]) stands
+        # for an entry with none
+        pairs = list(itertools.product(range(s), repeat=2))
+        first, more = [], []
+        for i, j in pairs:
+            terms = [(k * s + l, M[c]) for k, l in pairs
+                     if (c := M[a[i * s + k]][b[l * s + j]])] or [(0, M[0])]
+            first.append(terms[0])
+            more += [(i * s + j, k, row) for k, row in terms[1:]]
+
+        def apply(x):
+            out = [row[x[k]] for k, row in first]
+            for i, k, row in more:
+                out[i] = A[out[i]][row[x[k]]]
+            return tuple(out)
+        return apply
+
+    return ((lambda a, b: A[a][b], lambda a, b: M[a][b], neg.__getitem__,
+             dot, inv, unit.__getitem__, coeffs.__getitem__,
+             lambda images: linear(images).__getitem__,
+             mul2, det2, inv2, form, sandwich))
 
 
 def _poly_ops(ring):
@@ -283,9 +386,17 @@ def _poly_ops(ring):
             return encode(acc)
         return apply
 
-    return (add, mul, lambda a: encode([-c for c in decode(a)]),
-            lambda xs, ys: reduce(add, map(mul, xs, ys)),
-            inv, lambda a: any(c % p for c in decode(a)), decode, linear)
+    def neg(a):
+        return encode([-c for c in decode(a)])
+
+    def dot(xs, ys):
+        return reduce(add, map(mul, xs, ys))
+
+    def is_unit(a):
+        return any(c % p for c in decode(a))
+
+    return ((add, mul, neg, dot, inv, is_unit, decode, linear)
+            + _op_kernels(mul, neg, dot, inv, is_unit))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +409,9 @@ class TruncatedLocalRing:
     truncated at p-adic precision n.  Carries the canonical Frobenius
     lift: the unique root of F congruent to x^p mod p.  The operations
     on codes (``add``, ``mul``, ``neg``, ``dot``, ``inv``, ``is_unit``,
-    ``decode``) are fixed at construction; the ``mat_*`` methods apply
-    them to flat row-major matrices of codes.
+    ``decode``) and the matrix kernels (``mul2``, ``det2``, ``inv2``,
+    ``form``, ``sandwich``) are fixed at construction; the ``mat_*``
+    methods apply them to flat row-major matrices of codes.
     """
 
     def __init__(self, p, n, d, cap=DEFAULT_FIELD_CAP):
@@ -325,7 +437,8 @@ class TruncatedLocalRing:
         ops = (_native_ops if d == 1 else
                _table_ops if self.size() <= _TABLE_MAX else _poly_ops)
         (self.add, self.mul, self.neg, self.dot, self.inv, self.is_unit,
-         self.decode, self._linear) = ops(self)
+         self.decode, self._linear, self.mul2, self.det2, self.inv2,
+         self.form, self.sandwich) = ops(self)
         y = self._lift_frobenius()
         if d > 1:
             powers = [self.one_code]
@@ -392,11 +505,6 @@ class TruncatedLocalRing:
     def one(self):
         return LocalRingElement(self, self.one_code)
 
-    def elements(self):
-        """Every element, in coefficient-tuple order."""
-        for a in range(self.size()):
-            yield LocalRingElement(self, a)
-
     def units(self):
         for a in range(self.size()):
             if self.is_unit(a):
@@ -437,10 +545,9 @@ class TruncatedLocalRing:
     # -- flat matrices of codes -----------------------------------------------
     def mat_mul(self, s, a, b):
         """Product of two flat s x s matrices."""
+        if s == 2:
+            return self.mul2(a, b)
         dot = self.dot
-        if s == 2:  # the hot case, unrolled
-            r0, r1, c0, c1 = a[:2], a[2:], b[::2], b[1::2]
-            return (dot(r0, c0), dot(r0, c1), dot(r1, c0), dot(r1, c1))
         cols = [b[j::s] for j in range(s)]
         return tuple([dot(a[i:i + s], col)
                       for i in range(0, s * s, s) for col in cols])
@@ -450,13 +557,15 @@ class TruncatedLocalRing:
         if s == 1:
             return a[0]
         if s == 2:
-            return self.dot((a[0], a[1]), (a[3], self.neg(a[2])))
+            return self.det2(a)
         cof = [self.mat_det(s - 1, _minor(a, s, 0, j)) for j in range(s)]
         return self.dot(a[:s], [self.neg(c) if j % 2 else c
                                 for j, c in enumerate(cof)])
 
     def mat_inv(self, s, a):
         """Inverse by the adjugate; NotInvertible unless det is a unit."""
+        if s == 2:
+            return self.inv2(a)
         det = self.mat_det(s, a)
         if not self.is_unit(det):
             raise NotInvertible("determinant is not a unit")
@@ -464,15 +573,20 @@ class TruncatedLocalRing:
         mul, neg = self.mul, self.neg
         if s == 1:
             return (dinv,)
-        if s == 2:
-            return (mul(a[3], dinv), neg(mul(a[1], dinv)),
-                    neg(mul(a[2], dinv)), mul(a[0], dinv))
         out = []
         for i in range(s):
             for j in range(s):
                 c = mul(self.mat_det(s - 1, _minor(a, s, j, i)), dinv)
                 out.append(neg(c) if (i + j) % 2 else c)
         return tuple(out)
+
+    def mat_kernels(self, s):
+        """(product, determinant, inverse) of flat s x s matrices, each a
+        function of the matrices alone: the unrolled kernels at s = 2."""
+        if s == 2:
+            return self.mul2, self.det2, self.inv2
+        return (partial(self.mat_mul, s), partial(self.mat_det, s),
+                partial(self.mat_inv, s))
 
     def mat_sigma(self, a, e=1):
         """Entry-wise sigma^e."""
@@ -566,11 +680,6 @@ class LocalRingElement:
 
     def __truediv__(self, other):
         return self * other.inverse()
-
-    def divide_exact_p_power(self, v):
-        """Divide by p^v; valid only when every coefficient is divisible."""
-        return LocalRingElement(self.ring,
-                                self.ring.divide_exact_p_power(self.code, v))
 
     def sigma(self, e=1):
         """The Frobenius lift applied e times (e taken mod d); on a
@@ -683,11 +792,6 @@ class Mat:
                                 for i in range(s) for j in range(s)),
                           self.offset)
 
-    def coeff_key(self):
-        """Total-order key: offset, then the entries row-major in
-        coefficient-tuple order (which is code order)."""
-        return (self.offset, self.codes)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.codes == other.codes
                 and self.offset == other.offset
@@ -727,10 +831,6 @@ class HalfPowerLaurent:
         if k % 2 == 0:
             return cls(q, Fraction(q)**(k // 2), 0)
         return cls(q, 0, Fraction(q)**((k - 1) // 2))
-
-    @classmethod
-    def one(cls, q):
-        return cls(q, 1, 0)
 
     def _check(self, other):
         if self.q != other.q:

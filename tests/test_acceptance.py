@@ -46,7 +46,7 @@ def test_criterion_02_root_axioms_and_weyl_orders():
 
 
 def test_criterion_03_h1_triviality():
-    with Budget(0.3):
+    with Budget(0.15):
         ok, _ = audit.h1_triviality(CAP, SEED)
     assert ok
 
@@ -58,7 +58,7 @@ def test_criterion_04_lang_image_size_law():
 
 
 def test_criterion_05_class_count_bijection():
-    with Budget(0.25):
+    with Budget(0.05):
         ok, _ = audit.class_count_bijection(CAP, SEED)
     assert ok
 

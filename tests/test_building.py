@@ -241,9 +241,9 @@ class TestIwasawa:
         for p in (2, 3):
             R = TruncatedLocalRing(p, 1, 1)
             F = FiniteField(p, 1)
-            for gf in gl_elements(F, 2):
-                g = Mat(R, [[R.element(a.coeffs) for a in row]
-                            for row in gf.rows])
+            for codes in gl_elements(F, 2):
+                # at d = 1 a code is its one coefficient, in F and in R
+                g = Mat.from_codes(R, 2, codes)
                 b, k = iwasawa_decompose(g)
                 assert b * k == g
                 assert b.rows[1][0].is_zero()
@@ -333,11 +333,12 @@ class TestAudits:
         # the generator test against conjugating all of U by every g
         for n, p in ((2, 3), (3, 2)):
             F = FiniteField(p, 1)
-            u_set = {m for m in gl_elements(F, n)
+            group = [Mat.from_codes(F, n, c) for c in gl_elements(F, n)]
+            u_set = {m for m in group
                      if all(m[i, j].is_zero() for i in range(n)
                             for j in range(i + 1, n))
                      and len({m[i, i] for i in range(n)}) == 1}
-            expect = sum(1 for g in gl_elements(F, n)
+            expect = sum(1 for g in group
                          if {g * u * g.inverse() for u in u_set} == u_set)
             rep = audit_self_normalizing(n, p)
             assert rep["u_order"] == len(u_set)

@@ -426,6 +426,17 @@ class TestNearCap:
                         "--rep", "sym(4)"]) == 0
         assert time.monotonic() - start < 3.0
 
+    # the exhaustive GL_2(F_27) and GL_3(F_4) checks, charged 27^4 and
+    # 4^9 candidate matrices of the default 10^6
+    @pytest.mark.parametrize("argv", [
+        "h1 --p 3 --d 3 --s 2", "lang --p 3 --d 3 --s 2",
+        "dm-check --s 3 --q 2 --n 2"])
+    def test_finite_ring_checks(self, argv):
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv.split()) == 0
+        assert time.monotonic() - start < 5.0
+
 
 class TestGrammar:
     """The subcommands without a fuzz of their own, under small and bad

@@ -31,7 +31,7 @@ def gl1_field_module(p, d, sigma_exponent=1):
 
 
 def identity(module):
-    return Mat.identity(module.ring, module.s)
+    return Mat.identity(module.ring, module.s).codes
 
 
 def poly_mul(F, f, g):
@@ -97,31 +97,33 @@ def centralizer_order(F, factors):
 
 
 def reference_conjugator(module, target, source):
-    """Some g in the group with g * source = target * g, by scanning the
-    whole group; the reference for the invariant-factor match."""
-    ring, s = module.ring, target.size
+    """Some g in the group with g * source = target * g, the three flat
+    code tuples, by scanning the whole group; the reference for the
+    invariant-factor match."""
+    ring, s = module.ring, module.s
     mul = ring.mat_mul
     return next((g for g in module.elements
-                 if mul(s, g.codes, source.codes)
-                 == mul(s, target.codes, g.codes)), None)
+                 if mul(s, g, source) == mul(s, target, g)), None)
 
 
 def whole_group_h1(module):
     """(cocycles, classes) of H^1 with each class formed as
     {a^-1 c sigma(a) : a in G} over the whole group: the reference for
     the generator orbits of h1_cyclic."""
+    ring, s = module.ring, module.s
+    mul = ring.mat_mul
     ident = identity(module)
     cocycles = [c for c in module.elements
                 if twisted_norm(c, module, module.d) == ident]
-    pairs = [(a.inverse(), module.sigma(a)) for a in module.elements]
+    pairs = [(ring.mat_inv(s, a), module.sigma(a)) for a in module.elements]
     classes, seen = [], set()
     for c in cocycles:
         if c not in seen:
-            orbit = {a_inv * c * sa for a_inv, sa in pairs}
+            orbit = {mul(s, mul(s, a_inv, c), sa) for a_inv, sa in pairs}
             assert orbit <= set(cocycles)
             seen |= orbit
             classes.append({
-                "representative": min(orbit, key=Mat.coeff_key),
+                "representative": Mat.from_codes(ring, s, min(orbit)),
                 "size": len(orbit), "contains_identity": ident in orbit})
     return cocycles, classes
 
@@ -134,48 +136,45 @@ def whole_group_cocycles(module):
     ident = Mat.identity(ring, s).codes
     out = []
     for g in module.elements:
-        acc = cur = g.codes
+        acc = cur = g
         for _ in range(module.d - 1):
             cur = ring.mat_sigma(cur, e)
             acc = ring.mat_mul(s, acc, cur)
         if acc == ident:
-            out.append(g.codes)
+            out.append(g)
     return out
 
 
-def whole_group_classes(elements, lefts, rights):
-    """Orbits a -> u * a * w, u and w paired from the code tuples lefts and
-    rights, each formed over the whole group in the order of elements,
-    with the least representative, the size and the orbit as Mats."""
-    ring, s = elements[0].ring, elements[0].size
+def whole_group_classes(ring, s, elements, lefts, rights):
+    """Orbits a -> u * a * w of the flat code tuples elements, u and w
+    paired from the code tuples lefts and rights, each formed over the
+    whole group in the order of elements, with the least representative
+    as a Mat, the size and the orbit as code tuples."""
     mul = ring.mat_mul
     classes, seen = [], set()
-    for a in (g.codes for g in elements):
+    for a in elements:
         if a not in seen:
             orbit = {mul(s, mul(s, u, a), w) for u, w in zip(lefts, rights)}
             seen |= orbit
             classes.append({
                 "representative": Mat.from_codes(ring, s, min(orbit)),
-                "size": len(orbit),
-                "orbit": {Mat.from_codes(ring, s, c) for c in orbit}})
+                "size": len(orbit), "orbit": orbit})
     return classes
 
 
 def whole_group_twisted(module):
     """Classes {v a sigma(v)^-1 : v in G}: the reference for the generator
     orbits of twisted_classes."""
-    ring, s = module.ring, module.elements[0].size
-    codes = [g.codes for g in module.elements]
-    return whole_group_classes(module.elements, codes, [
-        ring.mat_inv(s, ring.mat_sigma(g, module.exponent)) for g in codes])
+    ring, s, codes = module.ring, module.s, module.elements
+    return whole_group_classes(ring, s, codes, codes, [
+        ring.mat_inv(s, module.sigma(g)) for g in codes])
 
 
-def ordinary_classes(elements):
-    """Plain conjugacy classes of an enumerated group, from the whole
-    group: the reference for the invariant-factor fibres of dm-check."""
-    ring, s = elements[0].ring, elements[0].size
-    codes = [g.codes for g in elements]
-    return whole_group_classes(elements, codes,
+def ordinary_classes(ring, s):
+    """Plain conjugacy classes of GL_s(ring), from the whole group: the
+    reference for the invariant-factor fibres of dm-check."""
+    codes = gl_elements(ring, s)
+    return whole_group_classes(ring, s, codes, codes,
                                [ring.mat_inv(s, g) for g in codes])
 
 
@@ -200,8 +199,7 @@ def fixed_submodule(ring, s):
     than one.  Its generators are all its elements."""
     full = gl_module(ring, s)
     fixed = [x for x in full.elements if full.sigma(x) == x]
-    return GaloisModule(fixed, ring,
-                        generators=lambda: [x.codes for x in fixed])
+    return GaloisModule(fixed, ring, generators=lambda: fixed)
 
 
 class TestFactorPrimePower:
@@ -231,7 +229,7 @@ class TestLangMap:
         m = gl1_field_module(3, 2)
         img = lang_image(m)
         assert len(img) == 4
-        squares = {x * x for x in m.elements}
+        squares = {(m.ring.mul(x, x),) for (x,) in m.elements}
         assert img == squares
 
     def test_image_size_law(self):
@@ -279,7 +277,7 @@ class TestTwistedNormAndClasses:
         F = FiniteField(2, 1)
         m = gl_module(F, 2)
         tw = twisted_classes(m)
-        ordinary = ordinary_classes(gl_elements(F, 2))
+        ordinary = ordinary_classes(F, 2)
         assert {c["representative"] for c in tw} == \
             {c["representative"] for c in ordinary}
 
@@ -330,10 +328,12 @@ class TestTwistedNormAndClasses:
     def test_norm_conjugation_identity(self):
         # N(V A sigma(V)^-1) = V N(A) V^-1, exhaustively at GL1/F9
         m = gl1_field_module(3, 2)
-        for a in m.elements:
-            for v in m.elements:
-                lhs = twisted_norm(v * a * m.sigma(v).inverse(), m, 2)
-                assert lhs == v * twisted_norm(a, m, 2) * v.inverse()
+        group = [Mat.from_codes(m.ring, 1, x) for x in m.elements]
+        for a in group:
+            na = Mat.from_codes(m.ring, 1, twisted_norm(a.codes, m, 2))
+            for v in group:
+                lhs = twisted_norm((v * a * v.sigma().inverse()).codes, m, 2)
+                assert lhs == (v * na * v.inverse()).codes
 
     def test_norm_charpoly_sigma_fixed(self):
         # the invariant factors of N(A), whose product is its char poly,
@@ -341,7 +341,7 @@ class TestTwistedNormAndClasses:
         m = gl_module(FiniteField(2, 2), 2)
         F = m.ring
         for a in m.elements[::17]:
-            factors = _invariant_factors(F, 2, twisted_norm(a, m, 2).codes)
+            factors = _invariant_factors(F, 2, twisted_norm(a, m, 2))
             assert sum(len(f) - 1 for f in factors) == 2
             for f in factors:
                 assert tuple(F.sigma(c) for c in f) == f
@@ -355,8 +355,8 @@ class TestInvariantFactors:
         # exactly when they are conjugate
         F = FiniteField(p, d)
         keys = {}
-        for cl in ordinary_classes(gl_elements(F, s)):
-            found = {_invariant_factors(F, s, g.codes) for g in cl["orbit"]}
+        for cl in ordinary_classes(F, s):
+            found = {_invariant_factors(F, s, g) for g in cl["orbit"]}
             assert len(found) == 1
             key = found.pop()
             assert key not in keys
@@ -380,7 +380,7 @@ class TestInvariantFactors:
         start = time.monotonic()
         F = FiniteField(p, d)
         group = gl_elements(F, s)
-        fibres = Counter(_invariant_factors(F, s, g.codes) for g in group)
+        fibres = Counter(_invariant_factors(F, s, g) for g in group)
         assert len(group) == gl_order(p, 1, d, s)
         for key, size in fibres.items():
             assert size * centralizer_order(F, key) == len(group)
@@ -420,9 +420,10 @@ class TestDMBijection:
         assert len(rep["matches"]) == rep["plain_class_count"]
         for match in rep["matches"]:
             assert match["plain_rep"].sigma(v) == match["plain_rep"]
-            na_inv = twisted_norm(match["twisted_rep"], module, n).inverse()
+            na_inv = module.ring.mat_inv(s, twisted_norm(
+                match["twisted_rep"].codes, module, n))
             assert reference_conjugator(
-                module, match["plain_rep"], na_inv) is not None
+                module, match["plain_rep"].codes, na_inv) is not None
 
 
 class TestH1:
@@ -477,7 +478,7 @@ class TestGenerators:
         m = congruence_kernel_module(p, d, a, b, s)
         group = closure(m.ring, s, m.generators())
         assert len(group) == p ** (d * s * s * (b - a))
-        assert group == {x.codes for x in m.elements}
+        assert group == set(m.elements)
 
     @pytest.mark.parametrize("p,n,d,s,count", [
         (2, 1, 3, 2, 3), (2, 1, 2, 3, 3), (2, 2, 2, 2, 5), (2, 1, 1, 4, 2),
@@ -528,7 +529,7 @@ class TestH1Orbits:
         module = self.MODULES[name]()
         cocycles, classes = whole_group_h1(module)
         res = h1_cyclic(module)
-        assert res["cocycles"] == [c.codes for c in cocycles]
+        assert res["cocycles"] == cocycles
         assert res["cocycle_count"] == len(cocycles)
         assert res["classes"] == classes
         assert res["h1_size"] == len(classes)

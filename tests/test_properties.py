@@ -10,6 +10,7 @@ from glnlab.building import iwasawa_decompose
 from glnlab.hecke import BIG
 from glnlab.rings import FiniteField, HalfPowerLaurent, Mat, TruncatedLocalRing
 from test_hecke import smith_exponents, vp
+from test_rings import elements
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=64)
@@ -62,7 +63,7 @@ class TestFiniteFieldLaws:
     @settings(max_examples=40)
     def test_f9_laws(self, a, b, c):
         F = FiniteField(3, 2)
-        els = list(F.elements())
+        els = elements(F)
         x, y, z = els[a], els[b], els[c]
         assert x * (y + z) == x * y + x * z
         assert (x * y) * z == x * (y * z)

@@ -6,13 +6,16 @@ starts at ``cli.main`` (the console script), ``cli.run``, every
 ``cli.cmd_*`` and ``audit.CRITERIA`` and ``audit.RANDOM_ORACLE``.  From
 a reached definition it follows every name that is read, to the
 top-level definitions of that name in any module, and every attribute
-that is read, to the top-level definitions and class members of that
-name.  A reached class also reaches its bases and its dunder members,
-which run without being named.  Names are not resolved to scopes, so a
-name shared by two definitions reaches both: the walk over-approximates,
-and a definition it leaves unreached has no caller in ``src/``.
-Definitions are functions, classes and assignments, at the top level of
-a module or in a class body.
+that is read.  An attribute of ``self`` or ``cls`` in a class body, or
+of a class by its name, reaches that class's member of that name, found
+in the class, its bases or its subclasses; any other attribute, or one
+that no such class defines, reaches the top-level definitions and class
+members of that name.  A reached class also reaches its bases and its
+dunder members, which run without being named.  Names are not resolved
+to scopes, so a name shared by two definitions reaches both: the walk
+over-approximates, and a definition it leaves unreached has no caller
+in ``src/``.  Definitions are functions, classes and assignments, at the
+top level of a module or in a class body.
 """
 
 import ast
@@ -92,15 +95,51 @@ def definitions():
     return out
 
 
-def _references(node):
-    """(names, attributes) read anywhere inside node."""
-    names, attrs = set(), set()
+def _references(node, owner):
+    """(names, attributes, (class, attribute) pairs) read anywhere
+    inside node; an attribute of self or cls is paired with owner, the
+    qualified name of the class whose body holds node (or None), and
+    one of a bare name with that name, left to resolve."""
+    names, attrs, pairs = set(), set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            attrs.add(sub.attr)
-    return names, attrs
+            base = sub.value
+            if not isinstance(base, ast.Name):
+                attrs.add(sub.attr)
+            elif base.id in ("self", "cls") and owner is not None:
+                pairs.add((owner, sub.attr))
+            else:
+                pairs.add((base.id, sub.attr))
+    return names, attrs, pairs
+
+
+def _class_family(defs):
+    """{qualified class name: the qualified names of the package classes
+    related to it (itself, its bases and its subclasses, transitively
+    each way)}, the bases read by name."""
+    classes = {q: node for q, (node, member) in defs.items()
+               if isinstance(node, ast.ClassDef) and not member}
+    by_name = defaultdict(list)
+    for q in classes:
+        by_name[q.rsplit(".", 1)[1]].append(q)
+    up = {q: {b for base in node.bases if isinstance(base, ast.Name)
+              for b in by_name[base.id]} for q, node in classes.items()}
+    down = defaultdict(set)
+    for q, bases in up.items():
+        for b in bases:
+            down[b].add(q)
+
+    def closure(q, step):
+        out, todo = set(), [q]
+        while todo:
+            c = todo.pop()
+            if c not in out:
+                out.add(c)
+                todo += step[c]
+        return out
+    return {q: closure(q, up) | closure(q, down) for q in classes}
 
 
 def reached(defs):
@@ -111,6 +150,17 @@ def reached(defs):
         by_attr[name].append(qual)
         if not member:
             by_name[name].append(qual)
+    family = _class_family(defs)
+
+    def resolve(owner, attr):
+        """The members attr of the class owner, a qualified name or a bare
+        class name, and of its family; every attr if none has one."""
+        owners = [owner] if owner in family else [
+            q for q in by_name[owner] if q in family]
+        found = [f"{c}.{attr}" for o in owners for c in family[o]
+                 if f"{c}.{attr}" in defs]
+        return found or by_attr[attr]
+
     todo = list(ROOTS) + [q for q in defs if q.startswith("cli.cmd_")]
     seen = set()
     while todo:
@@ -118,7 +168,7 @@ def reached(defs):
         if qual in seen:
             continue
         seen.add(qual)
-        node, _ = defs[qual]
+        node, member = defs[qual]
         if isinstance(node, ast.ClassDef):
             # the class statement without its members: bases, decorators
             parts = node.bases + node.keywords + node.decorator_list
@@ -126,12 +176,15 @@ def reached(defs):
                      and _is_dunder(m.rsplit(".", 1)[1])]
         else:
             parts = [node]
+        owner = qual.rsplit(".", 1)[0] if member else None
         for part in parts:
-            names, attrs = _references(part)
+            names, attrs, pairs = _references(part, owner)
             for name in names:
                 todo += by_name[name]
             for attr in attrs:
                 todo += by_attr[attr]
+            for base, attr in pairs:
+                todo += resolve(base, attr)
     return seen
 
 

@@ -6,10 +6,13 @@ definition (base-p^n digits, constant term most significant), so a
 change to the encoding or to an arithmetic table cannot go unnoticed.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glnlab.errors import NotInvertible
 from glnlab.lang import gl_elements
 from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
 
@@ -41,12 +44,13 @@ def ring(p, n, d):
 @pytest.mark.parametrize("s, pnd", [(1, r) for r in POOL_RINGS]
                          + [(2, r) for r in GL2_RINGS])
 def test_gl_elements_order_and_order_of_enumeration(s, pnd):
-    els = gl_elements(ring(*pnd), s)
+    R = ring(*pnd)
+    els = gl_elements(R, s)
     assert len(els) == gl_order(*pnd, s)
-    keys = [m.coeff_key() for m in els]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    # the key order is the coefficient-tuple order of the entries
-    coeffs = [tuple(a.coeffs for row in m.rows for a in row) for m in els]
+    assert all(len(m) == s * s for m in els)
+    assert all(a < b for a, b in zip(els, els[1:]))
+    # code order is the coefficient-tuple order of the entries
+    coeffs = [tuple(digits(R, a) for a in m) for m in els]
     assert coeffs == sorted(coeffs)
 
 
@@ -134,3 +138,67 @@ def test_units_are_the_complement_of_the_maximal_ideal():
         assert len(units) == R.size() - R.size() // R.q
         for x in units:
             assert x * x.inverse() == R.one()
+
+
+# every tabulated ring (d > 1, at most 256 elements) of POOL_RINGS, plus
+# F_27, F_64 and the truncated rings (2, 3, 2) and (3, 2, 2); then a
+# d = 1 ring and a schoolbook ring, whose kernels come from their ops
+KERNEL_RINGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3),
+                (2, 1, 6), (2, 3, 2), (3, 2, 2), (5, 4, 1), (3, 3, 2)]
+
+
+def dot_product(R, s, a, b):
+    return tuple(R.dot(a[i * s:i * s + s], b[j::s])
+                 for i in range(s) for j in range(s))
+
+
+def dot_det(R, s, a):
+    """Laplace expansion along the first row, one dot per level."""
+    if s == 1:
+        return a[0]
+    cof = [dot_det(R, s - 1, tuple(a[r * s + c] for r in range(1, s)
+                                   for c in range(s) if c != j))
+           for j in range(s)]
+    return R.dot(a[:s], [R.neg(c) if j % 2 else c for j, c in enumerate(cof)])
+
+
+def dot_inverse(R, s, a):
+    """The adjugate over the determinant: entry (i, j) is the signed
+    minor (j, i)."""
+    k = R.inv(dot_det(R, s, a))
+    return tuple(R.mul(k, R.neg(m) if (i + j) % 2 else m)
+                 for i in range(s) for j in range(s)
+                 for m in [dot_det(R, s - 1, tuple(
+                     a[r * s + c] for r in range(s) if r != j
+                     for c in range(s) if c != i))])
+
+
+@pytest.mark.parametrize("pnd", KERNEL_RINGS)
+@pytest.mark.parametrize("s", [2, 3])
+def test_kernels_agree_with_the_dot_path(pnd, s):
+    R = TruncatedLocalRing(*pnd)
+    mul, det, inv = R.mat_kernels(s)
+    rng = random.Random(f"{pnd}{s}")
+    draw = lambda: tuple(rng.randrange(R.size()) for _ in range(s * s))
+    units = 0
+    for _ in range(60):
+        a, b, x = draw(), draw(), draw()
+        assert mul(a, b) == R.mat_mul(s, a, b) == dot_product(R, s, a, b)
+        assert det(a) == R.mat_det(s, a) == dot_det(R, s, a)
+        assert R.sandwich(s, a, b)(x) == dot_product(
+            R, s, dot_product(R, s, a, x), b)
+        assert R.form(b[:s])(a[:s]) == R.dot(a[:s], b[:s])
+        if R.is_unit(dot_det(R, s, a)):
+            units += 1
+            assert inv(a) == R.mat_inv(s, a) == dot_inverse(R, s, a)
+        else:
+            with pytest.raises(NotInvertible):
+                inv(a)
+    assert units
+    # a repeated row, and a row in the maximal ideal: singular
+    a = draw()
+    for bad in (a[:s] + a[:s] + a[2 * s:],
+                tuple(R.mul(R.encode([R.p]), c) for c in a[:s]) + a[s:]):
+        assert not R.is_unit(det(bad))
+        with pytest.raises(NotInvertible, match="determinant is not a unit"):
+            inv(bad)

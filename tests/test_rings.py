@@ -9,10 +9,16 @@ from glnlab.lang import gl_module, twisted_norm
 from glnlab.rings import (
     FiniteField,
     HalfPowerLaurent,
+    LocalRingElement,
     Mat,
     TruncatedLocalRing,
     _is_irreducible,
 )
+
+
+def elements(ring):
+    """Every element of ring, in code order."""
+    return [LocalRingElement(ring, a) for a in range(ring.size())]
 
 
 def gen(ring):
@@ -99,7 +105,7 @@ class TestFieldArithmetic:
 class TestFrobenius:
     def test_prime_field_fixed(self):
         F = FiniteField(2, 1)
-        for a in F.elements():
+        for a in elements(F):
             assert a.sigma() == a
 
     def test_f4_generator(self):
@@ -110,14 +116,14 @@ class TestFrobenius:
     def test_order_d(self):
         for p, d in [(2, 2), (3, 2), (2, 3), (2, 4)]:
             F = FiniteField(p, d)
-            for a in F.elements():
+            for a in elements(F):
                 assert a.sigma(d) == a
 
     def test_ring_homomorphism_full_enumeration(self):
         # q <= 81 cases are checked on every pair
         for p, d in [(2, 2), (3, 2), (2, 3)]:
             F = FiniteField(p, d)
-            els = list(F.elements())
+            els = elements(F)
             for a in els:
                 for b in els:
                     assert (a + b).sigma() == a.sigma() + b.sigma()
@@ -132,7 +138,7 @@ class TestNorm:
     def norm(a, e=1):
         F = a.ring
         m = gl_module(F, 1, sigma_exponent=e)
-        return twisted_norm(Mat(F, [[a]]), m, F.d // e)[0, 0]
+        return LocalRingElement(F, twisted_norm((a.code,), m, F.d // e)[0])
 
     def test_f4_norm_to_f2_is_one_on_units(self):
         for d in (2, 3, 4):
@@ -180,7 +186,7 @@ class TestTruncatedRing:
 
     def test_d1_sigma_identity(self):
         R = TruncatedLocalRing(3, 2, 1)
-        for a in R.elements():
+        for a in elements(R):
             assert a.sigma() == a
 
     def test_modulus_root(self):
@@ -193,7 +199,7 @@ class TestTruncatedRing:
     def test_sigma_order_d(self):
         for p, n, d in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]:
             R = TruncatedLocalRing(p, n, d)
-            for a in list(R.elements())[:50]:
+            for a in elements(R)[:50]:
                 assert a.sigma(d) == a
 
     def test_sigma_reduces_to_field_frobenius(self):
@@ -203,12 +209,12 @@ class TestTruncatedRing:
         def reduce_mod_p(a):
             return F.element(a.coeffs)
 
-        for a in R.elements():
+        for a in elements(R):
             assert reduce_mod_p(a.sigma()) == reduce_mod_p(a).sigma()
 
     def test_sigma_is_ring_hom(self):
         R = TruncatedLocalRing(2, 2, 2)
-        els = list(R.elements())
+        els = elements(R)
         for a in els:
             for b in els:
                 assert (a + b).sigma() == a.sigma() + b.sigma()
@@ -223,8 +229,8 @@ class TestTruncatedRing:
 
     def test_valuation_multiplicative_saturating(self):
         R = TruncatedLocalRing(2, 3, 1)
-        for a in R.elements():
-            for b in R.elements():
+        for a in elements(R):
+            for b in elements(R):
                 va, vb = a.valuation(), b.valuation()
                 assert (a * b).valuation() == min(va + vb, 3)
 
@@ -237,7 +243,7 @@ class TestTruncatedRing:
     def test_divide_exact_p_power(self):
         R = TruncatedLocalRing(2, 3, 2)
         a = R.element((4, 6))
-        b = a.divide_exact_p_power(1)
+        b = LocalRingElement(R, R.divide_exact_p_power(a.code, 1))
         assert b * R.element((2,)) == a
 
 
@@ -336,7 +342,7 @@ class TestMatrices:
         for ring, sz in [(FiniteField(2, 1), 2), (FiniteField(3, 1), 2),
                          (TruncatedLocalRing(2, 2, 1), 2)]:
             import itertools as it
-            els = list(ring.elements())
+            els = elements(ring)
             count = 0
             for entries in it.product(els, repeat=sz * sz):
                 m = Mat(ring, [entries[:sz], entries[sz:]])
@@ -373,7 +379,7 @@ class TestHalfPowerLaurent:
         q = 3
         vinv = HalfPowerLaurent.v_power(q, -1)
         v = HalfPowerLaurent.v_power(q, 1)
-        assert v * vinv == HalfPowerLaurent.one(q)
+        assert v * vinv == HalfPowerLaurent(q, 1)
 
     def test_ring_axioms_spot(self):
         q = 2
@@ -387,4 +393,4 @@ class TestHalfPowerLaurent:
 
     def test_inverse(self):
         x = HalfPowerLaurent(5, 2, 1)
-        assert x * x.inverse() == HalfPowerLaurent.one(5)
+        assert x * x.inverse() == HalfPowerLaurent(5, 1)
