@@ -259,27 +259,22 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     }
 
 
-def audit_self_normalizing(n, p, subgroup=None, cap=DEFAULT_GROUP_CAP):
+def audit_self_normalizing(n, p, cap=DEFAULT_GROUP_CAP):
     """Normalizer of the residue image of the lower-equal-diagonal group
-    (or a supplied subgroup) inside GL_n(F_p).
+    inside GL_n(F_p).
 
     g normalizes the finite group U exactly when g s g^-1 lies in U for
     every s of a generating set of U.  The lower-equal-diagonal group is
     its central scalars times the lower unitriangular group, which the
-    elementary matrices 1 + E_rc (r > c) generate; a supplied subgroup
-    is tested on all of its elements.
+    elementary matrices 1 + E_rc (r > c) generate.
     """
     field = FiniteField(p, 1)
     g_all = [Mat.from_codes(field, n, g)
              for g in gl_elements(field, n, cap=cap)]
-    if subgroup is None:
-        u_set = set(_residue_triangular(field, n, lower=True))
-        gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))
-                                       for j in range(n)] for i in range(n)])
-                for r in range(n) for c in range(r)]
-    else:
-        u_set = set(subgroup)
-        gens = list(u_set)
+    u_set = set(_residue_triangular(field, n, lower=True))
+    gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))
+                                   for j in range(n)] for i in range(n)])
+            for r in range(n) for c in range(r)]
     normalizer = []
     for g in g_all:
         g_inv = g.inverse()

@@ -168,10 +168,14 @@ def cmd_lang(args):
 
 
 def cmd_h1(args):
-    from .lang import gl_module, h1_cyclic
-    from .rings import TruncatedLocalRing
+    from .lang import admit, gl_module, h1_cyclic
+    from .rings import TruncatedLocalRing, is_prime
     if args.s < 1 or args.level < 1:
         raise InvalidConfig("h1 needs --s >= 1 and --level >= 1")
+    if is_prime(args.p) and args.d >= 1:
+        # charged before the ring forms p^level; the ring refuses a bad
+        # p or d itself
+        admit(args.p, args.level * args.d, args.s, args.cap)
     ring = TruncatedLocalRing(args.p, args.level, args.d, cap=args.cap)
     res = h1_cyclic(gl_module(ring, args.s, cap=args.cap))
     results = {"p": args.p, "d": args.d, "s": args.s,

@@ -37,10 +37,6 @@ class MatchFailure(GlnLabError):
     """A claimed bijection could not be completed."""
 
 
-class CharacterMismatch(GlnLabError):
-    pass
-
-
 class InvalidConfig(GlnLabError):
     pass
 

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .errors import (
     CapExceeded,
-    CharacterMismatch,
     InvalidConfig,
     NotPrime,
     UnsupportedRank,
@@ -40,7 +39,6 @@ from .rings import (
     DEFAULT_GROUP_CAP,
     HalfPowerLaurent,
     is_prime,
-    residue_primitive_root,
 )
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
@@ -476,136 +474,3 @@ def chi_t(image, tvals):
             mono *= sympy.sympify(t)**e
         acc += coeff * mono
     return sympy.expand(acc)
-
-
-# ---------------------------------------------------------------------------
-# the rank-1 twisted algebra
-
-class UnitCharacter:
-    """Character of O_K^* / (1 + P^c) for c in {0, 1}.
-
-    c = 0 is the trivial character; c = 1 takes a residue field and an
-    exponent k, acting as zeta^(k * dlog u) on units.
-    """
-
-    def __init__(self, conductor=0, field=None, exponent=0):
-        if conductor not in (0, 1):
-            raise ValueError("only conductors 0 and 1 are supported")
-        self.conductor = conductor
-        self.field = field
-        self.exponent = exponent
-        if conductor == 1:
-            if field is None:
-                raise ValueError("conductor-1 characters need a residue field")
-            self.order = field.q - 1
-            self._dlog = self._discrete_log_table()
-
-    def _discrete_log_table(self):
-        gen = residue_primitive_root(self.field)
-        table = {}
-        cur = self.field.one()
-        for k in range(self.order):
-            table[cur] = k
-            cur = cur * gen
-        return table
-
-    def value_exponent(self, u):
-        """phi(u) as an exponent of the primitive (q-1)-th root of unity."""
-        if self.conductor == 0:
-            return 0
-        return (self.exponent * self._dlog[u]) % self.order
-
-    def value(self, u):
-        import sympy
-        if self.conductor == 0:
-            return sympy.Integer(1)
-        k = self.value_exponent(u)
-        return sympy.exp(2 * sympy.pi * sympy.I * k / self.order)
-
-    def __eq__(self, other):
-        return (isinstance(other, UnitCharacter)
-                and self.conductor == other.conductor
-                and self.exponent == getattr(other, "exponent", None)
-                and self.field == other.field)
-
-
-class Gl1TwistedElement:
-    """Finitely supported combination of the twisted shell indicators 1_m."""
-
-    def __init__(self, phi, support=None):
-        import sympy
-        self.phi = phi
-        self.support = {}
-        if support:
-            for m, c in support.items():
-                c = sympy.sympify(c)
-                if c != 0:
-                    self.support[int(m)] = c
-
-    @classmethod
-    def basis(cls, m, phi):
-        return cls(phi, {m: 1})
-
-    def __eq__(self, other):
-        return (isinstance(other, Gl1TwistedElement)
-                and self.phi == other.phi and self.support == other.support)
-
-    def __repr__(self):
-        return f"Gl1TwistedElement({dict(sorted(self.support.items()))})"
-
-
-def gl1_twisted_convolve(f, g):
-    """1_a * 1_b = 1_{a+b} with vol(O^*) = 1; the twist cancels in the
-    convolution integrand."""
-    import sympy
-    if f.phi != g.phi:
-        raise CharacterMismatch("cannot convolve across different twists")
-    out = {}
-    for a, ca in f.support.items():
-        for b, cb in g.support.items():
-            out[a + b] = sympy.expand(out.get(a + b, 0) + ca * cb)
-    return Gl1TwistedElement(f.phi, out)
-
-
-def gl1_convolution_by_finite_sum(f, g):
-    """Oracle: evaluate (f * g)(p^s w) by the level-1 finite model of K^*.
-
-    Elements are (valuation, unit residue); each unit residue class has
-    measure 1/(q - 1).  Returns the support dict recovered from the
-    evaluations, which must match the algebraic convolution.
-    """
-    import sympy
-    phi = f.phi
-    if phi.conductor == 0:
-        units = [None]
-        measure = sympy.Integer(1)
-
-        def fval(func, m, u):
-            return func.support.get(m, sympy.Integer(0))
-    else:
-        units = list(phi.field.units())
-        measure = sympy.Rational(1, len(units))
-
-        def fval(func, m, u):
-            return func.support.get(m, sympy.Integer(0)) / phi.value(u)
-
-    lo = min(list(f.support) + [0]) + min(list(g.support) + [0]) - 1
-    hi = max(list(f.support) + [0]) + max(list(g.support) + [0]) + 1
-    out = {}
-    for s in range(lo, hi + 1):
-        # evaluate at z = p^s * 1
-        acc = sympy.Integer(0)
-        for a in sorted(f.support):
-            for u in units:
-                lhs = fval(f, a, u)
-                if lhs == 0:
-                    continue
-                if phi.conductor == 0:
-                    rhs = fval(g, s - a, None)
-                else:
-                    rhs = fval(g, s - a, u.inverse())
-                acc += measure * lhs * rhs
-        acc = sympy.simplify(acc)
-        if acc != 0:
-            out[s] = sympy.expand(acc)
-    return out

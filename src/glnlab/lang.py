@@ -86,12 +86,14 @@ class GaloisModule:
         return self.ring.mat_sigma(x, self.exponent * k)
 
 
-def _admit(ring, s, cap):
-    """CapExceeded unless the size^(s^2) candidate matrices fit cap."""
-    nel = ring.size()
-    if nel ** (s * s) > cap:
+def admit(p, e, s, cap):
+    """CapExceeded unless the (p^e)^(s^2) candidate s x s matrices over a
+    ring of p^e elements fit cap; the count is not formed when its
+    exponent alone reaches the bit length of cap (p >= 2)."""
+    e *= s * s
+    if e >= cap.bit_length() or p**e > cap:
         raise CapExceeded(
-            f"enumerating {nel}^{s * s} candidate matrices exceeds cap {cap}")
+            f"enumerating {p}^{e} candidate matrices exceeds cap {cap}")
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
@@ -104,7 +106,7 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     rows; each candidate last row then costs one call of their linear
     ``form`` for its determinant.
     """
-    _admit(ring, s, cap)
+    admit(ring.p, ring.n * ring.d, s, cap)
     nel = ring.size()
     unit, neg = ring.is_unit, ring.neg
     rows = [r for r in itertools.product(range(nel), repeat=s)
@@ -170,7 +172,7 @@ def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     At level n >= 2 the module's ``below`` gives the cocycles of
     GL_s(O/p^(n-1)), those of its own ``gl_module``, found on first use.
     """
-    _admit(ring, s, cap)
+    admit(ring.p, ring.n * ring.d, s, cap)
     below = None
     if ring.n >= 2:
         def below():

@@ -424,7 +424,8 @@ class TruncatedLocalRing:
             raise InvalidConfig("precision must be >= 1")
         if d < 1:
             raise InvalidConfig("extension degree must be >= 1")
-        if p**d > cap:
+        # p^d >= 2^d > cap once d reaches the bit length of cap
+        if d >= cap.bit_length() or p**d > cap:
             raise CapExceeded(f"residue field size {p}^{d} exceeds cap {cap}")
         self.p, self.n, self.d = p, n, d
         self.q = p**d
@@ -504,11 +505,6 @@ class TruncatedLocalRing:
 
     def one(self):
         return LocalRingElement(self, self.one_code)
-
-    def units(self):
-        for a in range(self.size()):
-            if self.is_unit(a):
-                yield LocalRingElement(self, a)
 
     def size(self):
         return self.pn**self.d

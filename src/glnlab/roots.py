@@ -4,7 +4,8 @@ Vectors are integer (or rational) tuples in the character lattice Z^n.
 Arithmetic keeps the type of its input, so integer roots stay on ints;
 every quotient is an exact ``Fraction(num, den)``.  The bilinear form is
 the standard dot product.  The Weyl group of GL_n is S_n acting on the
-coordinates, so its elements are permutation tuples.
+coordinates; it is counted by the lengths of its elements, never stored
+whole.
 """
 
 from __future__ import annotations
@@ -247,23 +248,6 @@ def check_root_system(roots):
     return report
 
 
-class WeylGroupElement:
-    """Coordinate permutation generated by simple reflections, with a
-    word; it sends v to the vector with entries v[perm[i]]."""
-
-    __slots__ = ("perm", "word")
-
-    def __init__(self, perm, word):
-        self.perm = perm
-        self.word = word
-
-    def __eq__(self, other):
-        return isinstance(other, WeylGroupElement) and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-
 def _reflection_perm(alpha, n):
     """The reflection in alpha as the permutation p with (s v)_i = v[p[i]],
     read off the images of the standard basis."""
@@ -285,30 +269,48 @@ def _check_order(n, cap):
 
 
 def weyl_group(simple, cap=DEFAULT_WEYL_CAP):
-    """Closure of the simple reflections under composition (BFS, so the
-    stored words are reduced expressions).
+    """Sizes of the length layers of the closure of the simple reflections:
+    entry k counts the elements whose reduced words have length k.
 
-    Each reflection permutes the coordinates, so the closure lies in S_n
-    and n! is checked against the cap before any product is formed.
+    Each reflection must swap two adjacent coordinates i, i + 1, so the
+    closure lies in S_n and n! is checked against the cap first.  The
+    length of w is its number of inversions, and w s_i is one longer than
+    w exactly when w[i] < w[i + 1]; so layer k + 1 is built from layer k
+    alone, as a set of one-line notations.
     """
     n = len(simple[0])
     _check_order(n, cap)
-    gens = [_reflection_perm(a, n) for a in simple]
-    ident = tuple(range(n))
-    seen = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            word = seen[m]
-            for gi, g in enumerate(gens):
-                # the matrix product m * g as a permutation
-                prod = tuple(map(g.__getitem__, m))
-                if prod not in seen:
-                    seen[prod] = word + (gi,)
-                    new.append(prod)
-        frontier = new
-    return [WeylGroupElement(m, w) for m, w in seen.items()]
+    swaps = set()
+    for alpha in simple:
+        perm = _reflection_perm(alpha, n)
+        i = next(k for k, j in enumerate(perm) if k != j)
+        if perm[i] != i + 1:
+            raise ValueError(f"reflection in {alpha} is not an adjacent swap")
+        swaps.add(i)
+    layer = {bytes(range(n))}
+    sizes = []
+    while layer:
+        sizes.append(len(layer))
+        longer = set()
+        for i in swaps:
+            j = i + 1
+            longer.update([w[:i] + w[j:j + 1] + w[i:j] + w[j + 1:]
+                           for w in layer if w[i] < w[j]])
+        layer = longer
+    return sizes
+
+
+def mahonian(n):
+    """Coefficients of prod_{i <= n} (1 + t + ... + t^(i-1)): entry k is the
+    number of permutations of n letters with k inversions."""
+    coeffs = [1]
+    for i in range(2, n + 1):
+        out = [0] * (len(coeffs) + i - 1)
+        for k, c in enumerate(coeffs):
+            for j in range(k, k + i):
+                out[j] += c
+        coeffs = out
+    return coeffs
 
 
 def full_root_set_gl(n):
@@ -326,11 +328,14 @@ def full_root_set_gl(n):
 def check_type_a(n, cap=DEFAULT_WEYL_CAP):
     """``(checks, weyl_order, axioms_hold, order_is_factorial)`` for GL_n:
     the ``check_root_system`` report of its roots and the closure of its
-    simple reflections against n!.
+    simple reflections, whose order must be n! and whose length layers
+    must be the Mahonian numbers.
     """
     _check_order(n, cap)  # before the n x n simple roots and the axiom scan
-    order = len(weyl_group(simple_roots_gl(n), cap))
+    layers = weyl_group(simple_roots_gl(n), cap)
+    order = sum(layers)
     checks = check_root_system(full_root_set_gl(n))
     axioms_hold = all(checks[k] for k in ("reduced", "reflection_closed",
                                           "crystallographic", "primed_agree"))
-    return checks, order, axioms_hold, order == math.factorial(n)
+    return (checks, order, axioms_hold,
+            order == math.factorial(n) and layers == mahonian(n))

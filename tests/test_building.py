@@ -351,8 +351,3 @@ class TestAudits:
             rep = audit_self_normalizing(n, p)
             assert rep["normalizer_order"] \
                 == (p - 1)**n * p**(n * (n - 1) // 2)
-
-    def test_trivial_subgroup_normalizer_is_whole_group(self):
-        F = FiniteField(2, 1)
-        rep = audit_self_normalizing(2, 2, subgroup=[Mat.identity(F, 2)])
-        assert rep["normalizer_order"] == rep["group_order"]

@@ -159,7 +159,13 @@ class TestExitCodes:
                      # before p^precision is formed or a sample is drawn
                      "building iwasawa --count 1000000000 --precision 6",
                      "building iwasawa --p 2 --count 1 --precision 1000000000",
-                     "--cap 10 building iwasawa --count 100000"):
+                     "--cap 10 building iwasawa --count 100000",
+                     # rings of p^d and p^(level d) elements: refused by
+                     # their exponents before the power is formed
+                     "lang --p 3 --d 100000000",
+                     "dm-check --s 1 --q 3 --n 100000000",
+                     "h1 --p 3 --d 1 --level 1000000",
+                     "h1 --p 3 --d 1 --level 100000000"):
             start = time.monotonic()
             assert run(argv.split()) == 3, argv
             assert time.monotonic() - start < 1.0, argv
@@ -435,6 +441,13 @@ class TestNearCap:
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv.split()) == 0
+        assert time.monotonic() - start < 5.0
+
+    def test_roots(self):
+        # 9! <= 10^6 < 10!: the largest Weyl group the default cap admits
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["roots", "--n", "9"]) == 0
         assert time.monotonic() - start < 5.0
 
 

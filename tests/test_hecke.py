@@ -9,29 +9,21 @@ import pytest
 import sympy
 
 from glnlab import hecke
-from glnlab.errors import CapExceeded, CharacterMismatch, UnsupportedRank
+from glnlab.errors import CapExceeded, UnsupportedRank
 from glnlab.hecke import (
     BIG,
-    Gl1TwistedElement,
     HeckeElement,
     SatakeImage,
-    UnitCharacter,
     _smith_int,
     _vint,
     chi_t,
     convolve,
     coset_decompose,
-    gl1_convolution_by_finite_sum,
-    gl1_twisted_convolve,
     modulus_delta_exponent,
     satake_by_coset_count,
     satake_transform,
 )
-from glnlab.rings import (
-    FiniteField,
-    HalfPowerLaurent,
-    residue_primitive_root,
-)
+from glnlab.rings import HalfPowerLaurent
 
 
 def v_pow(q, k):
@@ -592,78 +584,3 @@ class TestChiT:
         img = satake_transform(HeckeElement.basis((1, 0), 2))
         with pytest.raises(ZeroEntry):
             chi_t(img, (0, 1))
-
-
-class TestGl1Twisted:
-    def test_trivial_character_convolution(self):
-        phi = UnitCharacter(0)
-        f = Gl1TwistedElement.basis(1, phi)
-        g = Gl1TwistedElement.basis(2, phi)
-        assert gl1_twisted_convolve(f, g) == Gl1TwistedElement.basis(3, phi)
-
-    def test_character_values_are_roots_of_unity(self):
-        F = FiniteField(3, 1)
-        phi = UnitCharacter(1, F, exponent=1)
-        vals = [phi.value(u) for u in F.units()]
-        for val in vals:
-            assert sympy.simplify(val**2 - 1) == 0
-        assert any(sympy.simplify(val + 1) == 0 for val in vals)
-
-    def test_character_is_multiplicative(self):
-        F = FiniteField(2, 2)
-        phi = UnitCharacter(1, F, exponent=1)
-        for u in F.units():
-            for w in F.units():
-                assert (phi.value_exponent(u) + phi.value_exponent(w)) \
-                    % phi.order == phi.value_exponent(u * w)
-
-    def test_twisted_convolution_matches_finite_sum(self):
-        F = FiniteField(3, 1)
-        phi = UnitCharacter(1, F, exponent=1)
-        f = Gl1TwistedElement(phi, {0: 1, 1: 2})
-        g = Gl1TwistedElement(phi, {-1: 1, 2: 1})
-        algebraic = gl1_twisted_convolve(f, g)
-        finite = gl1_convolution_by_finite_sum(f, g)
-        assert {m: sympy.expand(c) for m, c in finite.items()} \
-            == algebraic.support
-
-    def test_twisted_convolution_matches_finite_sum_f4(self):
-        F = FiniteField(2, 2)
-        phi = UnitCharacter(1, F, exponent=1)
-        f = Gl1TwistedElement.basis(0, phi)
-        g = Gl1TwistedElement.basis(1, phi)
-        algebraic = gl1_twisted_convolve(f, g)
-        finite = gl1_convolution_by_finite_sum(f, g)
-        assert {m: sympy.simplify(c) for m, c in finite.items()} \
-            == algebraic.support
-
-    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (5, 1), (7, 1),
-                                     (2, 2), (2, 3), (3, 2), (5, 2)])
-    def test_dlog_generator_is_least_primitive_element(self, p, d):
-        # the search the discrete-log table used before: the first unit,
-        # in coefficient order, whose powers reach every unit
-        F = FiniteField(p, d)
-        units = sorted(F.units(), key=lambda e: e.coeffs)
-        old = next(a for a in units
-                   if len({a ** k for k in range(1, F.q)}) == F.q - 1)
-        gen = residue_primitive_root(F)
-        assert gen == old
-        table = UnitCharacter(1, F, exponent=1)._dlog
-        assert sorted(table.values()) == list(range(F.q - 1))
-        assert table[gen] == 1 % (F.q - 1)
-
-    def test_character_mismatch(self):
-        F = FiniteField(3, 1)
-        f = Gl1TwistedElement.basis(0, UnitCharacter(0))
-        g = Gl1TwistedElement.basis(0, UnitCharacter(1, F, exponent=1))
-        with pytest.raises(CharacterMismatch):
-            gl1_twisted_convolve(f, g)
-
-    def test_commutative_and_associative(self):
-        phi = UnitCharacter(0)
-        a = Gl1TwistedElement(phi, {0: 1, 1: 1})
-        b = Gl1TwistedElement(phi, {-1: 2})
-        c = Gl1TwistedElement(phi, {3: 1})
-        assert gl1_twisted_convolve(a, b) == gl1_twisted_convolve(b, a)
-        assert gl1_twisted_convolve(gl1_twisted_convolve(a, b), c) \
-            == gl1_twisted_convolve(a, gl1_twisted_convolve(b, c))

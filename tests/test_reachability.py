@@ -26,17 +26,9 @@ PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "glnlab"
 
 ROOTS = ("cli.main", "cli.run", "audit.CRITERIA", "audit.RANDOM_ORACLE")
 
-_TWISTED = ("the rank-1 twisted Hecke algebra, a claim the README states; "
-            "reaching it needs a subcommand of its own")
 _TRACED = ("perfbench/tracer.py patches it by name, so `--trace 1` needs it")
 
 ALLOWLIST = {
-    "hecke.UnitCharacter": _TWISTED,
-    "hecke.Gl1TwistedElement": _TWISTED,
-    "hecke.gl1_twisted_convolve": _TWISTED,
-    "hecke.gl1_convolution_by_finite_sum": _TWISTED + " (its oracle)",
-    "errors.CharacterMismatch": _TWISTED + " (raised by its convolution)",
-    "rings.TruncatedLocalRing.units": _TWISTED + " (its oracle's units)",
     "building.membership": ("defines what a ValuationPattern means: the "
                             "valuation test the pattern stands for"),
     "rings.Mat.det": _TRACED + "; building.membership reads it too",

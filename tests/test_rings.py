@@ -21,6 +21,11 @@ def elements(ring):
     return [LocalRingElement(ring, a) for a in range(ring.size())]
 
 
+def units(ring):
+    """Every unit of ring, in code order."""
+    return [a for a in elements(ring) if a.is_unit()]
+
+
 def gen(ring):
     """The class of x, for d > 1."""
     return ring.element((0, 1))
@@ -94,12 +99,22 @@ class TestFieldArithmetic:
     def test_inverse_exhaustive(self):
         for p, d in [(2, 2), (3, 2), (2, 3)]:
             F = FiniteField(p, d)
-            for a in F.units():
+            for a in units(F):
                 assert a * a.inverse() == F.one()
 
     def test_zero_inverse_raises(self):
         with pytest.raises(NotInvertible):
             FiniteField(2, 2).element(()).inverse()
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (5, 1), (7, 1),
+                                     (2, 2), (2, 3), (3, 2), (5, 2)])
+    def test_residue_primitive_root_is_least_primitive_element(self, p, d):
+        # the first unit, in coefficient order, whose powers reach every
+        # unit
+        F = FiniteField(p, d)
+        old = next(a for a in sorted(units(F), key=lambda e: e.coeffs)
+                   if len({a ** k for k in range(1, F.q)}) == F.q - 1)
+        assert rings.residue_primitive_root(F) == old
 
 
 class TestFrobenius:
@@ -143,7 +158,7 @@ class TestNorm:
     def test_f4_norm_to_f2_is_one_on_units(self):
         for d in (2, 3, 4):
             F = FiniteField(2, d)
-            for a in F.units():
+            for a in units(F):
                 assert self.norm(a) == F.one()
 
     def test_norm_of_one(self):
@@ -165,7 +180,7 @@ class TestNorm:
         # each norm value on units is hit (q^d-1)/(q-1) times
         F = FiniteField(3, 2)
         hits = {}
-        for a in F.units():
+        for a in units(F):
             hits[self.norm(a)] = hits.get(self.norm(a), 0) + 1
         assert all(c == 4 for c in hits.values()) and len(hits) == 2
 
@@ -237,7 +252,7 @@ class TestTruncatedRing:
     def test_unit_inverse(self):
         for p, n, d in [(2, 2, 2), (3, 2, 1), (2, 3, 2)]:
             R = TruncatedLocalRing(p, n, d)
-            for a in R.units():
+            for a in units(R):
                 assert a * a.inverse() == R.one()
 
     def test_divide_exact_p_power(self):

@@ -1,7 +1,9 @@
+import itertools
 import math
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from glnlab.roots import (
     ds_decompose,
     full_root_set_gl,
     inner,
+    mahonian,
     pairing,
     reflect,
     check_type_a,
@@ -84,13 +87,6 @@ def weyl_group_by_matrices(simple):
                     new.append(prod)
         frontier = new
     return seen
-
-
-def perm_matrix(perm):
-    """The matrix M with (M v)_i = v[perm[i]]."""
-    n = len(perm)
-    return tuple(tuple(int(j == perm[i]) for j in range(n))
-                 for i in range(n))
 
 
 class TestSimpleRoots:
@@ -319,36 +315,38 @@ class TestRootSystemChecker:
             assert report["span_codimension"] == 1
 
 
+def inversions(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 class TestWeylGroup:
     def test_a1(self):
-        assert len(weyl_group([(1, -1)])) == 2
+        assert weyl_group([(1, -1)]) == [1, 1]
 
     def test_orders_are_factorials(self):
         for n in range(2, 7):
-            W = weyl_group(simple_roots_gl(n))
-            assert len(W) == math.factorial(n)
-
-    def test_a2_permutes_coordinates(self):
-        W = weyl_group(simple_roots_gl(3))
-        for w in W:
-            # each element is a permutation of the coordinates of Z^3
-            assert sorted(w.perm) == [0, 1, 2]
+            assert sum(weyl_group(simple_roots_gl(n))) == math.factorial(n)
 
     def test_matrix_bfs_oracle(self):
+        # the layers are the word-length distribution of the closure of
+        # the reflection matrices
         for n in range(2, 6):
             simple = simple_roots_gl(n)
-            W = weyl_group(simple)
-            oracle = weyl_group_by_matrices(simple)
-            assert {perm_matrix(w.perm): len(w.word) for w in W} \
-                == {m: len(word) for m, word in oracle.items()}
-            gens = [reflection_matrix(a, n) for a in simple]
-            ident = perm_matrix(tuple(range(n)))
-            for w in W:
-                m = perm_matrix(w.perm)
-                product = ident
-                for gi in w.word:
-                    product = mat_mul(product, gens[gi])
-                assert product == m
+            lengths = Counter(map(len, weyl_group_by_matrices(simple).values()))
+            assert weyl_group(simple) \
+                == [lengths[k] for k in range(len(lengths))]
+
+    def test_layers_are_inversion_counts(self):
+        for n in range(1, 8):
+            counts = Counter(map(inversions, itertools.permutations(range(n))))
+            want = [counts[k] for k in range(n * (n - 1) // 2 + 1)]
+            assert mahonian(n) == want
+            if n >= 2:
+                assert weyl_group(simple_roots_gl(n)) == want
+
+    def test_parabolic_subgroup(self):
+        # s_0 and s_2 of S_4 commute: lengths 0, 1, 1, 2
+        assert weyl_group(simple_roots_gl(4)[::2]) == [1, 2, 1]
 
     def test_order_checked_before_enumeration(self):
         start = time.monotonic()
@@ -357,7 +355,7 @@ class TestWeylGroup:
                 weyl_group(simple_roots_gl(n))
         with pytest.raises(CapExceeded):
             weyl_group(simple_roots_gl(5), cap=119)
-        assert len(weyl_group(simple_roots_gl(5), cap=120)) == 120
+        assert sum(weyl_group(simple_roots_gl(5), cap=120)) == 120
         assert time.monotonic() - start < 1.0
 
     def test_non_permuting_reflection_rejected(self):
@@ -365,6 +363,9 @@ class TestWeylGroup:
             weyl_group(G2_SIMPLE)
         with pytest.raises(ValueError):
             weyl_group([(2, 0)])
+        # a transposition of coordinates 0 and 2 is not a simple reflection
+        with pytest.raises(ValueError, match="not an adjacent swap"):
+            weyl_group([(1, 0, -1)])
 
     def test_type_a_check(self):
         for n in range(2, 7):
@@ -375,7 +376,10 @@ class TestWeylGroup:
         with pytest.raises(CapExceeded):
             check_type_a(10 ** 9)
 
-    def test_elements_permute_roots(self):
-        roots = set(map(lambda v: tuple(map(Fraction, v)), full_root_set_gl(4)))
-        for w in weyl_group(simple_roots_gl(4)):
-            assert {tuple(r[i] for i in w.perm) for r in roots} == roots
+    def test_type_a_check_reads_the_layers(self, monkeypatch):
+        # a closure of order n! with the wrong layers fails the check
+        from glnlab import roots
+        monkeypatch.setattr(roots, "weyl_group",
+                            lambda simple, cap: [1, 3, 1, 1])
+        _, order, _, order_is_factorial = check_type_a(3)
+        assert order == 6 and not order_is_factorial
