@@ -332,7 +332,8 @@ class TestWeylGroup:
         # the reflection matrices
         for n in range(2, 6):
             simple = simple_roots_gl(n)
-            lengths = Counter(map(len, weyl_group_by_matrices(simple).values()))
+            words = weyl_group_by_matrices(simple).values()
+            lengths = Counter(map(len, words))
             assert weyl_group(simple) \
                 == [lengths[k] for k in range(len(lengths))]
 
