@@ -10,14 +10,19 @@ Macdonald's closed form in Hall-Littlewood polynomials; its coefficients
 lie in Laurent polynomials in a formal square root of q.  Haar
 normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
+Membership in a double coset has one rule, Smith's theorem: the sum
+of the first k elementary divisors of a matrix is the least valuation
+of its k x k minors (_minor_valuations).  The coset build applies it
+to the first rows of rank-3 candidates, whose lower blocks come from
+the rank-2 members by interlacing.
 Convolution and the coset-count oracle read invariants off the cosets
 of one factor and never form a product.  Convolution counts the cosets
-g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2), testing
-membership by Smith's theorem: the sum of the first k elementary
-divisors of a matrix is the least valuation of its k x k minors, and
-for p^-nu p^shift M that is read off the minors of M alone.  The
-Iwasawa torus part of p^shift * M (the lam with g in N p^lam K) is
-shift plus the diagonal valuations of M.
+g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2), by the
+same rule: for p^-nu p^shift M the minors are read off those of M
+alone.  The Iwasawa torus part of p^shift * M (the lam with g in
+N p^lam K) is shift plus the diagonal valuations of M.  The cap counts
+the Hermite forms looked at, in closed form before any is built: all
+of them at ranks 1 and 2, the first rows over each block at rank 3.
 """
 
 from __future__ import annotations
@@ -56,40 +61,6 @@ def _vint(x, p):
     return v
 
 
-def _smith_int(rows, p):
-    """Elementary divisor exponents (ascending) of a nonsingular int
-    matrix over Z_(p).
-
-    Each step takes a pivot of least valuation (that of the gcd of the
-    remaining entries) and clears its column from the other rows,
-    scaling each of them only by the pivot's p-adic unit part, so the
-    work stays in ints and every operation is invertible over Z_(p).
-    The pivot's row and column then drop out.
-    """
-    rows = [list(r) for r in rows]
-    out = []
-    while rows:
-        g = math.gcd(*itertools.chain.from_iterable(rows))
-        if not g:
-            raise ValueError("singular matrix")
-        v = _vint(g, p)
-        out.append(v)
-        scale = p**v
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x % (scale * p):
-                    break
-            else:
-                continue
-            break
-        piv = rows.pop(i)
-        unit = piv.pop(j) // scale
-        for row in rows:
-            c = row.pop(j) // scale
-            row[:] = [unit * x - c * y for x, y in zip(row, piv)]
-    return tuple(out)
-
-
 def is_dominant(lam):
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
@@ -103,14 +74,23 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     Hermite form with p-power diagonal p^d, in the order of d and then
     of the entries above the diagonal.
 
-    At rank 2, with m = lam_1 - lam_2, the members are built directly:
-    [[p^d0, x], [0, p^d1]] with d0 + d1 = m has first elementary
-    divisor p^min(d0, d1, v(x)), so it is a member exactly when
-    d0 * d1 = 0 (any x in [0, p^d0)) or x is a unit mod p^d0.  At ranks 1
-    and 3 every form is scanned and kept when its elementary divisors
-    are exactly lam - shift.  Exact; the entries of lam are bounded by
-    MAX_ENTRY in absolute value, and the number of Hermite forms by cap
-    at every rank.
+    Let m = lam - shift.  At rank 2 the members [[p^d0, x], [0, p^d1]]
+    with d0 + d1 = m_1 are built directly: the first elementary divisor
+    is p^min(d0, d1, v(x)), so a form is a member exactly when
+    d0 * d1 = 0 (any x in [0, p^d0)) or x is a unit mod p^d0.  At
+    rank 3, deleting the first row of a member leaves a block whose
+    elementary divisors mu interlace m, m_1 >= mu_1 >= m_2 >= mu_2 >= 0
+    (Thompson), so the block is p^mu_2 times a rank-2 member for
+    mu_1 - mu_2.  Each first row (p^d0, x, y), d0 = |m| - |mu| and
+    x, y in [0, p^d0), is kept by the membership rule of convolve:
+    the least valuations of the entries and of the 2 x 2 minors are
+    D_1 = 0 and D_2 = m_2 (Smith's theorem; D_3 is the determinant).
+
+    Exact; the entries of lam are bounded by MAX_ENTRY in absolute
+    value.  The cap bounds the forms looked at, counted in closed form
+    before any is built: sum over d0 of p^d0 Hermite forms at ranks 1
+    and 2, and sum over mu of p^(2 d0) first rows times the rank-2
+    members for mu_1 - mu_2 at rank 3.
     """
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
@@ -123,29 +103,41 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     shift = lam[-1]
     m = tuple(c - shift for c in lam)
     total = sum(m)
-    target = tuple(sorted(m))
-    diags = [diag for diag in itertools.product(range(total + 1), repeat=n)
-             if sum(diag) == total]
-    # diagonal p^diag leaves p^diag[i] choices for each entry right of it
-    candidates = sum(p ** sum(c * (n - 1 - i) for i, c in enumerate(diag))
-                     for diag in diags)
+    if n < 3:
+        candidates = sum(p**d0 for d0 in range(total + 1))
+    else:
+        blocks = [(mu1, mu2) for mu1 in range(m[1], m[0] + 1)
+                  for mu2 in range(m[1] + 1)]
+        candidates = sum(p**(2 * (total - mu1 - mu2)) * _rank2_count(
+            mu1 - mu2, p) for mu1, mu2 in blocks)
     if candidates > cap:
-        raise CapExceeded(f"{candidates} Hermite forms to scan exceed cap "
+        raise CapExceeded(f"{candidates} Hermite forms to test exceed cap "
                           f"{cap}")
+    if n == 1:
+        return [(shift, ((1,),))]
     if n == 2:
         return [(shift, form) for form in _rank2_forms(total, p)]
-    # row i of a form: i zeros, p^diag[i], then its n-1-i entries of fill
-    starts = [sum(n - 1 - k for k in range(i)) for i in range(n)]
-    reps = []
-    for diag in diags:
-        pows = [p**c for c in diag]
-        ranges = [range(pows[i]) for i in range(n) for _ in range(i + 1, n)]
-        for fill in itertools.product(*ranges):
-            form = tuple((0,) * i + (pows[i],) + fill[s:s + n - 1 - i]
-                         for i, s in enumerate(starts))
-            if _smith_int(form, p) == target:
-                reps.append((shift, form))
-    return reps
+    subsets = [rows for k in (1, 2)
+               for rows in itertools.combinations(range(3), k)]
+    ptop, logs = p**total, {p**k: k for k in range(total + 1)}
+    forms = []
+    for mu1, mu2 in blocks:
+        top, scale = p**(total - mu1 - mu2), p**mu2
+        for (a, b), (_, c) in _rank2_forms(mu1 - mu2, p):
+            rows = (0, scale * a, scale * b), (0, 0, scale * c)
+            for x, y in itertools.product(range(top), repeat=2):
+                form = ((top, x, y),) + rows
+                w = _minor_valuations(form, subsets, ptop, logs)
+                if min(w[:3]) == 0 and min(w[3:]) == m[1]:
+                    forms.append(form)
+    forms.sort(key=lambda f: (f[0][0], f[1][1], f[2][2],
+                              f[0][1], f[0][2], f[1][2]))
+    return [(shift, form) for form in forms]
+
+
+def _rank2_count(a, p):
+    """|K diag(p^a, 1) K / K| = p^a + p^(a-1), and 1 at a = 0."""
+    return p**a + p**(a - 1) if a else 1
 
 
 def _rank2_forms(m, p):

@@ -136,7 +136,13 @@ class TestExitCodes:
         for argv in ("--cap 10 satake --n 2 --p 3 --lam=3,-1",
                      "--cap 10 hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
                      "satake --n 3 --p 2 --lam=6,0,-6",
+                     # rank 3 is charged its first rows in closed form,
+                     # before any block is built
                      "satake --n 3 --p 2 --lam=24,0,-24",
+                     "hecke --n 3 --p 2 --left=24,0,-24 --right=0,0,0",
+                     "satake --n 3 --p 1000003 --lam=1,0,0",
+                     # rank 2 is charged its Hermite forms, not its cosets
+                     "satake --n 2 --p 2 --lam=19,0",
                      # 12! Weyl elements and (300 - 1)^2 * 300 pairing
                      # terms: refused before anything is built
                      "roots --n 12",
@@ -442,6 +448,14 @@ class TestNearCap:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv.split()) == 0
         assert time.monotonic() - start < 5.0
+
+    def test_satake_rank3(self):
+        # 118 065 first rows tested for 12 636 cosets
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["satake", "--n", "3", "--p", "3",
+                        "--lam=2,0,-2"]) == 0
+        assert time.monotonic() - start < 3.0
 
     def test_roots(self):
         # 9! <= 10^6 < 10!: the largest Weyl group the default cap admits
