@@ -120,6 +120,33 @@ def membership(g, pattern):
 # ---------------------------------------------------------------------------
 # Iwasawa decomposition g = b * k
 
+def _iwasawa2(p, n, inv, a, b, c, d):
+    """Codes of b and k in g = b * k for g = (a b; c d) over Z/p^n, on
+    ints alone; inv is the ring's unit inverse mod p^n.
+
+    The general column reduction at size 2: swap the columns when the
+    leftmost least valuation v of the bottom row is in column 0, then
+    clear the bottom-left entry by one shear, t = (c / p^v) * u^-1 with
+    d = p^v * u.  Then k = (1 0; t 1), or (0 1; 1 t) after a swap.
+    """
+    pn = p**n
+    v, pv = 0, 1  # v is the least valuation of the bottom row, pv = p^v
+    while v < n and not (c % (pv * p) or d % (pv * p)):
+        v, pv = v + 1, pv * p
+    if v >= n:
+        raise PrecisionExhausted("pivot row vanishes at working precision")
+    swap = c % (pv * p)  # v(c) = v: the leftmost pivot is in column 0
+    if swap:
+        a, b, c, d = b, a, d, c
+    t = 0
+    if c:
+        t = c // pv * inv(d // pv) % pn
+        a, c = (a - t * b) % pn, (c - t * d) % pn
+        if c:
+            raise PrecisionExhausted("shear failed to clear the entry")
+    return (a, b, c, d), ((0, 1, 1, t) if swap else (1, 0, t, 1))
+
+
 def iwasawa_decompose(g):
     """g = b * k with b upper triangular and k integral with unit det.
 
@@ -131,8 +158,16 @@ def iwasawa_decompose(g):
     "column j += c * column i" is "row i of k -= c * row j".  Both are
     updated in place, entry by entry, on flat row-major code lists.  A
     column operation at row i skips the rows below i, whose entries in
-    the columns left of their pivots are already zero.
+    the columns left of their pivots are already zero.  A 2 x 2 matrix
+    over a ring of degree 1, whose codes are the integers mod p^n, goes
+    to the int kernel ``_iwasawa2``: one swap and one shear, the same
+    operations on the same codes.
     """
+    if g.size == 2 and g.ring.d == 1:
+        ring = g.ring
+        b, k = _iwasawa2(ring.p, ring.n, ring.inv, *g.codes)
+        return (Mat.from_codes(ring, 2, b, g.offset),
+                Mat.from_codes(ring, 2, k))
     n, ring = g.size, g.ring
     add, mul, neg = ring.add, ring.mul, ring.neg
     valuation, divide = ring.valuation, ring.divide_exact_p_power
@@ -174,19 +209,21 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
 
     Entries are drawn below p^precision, with a global p-power offset in
     [-2, 2]; a sample is redrawn unless v(det g) < min(3, precision), so
-    its determinant is nonzero at working precision.  A sample fails
+    its determinant is nonzero at working precision.  Each sample goes
+    to the int kernel ``_iwasawa2`` on its four entries, and fails
     unless b * k == g, b is upper triangular and k has unit determinant.
 
     NotPrime unless p is prime, then CapExceeded, before the ring is
     built (so p^precision is never formed), when count * w exceeds the
     cap: a sample costs w = ceil(bits/64)^2 work units, where bits =
     precision * bit length of p bounds the bits of p^precision.
-    Measured per unit (2-core x86-64, Python 3.11.7): 15-18 us at one
-    word, 1.3-3.4 us at 3-5 words (p^precision of 149-161 bits),
-    0.02-0.12 us from 32 to 3125 words, so the square over-charges
-    large precisions, and a request the default cap of 10^6 accepts
-    runs at most about 20 s there.  A precision below 1 is charged
-    nothing and refused by the ring.
+    Measured per unit (2-core x86-64 on a shared host, Python 3.11.7,
+    best of three, two sweeps): 3.1-9.5 us at one word, 0.37-1.4 us at
+    3-5 words (p^precision of 149-161 bits), 0.015-0.063 us from 32 to
+    3125 words, so the square over-charges large precisions, and a
+    request the default cap of 10^6 accepts runs at most about 10 s
+    there.  At one word most of a sample is its five draws.  A
+    precision below 1 is charged nothing and refused by the ring.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -195,18 +232,23 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
         raise CapExceeded(f"{count} samples of {words}^2 work units each "
                           f"exceed cap {cap}")
     ring = TruncatedLocalRing(p, precision, 1)
-    mul, det, _ = ring.mat_kernels(2)
-    top, bound = ring.pn, min(3, precision)
+    inv, top, det_modulus = ring.inv, ring.pn, p**min(3, precision)
+    randint, randrange = rng.randint, rng.randrange
     done = failures = 0
     while done < count:
-        offset = rng.randint(-2, 2)
-        codes = tuple(rng.randrange(top) for _ in range(4))  # row-major
-        if ring.valuation(det(codes)) >= bound:
+        # g = p^offset (a b; c d); b takes the offset whole and k none,
+        # so the offsets add up by construction
+        randint(-2, 2)
+        a, b, c, d = (randrange(top), randrange(top), randrange(top),
+                      randrange(top))
+        if not (a * d - b * c) % det_modulus:
             continue
-        b, k = iwasawa_decompose(Mat.from_codes(ring, 2, codes, offset))
-        if not (mul(b.codes, k.codes) == codes
-                and b.offset + k.offset == offset and not b.codes[2]
-                and ring.is_unit(det(k.codes))):
+        (b0, b1, b2, b3), (k0, k1, k2, k3) = _iwasawa2(p, precision, inv,
+                                                       a, b, c, d)
+        if ((b0 * k0 + b1 * k2 - a) % top or (b0 * k1 + b1 * k3 - b) % top
+                or (b2 * k0 + b3 * k2 - c) % top
+                or (b2 * k1 + b3 * k3 - d) % top
+                or b2 or not (k0 * k3 - k1 * k2) % p):
             failures += 1
         done += 1
     return failures

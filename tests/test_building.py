@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from glnlab import building
 from glnlab.building import (
     ValuationPattern,
     audit_self_normalizing,
@@ -290,6 +291,40 @@ class TestIwasawa:
         with pytest.raises(CapExceeded):
             iwasawa_sample_failures(3, 10**12, 1, rng)
         assert rng.getstate() == state
+
+    # the padic-iwasawa benchmark grid, and precisions 1 and 2, where the
+    # rejection bound min(3, precision) is below 3
+    @pytest.mark.parametrize("p, precision", [
+        (p, n) for p, ns in ((2, (1, 2, 20, 40, 80, 160)),
+                             (3, (1, 2, 12, 25, 50, 100)),
+                             (5, (1, 2, 8, 16, 32, 64)))
+        for n in ns])
+    def test_sample_stream(self, p, precision):
+        # the sampler draws what this element-level loop draws, and
+        # rejects what it rejects, so each seed samples the same matrices
+        count, seed = 40, 1000 * p + precision
+        rng = random.Random(seed)
+        assert iwasawa_sample_failures(p, precision, count, rng) == 0
+        ref = random.Random(seed)
+        R = TruncatedLocalRing(p, precision, 1)
+        done = 0
+        while done < count:
+            ref.randint(-2, 2)
+            g = Mat.from_codes(R, 2, tuple(ref.randrange(p**precision)
+                                           for _ in range(4)))
+            if g.det().valuation() < min(3, precision):
+                done += 1
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda b, k: (b, (k[0], k[1], k[2] + 1, k[3])),  # k_21 + 1
+        lambda b, k: ((b[0], b[1], 1, b[3]), k),  # b_21 != 0
+    ])
+    def test_sample_check_catches_a_wrong_kernel(self, monkeypatch, mutate):
+        kernel = building._iwasawa2
+        monkeypatch.setattr(building, "_iwasawa2",
+                            lambda *args: mutate(*kernel(*args)))
+        assert iwasawa_sample_failures(2, 6, 50, random.Random(5)) == 50
 
     def test_gl3(self):
         R = TruncatedLocalRing(2, 6, 1)

@@ -464,6 +464,16 @@ class TestNearCap:
             assert run(["roots", "--n", "9"]) == 0
         assert time.monotonic() - start < 5.0
 
+    def test_iwasawa(self):
+        # precision 64 at p = 2 is charged two words (64 times bit
+        # length 2), so 250 000 samples cost 250 000 * 2^2 = 10^6, the
+        # whole default cap
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["building", "iwasawa", "--p", "2", "--count",
+                        "250000", "--precision", "64"]) == 0
+        assert time.monotonic() - start < 5.0
+
 
 class TestGrammar:
     """The subcommands without a fuzz of their own, under small and bad
