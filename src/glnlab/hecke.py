@@ -7,8 +7,13 @@ computations are exact and p-local.  A coset representative is a pair
 matrix whose diagonal entries are powers of p, so membership tests read
 int valuations and products cost int multiplies.  The transform is
 Macdonald's closed form in Hall-Littlewood polynomials; its coefficients
-lie in Laurent polynomials in a formal square root of q.  Haar
-normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
+lie in Laurent polynomials in a formal square root v of q, each stored
+on ints as (A + B v)/D in lowest terms (rings.HalfPowerLaurent).  The
+image of a basis element is built once per (mu, q) and cached as a
+tuple of immutable values (_basis_image), so a transform only filters
+it by the box and scales it by the coefficient.  No coefficient dict
+holds a zero, so a sum adds to an entry only when its key is present.
+Haar normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
 Membership in a double coset has one rule, Smith's theorem: the sum
 of the first k elementary divisors of a matrix is the least valuation
@@ -30,8 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
-from fractions import Fraction
 
 from .errors import (
     CapExceeded,
@@ -187,7 +192,7 @@ class HeckeElement:
         self.support = {}
         if support:
             for lam, c in support.items():
-                if isinstance(c, int):
+                if not isinstance(c, HalfPowerLaurent):
                     c = HalfPowerLaurent(self.q, c)
                 if not c.is_zero():
                     self.support[tuple(lam)] = c
@@ -207,7 +212,7 @@ class HeckeElement:
     def __add__(self, other):
         out = dict(self.support)
         for lam, c in other.support.items():
-            out[lam] = out.get(lam, HalfPowerLaurent(self.q)) + c
+            out[lam] = out[lam] + c if lam in out else c
         return HeckeElement(self.n, self.p, out)
 
     def __eq__(self, other):
@@ -270,7 +275,8 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
                            for level, t in zip(levels, targets)):
                         count += mult
                 if count:
-                    out[nu] = out.get(nu, HalfPowerLaurent(p)) + scale * count
+                    c = scale * count
+                    out[nu] = out[nu] + c if nu in out else c
     return HeckeElement(n, p, out)
 
 
@@ -294,31 +300,30 @@ class SatakeImage:
         self.coeffs = {}
         if coeffs:
             for lam, c in coeffs.items():
-                if isinstance(c, int):
+                if not isinstance(c, HalfPowerLaurent):
                     c = HalfPowerLaurent(q, c)
                 if not c.is_zero():
                     self.coeffs[tuple(lam)] = c
 
     def weyl_invariant(self):
-        for lam, c in self.coeffs.items():
-            for perm in itertools.permutations(lam):
-                if self.coeffs.get(perm, HalfPowerLaurent(self.q)) != c:
-                    return False
-        return True
+        # no coefficient is zero, so a missing permutation breaks it
+        coeffs = self.coeffs
+        return all(c == coeffs.get(perm) for lam, c in coeffs.items()
+                   for perm in itertools.permutations(lam))
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, HalfPowerLaurent(self.q)) + c
+            out[lam] = out[lam] + c if lam in out else c
         return SatakeImage(self.n, self.q, out)
 
     def __mul__(self, other):
         out = {}
-        zero = HalfPowerLaurent(self.q)
         for lam, c in self.coeffs.items():
             for mu, d in other.coeffs.items():
-                nu = tuple(a + b for a, b in zip(lam, mu))
-                out[nu] = out.get(nu, zero) + c * d
+                nu = tuple(map(operator.add, lam, mu))
+                cd = c * d
+                out[nu] = out[nu] + cd if nu in out else cd
         return SatakeImage(self.n, self.q, out)
 
     def __eq__(self, other):
@@ -341,11 +346,9 @@ def _poly_mul(f, g):
     return {e: c for e, c in out.items() if c}
 
 
-@functools.lru_cache(maxsize=256)
 def _hall_littlewood(lam, q):
-    """The Hall-Littlewood polynomial P_lam(x; t) at t = 1/q, as a tuple
-    of (exponent tuple, Fraction) pairs; cached, and immutable so that
-    no caller can change the cached value.
+    """The Hall-Littlewood polynomial P_lam(x; t) at t = 1/q, as a list
+    of (exponent tuple, HalfPowerLaurent) pairs.
 
     P_lam = (1/v_lam(t)) sum_{w in S_n} w(x^lam prod_{i<j}
     (x_i - t x_j) / (x_i - x_j)) for lam >= 0 (Macdonald III (2.2)), and
@@ -389,37 +392,47 @@ def _hall_littlewood(lam, q):
                 del rest[key]
     # q^(number of pairs) from the factors, times v_lam(t) =
     # prod over the multiplicities m of lam (zeros too) of
-    # prod_{j <= m} (1 - t^j) / (1 - t)
-    t = Fraction(1, q)
-    norm = Fraction(q)**len(pairs)
+    # prod_{j <= m} (1 - t^j) / (1 - t) = (q^j - 1) / (q^(j-1) (q - 1))
+    norm, denom = q**len(pairs), 1
     for m in Counter(lam).values():
         for j in range(1, m + 1):
-            norm *= (1 - t**j) / (1 - t)
-    return tuple((tuple(a + c for a in e), coeff / norm)
-                 for e, coeff in quotient.items())
+            norm *= q**j - 1
+            denom *= q**(j - 1) * (q - 1)
+    scale = HalfPowerLaurent(q, norm).inverse() * denom
+    return [(tuple(a + c for a in e), scale * coeff)
+            for e, coeff in quotient.items()]
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_image(mu, q):
+    """The transform q^<rho, mu> P_mu(x; 1/q) of the indicator of
+    K p^mu K, as a tuple of (exponent tuple, HalfPowerLaurent) pairs;
+    q^<rho, mu> is v to minus the modulus exponent of mu.  Cached per
+    (mu, q), and immutable (a tuple of immutable values), so that no
+    caller can change the cached value."""
+    scale = HalfPowerLaurent.v_power(q, -modulus_delta_exponent(mu, len(mu)))
+    return tuple((nu, scale * c) for nu, c in _hall_littlewood(mu, q))
 
 
 def satake_transform(f, box_bound=None):
     """The transform f -> f-hat on the box |lam_i| <= bound.
 
     By Macdonald's formula (Macdonald V (3.3)), the indicator of
-    K p^mu K goes to q^<rho, mu> P_mu(x; 1/q), x^nu standing for e_nu;
-    q^<rho, mu> is v to minus the modulus exponent of mu.  The sum over
-    S_n has no cap, so the rank is limited to 3.  The result is checked
-    Weyl-invariant before being returned.
+    K p^mu K goes to q^<rho, mu> P_mu(x; 1/q), x^nu standing for e_nu
+    (_basis_image).  The sum over S_n has no cap, so the rank is
+    limited to 3.  The result is checked Weyl-invariant before being
+    returned.
     """
     n, q = f.n, f.q
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     b = f.bound() if box_bound is None else box_bound
-    zero = HalfPowerLaurent(q)
     coeffs = {}
     for mu, cmu in f.support.items():
-        scale = cmu * HalfPowerLaurent.v_power(
-            q, -modulus_delta_exponent(mu, n))
-        for nu, c in _hall_littlewood(mu, q):
-            if max(abs(x) for x in nu) <= b:
-                coeffs[nu] = coeffs.get(nu, zero) + scale * c
+        for nu, c in _basis_image(mu, q):
+            if max(map(abs, nu)) <= b:
+                c = cmu * c
+                coeffs[nu] = coeffs[nu] + c if nu in coeffs else c
     image = SatakeImage(n, q, coeffs)
     if not image.weyl_invariant():
         raise ArithmeticError("transform produced a non-invariant image")
@@ -438,10 +451,13 @@ def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     b = f.bound() if box_bound is None else box_bound
     acc = {}
     for mu, cmu in f.support.items():
-        for shift, form in coset_decompose(mu, n, f.p, cap=cap):
-            lam = tuple(shift + e for e in _diagonal_exponents(form, f.p))
-            if max(abs(c) for c in lam) <= b:
-                acc[lam] = acc.get(lam, HalfPowerLaurent(q)) + cmu
+        counts = Counter(
+            tuple(shift + e for e in _diagonal_exponents(form, f.p))
+            for shift, form in coset_decompose(mu, n, f.p, cap=cap))
+        for lam, count in counts.items():
+            if max(map(abs, lam)) <= b:
+                c = cmu * count
+                acc[lam] = acc[lam] + c if lam in acc else c
     return SatakeImage(n, q, {
         lam: HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n)) * c
         for lam, c in acc.items()})

@@ -22,7 +22,8 @@ is the same one.
 ``Mat`` is a square matrix as a flat row-major tuple of codes plus a
 global p-power offset.  Element objects are thin (ring, code) pairs for
 code that works one entry at a time.  Last, the coefficient ring of
-Laurent polynomials in a formal square root of q.
+Laurent polynomials in a formal square root v of q, whose elements are
+immutable int triples (A, B, D) standing for (A + B v)/D in lowest terms.
 """
 
 from __future__ import annotations
@@ -807,80 +808,142 @@ class Mat:
 # Laurent polynomials in a formal square root of q
 
 class HalfPowerLaurent:
-    """a + b*v with v a formal square root of the integer q.
+    """(A + B*v) / D with v a formal square root of the integer q.
 
-    Negative powers of v are folded in via v^-1 = v/q, so (a, b) with
-    rational a, b is a normal form.  The substitution v -> sqrt(q) is
-    never performed, even when q is a perfect square.
+    Negative powers of v are folded in via v^-1 = v/q, so every element
+    of Q[v]/(v^2 - q) has one normal form on ints: D > 0 and
+    gcd(A, B, D) = 1 (zero is (0, 0, 1)).  Arithmetic stays on ints and
+    each result is reduced by one gcd (_half), never through Fraction;
+    a = A/D and b = B/D are read-only Fractions for reports.  An int or
+    a Fraction operand of +, -, * or == is the scalar it stands for.
+    Values are immutable: setting an attribute raises.  The
+    substitution v -> sqrt(q) is never performed, even when q is a
+    perfect square.
     """
 
-    __slots__ = ("q", "a", "b")
+    __slots__ = ("q", "A", "B", "D")
 
-    def __init__(self, q, a=0, b=0):
-        self.q = q
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __new__(cls, q, a=0, b=0):
+        if isinstance(a, int) and isinstance(b, int):
+            return _half(q, a, b, 1)
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        return _half(q, a.numerator * (d // a.denominator),
+                     b.numerator * (d // b.denominator), d)
 
-    @classmethod
-    def v_power(cls, q, k):
-        """The monomial v^k in normal form."""
-        if k % 2 == 0:
-            return cls(q, Fraction(q)**(k // 2), 0)
-        return cls(q, 0, Fraction(q)**((k - 1) // 2))
+    def __setattr__(self, name, value):
+        raise AttributeError("HalfPowerLaurent is immutable")
 
-    def _check(self, other):
-        if self.q != other.q:
-            raise ValueError("mixed q in half-power arithmetic")
+    @property
+    def a(self):
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self):
+        return Fraction(self.B, self.D)
+
+    @staticmethod
+    def v_power(q, k):
+        """The monomial v^k in normal form: v^(2j + r) = q^j v^r."""
+        j, r = divmod(k, 2)
+        num, den = (q**j, 1) if j >= 0 else (1, q**-j)
+        return _half(q, 0, num, den) if r else _half(q, num, 0, den)
+
+    def _operand(self, other):
+        """other as (A, B, D) over self.q: an element of the same q, an
+        int or a Fraction; None for anything else."""
+        if isinstance(other, HalfPowerLaurent):
+            if other.q != self.q:
+                raise ValueError("mixed q in half-power arithmetic")
+            return other.A, other.B, other.D
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _plus(self, a, b, d):
+        if d == self.D:
+            return _half(self.q, self.A + a, self.B + b, d)
+        return _half(self.q, self.A * d + a * self.D, self.B * d + b * self.D,
+                     self.D * d)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = HalfPowerLaurent(self.q, other)
-        self._check(other)
-        return HalfPowerLaurent(self.q, self.a + other.a, self.b + other.b)
+        o = self._operand(other)
+        return NotImplemented if o is None else self._plus(*o)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return HalfPowerLaurent(self.q, -self.a, -self.b)
+        return _half(self.q, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = HalfPowerLaurent(self.q, other)
-        return self + (-other)
+        o = self._operand(other)
+        return NotImplemented if o is None else self._plus(-o[0], -o[1], o[2])
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return HalfPowerLaurent(self.q, self.a * other, self.b * other)
-        self._check(other)
-        return HalfPowerLaurent(
-            self.q,
-            self.a * other.a + self.b * other.b * self.q,
-            self.a * other.b + self.b * other.a,
-        )
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = o
+        return _half(self.q, self.A * a + self.B * b * self.q,
+                     self.A * b + self.B * a, self.D * d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # (a + bv)(a - bv) = a^2 - b^2 q
-        nrm = self.a * self.a - self.b * self.b * self.q
+        # D / (A + Bv) = D (A - Bv) / (A^2 - q B^2)
+        nrm = self.A * self.A - self.B * self.B * self.q
         if nrm == 0:
             raise NotInvertible("not invertible in Q[v]/(v^2 - q)")
-        return HalfPowerLaurent(self.q, self.a / nrm, -self.b / nrm)
+        if nrm < 0:
+            return _half(self.q, -self.D * self.A, self.D * self.B, -nrm)
+        return _half(self.q, self.D * self.A, -self.D * self.B, nrm)
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self.A == 0 and self.B == 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = HalfPowerLaurent(self.q, other)
-        return (isinstance(other, HalfPowerLaurent)
-                and (self.q, self.a, self.b) == (other.q, other.a, other.b))
+        if isinstance(other, HalfPowerLaurent):
+            return (self.q, self.A, self.B, self.D) \
+                == (other.q, other.A, other.B, other.D)
+        o = self._operand(other)
+        return NotImplemented if o is None else (self.A, self.B, self.D) == o
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b))
+        # equal to the scalar A/D when B = 0, so hashed like it
+        if self.B == 0:
+            return hash(Fraction(self.A, self.D))
+        return hash((self.q, self.A, self.B, self.D))
 
     def __repr__(self):
         parts = []
-        if self.a:
+        if self.A:
             parts.append(str(self.a))
-        if self.b:
-            parts.append(f"{self.b}*v" if self.b != 1 else "v")
+        if self.B:
+            b = self.b
+            parts.append(f"{b}*v" if b != 1 else "v")
         return " + ".join(parts) if parts else "0"
+
+
+_new_half = object.__new__
+# the slots are written through their descriptors, past __setattr__
+_set_q, _set_A, _set_B, _set_D = (
+    getattr(HalfPowerLaurent, k).__set__ for k in HalfPowerLaurent.__slots__)
+
+
+def _half(q, A, B, D):
+    """The HalfPowerLaurent (A + B*v) / D, D > 0, reduced by one gcd."""
+    if D != 1:
+        g = math.gcd(A, B, D)
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
+    x = _new_half(HalfPowerLaurent)
+    _set_q(x, q)
+    _set_A(x, A)
+    _set_B(x, B)
+    _set_D(x, D)
+    return x

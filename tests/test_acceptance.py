@@ -84,7 +84,7 @@ def test_criterion_08_documented_coverage_gap():
 
 
 def test_criterion_09_satake_transform():
-    with Budget(1.0):
+    with Budget(0.3):
         ok, _ = audit.satake_identities(CAP, SEED)
     assert ok
 

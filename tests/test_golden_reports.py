@@ -38,6 +38,9 @@ COMMANDS = {
     "hecke_n2_p2_10_0m1": "hecke --n 2 --p 2 --left=1,0 --right=0,-1",
     "satake_n3_p3_11m1": "satake --n 3 --p 3 --lam=1,1,-1 --enable-gl3",
     "satake_n2_p3_3m1": "satake --n 2 --p 3 --lam=3,-1",
+    "satake_n3_p2_20m2": "satake --n 3 --p 2 --lam=2,0,-2",
+    "satake_n2_p2_2m2": "satake --n 2 --p 2 --lam=2,-2",
+    "satake_n2_p2_2m1": "satake --n 2 --p 2 --lam=2,-1",
     "lfactor_wedge2_abc_q3": "lfactor --rep wedge(2) --params a,b,c --q 3",
     "lfactor_bc_d2_sym2_ab_q2": (
         "lfactor bc --d 2 --rep sym(2) --params a,b --q 2"),

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from glnlab import hecke
 from glnlab.errors import CapExceeded, UnsupportedRank
 from glnlab.hecke import (
     BIG,
@@ -294,11 +293,12 @@ class TestCosets:
 
     def test_representatives_are_int_forms(self, monkeypatch):
         # the coset layer runs on ints: M upper triangular with p-power
-        # diagonal, and no Fraction is built on integral input
-        def refuse(*args):
+        # diagonal, and no Fraction is built on integral input, in this
+        # layer or in the HalfPowerLaurent coefficients of convolve
+        def refuse(*args, **kwargs):
             raise AssertionError("Fraction built on integral input")
 
-        monkeypatch.setattr(hecke, "Fraction", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
         for lam, p in (((2, 0, -1), 2), ((1, 1, -1), 3), ((3, -2), 3)):
             n = len(lam)
             for shift, form in coset_decompose(lam, n, p):
@@ -467,6 +467,30 @@ class TestModulus:
 
 
 class TestTransformGl2:
+    def test_cached_image_cannot_change(self):
+        # the per-(mu, q) basis image is cached: changing one returned
+        # image must leave the next transform of the same element as it was
+        for lam, p in (((1, 0), 3), ((2, 0, -2), 2)):
+            f = HeckeElement.basis(lam, p)
+            expected = satake_by_coset_count(f)
+            img = satake_transform(f)
+            assert img == expected
+            nu, c = next(iter(img.coeffs.items()))
+            for name in ("A", "B", "D", "q"):
+                with pytest.raises(AttributeError):
+                    setattr(c, name, 5)
+            img.coeffs[nu] = c + 1
+            img.coeffs.clear()
+            assert satake_transform(f) == expected
+
+    def test_scalar_coefficients(self):
+        # an int or a Fraction coefficient is the scalar it stands for
+        half = Fraction(1, 2)
+        assert SatakeImage(2, 3, {(0, 0): half}).coeffs \
+            == {(0, 0): HalfPowerLaurent(3, half)}
+        assert HeckeElement(2, 3, {(0, 0): half, (1, 0): 0}).support \
+            == {(0, 0): HalfPowerLaurent(3, half)}
+
     def test_unit(self):
         for p in (2, 3):
             img = satake_transform(HeckeElement.basis((0, 0), p),

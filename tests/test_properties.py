@@ -1,12 +1,15 @@
 """Randomized algebraic-law checks on the exact arithmetic layer."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glnlab.building import iwasawa_decompose
+from glnlab.errors import NotInvertible
 from glnlab.hecke import BIG
 from glnlab.rings import FiniteField, HalfPowerLaurent, Mat, TruncatedLocalRing
 from test_hecke import smith_exponents, vp
@@ -19,6 +22,96 @@ rationals = st.fractions(
 def half(q):
     return st.builds(lambda a, b: HalfPowerLaurent(q, a, b),
                      rationals, rationals)
+
+
+class FractionHalf:
+    """Reference a + b*v on a pair of Fractions, with no int normal form;
+    the oracle of TestFractionReference."""
+
+    def __init__(self, q, a=0, b=0):
+        self.q = q
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @classmethod
+    def v_power(cls, q, k):
+        if k % 2 == 0:
+            return cls(q, Fraction(q)**(k // 2), 0)
+        return cls(q, 0, Fraction(q)**((k - 1) // 2))
+
+    def __add__(self, other):
+        return FractionHalf(self.q, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return FractionHalf(self.q, self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionHalf(self.q, self.a * other, self.b * other)
+        return FractionHalf(
+            self.q,
+            self.a * other.a + self.b * other.b * self.q,
+            self.a * other.b + self.b * other.a,
+        )
+
+    def inverse(self):
+        nrm = self.a * self.a - self.b * self.b * self.q
+        if nrm == 0:
+            raise NotInvertible("not invertible in Q[v]/(v^2 - q)")
+        return FractionHalf(self.q, self.a / nrm, -self.b / nrm)
+
+    def __eq__(self, other):
+        return (self.q, self.a, self.b) == (other.q, other.a, other.b)
+
+
+# zeros, negatives and denominators that are not powers of q
+scalars = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30),
+                    rationals)
+
+
+def agree(x, ref):
+    assert (x.a, x.b) == (ref.a, ref.b)
+    assert (str(x.a), str(x.b)) == (str(ref.a), str(ref.b))
+    # the normal form: D > 0 and gcd(A, B, D) = 1
+    assert x.D > 0 and math.gcd(x.A, x.B, x.D) == 1
+
+
+class TestFractionReference:
+    @given(q=st.sampled_from([2, 3, 4, 5]), xa=scalars, xb=scalars,
+           ya=scalars, yb=scalars, k=st.integers(min_value=-30, max_value=30),
+           f=rationals, e=st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=300)
+    def test_agrees(self, q, xa, xb, ya, yb, k, f, e):
+        x, y = HalfPowerLaurent(q, xa, xb), HalfPowerLaurent(q, ya, yb)
+        rx, ry = FractionHalf(q, xa, xb), FractionHalf(q, ya, yb)
+        agree(x, rx)
+        agree(x + y, rx + ry)
+        agree(x - y, rx - ry)
+        agree(x * y, rx * ry)
+        agree(x * k, rx * k)
+        agree(x * f, rx * f)
+        agree(HalfPowerLaurent.v_power(q, e), FractionHalf.v_power(q, e))
+        assert (x == y) == (rx == ry)
+        try:
+            inv = rx.inverse()
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                x.inverse()
+        else:
+            agree(x.inverse(), inv)
+        # equal values built along different paths hash equal
+        for z in ((x + y) - y, x * 1, HalfPowerLaurent(q, str(xa), str(xb))):
+            assert z == x and hash(z) == hash(x)
+
+    @pytest.mark.parametrize("q, a, b", [
+        (2, 0, 0), (3, 0, 0), (4, 2, 1), (4, -2, 1), (4, Fraction(1, 3),
+                                                      Fraction(1, 6))])
+    def test_not_invertible(self, q, a, b):
+        # zero, and a^2 = q b^2 when q is a perfect square
+        with pytest.raises(NotInvertible):
+            FractionHalf(q, a, b).inverse()
+        with pytest.raises(NotInvertible):
+            HalfPowerLaurent(q, a, b).inverse()
 
 
 class TestHalfPowerLaurent:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -409,3 +410,48 @@ class TestHalfPowerLaurent:
     def test_inverse(self):
         x = HalfPowerLaurent(5, 2, 1)
         assert x * x.inverse() == HalfPowerLaurent(5, 1)
+
+    def test_fraction_operands(self):
+        # a Fraction operand is the scalar it stands for, on either side
+        x, half = HalfPowerLaurent(3, 1, 1), Fraction(1, 2)
+        assert x + half == HalfPowerLaurent(3, Fraction(3, 2), 1)
+        assert half + x == x + half
+        assert x - half == HalfPowerLaurent(3, half, 1)
+        assert half - x == HalfPowerLaurent(3, -half, -1)
+        assert x * half == half * x == HalfPowerLaurent(3, half, half)
+
+    def test_int_operands(self):
+        x = HalfPowerLaurent(3, 1, 1)
+        assert x + 2 == 2 + x == HalfPowerLaurent(3, 3, 1)
+        assert x - 2 == HalfPowerLaurent(3, -1, 1)
+        assert 2 - x == HalfPowerLaurent(3, 1, -1)
+        assert x * 2 == 2 * x == HalfPowerLaurent(3, 2, 2)
+
+    def test_scalar_equality(self):
+        # an int and a Fraction compare as the scalars they stand for
+        half = Fraction(1, 2)
+        for scalar in (2, half, 0, -3):
+            x = HalfPowerLaurent(3, scalar)
+            assert x == scalar and scalar == x
+            assert hash(x) == hash(scalar)
+            assert HalfPowerLaurent(3, scalar, 1) != scalar
+        assert HalfPowerLaurent(3, half) != 1
+        assert HalfPowerLaurent(3, 1) != HalfPowerLaurent(5, 1)
+        assert HalfPowerLaurent(3, 1) != "1"
+
+    def test_other_operands_raise(self):
+        x = HalfPowerLaurent(3, 1, 1)
+        for other in (1.5, "1", None):
+            for op in (lambda: x + other, lambda: x - other,
+                       lambda: x * other, lambda: other - x):
+                with pytest.raises(TypeError):
+                    op()
+        with pytest.raises(ValueError):
+            x + HalfPowerLaurent(5, 1)
+
+    def test_immutable(self):
+        x = HalfPowerLaurent(3, 1, 1)
+        for name in ("q", "A", "B", "D", "a", "b"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 2)
+        assert x == HalfPowerLaurent(3, 1, 1)
