@@ -14,8 +14,9 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import building, hecke, lang, roots
+from . import building, hecke, lang, lfactor, roots
 from .hecke import HeckeElement, SatakeImage
+from .lfactor import DualRep, SatakeParameter
 from .rings import FiniteField, HalfPowerLaurent, Mat
 
 G2_SIMPLE = ((1, -1, 0), (-1, 2, -1))
@@ -136,36 +137,34 @@ def satake_identities(cap, seed):
 
 def l_factor_shape_ok(rho, t):
     """Degree dim(rho) and constant term one."""
-    from .lfactor import l_factor
-    fac = l_factor(rho, t)
-    return fac.degree() == rho.dimension(t.n) \
-        and fac.poly.coeff_monomial(1) == 1
+    fac = lfactor.l_factor(rho, t)
+    return fac.degree() == rho.dimension(t.n) and fac.constant_term_is_one()
 
 
 def local_factors(cap, seed):
-    # sympy is imported here, not at the top, so that `glnlab cartan`
-    # (which shares g2_factorization_ok) does not load it
-    import sympy
-
-    from .lfactor import (X, DualRep, SatakeParameter,
-                          conjugate_orbit_product, l_factor, rankin_selberg)
-    al, be, ga, de = sympy.symbols("alpha beta gamma delta")
-    t3 = SatakeParameter((al, be, ga), 3)
+    t3 = SatakeParameter(("alpha", "beta", "gamma"), 3)
     ok = all(l_factor_shape_ok(rho, t3) for rho in [
         DualRep("standard"), DualRep("dual"), DualRep("sym", 2),
         DualRep("wedge", 2), DualRep("wedge", 3)])
     for d in (2, 3):
-        ok &= sympy.simplify(conjugate_orbit_product(al, d)
-                             - (1 - al**d * X**d)) == 0
-    ok &= rankin_selberg(SatakeParameter((al, be), 2),
-                         SatakeParameter((ga, de), 2)).degree() == 4
-    v = sympy.Symbol("v")
+        # 1 - alpha^d X^d
+        ok &= lfactor.conjugate_orbit_product("alpha", d) \
+            == {(0, (0,)): 1, (d, (d,)): -1}
+    ok &= lfactor.rankin_selberg(
+        SatakeParameter(("alpha", "beta"), 2),
+        SatakeParameter(("gamma", "delta"), 2)).degree() == 4
     for p in (2, 3):
-        character = hecke.chi_t(
-            hecke.satake_transform(HeckeElement.basis((1, 0), p)), (al, be))
-        coeff_x = l_factor(DualRep("standard"), SatakeParameter(
-            (al, be), p)).poly.coeff_monomial(X)
-        ok &= sympy.expand(coeff_x + character / v) == 0
+        # the X coefficient of the standard factor at (alpha, beta) is
+        # minus the character of T_(1,0) at that point, over v; the
+        # names are sorted, so exponent tuples are the weights lambda
+        acc = lfactor.l_factor(
+            DualRep("standard"),
+            SatakeParameter(("alpha", "beta"), p)).coefficient(1)
+        v_inv = HalfPowerLaurent.v_power(p, -1)
+        image = hecke.satake_transform(HeckeElement.basis((1, 0), p))
+        for lam, c in image.coeffs.items():
+            acc[lam] = c * v_inv + acc.get(lam, 0)
+        ok &= all(c == 0 for c in acc.values())
     return ok, None
 
 

@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -22,6 +23,7 @@ from .errors import CapExceeded, GlnLabError, InvalidConfig
 from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent
 
 _ANCHOR_RE = re.compile(r"^claim:[a-z0-9][a-z0-9-]*$")
+L_VARIABLE = "X"  # the report's name for q^(-s)
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +147,22 @@ def cmd_cartan(args):
 
 
 def cmd_lang(args):
-    from .lang import gl_module, lang_image
+    from .lang import gl_module, gl_order, lang_image
     from .rings import FiniteField
     if args.s < 1:
         raise InvalidConfig("lang needs --s >= 1")
     m = gl_module(FiniteField(args.p, args.d, cap=args.cap), args.s,
                   cap=args.cap)
     img = lang_image(m)
-    expected = None
-    ok = True
-    if args.s == 1:
-        expected = (args.p**args.d - 1) // (args.p - 1)
-        ok = len(img) == expected
+    # the fibres of the Lang map are the cosets of the sigma-fixed
+    # subgroup GL_s(F_p)
+    expected = gl_order(args.s, args.p**args.d) // gl_order(args.s, args.p)
     results = {"p": args.p, "d": args.d, "s": args.s,
-               "image_size": len(img), "group_size": len(m.elements)}
-    if expected is not None:
-        results["expected_image_size"] = expected
+               "image_size": len(img), "group_size": len(m.elements),
+               "expected_image_size": expected}
     return {"results": results, "verdicts": [
         verdict("image size matches the norm-kernel count law",
-                "claim:lang-image-size", ok),
+                "claim:lang-image-size", len(img) == expected),
     ]}
 
 
@@ -324,7 +323,7 @@ def _check_lfactor_cap(rho, params, cap, d=1):
     else 1): at most min(C(dim, j), C(j*k*d + s, s)) terms."""
     dim = rho.dimension(*[t.n for t in params])
     k = {"sym": rho.k, "wedge": rho.k, "tensor": 2}.get(rho.kind, 1)
-    s = len(set().union(*[v.free_symbols for t in params for v in t.values]))
+    s = len(set().union(*[t.names() for t in params]))
     passes = params[0].n * (d * (d + 1) // 2 - 1)
     terms = 0
     for j in range(dim + 1):
@@ -360,19 +359,43 @@ def cmd_lfactor(args):
         fac = (base_change_factor(rho, t, d) if mode == "bc"
                else l_factor(rho, t))
         expect_deg = rho.dimension(t.n) * d
-    poly = fac.poly
-    results = {"q": args.q, "mode": mode,
-               "denominator": str(fac.denominator), "num": "1",
-               "den": {str(m[0]): str(c) for m, c in
-                       zip(poly.monoms(), poly.coeffs())},
-               "degree": poly.degree()}
+    denominator, den = _lfactor_report(fac)
+    results = {"q": args.q, "mode": mode, "denominator": denominator,
+               "num": "1", "den": den, "degree": fac.degree()}
     return {"results": results, "verdicts": [
         verdict("denominator degree equals the representation dimension",
-                "claim:lfactor-degree", poly.degree() == expect_deg),
+                "claim:lfactor-degree", fac.degree() == expect_deg),
         verdict("denominator has constant term one",
-                "claim:lfactor-constant-term",
-                poly.coeff_monomial(1) == 1),
+                "claim:lfactor-constant-term", fac.constant_term_is_one()),
     ]}
+
+
+def _lfactor_report(fac):
+    """The report's ``denominator``, str of one flat sum of the factor's
+    terms, and ``den``, {power of X: its coefficient as sympy prints it
+    in a Poly in X}.  This is the only place the lfactor path uses sympy.
+
+    A coefficient over a polynomial ring prints as the sum of its terms.
+    A Laurent coefficient (dual) prints as one fraction over the field of
+    the names, so those coefficients go through ``Poly.from_dict``; it is
+    not used otherwise, as it costs seconds on a few thousand terms, and
+    ``Poly(expr, X)`` on the expanded denominator costs far more."""
+    import sympy
+
+    symbols = [sympy.Symbol(name) for name in fac.names]
+    x = sympy.Symbol(L_VARIABLE)
+    flat, by_power = [], {}
+    for (k, e), c in fac.terms.items():
+        term = sympy.Mul(sympy.Rational(c.numerator, c.denominator),
+                         *[s**i for s, i in zip(symbols, e) if i])
+        by_power.setdefault(k, []).append(term)
+        flat.append(term * x**k)
+    coeffs = {(k,): sympy.Add(*terms) for k, terms in by_power.items()}
+    if any(i < 0 for _, e in fac.terms for i in e):
+        poly = sympy.Poly.from_dict(coeffs, x)
+        coeffs = dict(zip(poly.monoms(), poly.coeffs()))
+    return str(sympy.Add(*flat)), {str(k): str(c)
+                                   for (k,), c in coeffs.items()}
 
 
 def cmd_suite(args):
@@ -404,9 +427,7 @@ def _parse_int_vector(text, n):
 
 
 def _parse_symbols(text):
-    import sympy
-
-    from .lfactor import X
+    """Parameter entries: Fractions and symbol names."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -414,13 +435,13 @@ def _parse_symbols(text):
             raise InvalidConfig("empty parameter entry")
         if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", tok):
             try:
-                out.append(sympy.Rational(tok))
+                out.append(Fraction(tok))
             except ZeroDivisionError:
                 raise InvalidConfig(f"zero denominator in {tok!r}")
-        elif tok == X.name:
+        elif tok == L_VARIABLE:
             raise InvalidConfig(f"{tok} is the variable of the L-factor")
         elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
-            out.append(sympy.Symbol(tok))
+            out.append(tok)
         else:
             raise InvalidConfig(f"bad parameter entry {tok!r}")
     return out

@@ -43,7 +43,6 @@ from .errors import (
     InvalidConfig,
     NotPrime,
     UnsupportedRank,
-    ZeroEntry,
 )
 from .rings import (
     DEFAULT_GROUP_CAP,
@@ -234,13 +233,14 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     elementary divisor exponents of p^-nu g_i is the least valuation of
     its k x k minors, min over k-row subsets S of w_S + sum_{r in S}
     (s - nu_r), with w_S the least valuation of the k x k minors of M on
-    rows S (Smith's theorem).  The cosets are counted by their profile
-    (s, (w_S)_S), which does not depend on nu; a profile is a hit for nu
-    when D_k = -(mu_1 + ... + mu_k) for every k < n (k = n is the
-    determinant, equal once sum(nu) = sum(lam) + sum(mu)).  Only the
-    dominant nu with that sum and lam_n + mu_n <= nu_i <= lam_1 + mu_1
-    can be hit.  The number of coset pairs is checked against cap
-    first, though no product is formed.
+    rows S (Smith's theorem).  Every coset of K p^lam K has s = lam_n, so
+    the cosets are counted by their profile (w_S)_S, which does not
+    depend on nu, and the offsets sum (s - nu_r) are formed once per nu.
+    A profile is a hit for nu when D_k = -(mu_1 + ... + mu_k) for every
+    k < n (k = n is the determinant, equal once sum(nu) = sum(lam) +
+    sum(mu)).  Only the dominant nu with that sum and lam_n + mu_n <=
+    nu_i <= lam_1 + mu_1 can be hit.  The number of coset pairs is
+    checked against cap first, though no product is formed.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
@@ -255,8 +255,8 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
         # every w_S is at most the sum of the diagonal exponents on S
         top = sum(lam) - n * lam[-1]
         logs = {p**k: k for k in range(top + 1)}
-        profiles = Counter((s, _minor_valuations(m, subsets, p**top, logs))
-                           for s, m in reps)
+        profiles = Counter(_minor_valuations(m, subsets, p**top, logs)
+                           for _, m in reps)
         for mu, cg in g.support.items():
             pairs = len(reps) * len(coset_decompose(mu, n, p, cap=cap))
             if pairs > cap:
@@ -269,8 +269,8 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
                 if sum(nu) != total:
                     continue
                 count = 0
-                for (s, w), mult in profiles.items():
-                    offs = [sum(s - nu[r] for r in rows) for rows in subsets]
+                offs = [sum(lam[-1] - nu[r] for r in rows) for rows in subsets]
+                for w, mult in profiles.items():
                     if all(min(w[i] + offs[i] for i in level) == t
                            for level, t in zip(levels, targets)):
                         count += mult
@@ -461,24 +461,3 @@ def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     return SatakeImage(n, q, {
         lam: HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n)) * c
         for lam, c in acc.items()})
-
-
-# ---------------------------------------------------------------------------
-# evaluation characters
-
-def chi_t(image, tvals):
-    """Substitute e_lam -> prod t_i^lam_i; returns a sympy expression in
-    the entries of t and the formal square root v of q."""
-    import sympy
-
-    if any(t == 0 for t in tvals):
-        raise ZeroEntry("torus values must be nonzero")
-    v = sympy.Symbol("v")
-    acc = sympy.Integer(0)
-    for lam, c in image.coeffs.items():
-        coeff = sympy.Rational(c.a) + sympy.Rational(c.b) * v
-        mono = sympy.Integer(1)
-        for t, e in zip(tvals, lam):
-            mono *= sympy.sympify(t)**e
-        acc += coeff * mono
-    return sympy.expand(acc)

@@ -222,6 +222,11 @@ def _twisted_orbits(module, codes, allowed, leaving):
         yield orbit
 
 
+def gl_order(s, q):
+    """|GL_s(F_q)| = (q^s - 1)(q^s - q)...(q^s - q^(s-1))."""
+    return math.prod(q**s - q**i for i in range(s))
+
+
 def lang_image(module):
     """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples."""
     mul, _, inv = module.ring.mat_kernels(module.s)

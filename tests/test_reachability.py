@@ -19,7 +19,10 @@ top level of a module or in a class body.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import defaultdict
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "glnlab"
@@ -212,3 +215,29 @@ def test_the_names_the_tracer_patches_are_defined_where_it_looks():
     defs = definitions()
     missing = [q for q in TRACER_LOOKUPS if q not in defs]
     assert not missing, missing
+
+
+def test_a_traced_audit_leaves_no_wrapper_behind():
+    # perfbench/tracer.py rebinds "from .x import f" names only in the
+    # modules loaded when it installs; a module first imported during
+    # the traced request (audit, by `suite`) keeps any wrapper it binds
+    # at import, and the traced run then stops with "tracing wrappers
+    # left installed"
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracer import Tracer, installed_wrappers\n"
+        "from glnlab.cli import run\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['suite', 'paper-audit']) == 0\n"
+        "tracer.uninstall()\n"
+        "assert installed_wrappers() == [], installed_wrappers()\n"
+        "assert tracer.layer_metrics()['lfactor.l_factor.calls'] > 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ,
+                                   PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
