@@ -167,7 +167,7 @@ def cmd_lang(args):
 
 
 def cmd_h1(args):
-    from .lang import admit, gl_module, h1_cyclic
+    from .lang import admit, gl_module, gl_order, h1_cyclic
     from .rings import TruncatedLocalRing, is_prime
     if args.s < 1 or args.level < 1:
         raise InvalidConfig("h1 needs --s >= 1 and --level >= 1")
@@ -177,27 +177,38 @@ def cmd_h1(args):
         admit(args.p, args.level * args.d, args.s, args.cap)
     ring = TruncatedLocalRing(args.p, args.level, args.d, cap=args.cap)
     res = h1_cyclic(gl_module(ring, args.s, cap=args.cap))
-    results = {"p": args.p, "d": args.d, "s": args.s,
+    # trivial H^1 makes the cocycles the a^-1 sigma(a), one per coset of
+    # the sigma-fixed GL_s(Z/p^n); each level past the first multiplies
+    # |GL_s(O/p^n)| by q^(s^2) and |GL_s(Z/p^n)| by p^(s^2)
+    p, s = args.p, args.s
+    expected = (gl_order(s, ring.q) // gl_order(s, p)
+                * (ring.q // p)**(s * s * (args.level - 1)))
+    results = {"p": p, "d": args.d, "s": s,
                "level": args.level,
                "cocycle_count": res["cocycle_count"],
-               "h1_size": res["h1_size"]}
+               "h1_size": res["h1_size"],
+               "expected_cocycle_count": expected}
     return {"results": results, "verdicts": [
         verdict("first cohomology is trivial", "claim:h1-triviality",
-                res["h1_size"] == 1),
+                res["h1_size"] == 1 and res["cocycle_count"] == expected),
     ]}
 
 
 def cmd_dm_check(args):
-    from .lang import dm_bijection_check
+    from .lang import dm_bijection_check, gl_class_count
     if args.s < 1:
         raise InvalidConfig("dm-check needs --s >= 1")
     rep = dm_bijection_check(args.s, args.q, args.n, cap=args.cap)
+    expected = gl_class_count(args.s, args.q)
     results = {"s": args.s, "q": args.q, "n": args.n,
                "plain_class_count": rep["plain_class_count"],
-               "twisted_class_count": rep["twisted_class_count"]}
+               "twisted_class_count": rep["twisted_class_count"],
+               "expected_class_count": expected}
     return {"results": results, "verdicts": [
         verdict("class counts agree and every class is matched",
-                "claim:twisted-conjugacy-bijection", rep["bijective"]),
+                "claim:twisted-conjugacy-bijection",
+                rep["bijective"] and rep["plain_class_count"]
+                == rep["twisted_class_count"] == expected),
     ]}
 
 

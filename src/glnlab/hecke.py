@@ -336,7 +336,7 @@ class SatakeImage:
         return f"SatakeImage(n={self.n}, q={self.q}, {{{terms}}})"
 
 
-def _poly_mul(f, g):
+def _dict_poly_mul(f, g):
     """Product of two polynomials given as {exponent tuple: coefficient}."""
     out = {}
     for a, c in f.items():
@@ -365,8 +365,8 @@ def _hall_littlewood(lam, q):
     num = {lam: 1}
     vandermonde = {(0,) * n: 1}
     for i, j in pairs:
-        num = _poly_mul(num, {unit[i]: q, unit[j]: -1})
-        vandermonde = _poly_mul(vandermonde, {unit[i]: 1, unit[j]: -1})
+        num = _dict_poly_mul(num, {unit[i]: q, unit[j]: -1})
+        vandermonde = _dict_poly_mul(vandermonde, {unit[i]: 1, unit[j]: -1})
     rest = {}
     for perm in itertools.permutations(range(n)):
         sign = (-1) ** sum(perm[i] > perm[j] for i, j in pairs)

@@ -227,6 +227,18 @@ def gl_order(s, q):
     return math.prod(q**s - q**i for i in range(s))
 
 
+def gl_class_count(s, q):
+    """The number of conjugacy classes of GL_s(F_q): the coefficient of
+    x^s in prod_{i >= 1} (1 - x^i) / (1 - q x^i)."""
+    c = [1] + [0] * s  # the product so far, to degree s
+    for i in range(1, s + 1):
+        for k in range(s, i - 1, -1):  # times 1 - x^i
+            c[k] -= c[k - i]
+        for k in range(i, s + 1):  # over 1 - q x^i
+            c[k] += q * c[k - i]
+    return c[s]
+
+
 def lang_image(module):
     """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples."""
     mul, _, inv = module.ring.mat_kernels(module.s)
@@ -274,24 +286,20 @@ def _lifts(ring, low, cocycles):
 
 def _cocycles(module):
     """The code tuples c with c sigma(c) ... sigma^(d-1)(c) = 1: among
-    the lifts of the module's ``below``, in code order, if it has one,
-    with sigma computed per candidate; else among all its elements, in
-    their order, with one sigma per element (sigma maps the group to
-    itself)."""
-    ring, s, e = module.ring, module.s, module.exponent
+    the lifts of the module's ``below``, in code order, if it has one;
+    else among all its elements, in their order.  The action is one
+    map of codes (``sigma_map``), applied entrywise per candidate."""
+    ring, s = module.ring, module.s
     mul = ring.mat_kernels(s)[0]
     ident = Mat.identity(ring, s).codes
-    if module.below is None:
-        codes = module.elements
-        sigma = {c: ring.mat_sigma(c, e) for c in codes}.__getitem__
-    else:
-        codes = _lifts(ring, *module.below())
-        sigma = functools.partial(ring.mat_sigma, e=e)
+    sig = ring.sigma_map(module.exponent)
+    codes = (module.elements if module.below is None
+             else _lifts(ring, *module.below()))
 
     def is_cocycle(c):
         acc = cur = c
         for _ in range(module.d - 1):
-            cur = sigma(cur)
+            cur = tuple(map(sig, cur))
             acc = mul(acc, cur)
         return acc == ident
 
@@ -478,7 +486,15 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
     module = gl_module(ext, s, sigma_exponent=v, cap=cap)
-    sub = {c for c in range(ext.size()) if ext.sigma(c, v) == c}
+    # F_q is 0 and the powers of w = zeta^((q^n - 1)/(q - 1)), of order
+    # q - 1 for a primitive zeta
+    w = (residue_primitive_root(ext) ** ((ext.q - 1) // (q - 1))).code
+    sub, x = {0}, ext.one_code
+    for _ in range(q - 1):
+        sub.add(x)
+        x = ext.mul(x, w)
+    if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
+        raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
     plain = {}  # invariant factors -> least element of the plain class
     for g in module.elements:
         if sub.issuperset(g):

@@ -9,15 +9,17 @@ most significant, so code order is coefficient-tuple order.  The ring
 fixes its arithmetic at construction from (p, n, d): native ints mod p^n
 when d = 1; add and mul row tables (``A[a][b]``, ``M[a][b]``) and
 negation, inverse and sigma tables when d > 1 and the ring has at most
-256 elements (so an N x N table holds at most 2^16 codes); schoolbook
-products of decoded coefficients otherwise.  Every ring also fixes its
-matrix kernels on flat code tuples: the 2 x 2 product, determinant and
-inverse (``mul2``, ``det2``, ``inv2``), the linear form r -> sum r_i c_i
-of fixed codes (``form``) and the sandwich x -> a x b of fixed a, b
-(``sandwich``).  Over the tables they are unrolled and read the rows
-directly, with each fixed operand's row looked up once; the other
-rings build them from their operations on codes, so their arithmetic
-is the same one.
+256 elements (so an N x N table holds at most 2^16 codes); decoded
+coefficient lists otherwise, with one reduction mod F and p^n per sum
+of products.  Every ring also fixes its matrix kernels on flat code
+tuples: the 2 x 2 product, determinant and inverse (``mul2``, ``det2``,
+``inv2``), the linear form r -> sum r_i c_i of fixed codes (``form``)
+and the sandwich x -> a x b of fixed a, b (``sandwich``).  Over the
+tables they are unrolled and read the rows directly, with each fixed
+operand's row looked up once; over the coefficient lists each fixed
+operand is expanded once into its d x d multiplication matrix; the d = 1
+rings build them from their operations on codes.  sigma^e is one map of
+codes per e mod d (``sigma_map``), built on first use.
 
 ``Mat`` is a square matrix as a flat row-major tuple of codes plus a
 global p-power offset.  Element objects are thin (ring, code) pairs for
@@ -32,7 +34,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 from .errors import CapExceeded, InvalidConfig, NotInvertible, NotPrime
 
@@ -86,29 +88,20 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, m):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _poly_trim(tuple(out))
+def _poly_submul(u, v, k, c, m):
+    """u - c x^k v over Z/m, trimmed."""
+    out = list(u) + [0] * (len(v) + k - len(u))
+    for i, y in enumerate(v, k):
+        out[i] = (out[i] - c * y) % m
+    return _poly_trim(out)
 
 
 def _poly_mod(a, f, m):
     """Remainder of a modulo monic f, coefficients in Z/m."""
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        lead = a[-1] % m
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % m
-        a.pop()
-    return _poly_trim(tuple(c % m for c in a))
+    a = _poly_trim([c % m for c in a])
+    while len(a) >= len(f):
+        a = _poly_submul(a, f, len(a) - len(f), a[-1], m)
+    return a
 
 
 def _is_irreducible(f, p):
@@ -338,66 +331,118 @@ def _table_ops(ring):
 
 
 def _poly_ops(ring):
-    p, pn, d, f = ring.p, ring.pn, ring.d, ring.modulus_lift
-    encode, unit_inv = ring.encode, _unit_inverse(p, ring.n)
+    """Decoded coefficient lists, reduced once per sum of products: one
+    convolution on unreduced ints, its coefficients of degree d .. 2d - 2
+    folded back through the rows x^d, .., x^(2d-2) mod F fixed here, then
+    each coefficient read mod p^n.  Each fixed operand of ``form`` and
+    ``sandwich`` is expanded once into its d x d multiplication matrix.
+    The inverse is extended Euclid over F_p[x], lifted to p^n by Newton
+    steps z <- z (2 - a z) (von zur Gathen-Gerhard, 3.2 and 9.1)."""
+    p, pn, d, weights = ring.p, ring.pn, ring.d, ring.weights
+    f, mul_ = ring.modulus_lift, operator.mul
 
-    def decode(a):
-        out = [0] * d
-        for i in range(d - 1, -1, -1):
-            a, out[i] = divmod(a, pn)
-        return tuple(out)
+    def digits(a):
+        return [a // w % pn for w in weights]
 
-    def add(a, b):
-        return encode([x + y for x, y in zip(decode(a), decode(b))])
+    def encode(coeffs):
+        acc = 0
+        for c in coeffs:
+            acc = acc * pn + c % pn
+        return acc
+
+    def matrix(c):
+        """Rows of the matrix of b -> c b: column j holds c x^j."""
+        cols = [digits(c)]
+        while len(cols) < d:  # x * x^(d-1) = x^d - F
+            col = cols[-1]
+            cols.append([(a - col[-1] * b) % pn
+                         for a, b in zip([0] + col[:-1], f)])
+        return list(zip(*cols))
+
+    # code 1 is x^(d-1), whose matrix has columns x^(d-1), .., x^(2d-2)
+    folds = [row[1:] for row in matrix(1)]
+
+    def products(pairs, read=encode):
+        c = [0] * (2 * d - 1)
+        for a, b in pairs:
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        c[k] += x * y
+        high = c[d:]
+        return read([x + sum(map(mul_, high, row))
+                     for x, row in zip(c, folds)])
 
     def mul(a, b):
-        return encode(_poly_mod(_poly_mul(decode(a), decode(b), pn), f, pn))
-
-    def inv(a):
-        # solve a * z = 1 by Gauss-Jordan elimination with unit pivots;
-        # column j of the system holds the coefficients of a * x^j
-        cols, col = [], list(decode(a))
-        for _ in range(d):
-            cols.append(col)
-            top = col[-1]  # x * x^(d-1) = x^d - F
-            col = [c - top * fc for c, fc in zip([0] + col[:-1], f)]
-        rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
-                for i in range(d)]
-        for c in range(d):
-            piv = next((r for r in range(c, d) if rows[r][c] % p), None)
-            if piv is None:
-                raise NotInvertible("not a unit")
-            rows[c], rows[piv] = rows[piv], rows[c]
-            k = unit_inv(rows[c][c])
-            rows[c] = [x * k % pn for x in rows[c]]
-            for r in range(d):
-                if r != c and rows[r][c]:
-                    g = rows[r][c]
-                    rows[r] = [(x - g * y) % pn
-                               for x, y in zip(rows[r], rows[c])]
-        return encode([row[d] for row in rows])
-
-    def linear(images):
-        columns = [decode(img) for img in images]
-
-        def apply(b):
-            acc = [0] * d
-            for bj, col in zip(decode(b), columns):
-                acc = [x + bj * y for x, y in zip(acc, col)]
-            return encode(acc)
-        return apply
-
-    def neg(a):
-        return encode([-c for c in decode(a)])
+        return products(((digits(a), digits(b)),))
 
     def dot(xs, ys):
-        return reduce(add, map(mul, xs, ys))
+        return products(zip(map(digits, xs), map(digits, ys)))
 
-    def is_unit(a):
-        return any(c % p for c in decode(a))
+    def mul2(x, y):
+        x, y = list(map(digits, x)), list(map(digits, y))
+        return tuple([products(((x[i], y[j]), (x[i + 1], y[j + 2])))
+                      for i in (0, 2) for j in (0, 1)])
 
-    return ((add, mul, neg, dot, inv, is_unit, decode, linear)
-            + _op_kernels(mul, neg, dot, inv, is_unit))
+    def inv(a):
+        # Euclid keeps the cofactor of a alone; F is irreducible mod p,
+        # so only p | a leaves a gcd of positive degree
+        a, s0, s1 = digits(a), [], [1]
+        r0, r1 = list(ring.modulus), _poly_trim([c % p for c in a])
+        while r1:
+            while len(r0) >= len(r1):
+                k, c = len(r0) - len(r1), r0[-1] * pow(r1[-1], -1, p)
+                r0 = _poly_submul(r0, r1, k, c, p)
+                s0 = _poly_submul(s0, s1, k, c, p)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if len(r0) > 1:
+            raise NotInvertible("not a unit")
+        z = [c * pow(r0[0], -1, p) for c in s0] + [0] * (d - len(s0))
+        for _ in range((ring.n - 1).bit_length()):  # p^e -> p^(2e)
+            az = products([(a, z)], list)
+            z = products([(z, [2 - az[0]] + [-c for c in az[1:]])],
+                         lambda cs: [c % pn for c in cs])
+        return encode(z)
+
+    def apply(rows, ks):
+        """xs -> code of rows times the coefficients of xs[k], k in ks."""
+        def evaluate(xs):
+            v = [t for k in ks for t in xs[k]]
+            return encode([sum(map(mul_, row, v)) for row in rows])
+        return evaluate
+
+    def combine(terms):
+        """apply of xs -> sum c xs[k] over the pairs (k, c) of terms."""
+        ks, mats = zip(*terms) if terms else ((), ())
+        mats = [matrix(c) for c in mats]
+        return apply([sum((m[i] for m in mats), ()) for i in range(d)], ks)
+
+    def linear(images):
+        evaluate = apply(list(zip(*map(digits, images))), (0,))
+        return lambda b: evaluate((digits(b),))
+
+    def form(cs):
+        evaluate = combine(list(enumerate(cs)))
+        return lambda r: evaluate(list(map(digits, r)))
+
+    def sandwich(s, a, b):
+        pairs = list(itertools.product(range(s), repeat=2))
+        entries = [combine([(k * s + l, c) for k, l in pairs
+                            if (c := mul(a[i * s + k], b[l * s + j]))])
+                   for i, j in pairs]
+
+        def move(x):
+            xs = list(map(digits, x))
+            return tuple([evaluate(xs) for evaluate in entries])
+        return move
+
+    neg = lambda a: encode(map(operator.neg, digits(a)))
+    is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
+        lambda a: any(c % p for c in digits(a)))
+    det2, inv2 = _op_kernels(mul, neg, dot, inv, is_unit)[1:3]
+    return ((lambda a, b: encode(map(operator.add, digits(a), digits(b))),
+             mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)), linear,
+             mul2, det2, inv2, form, sandwich))
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +486,15 @@ class TruncatedLocalRing:
         (self.add, self.mul, self.neg, self.dot, self.inv, self.is_unit,
          self.decode, self._linear, self.mul2, self.det2, self.inv2,
          self.form, self.sandwich) = ops(self)
-        y = self._lift_frobenius()
+        y, self._sigmas = self._lift_frobenius(), {0: lambda a: a}
         if d > 1:
             powers = [self.one_code]
             for _ in range(d - 1):
                 powers.append(self.mul(powers[-1], y))
-            self._sigma = self._linear(powers)
-            if self.sigma(y, d - 1) != self.weights[1]:
+            sigma = self._sigmas[1] = self._linear(powers)
+            for _ in range(d - 1):
+                y = sigma(y)
+            if y != self.weights[1]:
                 raise ArithmeticError("Frobenius lift does not have order d")
 
     # -- Frobenius ------------------------------------------------------------
@@ -485,11 +532,20 @@ class TruncatedLocalRing:
             e >>= 1
         return result
 
+    def sigma_map(self, e=1):
+        """The map of codes a -> sigma^e(a), built once per e mod d: the
+        additive map of the images sigma^e(x^j) of the basis."""
+        e %= self.d
+        if e not in self._sigmas:
+            images = self.weights  # the codes of 1, x, .., x^(d-1)
+            for _ in range(e):
+                images = list(map(self._sigmas[1], images))
+            self._sigmas[e] = self._linear(images)
+        return self._sigmas[e]
+
     def sigma(self, a, e=1):
         """Code of sigma^e(a), e taken mod d."""
-        for _ in range(e % self.d):
-            a = self._sigma(a)
-        return a
+        return self.sigma_map(e)(a)
 
     # -- codes and element constructors ---------------------------------------
     def encode(self, coeffs):
@@ -544,6 +600,8 @@ class TruncatedLocalRing:
         """Product of two flat s x s matrices."""
         if s == 2:
             return self.mul2(a, b)
+        if s == 1:
+            return (self.mul(a[0], b[0]),)
         dot = self.dot
         cols = [b[j::s] for j in range(s)]
         return tuple([dot(a[i:i + s], col)
@@ -587,9 +645,8 @@ class TruncatedLocalRing:
 
     def mat_sigma(self, a, e=1):
         """Entry-wise sigma^e."""
-        for _ in range(e % self.d):
-            a = tuple(map(self._sigma, a))
-        return a
+        e %= self.d
+        return tuple(map(self.sigma_map(e), a)) if e else a
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedLocalRing)

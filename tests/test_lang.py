@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import time
 from collections import Counter
@@ -14,6 +15,7 @@ from glnlab.lang import (
     congruence_kernel_module,
     dm_bijection_check,
     factor_prime_power,
+    gl_class_count,
     gl_elements,
     gl_module,
     h1_cyclic,
@@ -384,7 +386,18 @@ class TestInvariantFactors:
         assert len(group) == gl_order(p, 1, d, s)
         for key, size in fibres.items():
             assert size * centralizer_order(F, key) == len(group)
+        assert len(fibres) == gl_class_count(s, p**d)
         assert time.monotonic() - start < 5.0
+
+    def test_class_count_closed_form(self):
+        # the class numbers of GL_s(F_2) and GL_s(F_3), s = 1..6 and 1..4,
+        # and q^2 - 1 and q^3 - q at s = 2 and 3
+        assert [gl_class_count(s, 2) for s in range(1, 7)] == [
+            1, 3, 6, 14, 27, 60]
+        assert [gl_class_count(s, 3) for s in range(1, 5)] == [2, 8, 24, 78]
+        for q in (4, 5, 7, 8, 9):
+            assert gl_class_count(2, q) == q * q - 1
+            assert gl_class_count(3, q) == q**3 - q
 
     def test_scalar_and_companion(self):
         F = FiniteField(3, 1)
@@ -408,6 +421,16 @@ class TestDMBijection:
         rep = dm_bijection_check(2, 2, 2)
         assert rep["plain_class_count"] == rep["twisted_class_count"] == 3
         assert rep["bijective"]
+
+    def test_subfield_from_a_non_primitive_root_is_refused(self,
+                                                            monkeypatch):
+        # F_3 is 0 and the powers of zeta^4 in F_9; from zeta = 1 they
+        # give two elements, not three
+        import glnlab.lang as lang
+        monkeypatch.setattr(lang, "residue_primitive_root",
+                            lambda ring: ring.one())
+        with pytest.raises(MatchFailure, match="subfield is not F_3"):
+            dm_bijection_check(1, 3, 2)
 
     @pytest.mark.parametrize("s,q,n", [(1, 4, 2), (1, 5, 2), (2, 2, 2),
                                        (2, 2, 3), (2, 3, 2)])
@@ -617,3 +640,29 @@ class TestH1Orbits:
                             lambda ring, low, cocycles: iter(()))
         assert not h1_level_tower(1, 2, 2, 2)["compatible"]
         assert h1_level_tower(1, 2, 2, 1)["compatible"]
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestSchoolbookCodeOrder:
+    """Rings with d > 1 and more than 256 elements have no tables, and no
+    golden report reaches them.  These sha256 digests of their codes, in
+    the order the library returns them, were taken before their
+    arithmetic was rewritten; a change of code or of order fails here."""
+
+    def test_h1_over_the_level_4_ring(self):
+        res = h1_cyclic(gl_module(TruncatedLocalRing(2, 4, 3), 1))
+        assert len(res["cocycles"]) == 448
+        assert digest(res["cocycles"]) == (
+            "88ffacd3f00d36afc91bd9a85954922bf318c6224fb52fc0328aca01cfdf6f85")
+        assert digest([c["representative"].codes
+                       for c in res["classes"]]) == (
+            "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac")
+
+    def test_dm_check_over_f_1024(self):
+        rep = dm_bijection_check(1, 2, 10)
+        assert digest([(m["twisted_rep"].codes, m["plain_rep"].codes,
+                        m["invariant_factors"]) for m in rep["matches"]]) == (
+            "96c87080909f4aefecf354c9381208b28c93f01338d90bb5744bc52eb07bf00c")

@@ -148,9 +148,10 @@ def test_units_are_the_complement_of_the_maximal_ideal():
 
 # every tabulated ring (d > 1, at most 256 elements) of POOL_RINGS, plus
 # F_27, F_64 and the truncated rings (2, 3, 2) and (3, 2, 2); then a
-# d = 1 ring and a schoolbook ring, whose kernels come from their ops
+# d = 1 ring and the schoolbook rings, whose kernels come from their ops
 KERNEL_RINGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3),
-                (2, 1, 6), (2, 3, 2), (3, 2, 2), (5, 4, 1), (3, 3, 2)]
+                (2, 1, 6), (2, 3, 2), (3, 2, 2), (5, 4, 1), (3, 3, 2),
+                (2, 4, 3), (2, 1, 10)]
 
 
 def dot_product(R, s, a, b):
@@ -208,3 +209,162 @@ def test_kernels_agree_with_the_dot_path(pnd, s):
         assert not R.is_unit(det(bad))
         with pytest.raises(NotInvertible, match="determinant is not a unit"):
             inv(bad)
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic the rings without tables (d > 1, more than 256 elements)
+# had before their products were reduced once per sum: every term of a
+# product is reduced, the product is then divided by F, and an inverse
+# solves a * z = 1 by Gauss-Jordan elimination.  It is the reference for
+# the new arithmetic, on the schoolbook rings of the finite-rings pool
+# and three more.
+
+SCHOOLBOOK_RINGS = [(2, 4, 3), (3, 4, 2), (2, 1, 10), (3, 3, 2), (5, 2, 2)]
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_mul(a, b, m):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % m
+    return _poly_trim(tuple(out))
+
+
+def _poly_mod(a, f, m):
+    """Remainder of a modulo monic f, coefficients in Z/m."""
+    a = list(a)
+    df = len(f) - 1
+    while len(a) > df:
+        lead = a[-1] % m
+        if lead:
+            shift = len(a) - 1 - df
+            for i in range(df):
+                a[shift + i] = (a[shift + i] - lead * f[i]) % m
+        a.pop()
+    return _poly_trim(tuple(c % m for c in a))
+
+
+def _gauss_jordan_inv(a, f, p, pn):
+    """z with a z = 1 mod (p^n, F); column j of the system holds the
+    coefficients of a x^j."""
+    d = len(f) - 1
+    cols, col = [], list(a)
+    for _ in range(d):
+        cols.append(col)
+        top = col[-1]  # x * x^(d-1) = x^d - F
+        col = [c - top * fc for c, fc in zip([0] + col[:-1], f)]
+    rows = [[cols[j][i] for j in range(d)] + [int(i == 0)]
+            for i in range(d)]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if rows[r][c] % p), None)
+        if piv is None:
+            raise NotInvertible("not a unit")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        k = pow(rows[c][c], -1, pn)
+        rows[c] = [x * k % pn for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                g = rows[r][c]
+                rows[r] = [(x - g * y) % pn for x, y in zip(rows[r], rows[c])]
+    return [row[d] for row in rows]
+
+
+class Schoolbook:
+    """The reference arithmetic on the codes of R.  sigma sends x to the
+    root of F congruent to x^p, found by Newton's method here."""
+
+    def __init__(self, R):
+        self.R, self.p, self.pn, self.d = R, R.p, R.pn, R.d
+        self.f = R.modulus_lift
+        x = R.weights[1]
+        y = x
+        for _ in range(R.p - 1):
+            y = self.mul(y, x)
+        fprime = [i * c for i, c in enumerate(self.f)][1:]
+        for _ in range(R.n):
+            step = self.mul(self.evaluate(self.f, y),
+                            self.inv(self.evaluate(fprime, y)))
+            y = self.add(y, self.neg(step))
+        assert self.evaluate(self.f, y) == 0
+        self.y = y
+
+    def encode(self, coeffs):
+        return sum(c % self.pn * self.pn ** (self.d - 1 - i)
+                   for i, c in enumerate(coeffs))
+
+    def add(self, a, b):
+        return self.encode([x + y for x, y in zip(digits(self.R, a),
+                                                  digits(self.R, b))])
+
+    def neg(self, a):
+        return self.encode([-c for c in digits(self.R, a)])
+
+    def mul(self, a, b):
+        return self.encode(_poly_mod(_poly_mul(
+            digits(self.R, a), digits(self.R, b), self.pn), self.f, self.pn))
+
+    def dot(self, xs, ys):
+        acc = 0
+        for a, b in zip(xs, ys):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+    def inv(self, a):
+        return self.encode(_gauss_jordan_inv(digits(self.R, a), self.f,
+                                             self.p, self.pn))
+
+    def is_unit(self, a):
+        return any(c % self.p for c in digits(self.R, a))
+
+    def evaluate(self, coeffs, y):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, y), self.encode([c]))
+        return acc
+
+    def sigma(self, a):
+        return self.evaluate(digits(self.R, a), self.y)
+
+
+@pytest.mark.parametrize("pnd", SCHOOLBOOK_RINGS)
+def test_schoolbook_rings_agree_with_the_reference(pnd):
+    R = TruncatedLocalRing(*pnd)
+    ref = Schoolbook(R)
+    assert R.size() > 256 and R.d > 1
+    rng = random.Random(f"schoolbook{pnd}")
+    draw = lambda: rng.randrange(R.size())
+    # the maximal ideal: every coefficient divisible by p
+    nonunit = lambda: R.encode([R.p * rng.randrange(R.pn) for _ in range(R.d)])
+    for _ in range(150):
+        a, b = draw(), draw()
+        assert R.add(a, b) == ref.add(a, b)
+        assert R.mul(a, b) == ref.mul(a, b)
+        assert R.neg(a) == ref.neg(a)
+        xs, ys = ([draw() for _ in range(4)] for _ in range(2))
+        for k in range(1, 5):
+            assert R.dot(xs[:k], ys[:k]) == ref.dot(xs[:k], ys[:k])
+        for c in (a, nonunit()):
+            assert R.is_unit(c) == ref.is_unit(c)
+            if ref.is_unit(c):
+                assert R.inv(c) == ref.inv(c)
+            else:
+                with pytest.raises(NotInvertible, match="not a unit"):
+                    R.inv(c)
+        # sigma^e(a) and sigma^e(b) for e = 0 .. d - 1
+        orbit = [(a, b)]
+        for _ in range(R.d - 1):
+            orbit.append(tuple(map(ref.sigma, orbit[-1])))
+        for e in range(-1, R.d + 2):
+            assert R.sigma(a, e) == orbit[e % R.d][0]
+            assert R.mat_sigma((a, b), e) == orbit[e % R.d]
+    with pytest.raises(NotInvertible, match="not a unit"):
+        R.inv(0)
