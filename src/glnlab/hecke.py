@@ -5,29 +5,26 @@ Double cosets are indexed by weakly decreasing integer vectors; all
 computations are exact and p-local.  A coset representative is a pair
 (shift, M) standing for g = p^shift * M, with M an upper-triangular int
 matrix whose diagonal entries are powers of p, so membership tests read
-int valuations and products cost int multiplies.  The transform is
-Macdonald's closed form in Hall-Littlewood polynomials; its coefficients
-lie in Laurent polynomials in a formal square root v of q, each stored
-on ints as (A + B v)/D in lowest terms (rings.HalfPowerLaurent).  The
-image of a basis element is built once per (mu, q) and cached as a
-tuple of immutable values (_basis_image), so a transform only filters
-it by the box and scales it by the coefficient.  No coefficient dict
-holds a zero, so a sum adds to an entry only when its key is present.
-Haar normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
+int valuations.  The transform is Macdonald's closed form in
+Hall-Littlewood polynomials; its coefficients lie in Laurent
+polynomials in a formal square root v of q, each stored on ints as
+(A + B v)/D in lowest terms (rings.HalfPowerLaurent).  The image of a
+basis element is built once per (mu, q) and cached as a tuple of
+immutable values (_basis_image), so a transform only filters it by the
+box and scales it by the coefficient.  No coefficient dict holds a
+zero, so a sum adds to an entry only when its key is present.  Haar
+normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
-Membership in a double coset has one rule, Smith's theorem: the sum
-of the first k elementary divisors of a matrix is the least valuation
-of its k x k minors (_minor_valuations).  The coset build applies it
-to the first rows of rank-3 candidates, whose lower blocks come from
-the rank-2 members by interlacing.
-Convolution and the coset-count oracle read invariants off the cosets
-of one factor and never form a product.  Convolution counts the cosets
-g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2), by the
-same rule: for p^-nu p^shift M the minors are read off those of M
-alone.  The Iwasawa torus part of p^shift * M (the lam with g in
-N p^lam K) is shift plus the diagonal valuations of M.  The cap counts
-the Hermite forms looked at, in closed form before any is built: all
-of them at ranks 1 and 2, the first rows over each block at rank 3.
+Membership in a double coset has one rule, Smith's theorem: the sum of
+the first k elementary divisor exponents of a matrix is the least
+valuation D_k of its k x k minors (_minor_valuations).  The cosets come
+from one recursion on the rank (_members), charged against the cap in
+closed form before any is built (_charge).  Convolution counts the
+cosets g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2) by
+the same rule, forming no product: for p^-nu p^shift M the minors are
+read off those of M alone.  The coset-count oracle reads the Iwasawa
+torus part lam of p^shift * M (g in N p^lam K): shift plus the diagonal
+valuations of M.
 """
 
 from __future__ import annotations
@@ -38,17 +35,8 @@ import math
 import operator
 from collections import Counter
 
-from .errors import (
-    CapExceeded,
-    InvalidConfig,
-    NotPrime,
-    UnsupportedRank,
-)
-from .rings import (
-    DEFAULT_GROUP_CAP,
-    HalfPowerLaurent,
-    is_prime,
-)
+from .errors import CapExceeded, InvalidConfig, NotPrime, UnsupportedRank
+from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent, is_prime
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
 MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
@@ -73,29 +61,36 @@ def is_dominant(lam):
 # coset decomposition
 
 def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
-    """Representatives (shift, M) of the cosets g K in K p^lam K, with
-    g = p^shift * M and shift = lam[-1], M an upper-triangular int
-    Hermite form with p-power diagonal p^d, in the order of d and then
-    of the entries above the diagonal.
+    """Representatives (shift, M) of the cosets g K in K p^lam K: g =
+    p^shift M, shift = lam[-1], M an upper-triangular int Hermite form
+    with p-power diagonal; sorted by the diagonal, then by the entries
+    above it row by row.  |lam_i| <= MAX_ENTRY; charged first (_charge)."""
+    shift, m = _charge(lam, n, p, cap)
+    return [(shift, form) for form in _members(m, p)]
 
-    Let m = lam - shift.  At rank 2 the members [[p^d0, x], [0, p^d1]]
-    with d0 + d1 = m_1 are built directly: the first elementary divisor
-    is p^min(d0, d1, v(x)), so a form is a member exactly when
-    d0 * d1 = 0 (any x in [0, p^d0)) or x is a unit mod p^d0.  At
-    rank 3, deleting the first row of a member leaves a block whose
-    elementary divisors mu interlace m, m_1 >= mu_1 >= m_2 >= mu_2 >= 0
-    (Thompson), so the block is p^mu_2 times a rank-2 member for
-    mu_1 - mu_2.  Each first row (p^d0, x, y), d0 = |m| - |mu| and
-    x, y in [0, p^d0), is kept by the membership rule of convolve:
-    the least valuations of the entries and of the 2 x 2 minors are
-    D_1 = 0 and D_2 = m_2 (Smith's theorem; D_3 is the determinant).
 
-    Exact; the entries of lam are bounded by MAX_ENTRY in absolute
-    value.  The cap bounds the forms looked at, counted in closed form
-    before any is built: sum over d0 of p^d0 Hermite forms at ranks 1
-    and 2, and sum over mu of p^(2 d0) first rows times the rank-2
-    members for mu_1 - mu_2 at rank 3.
-    """
+@functools.lru_cache(maxsize=1024)
+def coset_count(lam, p):
+    """|K p^lam K / K| = p^e [n]_p! / prod_k [m_k]_p! (Macdonald V.2 at
+    t = 1/q), e = sum_{i<j} (lam_i - lam_j) - #{i<j : lam_i > lam_j},
+    m_k the multiplicities of the entries of lam, a dominant tuple."""
+    def qfactorial(k):
+        return math.prod((p**j - 1) // (p - 1) for j in range(1, k + 1))
+
+    e = sum(a - b - (a > b) for a, b in itertools.combinations(lam, 2))
+    return p**e * qfactorial(len(lam)) // math.prod(
+        map(qfactorial, Counter(lam).values()))
+
+
+def _interlacing(m):
+    """The mu with m_i >= mu_i >= m_(i+1), i < len(m) - 1, largest first."""
+    return itertools.product(*(range(a, b - 1, -1) for a, b in zip(m, m[1:])))
+
+
+def _charge(lam, n, p, cap):
+    """(lam_n, m) with m = lam - lam_n, once lam is a valid cocharacter
+    of GL_n whose forms to test fit the cap: the first rows over each
+    block of _members, sum over mu of p^((n - 1) d0) |K p^mu K / K|."""
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     lam = tuple(lam)
@@ -104,74 +99,77 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     if max(abs(c) for c in lam) > MAX_ENTRY:
         raise InvalidConfig(
             f"cocharacter entries exceed {MAX_ENTRY} in absolute value")
-    shift = lam[-1]
-    m = tuple(c - shift for c in lam)
-    total = sum(m)
-    if n < 3:
-        candidates = sum(p**d0 for d0 in range(total + 1))
-    else:
-        blocks = [(mu1, mu2) for mu1 in range(m[1], m[0] + 1)
-                  for mu2 in range(m[1] + 1)]
-        candidates = sum(p**(2 * (total - mu1 - mu2)) * _rank2_count(
-            mu1 - mu2, p) for mu1, mu2 in blocks)
-    if candidates > cap:
-        raise CapExceeded(f"{candidates} Hermite forms to test exceed cap "
-                          f"{cap}")
+    m = tuple(c - lam[-1] for c in lam)
+    forms = sum(p**((n - 1) * (sum(m) - sum(mu))) * coset_count(mu, p)
+                for mu in _interlacing(m))
+    if forms > cap:
+        raise CapExceeded(f"{forms} Hermite forms to test exceed cap {cap}")
+    return lam[-1], m
+
+
+@functools.lru_cache(maxsize=64)
+def _members(m, p):
+    """The members of K p^m K, m dominant with m[-1] = 0, in the order
+    of coset_decompose; a tuple of tuples, cached per (m, p).
+
+    Rank 1 is the form (1).  Deleting the first row of a member leaves
+    a block whose exponents mu interlace m (Thompson, Linear Algebra
+    Appl. 24, 1979): p^mu_(n-1) times a member for mu - mu_(n-1) under
+    a zero column, below a first row (p^d0, x), d0 = |m| - |mu|, x in
+    [0, p^d0)^(n-1).  The form is a member when D_k = m_n + ... +
+    m_(n-k+1) for each k < n.  Its k x k minors off row 0 are the
+    block's, of least valuation mu_(n-1) + ... + mu_(n-k); those on row
+    and column 0 are p^d0 times the block's (k-1) x (k-1) minors.  So
+    D_1 = 0 needs a unit in x only when d0 mu_(n-1) > 0, and for k >= 2
+    only the minors on row 0 and off column 0 are computed.
+    """
+    n = len(m)
     if n == 1:
-        return [(shift, ((1,),))]
-    if n == 2:
-        return [(shift, form) for form in _rank2_forms(total, p)]
-    subsets = [rows for k in (1, 2)
-               for rows in itertools.combinations(range(3), k)]
-    ptop, logs = p**total, {p**k: k for k in range(total + 1)}
-    forms = []
-    for mu1, mu2 in blocks:
-        top, scale = p**(total - mu1 - mu2), p**mu2
-        for (a, b), (_, c) in _rank2_forms(mu1 - mu2, p):
-            rows = (0, scale * a, scale * b), (0, 0, scale * c)
-            for x, y in itertools.product(range(top), repeat=2):
-                form = ((top, x, y),) + rows
-                w = _minor_valuations(form, subsets, ptop, logs)
-                if min(w[:3]) == 0 and min(w[3:]) == m[1]:
-                    forms.append(form)
-    forms.sort(key=lambda f: (f[0][0], f[1][1], f[2][2],
-                              f[0][1], f[0][2], f[1][2]))
-    return [(shift, form) for form in forms]
+        return (((1,),),)
+    ptop, logs = p**sum(m), {p**k: k for k in range(sum(m) + 1)}
+    forms, diags = [], []
+    for mu in _interlacing(m):
+        d0, low = sum(m) - sum(mu), mu[-1]
+        # per k: the k-row subsets on row 0, the other minors' bound, D_k
+        checks = [([(0,) + rows for rows in itertools.combinations(
+                       range(1, n), k - 1)],
+                    min(sum(mu[-k:]), d0 + sum(mu[1 - k:])), sum(m[-k:]))
+                  for k in range(2, n)]
+        for block in _members(tuple(c - low for c in mu), p):
+            block = tuple(tuple(p**low * c for c in row) for row in block)
+            lower = tuple((0,) + row for row in block)
+            xs = itertools.product(range(p**d0), repeat=n - 1)
+            if d0 and low:
+                xs = (x for x in xs if any(c % p for c in x))
+            if checks:
+                xs = (x for x in xs if all(min(bound, *_minor_valuations(
+                    (x,) + block, level, ptop, logs)) == target
+                    for level, bound, target in checks))
+            diags.append((p**d0,) + tuple(r[i] for i, r in enumerate(block)))
+            forms += [((p**d0,) + x,) + lower for x in xs]
+    # the forms over one block come in order, so all do if diags rise
+    if diags != sorted(set(diags)):
+        order = [(i, i) for i in range(n)] + _PAIRS[n]
+        forms.sort(key=lambda f: [f[i][j] for i, j in order])
+    return tuple(forms)
 
 
-def _rank2_count(a, p):
-    """|K diag(p^a, 1) K / K| = p^a + p^(a-1), and 1 at a = 0."""
-    return p**a + p**(a - 1) if a else 1
-
-
-def _rank2_forms(m, p):
-    """The members [[p^d0, x], [0, p^d1]] of K diag(p^m, 1) K, d0 = 0..m."""
-    forms = []
-    for d0 in range(m + 1):
-        top, bottom = p**d0, p**(m - d0)
-        xs = range(top) if d0 == m or d0 == 0 else \
-            (x for x in range(top) if x % p)
-        forms += [((top, x), (0, bottom)) for x in xs]
-    return forms
-
-
-def _diagonal_exponents(form, p):
-    return tuple(_vint(form[i][i], p) for i in range(len(form)))
+_PAIRS = [list(itertools.combinations(range(k), 2)) for k in range(4)]
 
 
 def _minor_valuations(form, subsets, ptop, logs):
     """(w_S) for the row subsets S: the least valuation of the |S| x |S|
     minors of form on rows S, for |S| <= 2.  ptop = p^top with top at
     least every w_S, so gcd(ptop, minors) = p^w_S; logs maps p^k to k."""
+    pairs = _PAIRS[len(form[0])]
     out = []
     for rows in subsets:
         if len(rows) == 1:
             out.append(logs[math.gcd(ptop, *form[rows[0]])])
         else:
             a, b = form[rows[0]], form[rows[1]]
-            out.append(logs[math.gcd(ptop, *(
-                a[i] * b[j] - a[j] * b[i]
-                for i, j in itertools.combinations(range(len(a)), 2)))])
+            out.append(logs[math.gcd(ptop, *[a[i] * b[j] - a[j] * b[i]
+                                              for i, j in pairs])])
     return tuple(out)
 
 
@@ -204,9 +202,7 @@ class HeckeElement:
         return cls(len(lam), p, {lam: 1})
 
     def bound(self):
-        if not self.support:
-            return 0
-        return max(max(abs(c) for c in lam) for lam in self.support)
+        return max((abs(c) for lam in self.support for c in lam), default=0)
 
     def __add__(self, other):
         out = dict(self.support)
@@ -239,28 +235,31 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     A profile is a hit for nu when D_k = -(mu_1 + ... + mu_k) for every
     k < n (k = n is the determinant, equal once sum(nu) = sum(lam) +
     sum(mu)).  Only the dominant nu with that sum and lam_n + mu_n <=
-    nu_i <= lam_1 + mu_1 can be hit.  The number of coset pairs is
-    checked against cap first, though no product is formed.
+    nu_i <= lam_1 + mu_1 can be hit.  Each lam and mu is charged, and
+    their coset pairs checked against cap, before any coset is built.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
+    for lam in f.support:
+        _charge(lam, n, p, cap)
+        for mu in g.support:
+            _charge(mu, n, p, cap)
+            pairs = coset_count(lam, p) * coset_count(mu, p)
+            if pairs > cap:
+                raise CapExceeded(f"{pairs} coset pairs exceed cap {cap}")
     subsets = [rows for k in range(1, n)
                for rows in itertools.combinations(range(n), k)]
     levels = [[i for i, rows in enumerate(subsets) if len(rows) == k]
               for k in range(1, n)]
     out = {}
     for lam, cf in f.support.items():
-        reps = coset_decompose(lam, n, p, cap=cap)
+        m = tuple(c - lam[-1] for c in lam)
         # every w_S is at most the sum of the diagonal exponents on S
-        top = sum(lam) - n * lam[-1]
-        logs = {p**k: k for k in range(top + 1)}
-        profiles = Counter(_minor_valuations(m, subsets, p**top, logs)
-                           for _, m in reps)
+        logs = {p**k: k for k in range(sum(m) + 1)}
+        profiles = Counter(_minor_valuations(form, subsets, p**sum(m), logs)
+                           for form in _members(m, p))
         for mu, cg in g.support.items():
-            pairs = len(reps) * len(coset_decompose(mu, n, p, cap=cap))
-            if pairs > cap:
-                raise CapExceeded(f"{pairs} coset pairs exceed cap {cap}")
             scale = cf * cg
             targets = list(itertools.accumulate(-c for c in mu[:-1]))
             total = sum(lam) + sum(mu)
@@ -452,7 +451,7 @@ def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     acc = {}
     for mu, cmu in f.support.items():
         counts = Counter(
-            tuple(shift + e for e in _diagonal_exponents(form, f.p))
+            tuple(shift + _vint(form[i][i], f.p) for i in range(n))
             for shift, form in coset_decompose(mu, n, f.p, cap=cap))
         for lam, count in counts.items():
             if max(map(abs, lam)) <= b:

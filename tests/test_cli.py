@@ -471,12 +471,23 @@ class TestNearCap:
         assert time.monotonic() - start < 5.0
 
     def test_satake_rank3(self):
-        # 118 065 first rows tested for 12 636 cosets
+        # 117 584 first rows tested (118 065 charged) for 12 636 cosets
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(["satake", "--n", "3", "--p", "3",
                         "--lam=2,0,-2"]) == 0
         assert time.monotonic() - start < 3.0
+
+    # the rank-3 requests closest to the default cap: 735 841 first rows
+    # charged at (4, 4, 0) for p = 3 and 567 031 at (3, 2, 0) for p = 5
+    @pytest.mark.parametrize("argv", [
+        "satake --n 3 --p 3 --lam=1,1,-3", "satake --n 3 --p 3 --lam=3,3,-1",
+        "satake --n 3 --p 5 --lam=3,2,0"])
+    def test_satake_rank3_near_cap(self, argv):
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv.split()) == 0
+        assert time.monotonic() - start < 5.0
 
     def test_roots(self):
         # 9! <= 10^6 < 10!: the largest Weyl group the default cap admits

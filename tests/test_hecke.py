@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from glnlab import hecke
 from glnlab.errors import CapExceeded, UnsupportedRank, ZeroEntry
 from glnlab.hecke import (
     BIG,
@@ -329,22 +330,61 @@ class TestCosets:
         g = HeckeElement.basis((0, -1), 2)
         assert convolve(f, g) == convolve(g, f)
 
-    def test_rank2_direct_equals_scan(self):
-        # same list, same order: reports list representatives
-        for p in (2, 3, 5):
-            for spread in range(6):
-                for lam in ((spread, 0), (spread - 2, -2), (3, 3 - spread)):
-                    assert coset_decompose(lam, 2, p) \
-                        == list(hermite_scan_cosets(lam, p)), (lam, p)
-
-    def test_rank3_interlacing_equals_scan(self):
-        # same list, same order; (1, 1, -1) at p = 5 is left out because
-        # its scan alone takes about 7 s
-        cases = [(lam, p) for p in (2, 3) for lam in dominant_box(3, 1)]
+    def test_equals_scan(self):
+        # same list, same order: the order is part of coset_decompose's
+        # contract, though convolve and satake_by_coset_count only count
+        # the cosets; (1, 1, -1) at p = 5 is left out because its scan
+        # alone takes about 7 s
+        cases = [(lam, p) for p in (2, 3, 5) for lam in dominant_box(1, 3)]
+        cases += [(lam, p) for p in (2, 3, 5) for spread in range(6)
+                  for lam in ((spread, 0), (spread - 2, -2), (3, 3 - spread))]
+        cases += [(lam, p) for p in (2, 3) for lam in dominant_box(3, 1)]
         cases += [((1, 0, -1), 5), ((2, 1, 0), 5)]
         for lam, p in cases:
-            assert coset_decompose(lam, 3, p) \
+            assert coset_decompose(lam, len(lam), p) \
                 == list(hermite_scan_cosets(lam, p)), (lam, p)
+
+    def test_returned_list_is_fresh(self):
+        # the members are cached per (m, p); changing a returned list
+        # must leave the next call as it was
+        for lam, p in (((2, 0), 3), ((1, 0, -1), 2), ((2,), 5)):
+            reps = coset_decompose(lam, len(lam), p)
+            reps.reverse()
+            reps.append(reps[0])
+            assert coset_decompose(lam, len(lam), p) \
+                == list(hermite_scan_cosets(lam, p)), (lam, p)
+
+    def test_closed_form_count_is_the_oracle(self):
+        # the int closed form the cap is charged with, against the
+        # Fraction oracle above
+        for n, b in ((1, 3), (2, 3), (3, 2)):
+            for lam in dominant_box(n, b):
+                for p in (2, 3, 5):
+                    assert hecke.coset_count(lam, p) \
+                        == coset_count(lam, p), (lam, p)
+
+    def test_charge(self):
+        # the forms charged, by the rank-by-rank formulas: Hermite forms
+        # at ranks 1 and 2, and p^(2 d0) first rows over each rank-2
+        # block of mu_1 - mu_2 at rank 3; a cap one below refuses
+        def charge(lam, p):
+            m = [c - lam[-1] for c in lam]
+            if len(m) < 3:
+                return sum(p**d0 for d0 in range(sum(m) + 1))
+            return sum(
+                p**(2 * (sum(m) - mu1 - mu2))
+                * (p**(mu1 - mu2) + p**(mu1 - mu2 - 1) if mu1 > mu2 else 1)
+                for mu1 in range(m[1], m[0] + 1) for mu2 in range(m[1] + 1))
+
+        lams = [(0,), (-4,), (0, 0), (1, 0), (3, -2), (0, 0, 0), (1, 0, 0),
+                (1, 1, 0), (2, 0, -1), (2, 2, -1), (3, 1, 0)]
+        for lam in lams:
+            for p in (2, 3):
+                c = charge(lam, p)
+                with pytest.raises(CapExceeded, match=f"^{c} Hermite"):
+                    coset_decompose(lam, len(lam), p, cap=c - 1)
+                assert len(coset_decompose(lam, len(lam), p, cap=c)) \
+                    == coset_count(lam, p)
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):
@@ -396,10 +436,21 @@ class TestConvolution:
 
     def test_pairs_checked_against_cap(self):
         # 40 Hermite forms give 36 cosets of (2, -1) at p = 3, so 1296
-        # coset pairs, refused before any product is formed
+        # coset pairs, refused before any coset is built
         f = HeckeElement.basis((2, -1), 3)
         with pytest.raises(CapExceeded, match="1296 coset pairs"):
             convolve(f, f, cap=40)
+
+    def test_charged_before_any_coset_is_built(self, monkeypatch):
+        # (2^18 + 2^17)^2 coset pairs from 2^19 - 1 Hermite forms a
+        # factor: the pairs are counted in closed form
+        def refuse(m, p):
+            raise AssertionError("a coset was built")
+
+        monkeypatch.setattr(hecke, "_members", refuse)
+        f = HeckeElement.basis((18, 0), 2)
+        with pytest.raises(CapExceeded, match="coset pairs"):
+            convolve(f, f)
 
     def test_agrees_with_pair_binning(self):
         # every ordered pair: convolve counts the cosets of its left
@@ -600,7 +651,7 @@ class TestTransformGl3:
 
     def test_oracle_agreement(self):
         # the whole box |lam_i| <= 2, but for two lam at p = 3 whose
-        # cosets alone take about 4 s and 7 s to build
+        # check alone takes about 1 s and 3 s
         slow = {(2, 1, -2), (2, 2, -2)}
         cases = [(lam, 2) for lam in dominant_box(3, 2)]
         cases += [(lam, 3) for lam in dominant_box(3, 2) if lam not in slow]
