@@ -330,19 +330,31 @@ class TestCosets:
         g = HeckeElement.basis((0, -1), 2)
         assert convolve(f, g) == convolve(g, f)
 
-    def test_equals_scan(self):
-        # same list, same order: the order is part of coset_decompose's
-        # contract, though convolve and satake_by_coset_count only count
-        # the cosets; (1, 1, -1) at p = 5 is left out because its scan
-        # alone takes about 7 s
-        cases = [(lam, p) for p in (2, 3, 5) for lam in dominant_box(1, 3)]
-        cases += [(lam, p) for p in (2, 3, 5) for spread in range(6)
-                  for lam in ((spread, 0), (spread - 2, -2), (3, 3 - spread))]
-        cases += [(lam, p) for p in (2, 3) for lam in dominant_box(3, 1)]
-        cases += [((1, 0, -1), 5), ((2, 1, 0), 5)]
+    # same list, same order: the order is part of coset_decompose's
+    # contract, though convolve and satake_by_coset_count only count the
+    # cosets; one recursion builds every rank, so the three tests below
+    # differ only in their cases
+    @staticmethod
+    def _assert_equals_scan(cases):
         for lam, p in cases:
             assert coset_decompose(lam, len(lam), p) \
                 == list(hermite_scan_cosets(lam, p)), (lam, p)
+
+    def test_rank1_equals_scan(self):
+        self._assert_equals_scan(
+            [(lam, p) for p in (2, 3, 5) for lam in dominant_box(1, 3)])
+
+    def test_rank2_direct_equals_scan(self):
+        self._assert_equals_scan(
+            [(lam, p) for p in (2, 3, 5) for spread in range(6)
+             for lam in ((spread, 0), (spread - 2, -2), (3, 3 - spread))])
+
+    def test_rank3_interlacing_equals_scan(self):
+        # (1, 1, -1) at p = 5 is left out because its scan alone takes
+        # about 7 s
+        cases = [(lam, p) for p in (2, 3) for lam in dominant_box(3, 1)]
+        cases += [((1, 0, -1), 5), ((2, 1, 0), 5)]
+        self._assert_equals_scan(cases)
 
     def test_returned_list_is_fresh(self):
         # the members are cached per (m, p); changing a returned list
