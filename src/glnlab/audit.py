@@ -61,9 +61,11 @@ def h1_triviality(cap, seed):
 
 
 def lang_image_size(cap, seed):
-    return all(len(lang.lang_image(lang.gl_module(FiniteField(p, d), 1)))
-               == (p**d - 1) // (p - 1)
-               for p, d in [(2, 2), (3, 2), (2, 3)]), None
+    # the fibres of the Lang map are the cosets of GL_s(F_p)
+    return all(len(lang.lang_image(lang.gl_module(FiniteField(p, d), s)))
+               == lang.gl_order(s, p**d) // lang.gl_order(s, p)
+               for p, d, s in [(2, 2, 1), (3, 2, 1), (2, 3, 1),
+                               (2, 2, 2)]), None
 
 
 def class_count_bijection(cap, seed):

@@ -83,40 +83,6 @@ def stabilizer_pattern(simplex, n):
     return pat
 
 
-def membership(g, pattern):
-    """Valuation test after removing the central p-power.
-
-    The central exponent is pinned by requiring the centered determinant
-    to be a unit; raises PrecisionExhausted when the truncated entries
-    cannot decide the test.
-    """
-    n = g.size
-    ring = g.ring
-    det = g.det()
-    vdet = det.valuation()
-    if vdet >= ring.n:
-        raise PrecisionExhausted("determinant not visible at this precision")
-    vdet += n * g.offset
-    if vdet % n:
-        return False
-    i = -vdet // n
-    for r in range(n):
-        for c in range(n):
-            v = g[r, c].valuation()
-            saturated = v >= ring.n
-            v += g.offset + i
-            need = pattern.entries[r][c]
-            if saturated:
-                if v < need:
-                    raise PrecisionExhausted(
-                        "entry is zero at working precision but the pattern "
-                        f"needs valuation >= {need}")
-                continue
-            if v < need:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Iwasawa decomposition g = b * k
 
@@ -124,7 +90,7 @@ def _iwasawa2(p, n, inv, a, b, c, d):
     """Codes of b and k in g = b * k for g = (a b; c d) over Z/p^n, on
     ints alone; inv is the ring's unit inverse mod p^n.
 
-    The general column reduction at size 2: swap the columns when the
+    Column operations clear the bottom row: swap the columns when the
     leftmost least valuation v of the bottom row is in column 0, then
     clear the bottom-left entry by one shear, t = (c / p^v) * u^-1 with
     d = p^v * u.  Then k = (1 0; t 1), or (0 1; 1 t) after a swap.
@@ -148,60 +114,16 @@ def _iwasawa2(p, n, inv, a, b, c, d):
 
 
 def iwasawa_decompose(g):
-    """g = b * k with b upper triangular and k integral with unit det.
-
-    Column operations (exact over the ring: swaps and integral shears)
-    are applied to clear each row left of a minimal-valuation pivot,
-    working bottom row up; ties break to the leftmost pivot.  k is the
-    product of their inverses, applied to the identity as row
-    operations: a swap of columns a and b swaps rows a and b of k, and
-    "column j += c * column i" is "row i of k -= c * row j".  Both are
-    updated in place, entry by entry, on flat row-major code lists.  A
-    column operation at row i skips the rows below i, whose entries in
-    the columns left of their pivots are already zero.  A 2 x 2 matrix
-    over a ring of degree 1, whose codes are the integers mod p^n, goes
-    to the int kernel ``_iwasawa2``: one swap and one shear, the same
-    operations on the same codes.
-    """
-    if g.size == 2 and g.ring.d == 1:
-        ring = g.ring
-        b, k = _iwasawa2(ring.p, ring.n, ring.inv, *g.codes)
-        return (Mat.from_codes(ring, 2, b, g.offset),
-                Mat.from_codes(ring, 2, k))
-    n, ring = g.size, g.ring
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    valuation, divide = ring.valuation, ring.divide_exact_p_power
-    work = list(g.codes)
-    k = [ring.one_code if r == c else 0 for r in range(n) for c in range(n)]
-    for i in range(n - 1, 0, -1):
-        ri = i * n
-        vals = [valuation(a) for a in work[ri:ri + i + 1]]
-        v = min(vals)
-        if v >= ring.n:
-            raise PrecisionExhausted("pivot row vanishes at working precision")
-        piv = vals.index(v)  # leftmost minimal valuation
-        if piv != i:
-            rp = piv * n
-            for r in range(0, ri + n, n):
-                work[r + piv], work[r + i] = work[r + i], work[r + piv]
-            k[rp:rp + n], k[ri:ri + n] = k[ri:ri + n], k[rp:rp + n]
-        # the pivot is p^v times a unit u
-        u_inv = ring.inv(divide(work[ri + i], v))
-        for j in range(i):
-            if not work[ri + j]:
-                continue
-            # t = entry / pivot; column j -= t * column i
-            t = mul(divide(work[ri + j], v), u_inv)
-            c = neg(t)
-            for r in range(0, ri + n, n):
-                work[r + j] = add(work[r + j], mul(c, work[r + i]))
-            rj = j * n
-            for col in range(n):
-                k[ri + col] = add(k[ri + col], mul(t, k[rj + col]))
-            if work[ri + j]:
-                raise PrecisionExhausted("shear failed to clear the entry")
-    return (Mat.from_codes(ring, n, tuple(work), g.offset),
-            Mat.from_codes(ring, n, tuple(k)))
+    """g = b * k with b upper triangular and k integral with unit det,
+    for g a 2 x 2 matrix over a ring of degree 1, whose codes are the
+    integers mod p^n: the int kernel ``_iwasawa2``.  ValueError for any
+    other size or degree."""
+    ring = g.ring
+    if g.size != 2 or ring.d != 1:
+        raise ValueError("Iwasawa decomposition needs a 2 x 2 matrix over "
+                         "a ring of degree 1")
+    b, k = _iwasawa2(ring.p, ring.n, ring.inv, *g.codes)
+    return Mat.from_codes(ring, 2, b, g.offset), Mat.from_codes(ring, 2, k)
 
 
 def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):

@@ -107,10 +107,21 @@ def _charge(lam, n, p, cap):
     return lam[-1], m
 
 
-@functools.lru_cache(maxsize=64)
+MEMO_MAX = 1 << 12  # the longest member list that _members keeps
+
+
 def _members(m, p):
     """The members of K p^m K, m dominant with m[-1] = 0, in the order
-    of coset_decompose; a tuple of tuples, cached per (m, p).
+    of coset_decompose; a tuple of tuples.  A list of at most MEMO_MAX
+    members is cached per (m, p), and a longer one is built each time,
+    so that no near-cap list stays in memory."""
+    if coset_count(m, p) <= MEMO_MAX:
+        return _kept_members(m, p)
+    return _build_members(m, p)
+
+
+def _build_members(m, p):
+    """The members of K p^m K, built from those of rank n - 1.
 
     Rank 1 is the form (1).  Deleting the first row of a member leaves
     a block whose exponents mu interlace m (Thompson, Linear Algebra
@@ -154,6 +165,7 @@ def _members(m, p):
     return tuple(forms)
 
 
+_kept_members = functools.lru_cache(maxsize=64)(_build_members)
 _PAIRS = [list(itertools.combinations(range(k), 2)) for k in range(4)]
 
 
@@ -190,7 +202,7 @@ class HeckeElement:
         if support:
             for lam, c in support.items():
                 if not isinstance(c, HalfPowerLaurent):
-                    c = HalfPowerLaurent(self.q, c)
+                    c = HalfPowerLaurent(self.q) + c
                 if not c.is_zero():
                     self.support[tuple(lam)] = c
 
@@ -203,12 +215,6 @@ class HeckeElement:
 
     def bound(self):
         return max((abs(c) for lam in self.support for c in lam), default=0)
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for lam, c in other.support.items():
-            out[lam] = out[lam] + c if lam in out else c
-        return HeckeElement(self.n, self.p, out)
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
@@ -300,7 +306,7 @@ class SatakeImage:
         if coeffs:
             for lam, c in coeffs.items():
                 if not isinstance(c, HalfPowerLaurent):
-                    c = HalfPowerLaurent(q, c)
+                    c = HalfPowerLaurent(q) + c
                 if not c.is_zero():
                     self.coeffs[tuple(lam)] = c
 
@@ -309,12 +315,6 @@ class SatakeImage:
         coeffs = self.coeffs
         return all(c == coeffs.get(perm) for lam, c in coeffs.items()
                    for perm in itertools.permutations(lam))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out[lam] + c if lam in out else c
-        return SatakeImage(self.n, self.q, out)
 
     def __mul__(self, other):
         out = {}

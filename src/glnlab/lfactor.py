@@ -246,15 +246,15 @@ class LocalLFactor:
     def degree(self):
         return max(k for k, _ in self.terms)
 
-    def _named(self):
-        """The terms keyed by (power of X, its (name, exponent) pairs),
-        so that names with no nonzero exponent do not matter."""
-        return {(k, tuple((name, x) for name, x in zip(self.names, e) if x)):
-                c for (k, e), c in self.terms.items()}
-
     def __eq__(self, other):
+        """Equal q and terms, each keyed by (power of X, its (name,
+        exponent) pairs), so that names with no nonzero exponent do not
+        matter."""
+        def named(f):
+            return {(k, tuple((name, x) for name, x in zip(f.names, e) if x)):
+                    c for (k, e), c in f.terms.items()}
         return (isinstance(other, LocalLFactor) and self.q == other.q
-                and self._named() == other._named())
+                and named(self) == named(other))
 
     def __repr__(self):
         return f"LocalLFactor({self.terms}, names={self.names}, q={self.q})"

@@ -16,9 +16,10 @@ tuples: the 2 x 2 product, determinant and inverse (``mul2``, ``det2``,
 ``inv2``), the linear form r -> sum r_i c_i of fixed codes (``form``)
 and the sandwich x -> a x b of fixed a, b (``sandwich``).  Over the
 tables they are unrolled and read the rows directly, with each fixed
-operand's row looked up once; over the coefficient lists each fixed
-operand is expanded once into its d x d multiplication matrix; the d = 1
-rings build them from their operations on codes.  sigma^e is one map of
+operand's row looked up once; over the coefficient lists the sandwich
+expands each fixed operand once into its d x d multiplication matrix;
+the other kernels there, and all of them when d = 1, are built from the
+ring's operations on codes.  sigma^e is one map of
 codes per e mod d (``sigma_map``), built on first use.
 
 ``Mat`` is a square matrix as a flat row-major tuple of codes plus a
@@ -334,9 +335,11 @@ def _poly_ops(ring):
     """Decoded coefficient lists, reduced once per sum of products: one
     convolution on unreduced ints, its coefficients of degree d .. 2d - 2
     folded back through the rows x^d, .., x^(2d-2) mod F fixed here, then
-    each coefficient read mod p^n.  Each fixed operand of ``form`` and
-    ``sandwich`` is expanded once into its d x d multiplication matrix.
-    The inverse is extended Euclid over F_p[x], lifted to p^n by Newton
+    each coefficient read mod p^n.  Each fixed operand of ``sandwich`` is
+    expanded once into its d x d multiplication matrix; the other matrix
+    kernels come from _op_kernels, since no request the default cap
+    admits takes a matrix of size 2 or more over these rings.  The
+    inverse is extended Euclid over F_p[x], lifted to p^n by Newton
     steps z <- z (2 - a z) (von zur Gathen-Gerhard, 3.2 and 9.1)."""
     p, pn, d, weights = ring.p, ring.pn, ring.d, ring.weights
     f, mul_ = ring.modulus_lift, operator.mul
@@ -379,11 +382,6 @@ def _poly_ops(ring):
     def dot(xs, ys):
         return products(zip(map(digits, xs), map(digits, ys)))
 
-    def mul2(x, y):
-        x, y = list(map(digits, x)), list(map(digits, y))
-        return tuple([products(((x[i], y[j]), (x[i + 1], y[j + 2])))
-                      for i in (0, 2) for j in (0, 1)])
-
     def inv(a):
         # Euclid keeps the cofactor of a alone; F is irreducible mod p,
         # so only p | a leaves a gcd of positive degree
@@ -421,10 +419,6 @@ def _poly_ops(ring):
         evaluate = apply(list(zip(*map(digits, images))), (0,))
         return lambda b: evaluate((digits(b),))
 
-    def form(cs):
-        evaluate = combine(list(enumerate(cs)))
-        return lambda r: evaluate(list(map(digits, r)))
-
     def sandwich(s, a, b):
         pairs = list(itertools.product(range(s), repeat=2))
         entries = [combine([(k * s + l, c) for k, l in pairs
@@ -439,7 +433,7 @@ def _poly_ops(ring):
     neg = lambda a: encode(map(operator.neg, digits(a)))
     is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
         lambda a: any(c % p for c in digits(a)))
-    det2, inv2 = _op_kernels(mul, neg, dot, inv, is_unit)[1:3]
+    mul2, det2, inv2, form = _op_kernels(mul, neg, dot, inv, is_unit)[:4]
     return ((lambda a, b: encode(map(operator.add, digits(a), digits(b))),
              mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)), linear,
              mul2, det2, inv2, form, sandwich))
@@ -581,20 +575,6 @@ class TruncatedLocalRing:
             v += 1
         return v
 
-    def divide_exact_p_power(self, a, v):
-        """Code of a / p^v, each coefficient divided by p^v; NotInvertible
-        unless p^v divides every coefficient.  Multiplying back by p^v
-        recovers a exactly at the ring's full precision."""
-        if not v:
-            return a
-        pv = self.p**v
-        coeffs = (a,) if self.d == 1 else self.decode(a)
-        if any(c % pv for c in coeffs):
-            raise NotInvertible(f"element is not divisible by p^{v}")
-        if self.d == 1:
-            return a // pv
-        return self.encode([c // pv for c in coeffs])
-
     # -- flat matrices of codes -----------------------------------------------
     def mat_mul(self, s, a, b):
         """Product of two flat s x s matrices."""
@@ -732,9 +712,6 @@ class LocalRingElement:
     def inverse(self):
         return LocalRingElement(self.ring, self.ring.inv(self.code))
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def sigma(self, e=1):
         """The Frobenius lift applied e times (e taken mod d); on a
         finite field, the p-power Frobenius."""
@@ -869,7 +846,8 @@ class HalfPowerLaurent:
 
     Negative powers of v are folded in via v^-1 = v/q, so every element
     of Q[v]/(v^2 - q) has one normal form on ints: D > 0 and
-    gcd(A, B, D) = 1 (zero is (0, 0, 1)).  Arithmetic stays on ints and
+    gcd(A, B, D) = 1 (zero is (0, 0, 1)); ``HalfPowerLaurent(q, a, b)``
+    is a + b*v for ints a and b.  Arithmetic stays on ints and
     each result is reduced by one gcd (_half), never through Fraction;
     a = A/D and b = B/D are read-only Fractions for reports.  An int or
     a Fraction operand of +, -, * or == is the scalar it stands for.
@@ -881,12 +859,9 @@ class HalfPowerLaurent:
     __slots__ = ("q", "A", "B", "D")
 
     def __new__(cls, q, a=0, b=0):
-        if isinstance(a, int) and isinstance(b, int):
-            return _half(q, a, b, 1)
-        a, b = Fraction(a), Fraction(b)
-        d = math.lcm(a.denominator, b.denominator)
-        return _half(q, a.numerator * (d // a.denominator),
-                     b.numerator * (d // b.denominator), d)
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError("HalfPowerLaurent(q, a, b) takes int a and b")
+        return _half(q, a, b, 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfPowerLaurent is immutable")

@@ -21,8 +21,8 @@ from glnlab.errors import CapExceeded, InvalidConfig
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
-from glnlab.rings import HalfPowerLaurent
 from test_hecke import coset_count, rho_point
+from test_rings import half_of
 from test_ring_core import gl_order
 
 
@@ -42,144 +42,148 @@ def is_prime_power(q):
                           for p in range(2, q + 1)) == 1
 
 
+# The contract argvs of TestExitCodes, one request each.  The traced
+# run of tests/test_reachability.py runs them too, as claims.
+PASS_ARGVS = ("dm-check --s 1 --q 3 --n 2",)
+
+INVALID_CONFIG_ARGVS = (
+    "suite nonsense",
+    "lfactor --q 3",
+    "satake --n 2 --p 2 --lam 0,1",
+    "hecke --n 2 --p 2 --left 1,0 --right x",
+    "satake --n 2 --p 4 --lam 1,0",
+    "satake --n 2 --p 1 --lam 1,0",
+    "satake --n 2 --p 0 --lam 1,0",
+    "hecke --n 2 --p 6 --left 1,0 --right 1,0",
+    "hecke --n 2 --p 1 --left 1,0 --right 1,0",
+    "hecke --n 2 --p 0 --left 1,0 --right 1,0",
+    "lang --p 4 --d 2",
+    "h1 --p 2 --d 0",
+    "lang --p 2 --d 0",
+    "dm-check --s 1 --q 6 --n 2",
+    "building iwasawa --precision 0",
+    "lang --p 2 --d 1 --s 0",
+    "h1 --p 2 --d 1 --s 0",
+    "dm-check --s 0 --q 2 --n 2",
+    "lang --p 2 --d 1 --s -1",
+    "cartan --n 1",
+    "building simplices --n 0",
+    "building ub-audit --n 0",
+    "lfactor bc --d 0 --q 2 --params a",
+    "h1 --p 2 --d 1 --level 0",
+    "h1 --p 2 --d 1 --level -1",
+    "building iwasawa --count -1",
+    "lfactor --q 0 --params a",
+    "lfactor --q -3 --params a",
+    "lfactor --q 1 --params a,b",
+    "lfactor --q 6 --params a",
+    "lfactor rankin --q 0 --left a --right b",
+    "satake --n 4 --p 2 --lam 1,0,0,0",
+    "hecke --n 4 --p 2 --left 1,0,0,0 --right 1,0,0,0",
+    "satake --n 2 --p 2 --lam=25,25",
+    "satake --n 3 --p 2 --lam=1000,0,-1000",
+    "lfactor --q 2 --params 0",
+    "lfactor --q 4 --params 1,2 --rep wedge(3)",
+    "lfactor --q 2 --params 2/0",
+    # X is the variable of the L-factor, not a parameter
+    "lfactor --q 2 --params a,X",
+    "lfactor rankin --q 2 --left X --right a",
+    # p is checked before the samples are charged
+    "building iwasawa --p 4 --count 1000000000",
+    "building iwasawa --p 1 --count 1000000000 --precision 50")
+
+# 10^18 + 3 is prime, and the primality test runs before any cap
+LARGE_PRIME_ARGVS = (
+    ("satake --n 2 --p 1000000000000000003 --lam=1,0", 3),
+    ("building iwasawa --p 1000000000000000003 --count 1 --precision 1", 3))
+
+# each exits 3 in under 5 s
+CAP_EXCEEDED_ARGVS = (
+    "--cap 10 roots --n 5",
+    # about 2^25 Hermite forms: refused before the scan, not a hang
+    "hecke --n 2 --p 2 --left=24,0 --right=0,0",
+    # 2^40 - 1 simplices: refused before any subset is built
+    "building simplices --n 40",
+    # 8191 simplices fit the cap, their 8191 * 13^2 pattern entries
+    # do not: refused before any pattern is built
+    "building simplices --n 13",
+    # 2^n is not formed, nor printed, for a huge n
+    "building simplices --n 1000000000",
+    # the coset layer honours --cap, and the oracle refuses its scan
+    # before the transform runs
+    "--cap 10 satake --n 2 --p 3 --lam=3,-1",
+    "--cap 10 hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
+    "satake --n 3 --p 2 --lam=6,0,-6",
+    # rank 3 is charged its first rows in closed form, before any block
+    # is built
+    "satake --n 3 --p 2 --lam=24,0,-24",
+    "hecke --n 3 --p 2 --left=24,0,-24 --right=0,0,0",
+    "satake --n 3 --p 1000003 --lam=1,0,0",
+    # rank 2 is charged its Hermite forms, not its cosets
+    "satake --n 2 --p 2 --lam=19,0",
+    # 12! Weyl elements and (300 - 1)^2 * 300 pairing terms: refused
+    # before anything is built
+    "roots --n 12",
+    "cartan --n 300",
+    # 64^4 candidate matrices over Z/64, though the cocycles are found
+    # by lifting from level 1
+    "h1 --p 2 --d 1 --s 2 --level 6")
+
+# each exits 3 in under 1 s
+CAP_EXCEEDED_AT_ONCE_ARGVS = (
+    # L-factor expansions of 2 * 10^7 or more terms x degree: refused
+    # before anything is expanded
+    "lfactor --q 2 --params a,b,c,d,e,f --rep wedge(3)",
+    "lfactor --q 2 --params a,b,c,d --rep sym(30)",
+    # about 10^10 for the norm's 10^5 passes
+    "lfactor bc --d 100000 --params a,b --q 2",
+    "lfactor rankin --q 2 --left a,b,c,d,e,f,g,h --right i,j,k,l,m,n,o,p",
+    # Iwasawa samples times work units a sample: refused before
+    # p^precision is formed or a sample is drawn
+    "building iwasawa --count 1000000000 --precision 6",
+    "building iwasawa --p 2 --count 1 --precision 1000000000",
+    "--cap 10 building iwasawa --count 100000",
+    # rings of p^d and p^(level d) elements: refused by their exponents
+    # before the power is formed
+    "lang --p 3 --d 100000000",
+    "dm-check --s 1 --q 3 --n 100000000",
+    "h1 --p 3 --d 1 --level 1000000",
+    "h1 --p 3 --d 1 --level 100000000")
+
+# --enable-gl3 is accepted and changes nothing
+RANK3_SATAKE_ARGV = "satake --n 3 --p 2 --lam 1,0,0"
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
-        code, rep = run_json(["dm-check", "--s", "1", "--q", "3", "--n", "2"],
-                             tmp_path)
-        assert code == 0
-        assert all(v["status"] == "pass" for v in rep["verdicts"])
+        for argv in PASS_ARGVS:
+            code, rep = run_json(argv.split(), tmp_path)
+            assert code == 0
+            assert all(v["status"] == "pass" for v in rep["verdicts"])
 
     def test_invalid_config_is_two(self, capsys):
-        assert run(["suite", "nonsense"]) == 2
-        assert run(["lfactor", "--q", "3"]) == 2
-        assert run(["satake", "--n", "2", "--p", "2", "--lam", "0,1"]) == 2
-        assert run(["hecke", "--n", "2", "--p", "2",
-                    "--left", "1,0", "--right", "x"]) == 2
-        capsys.readouterr()
-        for argv in (
-                "satake --n 2 --p 4 --lam 1,0",
-                "satake --n 2 --p 1 --lam 1,0",
-                "satake --n 2 --p 0 --lam 1,0",
-                "hecke --n 2 --p 6 --left 1,0 --right 1,0",
-                "hecke --n 2 --p 1 --left 1,0 --right 1,0",
-                "hecke --n 2 --p 0 --left 1,0 --right 1,0",
-                "lang --p 4 --d 2",
-                "h1 --p 2 --d 0",
-                "lang --p 2 --d 0",
-                "dm-check --s 1 --q 6 --n 2",
-                "building iwasawa --precision 0",
-                "lang --p 2 --d 1 --s 0",
-                "h1 --p 2 --d 1 --s 0",
-                "dm-check --s 0 --q 2 --n 2",
-                "lang --p 2 --d 1 --s -1",
-                "cartan --n 1",
-                "building simplices --n 0",
-                "building ub-audit --n 0",
-                "lfactor bc --d 0 --q 2 --params a",
-                "h1 --p 2 --d 1 --level 0",
-                "h1 --p 2 --d 1 --level -1",
-                "building iwasawa --count -1",
-                "lfactor --q 0 --params a",
-                "lfactor --q -3 --params a",
-                "lfactor --q 1 --params a,b",
-                "lfactor --q 6 --params a",
-                "lfactor rankin --q 0 --left a --right b",
-                "satake --n 4 --p 2 --lam 1,0,0,0",
-                "hecke --n 4 --p 2 --left 1,0,0,0 --right 1,0,0,0",
-                "satake --n 2 --p 2 --lam=25,25",
-                "satake --n 3 --p 2 --lam=1000,0,-1000",
-                "lfactor --q 2 --params 0",
-                "lfactor --q 4 --params 1,2 --rep wedge(3)",
-                "lfactor --q 2 --params 2/0",
-                # X is the variable of the L-factor, not a parameter
-                "lfactor --q 2 --params a,X",
-                "lfactor rankin --q 2 --left X --right a",
-                # p is checked before the samples are charged
-                "building iwasawa --p 4 --count 1000000000",
-                "building iwasawa --p 1 --count 1000000000 --precision 50"):
+        for argv in INVALID_CONFIG_ARGVS:
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("invalid config: "), (argv, err)
             assert "Traceback" not in err, argv
 
     def test_large_prime_is_not_a_hang(self):
-        # 10^18 + 3 is prime, and the primality test runs before any cap
-        for argv, code in (
-                ("satake --n 2 --p 1000000000000000003 --lam=1,0", 3),
-                ("building iwasawa --p 1000000000000000003 --count 1 "
-                 "--precision 1", 3)):
+        for argv, code in LARGE_PRIME_ARGVS:
             start = time.monotonic()
             assert run(argv.split()) == code, argv
             assert time.monotonic() - start < 2.0, argv
 
     def test_cap_exceeded_is_three(self):
-        assert run(["--cap", "10", "roots", "--n", "5"]) == 3
-        # about 2^25 Hermite forms: refused before the scan, not a hang
-        start = time.monotonic()
-        assert run(["hecke", "--n", "2", "--p", "2", "--left=24,0",
-                    "--right=0,0"]) == 3
-        assert time.monotonic() - start < 5.0
-        # 2^40 - 1 simplices: refused before any subset is built
-        start = time.monotonic()
-        assert run(["building", "simplices", "--n", "40"]) == 3
-        assert time.monotonic() - start < 5.0
-        # 8191 simplices fit the cap, their 8191 * 13^2 pattern entries
-        # do not: refused before any pattern is built
-        start = time.monotonic()
-        assert run(["building", "simplices", "--n", "13"]) == 3
-        assert time.monotonic() - start < 5.0
-        # 2^n is not formed, nor printed, for a huge n
-        start = time.monotonic()
-        assert run(["building", "simplices", "--n", "1000000000"]) == 3
-        assert time.monotonic() - start < 5.0
-        # the coset layer honours --cap, and the oracle refuses its scan
-        # before the transform runs
-        for argv in ("--cap 10 satake --n 2 --p 3 --lam=3,-1",
-                     "--cap 10 hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
-                     "satake --n 3 --p 2 --lam=6,0,-6",
-                     # rank 3 is charged its first rows in closed form,
-                     # before any block is built
-                     "satake --n 3 --p 2 --lam=24,0,-24",
-                     "hecke --n 3 --p 2 --left=24,0,-24 --right=0,0,0",
-                     "satake --n 3 --p 1000003 --lam=1,0,0",
-                     # rank 2 is charged its Hermite forms, not its cosets
-                     "satake --n 2 --p 2 --lam=19,0",
-                     # 12! Weyl elements and (300 - 1)^2 * 300 pairing
-                     # terms: refused before anything is built
-                     "roots --n 12",
-                     "cartan --n 300",
-                     # 64^4 candidate matrices over Z/64, though the
-                     # cocycles are found by lifting from level 1
-                     "h1 --p 2 --d 1 --s 2 --level 6"):
-            start = time.monotonic()
-            assert run(argv.split()) == 3, argv
-            assert time.monotonic() - start < 5.0, argv
-        # L-factor expansions of 2 * 10^7 or more terms x degree: refused
-        # before anything is expanded
-        for argv in ("lfactor --q 2 --params a,b,c,d,e,f --rep wedge(3)",
-                     "lfactor --q 2 --params a,b,c,d --rep sym(30)",
-                     # about 10^10 for the norm's 10^5 passes
-                     "lfactor bc --d 100000 --params a,b --q 2",
-                     "lfactor rankin --q 2 --left a,b,c,d,e,f,g,h "
-                     "--right i,j,k,l,m,n,o,p",
-                     # Iwasawa samples times work units a sample: refused
-                     # before p^precision is formed or a sample is drawn
-                     "building iwasawa --count 1000000000 --precision 6",
-                     "building iwasawa --p 2 --count 1 --precision 1000000000",
-                     "--cap 10 building iwasawa --count 100000",
-                     # rings of p^d and p^(level d) elements: refused by
-                     # their exponents before the power is formed
-                     "lang --p 3 --d 100000000",
-                     "dm-check --s 1 --q 3 --n 100000000",
-                     "h1 --p 3 --d 1 --level 1000000",
-                     "h1 --p 3 --d 1 --level 100000000"):
-            start = time.monotonic()
-            assert run(argv.split()) == 3, argv
-            assert time.monotonic() - start < 1.0, argv
+        for argvs, bound in ((CAP_EXCEEDED_ARGVS, 5.0),
+                             (CAP_EXCEEDED_AT_ONCE_ARGVS, 1.0)):
+            for argv in argvs:
+                start = time.monotonic()
+                assert run(argv.split()) == 3, argv
+                assert time.monotonic() - start < bound, argv
 
     def test_rank3_satake_needs_no_flag(self, tmp_path):
-        # --enable-gl3 is accepted and changes nothing
-        argv = ["satake", "--n", "3", "--p", "2", "--lam", "1,0,0"]
+        argv = RANK3_SATAKE_ARGV.split()
         code, rep = run_json(argv, tmp_path, "a.json")
         flagged_code, flagged = run_json(argv + ["--enable-gl3"], tmp_path,
                                          "b.json")
@@ -350,7 +354,7 @@ class TestHeckeGrammar:
             image = json.loads(out.getvalue())["results"]["image"]
             image = SatakeImage(n, p, {
                 tuple(map(int, nu.split(","))):
-                    HalfPowerLaurent(p, Fraction(c["a"]), Fraction(c["b"]))
+                    half_of(p, c["a"], c["b"])
                 for nu, c in image.items()})
             assert rho_point(image) == coset_count(tuple(vecs[0]), p), argv
 

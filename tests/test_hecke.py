@@ -366,6 +366,16 @@ class TestCosets:
             assert coset_decompose(lam, len(lam), p) \
                 == list(hermite_scan_cosets(lam, p)), (lam, p)
 
+    def test_memo_keeps_no_long_list(self):
+        # (12, 0) at p = 2 has 6 144 members, above MEMO_MAX: built each
+        # time, and only its rank-1 block (0,) is kept; (5, 0) at p = 5
+        # has 3 750, so it is kept, with its block (0,) at p = 5
+        hecke._kept_members.cache_clear()
+        assert len(coset_decompose((12, 0), 2, 2)) == 6144 > hecke.MEMO_MAX
+        assert hecke._kept_members.cache_info().currsize == 1
+        assert len(coset_decompose((5, 0), 2, 5)) == 3750 <= hecke.MEMO_MAX
+        assert hecke._kept_members.cache_info().currsize == 3
+
     def test_closed_form_count_is_the_oracle(self):
         # the int closed form the cap is charged with, against the
         # Fraction oracle above
@@ -565,9 +575,9 @@ class TestTransformGl2:
         # an int or a Fraction coefficient is the scalar it stands for
         half = Fraction(1, 2)
         assert SatakeImage(2, 3, {(0, 0): half}).coeffs \
-            == {(0, 0): HalfPowerLaurent(3, half)}
+            == {(0, 0): half}
         assert HeckeElement(2, 3, {(0, 0): half, (1, 0): 0}).support \
-            == {(0, 0): HalfPowerLaurent(3, half)}
+            == {(0, 0): half}
 
     def test_unit(self):
         for p in (2, 3):

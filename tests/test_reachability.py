@@ -1,44 +1,87 @@
-"""Every public definition of ``glnlab`` is reached from a claim, or is
-listed in ``ALLOWLIST`` with the reason it stays.
+"""Every line of ``glnlab`` runs for a claim, or ``ALLOWLIST`` names it
+with the reason it stays.
 
-A claim is a CLI subcommand or a row of the paper audit, so the walk
-starts at ``cli.main`` (the console script), ``cli.run``, every
-``cli.cmd_*`` and ``audit.CRITERIA`` and ``audit.RANDOM_ORACLE``.  From
-a reached definition it follows every name that is read, to the
-top-level definitions of that name in any module, and every attribute
-that is read.  An attribute of ``self`` or ``cls`` in a class body, or
-of a class by its name, reaches that class's member of that name, found
-in the class, its bases or its subclasses; any other attribute, or one
-that no such class defines, reaches the top-level definitions and class
-members of that name.  A reached class also reaches its bases and its
-dunder members, which run without being named.  Names are not resolved
-to scopes, so a name shared by two definitions reaches both: the walk
-over-approximates, and a definition it leaves unreached has no caller
-in ``src/``.  Definitions are functions, classes and assignments, at the
-top level of a module or in a class body.
+A claim is a request the CLI answers: each golden report, both suites
+(so every row of the paper audit), the contract argvs of
+``tests/test_cli.py::TestExitCodes``, every ``glnlab ...`` line of the
+README's ``sh`` blocks, sent through the console entry point, and the
+cheap requests of ``SHAPES``.  One subprocess, ``tests/claim_trace.py``,
+runs them all under ``sys.settrace``, installed before ``glnlab`` is
+imported, and returns the lines of ``src/glnlab`` they execute.  A
+finding is
+
+- a function or method that no claim enters;
+- a run of ``BLOCK`` or more consecutive executable lines of an entered
+  function that no claim executes;
+- a public module-level class or assignment whose name no other line of
+  ``src/glnlab`` reads (one ``ast`` pass: tracing sees a definition
+  run, not its use).
+
+A finding fails the test unless a pattern of ``ALLOWLIST`` (``fnmatch``
+over ``module.qualname``) matches its name.
 """
 
 import ast
+import fnmatch
+import inspect
+import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
-from collections import defaultdict
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "glnlab"
+import pytest
 
-ROOTS = ("cli.main", "cli.run", "audit.CRITERIA", "audit.RANDOM_ORACLE")
+from test_cli import (CAP_EXCEEDED_ARGVS, CAP_EXCEEDED_AT_ONCE_ARGVS,
+                      INVALID_CONFIG_ARGVS, LARGE_PRIME_ARGVS, PASS_ARGVS,
+                      RANK3_SATAKE_ARGV)
+from test_golden_reports import COMMANDS
 
-_TRACED = ("perfbench/tracer.py patches it by name, so `--trace 1` needs it")
+TESTS = pathlib.Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "glnlab"
+README = TESTS.parent / "README.md"
 
-ALLOWLIST = {
-    "building.membership": ("defines what a ValuationPattern means: the "
-                            "valuation test the pattern stands for"),
-    "rings.Mat.det": _TRACED + "; building.membership reads it too",
-    "rings.Mat.transpose": _TRACED,
-    "rings.Mat.scale": _TRACED,
-    "rings.FqElement": _TRACED,
-}
+BLOCK = 4  # the shortest run of unexecuted lines that is a finding
+
+# Requests of shapes the CLI accepts and no golden, suite or README line
+# runs; each is cheap.  The near-cap rows of TestNearCap stay out.
+SHAPES = (
+    "lang --p 2 --d 1 --s 3",  # 3 x 3 matrices
+    "h1 --p 2 --d 3 --s 1 --level 4",  # a ring of more than 256 elements
+    "dm-check --s 1 --q 4 --n 2",  # sigma^2
+    "hecke --n 2 --p 1373 --left=1,0 --right=0,0",  # the strong prime test
+    "lfactor --rep trivial --params a,b --q 2",  # the trivial rep
+)
+
+# (reason, patterns): at most five entries
+ALLOWLIST = (
+    ("perfbench/tracer.py looks it up by name (TRACER_LOOKUPS), so "
+     "`--trace 1` needs it",
+     ("rings.Mat.__add__", "rings.Mat.det", "rings.Mat.scale",
+      "rings.Mat.sigma", "rings.Mat.transpose", "rings.FqElement",
+      "rings.LocalRingElement.__mul__")),
+    ("value semantics: equality, hashing, printing and immutability of "
+     "the value classes, which the tests and a debugger use",
+     ("*.__eq__", "*.__hash__", "*.__repr__", "*.__setattr__")),
+    ("the element API, which the claims, working on codes, do not use: "
+     "the test-side references (reference_iwasawa, membership, the "
+     "FractionHalf comparison) and the algebraic-law tests are written "
+     "in it",
+     ("rings.LocalRingElement.inverse", "rings.LocalRingElement.sigma",
+      "rings.Mat.__init__", "rings.Mat.__getitem__",
+      "rings.HalfPowerLaurent.__neg__", "rings.HalfPowerLaurent.__sub__",
+      "rings.HalfPowerLaurent.__rsub__")),
+    ("sums of products for matrices of size 3 or more over a tabulated "
+     "ring, or 2 or more over a larger one: the cheapest such request, "
+     "the TestNearCap row `dm-check --s 3 --q 2 --n 2`, takes about 2 s, "
+     "too long for the traced run, and the default cap refuses the "
+     "larger rings; tests/test_ring_core.py runs each",
+     ("rings._table_ops.<locals>.dot", "rings._table_ops.<locals>.det2",
+      "rings._table_ops.<locals>.form.<locals>.apply",
+      "rings._poly_ops.<locals>.dot")),
+)
 
 # Looked up by perfbench/tracer.py in a class's own __dict__ (or in the
 # module), so each must stay defined exactly there, reached or not.
@@ -52,167 +95,184 @@ TRACER_LOOKUPS = (
 )
 
 
-def _is_dunder(name):
-    return name.startswith("__") and name.endswith("__")
+def readme_argvs():
+    """The argv of each ``glnlab ...`` line of the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("glnlab ")]
 
 
-def _targets(stmt):
-    """Names an assignment statement binds."""
-    if isinstance(stmt, ast.AnnAssign):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Assign):
-        targets = stmt.targets
-    else:
-        return []
+def claims():
+    """[(argv, expected exit code, through the console entry point)],
+    each argv once."""
+    out = [(argv, 0, False) for argv in COMMANDS.values()]
+    out += [(argv, 0, False) for argv in (
+        "--seed 0 suite paper-audit", "--seed 7 suite full")
+        + PASS_ARGVS + (RANK3_SATAKE_ARGV,) + SHAPES]
+    out += [(argv, 2, False) for argv in INVALID_CONFIG_ARGVS]
+    out += [(argv, code, False) for argv, code in LARGE_PRIME_ARGVS]
+    out += [(argv, 3, False)
+            for argv in CAP_EXCEEDED_ARGVS + CAP_EXCEEDED_AT_ONCE_ARGVS]
+    out = [(argv.split(), code, main) for argv, code, main in out]
+    out += [(argv, 0, True) for argv in readme_argvs()]
+    unique = {}
+    for claim in out:
+        unique.setdefault(tuple(claim[0]), claim)
+    return list(unique.values())
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _code_objects(const)
+
+
+def _functions(path):
+    """The code objects of the defs and methods of a source file, nested
+    ones too: not its module, class bodies, lambdas or comprehensions."""
+    tree = compile(path.read_text(), os.path.realpath(path), "exec")
+    return [code for code in _code_objects(tree)
+            if code.co_flags & inspect.CO_NEWLOCALS
+            and not code.co_name.startswith("<")]
+
+
+def _statement_names(stmt):
+    """The names a def, class or assignment statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def definitions():
-    """{qualified name: (node, member)}: functions, classes and
-    assignments at the top level of each module or in a class body;
-    member is True for those in a class body.  An assignment's node is
-    the statement."""
-    out = {}
+def defined_names():
+    """module.qualname of every def, class and assignment at the top of
+    a module or in a class body, and of every nested def."""
+    out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
+        out.update(f"{module}.{code.co_qualname}"
+                   for code in _functions(path))
         for stmt in ast.parse(path.read_text()).body:
-            names = ([stmt.name] if isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)) else _targets(stmt))
-            for name in names:
-                out[f"{module}.{name}"] = (stmt, False)
+            out.update(f"{module}.{n}" for n in _statement_names(stmt))
             if isinstance(stmt, ast.ClassDef):
-                for item in stmt.body:
-                    names = ([item.name] if isinstance(
-                        item, (ast.FunctionDef, ast.ClassDef))
-                        else _targets(item))
-                    for name in names:
-                        out[f"{module}.{stmt.name}.{name}"] = (item, True)
+                out.update(f"{module}.{stmt.name}.{n}" for item in stmt.body
+                           for n in _statement_names(item))
     return out
 
 
-def _references(node, owner):
-    """(names, attributes, (class, attribute) pairs) read anywhere
-    inside node; an attribute of self or cls is paired with owner, the
-    qualified name of the class whose body holds node (or None), and
-    one of a bare name with that name, left to resolve."""
-    names, attrs, pairs = set(), set(), set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            base = sub.value
-            if not isinstance(base, ast.Name):
-                attrs.add(sub.attr)
-            elif base.id in ("self", "cls") and owner is not None:
-                pairs.add((owner, sub.attr))
-            else:
-                pairs.add((base.id, sub.attr))
-    return names, attrs, pairs
-
-
-def _class_family(defs):
-    """{qualified class name: the qualified names of the package classes
-    related to it (itself, its bases and its subclasses, transitively
-    each way)}, the bases read by name."""
-    classes = {q: node for q, (node, member) in defs.items()
-               if isinstance(node, ast.ClassDef) and not member}
-    by_name = defaultdict(list)
-    for q in classes:
-        by_name[q.rsplit(".", 1)[1]].append(q)
-    up = {q: {b for base in node.bases if isinstance(base, ast.Name)
-              for b in by_name[base.id]} for q, node in classes.items()}
-    down = defaultdict(set)
-    for q, bases in up.items():
-        for b in bases:
-            down[b].add(q)
-
-    def closure(q, step):
-        out, todo = set(), [q]
-        while todo:
-            c = todo.pop()
-            if c not in out:
-                out.add(c)
-                todo += step[c]
-        return out
-    return {q: closure(q, up) | closure(q, down) for q in classes}
-
-
-def reached(defs):
-    """The qualified names the walk reaches from ROOTS and every cmd_*."""
-    by_name, by_attr = defaultdict(list), defaultdict(list)
-    for qual, (_, member) in defs.items():
-        name = qual.rsplit(".", 1)[1]
-        by_attr[name].append(qual)
-        if not member:
-            by_name[name].append(qual)
-    family = _class_family(defs)
-
-    def resolve(owner, attr):
-        """The members attr of the class owner, a qualified name or a bare
-        class name, and of its family; every attr if none has one."""
-        owners = [owner] if owner in family else [
-            q for q in by_name[owner] if q in family]
-        found = [f"{c}.{attr}" for o in owners for c in family[o]
-                 if f"{c}.{attr}" in defs]
-        return found or by_attr[attr]
-
-    todo = list(ROOTS) + [q for q in defs if q.startswith("cli.cmd_")]
-    seen = set()
-    while todo:
-        qual = todo.pop()
-        if qual in seen:
+def _runs(lines, executed):
+    """The maximal runs, at least BLOCK long, of consecutive lines of the
+    sorted list lines that are not executed, as (first, last)."""
+    out, run = [], []
+    for line in lines + [None]:
+        if line is not None and line not in executed:
+            run.append(line)
             continue
-        seen.add(qual)
-        node, member = defs[qual]
-        if isinstance(node, ast.ClassDef):
-            # the class statement without its members: bases, decorators
-            parts = node.bases + node.keywords + node.decorator_list
-            todo += [m for m in defs if m.startswith(qual + ".")
-                     and _is_dunder(m.rsplit(".", 1)[1])]
-        else:
-            parts = [node]
-        owner = qual.rsplit(".", 1)[0] if member else None
-        for part in parts:
-            names, attrs, pairs = _references(part, owner)
-            for name in names:
-                todo += by_name[name]
-            for attr in attrs:
-                todo += by_attr[attr]
-            for base, attr in pairs:
-                todo += resolve(base, attr)
-    return seen
+        if len(run) >= BLOCK:
+            out.append((run[0], run[-1]))
+        run = []
+    return out
 
 
-def _public(qual):
-    return not any(part.startswith("_") for part in qual.split(".")[1:])
+def _unread_names():
+    """module.name of each public module-level class or assignment
+    whose name no line of the package outside its statement reads."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {}  # name -> the (module, line) pairs that read it
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                reads.setdefault(name, set()).add((module, node.lineno))
+    out = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                continue  # the trace sees whether a function runs
+            own = {(module, line)
+                   for line in range(stmt.lineno, stmt.end_lineno + 1)}
+            out += [f"{module}.{name}" for name in _statement_names(stmt)
+                    if not name.startswith("_")
+                    and not reads.get(name, set()) - own]
+    return out
 
 
-def _excused(qual):
-    """Allowlisted, or a member of an allowlisted class."""
-    parts = qual.split(".")
-    return any(".".join(parts[:k]) in ALLOWLIST
-               for k in range(2, len(parts) + 1))
+def findings(entered):
+    """(name, what) for each finding of a traced run: entered is the
+    run's list of [file, qualname, first line, executed lines]."""
+    executed, ran = {}, set()
+    for filename, qualname, first, lines in entered:
+        path = os.path.realpath(filename)
+        executed.setdefault(path, set()).update(lines)
+        ran.add((path, qualname, first))
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        real = os.path.realpath(path)
+        for code in _functions(path):
+            name = f"{path.stem}.{code.co_qualname}"
+            if (real, code.co_qualname, code.co_firstlineno) not in ran:
+                # a def inside one never entered is not a finding of its own
+                outer = code.co_qualname.rpartition(".<locals>.")[0]
+                if f"{path.stem}.{outer}" not in {n for n, _ in out}:
+                    out.append((name, "never entered"))
+                continue
+            lines = sorted({line for _, _, line in code.co_lines()
+                            if line is not None} - {code.co_firstlineno})
+            out += [(name, f"lines {a}-{b} never executed")
+                    for a, b in _runs(lines, executed.get(real, set()))]
+    return out + [(name, "read by no other line") for name in _unread_names()]
 
 
-def test_every_public_definition_is_reached_or_allowlisted():
-    defs = definitions()
-    seen = reached(defs)
-    missing = sorted(q for q in defs
-                     if _public(q) and q not in seen and not _excused(q))
-    assert not missing, f"reached from no claim: {missing}"
+def _excused(name):
+    """The ALLOWLIST patterns that match name."""
+    return [p for _, patterns in ALLOWLIST for p in patterns
+            if fnmatch.fnmatchcase(name, p)]
 
 
-def test_allowlist_is_current():
-    defs = definitions()
-    seen = reached(defs)
-    gone = sorted(q for q in ALLOWLIST if q not in defs)
+@pytest.fixture(scope="module")
+def traced():
+    """(claims, their exit codes, the findings) of one traced run."""
+    requests = claims()
+    proc = subprocess.run(
+        [sys.executable, str(TESTS / "claim_trace.py")],
+        input=json.dumps([[argv, main] for argv, _, main in requests]),
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return requests, out["codes"], findings(out["entered"])
+
+
+def test_every_claim_exits_with_its_code(traced):
+    requests, codes, _ = traced
+    assert len(codes) == len(requests)
+    wrong = [(" ".join(argv), code, want)
+             for (argv, want, _), code in zip(requests, codes) if code != want]
+    assert not wrong, wrong
+
+
+def test_every_public_definition_is_reached_or_allowlisted(traced):
+    missing = [f"{name}: {what}" for name, what in traced[2]
+               if not _excused(name)]
+    assert not missing, "run by no claim:\n" + "\n".join(missing)
+
+
+def test_allowlist_is_current(traced):
+    assert len(ALLOWLIST) <= 5
+    defs = sorted(defined_names())
+    patterns = [p for _, patterns in ALLOWLIST for p in patterns]
+    gone = [p for p in patterns if not fnmatch.filter(defs, p)]
     assert not gone, f"allowlisted but no longer defined: {gone}"
-    now_reached = sorted(q for q in ALLOWLIST if q in seen)
+    used = {p for name, _ in traced[2] for p in _excused(name)}
+    now_reached = [p for p in patterns if p not in used]
     assert not now_reached, f"allowlisted but reached: {now_reached}"
 
 
 def test_the_names_the_tracer_patches_are_defined_where_it_looks():
-    defs = definitions()
+    defs = defined_names()
     missing = [q for q in TRACER_LOOKUPS if q not in defs]
     assert not missing, missing
 
