@@ -50,30 +50,37 @@ def root_axioms(cap, seed):
 
 
 def h1_triviality(cap, seed):
-    ok = all(lang.h1_cyclic(lang.gl_module(FiniteField(p, d), s))["h1_size"]
-             == 1 for p, d, s in [(2, 2, 1), (3, 2, 1), (2, 2, 2)])
+    ok = True
+    for p, d, s in [(2, 2, 1), (3, 2, 1), (2, 2, 2)]:
+        res = lang.h1_cyclic(lang.gl_module(FiniteField(p, d), s))
+        ok &= res["h1_size"] == 1 \
+            and res["cocycle_count"] == lang.fixed_index(s, p, d)
     # levels 1 and 2 of the quadratic unramified tower over Z/4
     for s in (1, 2):
         tower = lang.h1_level_tower(s, 2, 2, 2)
-        ok &= all(l["h1_size"] == 1 for l in tower["levels"]) \
-            and tower["compatible"]
+        ok &= all(l["h1_size"] == 1 and l["cocycle_count"]
+                  == lang.fixed_index(s, 2, 2, l["level"])
+                  for l in tower["levels"]) and tower["compatible"]
     return ok, None
 
 
 def lang_image_size(cap, seed):
     # the fibres of the Lang map are the cosets of GL_s(F_p)
     return all(len(lang.lang_image(lang.gl_module(FiniteField(p, d), s)))
-               == lang.gl_order(s, p**d) // lang.gl_order(s, p)
+               == lang.fixed_index(s, p, d)
                for p, d, s in [(2, 2, 1), (3, 2, 1), (2, 3, 1),
                                (2, 2, 2)]), None
 
 
 def class_count_bijection(cap, seed):
     ok = True
-    for s, q, n, expect in [(1, 2, 2, 1), (1, 3, 2, 2), (2, 2, 2, 3)]:
+    for s, q, n in [(1, 2, 2), (1, 3, 2), (2, 2, 2)]:
         rep = lang.dm_bijection_check(s, q, n, cap=cap)
-        ok &= rep["bijective"] and rep["plain_class_count"] == expect \
-            and rep["twisted_class_count"] == expect
+        ok &= rep["bijective"] and rep["plain_class_count"] \
+            == rep["twisted_class_count"] == lang.gl_class_count(s, q) \
+            and all(lang.shintani_law(s, q, n, m["twisted_size"],
+                                      m["plain_size"])
+                    for m in rep["matches"])
     return ok, None
 
 
@@ -178,8 +185,9 @@ CRITERIA = (
               "orders", "claim:root-axioms", root_axioms),
     Criterion("first cohomology is trivial in every finite quotient tested",
               "claim:h1-triviality", h1_triviality),
-    Criterion("rank-1 image sizes follow the quotient-by-fixed-points law",
-              "claim:lang-image-size", lang_image_size),
+    Criterion("rank-1 and rank-2 Lang image sizes follow the "
+              "quotient-by-fixed-points law", "claim:lang-image-size",
+              lang_image_size),
     Criterion("plain and twisted class counts agree with explicit matchings",
               "claim:twisted-conjugacy-bijection", class_count_bijection),
     Criterion("simplex counts are 3, 7, 31 and diagonal conjugation shifts "

@@ -147,18 +147,17 @@ def cmd_cartan(args):
 
 
 def cmd_lang(args):
-    from .lang import gl_module, gl_order, lang_image
+    from .lang import fixed_index, gl_module, gl_order, lang_image
     from .rings import FiniteField
     if args.s < 1:
         raise InvalidConfig("lang needs --s >= 1")
     m = gl_module(FiniteField(args.p, args.d, cap=args.cap), args.s,
                   cap=args.cap)
     img = lang_image(m)
-    # the fibres of the Lang map are the cosets of the sigma-fixed
-    # subgroup GL_s(F_p)
-    expected = gl_order(args.s, args.p**args.d) // gl_order(args.s, args.p)
+    expected = fixed_index(args.s, args.p, args.d)
     results = {"p": args.p, "d": args.d, "s": args.s,
-               "image_size": len(img), "group_size": len(m.elements),
+               "image_size": len(img),
+               "group_size": gl_order(args.s, args.p**args.d),
                "expected_image_size": expected}
     return {"results": results, "verdicts": [
         verdict("image size matches the norm-kernel count law",
@@ -167,7 +166,7 @@ def cmd_lang(args):
 
 
 def cmd_h1(args):
-    from .lang import admit, gl_module, gl_order, h1_cyclic
+    from .lang import admit, fixed_index, gl_module, h1_cyclic
     from .rings import TruncatedLocalRing, is_prime
     if args.s < 1 or args.level < 1:
         raise InvalidConfig("h1 needs --s >= 1 and --level >= 1")
@@ -178,11 +177,9 @@ def cmd_h1(args):
     ring = TruncatedLocalRing(args.p, args.level, args.d, cap=args.cap)
     res = h1_cyclic(gl_module(ring, args.s, cap=args.cap))
     # trivial H^1 makes the cocycles the a^-1 sigma(a), one per coset of
-    # the sigma-fixed GL_s(Z/p^n); each level past the first multiplies
-    # |GL_s(O/p^n)| by q^(s^2) and |GL_s(Z/p^n)| by p^(s^2)
+    # the sigma-fixed GL_s(Z/p^n)
     p, s = args.p, args.s
-    expected = (gl_order(s, ring.q) // gl_order(s, p)
-                * (ring.q // p)**(s * s * (args.level - 1)))
+    expected = fixed_index(s, p, args.d, args.level)
     results = {"p": p, "d": args.d, "s": s,
                "level": args.level,
                "cocycle_count": res["cocycle_count"],

@@ -2,14 +2,15 @@
 
 Groups are handled by exhaustive enumeration below a hard size cap, so
 every statement verified here (surjectivity counts, H^1 triviality, the
-norm-vs-conjugacy matching) is exact, never sampled.  Twisted classes
-and H^1 classes are orbits of c -> g^-1 c sigma(g), each closed under a
-generating set of the group (for GL_s(O/p^n): at most three matrices
-plus one diagonal unit per F_p-basis vector of each layer of 1 + pR).
-The H^1 cocycles of GL_s(O/p^n), n >= 2, are found among the lifts of
-those of GL_s(O/p^(n-1)), so only GL_s(F_q) is ever enumerated for
-them.  Plain conjugacy classes of GL_s(F_q) are the fibres of the
-rational canonical form.
+norm-vs-conjugacy matching) is exact, never sampled.  The Lang image,
+twisted classes, H^1 classes and plain conjugacy classes are orbits of
+c -> g^-1 c sigma(g), each closed under a generating set of the group
+(for GL_s(O/p^n): at most three matrices plus one diagonal unit per
+F_p-basis vector of each layer of 1 + pR); the Lang image is the orbit
+of 1, and plain classes are the orbits with sigma = 1, each named by
+the rational canonical form of its least element.  The H^1 cocycles of
+GL_s(O/p^n), n >= 2, are found among the lifts of those of
+GL_s(O/p^(n-1)), so only GL_s(F_q) is ever enumerated for them.
 
 Group elements, cocycles and Lang images are flat row-major code tuples
 (as in ``Mat.codes``, see ``rings``).  Each loop binds the ring's
@@ -56,9 +57,9 @@ class GaloisModule:
     of s x s matrices over ``ring``: a list, or a callable that builds
     it on first read (then ``s``, the matrix size, must be given).
     ``generators``, if given, is a callable returning flat code tuples
-    that generate the group.  ``twisted_classes`` and ``h1_cyclic`` need
-    it and call it, so a module that never reaches them (as in
-    ``lang_image``) builds none.  ``below``, if given, is a callable
+    that generate the group.  The orbit routines (``lang_image``,
+    ``twisted_classes``, ``h1_cyclic``) need it and call it, so a module
+    that never reaches them builds none.  ``below``, if given, is a callable
     returning a pair (ring O/p^(n-1), the cocycles of the group's
     reduction to it); ``h1_cyclic`` then tests only their lifts and
     never reads ``elements``.
@@ -134,16 +135,19 @@ def _plus(ring, s, j, l, c):
     return tuple(out)
 
 
-def _gl_generators(ring, s):
+def _gl_generators(ring, s, zeta=None):
     """Flat codes generating GL_s(R), R = O/p^n with residue field F_q:
-    diag(zeta, 1, ..) unless zeta = 1, zeta = ``residue_primitive_root``;
-    1 + E_12 and the cyclic shift P when s >= 2; and diag(1 + p^k x^i,
-    1, ..) for 1 <= k < n, i < d.
+    diag(zeta, 1, ..) unless zeta = 1, zeta the code of
+    ``residue_primitive_root`` unless given; 1 + E_12 and the cyclic
+    shift P when s >= 2; and diag(1 + p^k x^i, 1, ..) for 1 <= k < n,
+    i < d.  Over a field, a given zeta of multiplicative order q' - 1
+    makes them generate GL_s(F_q'), F_q' the subfield F_p[zeta].
 
     Proof.  Conjugating 1 + E_12 by diag(zeta, 1, ..)^k gives
     1 + zeta^k E_12, and products of these give 1 + r E_12 for every r
     in Z[zeta].  The residue of zeta generates F_q, so Z[zeta] + pR = R,
-    and Z[zeta] = R by Nakayama's lemma.  Conjugating by P moves E_12
+    and Z[zeta] = R by Nakayama's lemma (over a field with a given zeta,
+    Z[zeta] = F_q' and R = F_q' below).  Conjugating by P moves E_12
     around the cycle E_12, E_23, .., E_s1; commutators
     [1 + a E_ij, 1 + b E_jl] = 1 + ab E_il (i != l) then give every
     elementary transvection, and these generate SL_s(R), R being local.
@@ -152,8 +156,9 @@ def _gl_generators(ring, s):
     F_p-basis of each layer (1 + p^k R)/(1 + p^(k+1) R) = F_q.
     """
     one = ring.one_code
-    zeta_minus_one = ring.add(residue_primitive_root(ring).code,
-                              ring.neg(one))
+    if zeta is None:
+        zeta = residue_primitive_root(ring).code
+    zeta_minus_one = ring.add(zeta, ring.neg(one))
     gens = [_plus(ring, s, 0, 0, zeta_minus_one)] if zeta_minus_one else []
     if s >= 2:
         gens.append(_plus(ring, s, 0, 1, one))
@@ -197,7 +202,8 @@ def _twisted_orbits(module, codes, allowed, leaving):
     move is the ring's ``sandwich`` of g^-1 and sigma(g), built once:
     its nonzero terms (at most 4 an entry for the generators) are
     resolved then, so a move costs one call per element.  A move that
-    lands outside ``allowed`` raises the exception ``leaving``.
+    lands outside ``allowed`` raises the exception ``leaving``; with
+    ``allowed`` None no move is tested.
     """
     if module.generators is None:
         raise InvalidConfig("orbits need a module with generators")
@@ -214,7 +220,7 @@ def _twisted_orbits(module, codes, allowed, leaving):
             for move in moves:
                 y = move(x)
                 if y not in orbit:
-                    if y not in allowed:
+                    if allowed is not None and y not in allowed:
                         raise leaving
                     orbit.add(y)
                     todo.append(y)
@@ -239,11 +245,23 @@ def gl_class_count(s, q):
     return c[s]
 
 
+def fixed_index(s, p, d, level=1):
+    """|GL_s(O/p^level)| / |GL_s(Z/p^level)|, O of residue field F_(p^d):
+    the index of the sigma-fixed subgroup.  The Lang map x -> x^-1 sigma(x)
+    has the cosets of that subgroup as fibres, so this is the size of its
+    image, and, H^1 being trivial, the number of cocycles.  Each level past
+    the first multiplies the two orders by q^(s^2) and p^(s^2)."""
+    q = p**d
+    return gl_order(s, q) // gl_order(s, p) * (q // p)**(s * s * (level - 1))
+
+
 def lang_image(module):
-    """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples."""
-    mul, _, inv = module.ring.mat_kernels(module.s)
-    sigma = functools.partial(module.ring.mat_sigma, e=module.exponent)
-    return {mul(inv(x), sigma(x)) for x in module.elements}
+    """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples:
+    the orbit of 1 under c -> g^-1 c sigma(g), closed from the module's
+    generators.  No element is inverted, and no move is tested, since a
+    move by an invertible matrix cannot leave the group."""
+    ident = Mat.identity(module.ring, module.s).codes
+    return next(_twisted_orbits(module, [ident], None, None))
 
 
 def twisted_norm(a, module, m):
@@ -470,18 +488,29 @@ def _invariant_factors(ring, s, codes):
                  for f in factors if len(f) > 1)
 
 
+def shintani_law(s, q, n, twisted_size, plain_size):
+    """Shintani's centralizer law for a matched pair (T. Shintani, J. Math.
+    Soc. Japan 28, 1976): the sigma-centralizer of A in G = GL_s(F_(q^n))
+    and the centralizer of N(A) in H = GL_s(F_q) have one order, so
+    |twisted class of A| |H| = |plain class of N(A)| |G|."""
+    return twisted_size * gl_order(s, q) == plain_size * gl_order(s, q**n)
+
+
 def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     """Match plain conjugacy classes of GL_s(F_q) with twisted classes of
     GL_s(F_{q^n}) under the q-power Frobenius sigma (Shintani descent).
 
     Everything happens in F_{q^n}: GL_s(F_q) is the sigma-fixed subgroup,
-    and its conjugacy classes are the fibres of the invariant factors of
-    X - g (rational canonical form); the elements come in code order, so
-    the first of each fibre is its least.  For each representative A of
+    generated by diag(w, 1, ..), 1 + E_12 and the cyclic shift, w of
+    order q - 1 (``_gl_generators``), and its conjugacy classes are the
+    orbits of c -> g^-1 c g under them.  Each is named by the invariant
+    factors of X - g at its least element g (rational canonical form),
+    one call per class.  For each representative A of
     ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
     satisfies sigma(N(A)) = A^-1 N(A) A, so the invariant factors of
     N(A)^-1 lie in F_q[X]; they name the plain class A goes to.  The
-    induced map must be a bijection.
+    induced map must be a bijection, and each pair must obey
+    ``shintani_law``.
     """
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
@@ -495,10 +524,19 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         x = ext.mul(x, w)
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
-    plain = {}  # invariant factors -> least element of the plain class
-    for g in module.elements:
-        if sub.issuperset(g):
-            plain.setdefault(_invariant_factors(ext, s, g), g)
+    fixed = [g for g in module.elements if sub.issuperset(g)]
+    # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
+    plain_module = GaloisModule(fixed, ext, ext.d, s=s,
+                                generators=lambda: _gl_generators(ext, s, w))
+    leaving = MatchFailure(f"a plain class leaves GL_{s}(F_{q})")
+    plain = {}  # invariant factors -> (least element, size) of its class
+    for orbit in _twisted_orbits(plain_module, fixed, set(fixed), leaving):
+        g = min(orbit)
+        key = _invariant_factors(ext, s, g)
+        if key in plain:
+            raise MatchFailure("two plain classes have the same invariant "
+                               "factors")
+        plain[key] = g, len(orbit)
     twisted = twisted_classes(module)
 
     matches = []
@@ -515,9 +553,16 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         if key in used:
             raise MatchFailure("two twisted classes hit the same plain class")
         used.add(key)
+        rep, size = plain[key]
+        if not shintani_law(s, q, n, cl["size"], size):
+            raise MatchFailure(
+                f"Shintani's centralizer law fails: a twisted class of "
+                f"{cl['size']} matches a plain class of {size}")
         matches.append({"twisted_rep": a,
-                        "plain_rep": Mat.from_codes(ext, s, plain[key]),
-                        "invariant_factors": key})
+                        "plain_rep": Mat.from_codes(ext, s, rep),
+                        "invariant_factors": key,
+                        "twisted_size": cl["size"],
+                        "plain_size": size})
     bijective = len(used) == len(plain) == len(twisted)
     if not bijective:
         raise MatchFailure(

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import time
 from collections import Counter
@@ -7,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from glnlab.cli import run
 from glnlab.errors import InvalidConfig, MatchFailure, NotACocycle
 from glnlab.lang import (
     GaloisModule,
@@ -96,6 +99,28 @@ def centralizer_order(F, factors):
                 order *= 1 - 1 / big_q**k
     assert order.denominator == 1
     return order.numerator
+
+
+def whole_group_lang_image(module):
+    """{x^-1 sigma(x)} with every element of the group inverted: the
+    reference for the orbit of 1 that lang_image closes."""
+    mul, _, inv = module.ring.mat_kernels(module.s)
+    return {mul(inv(x), module.sigma(x)) for x in module.elements}
+
+
+def per_element_plain_classes(s, q, n):
+    """{invariant factors: (least element, size)} of the conjugacy
+    classes of GL_s(F_q) inside GL_s(F_(q^n)), from one Smith elimination
+    per sigma-fixed element: the reference for the plain orbits of
+    dm_bijection_check."""
+    p, v = factor_prime_power(q)
+    module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
+    fibres = {}
+    for g in module.elements:
+        if module.sigma(g) == g:
+            fibres.setdefault(_invariant_factors(module.ring, s, g),
+                              []).append(g)
+    return {key: (min(gs), len(gs)) for key, gs in fibres.items()}
 
 
 def reference_conjugator(module, target, source):
@@ -250,6 +275,22 @@ class TestLangMap:
         m = gl_module(FiniteField(2, 1), 2)
         assert m.d == 1
         assert lang_image(m) == {identity(m)}
+
+    @pytest.mark.parametrize("p,d,s", [
+        (2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 12, 1), (2, 2, 2), (5, 1, 2),
+        (2, 3, 2), (3, 2, 2), (2, 1, 3)])
+    def test_orbit_of_one_is_the_whole_group_image(self, p, d, s):
+        m = gl_module(FiniteField(p, d), s)
+        assert lang_image(m) == whole_group_lang_image(m)
+
+    @pytest.mark.parametrize("p,d,s", [
+        (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1), (2, 3, 1),
+        (3, 2, 1), (2, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 3, 2),
+        (3, 2, 2)])
+    def test_enumeration_matches_the_group_order(self, p, d, s):
+        # lang reports group_size from the closed form; the enumeration
+        # of the same groups stays checked against it
+        assert len(gl_elements(FiniteField(p, d), s)) == gl_order(p, 1, d, s)
 
 
 class TestTwistedNormAndClasses:
@@ -432,6 +473,45 @@ class TestDMBijection:
         with pytest.raises(MatchFailure, match="subfield is not F_3"):
             dm_bijection_check(1, 3, 2)
 
+    @pytest.mark.parametrize("s,q,n", [
+        (1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2),
+        (2, 5, 1), (2, 2, 3)])
+    def test_plain_orbits_are_the_invariant_factor_fibres(self, s, q, n):
+        # the same least elements and sizes as one Smith elimination per
+        # element, and every pair obeys Shintani's centralizer law
+        rep = dm_bijection_check(s, q, n)
+        assert {m["invariant_factors"]: (m["plain_rep"].codes,
+                                         m["plain_size"])
+                for m in rep["matches"]} == per_element_plain_classes(s, q, n)
+        p, v = factor_prime_power(q)
+        small, big = gl_order(p, 1, v, s), gl_order(p, 1, v * n, s)
+        for m in rep["matches"]:
+            assert m["twisted_size"] * small == m["plain_size"] * big
+
+    @pytest.mark.parametrize("s,q,n", [(1, 3, 2), (2, 2, 2), (2, 3, 2),
+                                       (2, 5, 1), (3, 2, 1)])
+    def test_invariant_factors_once_per_class_and_side(self, s, q, n,
+                                                       monkeypatch):
+        import glnlab.lang as lang
+        calls = []
+        real = lang._invariant_factors
+        monkeypatch.setattr(lang, "_invariant_factors", lambda *args:
+                            calls.append(1) or real(*args))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["dm-check", "--s", str(s), "--q", str(q),
+                        "--n", str(n)]) == 0
+        assert len(calls) <= 2 * gl_class_count(s, q)
+
+    def test_a_broken_centralizer_law_is_refused(self, monkeypatch):
+        # twisted classes of the right number but the wrong sizes: the
+        # counts agree, the law does not
+        import glnlab.lang as lang
+        real = lang.twisted_classes
+        monkeypatch.setattr(lang, "twisted_classes", lambda module: [
+            dict(cl, size=cl["size"] + 1) for cl in real(module)])
+        with pytest.raises(MatchFailure, match="centralizer law"):
+            dm_bijection_check(1, 3, 2)
+
     @pytest.mark.parametrize("s,q,n", [(1, 4, 2), (1, 5, 2), (2, 2, 2),
                                        (2, 2, 3), (2, 3, 2)])
     def test_matches_are_conjugate(self, s, q, n):
@@ -510,20 +590,22 @@ class TestGenerators:
         assert len(_gl_generators(TruncatedLocalRing(p, n, d), s)) == count
 
     def test_only_orbit_routines_build_generators(self, monkeypatch):
-        # lang requests build no generating set; twisted classes,
-        # dm-check and H^1 build one each
+        # reading the elements builds no generating set; the Lang image,
+        # twisted classes and H^1 build one each, dm-check two (the
+        # twisted and the plain side)
         import glnlab.lang as lang
         built = []
         real = lang._gl_generators
-        monkeypatch.setattr(lang, "_gl_generators",
-                            lambda ring, s: built.append(s) or real(ring, s))
+        monkeypatch.setattr(lang, "_gl_generators", lambda ring, s, *zeta:
+                            built.append(s) or real(ring, s, *zeta))
         m = gl_module(FiniteField(2, 2), 2)
-        lang_image(m)
+        assert len(m.elements) == 180
         assert built == []
+        lang_image(m)
         twisted_classes(m)
         dm_bijection_check(1, 2, 2)
         h1_cyclic(m)
-        assert built == [2, 1, 2]
+        assert built == [2, 2, 1, 1, 2]
 
 
 class TestH1Orbits:

@@ -49,6 +49,8 @@ BLOCK = 4  # the shortest run of unexecuted lines that is a finding
 # runs; each is cheap.  The near-cap rows of TestNearCap stay out.
 SHAPES = (
     "lang --p 2 --d 1 --s 3",  # 3 x 3 matrices
+    "lang --p 2 --d 2 --s 3",  # 3 x 3 matrices over a tabulated ring
+    "building ub-audit --n 3 --p 2",  # products of 3 x 3 matrices
     "h1 --p 2 --d 3 --s 1 --level 4",  # a ring of more than 256 elements
     "dm-check --s 1 --q 4 --n 2",  # sigma^2
     "hecke --n 2 --p 1373 --left=1,0 --right=0,0",  # the strong prime test
@@ -73,13 +75,13 @@ ALLOWLIST = (
       "rings.Mat.__init__", "rings.Mat.__getitem__",
       "rings.HalfPowerLaurent.__neg__", "rings.HalfPowerLaurent.__sub__",
       "rings.HalfPowerLaurent.__rsub__")),
-    ("sums of products for matrices of size 3 or more over a tabulated "
-     "ring, or 2 or more over a larger one: the cheapest such request, "
-     "the TestNearCap row `dm-check --s 3 --q 2 --n 2`, takes about 2 s, "
-     "too long for the traced run, and the default cap refuses the "
-     "larger rings; tests/test_ring_core.py runs each",
-     ("rings._table_ops.<locals>.dot", "rings._table_ops.<locals>.det2",
-      "rings._table_ops.<locals>.form.<locals>.apply",
+    ("the cofactor form of the last row of a matrix of size 3 or more "
+     "over a tabulated ring, and sums of products for matrices of size 2 "
+     "or more over a larger one: the cheapest such request, the "
+     "TestNearCap row `dm-check --s 3 --q 2 --n 2`, takes about 2 s, too "
+     "long for the traced run, and the default cap refuses the larger "
+     "rings; tests/test_ring_core.py runs each",
+     ("rings._table_ops.<locals>.form.<locals>.apply",
       "rings._poly_ops.<locals>.dot")),
 )
 
