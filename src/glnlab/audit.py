@@ -51,16 +51,14 @@ def root_axioms(cap, seed):
 
 def h1_triviality(cap, seed):
     ok = True
-    for p, d, s in [(2, 2, 1), (3, 2, 1), (2, 2, 2)]:
-        res = lang.h1_cyclic(lang.gl_module(FiniteField(p, d), s))
-        ok &= res["h1_size"] == 1 \
-            and res["cocycle_count"] == lang.fixed_index(s, p, d)
-    # levels 1 and 2 of the quadratic unramified tower over Z/4
-    for s in (1, 2):
-        tower = lang.h1_level_tower(s, 2, 2, 2)
+    # GL_1(F_9); GL_1 and GL_2 at levels 1 and 2 of the quadratic
+    # unramified tower over Z/4, with the congruence kernel between them
+    for s, p, d, top in [(1, 3, 2, 1), (1, 2, 2, 2), (2, 2, 2, 2)]:
+        tower = lang.h1_level_tower(s, p, d, top)
         ok &= all(l["h1_size"] == 1 and l["cocycle_count"]
-                  == lang.fixed_index(s, 2, 2, l["level"])
+                  == lang.fixed_index(s, p, d, l["level"])
                   for l in tower["levels"]) and tower["compatible"]
+        ok &= all(k["h1_size"] == 1 for k in tower["kernels"])
     return ok, None
 
 
@@ -74,7 +72,8 @@ def lang_image_size(cap, seed):
 
 def class_count_bijection(cap, seed):
     ok = True
-    for s, q, n in [(1, 2, 2), (1, 3, 2), (2, 2, 2)]:
+    # (2, 4, 1) needs diag(w), w of order 3, among the plain generators
+    for s, q, n in [(1, 2, 2), (1, 3, 2), (2, 2, 2), (2, 4, 1)]:
         rep = lang.dm_bijection_check(s, q, n, cap=cap)
         ok &= rep["bijective"] and rep["plain_class_count"] \
             == rep["twisted_class_count"] == lang.gl_class_count(s, q) \

@@ -8,20 +8,25 @@ c -> g^-1 c sigma(g), each closed under a generating set of the group
 (for GL_s(O/p^n): at most three matrices plus one diagonal unit per
 F_p-basis vector of each layer of 1 + pR); the Lang image is the orbit
 of 1, and plain classes are the orbits with sigma = 1, each named by
-the rational canonical form of its least element.  The H^1 cocycles of
-GL_s(O/p^n), n >= 2, are found among the lifts of those of
-GL_s(O/p^(n-1)), so only GL_s(F_q) is ever enumerated for them.
+the rational canonical form of its least element.  The H^1 cocycles
+come from one pass up the levels: those of GL_s(F_q) from its elements,
+and those of GL_s(O/p^n), n >= 2, from the lifts of those of
+GL_s(O/p^(n-1)), each level once, so only GL_s(F_q) is ever enumerated
+for them.
 
-Group elements, cocycles and Lang images are flat row-major code tuples
-(as in ``Mat.codes``, see ``rings``).  Each loop binds the ring's
-kernels once (``mat_kernels``, ``form``, ``sandwich``) and runs on the
-tuples; only the class representatives and matches a report names are
-wrapped as ``Mat``s.
+A ``GaloisModule`` is plain data: the ring, the matrix size, the
+exponent of the action and a tuple of generators.  It holds no
+elements; the checks that need them take them from ``gl_elements`` or
+from the caller.  Group elements, cocycles and Lang images are flat
+row-major code tuples (as in ``Mat.codes``, see ``rings``).  Each loop
+binds the ring's kernels once (``mat_kernels``, ``form``, ``sandwich``)
+and runs on the tuples; only the class representatives and matches
+that ``twisted_classes``, ``h1_cyclic`` and ``dm_bijection_check``
+return are wrapped as ``Mat``s, and no CLI report prints one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -50,37 +55,21 @@ def factor_prime_power(q):
 
 
 class GaloisModule:
-    """A matrix group with a cyclic Frobenius action.
-
-    The action is entrywise sigma^exponent, sigma the Frobenius lift of
-    ``ring``; ``d`` is its order.  ``elements`` are the flat code tuples
-    of s x s matrices over ``ring``: a list, or a callable that builds
-    it on first read (then ``s``, the matrix size, must be given).
-    ``generators``, if given, is a callable returning flat code tuples
-    that generate the group.  The orbit routines (``lang_image``,
-    ``twisted_classes``, ``h1_cyclic``) need it and call it, so a module
-    that never reaches them builds none.  ``below``, if given, is a callable
-    returning a pair (ring O/p^(n-1), the cocycles of the group's
-    reduction to it); ``h1_cyclic`` then tests only their lifts and
-    never reads ``elements``.
+    """A group of s x s matrices over ``ring`` with a cyclic Frobenius
+    action, as plain data: ``generators`` is a tuple of flat code tuples
+    that generate the group, and the action is entrywise sigma^exponent,
+    sigma the Frobenius lift of ``ring``.  The orbit
+    routines (``lang_image``, ``twisted_classes``, ``h1_cyclic``) close
+    under the generators, so a module without them is refused.
     """
 
-    def __init__(self, elements, ring, exponent=1, generators=None, s=None,
-                 below=None):
-        if callable(elements):
-            self._build = elements
-        else:
-            self.elements = list(elements)  # shadows the lazy property
+    def __init__(self, ring, s, generators, exponent=1):
+        if generators is None:
+            raise InvalidConfig("a Galois module needs a generating set")
         self.ring = ring
+        self.s = s
+        self.generators = tuple(generators)
         self.exponent = exponent
-        self.d = ring.d // math.gcd(ring.d, exponent)
-        self.generators = generators
-        self.s = math.isqrt(len(self.elements[0])) if s is None else s
-        self.below = below
-
-    @functools.cached_property
-    def elements(self):
-        return self._build()
 
     def sigma(self, x, k=1):
         """sigma^k of a flat code tuple."""
@@ -171,23 +160,13 @@ def _gl_generators(ring, s, zeta=None):
 
 def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
     """GL_s over a finite field or truncated local ring R = O/p^n with
-    entrywise Frobenius^sigma_exponent as the Galois action.
-
-    The cap is checked here, the elements are enumerated on first read.
-    At level n >= 2 the module's ``below`` gives the cocycles of
-    GL_s(O/p^(n-1)), those of its own ``gl_module``, found on first use.
+    entrywise Frobenius^sigma_exponent as the Galois action, generated
+    by ``_gl_generators``.  The (p^(n d))^(s^2) candidate matrices of
+    ``gl_elements`` are charged against cap here, though none is
+    enumerated.
     """
     admit(ring.p, ring.n * ring.d, s, cap)
-    below = None
-    if ring.n >= 2:
-        def below():
-            # the residue field has passed its cap with ring
-            low = TruncatedLocalRing(ring.p, ring.n - 1, ring.d, cap=ring.q)
-            return low, _cocycles(gl_module(low, s, sigma_exponent, cap))
-    return GaloisModule(lambda: gl_elements(ring, s, cap=cap), ring,
-                        sigma_exponent,
-                        generators=lambda: _gl_generators(ring, s), s=s,
-                        below=below)
+    return GaloisModule(ring, s, _gl_generators(ring, s), sigma_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +184,9 @@ def _twisted_orbits(module, codes, allowed, leaving):
     lands outside ``allowed`` raises the exception ``leaving``; with
     ``allowed`` None no move is tested.
     """
-    if module.generators is None:
-        raise InvalidConfig("orbits need a module with generators")
     ring, s = module.ring, module.s
     moves = [ring.sandwich(s, ring.mat_inv(s, g), module.sigma(g))
-             for g in module.generators()]
+             for g in module.generators]
     seen = set()
     for c in codes:
         if c in seen:
@@ -273,14 +250,14 @@ def twisted_norm(a, module, m):
     return acc
 
 
-def twisted_classes(module):
-    """Partition of the group under a ~ g^-1 * a * sigma(g), the twisted
-    conjugacy classes, in the order of the elements: dicts of the least
-    element (``representative``) and the ``size``.  A generator that
-    moves an element out of the group raises MatchFailure.
+def twisted_classes(module, codes):
+    """Partition of the group, whose elements are the code tuples
+    ``codes``, under a ~ g^-1 * a * sigma(g): the twisted conjugacy
+    classes, in the order of codes, as dicts of the least element
+    (``representative``) and the ``size``.  A generator that moves an
+    element out of codes raises MatchFailure.
     """
     ring, s = module.ring, module.s
-    codes = module.elements
     leaving = MatchFailure("a twisted class leaves the group")
     return [{"representative": Mat.from_codes(ring, s, min(orbit)),
              "size": len(orbit)}
@@ -302,62 +279,71 @@ def _lifts(ring, low, cocycles):
             for a in c])
 
 
-def _cocycles(module):
-    """The code tuples c with c sigma(c) ... sigma^(d-1)(c) = 1: among
-    the lifts of the module's ``below``, in code order, if it has one;
-    else among all its elements, in their order.  The action is one
-    map of codes (``sigma_map``), applied entrywise per candidate."""
-    ring, s = module.ring, module.s
+def _cocycles(ring, s, codes):
+    """The code tuples c among ``codes`` with c sigma(c) ... sigma^(d-1)(c)
+    = 1, sigma the Frobenius lift of ``ring`` and d its order, in their
+    order.  The action is one map of codes (``sigma_map``), applied
+    entrywise per candidate."""
     mul = ring.mat_kernels(s)[0]
     ident = Mat.identity(ring, s).codes
-    sig = ring.sigma_map(module.exponent)
-    codes = (module.elements if module.below is None
-             else _lifts(ring, *module.below()))
+    sig = ring.sigma_map()
 
     def is_cocycle(c):
         acc = cur = c
-        for _ in range(module.d - 1):
+        for _ in range(ring.d - 1):
             cur = tuple(map(sig, cur))
             acc = mul(acc, cur)
         return acc == ident
 
-    out = list(filter(is_cocycle, codes))
-    return out if module.below is None else sorted(out)
+    return list(filter(is_cocycle, codes))
 
 
-def h1_cyclic(module):
-    """Cocycles c with c sigma(c) ... sigma^{d-1}(c) = 1 and their classes
-    under c ~ a^-1 c sigma(a).
+def _cocycle_levels(ring, s, cap):
+    """(O/p^n, the cocycles of GL_s(O/p^n) in code order) for n = 1 up
+    to the level of ``ring`` = O/p^top, in one pass up the levels.
 
     Reduction mod p^(n-1) is a sigma-equivariant homomorphism (the
     canonical Frobenius lift reduces to the canonical lift), so every
-    cocycle of GL_s(O/p^n) lies over one of GL_s(O/p^(n-1)): at level
-    n >= 2 of ``gl_module`` only their lifts, |Z_(n-1)| q^(s^2) of them,
-    are tested, and the group is never enumerated.  Fields and other
-    modules test every element.  The classes are ``_twisted_orbits`` of
-    the cocycles, and a move outside the cocycle set raises NotACocycle.
-    ``cocycles`` are code tuples, in code order for ``gl_module``.
+    cocycle at level n lies over one at level n - 1.  Level 1 tests the
+    elements of GL_s(F_q) (``gl_elements``), and each level n >= 2 only
+    the |Z_(n-1)| q^(s^2) lifts of the level below (``_lifts``), each
+    level once.  Each level is charged against cap before its work.
+    """
+    low = cocycles = None
+    for n in range(1, ring.n + 1):
+        admit(ring.p, n * ring.d, s, cap)
+        # the residue field has passed its cap with ring
+        level = (ring if n == ring.n else
+                 TruncatedLocalRing(ring.p, n, ring.d, cap=ring.q))
+        codes = (gl_elements(level, s, cap) if low is None
+                 else _lifts(level, low, cocycles))
+        cocycles = sorted(_cocycles(level, s, codes))
+        yield level, cocycles
+        low = level
+
+
+def h1_cyclic(module, cocycles):
+    """The classes of H^1: the orbits of c ~ a^-1 c sigma(a) on
+    ``cocycles``, code tuples c with c sigma(c) ... sigma^(d-1)(c) = 1
+    (``_twisted_orbits``), in their order, as dicts of the least element
+    (``representative``), the ``size`` and whether the class
+    ``contains_identity``.  A move outside the cocycles raises
+    NotACocycle.
     """
     ring, s = module.ring, module.s
     ident = Mat.identity(ring, s).codes
-    cocycles = _cocycles(module)
     leaving = NotACocycle("a class leaves the cocycle set")
-    classes = [{"representative": Mat.from_codes(ring, s, min(orbit)),
-                "size": len(orbit),
-                "contains_identity": ident in orbit}
-               for orbit in _twisted_orbits(module, cocycles, set(cocycles),
-                                            leaving)]
-    return {
-        "cocycle_count": len(cocycles),
-        "cocycles": cocycles,
-        "classes": classes,
-        "h1_size": len(classes),
-    }
+    return [{"representative": Mat.from_codes(ring, s, min(orbit)),
+             "size": len(orbit),
+             "contains_identity": ident in orbit}
+            for orbit in _twisted_orbits(module, cocycles, set(cocycles),
+                                         leaving)]
 
 
-def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
+def congruence_kernel(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     """The group 1 + p^a M_s at precision b (so p^a O / p^b O entries),
-    with the lifted Frobenius action.  Its generators are the
+    with the lifted Frobenius action: its ``GaloisModule`` and its
+    elements, as flat code tuples.  Its generators are the
     1 + p^k x^i E_jl for a <= k < b, i < d and all j, l, which map onto
     an F_p-basis of each layer (1 + p^k M_s)/(1 + p^(k+1) M_s) = M_s(F_q).
     """
@@ -372,11 +358,12 @@ def congruence_kernel_module(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     entry_values = [ring.encode([pa * t for t in coeffs])
                     for coeffs in itertools.product(range(step), repeat=d)]
     ident = Mat.identity(ring, s).codes
-    out = [tuple(map(ring.add, ident, delta))
-           for delta in itertools.product(entry_values, repeat=s * s)]
-    return GaloisModule(out, ring, generators=lambda: [
+    elements = [tuple(map(ring.add, ident, delta))
+                for delta in itertools.product(entry_values, repeat=s * s)]
+    module = GaloisModule(ring, s, [
         _plus(ring, s, j, l, p**k * c) for k in range(a, b)
         for c in ring.weights for j in range(s) for l in range(s)])
+    return module, elements
 
 
 def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
@@ -385,33 +372,33 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     level-n cocycles must reduce onto the level-(n-1) ones, so each of
     those must have a lift that is a cocycle.
 
-    Only level 1 is enumerated; every lift of a unit matrix is a unit,
-    so |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
+    The levels are those of ``_cocycle_levels``, each found once.  Only
+    level 1 is enumerated; every lift of a unit matrix is a unit, so
+    |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
     """
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
-    for n in range(1, max_level + 1):
-        ring = TruncatedLocalRing(p, n, d)
-        module = gl_module(ring, s, cap=cap)
-        res = h1_cyclic(module)
-        order = len(module.elements) if n == 1 else order * ring.q**(s * s)
+    for ring, cocycles in _cocycle_levels(TruncatedLocalRing(p, max_level, d),
+                                          s, cap):
+        n, q = ring.n, ring.q
+        classes = h1_cyclic(gl_module(ring, s, cap=cap), cocycles)
         report["levels"].append({"level": n,
-                                 "group_order": order,
-                                 "h1_size": res["h1_size"],
-                                 "cocycle_count": res["cocycle_count"]})
-        cocycles = set(res["cocycles"])
+                                 "group_order": gl_order(s, q)
+                                 * q**(s * s * (n - 1)),
+                                 "h1_size": len(classes),
+                                 "cocycle_count": len(cocycles)})
         if low is not None:
             reduced = {tuple(low.encode(ring.decode(a)) for a in c)
                        for c in cocycles}
             if reduced != prev_cocycles:
                 report["compatible"] = False
-        low, prev_cocycles = ring, cocycles
+        low, prev_cocycles = ring, set(cocycles)
     for a in range(1, max_level):
-        module = congruence_kernel_module(p, d, a, a + 1, s, cap=cap)
-        res = h1_cyclic(module)
+        module, elements = congruence_kernel(p, d, a, a + 1, s, cap=cap)
+        classes = h1_cyclic(module, _cocycles(module.ring, s, elements))
         report["kernels"].append({"from_level": a, "to_level": a + 1,
-                                  "group_order": len(module.elements),
-                                  "h1_size": res["h1_size"]})
+                                  "group_order": len(elements),
+                                  "h1_size": len(classes)})
     return report
 
 
@@ -524,10 +511,10 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         x = ext.mul(x, w)
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
-    fixed = [g for g in module.elements if sub.issuperset(g)]
+    elements = gl_elements(ext, s, cap)
+    fixed = [g for g in elements if sub.issuperset(g)]
     # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
-    plain_module = GaloisModule(fixed, ext, ext.d, s=s,
-                                generators=lambda: _gl_generators(ext, s, w))
+    plain_module = GaloisModule(ext, s, _gl_generators(ext, s, w), ext.d)
     leaving = MatchFailure(f"a plain class leaves GL_{s}(F_{q})")
     plain = {}  # invariant factors -> (least element, size) of its class
     for orbit in _twisted_orbits(plain_module, fixed, set(fixed), leaving):
@@ -537,7 +524,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
             raise MatchFailure("two plain classes have the same invariant "
                                "factors")
         plain[key] = g, len(orbit)
-    twisted = twisted_classes(module)
+    twisted = twisted_classes(module, elements)
 
     matches = []
     used = set()

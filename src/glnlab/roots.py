@@ -15,8 +15,7 @@ import operator
 from fractions import Fraction
 
 from .errors import CapExceeded, NonIntegral, NotPositiveDefinite
-
-DEFAULT_WEYL_CAP = 10**6
+from .rings import DEFAULT_GROUP_CAP
 
 
 def inner(u, v):
@@ -268,7 +267,7 @@ def _check_order(n, cap):
             raise CapExceeded(f"Weyl group order {n}! exceeds cap {cap}")
 
 
-def weyl_group(simple, cap=DEFAULT_WEYL_CAP):
+def weyl_group(simple, cap=DEFAULT_GROUP_CAP):
     """Sizes of the length layers of the closure of the simple reflections:
     entry k counts the elements whose reduced words have length k.
 
@@ -325,7 +324,7 @@ def full_root_set_gl(n):
     return roots
 
 
-def check_type_a(n, cap=DEFAULT_WEYL_CAP):
+def check_type_a(n, cap=DEFAULT_GROUP_CAP):
     """``(checks, weyl_order, axioms_hold, order_is_factorial)`` for GL_n:
     the ``check_root_system`` report of its roots and the closure of its
     simple reflections, whose order must be n! and whose length layers

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import itertools
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,9 +14,11 @@ from glnlab.cli import run
 from glnlab.errors import InvalidConfig, MatchFailure, NotACocycle
 from glnlab.lang import (
     GaloisModule,
+    _cocycle_levels,
+    _cocycles,
     _gl_generators,
     _invariant_factors,
-    congruence_kernel_module,
+    congruence_kernel,
     dm_bijection_check,
     factor_prime_power,
     gl_class_count,
@@ -27,12 +30,35 @@ from glnlab.lang import (
     twisted_classes,
     twisted_norm,
 )
-from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
+from glnlab.rings import (DEFAULT_GROUP_CAP, FiniteField, Mat,
+                           TruncatedLocalRing)
 from test_ring_core import gl_order
 
 
 def gl1_field_module(p, d, sigma_exponent=1):
     return gl_module(FiniteField(p, d), 1, sigma_exponent=sigma_exponent)
+
+
+def elements(module):
+    """The elements of GL_s of the module's ring, from gl_elements."""
+    return gl_elements(module.ring, module.s)
+
+
+def gl(ring, s, sigma_exponent=1):
+    """(the GL_s module over ring, its elements)."""
+    module = gl_module(ring, s, sigma_exponent)
+    return module, elements(module)
+
+
+def gl1(p, d, sigma_exponent=1):
+    return gl(FiniteField(p, d), 1, sigma_exponent)
+
+
+def level_cocycles(ring, s):
+    """The cocycles of GL_s(ring) from the pass up the levels."""
+    for _, cocycles in _cocycle_levels(ring, s, DEFAULT_GROUP_CAP):
+        pass
+    return cocycles
 
 
 def identity(module):
@@ -105,7 +131,7 @@ def whole_group_lang_image(module):
     """{x^-1 sigma(x)} with every element of the group inverted: the
     reference for the orbit of 1 that lang_image closes."""
     mul, _, inv = module.ring.mat_kernels(module.s)
-    return {mul(inv(x), module.sigma(x)) for x in module.elements}
+    return {mul(inv(x), module.sigma(x)) for x in elements(module)}
 
 
 def per_element_plain_classes(s, q, n):
@@ -116,7 +142,7 @@ def per_element_plain_classes(s, q, n):
     p, v = factor_prime_power(q)
     module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
     fibres = {}
-    for g in module.elements:
+    for g in elements(module):
         if module.sigma(g) == g:
             fibres.setdefault(_invariant_factors(module.ring, s, g),
                               []).append(g)
@@ -129,20 +155,21 @@ def reference_conjugator(module, target, source):
     invariant-factor match."""
     ring, s = module.ring, module.s
     mul = ring.mat_mul
-    return next((g for g in module.elements
+    return next((g for g in elements(module)
                  if mul(s, g, source) == mul(s, target, g)), None)
 
 
-def whole_group_h1(module):
-    """(cocycles, classes) of H^1 with each class formed as
-    {a^-1 c sigma(a) : a in G} over the whole group: the reference for
-    the generator orbits of h1_cyclic."""
+def whole_group_h1(module, codes):
+    """(cocycles, classes) of H^1 of the group with elements codes, each
+    class formed as {a^-1 c sigma(a) : a in G} over the whole group: the
+    reference for the generator orbits of h1_cyclic."""
     ring, s = module.ring, module.s
     mul = ring.mat_mul
     ident = identity(module)
-    cocycles = [c for c in module.elements
-                if twisted_norm(c, module, module.d) == ident]
-    pairs = [(ring.mat_inv(s, a), module.sigma(a)) for a in module.elements]
+    order = module.ring.d // math.gcd(module.ring.d, module.exponent)
+    cocycles = [c for c in codes
+                if twisted_norm(c, module, order) == ident]
+    pairs = [(ring.mat_inv(s, a), module.sigma(a)) for a in codes]
     classes, seen = [], set()
     for c in cocycles:
         if c not in seen:
@@ -155,16 +182,16 @@ def whole_group_h1(module):
     return cocycles, classes
 
 
-def whole_group_cocycles(module):
-    """Codes of the elements c with c sigma(c) ... sigma^(d-1)(c) = 1,
-    by a norm test of every element of the group: the reference for the
-    lifted cocycles of h1_cyclic."""
+def whole_group_cocycles(module, codes):
+    """The codes c among the group's elements codes with
+    c sigma(c) ... sigma^(d-1)(c) = 1, by a norm test of every element:
+    the reference for the cocycles of the level pass."""
     ring, s, e = module.ring, module.s, module.exponent
     ident = Mat.identity(ring, s).codes
     out = []
-    for g in module.elements:
+    for g in codes:
         acc = cur = g
-        for _ in range(module.d - 1):
+        for _ in range(ring.d // math.gcd(ring.d, e) - 1):
             cur = ring.mat_sigma(cur, e)
             acc = ring.mat_mul(s, acc, cur)
         if acc == ident:
@@ -189,10 +216,10 @@ def whole_group_classes(ring, s, elements, lefts, rights):
     return classes
 
 
-def whole_group_twisted(module):
-    """Classes {v a sigma(v)^-1 : v in G}: the reference for the generator
-    orbits of twisted_classes."""
-    ring, s, codes = module.ring, module.s, module.elements
+def whole_group_twisted(module, codes):
+    """Classes {v a sigma(v)^-1 : v in G}, codes the elements of G: the
+    reference for the generator orbits of twisted_classes."""
+    ring, s = module.ring, module.s
     return whole_group_classes(ring, s, codes, codes, [
         ring.mat_inv(s, module.sigma(g)) for g in codes])
 
@@ -220,13 +247,13 @@ def closure(ring, s, gens):
 
 
 def fixed_submodule(ring, s):
-    """GL_s of the sigma-fixed subring, with sigma acting trivially but
-    with the order d of the ring's sigma: its H^1 classes are the
-    conjugacy classes of elements with c^d = 1, so there can be more
-    than one.  Its generators are all its elements."""
+    """(module, elements) of GL_s of the sigma-fixed subring, with sigma
+    acting trivially but with the order d of the ring's sigma: its H^1
+    classes are the conjugacy classes of elements with c^d = 1, so there
+    can be more than one.  Its generators are all its elements."""
     full = gl_module(ring, s)
-    fixed = [x for x in full.elements if full.sigma(x) == x]
-    return GaloisModule(fixed, ring, generators=lambda: fixed)
+    fixed = [x for x in elements(full) if full.sigma(x) == x]
+    return GaloisModule(ring, s, fixed), fixed
 
 
 class TestFactorPrimePower:
@@ -250,13 +277,13 @@ class TestLangMap:
     def test_gl1_f4_is_identity_map(self):
         # x^-1 * x^2 = x for every x in F4*, so the image is the group
         m = gl1_field_module(2, 2)
-        assert lang_image(m) == set(m.elements)
+        assert lang_image(m) == set(elements(m))
 
     def test_gl1_f9_image_is_squares(self):
         m = gl1_field_module(3, 2)
         img = lang_image(m)
         assert len(img) == 4
-        squares = {(m.ring.mul(x, x),) for (x,) in m.elements}
+        squares = {(m.ring.mul(x, x),) for (x,) in elements(m)}
         assert img == squares
 
     def test_image_size_law(self):
@@ -268,12 +295,13 @@ class TestLangMap:
     def test_image_times_fixed_is_group(self):
         for p, d in [(2, 2), (3, 2), (2, 3)]:
             m = gl1_field_module(p, d)
-            fixed = [x for x in m.elements if m.sigma(x) == x]
-            assert len(lang_image(m)) * len(fixed) == len(m.elements)
+            group = elements(m)
+            fixed = [x for x in group if m.sigma(x) == x]
+            assert len(lang_image(m)) * len(fixed) == len(group)
 
     def test_trivial_sigma_constant(self):
         m = gl_module(FiniteField(2, 1), 2)
-        assert m.d == 1
+        assert m.ring.d == 1
         assert lang_image(m) == {identity(m)}
 
     @pytest.mark.parametrize("p,d,s", [
@@ -300,78 +328,78 @@ class TestTwistedNormAndClasses:
 
     def test_gl1_f4_norm_trivial(self):
         m = gl1_field_module(2, 2)
-        for a in m.elements:
+        for a in elements(m):
             assert twisted_norm(a, m, 2) == identity(m)
 
     def test_gl1_f9_norm_two_values(self):
         m = gl1_field_module(3, 2)
-        values = {twisted_norm(a, m, 2) for a in m.elements}
+        values = {twisted_norm(a, m, 2) for a in elements(m)}
         assert len(values) == 2
 
     def test_gl1_f9_two_classes(self):
         m = gl1_field_module(3, 2)
-        assert len(twisted_classes(m)) == 2
+        assert len(twisted_classes(m, elements(m))) == 2
 
     def test_gl1_f4_one_class(self):
         m = gl1_field_module(2, 2)
-        assert len(twisted_classes(m)) == 1
+        assert len(twisted_classes(m, elements(m))) == 1
 
     def test_trivial_sigma_gives_ordinary_classes(self):
         F = FiniteField(2, 1)
         m = gl_module(F, 2)
-        tw = twisted_classes(m)
+        tw = twisted_classes(m, elements(m))
         ordinary = ordinary_classes(F, 2)
         assert {c["representative"] for c in tw} == \
             {c["representative"] for c in ordinary}
 
     # dm-check builds GL_s(F_{q^n}) with sigma^v, q = p^v; v > 1 below
-    # too, and truncated rings and subgroups with their own generators
+    # too, and truncated rings and subgroups with their own generators;
+    # each entry gives (module, elements)
     MODULES = {
-        "gl1_f4": lambda: gl1_field_module(2, 2),
-        "gl1_f9": lambda: gl1_field_module(3, 2),
-        "gl1_f16_v2": lambda: gl1_field_module(2, 4, sigma_exponent=2),
-        "gl1_f64_v3": lambda: gl1_field_module(2, 6, sigma_exponent=3),
-        "gl1_f64_v2": lambda: gl1_field_module(2, 6, sigma_exponent=2),
-        "gl1_f81_v2": lambda: gl1_field_module(3, 4, sigma_exponent=2),
-        "gl1_z8": lambda: gl_module(TruncatedLocalRing(2, 3, 1), 1),
-        "gl1_w2f9": lambda: gl_module(TruncatedLocalRing(3, 2, 2), 1),
-        "gl2_f2": lambda: gl_module(FiniteField(2, 1), 2),
-        "gl2_f4": lambda: gl_module(FiniteField(2, 2), 2),
-        "gl2_f4_v2": lambda: gl_module(FiniteField(2, 2), 2, 2),
-        "gl2_f8": lambda: gl_module(FiniteField(2, 3), 2),
-        "gl2_f9": lambda: gl_module(FiniteField(3, 2), 2),
-        "gl2_z4": lambda: gl_module(TruncatedLocalRing(2, 2, 1), 2),
-        "gl3_f2": lambda: gl_module(FiniteField(2, 1), 3),
-        "kernel_s2": lambda: congruence_kernel_module(2, 2, 1, 2, 2),
+        "gl1_f4": lambda: gl1(2, 2),
+        "gl1_f9": lambda: gl1(3, 2),
+        "gl1_f16_v2": lambda: gl1(2, 4, 2),
+        "gl1_f64_v3": lambda: gl1(2, 6, 3),
+        "gl1_f64_v2": lambda: gl1(2, 6, 2),
+        "gl1_f81_v2": lambda: gl1(3, 4, 2),
+        "gl1_z8": lambda: gl(TruncatedLocalRing(2, 3, 1), 1),
+        "gl1_w2f9": lambda: gl(TruncatedLocalRing(3, 2, 2), 1),
+        "gl2_f2": lambda: gl(FiniteField(2, 1), 2),
+        "gl2_f4": lambda: gl(FiniteField(2, 2), 2),
+        "gl2_f4_v2": lambda: gl(FiniteField(2, 2), 2, 2),
+        "gl2_f8": lambda: gl(FiniteField(2, 3), 2),
+        "gl2_f9": lambda: gl(FiniteField(3, 2), 2),
+        "gl2_z4": lambda: gl(TruncatedLocalRing(2, 2, 1), 2),
+        "gl3_f2": lambda: gl(FiniteField(2, 1), 3),
+        "kernel_s2": lambda: congruence_kernel(2, 2, 1, 2, 2),
         "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
     }
 
     @pytest.mark.parametrize("name", sorted(MODULES))
     def test_generator_orbits_match_whole_group(self, name):
         # same representatives, sizes and order as the whole-group scan
-        module = self.MODULES[name]()
-        assert twisted_classes(module) == [
+        module, codes = self.MODULES[name]()
+        assert twisted_classes(module, codes) == [
             {"representative": c["representative"], "size": c["size"]}
-            for c in whole_group_twisted(module)]
+            for c in whole_group_twisted(module, codes)]
 
     def test_module_without_generators_is_refused(self):
         m = gl1_field_module(2, 2)
         with pytest.raises(InvalidConfig):
-            twisted_classes(GaloisModule(m.elements, m.ring))
+            GaloisModule(m.ring, m.s, None)
 
     def test_generators_outside_the_group_raise(self):
         # F_3^* inside F_9 with the generator of F_9^*
         F = FiniteField(3, 2)
-        fixed = fixed_submodule(F, 1)
-        bad = GaloisModule(fixed.elements, F,
-                           generators=lambda: _gl_generators(F, 1))
+        _, fixed = fixed_submodule(F, 1)
+        bad = GaloisModule(F, 1, _gl_generators(F, 1))
         with pytest.raises(MatchFailure):
-            twisted_classes(bad)
+            twisted_classes(bad, fixed)
 
     def test_norm_conjugation_identity(self):
         # N(V A sigma(V)^-1) = V N(A) V^-1, exhaustively at GL1/F9
         m = gl1_field_module(3, 2)
-        group = [Mat.from_codes(m.ring, 1, x) for x in m.elements]
+        group = [Mat.from_codes(m.ring, 1, x) for x in elements(m)]
         for a in group:
             na = Mat.from_codes(m.ring, 1, twisted_norm(a.codes, m, 2))
             for v in group:
@@ -383,7 +411,7 @@ class TestTwistedNormAndClasses:
         # lie in F_2[X]
         m = gl_module(FiniteField(2, 2), 2)
         F = m.ring
-        for a in m.elements[::17]:
+        for a in elements(m)[::17]:
             factors = _invariant_factors(F, 2, twisted_norm(a, m, 2))
             assert sum(len(f) - 1 for f in factors) == 2
             for f in factors:
@@ -507,8 +535,8 @@ class TestDMBijection:
         # counts agree, the law does not
         import glnlab.lang as lang
         real = lang.twisted_classes
-        monkeypatch.setattr(lang, "twisted_classes", lambda module: [
-            dict(cl, size=cl["size"] + 1) for cl in real(module)])
+        monkeypatch.setattr(lang, "twisted_classes", lambda module, codes: [
+            dict(cl, size=cl["size"] + 1) for cl in real(module, codes)])
         with pytest.raises(MatchFailure, match="centralizer law"):
             dm_bijection_check(1, 3, 2)
 
@@ -532,17 +560,17 @@ class TestDMBijection:
 class TestH1:
     def test_gl1_f4(self):
         m = gl1_field_module(2, 2)
-        res = h1_cyclic(m)
-        assert res["cocycle_count"] == 3
-        assert res["h1_size"] == 1
+        cocycles = level_cocycles(m.ring, 1)
+        assert len(cocycles) == 3
+        assert len(h1_cyclic(m, cocycles)) == 1
 
     def test_gl1_f9(self):
-        res = h1_cyclic(gl1_field_module(3, 2))
-        assert res["h1_size"] == 1
+        m = gl1_field_module(3, 2)
+        assert len(h1_cyclic(m, level_cocycles(m.ring, 1))) == 1
 
     def test_gl2_f4(self):
-        res = h1_cyclic(gl_module(FiniteField(2, 2), 2))
-        assert res["h1_size"] == 1
+        m = gl_module(FiniteField(2, 2), 2)
+        assert len(h1_cyclic(m, level_cocycles(m.ring, 2))) == 1
 
     def test_level_tower_s1(self):
         rep = h1_level_tower(1, 2, 2, 2)
@@ -551,9 +579,9 @@ class TestH1:
         assert rep["compatible"]
 
     def test_congruence_kernel_is_additive_f_q(self):
-        m = congruence_kernel_module(2, 2, 1, 2, 1)
-        assert len(m.elements) == 4
-        assert h1_cyclic(m)["h1_size"] == 1
+        m, codes = congruence_kernel(2, 2, 1, 2, 1)
+        assert len(codes) == 4
+        assert len(h1_cyclic(m, _cocycles(m.ring, 1, codes))) == 1
 
 
 class TestGenerators:
@@ -578,10 +606,10 @@ class TestGenerators:
         (2, 2, 1, 2, 1), (2, 1, 1, 4, 1), (2, 2, 1, 3, 1), (3, 1, 1, 3, 1),
         (2, 1, 1, 3, 2), (3, 1, 1, 2, 2), (2, 2, 2, 3, 2)])
     def test_kernel_closure(self, p, d, a, b, s):
-        m = congruence_kernel_module(p, d, a, b, s)
-        group = closure(m.ring, s, m.generators())
+        m, codes = congruence_kernel(p, d, a, b, s)
+        group = closure(m.ring, s, m.generators)
         assert len(group) == p ** (d * s * s * (b - a))
-        assert group == set(m.elements)
+        assert group == set(codes)
 
     @pytest.mark.parametrize("p,n,d,s,count", [
         (2, 1, 3, 2, 3), (2, 1, 2, 3, 3), (2, 2, 2, 2, 5), (2, 1, 1, 4, 2),
@@ -589,41 +617,45 @@ class TestGenerators:
     def test_generator_count(self, p, n, d, s, count):
         assert len(_gl_generators(TruncatedLocalRing(p, n, d), s)) == count
 
-    def test_only_orbit_routines_build_generators(self, monkeypatch):
-        # reading the elements builds no generating set; the Lang image,
-        # twisted classes and H^1 build one each, dm-check two (the
-        # twisted and the plain side)
+    def test_each_module_builds_its_generators_once(self, monkeypatch):
+        # enumerating the elements builds no generating set; a module
+        # builds one, and the Lang image, twisted classes and H^1 read
+        # it; dm-check builds two (the twisted and the plain side)
         import glnlab.lang as lang
         built = []
         real = lang._gl_generators
         monkeypatch.setattr(lang, "_gl_generators", lambda ring, s, *zeta:
                             built.append(s) or real(ring, s, *zeta))
-        m = gl_module(FiniteField(2, 2), 2)
-        assert len(m.elements) == 180
+        codes = gl_elements(FiniteField(2, 2), 2)
+        assert len(codes) == 180
         assert built == []
+        m = gl_module(FiniteField(2, 2), 2)
+        assert built == [2]
         lang_image(m)
-        twisted_classes(m)
+        twisted_classes(m, codes)
+        h1_cyclic(m, level_cocycles(m.ring, 2))
+        assert built == [2]
         dm_bijection_check(1, 2, 2)
-        h1_cyclic(m)
-        assert built == [2, 2, 1, 1, 2]
+        assert built == [2, 1, 1]
 
 
 class TestH1Orbits:
-    # every module here is small enough for the whole-group scan
+    # every module here is small enough for the whole-group scan; each
+    # entry gives (module, elements)
     MODULES = {
-        "gl1_f4": lambda: gl1_field_module(2, 2),
-        "gl1_f9": lambda: gl1_field_module(3, 2),
-        "gl1_f8": lambda: gl1_field_module(2, 3),
-        "gl1_f16_sigma2": lambda: gl1_field_module(2, 4, sigma_exponent=2),
-        "gl1_z8": lambda: gl_module(TruncatedLocalRing(2, 3, 1), 1),
-        "gl1_w3f4": lambda: gl_module(TruncatedLocalRing(2, 3, 2), 1),
-        "gl1_w2f9": lambda: gl_module(TruncatedLocalRing(3, 2, 2), 1),
-        "gl2_f2": lambda: gl_module(FiniteField(2, 1), 2),
-        "gl2_f4": lambda: gl_module(FiniteField(2, 2), 2),
-        "gl2_z4": lambda: gl_module(TruncatedLocalRing(2, 2, 1), 2),
-        "gl2_f8": lambda: gl_module(FiniteField(2, 3), 2),
-        "kernel_s1": lambda: congruence_kernel_module(2, 2, 1, 3, 1),
-        "kernel_s2": lambda: congruence_kernel_module(2, 2, 1, 2, 2),
+        "gl1_f4": lambda: gl1(2, 2),
+        "gl1_f9": lambda: gl1(3, 2),
+        "gl1_f8": lambda: gl1(2, 3),
+        "gl1_f16_sigma2": lambda: gl1(2, 4, 2),
+        "gl1_z8": lambda: gl(TruncatedLocalRing(2, 3, 1), 1),
+        "gl1_w3f4": lambda: gl(TruncatedLocalRing(2, 3, 2), 1),
+        "gl1_w2f9": lambda: gl(TruncatedLocalRing(3, 2, 2), 1),
+        "gl2_f2": lambda: gl(FiniteField(2, 1), 2),
+        "gl2_f4": lambda: gl(FiniteField(2, 2), 2),
+        "gl2_z4": lambda: gl(TruncatedLocalRing(2, 2, 1), 2),
+        "gl2_f8": lambda: gl(FiniteField(2, 3), 2),
+        "kernel_s1": lambda: congruence_kernel(2, 2, 1, 3, 1),
+        "kernel_s2": lambda: congruence_kernel(2, 2, 1, 2, 2),
         "fixed_gl1_f9": lambda: fixed_submodule(FiniteField(3, 2), 1),
         "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
         "fixed_gl1_f27": lambda: fixed_submodule(FiniteField(3, 3), 1),
@@ -631,37 +663,35 @@ class TestH1Orbits:
 
     @pytest.mark.parametrize("name", sorted(MODULES))
     def test_generator_orbits_match_whole_group(self, name):
-        module = self.MODULES[name]()
-        cocycles, classes = whole_group_h1(module)
-        res = h1_cyclic(module)
-        assert res["cocycles"] == cocycles
-        assert res["cocycle_count"] == len(cocycles)
-        assert res["classes"] == classes
-        assert res["h1_size"] == len(classes)
+        module, codes = self.MODULES[name]()
+        cocycles, classes = whole_group_h1(module, codes)
+        if module.exponent == 1:  # the action the level pass tests
+            assert _cocycles(module.ring, module.s, codes) == cocycles
+        assert h1_cyclic(module, cocycles) == classes
 
     def test_fixed_submodules_have_nontrivial_h1(self):
         # F_3^* with trivial action of order 2: c^2 = 1 gives {1, -1};
         # GL_2(F_2) = S_3: the identity and the three involutions
-        sizes = [[c["size"] for c in
-                  h1_cyclic(fixed_submodule(FiniteField(p, d), s))["classes"]]
-                 for p, d, s in [(3, 2, 1), (2, 2, 2)]]
+        sizes = []
+        for p, d, s in [(3, 2, 1), (2, 2, 2)]:
+            module, codes = fixed_submodule(FiniteField(p, d), s)
+            sizes.append([c["size"] for c in h1_cyclic(
+                module, _cocycles(module.ring, s, codes))])
         assert sorted(sizes[0]) == [1, 1]
         assert sorted(sizes[1]) == [1, 3]
 
     def test_module_without_generators_is_refused(self):
-        m = gl1_field_module(2, 2)
         with pytest.raises(InvalidConfig):
-            h1_cyclic(GaloisModule(m.elements, m.ring))
+            GaloisModule(TruncatedLocalRing(2, 2, 2), 2, None)
 
     def test_generators_outside_the_group_raise(self):
         # F_3^* inside F_9 with the generator of F_9^*: its move leaves
         # the cocycles of the subgroup
         F = FiniteField(3, 2)
-        fixed = fixed_submodule(F, 1)
-        bad = GaloisModule(fixed.elements, F,
-                           generators=lambda: _gl_generators(F, 1))
+        _, fixed = fixed_submodule(F, 1)
+        bad = GaloisModule(F, 1, _gl_generators(F, 1))
         with pytest.raises(NotACocycle):
-            h1_cyclic(bad)
+            h1_cyclic(bad, _cocycles(F, 1, fixed))
 
     def test_cocycle_count_closed_form(self):
         # trivial H^1 makes the cocycles G / G^sigma, G^sigma the GL_s
@@ -678,12 +708,13 @@ class TestH1Orbits:
                                                  10**5)]
         for p, d, s, level in cases:
             module = gl_module(TruncatedLocalRing(p, level, d), s)
-            res = h1_cyclic(module)
-            assert res["cocycle_count"] == \
+            cocycles = level_cocycles(module.ring, s)
+            assert len(cocycles) == \
                 gl_order(p, level, d, s) // gl_order(p, level, 1, s)
-            assert res["h1_size"] == 1
+            assert len(h1_cyclic(module, cocycles)) == 1
             if p ** (level * d * s * s) <= 10**5:
-                assert res["cocycles"] == whole_group_cocycles(module)
+                assert cocycles == whole_group_cocycles(module,
+                                                        elements(module))
         assert time.monotonic() - start < 10.0
 
     def test_no_level_n_group_is_enumerated(self, monkeypatch):
@@ -695,23 +726,39 @@ class TestH1Orbits:
                             levels.append(ring.n) or real(ring, *args, **kw))
         for p, n, d, s in [(2, 2, 2, 2), (3, 4, 2, 1), (2, 4, 1, 2),
                            (2, 3, 1, 2)]:
-            h1_cyclic(gl_module(TruncatedLocalRing(p, n, d), s))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["h1", "--p", str(p), "--d", str(d),
+                            "--s", str(s), "--level", str(n)]) == 0
         h1_level_tower(2, 2, 2, 2)
         h1_level_tower(1, 3, 2, 4)
         assert levels and set(levels) == {1}
 
+    def test_tower_finds_each_level_once(self, monkeypatch):
+        # one cocycle pass a level, each from the cocycles of the level
+        # below, and one a kernel: 4 + 3, where recomputing every lower
+        # level at every level takes 1 + 2 + 3 + 4 + 3 = 13
+        import glnlab.lang as lang
+        passes = []
+        real = lang._cocycles
+        monkeypatch.setattr(lang, "_cocycles", lambda *args:
+                            passes.append(1) or real(*args))
+        h1_level_tower(1, 2, 2, 4)
+        assert len(passes) == 7
+
     def test_level_tower_orders_and_cocycles(self):
         # the tower's orders are the closed form, and its counts those of
-        # h1_cyclic on each level's own module
+        # a pass up to each level alone
         for s, p, d, top in [(1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 1, 3)]:
             rep = h1_level_tower(s, p, d, top)
             assert rep["compatible"]
             for level in rep["levels"]:
                 n = level["level"]
                 assert level["group_order"] == gl_order(p, n, d, s)
-                res = h1_cyclic(gl_module(TruncatedLocalRing(p, n, d), s))
-                assert level["cocycle_count"] == res["cocycle_count"]
-                assert level["h1_size"] == res["h1_size"] == 1
+                module = gl_module(TruncatedLocalRing(p, n, d), s)
+                cocycles = level_cocycles(module.ring, s)
+                assert level["cocycle_count"] == len(cocycles)
+                assert level["h1_size"] == len(h1_cyclic(module, cocycles))
+                assert level["h1_size"] == 1
 
     def test_tower_flags_a_cocycle_without_a_cocycle_lift(self, monkeypatch):
         # compatibility asks every level-(n-1) cocycle for a lift that is
@@ -735,12 +782,13 @@ class TestSchoolbookCodeOrder:
     arithmetic was rewritten; a change of code or of order fails here."""
 
     def test_h1_over_the_level_4_ring(self):
-        res = h1_cyclic(gl_module(TruncatedLocalRing(2, 4, 3), 1))
-        assert len(res["cocycles"]) == 448
-        assert digest(res["cocycles"]) == (
+        module = gl_module(TruncatedLocalRing(2, 4, 3), 1)
+        cocycles = level_cocycles(module.ring, 1)
+        assert len(cocycles) == 448
+        assert digest(cocycles) == (
             "88ffacd3f00d36afc91bd9a85954922bf318c6224fb52fc0328aca01cfdf6f85")
         assert digest([c["representative"].codes
-                       for c in res["classes"]]) == (
+                       for c in h1_cyclic(module, cocycles)]) == (
             "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac")
 
     def test_dm_check_over_f_1024(self):
