@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from .errors import CapExceeded, GlnLabError, InvalidConfig
+from .errors import CapExceeded, GlnLabError, InvalidConfig, charge
 from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent
 
 _ANCHOR_RE = re.compile(r"^claim:[a-z0-9][a-z0-9-]*$")
@@ -121,10 +121,8 @@ def cmd_cartan(args):
         raise InvalidConfig("cartan needs --n >= 2")
     else:
         # each of the (n-1)^2 Cartan integers pairs two n-vectors
-        n, cap = args.n, args.cap
-        if (n - 1)**2 * n > cap:
-            raise CapExceeded(f"({n} - 1)^2 * {n} pairing terms exceed "
-                              f"cap {cap}")
+        n = args.n
+        charge(args.cap, f"({n} - 1)^2 * {n} pairing terms", (n - 1)**2 * n)
         simple = simple_roots_gl(n)
     dec, minors = ds_decompose(simple)
     results = {
@@ -151,9 +149,10 @@ def cmd_lang(args):
     from .rings import FiniteField
     if args.s < 1:
         raise InvalidConfig("lang needs --s >= 1")
-    m = gl_module(FiniteField(args.p, args.d, cap=args.cap), args.s,
-                  cap=args.cap)
-    img = lang_image(m)
+    field = FiniteField(args.p, args.d, cap=args.cap)
+    p, e = args.p, args.d * args.s**2
+    charge(args.cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
+    img = lang_image(gl_module(field, args.s))
     expected = fixed_index(args.s, args.p, args.d)
     results = {"p": args.p, "d": args.d, "s": args.s,
                "image_size": len(img),
@@ -166,20 +165,13 @@ def cmd_lang(args):
 
 
 def cmd_h1(args):
-    from .lang import _cocycle_levels, admit, fixed_index, gl_module, h1_cyclic
-    from .rings import TruncatedLocalRing, is_prime
+    from .lang import _cocycle_levels, fixed_index, gl_module, h1_cyclic
     if args.s < 1 or args.level < 1:
         raise InvalidConfig("h1 needs --s >= 1 and --level >= 1")
-    if is_prime(args.p) and args.d >= 1:
-        # charged before the ring forms p^level; the ring refuses a bad
-        # p or d itself
-        admit(args.p, args.level * args.d, args.s, args.cap)
-    ring = TruncatedLocalRing(args.p, args.level, args.d, cap=args.cap)
     p, s = args.p, args.s
-    module = gl_module(ring, s, cap=args.cap)
-    for _, cocycles in _cocycle_levels(ring, s, args.cap):
+    for ring, cocycles in _cocycle_levels(p, args.d, args.level, s, args.cap):
         pass  # up to the top level, whose classes alone are formed
-    h1_size = len(h1_cyclic(module, cocycles))
+    h1_size = len(h1_cyclic(gl_module(ring, s), cocycles))
     # trivial H^1 makes the cocycles the a^-1 sigma(a), one per coset of
     # the sigma-fixed GL_s(Z/p^n)
     expected = fixed_index(s, p, args.d, args.level)
@@ -220,13 +212,11 @@ def cmd_building(args):
     if action != "iwasawa" and args.n < 1:
         raise InvalidConfig(f"building {action} needs --n >= 1")
     if action == "simplices":
-        # the report holds an n x n pattern per simplex; 2^n is not
-        # formed when n alone exceeds the bit length of the cap
-        n, cap = args.n, args.cap
-        if n > cap.bit_length() or (2**n - 1) * n**2 > cap:
-            raise CapExceeded(f"(2^{n} - 1) * {n}^2 stabilizer-pattern "
-                              f"entries exceed cap {cap}")
-        simps = fundamental_simplices(n, cap=cap)
+        # the report holds an n x n pattern per simplex
+        n = args.n
+        charge(args.cap, f"(2^{n} - 1) * {n}^2 stabilizer-pattern entries",
+               lambda: (2**n - 1) * n**2, n - 1)
+        simps = fundamental_simplices(n, cap=args.cap)
         results = {"n": n, "count": len(simps),
                    "simplices": [list(s) for s in simps],
                    "patterns": [list(map(list, stabilizer_pattern(s, n)
@@ -322,8 +312,8 @@ def cmd_hecke(args):
 
 
 def _check_lfactor_cap(rho, params, cap, d=1):
-    """CapExceeded when the factor of rho at params, after base change of
-    degree d, costs more than cap, counted as terms times degree.
+    """Charge the factor of rho at params, after base change of degree d,
+    against cap, counted as terms times degree.
 
     The d - 1 passes of the degree-d norm come first: pass i forms n
     products of i + 1 parameters (monomials of degree i + 1, or
@@ -336,12 +326,11 @@ def _check_lfactor_cap(rho, params, cap, d=1):
     k = {"sym": rho.k, "wedge": rho.k, "tensor": 2}.get(rho.kind, 1)
     s = len(set().union(*[t.names() for t in params]))
     passes = params[0].n * (d * (d + 1) // 2 - 1)
+    what = f"terms x degree of a degree-{dim * d} L-factor in {s} symbols"
     terms = 0
-    for j in range(dim + 1):
+    for j in range(dim + 1):  # charged as it grows, so a huge dim stops early
         terms += min(comb(dim, j), comb(j * k * d + s, s))
-        if passes + dim * d * terms > cap:
-            raise CapExceeded(f"a degree-{dim * d} L-factor in {s} symbols "
-                              f"exceeds cap {cap}")
+        charge(cap, what, passes + dim * d * terms)
 
 
 def cmd_lfactor(args):
@@ -482,7 +471,7 @@ def build_parser():
     later ``run`` in the process."""
     p = _Parser(prog="glnlab", description=__doc__)
     p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
-                   help="enumeration cap")
+                   help="work units any one enumeration may take (>= 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property checks")
     p.add_argument("--json-out", help="also write the report to this path")
@@ -563,6 +552,8 @@ def run(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap < 1:
+            raise InvalidConfig("--cap must be >= 1")
         start = time.monotonic()
         body = args.func(args)
         elapsed_ms = int((time.monotonic() - start) * 1000)

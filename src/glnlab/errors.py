@@ -13,6 +13,21 @@ class CapExceeded(GlnLabError):
     """An exhaustive enumeration would exceed the configured size cap."""
 
 
+def charge(cap, what, count, exponent=0):
+    """Raise CapExceeded(f"{what} exceed cap {cap}") when the ``count``
+    units of work that ``what`` names exceed cap: the one refusal of the
+    cap, made once per enumeration, before its work starts.
+
+    A count too large to form blindly (a power, a factorial) is passed as
+    a function of no arguments, with an ``exponent`` such that count >=
+    2^exponent.  Once the exponent reaches the bit length of cap, the
+    count exceeds cap and is refused without being formed.
+    """
+    if exponent >= cap.bit_length() or (
+            count() if callable(count) else count) > cap:
+        raise CapExceeded(f"{what} exceed cap {cap}")
+
+
 class NotInvertible(GlnLabError):
     pass
 

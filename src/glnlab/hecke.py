@@ -22,7 +22,9 @@ from one recursion on the rank (_members), charged against the cap in
 closed form before any is built (_charge).  Convolution counts the
 cosets g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2) by
 the same rule, forming no product: for p^-nu p^shift M the minors are
-read off those of M alone.  The coset-count oracle reads the Iwasawa
+read off those of M alone.  Before it builds a coset, it charges each
+cocharacter of either factor once (_charge) and each pair of them its
+coset pairs (coset_count).  The coset-count oracle reads the Iwasawa
 torus part lam of p^shift * M (g in N p^lam K): shift plus the diagonal
 valuations of M.
 """
@@ -35,7 +37,7 @@ import math
 import operator
 from collections import Counter
 
-from .errors import CapExceeded, InvalidConfig, NotPrime, UnsupportedRank
+from .errors import InvalidConfig, NotPrime, UnsupportedRank, charge
 from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent, is_prime
 
 BIG = 10**9  # stands in for +infinity in valuation comparisons
@@ -102,8 +104,7 @@ def _charge(lam, n, p, cap):
     m = tuple(c - lam[-1] for c in lam)
     forms = sum(p**((n - 1) * (sum(m) - sum(mu))) * coset_count(mu, p)
                 for mu in _interlacing(m))
-    if forms > cap:
-        raise CapExceeded(f"{forms} Hermite forms to test exceed cap {cap}")
+    charge(cap, f"{forms} Hermite forms to test", forms)
     return lam[-1], m
 
 
@@ -241,19 +242,18 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     A profile is a hit for nu when D_k = -(mu_1 + ... + mu_k) for every
     k < n (k = n is the determinant, equal once sum(nu) = sum(lam) +
     sum(mu)).  Only the dominant nu with that sum and lam_n + mu_n <=
-    nu_i <= lam_1 + mu_1 can be hit.  Each lam and mu is charged, and
-    their coset pairs checked against cap, before any coset is built.
+    nu_i <= lam_1 + mu_1 can be hit.  Before any coset is built, each lam
+    of f and each mu of g is charged once (_charge), then each pair its
+    |cosets of lam| |cosets of mu| from coset_count.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
-    for lam in f.support:
+    for lam in itertools.chain(f.support, g.support):
         _charge(lam, n, p, cap)
-        for mu in g.support:
-            _charge(mu, n, p, cap)
-            pairs = coset_count(lam, p) * coset_count(mu, p)
-            if pairs > cap:
-                raise CapExceeded(f"{pairs} coset pairs exceed cap {cap}")
+    for lam, mu in itertools.product(f.support, g.support):
+        pairs = coset_count(lam, p) * coset_count(mu, p)
+        charge(cap, f"{pairs} coset pairs", pairs)
     subsets = [rows for k in range(1, n)
                for rows in itertools.combinations(range(n), k)]
     levels = [[i for i, rows in enumerate(subsets) if len(rows) == k]

@@ -30,12 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import CapExceeded, InvalidConfig, MatchFailure, NotACocycle
+from .errors import InvalidConfig, MatchFailure, NotACocycle, charge
 from .rings import (
     DEFAULT_GROUP_CAP,
     FiniteField,
     Mat,
     TruncatedLocalRing,
+    is_prime,
     residue_primitive_root,
 )
 
@@ -76,16 +77,6 @@ class GaloisModule:
         return self.ring.mat_sigma(x, self.exponent * k)
 
 
-def admit(p, e, s, cap):
-    """CapExceeded unless the (p^e)^(s^2) candidate s x s matrices over a
-    ring of p^e elements fit cap; the count is not formed when its
-    exponent alone reaches the bit length of cap (p >= 2)."""
-    e *= s * s
-    if e >= cap.bit_length() or p**e > cap:
-        raise CapExceeded(
-            f"enumerating {p}^{e} candidate matrices exceeds cap {cap}")
-
-
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     """All of GL_s over an enumerable finite ring, as flat code tuples in
     coefficient order.
@@ -94,9 +85,11 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     runs over the other rows only (for s = 1 that is the whole test).
     The cofactors of the last row are computed once per head of s - 1
     rows; each candidate last row then costs one call of their linear
-    ``form`` for its determinant.
+    ``form`` for its determinant.  The (p^(n d))^(s^2) candidates over
+    O/p^n of residue degree d are charged against cap first.
     """
-    admit(ring.p, ring.n * ring.d, s, cap)
+    p, e = ring.p, ring.n * ring.d * s * s
+    charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
     nel = ring.size()
     unit, neg = ring.is_unit, ring.neg
     rows = [r for r in itertools.product(range(nel), repeat=s)
@@ -158,14 +151,12 @@ def _gl_generators(ring, s, zeta=None):
     return gens
 
 
-def gl_module(ring, s, sigma_exponent=1, cap=DEFAULT_GROUP_CAP):
+def gl_module(ring, s, sigma_exponent=1):
     """GL_s over a finite field or truncated local ring R = O/p^n with
     entrywise Frobenius^sigma_exponent as the Galois action, generated
-    by ``_gl_generators``.  The (p^(n d))^(s^2) candidate matrices of
-    ``gl_elements`` are charged against cap here, though none is
-    enumerated.
+    by ``_gl_generators``.  Nothing is enumerated, so nothing is charged:
+    a caller that goes on to enumerate charges its own work.
     """
-    admit(ring.p, ring.n * ring.d, s, cap)
     return GaloisModule(ring, s, _gl_generators(ring, s), sigma_exponent)
 
 
@@ -298,23 +289,25 @@ def _cocycles(ring, s, codes):
     return list(filter(is_cocycle, codes))
 
 
-def _cocycle_levels(ring, s, cap):
+def _cocycle_levels(p, d, top, s, cap):
     """(O/p^n, the cocycles of GL_s(O/p^n) in code order) for n = 1 up
-    to the level of ``ring`` = O/p^top, in one pass up the levels.
+    to top, O unramified of residue degree d over Z_p, in one pass up
+    the levels.
 
     Reduction mod p^(n-1) is a sigma-equivariant homomorphism (the
     canonical Frobenius lift reduces to the canonical lift), so every
     cocycle at level n lies over one at level n - 1.  Level 1 tests the
     elements of GL_s(F_q) (``gl_elements``), and each level n >= 2 only
     the |Z_(n-1)| q^(s^2) lifts of the level below (``_lifts``), each
-    level once.  Each level is charged against cap before its work.
+    level once.  The (p^(top d))^(s^2) candidates of the top level are
+    charged once, before any ring is formed, and bound every level below.
     """
+    e = top * d * s * s
+    if is_prime(p) and d >= 1:  # else the first ring refuses p or d
+        charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
     low = cocycles = None
-    for n in range(1, ring.n + 1):
-        admit(ring.p, n * ring.d, s, cap)
-        # the residue field has passed its cap with ring
-        level = (ring if n == ring.n else
-                 TruncatedLocalRing(ring.p, n, ring.d, cap=ring.q))
+    for n in range(1, top + 1):
+        level = TruncatedLocalRing(p, n, d, cap=cap)
         codes = (gl_elements(level, s, cap) if low is None
                  else _lifts(level, low, cocycles))
         cocycles = sorted(_cocycles(level, s, codes))
@@ -352,9 +345,8 @@ def congruence_kernel(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     ring = TruncatedLocalRing(p, b, d)
     pa = p**a
     step = p**(b - a)
-    per_entry = step**d
-    if per_entry ** (s * s) > cap:
-        raise CapExceeded("congruence kernel enumeration exceeds cap")
+    e = (b - a) * d * s * s
+    charge(cap, f"{p}^{e} congruence kernel elements", lambda: p**e, e)
     entry_values = [ring.encode([pa * t for t in coeffs])
                     for coeffs in itertools.product(range(step), repeat=d)]
     ident = Mat.identity(ring, s).codes
@@ -378,10 +370,9 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     """
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
-    for ring, cocycles in _cocycle_levels(TruncatedLocalRing(p, max_level, d),
-                                          s, cap):
+    for ring, cocycles in _cocycle_levels(p, d, max_level, s, cap):
         n, q = ring.n, ring.q
-        classes = h1_cyclic(gl_module(ring, s, cap=cap), cocycles)
+        classes = h1_cyclic(gl_module(ring, s), cocycles)
         report["levels"].append({"level": n,
                                  "group_order": gl_order(s, q)
                                  * q**(s * s * (n - 1)),
@@ -501,7 +492,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     """
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
-    module = gl_module(ext, s, sigma_exponent=v, cap=cap)
+    elements = gl_elements(ext, s, cap)  # the one charge, |F_(q^n)|^(s^2)
+    module = gl_module(ext, s, sigma_exponent=v)
     # F_q is 0 and the powers of w = zeta^((q^n - 1)/(q - 1)), of order
     # q - 1 for a primitive zeta
     w = (residue_primitive_root(ext) ** ((ext.q - 1) // (q - 1))).code
@@ -511,7 +503,6 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         x = ext.mul(x, w)
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
-    elements = gl_elements(ext, s, cap)
     fixed = [g for g in elements if sub.issuperset(g)]
     # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
     plain_module = GaloisModule(ext, s, _gl_generators(ext, s, w), ext.d)

@@ -37,7 +37,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .errors import CapExceeded, InvalidConfig, NotInvertible, NotPrime
+from .errors import InvalidConfig, NotInvertible, NotPrime, charge
 
 DEFAULT_FIELD_CAP = 1 << 16
 DEFAULT_GROUP_CAP = 10**6
@@ -464,9 +464,7 @@ class TruncatedLocalRing:
             raise InvalidConfig("precision must be >= 1")
         if d < 1:
             raise InvalidConfig("extension degree must be >= 1")
-        # p^d >= 2^d > cap once d reaches the bit length of cap
-        if d >= cap.bit_length() or p**d > cap:
-            raise CapExceeded(f"residue field size {p}^{d} exceeds cap {cap}")
+        charge(cap, f"{p}^{d} residue field elements", lambda: p**d, d)
         self.p, self.n, self.d = p, n, d
         self.q = p**d
         self.pn = p**n

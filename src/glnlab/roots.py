@@ -14,7 +14,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import CapExceeded, NonIntegral, NotPositiveDefinite
+from .errors import NonIntegral, NotPositiveDefinite, charge
 from .rings import DEFAULT_GROUP_CAP
 
 
@@ -258,15 +258,6 @@ def _reflection_perm(alpha, n):
     return tuple(row.index(1) for row in zip(*images))
 
 
-def _check_order(n, cap):
-    """Refuse n! > cap, without forming n! for a large n."""
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-        if order > cap:
-            raise CapExceeded(f"Weyl group order {n}! exceeds cap {cap}")
-
-
 def weyl_group(simple, cap=DEFAULT_GROUP_CAP):
     """Sizes of the length layers of the closure of the simple reflections:
     entry k counts the elements whose reduced words have length k.
@@ -278,7 +269,8 @@ def weyl_group(simple, cap=DEFAULT_GROUP_CAP):
     alone, as a set of one-line notations.
     """
     n = len(simple[0])
-    _check_order(n, cap)
+    charge(cap, f"{n}! Weyl group elements", lambda: math.factorial(n),
+           n - 1)  # n! >= 2^(n - 1)
     swaps = set()
     for alpha in simple:
         perm = _reflection_perm(alpha, n)
@@ -330,7 +322,9 @@ def check_type_a(n, cap=DEFAULT_GROUP_CAP):
     simple reflections, whose order must be n! and whose length layers
     must be the Mahonian numbers.
     """
-    _check_order(n, cap)  # before the n x n simple roots and the axiom scan
+    # before the n x n simple roots and the axiom scan
+    charge(cap, f"{n}! Weyl group elements", lambda: math.factorial(n),
+           n - 1)
     layers = weyl_group(simple_roots_gl(n), cap)
     order = sum(layers)
     checks = check_root_system(full_root_set_gl(n))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import glnlab
 from glnlab.cli import (_check_lfactor_cap, build_parser, canonical_json,
                         lint_report, run, verdict)
-from glnlab.errors import CapExceeded, InvalidConfig
+from glnlab.errors import CapExceeded, InvalidConfig, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
@@ -90,7 +90,10 @@ INVALID_CONFIG_ARGVS = (
     "lfactor rankin --q 2 --left X --right a",
     # p is checked before the samples are charged
     "building iwasawa --p 4 --count 1000000000",
-    "building iwasawa --p 1 --count 1000000000 --precision 50")
+    "building iwasawa --p 1 --count 1000000000 --precision 50",
+    # a cap below 1 admits nothing
+    "--cap 0 cartan --preset g2",
+    "--cap -5 lfactor --q 2 --params a")
 
 # 10^18 + 3 is prime, and the primality test runs before any cap
 LARGE_PRIME_ARGVS = (
@@ -127,7 +130,10 @@ CAP_EXCEEDED_ARGVS = (
     "cartan --n 300",
     # 64^4 candidate matrices over Z/64, though the cocycles are found
     # by lifting from level 1
-    "h1 --p 2 --d 1 --s 2 --level 6")
+    "h1 --p 2 --d 1 --s 2 --level 6",
+    # the suite honours --cap: criterion 3 charges the 2^16 candidate
+    # matrices of GL_2(W_2(F_4))
+    "--cap 5000 suite paper-audit")
 
 # each exits 3 in under 1 s
 CAP_EXCEEDED_AT_ONCE_ARGVS = (
@@ -181,6 +187,28 @@ class TestExitCodes:
                 start = time.monotonic()
                 assert run(argv.split()) == 3, argv
                 assert time.monotonic() - start < bound, argv
+
+    def test_readme_cap_table(self):
+        # the last column of the README's --cap table
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text.split("| Exits 3 at once |\n")[1].split("\n\n")[0]
+        argvs = [row.rsplit("`", 2)[1] for row in table.splitlines()[1:]]
+        assert len(argvs) == 13
+        for argv in argvs:
+            start = time.monotonic()
+            assert run(argv.split()) == 3, argv
+            assert time.monotonic() - start < 1.0, argv
+
+    def test_ub_audit_charged_before_enumeration(self, monkeypatch):
+        # 30^3 * 31^2 products u * b exceed the default cap, though the
+        # 31^4 candidates of GL_2(F_31) fit it
+        import glnlab.building as building
+
+        def refuse(*args):
+            raise AssertionError("GL_n(F_p) was enumerated")
+
+        monkeypatch.setattr(building, "gl_elements", refuse)
+        assert run("building ub-audit --n 2 --p 31".split()) == 3
 
     def test_rank3_satake_needs_no_flag(self, tmp_path):
         argv = RANK3_SATAKE_ARGV.split()
@@ -502,6 +530,19 @@ class TestNearCap:
             assert run(["roots", "--n", "9"]) == 0
         assert time.monotonic() - start < 5.0
 
+    # near the default cap or the 5 s bound: 980 100 pairing terms,
+    # 589 680 pattern entries, the 2^16 candidates of GL_4(F_2), and
+    # 589 824 coset pairs
+    @pytest.mark.parametrize("argv", [
+        "cartan --n 100", "building simplices --n 12",
+        "building ub-audit --n 4 --p 2",
+        "hecke --n 2 --p 2 --left=9,0 --right=9,0"])
+    def test_other_subcommands(self, argv):
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv.split()) == 0
+        assert time.monotonic() - start < 5.0
+
     def test_iwasawa(self):
         # precision 64 at p = 2 is charged two words (64 times bit
         # length 2), so 250 000 samples cost 250 000 * 2^2 = 10^6, the
@@ -511,6 +552,41 @@ class TestNearCap:
             assert run(["building", "iwasawa", "--p", "2", "--count",
                         "250000", "--precision", "64"]) == 0
         assert time.monotonic() - start < 5.0
+
+
+class TestCharges:
+    def test_power_refused_unformed(self):
+        # 2^20 > 10^6 is refused by its exponent alone; 2^19 is formed
+        def formed():
+            raise AssertionError("the power was formed")
+
+        with pytest.raises(CapExceeded, match="^x exceed cap 1000000$"):
+            charge(10**6, "x", formed, 20)
+        charge(10**6, "x", lambda: 2**19, 19)
+        with pytest.raises(CapExceeded):
+            charge(10**6, "x", lambda: 2**19 * 2, 19)
+
+    def test_each_enumeration_charged_once(self, monkeypatch):
+        # the candidate matrices of each request, leaving out the field
+        # size each ring checks: h1 charges its top level once, which
+        # bounds the levels below, and level 1 when it enumerates it
+        from glnlab import building, cli, hecke, lang, rings, roots
+        charged = []
+
+        def spy(cap, what, count, exponent=0):
+            if "candidate matrices" in what:
+                charged.append(what)
+            charge(cap, what, count, exponent)
+
+        for mod in (building, cli, hecke, lang, rings, roots):
+            monkeypatch.setattr(mod, "charge", spy)
+        for argv, want in [
+                ("h1 --p 2 --d 1 --s 1 --level 3", ["2^3", "2^1"]),
+                ("dm-check --s 2 --q 2 --n 2", ["2^8"])]:
+            charged.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv.split()) == 0
+            assert charged == [f"{c} candidate matrices" for c in want], argv
 
 
 class TestGrammar:

@@ -56,7 +56,8 @@ def gl1(p, d, sigma_exponent=1):
 
 def level_cocycles(ring, s):
     """The cocycles of GL_s(ring) from the pass up the levels."""
-    for _, cocycles in _cocycle_levels(ring, s, DEFAULT_GROUP_CAP):
+    for _, cocycles in _cocycle_levels(ring.p, ring.d, ring.n, s,
+                                       DEFAULT_GROUP_CAP):
         pass
     return cocycles
 
