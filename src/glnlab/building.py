@@ -12,8 +12,8 @@ import itertools
 
 from .errors import NotPrime, PrecisionExhausted, charge
 from .lang import gl_elements
-from .rings import (DEFAULT_GROUP_CAP, FiniteField, Mat, TruncatedLocalRing,
-                    is_prime)
+from .rings import (DEFAULT_GROUP_CAP, FiniteField, TruncatedLocalRing,
+                    is_prime, minor)
 
 
 def fundamental_simplices(n, cap=DEFAULT_GROUP_CAP):
@@ -112,17 +112,20 @@ def _iwasawa2(p, n, inv, a, b, c, d):
     return (a, b, c, d), ((0, 1, 1, t) if swap else (1, 0, t, 1))
 
 
-def iwasawa_decompose(g):
-    """g = b * k with b upper triangular and k integral with unit det,
-    for g a 2 x 2 matrix over a ring of degree 1, whose codes are the
-    integers mod p^n: the int kernel ``_iwasawa2``.  ValueError for any
-    other size or degree."""
-    ring = g.ring
-    if g.size != 2 or ring.d != 1:
-        raise ValueError("Iwasawa decomposition needs a 2 x 2 matrix over "
-                         "a ring of degree 1")
-    b, k = _iwasawa2(ring.p, ring.n, ring.inv, *g.codes)
-    return Mat.from_codes(ring, 2, b, g.offset), Mat.from_codes(ring, 2, k)
+def iwasawa_failures(ring, matrices):
+    """How many of the 2 x 2 code tuples (a, b, c, d) over a ring Z/p^n
+    of degree 1 fail g = b * k by ``_iwasawa2``: unless b * k == g, b is
+    upper triangular and det k is a unit."""
+    p, n, top, inv = ring.p, ring.n, ring.pn, ring.inv
+    failures = 0
+    for a, b, c, d in matrices:
+        (b0, b1, b2, b3), (k0, k1, k2, k3) = _iwasawa2(p, n, inv, a, b, c, d)
+        if ((b0 * k0 + b1 * k2 - a) % top or (b0 * k1 + b1 * k3 - b) % top
+                or (b2 * k0 + b3 * k2 - c) % top
+                or (b2 * k1 + b3 * k3 - d) % top
+                or b2 or not (k0 * k3 - k1 * k2) % p):
+            failures += 1
+    return failures
 
 
 def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
@@ -130,9 +133,8 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
 
     Entries are drawn below p^precision, with a global p-power offset in
     [-2, 2]; a sample is redrawn unless v(det g) < min(3, precision), so
-    its determinant is nonzero at working precision.  Each sample goes
-    to the int kernel ``_iwasawa2`` on its four entries, and fails
-    unless b * k == g, b is upper triangular and k has unit determinant.
+    its determinant is nonzero at working precision.  The samples go to
+    ``iwasawa_failures`` one at a time, as they are drawn.
 
     NotPrime unless p is prime; then count * w work units are charged
     against cap, before the ring is built (so p^precision is never
@@ -152,26 +154,22 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
     charge(cap, f"{count} samples of {words}^2 work units each",
            count * words * words)
     ring = TruncatedLocalRing(p, precision, 1)
-    inv, top, det_modulus = ring.inv, ring.pn, p**min(3, precision)
+    top, det_modulus = ring.pn, p**min(3, precision)
     randint, randrange = rng.randint, rng.randrange
-    done = failures = 0
-    while done < count:
-        # g = p^offset (a b; c d); b takes the offset whole and k none,
-        # so the offsets add up by construction
-        randint(-2, 2)
-        a, b, c, d = (randrange(top), randrange(top), randrange(top),
-                      randrange(top))
-        if not (a * d - b * c) % det_modulus:
-            continue
-        (b0, b1, b2, b3), (k0, k1, k2, k3) = _iwasawa2(p, precision, inv,
-                                                       a, b, c, d)
-        if ((b0 * k0 + b1 * k2 - a) % top or (b0 * k1 + b1 * k3 - b) % top
-                or (b2 * k0 + b3 * k2 - c) % top
-                or (b2 * k1 + b3 * k3 - d) % top
-                or b2 or not (k0 * k3 - k1 * k2) % p):
-            failures += 1
-        done += 1
-    return failures
+
+    def samples():
+        done = 0
+        while done < count:
+            # g = p^offset (a b; c d); b takes the offset whole and k
+            # none, so the offsets add up by construction
+            randint(-2, 2)
+            a, b, c, d = (randrange(top), randrange(top), randrange(top),
+                          randrange(top))
+            if (a * d - b * c) % det_modulus:
+                yield a, b, c, d
+                done += 1
+
+    return iwasawa_failures(ring, samples())
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,8 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
 
 def _residue_triangular(field, n, lower):
     """Lower triangular matrices with one repeated unit on the diagonal
-    (lower=True), or upper triangular ones with any unit diagonal."""
+    (lower=True), or upper triangular ones with any unit diagonal, as
+    flat code tuples."""
     nel = field.size()
     units = [a for a in range(nel) if field.is_unit(a)]
     fill = [r * n + c for r in range(n) for c in range(n)
@@ -193,14 +192,14 @@ def _residue_triangular(field, n, lower):
             codes[::n + 1] = diag
             for pos, v in zip(fill, vals):
                 codes[pos] = v
-            out.append(Mat.from_codes(field, n, tuple(codes)))
+            out.append(tuple(codes))
     return out
 
 
 def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     """Does (lower-triangular-equal-diagonal) * (upper triangular) cover
     the whole residue group?  Reports the product-set size and any
-    elements not of the form u*b.
+    elements not of the form u*b, as flat code tuples.
 
     The |U| |B| products are charged before GL_n(F_p) is enumerated, in
     closed form: |U| = (p - 1) p^(n(n-1)/2), |B| = (p - 1)^n p^(n(n-1)/2).
@@ -211,10 +210,10 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     g_all = gl_elements(field, n, cap=cap)
     u_set = _residue_triangular(field, n, lower=True)
     b_set = _residue_triangular(field, n, lower=False)
-    products = {(u * b).codes for u in u_set for b in b_set}
+    mul = field.mat_kernels(n)[0]
+    products = {mul(u, b) for u in u_set for b in b_set}
     # g_all is in coefficient order, so missing is too
-    missing = [Mat.from_codes(field, n, g) for g in g_all
-               if g not in products]
+    missing = [g for g in g_all if g not in products]
     return {
         "group_order": len(g_all),
         "u_order": len(u_set),
@@ -226,30 +225,33 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
 
 
 def audit_self_normalizing(n, p, cap=DEFAULT_GROUP_CAP):
-    """Normalizer of the residue image of the lower-equal-diagonal group
-    inside GL_n(F_p).
+    """Normalizer of the residue image U of the lower-equal-diagonal
+    group inside GL_n(F_p): U is the central scalars times the group the
+    1 + E_rc (r > c) generate, so g normalizes U exactly when each
+    g (1 + E_rc) g^-1 lies in U, tested up to the first that does not.
 
-    g normalizes the finite group U exactly when g s g^-1 lies in U for
-    every s of a generating set of U.  The lower-equal-diagonal group is
-    its central scalars times the lower unitriangular group, which the
-    elementary matrices 1 + E_rc (r > c) generate.
+    No g is inverted: g (1 + E_rc) g^-1 = 1 + u w^T / det g, u column r
+    of g and w row c of adj(g), w_j the minor of g without row j and
+    column c up to sign.  As w^T u = 0, u w^T is nilpotent, so the
+    conjugate lies in U exactly when u w^T is strictly lower triangular:
+    with k the first index where u is nonzero, k >= 1 and w_j = 0 for
+    every j >= k.
     """
     field = FiniteField(p, 1)
-    g_all = [Mat.from_codes(field, n, g)
-             for g in gl_elements(field, n, cap=cap)]
+    g_all = gl_elements(field, n, cap=cap)
     u_set = set(_residue_triangular(field, n, lower=True))
-    gens = [Mat.from_ints(field, [[int(i == j or (i, j) == (r, c))
-                                   for j in range(n)] for i in range(n)])
-            for r in range(n) for c in range(r)]
-    normalizer = []
-    for g in g_all:
-        g_inv = g.inverse()
-        if all(g * s * g_inv in u_set for s in gens):
-            normalizer.append(g)
+    det = field.mat_det
+
+    def into_u(g, r):
+        """Do the g (1 + E_rc) g^-1, c < r, all lie in U?"""
+        k = next(i for i in range(n) if g[i * n + r])
+        return k and not any(det(n - 1, minor(g, n, j, c))
+                             for c in range(r) for j in range(k, n))
+
+    normalizer = [g for g in g_all if all(into_u(g, r) for r in range(1, n))]
     return {
         "group_order": len(g_all),
         "u_order": len(u_set),
         "normalizer_order": len(normalizer),
         "self_normalizing": set(normalizer) == u_set,
     }
-

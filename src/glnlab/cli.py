@@ -82,8 +82,10 @@ def ser_by_weight(coeffs):
             for lam, c in sorted(coeffs.items())}
 
 
-def ser_mat(m):
-    return [[",".join(map(str, e.coeffs)) for e in row] for row in m.rows]
+def ser_codes(s, codes):
+    """Rows of a flat s x s tuple of codes of degree 1, each its one
+    coefficient, as strings."""
+    return [list(map(str, codes[i:i + s])) for i in range(0, s * s, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +147,12 @@ def cmd_cartan(args):
 
 
 def cmd_lang(args):
-    from .lang import fixed_index, gl_module, gl_order, lang_image
+    from .lang import fixed_index, gl_order, lang_image
     from .rings import FiniteField
     if args.s < 1:
         raise InvalidConfig("lang needs --s >= 1")
     field = FiniteField(args.p, args.d, cap=args.cap)
-    p, e = args.p, args.d * args.s**2
-    charge(args.cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
-    img = lang_image(gl_module(field, args.s))
+    img = lang_image(field, args.s, args.cap)
     expected = fixed_index(args.s, args.p, args.d)
     results = {"p": args.p, "d": args.d, "s": args.s,
                "image_size": len(img),
@@ -245,8 +245,8 @@ def cmd_building(args):
                    "group_order": rep["group_order"],
                    "product_set_size": rep["product_set_size"],
                    "covers": rep["covers"],
-                   "counterexamples": [ser_mat(m)
-                                       for m in rep["counterexamples"]]}
+                   "counterexamples": [ser_codes(args.n, g)
+                                       for g in rep["counterexamples"]]}
         if rep["covers"]:
             verdicts = [verdict(
                 "residue-level product set covers the whole group",

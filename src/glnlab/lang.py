@@ -17,12 +17,11 @@ for them.
 A ``GaloisModule`` is plain data: the ring, the matrix size, the
 exponent of the action and a tuple of generators.  It holds no
 elements; the checks that need them take them from ``gl_elements`` or
-from the caller.  Group elements, cocycles and Lang images are flat
-row-major code tuples (as in ``Mat.codes``, see ``rings``).  Each loop
-binds the ring's kernels once (``mat_kernels``, ``form``, ``sandwich``)
-and runs on the tuples; only the class representatives and matches
-that ``twisted_classes``, ``h1_cyclic`` and ``dm_bijection_check``
-return are wrapped as ``Mat``s, and no CLI report prints one.
+from the caller.  Group elements, cocycles, Lang images and the class
+representatives and matches that ``twisted_classes``, ``h1_cyclic`` and
+``dm_bijection_check`` return are flat row-major tuples of the ring's
+codes (see ``rings``).  Each loop binds the ring's kernels once
+(``mat_kernels``, ``form``, ``sandwich``) and runs on the tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import InvalidConfig, MatchFailure, NotACocycle, charge
 from .rings import (
     DEFAULT_GROUP_CAP,
     FiniteField,
-    Mat,
     TruncatedLocalRing,
     is_prime,
     residue_primitive_root,
@@ -59,9 +57,8 @@ class GaloisModule:
     """A group of s x s matrices over ``ring`` with a cyclic Frobenius
     action, as plain data: ``generators`` is a tuple of flat code tuples
     that generate the group, and the action is entrywise sigma^exponent,
-    sigma the Frobenius lift of ``ring``.  The orbit
-    routines (``lang_image``, ``twisted_classes``, ``h1_cyclic``) close
-    under the generators, so a module without them is refused.
+    sigma the Frobenius lift of ``ring``.  The orbit routines close under
+    the generators, so a module without them is refused.
     """
 
     def __init__(self, ring, s, generators, exponent=1):
@@ -110,9 +107,14 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     return out
 
 
+def _identity(ring, s):
+    """Flat codes of the s x s identity."""
+    return tuple(ring.one_code * (i == j) for i in range(s) for j in range(s))
+
+
 def _plus(ring, s, j, l, c):
     """Flat codes of the s x s identity plus code c at (j, l)."""
-    out = list(Mat.identity(ring, s).codes)
+    out = list(_identity(ring, s))
     out[j * s + l] = ring.add(out[j * s + l], c)
     return tuple(out)
 
@@ -139,7 +141,7 @@ def _gl_generators(ring, s, zeta=None):
     """
     one = ring.one_code
     if zeta is None:
-        zeta = residue_primitive_root(ring).code
+        zeta = residue_primitive_root(ring)
     zeta_minus_one = ring.add(zeta, ring.neg(one))
     gens = [_plus(ring, s, 0, 0, zeta_minus_one)] if zeta_minus_one else []
     if s >= 2:
@@ -223,13 +225,17 @@ def fixed_index(s, p, d, level=1):
     return gl_order(s, q) // gl_order(s, p) * (q // p)**(s * s * (level - 1))
 
 
-def lang_image(module):
-    """The image {x^-1 sigma(x)} of the Lang map, as a set of code tuples:
-    the orbit of 1 under c -> g^-1 c sigma(g), closed from the module's
-    generators.  No element is inverted, and no move is tested, since a
-    move by an invertible matrix cannot leave the group."""
-    ident = Mat.identity(module.ring, module.s).codes
-    return next(_twisted_orbits(module, [ident], None, None))
+def lang_image(ring, s, cap=DEFAULT_GROUP_CAP):
+    """The image {x^-1 sigma(x)} of the Lang map of GL_s(ring), as a set
+    of code tuples: the orbit of 1 under c -> g^-1 c sigma(g), closed
+    from the generators of ``gl_module``.  No element is inverted, and
+    no move is tested, since a move by an invertible matrix cannot leave
+    the group.  The (p^(n d))^(s^2) candidate matrices are charged
+    first, before any generator is built."""
+    p, e = ring.p, ring.n * ring.d * s * s
+    charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
+    return next(_twisted_orbits(gl_module(ring, s), [_identity(ring, s)],
+                                None, None))
 
 
 def twisted_norm(a, module, m):
@@ -248,10 +254,8 @@ def twisted_classes(module, codes):
     (``representative``) and the ``size``.  A generator that moves an
     element out of codes raises MatchFailure.
     """
-    ring, s = module.ring, module.s
     leaving = MatchFailure("a twisted class leaves the group")
-    return [{"representative": Mat.from_codes(ring, s, min(orbit)),
-             "size": len(orbit)}
+    return [{"representative": min(orbit), "size": len(orbit)}
             for orbit in _twisted_orbits(module, codes, set(codes), leaving)]
 
 
@@ -276,7 +280,7 @@ def _cocycles(ring, s, codes):
     order.  The action is one map of codes (``sigma_map``), applied
     entrywise per candidate."""
     mul = ring.mat_kernels(s)[0]
-    ident = Mat.identity(ring, s).codes
+    ident = _identity(ring, s)
     sig = ring.sigma_map()
 
     def is_cocycle(c):
@@ -323,11 +327,9 @@ def h1_cyclic(module, cocycles):
     ``contains_identity``.  A move outside the cocycles raises
     NotACocycle.
     """
-    ring, s = module.ring, module.s
-    ident = Mat.identity(ring, s).codes
+    ident = _identity(module.ring, module.s)
     leaving = NotACocycle("a class leaves the cocycle set")
-    return [{"representative": Mat.from_codes(ring, s, min(orbit)),
-             "size": len(orbit),
+    return [{"representative": min(orbit), "size": len(orbit),
              "contains_identity": ident in orbit}
             for orbit in _twisted_orbits(module, cocycles, set(cocycles),
                                          leaving)]
@@ -349,7 +351,7 @@ def congruence_kernel(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     charge(cap, f"{p}^{e} congruence kernel elements", lambda: p**e, e)
     entry_values = [ring.encode([pa * t for t in coeffs])
                     for coeffs in itertools.product(range(step), repeat=d)]
-    ident = Mat.identity(ring, s).codes
+    ident = _identity(ring, s)
     elements = [tuple(map(ring.add, ident, delta))
                 for delta in itertools.product(entry_values, repeat=s * s)]
     module = GaloisModule(ring, s, [
@@ -496,7 +498,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     module = gl_module(ext, s, sigma_exponent=v)
     # F_q is 0 and the powers of w = zeta^((q^n - 1)/(q - 1)), of order
     # q - 1 for a primitive zeta
-    w = (residue_primitive_root(ext) ** ((ext.q - 1) // (q - 1))).code
+    w = ext.pow(residue_primitive_root(ext), (ext.q - 1) // (q - 1))
     sub, x = {0}, ext.one_code
     for _ in range(q - 1):
         sub.add(x)
@@ -522,7 +524,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     for cl in twisted:
         a = cl["representative"]
         key = _invariant_factors(
-            ext, s, ext.mat_inv(s, twisted_norm(a.codes, module, n)))
+            ext, s, ext.mat_inv(s, twisted_norm(a, module, n)))
         if not all(sub.issuperset(f) for f in key):
             raise MatchFailure("invariant factors of N(A) are not in F_q[X]")
         if key not in plain:
@@ -537,7 +539,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
                 f"Shintani's centralizer law fails: a twisted class of "
                 f"{cl['size']} matches a plain class of {size}")
         matches.append({"twisted_rep": a,
-                        "plain_rep": Mat.from_codes(ext, s, rep),
+                        "plain_rep": rep,
                         "invariant_factors": key,
                         "twisted_size": cl["size"],
                         "plain_size": size})

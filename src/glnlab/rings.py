@@ -22,11 +22,13 @@ the other kernels there, and all of them when d = 1, are built from the
 ring's operations on codes.  sigma^e is one map of
 codes per e mod d (``sigma_map``), built on first use.
 
-``Mat`` is a square matrix as a flat row-major tuple of codes plus a
-global p-power offset.  Element objects are thin (ring, code) pairs for
-code that works one entry at a time.  Last, the coefficient ring of
-Laurent polynomials in a formal square root v of q, whose elements are
-immutable int triples (A, B, D) standing for (A + B v)/D in lowest terms.
+Claims work on codes and flat code tuples alone.  The element layer at
+the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus
+a global p-power offset) stays only for perfbench's tracer and the tests.
+
+Last, the coefficient ring of Laurent polynomials in a formal square
+root v of q, whose elements are immutable int triples (A, B, D) standing
+for (A + B v)/D in lowest terms.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _canonical_modulus(p, d):
     raise NotPrime(f"no irreducible polynomial of degree {d} over Z/{p}")
 
 
-def _minor(a, s, i, j):
+def minor(a, s, i, j):
     """The flat s x s matrix a without row i and column j."""
     return tuple(a[r * s + c] for r in range(s) if r != i
                  for c in range(s) if c != j)
@@ -504,7 +506,7 @@ class TruncatedLocalRing:
             return self.one_code
         f = self.modulus_lift
         fprime = tuple(i * c for i, c in enumerate(f))[1:]
-        y = self._pow_code(self.weights[1], self.p)
+        y = self.pow(self.weights[1], self.p)
         for _ in range(self.n):
             fy = self.evaluate(f, y)
             if not fy:
@@ -515,7 +517,8 @@ class TruncatedLocalRing:
             raise ArithmeticError("Newton iteration failed to lift Frobenius")
         return y
 
-    def _pow_code(self, a, e):
+    def pow(self, a, e):
+        """Code of a^e, e >= 0, by repeated squaring."""
         result = self.one_code
         while e:
             if e & 1:
@@ -591,7 +594,7 @@ class TruncatedLocalRing:
             return a[0]
         if s == 2:
             return self.det2(a)
-        cof = [self.mat_det(s - 1, _minor(a, s, 0, j)) for j in range(s)]
+        cof = [self.mat_det(s - 1, minor(a, s, 0, j)) for j in range(s)]
         return self.dot(a[:s], [self.neg(c) if j % 2 else c
                                 for j, c in enumerate(cof)])
 
@@ -609,7 +612,7 @@ class TruncatedLocalRing:
         out = []
         for i in range(s):
             for j in range(s):
-                c = mul(self.mat_det(s - 1, _minor(a, s, j, i)), dinv)
+                c = mul(self.mat_det(s - 1, minor(a, s, j, i)), dinv)
                 out.append(neg(c) if (i + j) % 2 else c)
         return tuple(out)
 
@@ -653,16 +656,15 @@ class FiniteField(TruncatedLocalRing):
 
 
 def residue_primitive_root(ring):
-    """The first element, in code order, with every coefficient in
-    [0, p) whose residue generates F_q^*: no power (q-1)/r of it, r a
-    prime dividing q - 1, is 1 mod p.  On a field it is the least
-    primitive element."""
-    q, one = ring.q, ring.one()
+    """The code of the first element, in code order, with every
+    coefficient in [0, p) whose residue generates F_q^*: no power
+    (q-1)/r of it, r a prime dividing q - 1, is 1 mod p.  On a field it
+    is the least primitive element."""
+    q, minus_one, unit = ring.q, ring.neg(ring.one_code), ring.is_unit
     primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
-    for coeffs in itertools.product(range(ring.p), repeat=ring.d):
-        z = ring.element(coeffs)
-        if z.is_unit() and all((z ** ((q - 1) // r) - one).valuation() == 0
-                               for r in primes):
+    for z in map(ring.encode, itertools.product(range(ring.p), repeat=ring.d)):
+        if unit(z) and all(unit(ring.add(ring.pow(z, (q - 1) // r),
+                                         minus_one)) for r in primes):
             return z
     raise ArithmeticError(f"no primitive root in F_{q}")
 
@@ -695,7 +697,7 @@ class LocalRingElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        return LocalRingElement(self.ring, self.ring._pow_code(self.code, e))
+        return LocalRingElement(self.ring, self.ring.pow(self.code, e))
 
     def is_zero(self):
         return self.code == 0

@@ -258,19 +258,17 @@ def _reflection_perm(alpha, n):
     return tuple(row.index(1) for row in zip(*images))
 
 
-def weyl_group(simple, cap=DEFAULT_GROUP_CAP):
+def weyl_group(simple):
     """Sizes of the length layers of the closure of the simple reflections:
     entry k counts the elements whose reduced words have length k.
 
     Each reflection must swap two adjacent coordinates i, i + 1, so the
-    closure lies in S_n and n! is checked against the cap first.  The
-    length of w is its number of inversions, and w s_i is one longer than
-    w exactly when w[i] < w[i + 1]; so layer k + 1 is built from layer k
-    alone, as a set of one-line notations.
+    closure lies in S_n, at most n! elements; the caller charges them.
+    The length of w is its number of inversions, and w s_i is one longer
+    than w exactly when w[i] < w[i + 1]; so layer k + 1 is built from
+    layer k alone, as a set of one-line notations.
     """
     n = len(simple[0])
-    charge(cap, f"{n}! Weyl group elements", lambda: math.factorial(n),
-           n - 1)  # n! >= 2^(n - 1)
     swaps = set()
     for alpha in simple:
         perm = _reflection_perm(alpha, n)
@@ -322,10 +320,10 @@ def check_type_a(n, cap=DEFAULT_GROUP_CAP):
     simple reflections, whose order must be n! and whose length layers
     must be the Mahonian numbers.
     """
-    # before the n x n simple roots and the axiom scan
+    # once, before the n x n simple roots and the axiom scan
     charge(cap, f"{n}! Weyl group elements", lambda: math.factorial(n),
-           n - 1)
-    layers = weyl_group(simple_roots_gl(n), cap)
+           n - 1)  # n! >= 2^(n - 1)
+    layers = weyl_group(simple_roots_gl(n))
     order = sum(layers)
     checks = check_root_system(full_root_set_gl(n))
     axioms_hold = all(checks[k] for k in ("reduced", "reflection_closed",

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from glnlab import building
+from glnlab import audit, building
 from glnlab.building import (
     ValuationPattern,
     audit_self_normalizing,
     audit_ub_factorization,
     fundamental_simplices,
-    iwasawa_decompose,
     iwasawa_sample_failures,
     stabilizer_pattern,
     vertex_pattern,
@@ -16,6 +15,7 @@ from glnlab.building import (
 from glnlab.errors import CapExceeded, PrecisionExhausted
 from glnlab.lang import gl_elements
 from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
+from test_ring_core import gl_order
 
 
 def membership(g, pattern):
@@ -228,60 +228,60 @@ class TestMembership:
                        ValuationPattern([[0, 2], [0, 0]]))
 
 
+def iwasawa(ring, codes):
+    """(b, k) of the int kernel for the flat codes of a 2 x 2 matrix over
+    a ring of degree 1."""
+    return building._iwasawa2(ring.p, ring.n, ring.inv, *codes)
+
+
+def factors(ring, g, b, k):
+    """Is g = b * k, with b upper triangular and det k a unit?"""
+    return (ring.mul2(b, k) == g and b[2] == 0
+            and ring.is_unit(ring.det2(k)))
+
+
 class TestIwasawa:
     def test_diagonal_offset(self):
+        # diag(p^-1, p) = p^-1 diag(1, p^2); b takes the offset whole, so
+        # the kernel sees the integral part alone
         R = TruncatedLocalRing(2, 6, 1)
-        g = Mat.from_ints(R, [[1, 0], [0, 4]], offset=-1)  # diag(p^-1, p)
-        b, k = iwasawa_decompose(g)
-        assert k == Mat.identity(R, 2)
-        assert b * k == g
+        g = (1, 0, 0, 4)
+        b, k = iwasawa(R, g)
+        assert k == (1, 0, 0, 1)
+        assert factors(R, g, b, k)
 
     def test_antidiagonal(self):
+        # (0 p^-1; 1 0) = p^-1 (0 1; 2 0)
         R = TruncatedLocalRing(2, 6, 1)
-        g = Mat.from_ints(R, [[0, 1], [2, 0]], offset=-1)  # (0 p^-1; 1 0)
-        b, k = iwasawa_decompose(g)
-        assert b * k == g
-        assert b.rows[1][0].is_zero()
-        assert k == Mat.from_ints(R, [[0, 1], [1, 0]])
-        # b = diag(p^-1, 1)
-        assert b == Mat.from_ints(R, [[1, 0], [0, 2]], offset=-1)
+        g = (0, 1, 2, 0)
+        b, k = iwasawa(R, g)
+        assert factors(R, g, b, k)
+        assert k == (0, 1, 1, 0)
+        assert b == (1, 0, 0, 2)  # b = diag(p^-1, 1) after the offset
 
     def test_integral_input(self):
         R = TruncatedLocalRing(3, 5, 1)
-        g = Mat.from_ints(R, [[2, 1], [1, 1]])
-        b, k = iwasawa_decompose(g)
-        assert b * k == g
-        assert k.det().is_unit() and b.rows[1][0].is_zero()
+        g = (2, 1, 1, 1)
+        assert factors(R, g, *iwasawa(R, g))
 
     def test_random_seeded(self):
         rng = random.Random(2024)
         R = TruncatedLocalRing(2, 6, 1)
         done = 0
         while done < 200:
-            offset = rng.randint(-2, 2)
-            g = Mat.from_ints(R, [[rng.randrange(64) for _ in range(2)]
-                                  for _ in range(2)], offset=offset)
-            d = g.det()
-            if not (0 < d.valuation() < 3 or d.is_unit()):
+            g = tuple(rng.randrange(64) for _ in range(4))
+            if R.valuation(R.det2(g)) >= 3:
                 continue
-            b, k = iwasawa_decompose(g)
-            assert b * k == g
-            assert b.rows[1][0].is_zero()
-            assert k.det().is_unit()
+            assert factors(R, g, *iwasawa(R, g))
             done += 1
 
     def test_residue_level_coverage(self):
         # every element of GL_2(F_p) decomposes as b*k at level 1
         for p in (2, 3):
-            R = TruncatedLocalRing(p, 1, 1)
             F = FiniteField(p, 1)
-            for codes in gl_elements(F, 2):
-                # at d = 1 a code is its one coefficient, in F and in R
-                g = Mat.from_codes(R, 2, codes)
-                b, k = iwasawa_decompose(g)
-                assert b * k == g
-                assert b.rows[1][0].is_zero()
-                assert k.det().is_unit()
+            for g in gl_elements(F, 2):
+                assert factors(F, g, *iwasawa(F, g))
+            assert building.iwasawa_failures(F, gl_elements(F, 2)) == 0
 
     def test_matches_element_reference(self):
         # the reports pin only failure counts; this pins (b, k) itself
@@ -293,28 +293,15 @@ class TestIwasawa:
             # entries and vanishing pivot rows all occur
             p_powers = [R.encode((p**e,)) for e in range(n + 1)]
             for _ in range(60):
-                g = Mat.from_codes(
-                    R, 2, tuple(R.mul(rng.randrange(R.size()),
-                                      rng.choice(p_powers))
-                                for _ in range(4)),
-                    rng.randint(-2, 2))
+                g = tuple(R.mul(rng.randrange(R.size()), rng.choice(p_powers))
+                          for _ in range(4))
                 try:
-                    b0, k0 = reference_iwasawa(g)
+                    b0, k0 = reference_iwasawa(Mat.from_codes(R, 2, g))
                 except PrecisionExhausted:
                     with pytest.raises(PrecisionExhausted):
-                        iwasawa_decompose(g)
+                        iwasawa(R, g)
                     continue
-                b, k = iwasawa_decompose(g)
-                assert (b.codes, b.offset, k.codes) \
-                    == (b0.codes, b0.offset, k0.codes), (p, n, g)
-
-    def test_other_shapes_are_refused(self):
-        # only 2 x 2 matrices over rings of degree 1 are decomposed
-        for R, size in ((TruncatedLocalRing(2, 6, 1), 3),
-                        (TruncatedLocalRing(2, 4, 2), 2),
-                        (TruncatedLocalRing(3, 2, 1), 1)):
-            with pytest.raises(ValueError):
-                iwasawa_decompose(Mat.identity(R, size))
+                assert iwasawa(R, g) == (b0.codes, k0.codes), (p, n, g)
 
     def test_sample_cap(self):
         # count times ceil(bits / 64)^2, bits = precision * bit length of p
@@ -364,6 +351,13 @@ class TestIwasawa:
         monkeypatch.setattr(building, "_iwasawa2",
                             lambda *args: mutate(*kernel(*args)))
         assert iwasawa_sample_failures(2, 6, 50, random.Random(5)) == 50
+        # the exhaustive check of criterion 7 applies the same test
+        F = FiniteField(3, 1)
+        assert building.iwasawa_failures(F, gl_elements(F, 2)) == 48
+        assert not audit.iwasawa_reconstruction(10**6, 0)[0]
+
+
+AUDIT_SHAPES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (2, 7), (4, 2)]
 
 
 class TestAudits:
@@ -372,9 +366,7 @@ class TestAudits:
         assert rep["group_order"] == 6
         assert rep["product_set_size"] == 4
         assert not rep["covers"]
-        F = FiniteField(2, 1)
-        swap = Mat.from_ints(F, [[0, 1], [1, 0]])
-        assert swap in rep["counterexamples"]
+        assert (0, 1, 1, 0) in rep["counterexamples"]  # the swap
 
     def test_ub_gl2_p3(self):
         rep = audit_ub_factorization(2, 3)
@@ -408,6 +400,25 @@ class TestAudits:
             rep = audit_self_normalizing(n, p)
             assert rep["u_order"] == len(u_set)
             assert rep["normalizer_order"] == expect
+
+    # both audits against their closed forms: U is the scalars times the
+    # lower unitriangular group, its normalizer the lower Borel, and U B
+    # the LU big cell
+    @pytest.mark.parametrize("n, p", AUDIT_SHAPES)
+    def test_self_norm_closed_forms(self, n, p):
+        rep = audit_self_normalizing(n, p)
+        assert rep["group_order"] == gl_order(p, 1, 1, n)
+        assert rep["u_order"] == (p - 1) * p**(n * (n - 1) // 2)
+        assert rep["normalizer_order"] == (p - 1)**n * p**(n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n, p", AUDIT_SHAPES)
+    def test_ub_closed_forms(self, n, p):
+        rep = audit_ub_factorization(n, p)
+        assert rep["group_order"] == gl_order(p, 1, 1, n)
+        assert rep["u_order"] == (p - 1) * p**(n * (n - 1) // 2)
+        assert rep["product_set_size"] == (p - 1)**n * p**(n * (n - 1))
+        assert len(rep["counterexamples"]) \
+            == rep["group_order"] - rep["product_set_size"]
 
     def test_self_norm_is_the_lower_borel(self):
         # U is the scalars times the lower unitriangular group, whose

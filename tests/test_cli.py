@@ -531,11 +531,12 @@ class TestNearCap:
         assert time.monotonic() - start < 5.0
 
     # near the default cap or the 5 s bound: 980 100 pairing terms,
-    # 589 680 pattern entries, the 2^16 candidates of GL_4(F_2), and
-    # 589 824 coset pairs
+    # 589 680 pattern entries, the 2^16 candidates of GL_4(F_2), the
+    # 31^4 = 923 521 of GL_2(F_31), and 589 824 coset pairs
     @pytest.mark.parametrize("argv", [
         "cartan --n 100", "building simplices --n 12",
-        "building ub-audit --n 4 --p 2",
+        "building ub-audit --n 4 --p 2", "building self-norm --n 2 --p 31",
+        "building self-norm --n 4 --p 2",
         "hecke --n 2 --p 2 --left=9,0 --right=9,0"])
     def test_other_subcommands(self, argv):
         start = time.monotonic()
@@ -587,6 +588,34 @@ class TestCharges:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(argv.split()) == 0
             assert charged == [f"{c} candidate matrices" for c in want], argv
+
+
+    def test_one_charge_a_check(self, monkeypatch):
+        # roots charges n! once, before any n-vector is built, and the
+        # Lang image charges its candidate matrices in lang_image alone,
+        # for the CLI and criterion 4 at one cap
+        from glnlab import audit, cli, lang, roots
+        charged = []
+
+        def spy(cap, what, count, exponent=0):
+            charged.append(what)
+            charge(cap, what, count, exponent)
+
+        for mod in (cli, lang, roots):
+            monkeypatch.setattr(mod, "charge", spy)
+        for argv, want in [("roots --n 9", ["9! Weyl group elements"]),
+                           ("lang --p 2 --d 2 --s 2",
+                            ["2^8 candidate matrices"])]:
+            charged.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv.split()) == 0
+            assert charged == want, argv
+        start = time.monotonic()
+        assert run("roots --n 100000".split()) == 3
+        assert run("--cap 255 lang --p 2 --d 2 --s 2".split()) == 3
+        with pytest.raises(CapExceeded):
+            audit.lang_image_size(255, 0)
+        assert time.monotonic() - start < 1.0
 
 
 class TestGrammar:

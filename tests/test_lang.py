@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from glnlab.cli import run
-from glnlab.errors import InvalidConfig, MatchFailure, NotACocycle
+from glnlab.errors import (CapExceeded, InvalidConfig, MatchFailure,
+                           NotACocycle)
 from glnlab.lang import (
     GaloisModule,
     _cocycle_levels,
@@ -178,7 +179,7 @@ def whole_group_h1(module, codes):
             assert orbit <= set(cocycles)
             seen |= orbit
             classes.append({
-                "representative": Mat.from_codes(ring, s, min(orbit)),
+                "representative": min(orbit),
                 "size": len(orbit), "contains_identity": ident in orbit})
     return cocycles, classes
 
@@ -203,8 +204,8 @@ def whole_group_cocycles(module, codes):
 def whole_group_classes(ring, s, elements, lefts, rights):
     """Orbits a -> u * a * w of the flat code tuples elements, u and w
     paired from the code tuples lefts and rights, each formed over the
-    whole group in the order of elements, with the least representative
-    as a Mat, the size and the orbit as code tuples."""
+    whole group in the order of elements, with the least element as the
+    representative, the size and the orbit, all as code tuples."""
     mul = ring.mat_mul
     classes, seen = [], set()
     for a in elements:
@@ -212,7 +213,7 @@ def whole_group_classes(ring, s, elements, lefts, rights):
             orbit = {mul(s, mul(s, u, a), w) for u, w in zip(lefts, rights)}
             seen |= orbit
             classes.append({
-                "representative": Mat.from_codes(ring, s, min(orbit)),
+                "representative": min(orbit),
                 "size": len(orbit), "orbit": orbit})
     return classes
 
@@ -273,16 +274,16 @@ class TestLangMap:
     def test_identity(self):
         # the image of the identity is the identity
         for m in (gl1_field_module(2, 2), gl_module(FiniteField(3, 2), 2)):
-            assert identity(m) in lang_image(m)
+            assert identity(m) in lang_image(m.ring, m.s)
 
     def test_gl1_f4_is_identity_map(self):
         # x^-1 * x^2 = x for every x in F4*, so the image is the group
         m = gl1_field_module(2, 2)
-        assert lang_image(m) == set(elements(m))
+        assert lang_image(m.ring, m.s) == set(elements(m))
 
     def test_gl1_f9_image_is_squares(self):
         m = gl1_field_module(3, 2)
-        img = lang_image(m)
+        img = lang_image(m.ring, m.s)
         assert len(img) == 4
         squares = {(m.ring.mul(x, x),) for (x,) in elements(m)}
         assert img == squares
@@ -291,26 +292,26 @@ class TestLangMap:
         # |image| = (q^d - 1)/(q - 1) for GL_1 over F_{q^d} with q-Frobenius
         for p, d in [(2, 2), (3, 2), (2, 3)]:
             m = gl1_field_module(p, d)
-            assert len(lang_image(m)) == (p**d - 1) // (p - 1)
+            assert len(lang_image(m.ring, m.s)) == (p**d - 1) // (p - 1)
 
     def test_image_times_fixed_is_group(self):
         for p, d in [(2, 2), (3, 2), (2, 3)]:
             m = gl1_field_module(p, d)
             group = elements(m)
             fixed = [x for x in group if m.sigma(x) == x]
-            assert len(lang_image(m)) * len(fixed) == len(group)
+            assert len(lang_image(m.ring, m.s)) * len(fixed) == len(group)
 
     def test_trivial_sigma_constant(self):
         m = gl_module(FiniteField(2, 1), 2)
         assert m.ring.d == 1
-        assert lang_image(m) == {identity(m)}
+        assert lang_image(m.ring, m.s) == {identity(m)}
 
     @pytest.mark.parametrize("p,d,s", [
         (2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 12, 1), (2, 2, 2), (5, 1, 2),
         (2, 3, 2), (3, 2, 2), (2, 1, 3)])
     def test_orbit_of_one_is_the_whole_group_image(self, p, d, s):
         m = gl_module(FiniteField(p, d), s)
-        assert lang_image(m) == whole_group_lang_image(m)
+        assert lang_image(m.ring, m.s) == whole_group_lang_image(m)
 
     @pytest.mark.parametrize("p,d,s", [
         (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1), (2, 3, 1),
@@ -437,7 +438,7 @@ class TestInvariantFactors:
             assert all(len(f) > 1 and f[-1] == F.one_code for f in key)
             assert all(poly_divides(F, f, g) for f, g in zip(key, key[1:]))
             if s == 2:
-                a = cl["representative"].codes
+                a = cl["representative"]
                 trace, det = F.add(a[0], a[3]), F.mat_det(2, a)
                 assert functools.reduce(
                     lambda f, g: poly_mul(F, f, g), key) \
@@ -498,7 +499,7 @@ class TestDMBijection:
         # give two elements, not three
         import glnlab.lang as lang
         monkeypatch.setattr(lang, "residue_primitive_root",
-                            lambda ring: ring.one())
+                            lambda ring: ring.one_code)
         with pytest.raises(MatchFailure, match="subfield is not F_3"):
             dm_bijection_check(1, 3, 2)
 
@@ -509,8 +510,7 @@ class TestDMBijection:
         # the same least elements and sizes as one Smith elimination per
         # element, and every pair obeys Shintani's centralizer law
         rep = dm_bijection_check(s, q, n)
-        assert {m["invariant_factors"]: (m["plain_rep"].codes,
-                                         m["plain_size"])
+        assert {m["invariant_factors"]: (m["plain_rep"], m["plain_size"])
                 for m in rep["matches"]} == per_element_plain_classes(s, q, n)
         p, v = factor_prime_power(q)
         small, big = gl_order(p, 1, v, s), gl_order(p, 1, v * n, s)
@@ -551,11 +551,11 @@ class TestDMBijection:
         module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
         assert len(rep["matches"]) == rep["plain_class_count"]
         for match in rep["matches"]:
-            assert match["plain_rep"].sigma(v) == match["plain_rep"]
+            assert module.sigma(match["plain_rep"]) == match["plain_rep"]
             na_inv = module.ring.mat_inv(s, twisted_norm(
-                match["twisted_rep"].codes, module, n))
+                match["twisted_rep"], module, n))
             assert reference_conjugator(
-                module, match["plain_rep"].codes, na_inv) is not None
+                module, match["plain_rep"], na_inv) is not None
 
 
 class TestH1:
@@ -620,8 +620,9 @@ class TestGenerators:
 
     def test_each_module_builds_its_generators_once(self, monkeypatch):
         # enumerating the elements builds no generating set; a module
-        # builds one, and the Lang image, twisted classes and H^1 read
-        # it; dm-check builds two (the twisted and the plain side)
+        # builds one, and the twisted classes and H^1 read it; the Lang
+        # image builds its own, once its charge has passed; dm-check
+        # builds two (the twisted and the plain side)
         import glnlab.lang as lang
         built = []
         real = lang._gl_generators
@@ -632,12 +633,16 @@ class TestGenerators:
         assert built == []
         m = gl_module(FiniteField(2, 2), 2)
         assert built == [2]
-        lang_image(m)
         twisted_classes(m, codes)
         h1_cyclic(m, level_cocycles(m.ring, 2))
         assert built == [2]
+        with pytest.raises(CapExceeded):
+            lang_image(m.ring, 10**5)  # 4^(10^10) candidates
+        assert built == [2]
+        lang_image(m.ring, 2)
+        assert built == [2, 2]
         dm_bijection_check(1, 2, 2)
-        assert built == [2, 1, 1]
+        assert built == [2, 2, 1, 1]
 
 
 class TestH1Orbits:
@@ -788,12 +793,12 @@ class TestSchoolbookCodeOrder:
         assert len(cocycles) == 448
         assert digest(cocycles) == (
             "88ffacd3f00d36afc91bd9a85954922bf318c6224fb52fc0328aca01cfdf6f85")
-        assert digest([c["representative"].codes
+        assert digest([c["representative"]
                        for c in h1_cyclic(module, cocycles)]) == (
             "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac")
 
     def test_dm_check_over_f_1024(self):
         rep = dm_bijection_check(1, 2, 10)
-        assert digest([(m["twisted_rep"].codes, m["plain_rep"].codes,
+        assert digest([(m["twisted_rep"], m["plain_rep"],
                         m["invariant_factors"]) for m in rep["matches"]]) == (
             "96c87080909f4aefecf354c9381208b28c93f01338d90bb5744bc52eb07bf00c")

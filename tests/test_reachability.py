@@ -59,22 +59,21 @@ SHAPES = (
 
 # (reason, patterns): at most five entries
 ALLOWLIST = (
-    ("perfbench/tracer.py looks it up by name (TRACER_LOOKUPS), so "
-     "`--trace 1` needs it",
-     ("rings.Mat.__add__", "rings.Mat.det", "rings.Mat.scale",
-      "rings.Mat.sigma", "rings.Mat.transpose", "rings.FqElement",
-      "rings.LocalRingElement.__mul__")),
+    ("the element layer: the element objects, `Mat`, and the ring's "
+     "element constructors and code valuation, which no claim uses, since "
+     "every claim works on codes.  perfbench/tracer.py looks names of it up "
+     "(TRACER_LOOKUPS), and the test-side references (reference_iwasawa, "
+     "membership, the FractionHalf comparison, which also subtracts "
+     "HalfPowerLaurent values) and the algebraic-law tests are written in "
+     "it; it leaves src/ when the tests take it over (ROADMAP item 6)",
+     ("rings.Mat", "rings.Mat.*", "rings.LocalRingElement.*",
+      "rings.FqElement", "rings.TruncatedLocalRing.element",
+      "rings.TruncatedLocalRing.one", "rings.TruncatedLocalRing.valuation",
+      "rings.HalfPowerLaurent.__neg__",
+      "rings.HalfPowerLaurent.__sub__", "rings.HalfPowerLaurent.__rsub__")),
     ("value semantics: equality, hashing, printing and immutability of "
      "the value classes, which the tests and a debugger use",
      ("*.__eq__", "*.__hash__", "*.__repr__", "*.__setattr__")),
-    ("the element API, which the claims, working on codes, do not use: "
-     "the test-side references (reference_iwasawa, membership, the "
-     "FractionHalf comparison) and the algebraic-law tests are written "
-     "in it",
-     ("rings.LocalRingElement.inverse", "rings.LocalRingElement.sigma",
-      "rings.Mat.__init__", "rings.Mat.__getitem__",
-      "rings.HalfPowerLaurent.__neg__", "rings.HalfPowerLaurent.__sub__",
-      "rings.HalfPowerLaurent.__rsub__")),
     ("the cofactor form of the last row of a matrix of size 3 or more "
      "over a tabulated ring, and sums of products for matrices of size 2 "
      "or more over a larger one: the cheapest such request, the "
@@ -277,6 +276,17 @@ def test_the_names_the_tracer_patches_are_defined_where_it_looks():
     defs = defined_names()
     missing = [q for q in TRACER_LOOKUPS if q not in defs]
     assert not missing, missing
+
+
+def test_only_rings_names_the_element_layer():
+    # every claim works on flat code tuples: no module but rings, where
+    # the element layer is defined, names it, in code, comment or text
+    layer = re.compile(r"\b(Mat|LocalRingElement|FqElement)\b")
+    found = [f"{path.name}:{i}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "rings.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if layer.search(line)]
+    assert not found, found
 
 
 def test_a_traced_audit_leaves_no_wrapper_behind():

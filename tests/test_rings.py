@@ -125,7 +125,7 @@ class TestFieldArithmetic:
         F = FiniteField(p, d)
         old = next(a for a in sorted(units(F), key=lambda e: e.coeffs)
                    if len({a ** k for k in range(1, F.q)}) == F.q - 1)
-        assert rings.residue_primitive_root(F) == old
+        assert rings.residue_primitive_root(F) == old.code
 
 
 class TestFrobenius:

@@ -350,13 +350,14 @@ class TestWeylGroup:
         assert weyl_group(simple_roots_gl(4)[::2]) == [1, 2, 1]
 
     def test_order_checked_before_enumeration(self):
+        # check_type_a charges n! once, before any root is built
         start = time.monotonic()
-        for n in (10, 12, 1000):
+        for n in (10, 12, 1000, 100000):
             with pytest.raises(CapExceeded):
-                weyl_group(simple_roots_gl(n))
+                check_type_a(n)
         with pytest.raises(CapExceeded):
-            weyl_group(simple_roots_gl(5), cap=119)
-        assert sum(weyl_group(simple_roots_gl(5), cap=120)) == 120
+            check_type_a(5, cap=119)
+        assert check_type_a(5, cap=120)[1] == 120
         assert time.monotonic() - start < 1.0
 
     def test_non_permuting_reflection_rejected(self):
@@ -381,6 +382,6 @@ class TestWeylGroup:
         # a closure of order n! with the wrong layers fails the check
         from glnlab import roots
         monkeypatch.setattr(roots, "weyl_group",
-                            lambda simple, cap: [1, 3, 1, 1])
+                            lambda simple: [1, 3, 1, 1])
         _, order, _, order_is_factorial = check_type_a(3)
         assert order == 6 and not order_is_factorial
