@@ -93,6 +93,8 @@ def _iwasawa2(p, n, inv, a, b, c, d):
     leftmost least valuation v of the bottom row is in column 0, then
     clear the bottom-left entry by one shear, t = (c / p^v) * u^-1 with
     d = p^v * u.  Then k = (1 0; t 1), or (0 1; 1 t) after a swap.
+    Only a singular bottom row raises: the factors are returned as found,
+    and ``iwasawa_failures`` tests them.
     """
     pn = p**n
     v, pv = 0, 1  # v is the least valuation of the bottom row, pv = p^v
@@ -107,8 +109,6 @@ def _iwasawa2(p, n, inv, a, b, c, d):
     if c:
         t = c // pv * inv(d // pv) % pn
         a, c = (a - t * b) % pn, (c - t * d) % pn
-        if c:
-            raise PrecisionExhausted("shear failed to clear the entry")
     return (a, b, c, d), ((0, 1, 1, t) if swap else (1, 0, t, 1))
 
 
@@ -146,14 +146,15 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
     3125 words, so the square over-charges large precisions, and a
     request the default cap of 10^6 accepts runs at most about 10 s
     there.  At one word most of a sample is its five draws.  A
-    precision below 1 is charged nothing and refused by the ring.
+    precision below 1 is charged nothing and refused by the ring, which
+    charges its p residue field elements against the same cap.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     words = -(-max(precision, 0) * p.bit_length() // 64)
     charge(cap, f"{count} samples of {words}^2 work units each",
            count * words * words)
-    ring = TruncatedLocalRing(p, precision, 1)
+    ring = TruncatedLocalRing(p, precision, 1, cap)
     top, det_modulus = ring.pn, p**min(3, precision)
     randint, randrange = rng.randint, rng.randrange
 
@@ -185,12 +186,13 @@ def _residue_triangular(field, n, lower):
             if (r > c if lower else r < c)]
     diags = ([(a,) * n for a in units] if lower
              else itertools.product(units, repeat=n))
+    fills = list(itertools.product(range(nel), repeat=len(fill)))
     out = []
     for diag in diags:
-        for vals in itertools.product(range(nel), repeat=len(fill)):
-            codes = [0] * (n * n)
-            codes[::n + 1] = diag
-            for pos, v in zip(fill, vals):
+        codes = [0] * (n * n)
+        codes[::n + 1] = diag
+        for vals in fills:
+            for pos, v in zip(fill, vals):  # every fill entry is rewritten
                 codes[pos] = v
             out.append(tuple(codes))
     return out
@@ -204,7 +206,7 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     The |U| |B| products are charged before GL_n(F_p) is enumerated, in
     closed form: |U| = (p - 1) p^(n(n-1)/2), |B| = (p - 1)^n p^(n(n-1)/2).
     """
-    field = FiniteField(p, 1)
+    field = FiniteField(p, 1, cap)
     charge(cap, f"{p - 1}^{n + 1} * {p}^{n * (n - 1)} products u * b",
            lambda: (p - 1)**(n + 1) * p**(n * (n - 1)), n * (n - 1))
     g_all = gl_elements(field, n, cap=cap)
@@ -237,7 +239,7 @@ def audit_self_normalizing(n, p, cap=DEFAULT_GROUP_CAP):
     with k the first index where u is nonzero, k >= 1 and w_j = 0 for
     every j >= k.
     """
-    field = FiniteField(p, 1)
+    field = FiniteField(p, 1, cap)
     g_all = gl_elements(field, n, cap=cap)
     u_set = set(_residue_triangular(field, n, lower=True))
     det = field.mat_det

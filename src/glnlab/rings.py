@@ -39,7 +39,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .errors import InvalidConfig, NotInvertible, NotPrime, charge
+from .errors import (GlnLabError, InvalidConfig, NotInvertible, NotPrime,
+                     charge)
 
 DEFAULT_FIELD_CAP = 1 << 16
 DEFAULT_GROUP_CAP = 10**6
@@ -489,7 +490,7 @@ class TruncatedLocalRing:
             for _ in range(d - 1):
                 y = sigma(y)
             if y != self.weights[1]:
-                raise ArithmeticError("Frobenius lift does not have order d")
+                raise GlnLabError("Frobenius lift does not have order d")
 
     # -- Frobenius ------------------------------------------------------------
     def evaluate(self, coeffs, y):
@@ -514,7 +515,7 @@ class TruncatedLocalRing:
             step = self.mul(fy, self.inv(self.evaluate(fprime, y)))
             y = self.add(y, self.neg(step))
         if self.evaluate(f, y):
-            raise ArithmeticError("Newton iteration failed to lift Frobenius")
+            raise GlnLabError("Newton iteration failed to lift Frobenius")
         return y
 
     def pow(self, a, e):
@@ -659,14 +660,16 @@ def residue_primitive_root(ring):
     """The code of the first element, in code order, with every
     coefficient in [0, p) whose residue generates F_q^*: no power
     (q-1)/r of it, r a prime dividing q - 1, is 1 mod p.  On a field it
-    is the least primitive element."""
+    is the least primitive element.  The primes r are read off the
+    divisor pairs (r, (q - 1)/r) of q - 1, r up to its square root."""
     q, minus_one, unit = ring.q, ring.neg(ring.one_code), ring.is_unit
-    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    primes = [f for r in range(1, math.isqrt(q - 1) + 1) if (q - 1) % r == 0
+              for f in (r, (q - 1) // r) if is_prime(f)]
     for z in map(ring.encode, itertools.product(range(ring.p), repeat=ring.d)):
         if unit(z) and all(unit(ring.add(ring.pow(z, (q - 1) // r),
                                          minus_one)) for r in primes):
             return z
-    raise ArithmeticError(f"no primitive root in F_{q}")
+    raise GlnLabError(f"no primitive root in F_{q}")
 
 
 class LocalRingElement:

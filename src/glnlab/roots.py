@@ -53,18 +53,12 @@ def reflect(alpha, beta):
 
 
 class CartanMatrix:
-    """Integer matrix of Cartan integers, with optional D*S factorization."""
+    """Integer matrix of Cartan integers, with optional D*S factorization:
+    D a tuple and S a tuple of rows, of Fractions (``ds_decompose``)."""
 
     def __init__(self, entries, D=None, S=None):
         self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        self.D = tuple(Fraction(x) for x in D) if D is not None else None
-        self.S = (tuple(tuple(Fraction(x) for x in row) for row in S)
-                  if S is not None else None)
-        if self.D is not None and self.S is not None:
-            for i, row in enumerate(self.entries):
-                for j, a in enumerate(row):
-                    if self.D[i] * self.S[i][j] != a:
-                        raise ValueError("A != D*S")
+        self.D, self.S = D, S
 
     def __eq__(self, other):
         return isinstance(other, CartanMatrix) and self.entries == other.entries
@@ -146,22 +140,17 @@ def _symmetrizer(entries):
 
 
 def ds_decompose(simple):
-    """Factor the Cartan matrix of a simple system as A = D*S, D positive
-    diagonal, S symmetric.
-
-    S must come out positive definite (exact leading-minor test).
-    """
+    """(A, minors): the Cartan matrix of a simple system as A = D*S, D
+    the positive diagonal of ``_symmetrizer`` and S = D^-1 A, and the
+    leading minors of S up to the first that is not positive (the
+    caller's verdict).  NotPositiveDefinite if no such D exists."""
     entries = cartan_matrix(simple).entries
     D = _symmetrizer(entries)
     if D is None:
         raise NotPositiveDefinite("no positive symmetrizer")
     S = tuple(tuple(Fraction(a, d) for a in row)
               for row, d in zip(entries, D))
-    minors = _leading_minors(S)
-    if any(m <= 0 for m in minors):
-        raise NotPositiveDefinite(
-            f"symmetrized form not positive definite: minors {minors}")
-    return CartanMatrix(entries, D=D, S=S), minors
+    return CartanMatrix(entries, D=D, S=S), _leading_minors(S)
 
 
 def _rank(vectors):

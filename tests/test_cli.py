@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import glnlab
 from glnlab.cli import (_check_lfactor_cap, build_parser, canonical_json,
                         lint_report, run, verdict)
-from glnlab.errors import CapExceeded, InvalidConfig, charge
+from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
@@ -532,12 +532,16 @@ class TestNearCap:
 
     # near the default cap or the 5 s bound: 980 100 pairing terms,
     # 589 680 pattern entries, the 2^16 candidates of GL_4(F_2), the
-    # 31^4 = 923 521 of GL_2(F_31), and 589 824 coset pairs
+    # 31^4 = 923 521 of GL_2(F_31), and 589 824 coset pairs; and the
+    # rings of the building audits at the request's cap, not the 2^16
+    # field cap: Z/999983^3 and the 999 982 elements of GL_1(F_999983)
     @pytest.mark.parametrize("argv", [
         "cartan --n 100", "building simplices --n 12",
         "building ub-audit --n 4 --p 2", "building self-norm --n 2 --p 31",
         "building self-norm --n 4 --p 2",
-        "hecke --n 2 --p 2 --left=9,0 --right=9,0"])
+        "hecke --n 2 --p 2 --left=9,0 --right=9,0",
+        "building iwasawa --p 999983 --count 1000 --precision 3",
+        "building self-norm --n 1 --p 999983"])
     def test_other_subcommands(self, argv):
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -799,3 +803,138 @@ class TestSuite:
         statuses = {v["status"] for v in rep["verdicts"]}
         assert statuses <= {"pass", "documented"}
         assert any(v["status"] == "documented" for v in rep["verdicts"])
+
+
+class TestVerdictsDecide:
+    """A broken claim prints its whole report, with its verdict ``fail``,
+    and exits 1: no library re-check decides it first."""
+
+    @staticmethod
+    def failing(argv, anchor, capsys):
+        """Run argv; it exits 1 with its report on stdout, in which the
+        verdict of anchor fails.  Returns the report."""
+        code = run(argv.split())
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        rep = json.loads(out)
+        assert rep["results"]
+        assert [v["status"] for v in rep["verdicts"]
+                if v["anchor"] == anchor] == ["fail"], rep["verdicts"]
+        return rep
+
+    def test_cartan_minor(self, monkeypatch, capsys):
+        from glnlab import roots
+        real = roots._leading_minors
+        monkeypatch.setattr(roots, "_leading_minors",
+                            lambda S: real(S)[:-1] + [Fraction(0)])
+        rep = self.failing("cartan --n 3", "claim:cartan-ds-decomposition",
+                           capsys)
+        assert rep["results"]["leading_minors_of_s"] == ["2", "0"]
+
+    def test_lfactor_constant_term(self, monkeypatch, capsys):
+        from glnlab import lfactor
+        real = lfactor._times_binomial
+
+        def doubled(terms, a, length, e):
+            out = real(terms, a, length, e)
+            return {k: 2 * c if k[0] == 0 else c for k, c in out.items()}
+
+        monkeypatch.setattr(lfactor, "_times_binomial", doubled)
+        rep = self.failing("lfactor --q 3 --params a,b",
+                           "claim:lfactor-constant-term", capsys)
+        assert rep["verdicts"][0]["status"] == "pass"  # the degree
+
+    def test_satake_invariance(self, monkeypatch, capsys):
+        from glnlab import hecke
+        real = hecke._basis_image
+        monkeypatch.setattr(hecke, "_basis_image",
+                            lambda mu, q: real(mu, q)[1:])
+        self.failing("satake --n 2 --p 2 --lam 1,0",
+                     "claim:satake-weyl-invariance", capsys)
+
+    def test_iwasawa_shear(self, monkeypatch, capsys):
+        from glnlab import building
+        real = building._iwasawa2
+        monkeypatch.setattr(
+            building, "_iwasawa2",
+            lambda p, n, inv, *g: real(p, n, lambda u: inv(u) + 1, *g))
+        rep = self.failing("building iwasawa",
+                           "claim:iwasawa-exact-reconstruction", capsys)
+        assert rep["results"]["failures"] > 0
+
+    def test_centralizer_law(self, monkeypatch, capsys):
+        from glnlab import lang
+        monkeypatch.setattr(lang, "shintani_law", lambda *args: False)
+        self.failing("dm-check --s 2 --q 2 --n 2",
+                     "claim:twisted-conjugacy-bijection", capsys)
+        rep = self.failing("--seed 0 suite paper-audit",
+                           "claim:twisted-conjugacy-bijection", capsys)
+        statuses = [v["status"] for v in rep["verdicts"]]
+        assert len(statuses) == 10
+        assert statuses[4] == "fail"
+        assert statuses.count("fail") == 1
+
+    def test_suite_keeps_its_report(self, monkeypatch, capsys):
+        # criterion 3 raises; its row fails with the message, and the
+        # nine other rows still run
+        from glnlab import lang
+
+        def broken(*args):
+            raise NotACocycle("a class leaves the cocycle set")
+
+        monkeypatch.setattr(lang, "h1_level_tower", broken)
+        rep = self.failing("--seed 0 suite paper-audit",
+                           "claim:h1-triviality", capsys)
+        assert len(rep["verdicts"]) == 10
+        assert rep["verdicts"][2]["detail"] \
+            == "a class leaves the cocycle set"
+        assert [v["status"] for v in rep["verdicts"]].count("fail") == 1
+
+
+class TestNoTraceback:
+    """A consistency check that fails inside the library exits 1 with its
+    message on stderr, not with a traceback."""
+
+    @staticmethod
+    def invariant_failure(argv, message, capsys):
+        assert run(argv.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"invariant failure: {message}\n"
+
+    def test_frobenius_order(self, monkeypatch, capsys):
+        from glnlab import rings
+        monkeypatch.setattr(rings.TruncatedLocalRing, "_lift_frobenius",
+                            lambda self: self.one_code)
+        self.invariant_failure("lang --p 2 --d 2",
+                               "Frobenius lift does not have order d", capsys)
+
+    def test_frobenius_lift(self, monkeypatch, capsys):
+        from glnlab import rings
+        monkeypatch.setattr(rings.TruncatedLocalRing, "evaluate",
+                            lambda self, coeffs, y: self.one_code)
+        self.invariant_failure("lang --p 2 --d 2",
+                               "Newton iteration failed to lift Frobenius",
+                               capsys)
+
+    def test_primitive_root(self, monkeypatch, capsys):
+        from glnlab import rings
+        monkeypatch.setattr(rings.TruncatedLocalRing, "pow",
+                            lambda self, a, e: self.one_code)
+        self.invariant_failure("lang --p 3 --d 1", "no primitive root in F_3",
+                               capsys)
+
+    def test_hall_littlewood(self, monkeypatch, capsys):
+        # without the - x_j terms the Vandermonde is the monomial x^rho,
+        # which does not divide the antisymmetrized numerator
+        from glnlab import hecke
+        real = hecke._dict_poly_mul
+        monkeypatch.setattr(hecke, "_dict_poly_mul", lambda f, g: real(
+            f, {e: c for e, c in g.items() if c > 0}))
+        hecke._basis_image.cache_clear()
+        try:
+            self.invariant_failure(
+                "satake --n 2 --p 2 --lam 1,0",
+                "numerator not divisible by the Vandermonde", capsys)
+        finally:
+            hecke._basis_image.cache_clear()

@@ -533,13 +533,28 @@ class TestDMBijection:
 
     def test_a_broken_centralizer_law_is_refused(self, monkeypatch):
         # twisted classes of the right number but the wrong sizes: the
-        # counts agree, the law does not
+        # counts agree and every class is matched, the law does not hold,
+        # and the report says so
         import glnlab.lang as lang
         real = lang.twisted_classes
         monkeypatch.setattr(lang, "twisted_classes", lambda module, codes: [
             dict(cl, size=cl["size"] + 1) for cl in real(module, codes)])
-        with pytest.raises(MatchFailure, match="centralizer law"):
-            dm_bijection_check(1, 3, 2)
+        rep = dm_bijection_check(1, 3, 2)
+        assert rep["plain_class_count"] == rep["twisted_class_count"] == 2
+        assert len(rep["matches"]) == 2
+        assert not rep["bijective"]
+
+    def test_a_map_that_is_not_one_to_one_is_reported(self, monkeypatch):
+        # every norm the identity: each twisted class names the class of
+        # 1, which only the first may take
+        import glnlab.lang as lang
+        monkeypatch.setattr(lang, "twisted_norm",
+                            lambda a, module, m: lang._identity(module.ring,
+                                                                module.s))
+        rep = dm_bijection_check(2, 2, 2)
+        assert rep["plain_class_count"] == rep["twisted_class_count"] == 3
+        assert len(rep["matches"]) == 1
+        assert not rep["bijective"]
 
     @pytest.mark.parametrize("s,q,n", [(1, 4, 2), (1, 5, 2), (2, 2, 2),
                                        (2, 2, 3), (2, 3, 2)])

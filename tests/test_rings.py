@@ -127,6 +127,29 @@ class TestFieldArithmetic:
                    if len({a ** k for k in range(1, F.q)}) == F.q - 1)
         assert rings.residue_primitive_root(F) == old.code
 
+    @staticmethod
+    def primitive_root_reference(F):
+        """The first code, in code order, no power (q - 1)/r of which is
+        1, r over the primes dividing q - 1, found by testing every r < q
+        and every divisor below r."""
+        q, one = F.q, F.one_code
+        primes = [r for r in range(2, q) if (q - 1) % r == 0
+                  and all(r % k for k in range(2, r))]
+        return next(z for z in map(F.encode, itertools.product(
+            range(F.p), repeat=F.d)) if F.is_unit(z)
+            and all(F.pow(z, (q - 1) // r) != one for r in primes))
+
+    def test_residue_primitive_root_against_a_reference(self):
+        # every prime power q <= 1024, and F_(997^2) and F_(2^19) above
+        # the 2^16 field cap
+        fields = [(p, d, 1 << 16) for p in range(2, 1025) if rings.is_prime(p)
+                  for d in range(1, 11) if p**d <= 1024]
+        assert len(fields) == 172 + 26  # primes, and higher powers
+        for p, d, cap in fields + [(997, 2, 10**6), (2, 19, 1 << 19)]:
+            F = FiniteField(p, d, cap)
+            assert rings.residue_primitive_root(F) \
+                == self.primitive_root_reference(F), (p, d)
+
 
 class TestFrobenius:
     def test_prime_field_fixed(self):

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from glnlab.errors import CapExceeded, NonIntegral, NotPositiveDefinite
+from glnlab.audit import ds_factorization_ok
+from glnlab.errors import CapExceeded, NonIntegral
 from glnlab.roots import (
+    CartanMatrix,
     _leading_minors,
     _symmetrizer,
     cartan_matrix,
@@ -157,10 +159,21 @@ class TestDSDecomposition:
             assert all(m > 0 for m in minors)
 
     def test_singular_rejected(self):
-        # dependent simple roots give the affine A1 matrix, minors 2, 0
-        with pytest.raises(NotPositiveDefinite, match=r"minors \[Fraction"
-                           r"\(2, 1\), Fraction\(0, 1\)\]"):
-            ds_decompose([(1, -1), (-1, 1)])
+        # dependent simple roots give the affine A1 matrix, minors 2, 0:
+        # ds_decompose reports them, and the verdict refuses them
+        dec, minors = ds_decompose([(1, -1), (-1, 1)])
+        assert minors == [Fraction(2), Fraction(0)]
+        assert not ds_factorization_ok(dec, minors)
+
+    def test_verdict_checks_each_part(self):
+        # D*S = A, S symmetric, and every leading minor positive
+        dec, minors = ds_decompose(G2_SIMPLE)
+        assert ds_factorization_ok(dec, minors)
+        A = dec.entries
+        assert not ds_factorization_ok(CartanMatrix(A, (1, 1), dec.S), minors)
+        assert not ds_factorization_ok(CartanMatrix(A, (1, 1), A), minors)
+        assert not ds_factorization_ok(dec, minors[:1])
+        assert not ds_factorization_ok(dec, [minors[0], 0])
 
 
 class TestLeadingMinors:
