@@ -360,26 +360,19 @@ def congruence_kernel(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
     return module, elements
 
 
-def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
-    """|H^1| for GL_s at each truncation level and for the congruence
-    kernels between consecutive levels, plus level-compatibility: the
-    level-n cocycles must reduce onto the level-(n-1) ones, so each of
-    those must have a lift that is a cocycle.
+def h1_level_tower(s, p, d, max_level, at_level, cap=DEFAULT_GROUP_CAP):
+    """The report ``at_level(ring, s, cocycles)`` of each truncation level
+    (the h1 claim), |H^1| of the congruence kernels between consecutive
+    levels, and level-compatibility: the level-n cocycles must reduce
+    onto the level-(n-1) ones, so each of those must have a lift that is
+    a cocycle.
 
-    The levels are those of ``_cocycle_levels``, each found once.  Only
-    level 1 is enumerated; every lift of a unit matrix is a unit, so
-    |GL_s(O/p^n)| = |GL_s(F_q)| q^(s^2 (n-1)).
+    The levels are those of ``_cocycle_levels``, each found once.
     """
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
     for ring, cocycles in _cocycle_levels(p, d, max_level, s, cap):
-        n, q = ring.n, ring.q
-        classes = h1_cyclic(gl_module(ring, s), cocycles)
-        report["levels"].append({"level": n,
-                                 "group_order": gl_order(s, q)
-                                 * q**(s * s * (n - 1)),
-                                 "h1_size": len(classes),
-                                 "cocycle_count": len(cocycles)})
+        report["levels"].append(at_level(ring, s, cocycles))
         if low is not None:
             reduced = {tuple(low.encode(ring.decode(a)) for a in c)
                        for c in cocycles}

@@ -88,11 +88,11 @@ def test_criterion_09_satake_transform():
 
 
 def test_criterion_10_local_factors():
-    from glnlab.lfactor import DualRep, SatakeParameter
+    from glnlab import cli
     with Budget(0.05):
         ok, _ = audit.local_factors(CAP, SEED)
         # sym(3) is checked here, not in the paper audit
-        t3 = SatakeParameter(("alpha", "beta", "gamma"), 3)
-        sym3_ok = audit.l_factor_shape_ok(DualRep("sym", 3), t3)
+        sym3 = audit.run_claim(cli.lfactor_claim, "lfactor --q 3 --params "
+                               "alpha,beta,gamma --rep sym(3)", CAP)
     assert ok
-    assert sym3_ok
+    assert cli.holds(sym3)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glnlab
+from glnlab import audit, building, cli, hecke, lang, lfactor, roots
 from glnlab.cli import (_check_lfactor_cap, build_parser, canonical_json,
                         lint_report, run, verdict)
 from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
@@ -822,6 +824,15 @@ class TestVerdictsDecide:
                 if v["anchor"] == anchor] == ["fail"], rep["verdicts"]
         return rep
 
+    def failing_row(self, row, anchor, capsys):
+        """The paper audit exits 1, and its row of index row, of anchor,
+        is the only row that fails."""
+        rep = self.failing("--seed 0 suite paper-audit", anchor, capsys)
+        statuses = [v["status"] for v in rep["verdicts"]]
+        assert len(statuses) == 10
+        assert statuses[row] == "fail"
+        assert statuses.count("fail") == 1
+
     def test_cartan_minor(self, monkeypatch, capsys):
         from glnlab import roots
         real = roots._leading_minors
@@ -861,18 +872,38 @@ class TestVerdictsDecide:
         rep = self.failing("building iwasawa",
                            "claim:iwasawa-exact-reconstruction", capsys)
         assert rep["results"]["failures"] > 0
+        self.failing_row(6, "claim:iwasawa-exact-reconstruction", capsys)
+
+    def test_ub_product_set(self, monkeypatch, capsys):
+        real = building.audit_ub_factorization
+
+        def short(*args, **kw):
+            rep = real(*args, **kw)
+            return dict(rep, product_set_size=rep["product_set_size"] - 1)
+
+        monkeypatch.setattr(building, "audit_ub_factorization", short)
+        self.failing("building ub-audit --n 2 --p 3",
+                     "claim:ub-residue-coverage-gap", capsys)
+        self.failing_row(7, "claim:ub-residue-coverage-gap", capsys)
+
+    def test_self_normalizer(self, monkeypatch, capsys):
+        real = building.audit_self_normalizing
+
+        def wrong(*args, **kw):
+            rep = real(*args, **kw)
+            return dict(rep, normalizer_order=rep["u_order"],
+                        self_normalizing=not rep["self_normalizing"])
+
+        monkeypatch.setattr(building, "audit_self_normalizing", wrong)
+        self.failing("building self-norm --n 2 --p 3",
+                     "claim:self-normalizer-audit", capsys)
 
     def test_centralizer_law(self, monkeypatch, capsys):
         from glnlab import lang
         monkeypatch.setattr(lang, "shintani_law", lambda *args: False)
         self.failing("dm-check --s 2 --q 2 --n 2",
                      "claim:twisted-conjugacy-bijection", capsys)
-        rep = self.failing("--seed 0 suite paper-audit",
-                           "claim:twisted-conjugacy-bijection", capsys)
-        statuses = [v["status"] for v in rep["verdicts"]]
-        assert len(statuses) == 10
-        assert statuses[4] == "fail"
-        assert statuses.count("fail") == 1
+        self.failing_row(4, "claim:twisted-conjugacy-bijection", capsys)
 
     def test_suite_keeps_its_report(self, monkeypatch, capsys):
         # criterion 3 raises; its row fails with the message, and the
@@ -889,6 +920,67 @@ class TestVerdictsDecide:
         assert rep["verdicts"][2]["detail"] \
             == "a class leaves the cocycle set"
         assert [v["status"] for v in rep["verdicts"]].count("fail") == 1
+
+
+class TestOneDefinition:
+    """The paper audit decides each claim through the subcommand claim
+    that issues its anchor, and reusing a claim adds no work."""
+
+    # the calls of each costly entry point in `--seed 0 suite paper-audit`,
+    # as counted when each criterion still called the library itself: a
+    # reused claim must not add a second pass
+    WORK = {(lang, "_cocycle_levels"): 3, (lang, "congruence_kernel"): 2,
+            (lang, "lang_image"): 4, (lang, "dm_bijection_check"): 4,
+            (roots, "check_type_a"): 5,
+            (building, "iwasawa_sample_failures"): 1,
+            (hecke, "satake_transform"): 728,
+            (hecke, "satake_by_coset_count"): 2, (hecke, "convolve"): 242,
+            (lfactor, "l_factor"): 8}
+
+    @staticmethod
+    def spy(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(
+            name) or real(*args, **kw))
+
+    @staticmethod
+    def issuers():
+        """{anchor: the names of the functions of cli.py that issue it}."""
+        out = {}
+        for fn in ast.parse(Path(cli.__file__).read_text()).body:
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Constant) \
+                            and str(node.value).startswith("claim:"):
+                        out.setdefault(node.value, set()).add(fn.name)
+        return out
+
+    def test_work_counts(self, monkeypatch, capsys):
+        calls = []
+        for module, name in self.WORK:
+            self.spy(monkeypatch, module, name, calls)
+        assert run("--seed 0 suite paper-audit".split()) == 0
+        assert {(module, name): calls.count(name)
+                for module, name in self.WORK} == self.WORK
+
+    @pytest.mark.parametrize("row", audit.CRITERIA + (audit.RANDOM_ORACLE,),
+                             ids=lambda row: row.check.__name__)
+    def test_each_row_runs_its_claim(self, monkeypatch, row):
+        (name,) = self.issuers()[row.anchor]
+        calls = []
+        self.spy(monkeypatch, cli, name, calls)
+        assert row.check(10**6, 0)[0]
+        assert calls, f"{row.check.__name__} does not run cli.{name}"
+
+    def test_no_verdict_is_a_constant(self):
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) == "verdict":
+                    ok = node.args[2] if len(node.args) > 2 else next(
+                        k.value for k in node.keywords if k.arg == "ok")
+                    assert not isinstance(ok, ast.Constant), \
+                        f"{path.name}:{node.lineno}"
 
 
 class TestNoTraceback:

@@ -35,6 +35,7 @@ COMMANDS = {
     "building_iwasawa_seed3_p5_prec64": (
         "--seed 3 building iwasawa --p 5 --precision 64 --count 50"),
     "suite_full_seed7": "--seed 7 suite full",
+    "suite_paper_audit_seed0": "--seed 0 suite paper-audit",
     "hecke_n2_p3_2m1_2m1": "hecke --n 2 --p 3 --left=2,-1 --right=2,-1",
     "hecke_n2_p2_10_0m1": "hecke --n 2 --p 2 --left=1,0 --right=0,-1",
     "satake_n3_p3_11m1": "satake --n 3 --p 3 --lam=1,1,-1 --enable-gl3",

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from glnlab.cli import run
+from glnlab.cli import h1_level, run
 from glnlab.errors import (CapExceeded, InvalidConfig, MatchFailure,
                            NotACocycle)
 from glnlab.lang import (
@@ -589,8 +589,8 @@ class TestH1:
         assert len(h1_cyclic(m, level_cocycles(m.ring, 2))) == 1
 
     def test_level_tower_s1(self):
-        rep = h1_level_tower(1, 2, 2, 2)
-        assert all(l["h1_size"] == 1 for l in rep["levels"])
+        rep = h1_level_tower(1, 2, 2, 2, h1_level)
+        assert all(l["results"]["h1_size"] == 1 for l in rep["levels"])
         assert all(k["h1_size"] == 1 for k in rep["kernels"])
         assert rep["compatible"]
 
@@ -750,8 +750,8 @@ class TestH1Orbits:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(["h1", "--p", str(p), "--d", str(d),
                             "--s", str(s), "--level", str(n)]) == 0
-        h1_level_tower(2, 2, 2, 2)
-        h1_level_tower(1, 3, 2, 4)
+        h1_level_tower(2, 2, 2, 2, h1_level)
+        h1_level_tower(1, 3, 2, 4, h1_level)
         assert levels and set(levels) == {1}
 
     def test_tower_finds_each_level_once(self, monkeypatch):
@@ -763,23 +763,27 @@ class TestH1Orbits:
         real = lang._cocycles
         monkeypatch.setattr(lang, "_cocycles", lambda *args:
                             passes.append(1) or real(*args))
-        h1_level_tower(1, 2, 2, 4)
+        h1_level_tower(1, 2, 2, 4, h1_level)
         assert len(passes) == 7
 
     def test_level_tower_orders_and_cocycles(self):
-        # the tower's orders are the closed form, and its counts those of
-        # a pass up to each level alone
+        # each level's row is the h1 claim on the cocycles of a pass up to
+        # that level alone, and its closed form the quotient of the group
+        # orders
         for s, p, d, top in [(1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 1, 3)]:
-            rep = h1_level_tower(s, p, d, top)
+            rep = h1_level_tower(s, p, d, top, h1_level)
             assert rep["compatible"]
             for level in rep["levels"]:
-                n = level["level"]
-                assert level["group_order"] == gl_order(p, n, d, s)
+                results = level["results"]
+                n = results["level"]
+                assert results["expected_cocycle_count"] \
+                    == gl_order(p, n, d, s) // gl_order(p, n, 1, s)
                 module = gl_module(TruncatedLocalRing(p, n, d), s)
                 cocycles = level_cocycles(module.ring, s)
-                assert level["cocycle_count"] == len(cocycles)
-                assert level["h1_size"] == len(h1_cyclic(module, cocycles))
-                assert level["h1_size"] == 1
+                assert results["cocycle_count"] == len(cocycles)
+                assert results["h1_size"] == len(h1_cyclic(module, cocycles))
+                assert results["h1_size"] == 1
+                assert level["verdicts"][0]["status"] == "pass"
 
     def test_tower_flags_a_cocycle_without_a_cocycle_lift(self, monkeypatch):
         # compatibility asks every level-(n-1) cocycle for a lift that is
@@ -788,8 +792,8 @@ class TestH1Orbits:
         import glnlab.lang as lang
         monkeypatch.setattr(lang, "_lifts",
                             lambda ring, low, cocycles: iter(()))
-        assert not h1_level_tower(1, 2, 2, 2)["compatible"]
-        assert h1_level_tower(1, 2, 2, 1)["compatible"]
+        assert not h1_level_tower(1, 2, 2, 2, h1_level)["compatible"]
+        assert h1_level_tower(1, 2, 2, 1, h1_level)["compatible"]
 
 
 def digest(obj):

@@ -1,8 +1,8 @@
 """Every line of ``glnlab`` runs for a claim, or ``ALLOWLIST`` names it
 with the reason it stays.
 
-A claim is a request the CLI answers: each golden report, both suites
-(so every row of the paper audit), the contract argvs of
+A claim is a request the CLI answers: each golden report (among them
+both suites, so every row of the paper audit), the contract argvs of
 ``tests/test_cli.py::TestExitCodes``, every ``glnlab ...`` line of the
 README's ``sh`` blocks, sent through the console entry point, and the
 cheap requests of ``SHAPES``.  One subprocess, ``tests/claim_trace.py``,
@@ -107,13 +107,14 @@ def claims():
     """[(argv, expected exit code, through the console entry point)],
     each argv once."""
     out = [(argv, 0, False) for argv in COMMANDS.values()]
-    out += [(argv, 0, False) for argv in (
-        "--seed 0 suite paper-audit", "--seed 7 suite full")
-        + PASS_ARGVS + (RANK3_SATAKE_ARGV,) + SHAPES]
+    out += [(argv, 0, False)
+            for argv in PASS_ARGVS + (RANK3_SATAKE_ARGV,) + SHAPES]
     out += [(argv, 2, False) for argv in INVALID_CONFIG_ARGVS]
     out += [(argv, code, False) for argv, code in LARGE_PRIME_ARGVS]
     out += [(argv, 3, False)
             for argv in CAP_EXCEEDED_ARGVS + CAP_EXCEEDED_AT_ONCE_ARGVS]
+    argvs = [argv for argv, _, _ in out]
+    assert len(set(argvs)) == len(argvs), "a request is listed twice"
     out = [(argv.split(), code, main) for argv, code, main in out]
     out += [(argv, 0, True) for argv in readme_argvs()]
     unique = {}

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import math
 import operator
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from glnlab.audit import ds_factorization_ok
+from glnlab import cli, roots
 from glnlab.errors import CapExceeded, NonIntegral
 from glnlab.roots import (
     CartanMatrix,
@@ -158,22 +159,31 @@ class TestDSDecomposition:
                     assert cm.S[i][j] == cm.S[j][i]
             assert all(m > 0 for m in minors)
 
-    def test_singular_rejected(self):
+    @staticmethod
+    def ds_verdict(monkeypatch, dec, minors):
+        """Does the cartan claim's D*S verdict pass on dec and minors?"""
+        monkeypatch.setattr(roots, "ds_decompose",
+                            lambda simple: (dec, minors))
+        report = cli.cmd_cartan(argparse.Namespace(preset="g2", n=None,
+                                                   cap=10**6))
+        return report["verdicts"][0]["status"] == "pass"
+
+    def test_singular_rejected(self, monkeypatch):
         # dependent simple roots give the affine A1 matrix, minors 2, 0:
         # ds_decompose reports them, and the verdict refuses them
         dec, minors = ds_decompose([(1, -1), (-1, 1)])
         assert minors == [Fraction(2), Fraction(0)]
-        assert not ds_factorization_ok(dec, minors)
+        assert not self.ds_verdict(monkeypatch, dec, minors)
 
-    def test_verdict_checks_each_part(self):
+    def test_verdict_checks_each_part(self, monkeypatch):
         # D*S = A, S symmetric, and every leading minor positive
         dec, minors = ds_decompose(G2_SIMPLE)
-        assert ds_factorization_ok(dec, minors)
         A = dec.entries
-        assert not ds_factorization_ok(CartanMatrix(A, (1, 1), dec.S), minors)
-        assert not ds_factorization_ok(CartanMatrix(A, (1, 1), A), minors)
-        assert not ds_factorization_ok(dec, minors[:1])
-        assert not ds_factorization_ok(dec, [minors[0], 0])
+        for wrong in [(CartanMatrix(A, (1, 1), dec.S), minors),
+                      (CartanMatrix(A, (1, 1), A), minors),
+                      (dec, minors[:1]), (dec, [minors[0], 0])]:
+            assert not self.ds_verdict(monkeypatch, *wrong)
+        assert self.ds_verdict(monkeypatch, dec, minors)
 
 
 class TestLeadingMinors:
