@@ -53,11 +53,6 @@ class ValuationPattern:
             [[self.entries[i][j] + e[i] - e[j] for j in range(self.n)]
              for i in range(self.n)])
 
-    def intersect(self, other):
-        return ValuationPattern(
-            [[max(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
     def __eq__(self, other):
         return isinstance(other, ValuationPattern) and self.entries == other.entries
 
@@ -68,18 +63,14 @@ class ValuationPattern:
         return f"ValuationPattern({self.entries})"
 
 
-def vertex_pattern(k, n):
-    """Stabilizer pattern of vertex k: diag(p 1_k, 1_{n-k}) GL_n(O) (..)^-1."""
-    e = [1] * k + [0] * (n - k)
-    return ValuationPattern([[e[i] - e[j] for j in range(n)] for i in range(n)])
-
-
 def stabilizer_pattern(simplex, n):
-    """Intersection of the vertex stabilizer patterns over the simplex."""
-    pat = vertex_pattern(simplex[0], n)
-    for k in simplex[1:]:
-        pat = pat.intersect(vertex_pattern(k, n))
-    return pat
+    """Intersection of the vertex stabilizer patterns over the simplex.
+    Vertex k stands for diag(p 1_k, 1_(n-k)) GL_n(O) (..)^-1, whose
+    pattern has entry (i, j) e_i - e_j, e = (1^k, 0^(n-k)); so entry
+    (i, j) here is the max over the simplex's vertices k of
+    (i < k) - (j < k)."""
+    return ValuationPattern([[max((i < k) - (j < k) for k in simplex)
+                              for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

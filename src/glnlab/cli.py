@@ -21,7 +21,8 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from .errors import CapExceeded, GlnLabError, InvalidConfig, charge
+from .errors import (CapExceeded, GlnLabError, InvalidConfig, NotACocycle,
+                     charge)
 from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent
 
 _ANCHOR_RE = re.compile(r"^claim:[a-z0-9][a-z0-9-]*$")
@@ -177,8 +178,9 @@ def h1_level(ring, s, cocycles):
     of H^1 of GL_s(ring) on its cocycles, and their count against the
     closed form.  ``h1`` applies it to the top level, the level towers
     of criterion 3 to every level."""
-    from .lang import fixed_index, gl_module, h1_cyclic
-    h1_size = len(h1_cyclic(gl_module(ring, s), cocycles))
+    from .lang import fixed_index, gl_module, twisted_classes
+    h1_size = len(twisted_classes(gl_module(ring, s), cocycles, NotACocycle(
+        "a class leaves the cocycle set")))
     # trivial H^1 makes the cocycles the a^-1 sigma(a), one per coset of
     # the sigma-fixed GL_s(Z/p^n)
     expected = fixed_index(s, ring.p, ring.d, ring.n)

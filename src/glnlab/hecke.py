@@ -19,14 +19,13 @@ Membership in a double coset has one rule, Smith's theorem: the sum of
 the first k elementary divisor exponents of a matrix is the least
 valuation D_k of its k x k minors (_minor_valuations).  The cosets come
 from one recursion on the rank (_members), charged against the cap in
-closed form before any is built (_charge).  Convolution counts the
+closed form before any is built (_forms).  Convolution counts the
 cosets g_i of K p^lam K with p^-nu g_i in K p^-mu K (Macdonald V.2) by
 the same rule, forming no product: for p^-nu p^shift M the minors are
-read off those of M alone.  Before it builds a coset, it charges each
-cocharacter of either factor once (_charge) and each pair of them its
-coset pairs (coset_count).  The coset-count oracle reads the Iwasawa
-torus part lam of p^shift * M (g in N p^lam K): shift plus the diagonal
-valuations of M.
+read off those of M alone.  Before it builds a coset, it charges once
+the Hermite forms of every cocharacter of both factors (_forms).  The
+coset-count oracle reads the Iwasawa torus part lam of p^shift * M (g
+in N p^lam K): shift plus the diagonal valuations of M.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     """Representatives (shift, M) of the cosets g K in K p^lam K: g =
     p^shift M, shift = lam[-1], M an upper-triangular int Hermite form
     with p-power diagonal; sorted by the diagonal, then by the entries
-    above it row by row.  |lam_i| <= MAX_ENTRY; charged first (_charge)."""
-    shift, m = _charge(lam, n, p, cap)
+    above it row by row.  |lam_i| <= MAX_ENTRY; charged first (_forms)."""
+    shift, m, forms = _forms(lam, n, p)
+    charge(cap, f"{forms} Hermite forms to test", forms)
     return [(shift, form) for form in _members(m, p)]
 
 
@@ -90,10 +90,10 @@ def _interlacing(m):
     return itertools.product(*(range(a, b - 1, -1) for a, b in zip(m, m[1:])))
 
 
-def _charge(lam, n, p, cap):
-    """(lam_n, m) with m = lam - lam_n, once lam is a valid cocharacter
-    of GL_n whose forms to test fit the cap: the first rows over each
-    block of _members, sum over mu of p^((n - 1) d0) |K p^mu K / K|."""
+def _forms(lam, n, p):
+    """(lam_n, m, forms) with m = lam - lam_n, once lam is a valid
+    cocharacter of GL_n, and forms the first rows _members tests over
+    its blocks: the sum over mu of p^((n - 1) d0) |K p^mu K / K|."""
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     lam = tuple(lam)
@@ -105,8 +105,7 @@ def _charge(lam, n, p, cap):
     m = tuple(c - lam[-1] for c in lam)
     forms = sum(p**((n - 1) * (sum(m) - sum(mu))) * coset_count(mu, p)
                 for mu in _interlacing(m))
-    charge(cap, f"{forms} Hermite forms to test", forms)
-    return lam[-1], m
+    return lam[-1], m, forms
 
 
 MEMO_MAX = 1 << 12  # the longest member list that _members keeps
@@ -243,18 +242,16 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     A profile is a hit for nu when D_k = -(mu_1 + ... + mu_k) for every
     k < n (k = n is the determinant, equal once sum(nu) = sum(lam) +
     sum(mu)).  Only the dominant nu with that sum and lam_n + mu_n <=
-    nu_i <= lam_1 + mu_1 can be hit.  Before any coset is built, each lam
-    of f and each mu of g is charged once (_charge), then each pair its
-    |cosets of lam| |cosets of mu| from coset_count.
+    nu_i <= lam_1 + mu_1 can be hit.  Before any coset is built, one
+    charge: the Hermite forms (_forms) of every lam of f and mu of g,
+    which bound the cosets this product and g * f build.
     """
     if (f.n, f.p) != (g.n, g.p):
         raise ValueError("mismatched rank or prime")
     n, p = f.n, f.p
-    for lam in itertools.chain(f.support, g.support):
-        _charge(lam, n, p, cap)
-    for lam, mu in itertools.product(f.support, g.support):
-        pairs = coset_count(lam, p) * coset_count(mu, p)
-        charge(cap, f"{pairs} coset pairs", pairs)
+    forms = sum(_forms(lam, n, p)[2]
+                for lam in itertools.chain(f.support, g.support))
+    charge(cap, f"{forms} Hermite forms to test", forms)
     subsets = [rows for k in range(1, n)
                for rows in itertools.combinations(range(n), k)]
     levels = [[i for i, rows in enumerate(subsets) if len(rows) == k]

@@ -12,13 +12,14 @@ the rational canonical form of its least element.  The H^1 cocycles
 come from one pass up the levels: those of GL_s(F_q) from its elements,
 and those of GL_s(O/p^n), n >= 2, from the lifts of those of
 GL_s(O/p^(n-1)), each level once, so only GL_s(F_q) is ever enumerated
-for them.
+for them; those of the congruence kernel 1 + p^(n-1) M_s are the ones
+over 1.
 
 A ``GaloisModule`` is plain data: the ring, the matrix size, the
 exponent of the action and a tuple of generators.  It holds no
 elements; the checks that need them take them from ``gl_elements`` or
 from the caller.  Group elements, cocycles, Lang images and the class
-representatives and matches that ``twisted_classes``, ``h1_cyclic`` and
+representatives and matches that ``twisted_classes`` and
 ``dm_bijection_check`` return are flat row-major tuples of the ring's
 codes (see ``rings``).  Each loop binds the ring's kernels once
 (``mat_kernels``, ``form``, ``sandwich``) and runs on the tuples.
@@ -40,16 +41,19 @@ from .rings import (
 
 
 def factor_prime_power(q):
-    """(p, v) with q = p^v, or raise InvalidConfig."""
-    if q >= 2:
-        # the least divisor above 1 is prime
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        v, m = 0, q
-        while m % p == 0:
-            m //= p
-            v += 1
-        if m == 1:
-            return p, v
+    """(p, v) with q = p^v, or raise InvalidConfig.  For q = p^v, p
+    prime, v is the largest exponent with an exact integer root, so the
+    exponents are tried from the bit length of q down, each root found
+    by bisection on ints, and the first exact one must be prime."""
+    for v in range(q.bit_length(), 0, -1):
+        lo, hi = 1, 1 << (q.bit_length() // v + 1)  # lo^v <= q < hi^v
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**v <= q else (lo, mid)
+        if lo**v == q:
+            if is_prime(lo):
+                return lo, v
+            break
     raise InvalidConfig(f"{q} is not a prime power")
 
 
@@ -238,23 +242,29 @@ def lang_image(ring, s, cap=DEFAULT_GROUP_CAP):
                                 None, None))
 
 
-def twisted_norm(a, module, m):
-    """a * sigma(a) * ... * sigma^{m-1}(a), a a flat code tuple."""
-    acc = cur = a
-    for _ in range(m - 1):
-        cur = module.sigma(cur)
-        acc = module.ring.mat_mul(module.s, acc, cur)
-    return acc
+def twisted_norm(ring, s, m, e=1):
+    """The map a -> a sigma^e(a) ... sigma^(e(m-1))(a) of flat s x s code
+    tuples, with the ring's sigma^e map and product kernel bound once."""
+    mul, sig = ring.mat_kernels(s)[0], ring.sigma_map(e)
+
+    def norm(a):
+        acc = cur = a
+        for _ in range(m - 1):
+            cur = tuple(map(sig, cur))
+            acc = mul(acc, cur)
+        return acc
+
+    return norm
 
 
-def twisted_classes(module, codes):
-    """Partition of the group, whose elements are the code tuples
-    ``codes``, under a ~ g^-1 * a * sigma(g): the twisted conjugacy
-    classes, in the order of codes, as dicts of the least element
+def twisted_classes(module, codes, leaving):
+    """Partition of the code tuples ``codes`` under a ~ g^-1 a sigma(g),
+    g in the module's group: the twisted conjugacy classes when codes is
+    the group, the classes of H^1 when it is the cocycles.  The classes
+    come in the order of codes, as dicts of the least element
     (``representative``) and the ``size``.  A generator that moves an
-    element out of codes raises MatchFailure.
+    element out of codes raises the exception ``leaving``.
     """
-    leaving = MatchFailure("a twisted class leaves the group")
     return [{"representative": min(orbit), "size": len(orbit)}
             for orbit in _twisted_orbits(module, codes, set(codes), leaving)]
 
@@ -277,20 +287,9 @@ def _lifts(ring, low, cocycles):
 def _cocycles(ring, s, codes):
     """The code tuples c among ``codes`` with c sigma(c) ... sigma^(d-1)(c)
     = 1, sigma the Frobenius lift of ``ring`` and d its order, in their
-    order.  The action is one map of codes (``sigma_map``), applied
-    entrywise per candidate."""
-    mul = ring.mat_kernels(s)[0]
-    ident = _identity(ring, s)
-    sig = ring.sigma_map()
-
-    def is_cocycle(c):
-        acc = cur = c
-        for _ in range(ring.d - 1):
-            cur = tuple(map(sig, cur))
-            acc = mul(acc, cur)
-        return acc == ident
-
-    return list(filter(is_cocycle, codes))
+    order (``twisted_norm``)."""
+    norm, ident = twisted_norm(ring, s, ring.d), _identity(ring, s)
+    return [c for c in codes if norm(c) == ident]
 
 
 def _cocycle_levels(p, d, top, s, cap):
@@ -319,45 +318,14 @@ def _cocycle_levels(p, d, top, s, cap):
         low = level
 
 
-def h1_cyclic(module, cocycles):
-    """The classes of H^1: the orbits of c ~ a^-1 c sigma(a) on
-    ``cocycles``, code tuples c with c sigma(c) ... sigma^(d-1)(c) = 1
-    (``_twisted_orbits``), in their order, as dicts of the least element
-    (``representative``), the ``size`` and whether the class
-    ``contains_identity``.  A move outside the cocycles raises
-    NotACocycle.
-    """
-    ident = _identity(module.ring, module.s)
-    leaving = NotACocycle("a class leaves the cocycle set")
-    return [{"representative": min(orbit), "size": len(orbit),
-             "contains_identity": ident in orbit}
-            for orbit in _twisted_orbits(module, cocycles, set(cocycles),
-                                         leaving)]
-
-
-def congruence_kernel(p, d, a, b, s, cap=DEFAULT_GROUP_CAP):
-    """The group 1 + p^a M_s at precision b (so p^a O / p^b O entries),
-    with the lifted Frobenius action: its ``GaloisModule`` and its
-    elements, as flat code tuples.  Its generators are the
-    1 + p^k x^i E_jl for a <= k < b, i < d and all j, l, which map onto
-    an F_p-basis of each layer (1 + p^k M_s)/(1 + p^(k+1) M_s) = M_s(F_q).
-    """
-    if not 1 <= a < b:
-        raise InvalidConfig("a congruence kernel needs 1 <= a < b")
-    ring = TruncatedLocalRing(p, b, d, cap)
-    pa = p**a
-    step = p**(b - a)
-    e = (b - a) * d * s * s
-    charge(cap, f"{p}^{e} congruence kernel elements", lambda: p**e, e)
-    entry_values = [ring.encode([pa * t for t in coeffs])
-                    for coeffs in itertools.product(range(step), repeat=d)]
-    ident = _identity(ring, s)
-    elements = [tuple(map(ring.add, ident, delta))
-                for delta in itertools.product(entry_values, repeat=s * s)]
-    module = GaloisModule(ring, s, [
-        _plus(ring, s, j, l, p**k * c) for k in range(a, b)
+def congruence_kernel(ring, s):
+    """The kernel 1 + p^(n-1) M_s of GL_s(ring) -> GL_s(O/p^(n-1)), ring =
+    O/p^n with n >= 2, with the lifted Frobenius action, as a
+    ``GaloisModule``: its generators 1 + p^(n-1) x^i E_jl, i < d, are an
+    F_p-basis of the kernel, which is M_s(F_q) under addition."""
+    return GaloisModule(ring, s, [
+        _plus(ring, s, j, l, ring.pn // ring.p * c)
         for c in ring.weights for j in range(s) for l in range(s)])
-    return module, elements
 
 
 def h1_level_tower(s, p, d, max_level, at_level, cap=DEFAULT_GROUP_CAP):
@@ -367,24 +335,28 @@ def h1_level_tower(s, p, d, max_level, at_level, cap=DEFAULT_GROUP_CAP):
     onto the level-(n-1) ones, so each of those must have a lift that is
     a cocycle.
 
-    The levels are those of ``_cocycle_levels``, each found once.
+    The levels are those of ``_cocycle_levels``, each found once.  The
+    kernel 1 + p^(n-1) M_s is the set of lifts of 1, so its cocycles are
+    the level-n cocycles that reduce to 1, and its order is q^(s^2).
     """
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
     for ring, cocycles in _cocycle_levels(p, d, max_level, s, cap):
         report["levels"].append(at_level(ring, s, cocycles))
         if low is not None:
-            reduced = {tuple(low.encode(ring.decode(a)) for a in c)
-                       for c in cocycles}
-            if reduced != prev_cocycles:
+            reduced = [tuple(low.encode(ring.decode(a)) for a in c)
+                       for c in cocycles]
+            if set(reduced) != prev_cocycles:
                 report["compatible"] = False
+            one = _identity(low, s)
+            classes = twisted_classes(
+                congruence_kernel(ring, s),
+                [c for c, r in zip(cocycles, reduced) if r == one],
+                NotACocycle("a class leaves the cocycle set"))
+            report["kernels"].append({"from_level": low.n, "to_level": ring.n,
+                                      "group_order": ring.q**(s * s),
+                                      "h1_size": len(classes)})
         low, prev_cocycles = ring, set(cocycles)
-    for a in range(1, max_level):
-        module, elements = congruence_kernel(p, d, a, a + 1, s, cap=cap)
-        classes = h1_cyclic(module, _cocycles(module.ring, s, elements))
-        report["kernels"].append({"from_level": a, "to_level": a + 1,
-                                  "group_order": len(elements),
-                                  "h1_size": len(classes)})
     return report
 
 
@@ -476,10 +448,11 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     Everything happens in F_{q^n}: GL_s(F_q) is the sigma-fixed subgroup,
     generated by diag(w, 1, ..), 1 + E_12 and the cyclic shift, w of
     order q - 1 (``_gl_generators``), and its conjugacy classes are the
-    orbits of c -> g^-1 c g under them.  Each is named by the invariant
-    factors of X - g at its least element g (rational canonical form),
-    one call per class.  For each representative A of
-    ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
+    orbits of c -> g^-1 c g under them; at n = 1 (sigma^v = 1, w = zeta,
+    every element fixed) they are the twisted classes, closed once.
+    Each is named by the invariant factors of X - g at its least element
+    g (rational canonical form), one call per class.  For each
+    representative A of ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
     satisfies sigma(N(A)) = A^-1 N(A) A, so the invariant factors of
     N(A)^-1 lie in F_q[X]; they name the plain class A goes to.
     ``bijective`` reports that the counts agree and that each twisted
@@ -501,26 +474,27 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
         x = ext.mul(x, w)
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
-    fixed = [g for g in elements if sub.issuperset(g)]
-    # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
-    plain_module = GaloisModule(ext, s, _gl_generators(ext, s, w), ext.d)
-    leaving = MatchFailure(f"a plain class leaves GL_{s}(F_{q})")
-    plain = {}  # invariant factors -> (least element, size) of its class
-    for orbit in _twisted_orbits(plain_module, fixed, set(fixed), leaving):
-        g = min(orbit)
-        key = _invariant_factors(ext, s, g)
-        if key in plain:
-            raise MatchFailure("two plain classes have the same invariant "
-                               "factors")
-        plain[key] = g, len(orbit)
-    twisted = twisted_classes(module, elements)
+    twisted = twisted_classes(
+        module, elements, MatchFailure("a twisted class leaves the group"))
+    if n == 1:  # sigma^v = 1 and w = zeta: the plain side is the twisted
+        plain_classes = twisted
+    else:  # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
+        plain_classes = twisted_classes(
+            GaloisModule(ext, s, _gl_generators(ext, s, w), ext.d),
+            [g for g in elements if sub.issuperset(g)],
+            MatchFailure(f"a plain class leaves GL_{s}(F_{q})"))
+    # invariant factors -> (least element, size) of its class
+    plain = {_invariant_factors(ext, s, cl["representative"]):
+             (cl["representative"], cl["size"]) for cl in plain_classes}
+    if len(plain) != len(plain_classes):
+        raise MatchFailure("two plain classes have the same invariant factors")
 
+    norm = twisted_norm(ext, s, n, v)
     matches, used = [], set()
     bijective = len(twisted) == len(plain)  # and one-to-one, tested below
     for cl in twisted:
         a = cl["representative"]
-        key = _invariant_factors(
-            ext, s, ext.mat_inv(s, twisted_norm(a, module, n)))
+        key = _invariant_factors(ext, s, ext.mat_inv(s, norm(a)))
         if key not in plain or key in used:
             bijective = False
             continue

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,12 +11,23 @@ from glnlab.building import (
     fundamental_simplices,
     iwasawa_sample_failures,
     stabilizer_pattern,
-    vertex_pattern,
 )
 from glnlab.errors import CapExceeded, PrecisionExhausted
 from glnlab.lang import gl_elements
 from glnlab.rings import FiniteField, Mat, TruncatedLocalRing
 from test_ring_core import gl_order
+
+
+def vertex_entries(k, n):
+    """Entries of the stabilizer pattern of vertex k, the conjugate
+    diag(p 1_k, 1_(n-k)) GL_n(O) (..)^-1: e_i - e_j, e = (1^k, 0^(n-k))."""
+    e = [1] * k + [0] * (n - k)
+    return tuple(tuple(e[i] - e[j] for j in range(n)) for i in range(n))
+
+
+def meet(a, b):
+    """Entries of the intersection of two patterns: the entrywise max."""
+    return tuple(tuple(map(max, r1, r2)) for r1, r2 in zip(a, b))
 
 
 def membership(g, pattern):
@@ -128,8 +140,8 @@ class TestPatterns:
         assert stabilizer_pattern((0, 1), 2).entries == ((0, 1), (0, 0))
 
     def test_edge_is_intersection(self):
-        assert vertex_pattern(0, 2).intersect(vertex_pattern(1, 2)) \
-            == stabilizer_pattern((0, 1), 2)
+        assert meet(vertex_entries(0, 2), vertex_entries(1, 2)) \
+            == stabilizer_pattern((0, 1), 2).entries
 
     def test_gl3_conjugates_match_displays(self):
         base = stabilizer_pattern((0,), 3)
@@ -148,23 +160,23 @@ class TestPatterns:
         assert pat.conjugate((0, 0, 0)) == pat
 
     def test_intersect_laws(self):
-        pats = [stabilizer_pattern(s, 3) for s in fundamental_simplices(3)]
-        for p1 in pats:
-            assert p1.intersect(p1) == p1
-            for p2 in pats:
-                assert p1.intersect(p2) == p2.intersect(p1)
-                for p3 in pats:
-                    assert p1.intersect(p2).intersect(p3) \
-                        == p1.intersect(p2.intersect(p3))
+        # the pattern of the union of two simplices' vertices is the
+        # intersection of their patterns
+        def pattern(vertices):
+            return stabilizer_pattern(tuple(sorted(vertices)), 3).entries
+
+        simps = fundamental_simplices(3)
+        for s1 in simps:
+            for s2 in simps:
+                assert pattern(set(s1) | set(s2)) \
+                    == meet(pattern(s1), pattern(s2))
 
     def test_simplex_pattern_is_vertex_intersection(self):
         for n in (2, 3, 4):
             for simplex in fundamental_simplices(n):
-                pat = stabilizer_pattern(simplex, n)
-                acc = vertex_pattern(simplex[0], n)
-                for k in simplex[1:]:
-                    acc = acc.intersect(vertex_pattern(k, n))
-                assert pat == acc
+                assert stabilizer_pattern(simplex, n).entries \
+                    == functools.reduce(meet, [vertex_entries(k, n)
+                                               for k in simplex])
 
 
 class TestMembership:

@@ -457,21 +457,22 @@ class TestConvolution:
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
     def test_pairs_checked_against_cap(self):
-        # 40 Hermite forms give 36 cosets of (2, -1) at p = 3, so 1296
-        # coset pairs, refused before any coset is built
+        # one charge for the pair of factors: the 40 Hermite forms of
+        # (2, -1) at p = 3 of each, refused one below their sum before
+        # any coset is built
         f = HeckeElement.basis((2, -1), 3)
-        with pytest.raises(CapExceeded, match="1296 coset pairs"):
-            convolve(f, f, cap=40)
+        with pytest.raises(CapExceeded, match="^80 Hermite forms"):
+            convolve(f, f, cap=79)
+        assert convolve(f, f, cap=80) == pair_binning_convolve(f, f)
 
     def test_charged_before_any_coset_is_built(self, monkeypatch):
-        # (2^18 + 2^17)^2 coset pairs from 2^19 - 1 Hermite forms a
-        # factor: the pairs are counted in closed form
+        # 2^19 - 1 Hermite forms a factor, counted in closed form
         def refuse(m, p):
             raise AssertionError("a coset was built")
 
         monkeypatch.setattr(hecke, "_members", refuse)
         f = HeckeElement.basis((18, 0), 2)
-        with pytest.raises(CapExceeded, match="coset pairs"):
+        with pytest.raises(CapExceeded, match=f"^{2 * (2**19 - 1)} Hermite"):
             convolve(f, f)
 
     def test_agrees_with_pair_binning(self):

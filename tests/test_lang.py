@@ -25,7 +25,6 @@ from glnlab.lang import (
     gl_class_count,
     gl_elements,
     gl_module,
-    h1_cyclic,
     h1_level_tower,
     lang_image,
     twisted_classes,
@@ -65,6 +64,42 @@ def level_cocycles(ring, s):
 
 def identity(module):
     return Mat.identity(module.ring, module.s).codes
+
+
+def h1_classes(module, cocycles):
+    """The classes of H^1 of the module on its cocycles."""
+    return twisted_classes(module, cocycles, NotACocycle("leaves"))
+
+
+def group_classes(module, codes):
+    """The twisted classes of the module's group, whose elements are
+    codes."""
+    return twisted_classes(module, codes, MatchFailure("leaves"))
+
+
+def norm(module, m):
+    """The twisted norm of m factors under the module's action."""
+    return twisted_norm(module.ring, module.s, m, module.exponent)
+
+
+def kernel_elements(ring, s, a=None):
+    """The elements of 1 + p^a M_s in GL_s(ring), ring = O/p^n, a = n - 1
+    unless given, entry by entry: the reference for the congruence
+    kernels, which the library never enumerates."""
+    a = ring.n - 1 if a is None else a
+    entries = [ring.encode([ring.p**a * t for t in ts])
+               for ts in itertools.product(range(ring.p**(ring.n - a)),
+                                           repeat=ring.d)]
+    ident = Mat.identity(ring, s).codes
+    return [tuple(map(ring.add, ident, delta))
+            for delta in itertools.product(entries, repeat=s * s)]
+
+
+def kernel(p, d, n, s):
+    """(the congruence kernel 1 + p^(n-1) M_s of GL_s(O/p^n), its
+    elements)."""
+    ring = TruncatedLocalRing(p, n, d)
+    return congruence_kernel(ring, s), kernel_elements(ring, s)
 
 
 def poly_mul(F, f, g):
@@ -164,13 +199,12 @@ def reference_conjugator(module, target, source):
 def whole_group_h1(module, codes):
     """(cocycles, classes) of H^1 of the group with elements codes, each
     class formed as {a^-1 c sigma(a) : a in G} over the whole group: the
-    reference for the generator orbits of h1_cyclic."""
+    reference for the generator orbits of the H^1 classes."""
     ring, s = module.ring, module.s
     mul = ring.mat_mul
     ident = identity(module)
     order = module.ring.d // math.gcd(module.ring.d, module.exponent)
-    cocycles = [c for c in codes
-                if twisted_norm(c, module, order) == ident]
+    cocycles = [c for c in codes if norm(module, order)(c) == ident]
     pairs = [(ring.mat_inv(s, a), module.sigma(a)) for a in codes]
     classes, seen = [], set()
     for c in cocycles:
@@ -178,9 +212,8 @@ def whole_group_h1(module, codes):
             orbit = {mul(s, mul(s, a_inv, c), sa) for a_inv, sa in pairs}
             assert orbit <= set(cocycles)
             seen |= orbit
-            classes.append({
-                "representative": min(orbit),
-                "size": len(orbit), "contains_identity": ident in orbit})
+            classes.append({"representative": min(orbit),
+                            "size": len(orbit)})
     return cocycles, classes
 
 
@@ -326,30 +359,30 @@ class TestLangMap:
 class TestTwistedNormAndClasses:
     def test_norm_identity(self):
         m = gl1_field_module(2, 2)
-        assert twisted_norm(identity(m), m, 2) == identity(m)
+        assert norm(m, 2)(identity(m)) == identity(m)
 
     def test_gl1_f4_norm_trivial(self):
         m = gl1_field_module(2, 2)
         for a in elements(m):
-            assert twisted_norm(a, m, 2) == identity(m)
+            assert norm(m, 2)(a) == identity(m)
 
     def test_gl1_f9_norm_two_values(self):
         m = gl1_field_module(3, 2)
-        values = {twisted_norm(a, m, 2) for a in elements(m)}
+        values = set(map(norm(m, 2), elements(m)))
         assert len(values) == 2
 
     def test_gl1_f9_two_classes(self):
         m = gl1_field_module(3, 2)
-        assert len(twisted_classes(m, elements(m))) == 2
+        assert len(group_classes(m, elements(m))) == 2
 
     def test_gl1_f4_one_class(self):
         m = gl1_field_module(2, 2)
-        assert len(twisted_classes(m, elements(m))) == 1
+        assert len(group_classes(m, elements(m))) == 1
 
     def test_trivial_sigma_gives_ordinary_classes(self):
         F = FiniteField(2, 1)
         m = gl_module(F, 2)
-        tw = twisted_classes(m, elements(m))
+        tw = group_classes(m, elements(m))
         ordinary = ordinary_classes(F, 2)
         assert {c["representative"] for c in tw} == \
             {c["representative"] for c in ordinary}
@@ -373,7 +406,7 @@ class TestTwistedNormAndClasses:
         "gl2_f9": lambda: gl(FiniteField(3, 2), 2),
         "gl2_z4": lambda: gl(TruncatedLocalRing(2, 2, 1), 2),
         "gl3_f2": lambda: gl(FiniteField(2, 1), 3),
-        "kernel_s2": lambda: congruence_kernel(2, 2, 1, 2, 2),
+        "kernel_s2": lambda: kernel(2, 2, 2, 2),
         "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
     }
 
@@ -381,7 +414,7 @@ class TestTwistedNormAndClasses:
     def test_generator_orbits_match_whole_group(self, name):
         # same representatives, sizes and order as the whole-group scan
         module, codes = self.MODULES[name]()
-        assert twisted_classes(module, codes) == [
+        assert group_classes(module, codes) == [
             {"representative": c["representative"], "size": c["size"]}
             for c in whole_group_twisted(module, codes)]
 
@@ -396,16 +429,16 @@ class TestTwistedNormAndClasses:
         _, fixed = fixed_submodule(F, 1)
         bad = GaloisModule(F, 1, _gl_generators(F, 1))
         with pytest.raises(MatchFailure):
-            twisted_classes(bad, fixed)
+            group_classes(bad, fixed)
 
     def test_norm_conjugation_identity(self):
         # N(V A sigma(V)^-1) = V N(A) V^-1, exhaustively at GL1/F9
         m = gl1_field_module(3, 2)
         group = [Mat.from_codes(m.ring, 1, x) for x in elements(m)]
         for a in group:
-            na = Mat.from_codes(m.ring, 1, twisted_norm(a.codes, m, 2))
+            na = Mat.from_codes(m.ring, 1, norm(m, 2)(a.codes))
             for v in group:
-                lhs = twisted_norm((v * a * v.sigma().inverse()).codes, m, 2)
+                lhs = norm(m, 2)((v * a * v.sigma().inverse()).codes)
                 assert lhs == (v * na * v.inverse()).codes
 
     def test_norm_charpoly_sigma_fixed(self):
@@ -414,7 +447,7 @@ class TestTwistedNormAndClasses:
         m = gl_module(FiniteField(2, 2), 2)
         F = m.ring
         for a in elements(m)[::17]:
-            factors = _invariant_factors(F, 2, twisted_norm(a, m, 2))
+            factors = _invariant_factors(F, 2, norm(m, 2)(a))
             assert sum(len(f) - 1 for f in factors) == 2
             for f in factors:
                 assert tuple(F.sigma(c) for c in f) == f
@@ -531,14 +564,30 @@ class TestDMBijection:
                         "--n", str(n)]) == 0
         assert len(calls) <= 2 * gl_class_count(s, q)
 
+    @pytest.mark.parametrize("n,passes", [(1, 1), (2, 2)])
+    def test_orbit_passes(self, n, passes, monkeypatch):
+        # at n = 1 sigma^v = 1, so the plain classes are the twisted
+        # ones, closed once; at n = 2 each side closes its own
+        import glnlab.lang as lang
+        calls = []
+        real = lang._twisted_orbits
+        monkeypatch.setattr(lang, "_twisted_orbits", lambda *args:
+                            calls.append(1) or real(*args))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["dm-check", "--s", "2", "--q", "4",
+                        "--n", str(n)]) == 0
+        assert len(calls) == passes
+
     def test_a_broken_centralizer_law_is_refused(self, monkeypatch):
         # twisted classes of the right number but the wrong sizes: the
         # counts agree and every class is matched, the law does not hold,
-        # and the report says so
+        # and the report says so.  Only the twisted side, whose action
+        # sigma^v is not the identity, is changed.
         import glnlab.lang as lang
         real = lang.twisted_classes
-        monkeypatch.setattr(lang, "twisted_classes", lambda module, codes: [
-            dict(cl, size=cl["size"] + 1) for cl in real(module, codes)])
+        monkeypatch.setattr(lang, "twisted_classes", lambda module, *args: [
+            dict(cl, size=cl["size"] + (module.exponent < module.ring.d))
+            for cl in real(module, *args)])
         rep = dm_bijection_check(1, 3, 2)
         assert rep["plain_class_count"] == rep["twisted_class_count"] == 2
         assert len(rep["matches"]) == 2
@@ -549,8 +598,8 @@ class TestDMBijection:
         # 1, which only the first may take
         import glnlab.lang as lang
         monkeypatch.setattr(lang, "twisted_norm",
-                            lambda a, module, m: lang._identity(module.ring,
-                                                                module.s))
+                            lambda ring, s, m, e: lambda a: lang._identity(
+                                ring, s))
         rep = dm_bijection_check(2, 2, 2)
         assert rep["plain_class_count"] == rep["twisted_class_count"] == 3
         assert len(rep["matches"]) == 1
@@ -567,8 +616,8 @@ class TestDMBijection:
         assert len(rep["matches"]) == rep["plain_class_count"]
         for match in rep["matches"]:
             assert module.sigma(match["plain_rep"]) == match["plain_rep"]
-            na_inv = module.ring.mat_inv(s, twisted_norm(
-                match["twisted_rep"], module, n))
+            na_inv = module.ring.mat_inv(s, norm(module, n)(
+                match["twisted_rep"]))
             assert reference_conjugator(
                 module, match["plain_rep"], na_inv) is not None
 
@@ -578,15 +627,15 @@ class TestH1:
         m = gl1_field_module(2, 2)
         cocycles = level_cocycles(m.ring, 1)
         assert len(cocycles) == 3
-        assert len(h1_cyclic(m, cocycles)) == 1
+        assert len(h1_classes(m, cocycles)) == 1
 
     def test_gl1_f9(self):
         m = gl1_field_module(3, 2)
-        assert len(h1_cyclic(m, level_cocycles(m.ring, 1))) == 1
+        assert len(h1_classes(m, level_cocycles(m.ring, 1))) == 1
 
     def test_gl2_f4(self):
         m = gl_module(FiniteField(2, 2), 2)
-        assert len(h1_cyclic(m, level_cocycles(m.ring, 2))) == 1
+        assert len(h1_classes(m, level_cocycles(m.ring, 2))) == 1
 
     def test_level_tower_s1(self):
         rep = h1_level_tower(1, 2, 2, 2, h1_level)
@@ -595,9 +644,9 @@ class TestH1:
         assert rep["compatible"]
 
     def test_congruence_kernel_is_additive_f_q(self):
-        m, codes = congruence_kernel(2, 2, 1, 2, 1)
+        m, codes = kernel(2, 2, 2, 1)
         assert len(codes) == 4
-        assert len(h1_cyclic(m, _cocycles(m.ring, 1, codes))) == 1
+        assert len(h1_classes(m, _cocycles(m.ring, 1, codes))) == 1
 
 
 class TestGenerators:
@@ -622,10 +671,20 @@ class TestGenerators:
         (2, 2, 1, 2, 1), (2, 1, 1, 4, 1), (2, 2, 1, 3, 1), (3, 1, 1, 3, 1),
         (2, 1, 1, 3, 2), (3, 1, 1, 2, 2), (2, 2, 2, 3, 2)])
     def test_kernel_closure(self, p, d, a, b, s):
-        m, codes = congruence_kernel(p, d, a, b, s)
-        group = closure(m.ring, s, m.generators)
+        # the generators of the kernels of levels a + 1, .., b, read at
+        # precision b, generate 1 + p^a M_s there; at b = a + 1 those of
+        # the one kernel are a basis
+        ring = TruncatedLocalRing(p, b, d)
+        gens = []
+        for level in range(a + 1, b + 1):
+            low = TruncatedLocalRing(p, level, d)
+            module = congruence_kernel(low, s)
+            assert len(module.generators) == d * s * s
+            gens += [tuple(ring.encode(low.decode(c)) for c in g)
+                     for g in module.generators]
+        group = closure(ring, s, gens)
         assert len(group) == p ** (d * s * s * (b - a))
-        assert group == set(codes)
+        assert group == set(kernel_elements(ring, s, a))
 
     @pytest.mark.parametrize("p,n,d,s,count", [
         (2, 1, 3, 2, 3), (2, 1, 2, 3, 3), (2, 2, 2, 2, 5), (2, 1, 1, 4, 2),
@@ -648,8 +707,8 @@ class TestGenerators:
         assert built == []
         m = gl_module(FiniteField(2, 2), 2)
         assert built == [2]
-        twisted_classes(m, codes)
-        h1_cyclic(m, level_cocycles(m.ring, 2))
+        group_classes(m, codes)
+        h1_classes(m, level_cocycles(m.ring, 2))
         assert built == [2]
         with pytest.raises(CapExceeded):
             lang_image(m.ring, 10**5)  # 4^(10^10) candidates
@@ -675,8 +734,8 @@ class TestH1Orbits:
         "gl2_f4": lambda: gl(FiniteField(2, 2), 2),
         "gl2_z4": lambda: gl(TruncatedLocalRing(2, 2, 1), 2),
         "gl2_f8": lambda: gl(FiniteField(2, 3), 2),
-        "kernel_s1": lambda: congruence_kernel(2, 2, 1, 3, 1),
-        "kernel_s2": lambda: congruence_kernel(2, 2, 1, 2, 2),
+        "kernel_s1": lambda: kernel(2, 2, 3, 1),
+        "kernel_s2": lambda: kernel(2, 2, 2, 2),
         "fixed_gl1_f9": lambda: fixed_submodule(FiniteField(3, 2), 1),
         "fixed_gl2_f4": lambda: fixed_submodule(FiniteField(2, 2), 2),
         "fixed_gl1_f27": lambda: fixed_submodule(FiniteField(3, 3), 1),
@@ -688,7 +747,7 @@ class TestH1Orbits:
         cocycles, classes = whole_group_h1(module, codes)
         if module.exponent == 1:  # the action the level pass tests
             assert _cocycles(module.ring, module.s, codes) == cocycles
-        assert h1_cyclic(module, cocycles) == classes
+        assert h1_classes(module, cocycles) == classes
 
     def test_fixed_submodules_have_nontrivial_h1(self):
         # F_3^* with trivial action of order 2: c^2 = 1 gives {1, -1};
@@ -696,7 +755,7 @@ class TestH1Orbits:
         sizes = []
         for p, d, s in [(3, 2, 1), (2, 2, 2)]:
             module, codes = fixed_submodule(FiniteField(p, d), s)
-            sizes.append([c["size"] for c in h1_cyclic(
+            sizes.append([c["size"] for c in h1_classes(
                 module, _cocycles(module.ring, s, codes))])
         assert sorted(sizes[0]) == [1, 1]
         assert sorted(sizes[1]) == [1, 3]
@@ -712,7 +771,7 @@ class TestH1Orbits:
         _, fixed = fixed_submodule(F, 1)
         bad = GaloisModule(F, 1, _gl_generators(F, 1))
         with pytest.raises(NotACocycle):
-            h1_cyclic(bad, _cocycles(F, 1, fixed))
+            h1_classes(bad, _cocycles(F, 1, fixed))
 
     def test_cocycle_count_closed_form(self):
         # trivial H^1 makes the cocycles G / G^sigma, G^sigma the GL_s
@@ -732,7 +791,7 @@ class TestH1Orbits:
             cocycles = level_cocycles(module.ring, s)
             assert len(cocycles) == \
                 gl_order(p, level, d, s) // gl_order(p, level, 1, s)
-            assert len(h1_cyclic(module, cocycles)) == 1
+            assert len(h1_classes(module, cocycles)) == 1
             if p ** (level * d * s * s) <= 10**5:
                 assert cocycles == whole_group_cocycles(module,
                                                         elements(module))
@@ -756,15 +815,48 @@ class TestH1Orbits:
 
     def test_tower_finds_each_level_once(self, monkeypatch):
         # one cocycle pass a level, each from the cocycles of the level
-        # below, and one a kernel: 4 + 3, where recomputing every lower
-        # level at every level takes 1 + 2 + 3 + 4 + 3 = 13
+        # below, and none for a kernel, whose cocycles are those of its
+        # level over 1: 4, where recomputing every lower level at every
+        # level and enumerating each kernel takes 1 + 2 + 3 + 4 + 3 = 13
         import glnlab.lang as lang
         passes = []
         real = lang._cocycles
         monkeypatch.setattr(lang, "_cocycles", lambda *args:
                             passes.append(1) or real(*args))
         h1_level_tower(1, 2, 2, 4, h1_level)
-        assert len(passes) == 7
+        assert len(passes) == 4
+
+    # criterion 3's towers, and more degrees, primes and levels
+    @pytest.mark.parametrize("s,p,d,top", [
+        (1, 3, 2, 1), (1, 2, 2, 2), (2, 2, 2, 2), (1, 2, 2, 3), (1, 3, 2, 3),
+        (1, 2, 3, 3), (2, 3, 1, 2)])
+    def test_kernels_from_the_level_pass(self, s, p, d, top, monkeypatch):
+        # each kernel's cocycles, taken from its level, are those of an
+        # enumeration of 1 + p^(n-1) M_s filtered by the norm, in the same
+        # order, and its classes those of the whole-kernel scan
+        import glnlab.lang as lang
+        kernels, calls = [], []
+        real_kernel, real_classes = lang.congruence_kernel, lang.twisted_classes
+        monkeypatch.setattr(lang, "congruence_kernel", lambda *args:
+                            kernels.append(real_kernel(*args)) or kernels[-1])
+        monkeypatch.setattr(lang, "twisted_classes", lambda module, codes, *a:
+                            calls.append((module, codes)) or real_classes(
+                                module, codes, *a))
+        rep = h1_level_tower(s, p, d, top, h1_level)
+        found = [(m, codes) for m, codes in calls
+                 if any(m is k for k in kernels)]
+        assert len(found) == len(rep["kernels"]) == top - 1
+        for (module, codes), row in zip(found, rep["kernels"]):
+            elements = kernel_elements(module.ring, s)
+            cocycles, classes = whole_group_h1(module, elements)
+            assert codes == cocycles == whole_group_cocycles(module,
+                                                             elements)
+            assert h1_classes(module, codes) == classes
+            assert row == {"from_level": module.ring.n - 1,
+                           "to_level": module.ring.n,
+                           "group_order": len(elements),
+                           "h1_size": len(classes)}
+            assert len(classes) == 1
 
     def test_level_tower_orders_and_cocycles(self):
         # each level's row is the h1 claim on the cocycles of a pass up to
@@ -781,7 +873,8 @@ class TestH1Orbits:
                 module = gl_module(TruncatedLocalRing(p, n, d), s)
                 cocycles = level_cocycles(module.ring, s)
                 assert results["cocycle_count"] == len(cocycles)
-                assert results["h1_size"] == len(h1_cyclic(module, cocycles))
+                assert results["h1_size"] == len(h1_classes(module,
+                                                            cocycles))
                 assert results["h1_size"] == 1
                 assert level["verdicts"][0]["status"] == "pass"
 
@@ -813,7 +906,7 @@ class TestSchoolbookCodeOrder:
         assert digest(cocycles) == (
             "88ffacd3f00d36afc91bd9a85954922bf318c6224fb52fc0328aca01cfdf6f85")
         assert digest([c["representative"]
-                       for c in h1_cyclic(module, cocycles)]) == (
+                       for c in h1_classes(module, cocycles)]) == (
             "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac")
 
     def test_dm_check_over_f_1024(self):
