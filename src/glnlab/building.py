@@ -76,18 +76,15 @@ def stabilizer_pattern(simplex, n):
 # ---------------------------------------------------------------------------
 # Iwasawa decomposition g = b * k
 
-def _iwasawa2(p, n, inv, a, b, c, d):
-    """Codes of b and k in g = b * k for g = (a b; c d) over Z/p^n, on
-    ints alone; inv is the ring's unit inverse mod p^n.
+# samples decomposed per unit inverse: a request holds at most this many
+_BLOCK = 256
 
-    Column operations clear the bottom row: swap the columns when the
-    leftmost least valuation v of the bottom row is in column 0, then
-    clear the bottom-left entry by one shear, t = (c / p^v) * u^-1 with
-    d = p^v * u.  Then k = (1 0; t 1), or (0 1; 1 t) after a swap.
-    Only a singular bottom row raises: the factors are returned as found,
-    and ``iwasawa_failures`` tests them.
-    """
-    pn = p**n
+
+def _iwasawa_pivot(p, n, a, b, c, d):
+    """g = (a b; c d) over Z/p^n, on ints alone, with its columns swapped
+    when the leftmost least valuation v of the bottom row is in column 0,
+    as (a, b, c, d, p^v, swap): then d = p^v * u with u a unit.  Only a
+    singular bottom row raises."""
     v, pv = 0, 1  # v is the least valuation of the bottom row, pv = p^v
     while v < n and not (c % (pv * p) or d % (pv * p)):
         v, pv = v + 1, pv * p
@@ -95,22 +92,52 @@ def _iwasawa2(p, n, inv, a, b, c, d):
         raise PrecisionExhausted("pivot row vanishes at working precision")
     swap = c % (pv * p)  # v(c) = v: the leftmost pivot is in column 0
     if swap:
-        a, b, c, d = b, a, d, c
+        return b, a, d, c, pv, swap
+    return a, b, c, d, pv, swap
+
+
+def _iwasawa_shear(pn, pivoted, inverse):
+    """Codes of b and k in g = b * k, from ``_iwasawa_pivot``'s output
+    and the inverse of its unit u mod pn: one shear clears the
+    bottom-left entry, t = (c / p^v) * u^-1.  Then k = (1 0; t 1), or
+    (0 1; 1 t) after a swap.  The factors are returned as found, and
+    ``iwasawa_failures`` tests them."""
+    a, b, c, d, pv, swap = pivoted
     t = 0
     if c:
-        t = c // pv * inv(d // pv) % pn
+        t = c // pv * inverse % pn
         a, c = (a - t * b) % pn, (c - t * d) % pn
     return (a, b, c, d), ((0, 1, 1, t) if swap else (1, 0, t, 1))
 
 
+def _unit_inverses(ring, units):
+    """The inverses mod p^n of a list of units, by one ``ring.inv``:
+    Montgomery's batch inversion (Math. Comp. 48, 1987, 10.3.1) inverts
+    the product of all of them, then peels one unit off at a time, in
+    3m products mod p^n for m units."""
+    top, prefix, acc = ring.pn, [], 1
+    for u in units:
+        prefix.append(acc)  # the product of the units before u
+        acc = acc * u % top
+    acc = ring.inv(acc)
+    out = [0] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        out[i] = acc * prefix[i] % top
+        acc = acc * units[i] % top
+    return out
+
+
 def iwasawa_failures(ring, matrices):
-    """How many of the 2 x 2 code tuples (a, b, c, d) over a ring Z/p^n
-    of degree 1 fail g = b * k by ``_iwasawa2``: unless b * k == g, b is
-    upper triangular and det k is a unit."""
-    p, n, top, inv = ring.p, ring.n, ring.pn, ring.inv
-    failures = 0
-    for a, b, c, d in matrices:
-        (b0, b1, b2, b3), (k0, k1, k2, k3) = _iwasawa2(p, n, inv, a, b, c, d)
+    """How many of a list of 2 x 2 code tuples (a, b, c, d) over a ring
+    Z/p^n of degree 1 fail g = b * k: unless b * k == g, b is upper
+    triangular and det k is a unit.  Each pivot is found once, and the
+    pivot units of the whole list are inverted by one ``ring.inv``."""
+    p, n, top = ring.p, ring.n, ring.pn
+    pivoted = [_iwasawa_pivot(p, n, *g) for g in matrices]
+    inverses = _unit_inverses(ring, [h[3] // h[4] for h in pivoted])
+    shear, failures = _iwasawa_shear, 0
+    for (a, b, c, d), h, w in zip(matrices, pivoted, inverses):
+        (b0, b1, b2, b3), (k0, k1, k2, k3) = shear(top, h, w)
         if ((b0 * k0 + b1 * k2 - a) % top or (b0 * k1 + b1 * k3 - b) % top
                 or (b2 * k0 + b3 * k2 - c) % top
                 or (b2 * k1 + b3 * k3 - d) % top
@@ -125,18 +152,27 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
     Entries are drawn below p^precision, with a global p-power offset in
     [-2, 2]; a sample is redrawn unless v(det g) < min(3, precision), so
     its determinant is nonzero at working precision.  The samples go to
-    ``iwasawa_failures`` one at a time, as they are drawn.
+    ``iwasawa_failures`` in blocks of ``_BLOCK``, each decomposed with
+    one unit inverse.  The draws are ``randint(-2, 2)`` and
+    ``randrange(p^precision)`` written out on ``rng.getrandbits``:
+    CPython's ``randrange(m)`` draws ``getrandbits(m.bit_length())``
+    until the value is below m, so each seed samples the same matrices
+    and leaves rng in the same state.
 
     NotPrime unless p is prime; then count * w work units are charged
     against cap, before the ring is built (so p^precision is never
     formed): a sample costs w = ceil(bits/64)^2 work units, where bits =
     precision * bit length of p bounds the bits of p^precision.
     Measured per unit (2-core x86-64 on a shared host, Python 3.11.7,
-    best of three, two sweeps): 3.1-9.5 us at one word, 0.37-1.4 us at
-    3-5 words (p^precision of 149-161 bits), 0.015-0.063 us from 32 to
-    3125 words, so the square over-charges large precisions, and a
-    request the default cap of 10^6 accepts runs at most about 10 s
-    there.  At one word most of a sample is its five draws.  A
+    best of five, two sweeps): 1.9-4.0 us at one word, 0.33-1.8 us at
+    2-5 words, 0.019-0.058 us from 64 to
+    6250 words, so the square over-charges large precisions, and a
+    request the default cap of 10^6 accepts runs at most about 7 s at
+    one word (``--p 2 --count 1000000 --precision 32``, 6.0-7.0 s as a
+    fresh process).  From about 128 words up, the three products a
+    sample of the batch inversion cost more than one ladder inverse, so
+    a sample costs 6-23% more than with one inverse each; there the cap
+    admits at most 61 samples, well under 0.1 s.  A
     precision below 1 is charged nothing and refused by the ring, which
     charges its p residue field elements against the same cap.
     """
@@ -147,21 +183,33 @@ def iwasawa_sample_failures(p, precision, count, rng, cap=DEFAULT_GROUP_CAP):
            count * words * words)
     ring = TruncatedLocalRing(p, precision, 1, cap)
     top, det_modulus = ring.pn, p**min(3, precision)
-    randint, randrange = rng.randint, rng.randrange
-
-    def samples():
-        done = 0
-        while done < count:
+    bits, getrandbits = top.bit_length(), rng.getrandbits
+    failures = 0
+    for start in range(0, count, _BLOCK):
+        size, block = min(_BLOCK, count - start), []
+        while len(block) < size:
             # g = p^offset (a b; c d); b takes the offset whole and k
-            # none, so the offsets add up by construction
-            randint(-2, 2)
-            a, b, c, d = (randrange(top), randrange(top), randrange(top),
-                          randrange(top))
+            # none, so the offsets add up by construction: the offset,
+            # randint(-2, 2), is drawn and discarded; then randrange(top)
+            # for each entry
+            while getrandbits(3) >= 5:
+                pass
+            a = getrandbits(bits)
+            while a >= top:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= top:
+                b = getrandbits(bits)
+            c = getrandbits(bits)
+            while c >= top:
+                c = getrandbits(bits)
+            d = getrandbits(bits)
+            while d >= top:
+                d = getrandbits(bits)
             if (a * d - b * c) % det_modulus:
-                yield a, b, c, d
-                done += 1
-
-    return iwasawa_failures(ring, samples())
+                block.append((a, b, c, d))
+        failures += iwasawa_failures(ring, block)
+    return failures
 
 
 # ---------------------------------------------------------------------------

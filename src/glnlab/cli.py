@@ -602,8 +602,12 @@ def run(argv=None):
         lint_report(report)
         text = canonical_json(report)
         if args.json_out:
-            with open(args.json_out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.json_out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InvalidConfig(f"cannot write --json-out "
+                                    f"{args.json_out}: {exc.strerror}")
         sys.stdout.write(text)
         return 0 if holds(report) else 1
     except InvalidConfig as exc:

@@ -242,8 +242,11 @@ class TestMembership:
 
 def iwasawa(ring, codes):
     """(b, k) of the int kernel for the flat codes of a 2 x 2 matrix over
-    a ring of degree 1."""
-    return building._iwasawa2(ring.p, ring.n, ring.inv, *codes)
+    a ring of degree 1: its pivot step, then its shear step with the
+    pivot unit inverted alone by ring.inv."""
+    pivoted = building._iwasawa_pivot(ring.p, ring.n, *codes)
+    unit = pivoted[3] // pivoted[4]
+    return building._iwasawa_shear(ring.pn, pivoted, ring.inv(unit))
 
 
 def factors(ring, g, b, k):
@@ -354,13 +357,118 @@ class TestIwasawa:
                 done += 1
         assert rng.getstate() == ref.getstate()
 
+    # block boundaries: one sample, a block less one, one block, one
+    # more, and two blocks and one
+    @pytest.mark.parametrize("count", [1, building._BLOCK - 1,
+                                       building._BLOCK, building._BLOCK + 1,
+                                       2 * building._BLOCK + 1])
+    @pytest.mark.parametrize("p, precision",
+                             [(2, 1), (3, 2), (5, 64), (2, 160)])
+    def test_sample_stream_at_block_boundaries(self, p, precision, count):
+        seed = count * 1000 + p + precision
+        rng = random.Random(seed)
+        assert iwasawa_sample_failures(p, precision, count, rng) == 0
+        ref = random.Random(seed)
+        R = TruncatedLocalRing(p, precision, 1)
+        done = 0
+        while done < count:
+            ref.randint(-2, 2)
+            g = tuple(ref.randrange(R.pn) for _ in range(4))
+            if R.valuation(R.det2(g)) < min(3, precision):
+                done += 1
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 2**31, 2**32, 2**32 + 1,
+                                   2**64 + 1, 3**100, 5**64])
+    def test_inline_draw_is_randrange(self, m):
+        # CPython's randrange(m), and so randint(-2, 2) at m = 5, draws
+        # getrandbits(m.bit_length()) until the value is below m; the
+        # sampler writes this loop out on getrandbits
+        def draw(rng):
+            r = rng.getrandbits(m.bit_length())
+            while r >= m:
+                r = rng.getrandbits(m.bit_length())
+            return r
+
+        rng, ref = random.Random(m), random.Random(m)
+        assert [draw(rng) for _ in range(200)] \
+            == [ref.randrange(m) for _ in range(200)]
+        assert rng.getstate() == ref.getstate()
+        if m == 5:
+            assert [draw(rng) - 2 for _ in range(200)] \
+                == [ref.randint(-2, 2) for _ in range(200)]
+            assert rng.getstate() == ref.getstate()
+
+    def test_one_unit_inverse_a_block(self, monkeypatch):
+        sizes, inverses = [], []
+        real = building.iwasawa_failures
+
+        def spy(ring, matrices):
+            inv = ring.inv
+            ring.inv = lambda u: inverses.append(u) or inv(u)
+            sizes.append(len(matrices))
+            try:
+                return real(ring, matrices)
+            finally:
+                ring.inv = inv
+
+        monkeypatch.setattr(building, "iwasawa_failures", spy)
+        count = 3 * building._BLOCK + 5
+        assert iwasawa_sample_failures(3, 40, count, random.Random(3)) == 0
+        assert sizes == [building._BLOCK] * 3 + [5]
+        assert len(inverses) == 4
+        # the exhaustive check of criterion 7 inverts once for the group
+        for p in (2, 3):
+            F = FiniteField(p, 1)
+            inverses.clear()
+            assert spy(F, gl_elements(F, 2)) == 0
+            assert len(inverses) == 1
+
+    def test_block_matches_single_inverses(self, monkeypatch):
+        # the matrices of test_matches_element_reference: ties in
+        # valuation, zero entries, repeated pivot units and c = 0
+        rng = random.Random(11)
+        real = building._iwasawa_shear
+        repeats = zeros = vanishes = False
+        for p, n in ((2, 6), (3, 5), (2, 160), (3, 100), (5, 64)):
+            R = TruncatedLocalRing(p, n, 1)
+            p_powers = [R.encode((p**e,)) for e in range(n + 1)]
+            block, vanishing = [], []
+            for _ in range(60):
+                g = tuple(R.mul(rng.randrange(R.size()), rng.choice(p_powers))
+                          for _ in range(4))
+                try:
+                    building._iwasawa_pivot(p, n, *g)
+                except PrecisionExhausted:
+                    vanishing.append(g)
+                    continue
+                block.append(g)
+            single, found = [iwasawa(R, g) for g in block], []
+            monkeypatch.setattr(
+                building, "_iwasawa_shear",
+                lambda *args: found.append(real(*args)) or found[-1])
+            building.iwasawa_failures(R, block)
+            monkeypatch.undo()
+            assert found == single, (p, n)
+            pivoted = [building._iwasawa_pivot(p, n, *g) for g in block]
+            units = [h[3] // h[4] for h in pivoted]
+            assert building._unit_inverses(R, units) \
+                == [R.inv(u) for u in units]
+            repeats |= len(set(units)) < len(units)
+            zeros |= any(g[2] == 0 for g in block)
+            vanishes |= bool(vanishing)
+            for g in vanishing:  # a vanishing pivot row still raises
+                with pytest.raises(PrecisionExhausted):
+                    building.iwasawa_failures(R, block + [g])
+        assert repeats and zeros and vanishes
+
     @pytest.mark.parametrize("mutate", [
         lambda b, k: (b, (k[0], k[1], k[2] + 1, k[3])),  # k_21 + 1
         lambda b, k: ((b[0], b[1], 1, b[3]), k),  # b_21 != 0
     ])
     def test_sample_check_catches_a_wrong_kernel(self, monkeypatch, mutate):
-        kernel = building._iwasawa2
-        monkeypatch.setattr(building, "_iwasawa2",
+        kernel = building._iwasawa_shear
+        monkeypatch.setattr(building, "_iwasawa_shear",
                             lambda *args: mutate(*kernel(*args)))
         assert iwasawa_sample_failures(2, 6, 50, random.Random(5)) == 50
         # the exhaustive check of criterion 7 applies the same test

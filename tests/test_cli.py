@@ -98,7 +98,9 @@ INVALID_CONFIG_ARGVS = (
     "building iwasawa --p 1 --count 1000000000 --precision 50",
     # a cap below 1 admits nothing
     "--cap 0 cartan --preset g2",
-    "--cap -5 lfactor --q 2 --params a")
+    "--cap -5 lfactor --q 2 --params a",
+    # a report path that cannot be written (ENOTDIR)
+    "--json-out /dev/null/r.json roots --n 2")
 
 # 10^18 + 3 is prime, and the primality test runs before any cap; a
 # residue-field size q is split into p^v by exact integer roots, not by
@@ -548,7 +550,8 @@ class TestNearCap:
     # 31^4 = 923 521 of GL_2(F_31), and the Hermite forms of both hecke
     # factors, 985 089 at rank 2 and 735 842 at rank 3; and the rings of
     # the building audits at the request's cap, not the 2^16 field cap:
-    # Z/999983^3 and the 999 982 elements of GL_1(F_999983)
+    # Z/999983^3 and the 999 982 elements of GL_1(F_999983); and 10^6
+    # samples of one word each, the whole default cap
     @pytest.mark.parametrize("argv", [
         "cartan --n 100", "building simplices --n 12",
         "building ub-audit --n 4 --p 2", "building self-norm --n 2 --p 31",
@@ -556,7 +559,8 @@ class TestNearCap:
         "hecke --n 2 --p 31 --left=4,0 --right=3,0",
         "hecke --n 3 --p 3 --left=1,1,-3 --right=0,0,0",
         "building iwasawa --p 999983 --count 1000 --precision 3",
-        "building self-norm --n 1 --p 999983"])
+        "building self-norm --n 1 --p 999983",
+        "building iwasawa --p 2 --count 1000000 --precision 6"])
     def test_other_subcommands(self, argv):
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -878,10 +882,10 @@ class TestVerdictsDecide:
 
     def test_iwasawa_shear(self, monkeypatch, capsys):
         from glnlab import building
-        real = building._iwasawa2
+        real = building._iwasawa_shear
         monkeypatch.setattr(
-            building, "_iwasawa2",
-            lambda p, n, inv, *g: real(p, n, lambda u: inv(u) + 1, *g))
+            building, "_iwasawa_shear",
+            lambda pn, pivoted, inverse: real(pn, pivoted, inverse + 1))
         rep = self.failing("building iwasawa",
                            "claim:iwasawa-exact-reconstruction", capsys)
         assert rep["results"]["failures"] > 0

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glnlab.building import _iwasawa2
 from glnlab.errors import NotInvertible
 from glnlab.hecke import BIG
 from glnlab.rings import FiniteField, HalfPowerLaurent, TruncatedLocalRing
+from test_building import iwasawa
 from test_hecke import smith_exponents, vp
 from test_rings import elements, half_of
 
@@ -274,7 +274,7 @@ class TestIwasawaOracle:
         # b times k, so by Cauchy-Binet their r x r minors have the least
         # valuation of [0 | lower-right r x r block of b], its determinant
         ring, codes = g
-        b, _ = _iwasawa2(ring.p, ring.n, ring.inv, *codes)
+        b, _ = iwasawa(ring, codes)
         n = 2
         rows = [list(codes[i:i + n]) for i in range(0, n * n, n)]
         diag = [vp(b[i * n + i], ring.p) for i in range(n)]
