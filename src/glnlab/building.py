@@ -251,7 +251,7 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     g_all = gl_elements(field, n, cap=cap)
     u_set = _residue_triangular(field, n, lower=True)
     b_set = _residue_triangular(field, n, lower=False)
-    mul = field.mat_kernels(n)[0]
+    mul = field.mat_product(n)
     products = {mul(u, b) for u in u_set for b in b_set}
     # g_all is in coefficient order, so missing is too
     missing = [g for g in g_all if g not in products]

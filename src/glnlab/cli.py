@@ -23,7 +23,7 @@ from math import comb
 from . import __version__
 from .errors import (CapExceeded, GlnLabError, InvalidConfig, NotACocycle,
                      charge)
-from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent
+from .rings import DEFAULT_GROUP_CAP
 
 _ANCHOR_RE = re.compile(r"^claim:[a-z0-9][a-z0-9-]*$")
 L_VARIABLE = "X"  # the report's name for q^(-s)
@@ -65,15 +65,10 @@ def holds(*reports):
 
 # serialization helpers ------------------------------------------------------
 
-def ser_half(x):
-    if isinstance(x, HalfPowerLaurent):
-        return {"a": str(x.a), "b": str(x.b)}
-    return str(x)
-
-
 def ser_by_weight(coeffs):
-    """{lambda: coefficient} with each lambda written as "l1,l2,.."."""
-    return {",".join(map(str, lam)): ser_half(c)
+    """{lambda: {"a": A, "b": B}} for the coefficient A + B v at lambda,
+    with each lambda written as "l1,l2,.."."""
+    return {",".join(map(str, lam)): {"a": str(c.a), "b": str(c.b)}
             for lam, c in sorted(coeffs.items())}
 
 

@@ -22,7 +22,7 @@ from the caller.  Group elements, cocycles, Lang images and the class
 representatives and matches that ``twisted_classes`` and
 ``dm_bijection_check`` return are flat row-major tuples of the ring's
 codes (see ``rings``).  Each loop binds the ring's kernels once
-(``mat_kernels``, ``form``, ``sandwich``) and runs on the tuples.
+(``mat_product``, ``form``, ``sandwich``) and runs on the tuples.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class GaloisModule:
         self.generators = tuple(generators)
         self.exponent = exponent
 
-    def sigma(self, x, k=1):
-        """sigma^k of a flat code tuple."""
-        return self.ring.mat_sigma(x, self.exponent * k)
+    def sigma(self, x):
+        """sigma^exponent of a flat code tuple."""
+        return self.ring.mat_sigma(x, self.exponent)
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
@@ -245,7 +245,7 @@ def lang_image(ring, s, cap=DEFAULT_GROUP_CAP):
 def twisted_norm(ring, s, m, e=1):
     """The map a -> a sigma^e(a) ... sigma^(e(m-1))(a) of flat s x s code
     tuples, with the ring's sigma^e map and product kernel bound once."""
-    mul, sig = ring.mat_kernels(s)[0], ring.sigma_map(e)
+    mul, sig = ring.mat_product(s), ring.sigma_map(e)
 
     def norm(a):
         acc = cur = a

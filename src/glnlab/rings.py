@@ -11,16 +11,18 @@ when d = 1; add and mul row tables (``A[a][b]``, ``M[a][b]``) and
 negation, inverse and sigma tables when d > 1 and the ring has at most
 256 elements (so an N x N table holds at most 2^16 codes); decoded
 coefficient lists otherwise, with one reduction mod F and p^n per sum
-of products.  Every ring also fixes its matrix kernels on flat code
-tuples: the 2 x 2 product, determinant and inverse (``mul2``, ``det2``,
-``inv2``), the linear form r -> sum r_i c_i of fixed codes (``form``)
-and the sandwich x -> a x b of fixed a, b (``sandwich``).  Over the
-tables they are unrolled and read the rows directly, with each fixed
+of products.  Every ring also fixes three matrix kernels on flat code
+tuples: the 2 x 2 product (``mul2``), the linear form r -> sum r_i c_i
+of fixed codes (``form``) and the sandwich x -> a x b of fixed a, b
+(``sandwich``).  Over the tables ``mul2``, the two-entry ``form`` and
+``sandwich`` are unrolled and read the rows directly, with each fixed
 operand's row looked up once; over the coefficient lists the sandwich
 expands each fixed operand once into its d x d multiplication matrix;
 the other kernels there, and all of them when d = 1, are built from the
-ring's operations on codes.  sigma^e is one map of
-codes per e mod d (``sigma_map``), built on first use.
+ring's ``mul`` and ``dot``.  The determinant and inverse are the
+cofactor and adjugate forms on the ring's ``dot`` at every size.
+sigma^e is one map of codes per e mod d (``sigma_map``), built on first
+use.
 
 Claims work on codes and flat code tuples alone.  The element layer at
 the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus
@@ -141,8 +143,8 @@ def _canonical_modulus(p, d):
 
 def minor(a, s, i, j):
     """The flat s x s matrix a without row i and column j."""
-    return tuple(a[r * s + c] for r in range(s) if r != i
-                 for c in range(s) if c != j)
+    return tuple([a[r * s + c] for r in range(s) if r != i
+                  for c in range(s) if c != j])
 
 
 def _unit_inverse(p, n):
@@ -180,28 +182,19 @@ def _unit_inverse(p, n):
 # the three arithmetics of a ring's codes; each returns add, mul, neg, dot
 # (sum of products), inv, is_unit, decode, and linear (images of the basis
 # 1, x, .., x^(d-1) -> the additive map of codes they define), then the
-# matrix kernels of _op_kernels
+# matrix kernels mul2, form and sandwich: unrolled over the tables, those
+# of _op_kernels elsewhere, except the coefficient lists' own sandwich.
+# The determinant and inverse are the ring's mat_det and mat_inv.
 
-def _op_kernels(mul, neg, dot, inv, is_unit):
-    """The matrix kernels from a ring's operations on codes: the 2 x 2
-    product, determinant and inverse of flat code tuples, the linear
-    form r -> sum r_i c_i of fixed codes c, and the sandwich x -> a x b
-    of flat s x s matrices for fixed a, b."""
+def _op_kernels(mul, dot):
+    """The matrix kernels from a ring's mul and dot on codes: the 2 x 2
+    product of flat code tuples, the linear form r -> sum r_i c_i of
+    fixed codes c, and the sandwich x -> a x b of flat s x s matrices
+    for fixed a, b."""
 
     def mul2(x, y):
         r0, r1, c0, c1 = x[:2], x[2:], y[::2], y[1::2]
         return (dot(r0, c0), dot(r0, c1), dot(r1, c0), dot(r1, c1))
-
-    def det2(x):
-        return dot((x[0], x[1]), (x[3], neg(x[2])))
-
-    def inv2(x):
-        det = det2(x)
-        if not is_unit(det):
-            raise NotInvertible("determinant is not a unit")
-        k = inv(det)
-        return (mul(x[3], k), neg(mul(x[1], k)), neg(mul(x[2], k)),
-                mul(x[0], k))
 
     def form(cs):
         return lambda r: dot(r, cs)
@@ -218,7 +211,7 @@ def _op_kernels(mul, neg, dot, inv, is_unit):
         return lambda x: tuple([dot(cs, [x[k] for k in ks])
                                 for ks, cs in terms])
 
-    return mul2, det2, inv2, form, sandwich
+    return mul2, form, sandwich
 
 
 def _native_ops(ring):
@@ -230,12 +223,12 @@ def _native_ops(ring):
         return sum(map(operator.mul, xs, ys)) % m
 
     return ((lambda a, b: (a + b) % m, mul, neg, dot, inv, is_unit,
-             lambda a: (a,), None) + _op_kernels(mul, neg, dot, inv, is_unit))
+             lambda a: (a,), None) + _op_kernels(mul, dot))
 
 
 def _table_ops(ring):
     """Row tables A[a][b] = a + b and M[a][b] = a b, and the negation,
-    inverse and unit tables; the kernels read them directly."""
+    inverse and unit tables; the unrolled kernels read the rows directly."""
     p, pn, d, size = ring.p, ring.pn, ring.d, ring.size()
     coeffs = list(itertools.product(range(pn), repeat=d))  # code order
     A = []
@@ -285,29 +278,11 @@ def _table_ops(ring):
         return (A[ma[y[0]]][mb[y[2]]], A[ma[y[1]]][mb[y[3]]],
                 A[mc[y[0]]][me[y[2]]], A[mc[y[1]]][me[y[3]]])
 
-    def det2(x):
-        return A[M[x[0]][x[3]]][neg[M[x[1]][x[2]]]]
-
-    def inv2(x):
-        a, b, c, e = x
-        k = inverse[A[M[a][e]][neg[M[b][c]]]]
-        if k < 0:
-            raise NotInvertible("determinant is not a unit")
-        mk = M[k]
-        return (mk[e], neg[mk[b]], neg[mk[c]], mk[a])
-
     def form(cs):
-        rows = [M[c] for c in cs]
-        if len(rows) == 2:
-            m0, m1 = rows
+        if len(cs) == 2:
+            m0, m1 = M[cs[0]], M[cs[1]]
             return lambda r: A[m0[r[0]]][m1[r[1]]]
-
-        def apply(r):
-            acc = 0
-            for m, x in zip(rows, r):
-                acc = A[acc][m[x]]
-            return acc
-        return apply
+        return lambda r: dot(r, cs)
 
     def sandwich(s, a, b):
         # entry i is first[i] = (k, row): row[x[k]], plus row[x[k]] for
@@ -331,7 +306,7 @@ def _table_ops(ring):
     return ((lambda a, b: A[a][b], lambda a, b: M[a][b], neg.__getitem__,
              dot, inv, unit.__getitem__, coeffs.__getitem__,
              lambda images: linear(images).__getitem__,
-             mul2, det2, inv2, form, sandwich))
+             mul2, form, sandwich))
 
 
 def _poly_ops(ring):
@@ -436,10 +411,10 @@ def _poly_ops(ring):
     neg = lambda a: encode(map(operator.neg, digits(a)))
     is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
         lambda a: any(c % p for c in digits(a)))
-    mul2, det2, inv2, form = _op_kernels(mul, neg, dot, inv, is_unit)[:4]
+    mul2, form = _op_kernels(mul, dot)[:2]
     return ((lambda a, b: encode(map(operator.add, digits(a), digits(b))),
              mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)), linear,
-             mul2, det2, inv2, form, sandwich))
+             mul2, form, sandwich))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +427,10 @@ class TruncatedLocalRing:
     truncated at p-adic precision n.  Carries the canonical Frobenius
     lift: the unique root of F congruent to x^p mod p.  The operations
     on codes (``add``, ``mul``, ``neg``, ``dot``, ``inv``, ``is_unit``,
-    ``decode``) and the matrix kernels (``mul2``, ``det2``, ``inv2``,
-    ``form``, ``sandwich``) are fixed at construction; the ``mat_*``
-    methods apply them to flat row-major matrices of codes.
+    ``decode``) and the matrix kernels (``mul2``, ``form``,
+    ``sandwich``) are fixed at construction; the ``mat_*`` methods work
+    on flat row-major matrices of codes, the determinant and inverse by
+    cofactors on ``dot`` at every size.
     """
 
     def __init__(self, p, n, d, cap=DEFAULT_FIELD_CAP):
@@ -479,8 +455,8 @@ class TruncatedLocalRing:
         ops = (_native_ops if d == 1 else
                _table_ops if self.size() <= _TABLE_MAX else _poly_ops)
         (self.add, self.mul, self.neg, self.dot, self.inv, self.is_unit,
-         self.decode, self._linear, self.mul2, self.det2, self.inv2,
-         self.form, self.sandwich) = ops(self)
+         self.decode, self._linear, self.mul2, self.form,
+         self.sandwich) = ops(self)
         y, self._sigmas = self._lift_frobenius(), {0: lambda a: a}
         if d > 1:
             powers = [self.one_code]
@@ -589,41 +565,35 @@ class TruncatedLocalRing:
         return tuple([dot(a[i:i + s], col)
                       for i in range(0, s * s, s) for col in cols])
 
+    def _cofactors(self, s, a, i):
+        """The cofactors (-1)^(i+j) det(minor (i, j)) of row i of a flat
+        s x s matrix, s >= 2."""
+        det, neg = self.mat_det, self.neg
+        return [neg(m) if (i + j) % 2 else m
+                for j in range(s) for m in [det(s - 1, minor(a, s, i, j))]]
+
     def mat_det(self, s, a):
         """Determinant by cofactor expansion along the first row."""
         if s == 1:
             return a[0]
-        if s == 2:
-            return self.det2(a)
-        cof = [self.mat_det(s - 1, minor(a, s, 0, j)) for j in range(s)]
-        return self.dot(a[:s], [self.neg(c) if j % 2 else c
-                                for j, c in enumerate(cof)])
+        return self.dot(a[:s], self._cofactors(s, a, 0))
 
     def mat_inv(self, s, a):
-        """Inverse by the adjugate; NotInvertible unless det is a unit."""
-        if s == 2:
-            return self.inv2(a)
-        det = self.mat_det(s, a)
-        if not self.is_unit(det):
+        """Inverse by the adjugate, the transposed cofactors, over the
+        determinant: the first row against its cofactors, so it needs no
+        minor of its own.  NotInvertible unless it is a unit."""
+        cof = ([self._cofactors(s, a, i) for i in range(s)] if s > 1
+               else [[self.one_code]])
+        d = self.dot(a[:s], cof[0])
+        if not self.is_unit(d):
             raise NotInvertible("determinant is not a unit")
-        dinv = self.inv(det)
-        mul, neg = self.mul, self.neg
-        if s == 1:
-            return (dinv,)
-        out = []
-        for i in range(s):
-            for j in range(s):
-                c = mul(self.mat_det(s - 1, minor(a, s, j, i)), dinv)
-                out.append(neg(c) if (i + j) % 2 else c)
-        return tuple(out)
+        k, mul = self.inv(d), self.mul
+        return tuple([mul(c, k) for column in zip(*cof) for c in column])
 
-    def mat_kernels(self, s):
-        """(product, determinant, inverse) of flat s x s matrices, each a
-        function of the matrices alone: the unrolled kernels at s = 2."""
-        if s == 2:
-            return self.mul2, self.det2, self.inv2
-        return (partial(self.mat_mul, s), partial(self.mat_det, s),
-                partial(self.mat_inv, s))
+    def mat_product(self, s):
+        """The product of flat s x s matrices, a function of the matrices
+        alone: the unrolled kernel at s = 2."""
+        return self.mul2 if s == 2 else partial(self.mat_mul, s)
 
     def mat_sigma(self, a, e=1):
         """Entry-wise sigma^e."""

@@ -252,7 +252,7 @@ def iwasawa(ring, codes):
 def factors(ring, g, b, k):
     """Is g = b * k, with b upper triangular and det k a unit?"""
     return (ring.mul2(b, k) == g and b[2] == 0
-            and ring.is_unit(ring.det2(k)))
+            and ring.is_unit(ring.mat_det(2, k)))
 
 
 class TestIwasawa:
@@ -285,7 +285,7 @@ class TestIwasawa:
         done = 0
         while done < 200:
             g = tuple(rng.randrange(64) for _ in range(4))
-            if R.valuation(R.det2(g)) >= 3:
+            if R.valuation(R.mat_det(2, g)) >= 3:
                 continue
             assert factors(R, g, *iwasawa(R, g))
             done += 1
@@ -374,7 +374,7 @@ class TestIwasawa:
         while done < count:
             ref.randint(-2, 2)
             g = tuple(ref.randrange(R.pn) for _ in range(4))
-            if R.valuation(R.det2(g)) < min(3, precision):
+            if R.valuation(R.mat_det(2, g)) < min(3, precision):
                 done += 1
         assert rng.getstate() == ref.getstate()
 

@@ -948,10 +948,12 @@ class TestOneDefinition:
     # reused claim must not add a second pass.  The cocycle and orbit
     # passes were counted once the kernels took their cocycles from the
     # level pass (7 -> 5) and dm-check at n = 1 closed its orbits once
-    # (19 -> 18); a kernel builds its generators alone.
+    # (19 -> 18); a kernel builds its generators alone.  Criterion 5's
+    # fifth configuration, (2, 3, 1), adds one dm-check and its one
+    # orbit pass (18 -> 19).
     WORK = {(lang, "_cocycle_levels"): 3, (lang, "congruence_kernel"): 2,
-            (lang, "_cocycles"): 5, (lang, "_twisted_orbits"): 18,
-            (lang, "lang_image"): 4, (lang, "dm_bijection_check"): 4,
+            (lang, "_cocycles"): 5, (lang, "_twisted_orbits"): 19,
+            (lang, "lang_image"): 4, (lang, "dm_bijection_check"): 5,
             (roots, "check_type_a"): 5,
             (building, "iwasawa_sample_failures"): 1,
             (hecke, "satake_transform"): 728,

@@ -167,8 +167,9 @@ def centralizer_order(F, factors):
 def whole_group_lang_image(module):
     """{x^-1 sigma(x)} with every element of the group inverted: the
     reference for the orbit of 1 that lang_image closes."""
-    mul, _, inv = module.ring.mat_kernels(module.s)
-    return {mul(inv(x), module.sigma(x)) for x in elements(module)}
+    ring, s = module.ring, module.s
+    return {ring.mat_mul(s, ring.mat_inv(s, x), module.sigma(x))
+            for x in elements(module)}
 
 
 def per_element_plain_classes(s, q, n):

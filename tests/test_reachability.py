@@ -74,14 +74,6 @@ ALLOWLIST = (
     ("value semantics: equality, hashing, printing and immutability of "
      "the value classes, which the tests and a debugger use",
      ("*.__eq__", "*.__hash__", "*.__repr__", "*.__setattr__")),
-    ("the cofactor form of the last row of a matrix of size 3 or more "
-     "over a tabulated ring, and sums of products for matrices of size 2 "
-     "or more over a larger one: the cheapest such request, the "
-     "TestNearCap row `dm-check --s 3 --q 2 --n 2`, takes about 2 s, too "
-     "long for the traced run, and the default cap refuses the larger "
-     "rings; tests/test_ring_core.py runs each",
-     ("rings._table_ops.<locals>.form.<locals>.apply",
-      "rings._poly_ops.<locals>.dot")),
 )
 
 # Looked up by perfbench/tracer.py in a class's own __dict__ (or in the

@@ -181,34 +181,39 @@ def dot_inverse(R, s, a):
 
 
 @pytest.mark.parametrize("pnd", KERNEL_RINGS)
-@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
 def test_kernels_agree_with_the_dot_path(pnd, s):
     R = TruncatedLocalRing(*pnd)
-    mul, det, inv = R.mat_kernels(s)
+    mul = R.mat_product(s)
     rng = random.Random(f"{pnd}{s}")
     draw = lambda: tuple(rng.randrange(R.size()) for _ in range(s * s))
     units = 0
     for _ in range(60):
         a, b, x = draw(), draw(), draw()
         assert mul(a, b) == R.mat_mul(s, a, b) == dot_product(R, s, a, b)
-        assert det(a) == R.mat_det(s, a) == dot_det(R, s, a)
+        assert R.mat_det(s, a) == dot_det(R, s, a)
         assert R.sandwich(s, a, b)(x) == dot_product(
             R, s, dot_product(R, s, a, x), b)
         assert R.form(b[:s])(a[:s]) == R.dot(a[:s], b[:s])
         if R.is_unit(dot_det(R, s, a)):
             units += 1
-            assert inv(a) == R.mat_inv(s, a) == dot_inverse(R, s, a)
+            # dot_det reads an empty minor as 0, not 1, so at s = 1 the
+            # reference is the unit's inverse
+            assert R.mat_inv(s, a) == (dot_inverse(R, s, a) if s > 1
+                                       else (R.inv(a[0]),))
         else:
             with pytest.raises(NotInvertible):
-                inv(a)
+                R.mat_inv(s, a)
     assert units
-    # a repeated row, and a row in the maximal ideal: singular
+    # a row in the maximal ideal, and (s >= 2) a repeated row: singular
     a = draw()
-    for bad in (a[:s] + a[:s] + a[2 * s:],
-                tuple(R.mul(R.encode([R.p]), c) for c in a[:s]) + a[s:]):
-        assert not R.is_unit(det(bad))
+    bads = [tuple(R.mul(R.encode([R.p]), c) for c in a[:s]) + a[s:]]
+    if s >= 2:
+        bads.append(a[:s] + a[:s] + a[2 * s:])
+    for bad in bads:
+        assert not R.is_unit(R.mat_det(s, bad))
         with pytest.raises(NotInvertible, match="determinant is not a unit"):
-            inv(bad)
+            R.mat_inv(s, bad)
 
 
 # ---------------------------------------------------------------------------
