@@ -35,6 +35,10 @@ from .rings import (
     DEFAULT_GROUP_CAP,
     FiniteField,
     TruncatedLocalRing,
+    _poly_divmod,
+    _poly_mul,
+    _poly_submul,
+    _poly_trim,
     is_prime,
     residue_primitive_root,
 )
@@ -84,15 +88,15 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
 
     Rows with every entry in the maximal ideal cannot occur, so the scan
     runs over the other rows only (for s = 1 that is the whole test).
-    The cofactors of the last row are computed once per head of s - 1
-    rows; each candidate last row then costs one call of their linear
-    ``form`` for its determinant.  The (p^(n d))^(s^2) candidates over
-    O/p^n of residue degree d are charged against cap first.
+    The cofactors of the last row (the ring's ``_cofactors``, that row
+    left zero) are computed once per head of s - 1 rows; each candidate
+    last row costs one call of their linear ``form``.  The (p^(n d))^(s^2)
+    candidates over O/p^n of residue degree d are charged against cap.
     """
     p, e = ring.p, ring.n * ring.d * s * s
     charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
     nel = ring.size()
-    unit, neg = ring.is_unit, ring.neg
+    unit = ring.is_unit
     rows = [r for r in itertools.product(range(nel), repeat=s)
             if any(map(unit, r))]
     if s == 1:  # a row of one unit is its own determinant
@@ -100,12 +104,7 @@ def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
     out = []
     for head in itertools.product(rows, repeat=s - 1):
         head = sum(head, ())
-        # minor j: the head without column j
-        minors = [ring.mat_det(s - 1, tuple(
-            head[i * s + c] for i in range(s - 1) for c in range(s) if c != j))
-            for j in range(s)]
-        form = ring.form([neg(m) if (s - 1 + j) % 2 else m
-                          for j, m in enumerate(minors)])
+        form = ring.form(ring._cofactors(s, head + (0,) * s, s - 1))
         out += [head + r for r in
                 itertools.compress(rows, map(unit, map(form, rows)))]
     return out
@@ -372,36 +371,8 @@ def _invariant_factors(ring, s, codes):
     its column and row by division with remainder, and repeat until the
     pivot divides every entry left; the pivots are the factors.
     """
-    add, mul, neg = ring.add, ring.mul, ring.neg
-
-    def trim(f):
-        while f and not f[-1]:
-            f.pop()
-        return f
-
-    def minus(f, g):
-        out = f + [0] * (len(g) - len(f))
-        for i, b in enumerate(g):
-            out[i] = add(out[i], neg(b))
-        return trim(out)
-
-    def times(f, g):
-        out = [0] * (len(f) + len(g) - 1) if f and g else []
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = add(out[i + j], mul(a, b))
-        return out
-
-    def divide(f, g):
-        """(quotient, remainder) of f by g."""
-        quot, lead = [0] * max(len(f) - len(g) + 1, 0), ring.inv(g[-1])
-        while len(f) >= len(g):
-            k, c = len(f) - len(g), mul(f[-1], lead)
-            quot[k] = c
-            f = minus(f, [0] * k + [mul(c, b) for b in g])
-        return quot, f
-
-    m = [[trim([neg(codes[i * s + j])] + [ring.one_code] * (i == j))
+    one = ring.one_code
+    m = [[_poly_trim([ring.neg(codes[i * s + j])] + [one] * (i == j))
           for j in range(s)] for i in range(s)]
     factors = []
     for t in range(s):
@@ -413,24 +384,23 @@ def _invariant_factors(ring, s, codes):
             for row in m:
                 row[t], row[j] = row[j], row[t]
             piv = m[t][t]
-            for i in range(t + 1, s):
-                quot, m[i][t] = divide(m[i][t], piv)
-                m[i][t + 1:] = [minus(a, times(quot, b))
-                                for a, b in zip(m[i][t + 1:], m[t][t + 1:])]
-            for j in range(t + 1, s):
-                quot, m[t][j] = divide(m[t][j], piv)
-                for row in m[t + 1:]:
-                    row[j] = minus(row[j], times(quot, row[t]))
+            for _ in range(2):  # column t, then row t as the transpose's
+                for i in range(t + 1, s):
+                    quot, m[i][t] = _poly_divmod(ring, m[i][t], piv)
+                    m[i][t + 1:] = [
+                        _poly_submul(ring, a, _poly_mul(ring, quot, b), 0, one)
+                        for a, b in zip(m[i][t + 1:], m[t][t + 1:])]
+                m = [list(col) for col in zip(*m)]
             if any(m[i][t] or m[t][i] for i in range(t + 1, s)):
                 continue  # a remainder of lower degree is the next pivot
-            bad = next((row for row in m[t + 1:]
-                        if any(divide(a, piv)[1] for a in row[t + 1:])), None)
+            bad = next((row for row in m[t + 1:] if any(
+                _poly_divmod(ring, a, piv)[1] for a in row[t + 1:])), None)
             if bad is None:
                 break
             m[t][t + 1:] = bad[t + 1:]  # add row bad; row t is zero there
         factors.append(piv)
-    return tuple(tuple(mul(c, ring.inv(f[-1])) for c in f)
-                 for f in factors if len(f) > 1)
+    return tuple(tuple(ring.mul(c, k) for c in f)
+                 for f in factors if len(f) > 1 for k in [ring.inv(f[-1])])
 
 
 def shintani_law(s, q, n, twisted_size, plain_size):

@@ -24,6 +24,11 @@ cofactor and adjugate forms on the ring's ``dot`` at every size.
 sigma^e is one map of codes per e mod d (``sigma_map``), built on first
 use.
 
+Polynomials over a field are lists of its codes, with one product and
+one division with remainder (``_poly_divmod``): the modulus's
+irreducibility test, the inverse's Euclid over F_p[x] and lang's
+invariant factors use them.
+
 Claims work on codes and flat code tuples alone.  The element layer at
 the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus
 a global p-power offset) stays only for perfbench's tracer and the tests.
@@ -86,7 +91,8 @@ def is_prime(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Z/m (coefficient tuples, low degree first)
+# F[X] over a field F: lists of F's codes, low degree first, trimmed (no
+# zero leading coefficient), on F's add, mul, neg and inv
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -94,36 +100,51 @@ def _poly_trim(a):
     return a
 
 
-def _poly_submul(u, v, k, c, m):
-    """u - c x^k v over Z/m, trimmed."""
+def _poly_submul(F, u, v, k, c):
+    """u - c x^k v, trimmed."""
+    add, mul, c = F.add, F.mul, F.neg(c)
     out = list(u) + [0] * (len(v) + k - len(u))
     for i, y in enumerate(v, k):
-        out[i] = (out[i] - c * y) % m
+        out[i] = add(out[i], mul(c, y))
     return _poly_trim(out)
 
 
-def _poly_mod(a, f, m):
-    """Remainder of a modulo monic f, coefficients in Z/m."""
-    a = _poly_trim([c % m for c in a])
-    while len(a) >= len(f):
-        a = _poly_submul(a, f, len(a) - len(f), a[-1], m)
-    return a
+def _poly_mul(F, f, g):
+    """f g."""
+    add, mul = F.add, F.mul
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g, i):
+            out[j] = add(out[j], mul(a, b))
+    return out
+
+
+def _poly_divmod(F, f, g):
+    """(quotient, remainder) of f by g != 0."""
+    quot, lead = [0] * max(len(f) - len(g) + 1, 0), F.inv(g[-1])
+    while len(f) >= len(g):
+        k, c = len(f) - len(g), F.mul(f[-1], lead)
+        quot[k] = c
+        f = _poly_submul(F, f, g, k, c)
+    return quot, f
 
 
 def _is_irreducible(f, p):
     """Exhaustive irreducibility test for monic f over Z/p.
 
-    Trial division by every monic polynomial of degree 1..deg(f)//2;
-    only viable at the small sizes this library caps itself to.
+    Trial division by every monic polynomial of degree 1..deg(f)//2 over
+    F_p, whose codes are the ints mod p; only viable at the small sizes
+    this library caps itself to.
     """
     d = len(f) - 1
     if d <= 0:
         return False
     if d == 1:
         return True
+    F = FiniteField(p, 1, cap=p)
     for k in range(1, d // 2 + 1):
         for tail in itertools.product(range(p), repeat=k):
-            if not _poly_mod(f, tuple(tail) + (1,), p):
+            if not _poly_divmod(F, f, tail + (1,))[1]:
                 return False
     return True
 
@@ -317,10 +338,11 @@ def _poly_ops(ring):
     expanded once into its d x d multiplication matrix; the other matrix
     kernels come from _op_kernels, since no request the default cap
     admits takes a matrix of size 2 or more over these rings.  The
-    inverse is extended Euclid over F_p[x], lifted to p^n by Newton
-    steps z <- z (2 - a z) (von zur Gathen-Gerhard, 3.2 and 9.1)."""
+    inverse is extended Euclid over F_p[x], on the division of the
+    polynomial helpers above, lifted to p^n by Newton steps
+    z <- z (2 - a z) on codes (von zur Gathen-Gerhard, 3.2 and 9.1)."""
     p, pn, d, weights = ring.p, ring.pn, ring.d, ring.weights
-    f, mul_ = ring.modulus_lift, operator.mul
+    f, mul_, F_p = ring.modulus_lift, operator.mul, FiniteField(p, 1, cap=p)
 
     def digits(a):
         return [a // w % pn for w in weights]
@@ -343,7 +365,7 @@ def _poly_ops(ring):
     # code 1 is x^(d-1), whose matrix has columns x^(d-1), .., x^(2d-2)
     folds = [row[1:] for row in matrix(1)]
 
-    def products(pairs, read=encode):
+    def products(pairs):
         c = [0] * (2 * d - 1)
         for a, b in pairs:
             for i, x in enumerate(a):
@@ -351,8 +373,8 @@ def _poly_ops(ring):
                     for k, y in enumerate(b, i):
                         c[k] += x * y
         high = c[d:]
-        return read([x + sum(map(mul_, high, row))
-                     for x, row in zip(c, folds)])
+        return encode([x + sum(map(mul_, high, row))
+                       for x, row in zip(c, folds)])
 
     def mul(a, b):
         return products(((digits(a), digits(b)),))
@@ -363,22 +385,18 @@ def _poly_ops(ring):
     def inv(a):
         # Euclid keeps the cofactor of a alone; F is irreducible mod p,
         # so only p | a leaves a gcd of positive degree
-        a, s0, s1 = digits(a), [], [1]
-        r0, r1 = list(ring.modulus), _poly_trim([c % p for c in a])
+        r0, r1 = ring.modulus, _poly_trim([c % p for c in digits(a)])
+        s0, s1 = [], [1]
         while r1:
-            while len(r0) >= len(r1):
-                k, c = len(r0) - len(r1), r0[-1] * pow(r1[-1], -1, p)
-                r0 = _poly_submul(r0, r1, k, c, p)
-                s0 = _poly_submul(s0, s1, k, c, p)
-            r0, r1, s0, s1 = r1, r0, s1, s0
+            quot, rem = _poly_divmod(F_p, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_submul(F_p, s0, _poly_mul(F_p, quot, s1), 0, 1)
         if len(r0) > 1:
             raise NotInvertible("not a unit")
-        z = [c * pow(r0[0], -1, p) for c in s0] + [0] * (d - len(s0))
+        z = encode([c * pow(r0[0], -1, p) for c in s0] + [0] * (d - len(s0)))
         for _ in range((ring.n - 1).bit_length()):  # p^e -> p^(2e)
-            az = products([(a, z)], list)
-            z = products([(z, [2 - az[0]] + [-c for c in az[1:]])],
-                         lambda cs: [c % pn for c in cs])
-        return encode(z)
+            z = mul(z, add(ring.encode([2]), neg(mul(a, z))))
+        return z
 
     def apply(rows, ks):
         """xs -> code of rows times the coefficients of xs[k], k in ks."""
@@ -408,13 +426,13 @@ def _poly_ops(ring):
             return tuple([evaluate(xs) for evaluate in entries])
         return move
 
+    add = lambda a, b: encode(map(operator.add, digits(a), digits(b)))
     neg = lambda a: encode(map(operator.neg, digits(a)))
     is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
         lambda a: any(c % p for c in digits(a)))
     mul2, form = _op_kernels(mul, dot)[:2]
-    return ((lambda a, b: encode(map(operator.add, digits(a), digits(b))),
-             mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)), linear,
-             mul2, form, sandwich))
+    return ((add, mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)),
+             linear, mul2, form, sandwich))
 
 
 # ---------------------------------------------------------------------------

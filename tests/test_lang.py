@@ -31,8 +31,8 @@ from glnlab.lang import (
     twisted_norm,
 )
 from glnlab.rings import (DEFAULT_GROUP_CAP, FiniteField, Mat,
-                           TruncatedLocalRing)
-from test_ring_core import gl_order
+                           TruncatedLocalRing, minor)
+from test_ring_core import dot_det, gl_order
 
 
 def gl1_field_module(p, d, sigma_exponent=1):
@@ -355,6 +355,28 @@ class TestLangMap:
         # lang reports group_size from the closed form; the enumeration
         # of the same groups stays checked against it
         assert len(gl_elements(FiniteField(p, d), s)) == gl_order(p, 1, d, s)
+
+
+class TestGlElements:
+    @pytest.mark.parametrize("pnd", [(3, 1, 1), (2, 1, 2), (2, 2, 1)])
+    def test_units_of_the_test_side_determinant(self, pnd):
+        # GL_2 over F_3, F_4 and Z/4, in code order: every matrix whose
+        # Laplace determinant is a unit
+        R = TruncatedLocalRing(*pnd)
+        assert gl_elements(R, 2) == [
+            a for a in itertools.product(range(R.size()), repeat=4)
+            if R.is_unit(dot_det(R, 2, a))]
+
+    def test_the_form_is_the_rings_cofactors(self, monkeypatch):
+        # a cofactor routine that drops the odd signs keeps |GL_2(F_3)|
+        # but not the set: gl_elements has no cofactors of its own
+        real = set(gl_elements(FiniteField(3, 1), 2))
+        monkeypatch.setattr(
+            TruncatedLocalRing, "_cofactors", lambda R, s, a, i: [
+                R.mat_det(s - 1, minor(a, s, i, j)) for j in range(s)])
+        wrong = set(gl_elements(FiniteField(3, 1), 2))
+        assert len(wrong) == len(real) == 48
+        assert len(wrong ^ real) == 16
 
 
 class TestTwistedNormAndClasses:

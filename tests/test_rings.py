@@ -16,6 +16,7 @@ from glnlab.rings import (
     TruncatedLocalRing,
     _is_irreducible,
 )
+from test_lang import poly_mul
 
 
 def half_of(q, a=0, b=0):
@@ -98,6 +99,53 @@ class TestFieldConstruction:
         for p, d in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2), (7, 1)]:
             F = FiniteField(p, d)
             assert _is_irreducible(F.modulus, p)
+
+
+def mobius(e):
+    """The Mobius function, by trial division."""
+    sign, k = 1, 2
+    while e > 1:
+        if e % k == 0:
+            e //= k
+            if e % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return sign
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 4)])
+    def test_irreducible_count_is_gauss(self, p, top):
+        # the monic irreducibles of degree d over F_p number
+        # (1/d) sum over e | d of mu(e) p^(d/e)
+        for d in range(1, top + 1):
+            found = sum(_is_irreducible(tail + (1,), p)
+                        for tail in itertools.product(range(p), repeat=d))
+            gauss = sum(mobius(e) * p**(d // e)
+                        for e in range(1, d + 1) if d % e == 0)
+            assert found * d == gauss
+
+    @pytest.mark.parametrize("pd", [(5, 1), (3, 2), (2, 10)])
+    def test_divmod_is_division_with_remainder(self, pd):
+        # native, table and coefficient-list fields: f = quot g + rem,
+        # deg rem < deg g, both trimmed
+        F = FiniteField(*pd)
+        rng = random.Random(f"{pd}")
+        draw = lambda n: rings._poly_trim(
+            [rng.randrange(F.size()) for _ in range(n)])
+        for _ in range(200):
+            f, g = draw(rng.randrange(9)), draw(rng.randrange(6))
+            if not g:
+                continue
+            quot, rem = rings._poly_divmod(F, f, g)
+            assert len(rem) < len(g)
+            assert rings._poly_trim(quot) == quot
+            assert rings._poly_trim(rem) == rem
+            product = rings._poly_trim(list(poly_mul(F, quot, g)))
+            assert rings._poly_mul(F, quot, g) == product
+            total = itertools.zip_longest(product, rem, fillvalue=0)
+            assert rings._poly_trim([F.add(a, b) for a, b in total]) == f
 
 
 class TestFieldArithmetic:
