@@ -30,7 +30,7 @@ class Criterion(NamedTuple):
 def run_claim(claim, argv, cap, seed=0):
     """The report of the subcommand claim ``claim`` (a function of
     ``glnlab.cli``) on the configuration that argv parses to."""
-    return claim(cli.build_parser().parse_args(
+    return claim(cli.parse(
         ["--cap", str(cap), "--seed", str(seed)] + argv.split()))
 
 

@@ -6,19 +6,20 @@ stable claim anchors (``claim:<slug>``).  Each claim is one function of
 the parsed configuration, the one the paper audit runs too.  Exit codes: 0 all verdicts
 pass (documented findings count as passing), 1 a verdict failed (the
 report is printed) or a computation could not go on (the message is on
-stderr), 2 invalid configuration, 3 cap exceeded.
+stderr), 2 invalid configuration, 3 cap exceeded.  ``parse`` reads the
+argv off one grammar table, ``GRAMMAR``, and ``canonical_json`` writes
+the report.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import comb
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (CapExceeded, GlnLabError, InvalidConfig, NotACocycle,
@@ -54,8 +55,30 @@ def lint_report(report):
 
 
 def canonical_json(report):
-    return json.dumps(report, sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)``
+    and a newline, as json's C encoder cannot indent; keys must be str."""
+    return _json(report, "\n") + "\n"
+
+
+def _json(value, newline):
+    """value in canonical JSON; newline is a newline and value's indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                       for k, v in sorted(value.items())], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def holds(*reports):
@@ -488,98 +511,152 @@ def _parse_rep(text):
     raise InvalidConfig(f"unknown representation {text!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InvalidConfig(message)
+# The grammar.  Each section maps its positionals, by dest, and its flags,
+# by option, to (type, default or REQUIRED[, choices]); a bool flag takes
+# no value, and every section reads -h and --help.  The global flags come
+# before the subcommand, whose section reads the rest of the argv.
+REQUIRED = "required"
+INT, STR = (int, REQUIRED), (str, REQUIRED)
+GRAMMAR = {
+    "roots": (cmd_roots, {"--n": INT}),
+    "cartan": (cmd_cartan, {"--n": (int, None),
+                            "--preset": (str, None, ("g2",))}),
+    "lang": (cmd_lang, {"--p": INT, "--d": INT, "--s": (int, 1)}),
+    "h1": (cmd_h1, {"--p": INT, "--d": INT, "--s": (int, 1),
+                    "--level": (int, 1)}),
+    "dm-check": (cmd_dm_check, {"--s": INT, "--q": INT, "--n": INT}),
+    "building": (cmd_building, {"action": (str, REQUIRED, (
+        "simplices", "iwasawa", "ub-audit", "self-norm")), "--n": (int, 2),
+        "--p": (int, 2), "--count": (int, 100), "--precision": (int, 6)}),
+    "satake": (cmd_satake, {"--n": INT, "--p": INT, "--lam": STR,
+                            "--enable-gl3": (bool, False)}),
+    "hecke": (cmd_hecke, {"--n": INT, "--p": INT, "--left": STR,
+                          "--right": STR}),
+    "lfactor": (cmd_lfactor, {
+        "mode": (str, "plain", ("plain", "rankin", "bc")), "--q": INT,
+        "--rep": (str, "standard"), "--params": (str, None), "--d": (int, 1),
+        "--left": (str, None), "--right": (str, None)}),
+    "suite": (cmd_suite, {"name": (str, REQUIRED, ("paper-audit", "full"))}),
+}
+GLOBAL_FLAGS = {"--cap": (int, DEFAULT_GROUP_CAP), "--seed": (int, 0),
+                "--json-out": (str, None), "command": (str, REQUIRED, GRAMMAR)}
+_NEGATIVE_RE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built at the first call and shared by every
-    later ``run`` in the process."""
-    p = _Parser(prog="glnlab", description=__doc__)
-    p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
-                   help="work units any one enumeration may take (>= 1)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property checks")
-    p.add_argument("--json-out", help="also write the report to this path")
-    sub = p.add_subparsers(dest="command", required=True)
+def _section(flags):
+    """A section as parse reads it: {key: (dest, type, default, choices)}
+    with -h and --help added, {prefix of a key: the keys it names} (only
+    the options' are looked up), {dest: default} and the positionals."""
+    entries = {"-h": ("help", None, None, None),
+               "--help": ("help", None, None, None)}
+    for key, (kind, default, *choices) in flags.items():
+        entries[key] = (key.lstrip("-").replace("-", "_"), kind, default,
+                        choices[0] if choices else None)
+    prefixes = {}
+    for key in entries:
+        for end in range(2, len(key) + 1):
+            prefixes.setdefault(key[:end], []).append(key)
+    defaults = {dest: None if default is REQUIRED else default
+                for dest, kind, default, _ in entries.values() if kind}
+    return entries, prefixes, defaults, [key for key in flags if key[0] != "-"]
 
-    sp = sub.add_parser("roots")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_roots)
 
-    sp = sub.add_parser("cartan")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--preset", choices=["g2"])
-    sp.set_defaults(func=cmd_cartan)
+_SECTIONS = {name: _section(flags) for name, (_, flags) in GRAMMAR.items()}
+_SECTIONS[None] = _section(GLOBAL_FLAGS)
 
-    sp = sub.add_parser("lang")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.set_defaults(func=cmd_lang)
 
-    sp = sub.add_parser("h1")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--level", type=int, default=1)
-    sp.set_defaults(func=cmd_h1)
+def _option(token, entries, prefixes):
+    """How argparse reads a token of a section: None for a value or a
+    positional, else (its key or None if unknown, its glued value or
+    None).  A unique prefix names an option; a value is a token not led
+    by -, or - alone, a negative number or a token with a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":
+        raise InvalidConfig("'--' is not supported")
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        value = value if eq else None
+    else:  # -h, and what is glued to it
+        name, value = token[:2], token[2:] or None
+    found = [name] if name in entries else prefixes.get(name, ())
+    if len(found) > 1:
+        raise InvalidConfig(f"ambiguous option {token}: {', '.join(found)}")
+    if found:
+        return found[0], value
+    if _NEGATIVE_RE.match(token) or " " in token:
+        return None
+    return None, None
 
-    sp = sub.add_parser("dm-check")
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_dm_check)
 
-    sp = sub.add_parser("building")
-    sp.add_argument("action", choices=["simplices", "iwasawa", "ub-audit",
-                                       "self-norm"])
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--precision", type=int, default=6)
-    sp.set_defaults(func=cmd_building)
+def parse(argv, command=None, args=None, extras=()):
+    """The configuration that argv asks for, read as argparse did but with
+    ``--`` refused: a namespace of every dest of the grammar, ``command``
+    and the claim ``func`` included, or None for help.  A section is read
+    left to right, a bad value failing at once and a missing or unknown
+    argument at the end; the subcommand's section by a nested call."""
+    entries, prefixes, defaults, positionals = _SECTIONS[command]
+    args, extras = args or SimpleNamespace(), list(extras)
+    vars(args).update(defaults)
+    readings = [_option(token, entries, prefixes) for token in argv]
+    positionals, i = list(positionals), 0
+    while i < len(argv):
+        reading, i = readings[i], i + 1
+        if reading is None and positionals:
+            reading = positionals.pop(0), argv[i - 1]
+        elif reading is None or reading[0] is None:  # an extra or unknown
+            extras.append(argv[i - 1])
+            continue
+        key, value = reading
+        dest, kind, _, choices = entries[key]
+        if kind in (None, bool) and value is not None:
+            raise InvalidConfig(f"argument {key}: takes no value: {value!r}")
+        if kind is None:  # -h or --help
+            return None
+        if kind is not bool and value is None:
+            if i == len(argv) or readings[i] is not None:
+                raise InvalidConfig(f"argument {key}: expected one argument")
+            value, i = argv[i], i + 1
+        try:
+            value = True if kind is bool else kind(value)
+        except ValueError:
+            raise InvalidConfig(f"argument {key}: invalid int: {value!r}")
+        if choices and value not in choices:
+            raise InvalidConfig(f"argument {key}: invalid choice: {value!r}")
+        setattr(args, dest, value)
+        if key == "command":
+            args.func = GRAMMAR[value][0]
+            return parse(argv[i:], value, args, extras)
+    missing = [key for key, (dest, _, default, _) in entries.items()
+               if default is REQUIRED and getattr(args, dest) is None]
+    if missing:
+        raise InvalidConfig(f"arguments required: {', '.join(missing)}")
+    if extras:
+        raise InvalidConfig(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
-    sp = sub.add_parser("satake")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lam", required=True,
-                    help="comma-separated weakly decreasing vector")
-    sp.add_argument("--enable-gl3", action="store_true",
-                    help="accepted and ignored: rank 3 needs no flag")
-    sp.set_defaults(func=cmd_satake)
 
-    sp = sub.add_parser("hecke")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.set_defaults(func=cmd_hecke)
-
-    sp = sub.add_parser("lfactor")
-    sp.add_argument("mode", nargs="?", default="plain",
-                    choices=["plain", "rankin", "bc"])
-    sp.add_argument("--rep", default="standard")
-    sp.add_argument("--params")
-    sp.add_argument("--left")
-    sp.add_argument("--right")
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--q", type=int, required=True)
-    sp.set_defaults(func=cmd_lfactor)
-
-    sp = sub.add_parser("suite")
-    sp.add_argument("name", choices=["paper-audit", "full"])
-    sp.set_defaults(func=cmd_suite)
-
-    return p
+def usage():
+    """The help text: each section's arguments, read off the grammar, the
+    optional ones in brackets; then the module's description."""
+    lines = []
+    for head, flags in [("glnlab", GLOBAL_FLAGS)] + [
+            (f"glnlab {name}", flags) for name, (_, flags) in GRAMMAR.items()]:
+        for key, (_, default, *choices) in flags.items():
+            # an option by its name, a positional by its choices alone
+            word = " ".join(([key] if key[0] == "-" else []) + [
+                "{%s}" % ",".join(choice) for choice in choices])
+            head += f" {word}" if default is REQUIRED else f" [{word}]"
+        lines.append(head)
+    return "usage: " + "\n       ".join(lines) + "\n\n" + __doc__
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(usage())
+            return 0
         if args.cap < 1:
             raise InvalidConfig("--cap must be >= 1")
         start = time.monotonic()

@@ -398,9 +398,12 @@ def _invariant_factors(ring, s, codes):
             if bad is None:
                 break
             m[t][t + 1:] = bad[t + 1:]  # add row bad; row t is zero there
-        factors.append(piv)
-    return tuple(tuple(ring.mul(c, k) for c in f)
-                 for f in factors if len(f) > 1 for k in [ring.inv(f[-1])])
+        if len(piv) > 1:
+            if piv[-1] != one:  # monic already at s = 1, where piv = X - g
+                k = ring.inv(piv[-1])
+                piv = [ring.mul(c, k) for c in piv]
+            factors.append(tuple(piv))
+    return tuple(factors)
 
 
 def shintani_law(s, q, n, twisted_size, plain_size):
