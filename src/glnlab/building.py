@@ -257,8 +257,6 @@ def audit_ub_factorization(n, p, cap=DEFAULT_GROUP_CAP):
     missing = [g for g in g_all if g not in products]
     return {
         "group_order": len(g_all),
-        "u_order": len(u_set),
-        "b_order": len(b_set),
         "product_set_size": len(products),
         "covers": not missing,
         "counterexamples": missing,

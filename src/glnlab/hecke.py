@@ -189,6 +189,18 @@ def _minor_valuations(form, subsets, ptop, logs):
 # ---------------------------------------------------------------------------
 # Hecke elements
 
+def _coefficients(q, coeffs):
+    """coeffs keyed by tuples, as HalfPowerLaurent over q, zeros dropped:
+    the one zero filter of HeckeElement and SatakeImage."""
+    out = {}
+    for key, c in (coeffs or {}).items():
+        if not isinstance(c, HalfPowerLaurent):
+            c = HalfPowerLaurent(q) + c
+        if not c.is_zero():
+            out[tuple(key)] = c
+    return out
+
+
 class HeckeElement:
     """Finitely supported function on double cosets, coefficients in the
     formal sqrt-q Laurent ring."""
@@ -198,14 +210,7 @@ class HeckeElement:
             raise NotPrime(f"{p} is not prime")
         self.n = n
         self.p = p
-        self.q = p
-        self.support = {}
-        if support:
-            for lam, c in support.items():
-                if not isinstance(c, HalfPowerLaurent):
-                    c = HalfPowerLaurent(self.q) + c
-                if not c.is_zero():
-                    self.support[tuple(lam)] = c
+        self.support = _coefficients(p, support)
 
     @classmethod
     def basis(cls, lam, p):
@@ -300,13 +305,7 @@ class SatakeImage:
     def __init__(self, n, q, coeffs=None):
         self.n = n
         self.q = q
-        self.coeffs = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                if not isinstance(c, HalfPowerLaurent):
-                    c = HalfPowerLaurent(q) + c
-                if not c.is_zero():
-                    self.coeffs[tuple(lam)] = c
+        self.coeffs = _coefficients(q, coeffs)
 
     def weyl_invariant(self):
         # no coefficient is zero, so a missing permutation breaks it
@@ -315,13 +314,8 @@ class SatakeImage:
                    for perm in itertools.permutations(lam))
 
     def __mul__(self, other):
-        out = {}
-        for lam, c in self.coeffs.items():
-            for mu, d in other.coeffs.items():
-                nu = tuple(map(operator.add, lam, mu))
-                cd = c * d
-                out[nu] = out[nu] + cd if nu in out else cd
-        return SatakeImage(self.n, self.q, out)
+        return SatakeImage(self.n, self.q,
+                           _dict_poly_mul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return (isinstance(other, SatakeImage)
@@ -334,12 +328,14 @@ class SatakeImage:
 
 
 def _dict_poly_mul(f, g):
-    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    """Product of two polynomials given as {exponent tuple: coefficient};
+    a zero HalfPowerLaurent (it has no __bool__) stays for _coefficients."""
     out = {}
     for a, c in f.items():
         for b, d in g.items():
-            e = tuple(x + y for x, y in zip(a, b))
-            out[e] = out.get(e, 0) + c * d
+            e = tuple(map(operator.add, a, b))
+            cd = c * d
+            out[e] = out[e] + cd if e in out else cd
     return {e: c for e, c in out.items() if c}
 
 
@@ -420,7 +416,7 @@ def satake_transform(f, box_bound=None):
     limited to 3.  The image is returned as computed: whether it is
     Weyl-invariant is the caller's verdict (SatakeImage.weyl_invariant).
     """
-    n, q = f.n, f.q
+    n, q = f.n, f.p
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
     b = f.bound() if box_bound is None else box_bound
@@ -441,7 +437,7 @@ def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     shift plus the diagonal exponents of M; it is counted when lam lies
     in the box |lam_i| <= bound.
     """
-    n, q = f.n, f.q
+    n, q = f.n, f.p
     b = f.bound() if box_bound is None else box_bound
     acc = {}
     for mu, cmu in f.support.items():

@@ -23,8 +23,10 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from math import comb
+from types import SimpleNamespace
 
 from .errors import NonIntegral, RankMismatch, ZeroEntry
+from .rings import _poly_divmod
 
 _ONE = (1, ())  # the monomial 1
 
@@ -123,18 +125,13 @@ class DualTorusElement:
     """Pair (sigma^power, t) in the semidirect product of the Galois
     group with the dual torus; sigma permutes torus coordinates."""
 
-    def __init__(self, galois_power, t, action=None, order=None):
+    def __init__(self, galois_power, t, action=None):
         self.t = t
         n = t.n
         self.action = tuple(action) if action is not None else tuple(range(n))
         if sorted(self.action) != list(range(n)):
             raise ValueError("action must be a permutation of the coordinates")
-        if order is not None:
-            if _perm_power(self.action, order) != tuple(range(n)):
-                raise ValueError("action order must divide the declared order")
-            galois_power %= order
         self.galois_power = galois_power
-        self.order = order
 
     def apply_action(self, values, times=1):
         """Coordinate permutation: sigma(t)_i = t_{action(i)}."""
@@ -172,12 +169,8 @@ def semidirect_power(e, m):
     acc = vals
     for j in range(1, m):
         acc = tuple(map(_times, acc, e.apply_action(vals, times=j)))
-    t_new = SatakeParameter(acc, e.t.q)
-    power = e.galois_power * m
-    if e.order is not None:
-        power %= e.order
-    return DualTorusElement(power, t_new,
-                            action=_perm_power(e.action, m), order=e.order)
+    return DualTorusElement(e.galois_power * m, SatakeParameter(acc, e.t.q),
+                            action=_perm_power(e.action, m))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +262,7 @@ def _times_binomial(terms, a, length, e):
     return out
 
 
-def l_factor(rho, t, q=None, t2=None, action=None):
+def l_factor(rho, t, t2=None, action=None):
     """det(1 - rho(t sigma) X)^-1 exactly: the product over the cycles C
     of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
     product of the signed weights around C."""
@@ -287,10 +280,10 @@ def l_factor(rho, t, q=None, t2=None, action=None):
         if length:
             terms = _times_binomial(terms, -c[0], length,
                                     _exponents(c, names))
-    return LocalLFactor(terms, names, t.q if q is None else q)
+    return LocalLFactor(terms, names, t.q)
 
 
-def base_change_factor(rho, t, d, q=None, action=None, t2=None):
+def base_change_factor(rho, t, d, action=None, t2=None):
     """Local factor after unramified base change of degree d.
 
     The parameter is replaced by its degree-d Galois norm and the
@@ -299,32 +292,23 @@ def base_change_factor(rho, t, d, q=None, action=None, t2=None):
     have in ``l_factor``: it becomes t2^d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    q = t.q if q is None else q
     ed = semidirect_power(DualTorusElement(1, t, action=action), d)
     if t2 is not None:
         t2 = semidirect_power(DualTorusElement(1, t2), d).t
     residual = ed.action
-    base = l_factor(rho, ed.t, q, t2=t2,
+    base = l_factor(rho, ed.t, t2=t2,
                     action=None if residual == tuple(range(t.n)) else residual)
     return LocalLFactor({(k * d, e): c for (k, e), c in base.terms.items()},
-                        base.names, q)
+                        base.names, base.q)
 
 
 # ---------------------------------------------------------------------------
 # the base-change sanity oracle, in Z[zeta]/(Phi_d)
 
-def _monic_divmod(num, den):
-    """Quotient and remainder of int polynomials (constant term first),
-    den monic."""
-    num, m = list(num), len(den) - 1
-    quot = [0] * max(len(num) - m, 0)
-    for i in range(len(num) - 1, m - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - m] = c
-            for j, b in enumerate(den):
-                num[i - m + j] -= c * b
-    return quot, num[:m]
+# Z for rings._poly_divmod, whose divisors here are all monic (Phi_e):
+# the units +-1 are their own inverses
+_Z = SimpleNamespace(add=operator.add, mul=operator.mul, neg=operator.neg,
+                     inv=lambda u: u)
 
 
 def _cyclotomic(d):
@@ -333,7 +317,7 @@ def _cyclotomic(d):
     poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly = _monic_divmod(poly, _cyclotomic(e))[0]
+            poly = _poly_divmod(_Z, poly, _cyclotomic(e))[0]
     return poly
 
 
@@ -355,7 +339,7 @@ def conjugate_orbit_product(alpha, d):
     e = tuple(x for _, x in powers)
     terms = {}
     for k, vec in enumerate(coeffs):
-        rest = _monic_divmod(vec, phi)[1]
+        rest = _poly_divmod(_Z, vec, phi)[1] or [0]
         if any(rest[1:]):
             raise NonIntegral(f"orbit coefficient of X^{k} is not in Z")
         if rest[0]:
@@ -363,8 +347,7 @@ def conjugate_orbit_product(alpha, d):
     return terms
 
 
-def rankin_selberg(t1, t2, q=None):
+def rankin_selberg(t1, t2):
     """The 2-variable pairing factor: rho = tensor of the two standard
     representations, denominator prod(1 - alpha_i beta_j X)."""
-    q = t1.q if q is None else q
-    return l_factor(DualRep("tensor"), t1, q, t2=t2)
+    return l_factor(DualRep("tensor"), t1, t2=t2)

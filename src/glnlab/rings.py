@@ -26,8 +26,8 @@ use.
 
 Polynomials over a field are lists of its codes, with one product and
 one division with remainder (``_poly_divmod``): the modulus's
-irreducibility test, the inverse's Euclid over F_p[x] and lang's
-invariant factors use them.
+irreducibility test, the inverse's Euclid over F_p[x], lang's invariant
+factors and lfactor's cyclotomic division over Z (monic divisors) use them.
 
 Claims work on codes and flat code tuples alone.  The element layer at
 the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus

@@ -535,7 +535,11 @@ class TestAudits:
     def test_ub_closed_forms(self, n, p):
         rep = audit_ub_factorization(n, p)
         assert rep["group_order"] == gl_order(p, 1, 1, n)
-        assert rep["u_order"] == (p - 1) * p**(n * (n - 1) // 2)
+        field, half = FiniteField(p, 1), n * (n - 1) // 2
+        assert len(building._residue_triangular(field, n, lower=True)) \
+            == (p - 1) * p**half
+        assert len(building._residue_triangular(field, n, lower=False)) \
+            == (p - 1)**n * p**half
         assert rep["product_set_size"] == (p - 1)**n * p**(n * (n - 1))
         assert len(rep["counterexamples"]) \
             == rep["group_order"] - rep["product_set_size"]

@@ -919,6 +919,46 @@ class TestVerdictsDecide:
                      "claim:twisted-conjugacy-bijection", capsys)
         self.failing_row(4, "claim:twisted-conjugacy-bijection", capsys)
 
+    def drop_last_basis_vector(monkeypatch):
+        real = lfactor._basis_action
+        monkeypatch.setattr(lfactor, "_basis_action",
+                            lambda *args: real(*args)[:-1])
+
+    def drop_last_member_of_1_0(monkeypatch):
+        real = hecke._members
+        monkeypatch.setattr(hecke, "_members", lambda m, p: (
+            real(m, p)[:-1] if m == (1, 0) else real(m, p)))
+
+    def vint_plus_one(monkeypatch):
+        # only the coset-count oracle reads _vint
+        real = hecke._vint
+        monkeypatch.setattr(hecke, "_vint", lambda x, p: real(x, p) + 1)
+
+    # (anchor, argv, its paper-audit row or None, mutant): the mutant
+    # fails the anchor's verdict, and only it, on argv and on that row
+    @pytest.mark.parametrize("anchor, argv, row, mutate", [
+        ("claim:lfactor-degree", "lfactor --q 2 --params a,b --rep standard",
+         9, drop_last_basis_vector),
+        ("claim:hecke-commutativity",
+         "hecke --n 2 --p 2 --left=1,0 --right=2,0", None,
+         drop_last_member_of_1_0),
+        ("claim:satake-oracle-agreement", "satake --n 2 --p 2 --lam=1,0",
+         8, vint_plus_one),
+    ], ids=["lfactor-degree", "hecke-commutativity",
+            "satake-oracle-agreement"])
+    def test_mutant(self, anchor, argv, row, mutate, monkeypatch, capsys):
+        # no member list built under a mutant outlives the test
+        hecke._kept_members.cache_clear()
+        mutate(monkeypatch)
+        try:
+            rep = self.failing(argv, anchor, capsys)
+            assert [v["anchor"] for v in rep["verdicts"]
+                    if v["status"] != "pass"] == [anchor]
+            if row is not None:
+                self.failing_row(row, anchor, capsys)
+        finally:
+            hecke._kept_members.cache_clear()
+
     def test_suite_keeps_its_report(self, monkeypatch, capsys):
         # criterion 3 raises; its row fails with the message, and the
         # nine other rows still run

@@ -616,6 +616,12 @@ class TestTransformGl2:
             assert lhs == satake_transform(f) * satake_transform(f)
             lhs = satake_transform(convolve(f, g), box_bound=2)
             assert lhs == satake_transform(f) * satake_transform(g)
+        # (x1 - x2)(x1 + x2): the x1 x2 terms cancel to a zero that only
+        # the normaliser drops
+        square = (SatakeImage(2, 2, {(1, 0): 1, (0, 1): -1})
+                  * SatakeImage(2, 2, {(1, 0): 1, (0, 1): 1}))
+        assert square == SatakeImage(2, 2, {(2, 0): 1, (0, 2): -1})
+        assert (1, 1) not in square.coeffs
 
     def test_homomorphism_negative_support(self):
         p = 2

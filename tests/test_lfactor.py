@@ -11,6 +11,7 @@ from glnlab.lfactor import (
     DualTorusElement,
     SatakeParameter,
     _basis_action,
+    _cyclotomic,
     base_change_factor,
     conjugate_orbit_product,
     l_factor,
@@ -70,12 +71,9 @@ def semidirect_multiply(e1, e2):
     the action of its own Galois component."""
     g = [sympy.expand(a * b) for a, b in
          zip(values(e1.t), e1.apply_action(values(e2.t), times=1))]
-    power = e1.galois_power + e2.galois_power
     action = tuple(e1.action[e2.action[i]] for i in range(len(e1.action)))
-    if e1.order is not None:
-        power %= e1.order
-    return DualTorusElement(power, param(g, e1.t.q),
-                            action=action, order=e1.order)
+    return DualTorusElement(e1.galois_power + e2.galois_power,
+                            param(g, e1.t.q), action=action)
 
 
 def sympy_orbit_product(alpha, d):
@@ -354,13 +352,6 @@ class TestSemidirect:
                     assert all(sympy.expand(x - y) == 0 for x, y in
                                zip(values(lhs.t), values(rhs.t)))
 
-    def test_declared_order(self):
-        e = DualTorusElement(1, param((alpha, beta)), action=(1, 0), order=2)
-        assert semidirect_power(e, 2).galois_power == 0
-        with pytest.raises(ValueError):
-            DualTorusElement(1, param((alpha, beta, gamma)),
-                             action=(1, 2, 0), order=2)
-
 
 class TestBaseChange:
     def test_d1_is_plain(self):
@@ -388,6 +379,13 @@ class TestBaseChange:
         for d in range(1, 9):
             assert conjugate_orbit_product("alpha", d) \
                 == {(0, (0,)): 1, (d, (d,)): -1}
+
+    def test_cyclotomic_matches_sympy(self):
+        # the division over Z, by monic Phi_e, at every d up to 30
+        x = sympy.Symbol("x")
+        for d in range(1, 31):
+            want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+            assert _cyclotomic(d) == [int(c) for c in reversed(want)], d
 
     def test_conjugate_orbit_product_matches_sympy(self):
         # sympy leaves cosines at d = 7, so each coefficient of the
