@@ -9,17 +9,18 @@ most significant, so code order is coefficient-tuple order.  The ring
 fixes its arithmetic at construction from (p, n, d): native ints mod p^n
 when d = 1; add and mul row tables (``A[a][b]``, ``M[a][b]``) and
 negation, inverse and sigma tables when d > 1 and the ring has at most
-256 elements (so an N x N table holds at most 2^16 codes); decoded
-coefficient lists otherwise, with one reduction mod F and p^n per sum
-of products.  Every ring also fixes three matrix kernels on flat code
-tuples: the 2 x 2 product (``mul2``), the linear form r -> sum r_i c_i
-of fixed codes (``form``) and the sandwich x -> a x b of fixed a, b
-(``sandwich``).  Over the tables ``mul2``, the two-entry ``form`` and
-``sandwich`` are unrolled and read the rows directly, with each fixed
-operand's row looked up once; over the coefficient lists the sandwich
-expands each fixed operand once into its d x d multiplication matrix;
-the other kernels there, and all of them when d = 1, are built from the
-ring's ``mul`` and ``dot``.  The determinant and inverse are the
+256 elements (so an N x N table holds at most 2^16 codes); packed codes
+otherwise, the coefficients in the slots of one int, so that a sum of
+products costs one integer product a term, a fold through F and one
+read of the slots mod p^n.  Every ring also fixes three matrix kernels
+on flat code tuples: the 2 x 2 product (``mul2``), the linear form
+r -> sum r_i c_i of fixed codes (``form``) and the sandwich x -> a x b
+of fixed a, b (``sandwich``).  Over the tables ``mul2``, the two-entry
+``form`` and ``sandwich`` are unrolled and read the rows directly, with
+each fixed operand's row looked up once; over the packed codes the
+1 x 1 sandwich is one packed product by the packed a b; the other
+kernels there, and all of them when d = 1, are built from the ring's
+``mul`` and ``dot``.  The determinant and inverse are the
 cofactor and adjugate forms on the ring's ``dot`` at every size.
 sigma^e is one map of codes per e mod d (``sigma_map``), built on first
 use.
@@ -52,6 +53,8 @@ from .errors import (GlnLabError, InvalidConfig, NotInvertible, NotPrime,
 DEFAULT_FIELD_CAP = 1 << 16
 DEFAULT_GROUP_CAP = 10**6
 _TABLE_MAX = 1 << 8  # largest tabulated ring: an N x N table has <= 2^16 codes
+_CHUNK_MAX = 1 << 12  # largest digit-chunk table of a packed ring
+_PACK_TERMS = 16  # most products in one packed sum
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -204,7 +207,7 @@ def _unit_inverse(p, n):
 # (sum of products), inv, is_unit, decode, and linear (images of the basis
 # 1, x, .., x^(d-1) -> the additive map of codes they define), then the
 # matrix kernels mul2, form and sandwich: unrolled over the tables, those
-# of _op_kernels elsewhere, except the coefficient lists' own sandwich.
+# of _op_kernels elsewhere, except the packed codes' own sandwich.
 # The determinant and inverse are the ring's mat_det and mat_inv.
 
 def _op_kernels(mul, dot):
@@ -331,61 +334,107 @@ def _table_ops(ring):
 
 
 def _poly_ops(ring):
-    """Decoded coefficient lists, reduced once per sum of products: one
-    convolution on unreduced ints, its coefficients of degree d .. 2d - 2
-    folded back through the rows x^d, .., x^(2d-2) mod F fixed here, then
-    each coefficient read mod p^n.  Each fixed operand of ``sandwich`` is
-    expanded once into its d x d multiplication matrix; the other matrix
-    kernels come from _op_kernels, since no request the default cap
-    admits takes a matrix of size 2 or more over these rings.  The
-    inverse is extended Euclid over F_p[x], on the division of the
-    polynomial helpers above, lifted to p^n by Newton steps
-    z <- z (2 - a z) on codes (von zur Gathen-Gerhard, 3.2 and 9.1)."""
+    """Packed codes: the coefficients of degree 0 .. d - 1 in W-bit slots
+    of one int (Kronecker substitution x -> 2^W; von zur Gathen-Gerhard,
+    8.4), W wide enough that no sum below carries out of a slot.  A code
+    is packed by one table lookup per chunk of its base-p^n digits.  A
+    sum of up to _PACK_TERMS products (``mul``, ``dot``, the 1 x 1
+    ``sandwich``) costs one integer product a term, folds of the slots
+    of degree >= d through x^d = G mod F, G = x^d - F read mod p^n, and
+    one read: every slot mod p^n at once (a mask, or for odd p^n the
+    quotient by one multiplication by about 2^s / p^n), then each
+    chunk's code by an inverse lookup.  ``add``, ``neg`` and the linear
+    maps (sigma^e, whose chunk tables hold the sums of their images) are
+    packed sums read once.  No table has more than _CHUNK_MAX entries:
+    past it a chunk is one digit, whose table is a range.  The inverse is
+    extended Euclid over F_p[x], on the polynomial helpers above, lifted
+    to p^n by packed Newton steps z <- z (2 - a z) (von zur
+    Gathen-Gerhard, 3.2 and 9.1)."""
     p, pn, d, weights = ring.p, ring.pn, ring.d, ring.weights
-    f, mul_, F_p = ring.modulus_lift, operator.mul, FiniteField(p, 1, cap=p)
+    F_p, mul_ = FiniteField(p, 1, cap=p), operator.mul
+    g = [-c % pn for c in ring.modulus_lift[:-1]]
+    # by monotony no slot of a sum read below, over its folds, exceeds
+    # those of _PACK_TERMS squares of the code whose every coefficient is
+    # p^n - 1, here folded at a width X that no slot can fill
+    X = (_PACK_TERMS * d * pn**2 * (1 + d * pn)**d).bit_length()
+    folds = [_PACK_TERMS * sum(pn - 1 << i * X for i in range(d))**2]
+    top, GX = d * X, sum(c << i * X for i, c in enumerate(g))
+    while folds[-1] >> top:
+        folds.append((folds[-1] & (1 << top) - 1) + (folds[-1] >> top) * GX)
+    bits, rounds = max(P >> i * X & (1 << X) - 1 for P in folds
+                       for i in range(2 * d)).bit_length(), len(folds) - 1
+    ell, pow2 = (pn - 1).bit_length(), pn & (pn - 1) == 0
+    W = bits if pow2 else 2 * bits + 1  # room for v * magic when odd
+    G = sum(c << i * W for i, c in enumerate(g))
+    ones, high = sum(1 << i * W for i in range(d)), d * W
+    low = (1 << high) - 1
+    pmask, negs = (pn - 1) * ones, pn * ones  # negs - a packs -a
+    magic, shift = -(-(1 << bits + ell) // pn), bits + ell
+    qmask = 0 if pow2 else ((1 << W - shift) - 1) * ones
 
-    def digits(a):
-        return [a // w % pn for w in weights]
+    # chunk j of a code, its j-th k base-p^n digits from the lowest, holds
+    # the coefficients of degree d - (j + 1) k .. d - 1 - j k (from 0)
+    k = max([1] + [k for k in range(2, d + 1) if pn**k <= _CHUNK_MAX])
+    k = -(-d // -(-d // k))  # the chunks as even as their number allows
+    spans = [range(max(0, d - k - j), d - j) for j in range(0, d, k)]
+    M, chunks = pn**k, len(spans)
 
-    def encode(coeffs):
-        acc = 0
-        for c in coeffs:
-            acc = acc * pn + c % pn
-        return acc
+    def tables(images):
+        """Per chunk, its digits' sums of images, indexed by its value."""
+        if pn > _CHUNK_MAX:
+            return [range(0, pn * images[span[0]], images[span[0]])
+                    for span in spans]
+        out = []
+        for span in spans:
+            out.append([0])
+            for i in span:
+                out[-1] = [t + v * images[i] for t in out[-1]
+                           for v in range(pn)]
+        return out
 
-    def matrix(c):
-        """Rows of the matrix of b -> c b: column j holds c x^j."""
-        cols = [digits(c)]
-        while len(cols) < d:  # x * x^(d-1) = x^d - F
-            col = cols[-1]
-            cols.append([(a - col[-1] * b) % pn
-                         for a, b in zip([0] + col[:-1], f)])
-        return list(zip(*cols))
+    def lookup(ts):
+        """The map code -> sum of its chunks' entries in the tables ts."""
+        if chunks == 2:
+            lo, hi = ts
+            return lambda a: hi[a // M] + lo[a % M]
+        return (ts[0].__getitem__ if chunks == 1 else
+                lambda a: sum(t[a // M**j % M] for j, t in enumerate(ts)))
 
-    # code 1 is x^(d-1), whose matrix has columns x^(d-1), .., x^(2d-2)
-    folds = [row[1:] for row in matrix(1)]
+    packs = tables([1 << i * W for i in range(d)])
+    pack = lookup(packs)
+    # a chunk's value from its slots, each below p^n, and the code
+    masks = [sum(1 << i * W for i in span) * ((1 << W) - 1) for span in spans]
+    codes = [t.index if isinstance(t, range) else
+             {v: u for u, v in enumerate(t)}.__getitem__ for t in packs]
+    if chunks == 2:
+        (f0, f1), (m0, m1) = codes, masks
+        compose = lambda R: f1(R & m1) * M + f0(R & m0)
+    else:
+        compose = codes[0] if chunks == 1 else lambda R: sum(
+            f(R & m) * M**j for j, (f, m) in enumerate(zip(codes, masks)))
+    # the code of packed P, its slots below 2^bits, each read mod p^n
+    reduce = ((lambda P: compose(P & pmask)) if pow2 else
+              lambda P: compose(P - (P * magic >> shift & qmask) * pn))
 
-    def products(pairs):
-        c = [0] * (2 * d - 1)
-        for a, b in pairs:
-            for i, x in enumerate(a):
-                if x:
-                    for k, y in enumerate(b, i):
-                        c[k] += x * y
-        high = c[d:]
-        return encode([x + sum(map(mul_, high, row))
-                       for x, row in zip(c, folds)])
+    def read(P):
+        """The code of a packed sum of at most _PACK_TERMS products."""
+        for _ in range(rounds):
+            P = (P & low) + (P >> high) * G
+        return reduce(P)
 
     def mul(a, b):
-        return products(((digits(a), digits(b)),))
+        return read(pack(a) * pack(b))
 
     def dot(xs, ys):
-        return products(zip(map(digits, xs), map(digits, ys)))
+        if len(xs) > _PACK_TERMS:
+            return add(dot(xs[:_PACK_TERMS], ys[:_PACK_TERMS]),
+                       dot(xs[_PACK_TERMS:], ys[_PACK_TERMS:]))
+        return read(sum(map(mul_, map(pack, xs), map(pack, ys))))
 
     def inv(a):
         # Euclid keeps the cofactor of a alone; F is irreducible mod p,
         # so only p | a leaves a gcd of positive degree
-        r0, r1 = ring.modulus, _poly_trim([c % p for c in digits(a)])
+        r0, r1 = ring.modulus, _poly_trim([a // w % p for w in weights])
         s0, s1 = [], [1]
         while r1:
             quot, rem = _poly_divmod(F_p, r0, r1)
@@ -393,46 +442,30 @@ def _poly_ops(ring):
             s0, s1 = s1, _poly_submul(F_p, s0, _poly_mul(F_p, quot, s1), 0, 1)
         if len(r0) > 1:
             raise NotInvertible("not a unit")
-        z = encode([c * pow(r0[0], -1, p) for c in s0] + [0] * (d - len(s0)))
+        # z = a^-1 mod p, read mod p^n; the Newton steps lift it
+        z = reduce(pow(r0[0], -1, p) * pack(sum(map(mul_, s0, weights))))
         for _ in range((ring.n - 1).bit_length()):  # p^e -> p^(2e)
-            z = mul(z, add(ring.encode([2]), neg(mul(a, z))))
+            z = mul(z, reduce(negs + 2 - pack(mul(a, z))))
         return z
 
-    def apply(rows, ks):
-        """xs -> code of rows times the coefficients of xs[k], k in ks."""
-        def evaluate(xs):
-            v = [t for k in ks for t in xs[k]]
-            return encode([sum(map(mul_, row, v)) for row in rows])
-        return evaluate
-
-    def combine(terms):
-        """apply of xs -> sum c xs[k] over the pairs (k, c) of terms."""
-        ks, mats = zip(*terms) if terms else ((), ())
-        mats = [matrix(c) for c in mats]
-        return apply([sum((m[i] for m in mats), ()) for i in range(d)], ks)
-
     def linear(images):
-        evaluate = apply(list(zip(*map(digits, images))), (0,))
-        return lambda b: evaluate((digits(b),))
+        sums = lookup(tables(list(map(pack, images))))
+        return lambda b: reduce(sums(b))
 
     def sandwich(s, a, b):
-        pairs = list(itertools.product(range(s), repeat=2))
-        entries = [combine([(k * s + l, c) for k, l in pairs
-                            if (c := mul(a[i * s + k], b[l * s + j]))])
-                   for i, j in pairs]
+        if s > 1:  # its entries are dots: packed sums
+            return dots(s, a, b)
+        C = pack(mul(a[0], b[0]))  # x -> (a b) x
+        return lambda x: (read(C * pack(x[0])),)
 
-        def move(x):
-            xs = list(map(digits, x))
-            return tuple([evaluate(xs) for evaluate in entries])
-        return move
-
-    add = lambda a, b: encode(map(operator.add, digits(a), digits(b)))
-    neg = lambda a: encode(map(operator.neg, digits(a)))
+    decode = lambda a: tuple([a // w % pn for w in weights])
+    add = lambda a, b: reduce(pack(a) + pack(b))
+    neg = lambda a: reduce(negs - pack(a))
     is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
-        lambda a: any(c % p for c in digits(a)))
-    mul2, form = _op_kernels(mul, dot)[:2]
-    return ((add, mul, neg, dot, inv, is_unit, lambda a: tuple(digits(a)),
-             linear, mul2, form, sandwich))
+        lambda a: any(c % p for c in decode(a)))
+    mul2, form, dots = _op_kernels(mul, dot)
+    return (add, mul, neg, dot, inv, is_unit, decode, linear, mul2, form,
+            sandwich)
 
 
 # ---------------------------------------------------------------------------

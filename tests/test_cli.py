@@ -505,14 +505,16 @@ class TestNearCap:
 
     # the exhaustive GL_2(F_27) and GL_3(F_4) checks, charged 27^4 and
     # 4^9 candidate matrices of the default 10^6 (GL_3(F_4) untwisted
-    # too, with 60 plain classes); then the largest rings without tables
-    # of these shapes, F_(2^16) at the 2^16 field cap and (Z/16)[x]/(F)
-    # of degree 4, charged 2^16
+    # too, with 60 plain classes); then the largest packed rings (no
+    # tables) of these shapes, F_(2^16) at the 2^16 field cap and
+    # (Z/16)[x]/(F) of degree 4, charged 2^16, and the Lang images of
+    # F_(3^12) and F_(2^19), charged 3^12 and 2^19
     @pytest.mark.parametrize("argv", [
         "h1 --p 3 --d 3 --s 2", "lang --p 3 --d 3 --s 2",
         "lang --p 2 --d 2 --s 3", "dm-check --s 3 --q 2 --n 2",
         "dm-check --s 3 --q 4 --n 1", "dm-check --s 1 --q 2 --n 16",
-        "lang --p 2 --d 16 --s 1", "h1 --p 2 --d 4 --s 1 --level 4"])
+        "lang --p 2 --d 16 --s 1", "h1 --p 2 --d 4 --s 1 --level 4",
+        "lang --p 3 --d 12 --s 1", "lang --p 2 --d 19 --s 1"])
     def test_finite_ring_checks(self, argv):
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):

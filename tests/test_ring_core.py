@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from glnlab.errors import NotInvertible
 from glnlab.lang import gl_elements
 from glnlab.rings import (
+    _PACK_TERMS,
     FiniteField,
     LocalRingElement,
     Mat,
@@ -32,11 +33,14 @@ def gl_order(p, n, d, s):
 
 
 # every (p, n, d) that the lang, h1 and dm-check requests of the
-# finite-rings benchmark pool build a ring for
+# finite-rings benchmark pool build a ring for: the first 19, then the
+# middle levels of the h1 towers
 POOL_RINGS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (5, 1, 1), (7, 1, 1),
               (2, 1, 3), (3, 1, 2), (2, 1, 10), (2, 2, 1), (3, 2, 1),
               (5, 2, 1), (2, 2, 2), (2, 3, 1), (3, 3, 1), (2, 4, 1),
               (2, 5, 1), (3, 4, 2), (2, 4, 3), (2, 14, 1)]
+POOL_RINGS += [(2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 3, 2)] + [
+    (2, n, 1) for n in range(6, 14)]
 
 GL2_RINGS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (5, 1, 1), (2, 2, 1),
              (2, 3, 1), (3, 2, 1), (2, 2, 2)]
@@ -46,8 +50,10 @@ def ring(p, n, d):
     return FiniteField(p, d) if n == 1 else TruncatedLocalRing(p, n, d)
 
 
-@pytest.mark.parametrize("s, pnd", [(1, r) for r in POOL_RINGS]
-                         + [(2, r) for r in GL2_RINGS])
+# the tower levels after the GL_2 cases, so that those keep their ids
+@pytest.mark.parametrize("s, pnd", [(1, r) for r in POOL_RINGS[:19]]
+                         + [(2, r) for r in GL2_RINGS]
+                         + [(1, r) for r in POOL_RINGS[19:]])
 def test_gl_elements_order_and_order_of_enumeration(s, pnd):
     R = ring(*pnd)
     els = gl_elements(R, s)
@@ -146,12 +152,14 @@ def test_units_are_the_complement_of_the_maximal_ideal():
             assert x * x.inverse() == R.one()
 
 
-# every tabulated ring (d > 1, at most 256 elements) of POOL_RINGS, plus
-# F_27, F_64 and the truncated rings (2, 3, 2) and (3, 2, 2); then a
-# d = 1 ring and the schoolbook rings, whose kernels come from their ops
+# every tabulated ring (d > 1, at most 256 elements) of POOL_RINGS, the
+# tower level (2, 2, 3) last, plus F_27, F_64 and the truncated ring
+# (2, 3, 2); a d = 1 ring, whose kernels come from its ops; and three
+# packed rings (d > 1, more than 256 elements), whose 2 x 2 product,
+# forms and sandwich entries come from their packed mul and dot
 KERNEL_RINGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3),
                 (2, 1, 6), (2, 3, 2), (3, 2, 2), (5, 4, 1), (3, 3, 2),
-                (2, 4, 3), (2, 1, 10)]
+                (2, 4, 3), (2, 1, 10), (2, 2, 3)]
 
 
 def dot_product(R, s, a, b):
@@ -215,14 +223,16 @@ def test_kernels_agree_with_the_dot_path(pnd, s):
 
 
 # ---------------------------------------------------------------------------
-# The arithmetic the rings without tables (d > 1, more than 256 elements)
-# had before their products were reduced once per sum: every term of a
-# product is reduced, the product is then divided by F, and an inverse
-# solves a * z = 1 by Gauss-Jordan elimination.  It is the reference for
-# the new arithmetic, on the schoolbook rings of the finite-rings pool
-# and three more.
+# A reference arithmetic on decoded coefficient lists for the packed rings
+# (d > 1, more than 256 elements), which hold a code's coefficients in the
+# slots of one int: every term of a product is reduced, the product is
+# then divided by F, and an inverse solves a * z = 1 by Gauss-Jordan
+# elimination.  It checks the packed arithmetic on the five packed rings
+# of the finite-rings pool, on (5, 2, 2), on F_(3^7) (one chunk a code,
+# odd p) and on F_(2^16) (two chunks), with sigma^e for every e.
 
-SCHOOLBOOK_RINGS = [(2, 4, 3), (3, 4, 2), (2, 1, 10), (3, 3, 2), (5, 2, 2)]
+SCHOOLBOOK_RINGS = [(2, 4, 3), (3, 4, 2), (2, 1, 10), (3, 3, 2), (5, 2, 2),
+                    (2, 3, 3), (3, 1, 7), (2, 1, 16)]
 
 
 def _poly_trim(a):
@@ -371,3 +381,30 @@ def test_schoolbook_rings_agree_with_the_reference(pnd):
             assert R.mat_sigma((a, b), e) == orbit[e % R.d]
     with pytest.raises(NotInvertible, match="not a unit"):
         R.inv(0)
+
+
+# three chunks a code: F_(3^15) and (2, 7, 5) (one digit each); one-digit
+# chunks past the table cap: (2, 13, 2), whose p^n is 8192
+EXTREME_RINGS = SCHOOLBOOK_RINGS + [(3, 1, 15), (2, 7, 5), (2, 13, 2)]
+
+
+@pytest.mark.parametrize("pnd", EXTREME_RINGS)
+def test_packed_slots_hold_the_largest_sums(pnd):
+    """Operands whose every coefficient is p^n - 1 fill the slots of a
+    packed sum as far as any operands can."""
+    R = TruncatedLocalRing(*pnd, cap=10**9)
+    ref = Schoolbook(R)
+    top = R.encode([R.pn - 1] * R.d)
+    assert R.decode(top) == (R.pn - 1,) * R.d
+    assert R.mul(top, top) == ref.mul(top, top)
+    assert R.add(top, top) == ref.add(top, top)
+    assert R.neg(top) == ref.neg(top)
+    for k in range(1, 10):
+        assert R.dot([top] * k, [top] * k) == ref.dot([top] * k, [top] * k)
+    # longer than the most products of one packed sum
+    k = 4 * _PACK_TERMS + 3
+    assert R.dot([top] * k, [top] * k) == ref.dot([top] * k, [top] * k)
+    for s in (1, 2, 3, 5):  # at s = 5 an entry has more terms than that
+        a = (top,) * (s * s)
+        assert R.sandwich(s, a, a)(a) == dot_product(
+            R, s, dot_product(R, s, a, a), a)
