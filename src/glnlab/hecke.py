@@ -8,12 +8,9 @@ matrix whose diagonal entries are powers of p, so membership tests read
 int valuations.  The transform is Macdonald's closed form in
 Hall-Littlewood polynomials; its coefficients lie in Laurent
 polynomials in a formal square root v of q, each stored on ints as
-(A + B v)/D in lowest terms (rings.HalfPowerLaurent).  The image of a
-basis element is built once per (mu, q) and cached as a tuple of
-immutable values (_basis_image), so a transform only filters it by the
-box and scales it by the coefficient.  No coefficient dict holds a
-zero, so a sum adds to an entry only when its key is present.  Haar
-normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
+(A + B v)/D in lowest terms (rings.HalfPowerLaurent).  No coefficient
+dict holds a zero, so a sum adds to an entry only when its key is
+present.  Haar normalization: vol(GL_n(O)) = vol(N cap GL_n(O)) = 1.
 
 Membership in a double coset has one rule, Smith's theorem: the sum of
 the first k elementary divisor exponents of a matrix is the least
@@ -25,7 +22,10 @@ the same rule, forming no product: for p^-nu p^shift M the minors are
 read off those of M alone.  Before it builds a coset, it charges once
 the Hermite forms of every cocharacter of both factors (_forms).  The
 coset-count oracle reads the Iwasawa torus part lam of p^shift * M (g
-in N p^lam K): shift plus the diagonal valuations of M.
+in N p^lam K): shift plus the diagonal valuations of M.  What a
+request reads of K p^lam K depends on m = lam - lam_n and p alone:
+_form_count, _profile and _basis_image build it once per (m, p) and
+keep it in bounded caches as immutable tuples.
 """
 
 from __future__ import annotations
@@ -103,9 +103,13 @@ def _forms(lam, n, p):
         raise InvalidConfig(
             f"cocharacter entries exceed {MAX_ENTRY} in absolute value")
     m = tuple(c - lam[-1] for c in lam)
-    forms = sum(p**((n - 1) * (sum(m) - sum(mu))) * coset_count(mu, p)
-                for mu in _interlacing(m))
-    return lam[-1], m, forms
+    return lam[-1], m, _form_count(m, p)
+
+
+@functools.lru_cache(maxsize=1024)
+def _form_count(m, p):
+    return sum(p**((len(m) - 1) * (sum(m) - sum(mu))) * coset_count(mu, p)
+               for mu in _interlacing(m))
 
 
 MEMO_MAX = 1 << 12  # the longest member list that _members keeps
@@ -115,7 +119,7 @@ def _members(m, p):
     """The members of K p^m K, m dominant with m[-1] = 0, in the order
     of coset_decompose; a tuple of tuples.  A list of at most MEMO_MAX
     members is cached per (m, p), and a longer one is built each time,
-    so that no near-cap list stays in memory."""
+    so that none stays in memory: _profile keeps what convolve reads."""
     if coset_count(m, p) <= MEMO_MAX:
         return _kept_members(m, p)
     return _build_members(m, p)
@@ -168,6 +172,24 @@ def _build_members(m, p):
 
 _kept_members = functools.lru_cache(maxsize=64)(_build_members)
 _PAIRS = [list(itertools.combinations(range(k), 2)) for k in range(4)]
+# per rank n < 4: the row subsets S, 0 < |S| < n, one list per size
+_LEVELS = [[list(itertools.combinations(range(n), k)) for k in range(1, n)]
+           for n in range(4)]
+
+
+@functools.lru_cache(maxsize=256)
+def _profile(m, p):
+    """The (profile, count) pairs of the members of K p^m K, a profile
+    holding per level of _LEVELS the w_S of its subsets (convolve)."""
+    levels = _LEVELS[len(m)]
+    subsets = sum(levels, [])
+    cuts = [0, *itertools.accumulate(map(len, levels))]
+    # every w_S is at most the sum of the diagonal exponents on S
+    logs = {p**k: k for k in range(sum(m) + 1)}
+    counts = Counter(_minor_valuations(form, subsets, p**sum(m), logs)
+                     for form in _members(m, p))
+    return tuple((tuple(w[a:b] for a, b in zip(cuts, cuts[1:])), count)
+                 for w, count in counts.items())
 
 
 def _minor_valuations(form, subsets, ptop, logs):
@@ -257,17 +279,11 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
     forms = sum(_forms(lam, n, p)[2]
                 for lam in itertools.chain(f.support, g.support))
     charge(cap, f"{forms} Hermite forms to test", forms)
-    subsets = [rows for k in range(1, n)
-               for rows in itertools.combinations(range(n), k)]
-    levels = [[i for i, rows in enumerate(subsets) if len(rows) == k]
-              for k in range(1, n)]
+    levels = _LEVELS[n]
     out = {}
     for lam, cf in f.support.items():
-        m = tuple(c - lam[-1] for c in lam)
-        # every w_S is at most the sum of the diagonal exponents on S
-        logs = {p**k: k for k in range(sum(m) + 1)}
-        profiles = Counter(_minor_valuations(form, subsets, p**sum(m), logs)
-                           for form in _members(m, p))
+        s = lam[-1]
+        profiles = _profile(tuple(c - s for c in lam), p)
         for mu, cg in g.support.items():
             scale = cf * cg
             targets = list(itertools.accumulate(-c for c in mu[:-1]))
@@ -276,11 +292,14 @@ def convolve(f, g, cap=DEFAULT_GROUP_CAP):
             for nu in itertools.combinations_with_replacement(box, n):
                 if sum(nu) != total:
                     continue
+                offs = [[sum(s - nu[r] for r in rows) for rows in level]
+                        for level in levels]
                 count = 0
-                offs = [sum(lam[-1] - nu[r] for r in rows) for rows in subsets]
-                for w, mult in profiles.items():
-                    if all(min(w[i] + offs[i] for i in level) == t
-                           for level, t in zip(levels, targets)):
+                for w, mult in profiles:
+                    for wk, ok, t in zip(w, offs, targets):
+                        if min(map(operator.add, wk, ok)) != t:
+                            break
+                    else:
                         count += mult
                 if count:
                     c = scale * count
@@ -397,14 +416,13 @@ def _hall_littlewood(lam, q):
 
 
 @functools.lru_cache(maxsize=256)
-def _basis_image(mu, q):
-    """The transform q^<rho, mu> P_mu(x; 1/q) of the indicator of
-    K p^mu K, as a tuple of (exponent tuple, HalfPowerLaurent) pairs;
-    q^<rho, mu> is v to minus the modulus exponent of mu.  Cached per
-    (mu, q), and immutable (a tuple of immutable values), so that no
-    caller can change the cached value."""
-    scale = HalfPowerLaurent.v_power(q, -modulus_delta_exponent(mu, len(mu)))
-    return tuple((nu, scale * c) for nu, c in _hall_littlewood(mu, q))
+def _basis_image(m, q):
+    """The transform q^<rho, m> P_m(x; 1/q) of the indicator of K p^m K,
+    m_n = 0, as (exponent tuple, HalfPowerLaurent) pairs; q^<rho, m> is
+    v to minus the modulus exponent of m, which central shifts keep, so
+    the image for m + c is this one with its exponents shifted by c."""
+    scale = HalfPowerLaurent.v_power(q, -modulus_delta_exponent(m, len(m)))
+    return tuple((nu, scale * c) for nu, c in _hall_littlewood(m, q))
 
 
 def satake_transform(f, box_bound=None):
@@ -422,7 +440,9 @@ def satake_transform(f, box_bound=None):
     b = f.bound() if box_bound is None else box_bound
     coeffs = {}
     for mu, cmu in f.support.items():
-        for nu, c in _basis_image(mu, q):
+        shift = mu[-1]
+        for nu, c in _basis_image(tuple(a - shift for a in mu), q):
+            nu = tuple([a + shift for a in nu])
             if max(map(abs, nu)) <= b:
                 c = cmu * c
                 coeffs[nu] = coeffs[nu] + c if nu in coeffs else c

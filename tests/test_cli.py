@@ -23,7 +23,7 @@ from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
-from test_hecke import coset_count, rho_point
+from test_hecke import clear_hecke_caches, coset_count, rho_point
 from test_rings import half_of
 from test_ring_core import gl_order
 
@@ -872,12 +872,15 @@ class TestVerdictsDecide:
         assert rep["verdicts"][0]["status"] == "pass"  # the degree
 
     def test_satake_invariance(self, monkeypatch, capsys):
-        from glnlab import hecke
         real = hecke._basis_image
+        clear_hecke_caches()
         monkeypatch.setattr(hecke, "_basis_image",
-                            lambda mu, q: real(mu, q)[1:])
-        self.failing("satake --n 2 --p 2 --lam 1,0",
-                     "claim:satake-weyl-invariance", capsys)
+                            lambda m, q: real(m, q)[1:])
+        try:
+            self.failing("satake --n 2 --p 2 --lam 1,0",
+                         "claim:satake-weyl-invariance", capsys)
+        finally:
+            clear_hecke_caches()
 
     def test_iwasawa_shear(self, monkeypatch, capsys):
         from glnlab import building
@@ -931,6 +934,17 @@ class TestVerdictsDecide:
         monkeypatch.setattr(hecke, "_members", lambda m, p: (
             real(m, p)[:-1] if m == (1, 0) else real(m, p)))
 
+    def minor_valuation_off_by_one(monkeypatch):
+        # w_S of the first row subset is one too large for the members
+        # of (1, 0) at p = 2, the only rank-2 forms read with ptop = 2
+        real = hecke._minor_valuations
+
+        def off(form, subsets, ptop, logs):
+            w = real(form, subsets, ptop, logs)
+            return (w[0] + 1,) + w[1:] if (len(form), ptop) == (2, 2) else w
+
+        monkeypatch.setattr(hecke, "_minor_valuations", off)
+
     def vint_plus_one(monkeypatch):
         # only the coset-count oracle reads _vint
         real = hecke._vint
@@ -944,13 +958,17 @@ class TestVerdictsDecide:
         ("claim:hecke-commutativity",
          "hecke --n 2 --p 2 --left=1,0 --right=2,0", None,
          drop_last_member_of_1_0),
+        ("claim:hecke-commutativity",
+         "hecke --n 2 --p 2 --left=1,0 --right=2,0", None,
+         minor_valuation_off_by_one),
         ("claim:satake-oracle-agreement", "satake --n 2 --p 2 --lam=1,0",
          8, vint_plus_one),
     ], ids=["lfactor-degree", "hecke-commutativity",
-            "satake-oracle-agreement"])
+            "hecke-commutativity-profile", "satake-oracle-agreement"])
     def test_mutant(self, anchor, argv, row, mutate, monkeypatch, capsys):
-        # no member list built under a mutant outlives the test
-        hecke._kept_members.cache_clear()
+        # a mutant is reached only through empty caches, and no value
+        # built under it outlives the test
+        clear_hecke_caches()
         mutate(monkeypatch)
         try:
             rep = self.failing(argv, anchor, capsys)
@@ -959,7 +977,7 @@ class TestVerdictsDecide:
             if row is not None:
                 self.failing_row(row, anchor, capsys)
         finally:
-            hecke._kept_members.cache_clear()
+            clear_hecke_caches()
 
     def test_suite_keeps_its_report(self, monkeypatch, capsys):
         # criterion 3 raises; its row fails with the message, and the
@@ -1085,10 +1103,10 @@ class TestNoTraceback:
         real = hecke._dict_poly_mul
         monkeypatch.setattr(hecke, "_dict_poly_mul", lambda f, g: real(
             f, {e: c for e, c in g.items() if c > 0}))
-        hecke._basis_image.cache_clear()
+        clear_hecke_caches()
         try:
             self.invariant_failure(
                 "satake --n 2 --p 2 --lam 1,0",
                 "numerator not divisible by the Vandermonde", capsys)
         finally:
-            hecke._basis_image.cache_clear()
+            clear_hecke_caches()

@@ -40,6 +40,17 @@ def chi_t(image, tvals):
     return sympy.expand(acc)
 
 
+# every cache of the Hecke layer, taken before any test patches one
+HECKE_CACHES = [f for f in vars(hecke).values() if hasattr(f, "cache_clear")]
+
+
+def clear_hecke_caches():
+    """Empty every Hecke cache, so that a patched function is reached
+    and no value built under a patch outlives the test."""
+    for f in HECKE_CACHES:
+        f.cache_clear()
+
+
 def v_pow(q, k):
     return HalfPowerLaurent.v_power(q, k)
 
@@ -189,6 +200,37 @@ def iwasawa_torus_part(rows, p):
             for r in range(n):
                 work[r][j] += cfac * work[r][i]
     return tuple(vp(work[i][i], p) for i in range(n))
+
+
+def hermite_charge(lam, p):
+    """The forms coset_decompose charges, by the rank-by-rank formulas:
+    Hermite forms at ranks 1 and 2, and p^(2 d0) first rows over each
+    rank-2 block of mu_1 - mu_2 at rank 3."""
+    m = [c - lam[-1] for c in lam]
+    if len(m) < 3:
+        return sum(p**d0 for d0 in range(sum(m) + 1))
+    return sum(
+        p**(2 * (sum(m) - mu1 - mu2))
+        * (p**(mu1 - mu2) + p**(mu1 - mu2 - 1) if mu1 > mu2 else 1)
+        for mu1 in range(m[1], m[0] + 1) for mu2 in range(m[1] + 1))
+
+
+def minor_profile(form, p):
+    """Per k < n, the least valuation w_S of the k x k minors of form on
+    each k-row subset S, by cofactor expansion over every k columns."""
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum((-1)**j * rows[0][j] * det([r[:j] + r[j + 1:]
+                                                for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    n = len(form)
+    return tuple(
+        tuple(min(_vint(det([[form[r][c] for c in cols] for r in rows]), p)
+                  for cols in itertools.combinations(range(n), k))
+              for rows in itertools.combinations(range(n), k))
+        for k in range(1, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,23 +428,12 @@ class TestCosets:
                         == coset_count(lam, p), (lam, p)
 
     def test_charge(self):
-        # the forms charged, by the rank-by-rank formulas: Hermite forms
-        # at ranks 1 and 2, and p^(2 d0) first rows over each rank-2
-        # block of mu_1 - mu_2 at rank 3; a cap one below refuses
-        def charge(lam, p):
-            m = [c - lam[-1] for c in lam]
-            if len(m) < 3:
-                return sum(p**d0 for d0 in range(sum(m) + 1))
-            return sum(
-                p**(2 * (sum(m) - mu1 - mu2))
-                * (p**(mu1 - mu2) + p**(mu1 - mu2 - 1) if mu1 > mu2 else 1)
-                for mu1 in range(m[1], m[0] + 1) for mu2 in range(m[1] + 1))
-
+        # the forms charged, by hermite_charge; a cap one below refuses
         lams = [(0,), (-4,), (0, 0), (1, 0), (3, -2), (0, 0, 0), (1, 0, 0),
                 (1, 1, 0), (2, 0, -1), (2, 2, -1), (3, 1, 0)]
         for lam in lams:
             for p in (2, 3):
-                c = charge(lam, p)
+                c = hermite_charge(lam, p)
                 with pytest.raises(CapExceeded, match=f"^{c} Hermite"):
                     coset_decompose(lam, len(lam), p, cap=c - 1)
                 assert len(coset_decompose(lam, len(lam), p, cap=c)) \
@@ -415,6 +446,73 @@ class TestCosets:
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
             coset_decompose((0, 1), 2, 2)
+
+
+# every (lam, p) that TestCosets decomposes
+COSET_CASES = sorted(
+    {((1, 0), p) for p in (2, 3, 5)}
+    | {(lam, p) for p in (2, 3) for lam in ((1, 1), (2, 0), (1, 0, 0),
+                                             (1, 1, 0))}
+    | {((0, -1), 2), ((1, 0, -1), 2), ((2, 1, 0), 3)}
+    | {(lam, p) for p in (2, 3) for n, b in ((2, 2), (3, 1))
+       for lam in dominant_box(n, b)}
+    | {(lam, 2) for lam in dominant_box(3, 2)})
+
+
+class TestCachesPerM:
+    """What the Hecke layer keeps per (m, p), m = lam - lam_n, read for
+    each central shift lam + c, against a fresh computation on lam + c:
+    the scanned cosets of lam moved by p^c, minors by cofactors, the
+    closed-form charge and a direct Hall-Littlewood expansion."""
+
+    @pytest.mark.parametrize("lam, p", COSET_CASES)
+    def test_shifts_read_the_cached_values(self, lam, p):
+        n = len(lam)
+        scan = hermite_scan_cosets(lam, p)
+        # the forms, so their minors, are those of lam for every shift
+        profile = Counter(minor_profile(form, p) for _, form in scan)
+        fresh = {}
+        for c in range(-2, 3):
+            lam_c = tuple(x + c for x in lam)
+            cosets = [(s + c, form) for s, form in scan]
+            scale = v_pow(p, -modulus_delta_exponent(lam_c, n))
+            counts = Counter(iwasawa_torus_part(matrix(rep, p), p)
+                             for rep in cosets)
+            fresh[lam_c] = (
+                hermite_charge(lam_c, p), cosets,
+                {nu: scale * coeff
+                 for nu, coeff in hecke._hall_littlewood(lam_c, p)},
+                {nu: v_pow(p, modulus_delta_exponent(nu, n)) * k
+                 for nu, k in counts.items()})
+        clear_hecke_caches()
+        for _ in range(2):  # the second pass reads only cached values
+            for lam_c, (charge, cosets, image, oracle) in fresh.items():
+                m = tuple(x - lam_c[-1] for x in lam_c)
+                f = HeckeElement.basis(lam_c, p)
+                assert hecke._forms(lam_c, n, p)[2] == charge
+                assert coset_decompose(lam_c, n, p) == cosets
+                assert dict(hecke._profile(m, p)) == profile
+                assert satake_transform(f).coeffs == image
+                assert satake_by_coset_count(f).coeffs == oracle
+
+    def test_callers_cannot_change_a_cached_value(self):
+        def frozen(x):
+            if isinstance(x, tuple):
+                return all(map(frozen, x))
+            return isinstance(x, (int, HalfPowerLaurent))
+
+        for lam, p in (((2, 0), 3), ((1, 0, -1), 2)):
+            m = tuple(x - lam[-1] for x in lam)
+            assert frozen(hecke._profile(m, p))
+            assert frozen(hecke._basis_image(m, p))
+            # a caller changing a returned element leaves the next as it was
+            f = HeckeElement.basis(lam, p)
+            square, image = convolve(f, f), satake_transform(f)
+            want = dict(square.support), dict(image.coeffs)
+            square.support.clear()
+            image.coeffs.clear()
+            assert (convolve(f, f).support, satake_transform(f).coeffs) \
+                == want
 
 
 class TestConvolution:
