@@ -29,6 +29,10 @@ COMMANDS = {
     "h1_p2_d1_s2_level3": "h1 --p 2 --d 1 --s 2 --level 3",
     "h1_p3_d2_s1_level2": "h1 --p 3 --d 2 --s 1 --level 2",
     "dm_check_s2_q2_n2": "dm-check --s 2 --q 2 --n 2",
+    "dm_check_s1_q2_n10": "dm-check --s 1 --q 2 --n 10",
+    "h1_p2_d3_s1_level4": "h1 --p 2 --d 3 --s 1 --level 4",
+    "h1_p3_d2_s1_level4": "h1 --p 3 --d 2 --s 1 --level 4",
+    "lang_p2_d10_s1": "lang --p 2 --d 10 --s 1",
     "building_simplices_n3": "building simplices --n 3",
     "building_ub_audit_n2_p3": "building ub-audit --n 2 --p 3",
     "building_self_norm_n2_p3": "building self-norm --n 2 --p 3",

@@ -51,8 +51,6 @@ SHAPES = (
     "lang --p 2 --d 1 --s 3",  # 3 x 3 matrices
     "lang --p 2 --d 2 --s 3",  # 3 x 3 matrices over a tabulated ring
     "building ub-audit --n 3 --p 2",  # products of 3 x 3 matrices
-    "h1 --p 2 --d 3 --s 1 --level 4",  # a ring of more than 256 elements
-    "h1 --p 3 --d 2 --s 1 --level 4",  # two digit chunks a packed code
     "dm-check --s 1 --q 4 --n 2",  # sigma^2
     "hecke --n 2 --p 1373 --left=1,0 --right=0,0",  # the strong prime test
     "lfactor --rep trivial --params a,b --q 2",  # the trivial rep
