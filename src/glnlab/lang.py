@@ -22,7 +22,8 @@ from the caller.  Group elements, cocycles, Lang images and the class
 representatives and matches that ``twisted_classes`` and
 ``dm_bijection_check`` return are flat row-major tuples of the ring's
 codes (see ``rings``).  Each loop binds the ring's kernels once
-(``mat_product``, ``form``, ``sandwich``) and runs on the tuples.
+(``mat_product``, ``form``, ``sandwich``, and ``norm_map`` for the
+cocycle test and dm-check's norms) and runs on the tuples.
 """
 
 from __future__ import annotations
@@ -241,21 +242,6 @@ def lang_image(ring, s, cap=DEFAULT_GROUP_CAP):
                                 None, None))
 
 
-def twisted_norm(ring, s, m, e=1):
-    """The map a -> a sigma^e(a) ... sigma^(e(m-1))(a) of flat s x s code
-    tuples, with the ring's sigma^e map and product kernel bound once."""
-    mul, sig = ring.mat_product(s), ring.sigma_map(e)
-
-    def norm(a):
-        acc = cur = a
-        for _ in range(m - 1):
-            cur = tuple(map(sig, cur))
-            acc = mul(acc, cur)
-        return acc
-
-    return norm
-
-
 def twisted_classes(module, codes, leaving):
     """Partition of the code tuples ``codes`` under a ~ g^-1 a sigma(g),
     g in the module's group: the twisted conjugacy classes when codes is
@@ -286,8 +272,8 @@ def _lifts(ring, low, cocycles):
 def _cocycles(ring, s, codes):
     """The code tuples c among ``codes`` with c sigma(c) ... sigma^(d-1)(c)
     = 1, sigma the Frobenius lift of ``ring`` and d its order, in their
-    order (``twisted_norm``)."""
-    norm, ident = twisted_norm(ring, s, ring.d), _identity(ring, s)
+    order (the ring's ``norm_map``)."""
+    norm, ident = ring.norm_map(s, ring.d), _identity(ring, s)
     return [c for c in codes if norm(c) == ident]
 
 
@@ -438,13 +424,11 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     ext = FiniteField(p, v * n)
     elements = gl_elements(ext, s, cap)  # the one charge, |F_(q^n)|^(s^2)
     module = gl_module(ext, s, sigma_exponent=v)
-    # F_q is 0 and the powers of w = zeta^((q^n - 1)/(q - 1)), of order
-    # q - 1 for a primitive zeta
-    w = ext.pow(residue_primitive_root(ext), (ext.q - 1) // (q - 1))
-    sub, x = {0}, ext.one_code
-    for _ in range(q - 1):
-        sub.add(x)
-        x = ext.mul(x, w)
+    # F_q is 0 and the powers of w = N(zeta) = zeta^((q^n - 1)/(q - 1)),
+    # of order q - 1 for a primitive zeta
+    (w,) = ext.norm_map(1, n, v)((residue_primitive_root(ext),))
+    sub = {0, *itertools.accumulate([w] * (q - 2), ext.mul,
+                                    initial=ext.one_code)}
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
     twisted = twisted_classes(
@@ -462,7 +446,7 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     if len(plain) != len(plain_classes):
         raise MatchFailure("two plain classes have the same invariant factors")
 
-    norm = twisted_norm(ext, s, n, v)
+    norm = ext.norm_map(s, n, v)
     matches, used = [], set()
     bijective = len(twisted) == len(plain)  # and one-to-one, tested below
     for cl in twisted:

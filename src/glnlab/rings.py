@@ -13,22 +13,11 @@ negation, inverse and sigma tables when d > 1 and the ring has at most
 otherwise, the coefficients in the slots of one int, so that a sum of
 products costs one integer product a term, a fold through F and one
 read of the slots mod p^n.  Every ring also fixes three matrix kernels
-on flat code tuples: the 2 x 2 product (``mul2``), the linear form
-r -> sum r_i c_i of fixed codes (``form``) and the sandwich x -> a x b
-of fixed a, b (``sandwich``).  Over the tables ``mul2``, the two-entry
-``form`` and ``sandwich`` are unrolled and read the rows directly, with
-each fixed operand's row looked up once; over the packed codes the
-1 x 1 sandwich is one packed product by the packed a b; the other
-kernels there, and all of them when d = 1, are built from the ring's
-``mul`` and ``dot``.  The determinant and inverse are the
-cofactor and adjugate forms on the ring's ``dot`` at every size.
-sigma^e is one map of codes per e mod d (``sigma_map``), built on first
-use.
-
-Polynomials over a field are lists of its codes, with one product and
-one division with remainder (``_poly_divmod``): the modulus's
-irreducibility test, the inverse's Euclid over F_p[x], lang's invariant
-factors and lfactor's cyclotomic division over Z (monic divisors) use them.
+on flat code tuples (``mul2``, ``form``, ``sandwich``: those of
+``_op_kernels``, unrolled over the tables).  sigma^e is one map of codes
+per e mod d (``sigma_map``), built on first use.  The norm
+a sigma^e(a) ... sigma^(e(m-1))(a) (``norm_map``) is one addition chain,
+and the packed inverse its norm form (Itoh-Tsujii, Inf. Comput. 78, 1988).
 
 Claims work on codes and flat code tuples alone.  The element layer at
 the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus
@@ -95,7 +84,10 @@ def is_prime(m):
 
 # ---------------------------------------------------------------------------
 # F[X] over a field F: lists of F's codes, low degree first, trimmed (no
-# zero leading coefficient), on F's add, mul, neg and inv
+# zero leading coefficient), on F's add, mul, neg and inv, with one product
+# and one division with remainder: the modulus's irreducibility test,
+# lang's invariant factors and lfactor's cyclotomic division over Z
+# (monic divisors) use them
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -165,6 +157,36 @@ def _canonical_modulus(p, d):
     raise NotPrime(f"no irreducible polynomial of degree {d} over Z/{p}")
 
 
+def _norm_chain(mul, sigma, m):
+    """a -> N_m(a) = a sigma(a) ... sigma^(m-1)(a), m >= 1, for the product
+    mul and sigma(k) the map sigma^k, down the bits of m (Itoh-Tsujii):
+    N_(2k) = N_k sigma^k(N_k), and N_(2k+1) = a sigma(N_(2k)) at a set bit,
+    k the prefix of m so far.  The plan is fixed here; m <= 3 needs sigma."""
+    plan = [(sigma(m >> i), m >> i - 1 & 1)
+            for i in range(m.bit_length() - 1, 0, -1)]
+
+    def norm(a):
+        acc = a
+        for f, add in plan:
+            acc = mul(acc, f(acc))
+            if add:
+                acc = mul(a, plan[0][0](acc))
+        return acc
+
+    return norm
+
+
+def _norm_inverse(ring, conj, a):
+    """a^-1 = sigma(N_(d-1)(a)) N_d(a)^-1, conj = N_(d-1), N_d(a) in Z/p^n."""
+    b, one = ring.sigma(conj((a,))[0]), ring.one_code
+    c, rest = divmod(ring.mul(a, b), one)
+    if rest:
+        raise GlnLabError("a norm is not in Z/p^n")
+    if c % ring.p == 0:
+        raise NotInvertible("not a unit")
+    return ring.mul(b, pow(c, -1, ring.pn) * one)
+
+
 def minor(a, s, i, j):
     """The flat s x s matrix a without row i and column j."""
     return tuple([a[r * s + c] for r in range(s) if r != i
@@ -204,11 +226,12 @@ def _unit_inverse(p, n):
 
 # ---------------------------------------------------------------------------
 # the three arithmetics of a ring's codes; each returns add, mul, neg, dot
-# (sum of products), inv, is_unit, decode, and linear (images of the basis
-# 1, x, .., x^(d-1) -> the additive map of codes they define), then the
-# matrix kernels mul2, form and sandwich: unrolled over the tables, those
-# of _op_kernels elsewhere, except the packed codes' own sandwich.
-# The determinant and inverse are the ring's mat_det and mat_inv.
+# (sum of products), inv (None for the packed codes: the ring's norm form),
+# is_unit, decode, and linear (images of the basis 1, x, .., x^(d-1) -> the
+# additive map of codes they define), then the matrix kernels mul2, form
+# and sandwich: unrolled over the tables, those of _op_kernels elsewhere,
+# except the packed codes' own sandwich.  The determinant and inverse are
+# the ring's mat_det and mat_inv: cofactors on dot at every size.
 
 def _op_kernels(mul, dot):
     """The matrix kernels from a ring's mul and dot on codes: the 2 x 2
@@ -346,12 +369,8 @@ def _poly_ops(ring):
     chunk's code by an inverse lookup.  ``add``, ``neg`` and the linear
     maps (sigma^e, whose chunk tables hold the sums of their images) are
     packed sums read once.  No table has more than _CHUNK_MAX entries:
-    past it a chunk is one digit, whose table is a range.  The inverse is
-    extended Euclid over F_p[x], on the polynomial helpers above, lifted
-    to p^n by packed Newton steps z <- z (2 - a z) (von zur
-    Gathen-Gerhard, 3.2 and 9.1)."""
+    past it a chunk is one digit, whose table is a range."""
     p, pn, d, weights = ring.p, ring.pn, ring.d, ring.weights
-    F_p, mul_ = FiniteField(p, 1, cap=p), operator.mul
     g = [-c % pn for c in ring.modulus_lift[:-1]]
     # by monotony no slot of a sum read below, over its folds, exceeds
     # those of _PACK_TERMS squares of the code whose every coefficient is
@@ -429,24 +448,7 @@ def _poly_ops(ring):
         if len(xs) > _PACK_TERMS:
             return add(dot(xs[:_PACK_TERMS], ys[:_PACK_TERMS]),
                        dot(xs[_PACK_TERMS:], ys[_PACK_TERMS:]))
-        return read(sum(map(mul_, map(pack, xs), map(pack, ys))))
-
-    def inv(a):
-        # Euclid keeps the cofactor of a alone; F is irreducible mod p,
-        # so only p | a leaves a gcd of positive degree
-        r0, r1 = ring.modulus, _poly_trim([a // w % p for w in weights])
-        s0, s1 = [], [1]
-        while r1:
-            quot, rem = _poly_divmod(F_p, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_submul(F_p, s0, _poly_mul(F_p, quot, s1), 0, 1)
-        if len(r0) > 1:
-            raise NotInvertible("not a unit")
-        # z = a^-1 mod p, read mod p^n; the Newton steps lift it
-        z = reduce(pow(r0[0], -1, p) * pack(sum(map(mul_, s0, weights))))
-        for _ in range((ring.n - 1).bit_length()):  # p^e -> p^(2e)
-            z = mul(z, reduce(negs + 2 - pack(mul(a, z))))
-        return z
+        return read(sum(map(operator.mul, map(pack, xs), map(pack, ys))))
 
     def linear(images):
         sums = lookup(tables(list(map(pack, images))))
@@ -464,7 +466,7 @@ def _poly_ops(ring):
     is_unit = bool if ring.n == 1 else (  # a field's units: codes != 0
         lambda a: any(c % p for c in decode(a)))
     mul2, form, dots = _op_kernels(mul, dot)
-    return (add, mul, neg, dot, inv, is_unit, decode, linear, mul2, form,
+    return (add, mul, neg, dot, None, is_unit, decode, linear, mul2, form,
             sandwich)
 
 
@@ -510,14 +512,14 @@ class TruncatedLocalRing:
          self.sandwich) = ops(self)
         y, self._sigmas = self._lift_frobenius(), {0: lambda a: a}
         if d > 1:
-            powers = [self.one_code]
-            for _ in range(d - 1):
-                powers.append(self.mul(powers[-1], y))
-            sigma = self._sigmas[1] = self._linear(powers)
+            sigma = self._sigmas[1] = self._linear(list(itertools.accumulate(
+                [y] * (d - 1), self.mul, initial=self.one_code)))
             for _ in range(d - 1):
                 y = sigma(y)
             if y != self.weights[1]:
                 raise GlnLabError("Frobenius lift does not have order d")
+        if self.inv is None:  # packed codes: the norm form, built on sigma
+            self.inv = partial(_norm_inverse, self, self.norm_map(1, d - 1))
 
     # -- Frobenius ------------------------------------------------------------
     def evaluate(self, coeffs, y):
@@ -529,18 +531,21 @@ class TruncatedLocalRing:
 
     def _lift_frobenius(self):
         """Code of sigma(x): the root of F congruent to x^p mod p, by
-        Newton iteration from x^p."""
+        Newton iteration from x^p, with no inverse: u = F'(y)^-1 starts
+        mod p as F'(y)^(q-2) and follows y by steps u <- u (2 - F'(y) u)."""
         if self.d == 1:
             return self.one_code
-        f = self.modulus_lift
+        f, two = self.modulus_lift, 2 % self.pn * self.one_code
         fprime = tuple(i * c for i, c in enumerate(f))[1:]
         y = self.pow(self.weights[1], self.p)
+        u = self.pow(self.evaluate(fprime, y), self.q - 2)
         for _ in range(self.n):
             fy = self.evaluate(f, y)
             if not fy:
                 break
-            step = self.mul(fy, self.inv(self.evaluate(fprime, y)))
-            y = self.add(y, self.neg(step))
+            y = self.add(y, self.neg(self.mul(fy, u)))
+            fu = self.mul(self.evaluate(fprime, y), u)
+            u = self.mul(u, self.add(two, self.neg(fu)))
         if self.evaluate(f, y):
             raise GlnLabError("Newton iteration failed to lift Frobenius")
         return y
@@ -569,6 +574,15 @@ class TruncatedLocalRing:
     def sigma(self, a, e=1):
         """Code of sigma^e(a), e taken mod d."""
         return self.sigma_map(e)(a)
+
+    def norm_map(self, s, m, e=1):
+        """a -> a sigma^e(a) ... sigma^(e(m-1))(a) on flat s x s code tuples,
+        m >= 1, by ``_norm_chain`` (at s = 1 on the entry's code)."""
+        if s == 1:
+            norm = _norm_chain(self.mul, lambda k: self.sigma_map(e * k), m)
+            return lambda a: (norm(a[0]),)
+        return _norm_chain(self.mat_product(s), lambda k: (
+            lambda x, f=self.sigma_map(e * k): tuple(map(f, x))), m)
 
     # -- codes and element constructors ---------------------------------------
     def encode(self, coeffs):

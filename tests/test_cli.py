@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glnlab
-from glnlab import audit, building, cli, hecke, lang, lfactor, roots
+from glnlab import audit, building, cli, hecke, lang, lfactor, rings, roots
 from glnlab.cli import (_check_lfactor_cap, canonical_json, lint_report,
                         run, verdict)
 from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
@@ -508,13 +508,16 @@ class TestNearCap:
     # too, with 60 plain classes); then the largest packed rings (no
     # tables) of these shapes, F_(2^16) at the 2^16 field cap and
     # (Z/16)[x]/(F) of degree 4, charged 2^16, and the Lang images of
-    # F_(3^12) and F_(2^19), charged 3^12 and 2^19
+    # F_(3^12) and F_(2^19), charged 3^12 and 2^19; and the 65 535
+    # classes of GL_1(F_(2^16)), each matched through one norm-form
+    # inverse, and its 65 535 level-1 cocycle tests by the norm N_16
     @pytest.mark.parametrize("argv", [
         "h1 --p 3 --d 3 --s 2", "lang --p 3 --d 3 --s 2",
         "lang --p 2 --d 2 --s 3", "dm-check --s 3 --q 2 --n 2",
         "dm-check --s 3 --q 4 --n 1", "dm-check --s 1 --q 2 --n 16",
         "lang --p 2 --d 16 --s 1", "h1 --p 2 --d 4 --s 1 --level 4",
-        "lang --p 3 --d 12 --s 1", "lang --p 2 --d 19 --s 1"])
+        "lang --p 3 --d 12 --s 1", "lang --p 2 --d 19 --s 1",
+        "dm-check --s 1 --q 65536 --n 1", "h1 --p 2 --d 16 --s 1"])
     def test_finite_ring_checks(self, argv):
         start = time.monotonic()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -945,6 +948,18 @@ class TestVerdictsDecide:
 
         monkeypatch.setattr(hecke, "_minor_valuations", off)
 
+    def norm_sigma_off_by_one(monkeypatch):
+        # the ring's norm chain built on sigma^(j + 1) for each sigma^j
+        real_norm, real_sigma = (rings.TruncatedLocalRing.norm_map,
+                                 rings.TruncatedLocalRing.sigma_map)
+
+        def norm_map(ring, *args):
+            with monkeypatch.context() as m:
+                m.setattr(ring, "sigma_map", lambda k: real_sigma(ring, k + 1))
+                return real_norm(ring, *args)
+
+        monkeypatch.setattr(rings.TruncatedLocalRing, "norm_map", norm_map)
+
     def vint_plus_one(monkeypatch):
         # only the coset-count oracle reads _vint
         real = hecke._vint
@@ -963,8 +978,11 @@ class TestVerdictsDecide:
          minor_valuation_off_by_one),
         ("claim:satake-oracle-agreement", "satake --n 2 --p 2 --lam=1,0",
          8, vint_plus_one),
+        ("claim:twisted-conjugacy-bijection", "dm-check --s 1 --q 2 --n 2",
+         None, norm_sigma_off_by_one),
     ], ids=["lfactor-degree", "hecke-commutativity",
-            "hecke-commutativity-profile", "satake-oracle-agreement"])
+            "hecke-commutativity-profile", "satake-oracle-agreement",
+            "twisted-conjugacy-bijection-norm"])
     def test_mutant(self, anchor, argv, row, mutate, monkeypatch, capsys):
         # a mutant is reached only through empty caches, and no value
         # built under it outlives the test
@@ -1088,6 +1106,22 @@ class TestNoTraceback:
         self.invariant_failure("lang --p 2 --d 2",
                                "Newton iteration failed to lift Frobenius",
                                capsys)
+
+    def test_norm_sigma_off_by_one(self, monkeypatch, capsys):
+        # the non-cocycles that the mutant norm lets in leave the cocycle
+        # set under the orbit closure, which h1 runs before its verdict;
+        # the paper audit fails the h1 row so and the class-matching row
+        # by its verdict
+        TestVerdictsDecide.norm_sigma_off_by_one(monkeypatch)
+        self.invariant_failure("h1 --p 2 --d 2 --s 1",
+                               "a class leaves the cocycle set", capsys)
+        assert run("--seed 0 suite paper-audit".split()) == 1
+        verdicts = json.loads(capsys.readouterr()[0])["verdicts"]
+        assert [(i, v["anchor"]) for i, v in enumerate(verdicts)
+                if v["status"] == "fail"] == [
+            (2, "claim:h1-triviality"),
+            (4, "claim:twisted-conjugacy-bijection")]
+        assert verdicts[2]["detail"] == "a class leaves the cocycle set"
 
     def test_primitive_root(self, monkeypatch, capsys):
         from glnlab import rings

@@ -28,7 +28,6 @@ from glnlab.lang import (
     h1_level_tower,
     lang_image,
     twisted_classes,
-    twisted_norm,
 )
 from glnlab.rings import (DEFAULT_GROUP_CAP, FiniteField, Mat,
                            TruncatedLocalRing, minor)
@@ -79,7 +78,7 @@ def group_classes(module, codes):
 
 def norm(module, m):
     """The twisted norm of m factors under the module's action."""
-    return twisted_norm(module.ring, module.s, m, module.exponent)
+    return module.ring.norm_map(module.s, m, module.exponent)
 
 
 def kernel_elements(ring, s, a=None):
@@ -620,7 +619,7 @@ class TestDMBijection:
         # every norm the identity: each twisted class names the class of
         # 1, which only the first may take
         import glnlab.lang as lang
-        monkeypatch.setattr(lang, "twisted_norm",
+        monkeypatch.setattr(TruncatedLocalRing, "norm_map",
                             lambda ring, s, m, e: lambda a: lang._identity(
                                 ring, s))
         rep = dm_bijection_check(2, 2, 2)
