@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import comb
+from math import comb, gcd
 from types import SimpleNamespace
 
 from . import __version__
@@ -91,10 +91,12 @@ def holds(*reports):
 # serialization helpers ------------------------------------------------------
 
 def ser_by_weight(coeffs):
-    """{lambda: {"a": A, "b": B}} for the coefficient A + B v at lambda,
-    with each lambda written as "l1,l2,.."."""
-    return {",".join(map(str, lam)): {"a": str(c.a), "b": str(c.b)}
-            for lam, c in sorted(coeffs.items())}
+    """{lambda: {"a": A/D, "b": B/D}}, each in lowest terms, for the
+    coefficient (A + B v)/D at lambda, written as "l1,l2,.."."""
+    return {",".join(map(str, lam)): {
+        k: str(x // g) if g == c.D else f"{x // g}/{c.D // g}"
+        for k, x in (("a", c.A), ("b", c.B)) for g in [gcd(x, c.D)]}
+        for lam, c in sorted(coeffs.items())}
 
 
 def ser_codes(s, codes):

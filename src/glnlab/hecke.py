@@ -24,8 +24,8 @@ the Hermite forms of every cocharacter of both factors (_forms).  The
 coset-count oracle reads the Iwasawa torus part lam of p^shift * M (g
 in N p^lam K): shift plus the diagonal valuations of M.  What a
 request reads of K p^lam K depends on m = lam - lam_n and p alone:
-_form_count, _profile and _basis_image build it once per (m, p) and
-keep it in bounded caches as immutable tuples.
+_form_count, _profile, _diagonals and _basis_image keep it per (m, p)
+in bounded caches as immutable tuples; no member list is kept.
 """
 
 from __future__ import annotations
@@ -112,21 +112,9 @@ def _form_count(m, p):
                for mu in _interlacing(m))
 
 
-MEMO_MAX = 1 << 12  # the longest member list that _members keeps
-
-
 def _members(m, p):
     """The members of K p^m K, m dominant with m[-1] = 0, in the order
-    of coset_decompose; a tuple of tuples.  A list of at most MEMO_MAX
-    members is cached per (m, p), and a longer one is built each time,
-    so that none stays in memory: _profile keeps what convolve reads."""
-    if coset_count(m, p) <= MEMO_MAX:
-        return _kept_members(m, p)
-    return _build_members(m, p)
-
-
-def _build_members(m, p):
-    """The members of K p^m K, built from those of rank n - 1.
+    of coset_decompose; a tuple of tuples, built anew on each call.
 
     Rank 1 is the form (1).  Deleting the first row of a member leaves
     a block whose exponents mu interlace m (Thompson, Linear Algebra
@@ -170,7 +158,6 @@ def _build_members(m, p):
     return tuple(forms)
 
 
-_kept_members = functools.lru_cache(maxsize=64)(_build_members)
 _PAIRS = [list(itertools.combinations(range(k), 2)) for k in range(4)]
 # per rank n < 4: the row subsets S, 0 < |S| < n, one list per size
 _LEVELS = [[list(itertools.combinations(range(n), k)) for k in range(1, n)]
@@ -190,6 +177,16 @@ def _profile(m, p):
                      for form in _members(m, p))
     return tuple((tuple(w[a:b] for a, b in zip(cuts, cuts[1:])), count)
                  for w, count in counts.items())
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonals(m, p):
+    """The (diagonal exponents, count) pairs of the members of K p^m K,
+    from coset_decompose at the cap the request was charged (_forms)."""
+    counts = Counter(tuple([_vint(row[i], p) for i, row in enumerate(form)])
+                     for _, form in coset_decompose(m, len(m), p,
+                                                    cap=_form_count(m, p)))
+    return tuple(counts.items())
 
 
 def _minor_valuations(form, subsets, ptop, logs):
@@ -451,20 +448,20 @@ def satake_transform(f, box_bound=None):
 
 def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : g_i in
-    N(F) p^lam GL_n(O)}, using the coset decomposition directly.
+    N(F) p^lam GL_n(O)}, counting the cosets of coset_decompose.
 
     A representative p^shift * M lies in N(F) p^lam GL_n(O) for lam the
-    shift plus the diagonal exponents of M; it is counted when lam lies
-    in the box |lam_i| <= bound.
+    shift plus the diagonal exponents of M (_diagonals), charged first
+    (_forms); it is counted when lam lies in the box |lam_i| <= bound.
     """
     n, q = f.n, f.p
     b = f.bound() if box_bound is None else box_bound
     acc = {}
     for mu, cmu in f.support.items():
-        counts = Counter(
-            tuple(shift + _vint(form[i][i], f.p) for i in range(n))
-            for shift, form in coset_decompose(mu, n, f.p, cap=cap))
-        for lam, count in counts.items():
+        shift, m, forms = _forms(mu, n, q)
+        charge(cap, f"{forms} Hermite forms to test", forms)
+        for diag, count in _diagonals(m, q):
+            lam = tuple([shift + e for e in diag])
             if max(map(abs, lam)) <= b:
                 c = cmu * count
                 acc[lam] = acc[lam] + c if lam in acc else c

@@ -645,13 +645,14 @@ class TruncatedLocalRing:
 
     def mat_inv(self, s, a):
         """Inverse by the adjugate, the transposed cofactors, over the
-        determinant: the first row against its cofactors, so it needs no
-        minor of its own.  NotInvertible unless it is a unit."""
-        cof = ([self._cofactors(s, a, i) for i in range(s)] if s > 1
-               else [[self.one_code]])
-        d = self.dot(a[:s], cof[0])
+        determinant, the first row against its cofactors; at s = 1 the
+        inverse of the one entry.  NotInvertible unless it is a unit."""
+        cof = [self._cofactors(s, a, i) for i in range(s)] if s > 1 else ()
+        d = self.dot(a[:s], cof[0]) if cof else a[0]
         if not self.is_unit(d):
             raise NotInvertible("determinant is not a unit")
+        if not cof:
+            return (self.inv(d),)
         k, mul = self.inv(d), self.mul
         return tuple([mul(c, k) for column in zip(*cof) for c in column])
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glnlab
@@ -23,6 +23,7 @@ from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor, rankin_selberg)
+from glnlab.rings import HalfPowerLaurent
 from test_hecke import clear_hecke_caches, coset_count, rho_point
 from test_rings import half_of
 from test_ring_core import gl_order
@@ -267,6 +268,17 @@ class TestReports:
                               "--lam", "1,1"], tmp_path)
         assert code == 0
         assert rep["results"]["image"] == {"1,1": {"a": "1", "b": "0"}}
+
+    @given(A=st.integers(-10**6, 10**6), B=st.integers(-10**6, 10**6),
+           D=st.integers(1, 10**4))
+    @example(A=0, B=0, D=1)
+    @example(A=0, B=-6, D=4)
+    @example(A=-7, B=0, D=7)
+    def test_coefficients_print_as_fractions(self, A, B, D):
+        # the printer reduces A/D and B/D on ints, as Fraction does
+        c = HalfPowerLaurent(5, A, B) * Fraction(1, D)
+        assert cli.ser_by_weight({(1, -1): c}) == {
+            "1,-1": {"a": str(Fraction(A, D)), "b": str(Fraction(B, D))}}
 
     def test_gl3_satake_with_gate(self, tmp_path):
         code, rep = run_json(["satake", "--n", "3", "--p", "2",
@@ -644,6 +656,32 @@ class TestCharges:
         with pytest.raises(CapExceeded):
             audit.lang_image_size(255, 0)
         assert time.monotonic() - start < 1.0
+
+    def test_a_cached_oracle_is_still_charged(self, capsys):
+        # the second request reads the diagonal counts the first cached,
+        # and is refused by the 63 Hermite forms of (5, 0) at p = 2
+        argv = "satake --n 2 --p 2 --lam=5,0".split()
+        clear_hecke_caches()
+        assert run(argv) == 0
+        assert run(["--cap", "62"] + argv) == 3
+        assert "63 Hermite forms to test" in capsys.readouterr().err
+
+    def test_central_translates_decompose_once(self, monkeypatch):
+        # (2, 0) and (3, 1) at p = 3 share m = (2, 0), so the oracle's
+        # counts of both come from one coset decomposition
+        real, entered = hecke.coset_decompose, []
+
+        def spy(lam, *args, **kw):
+            entered.append(tuple(lam))
+            return real(lam, *args, **kw)
+
+        clear_hecke_caches()
+        monkeypatch.setattr(hecke, "coset_decompose", spy)
+        for lam in ("2,0", "3,1"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["satake", "--n", "2", "--p", "3",
+                            f"--lam={lam}"]) == 0
+        assert entered == [(2, 0)]
 
 
 class TestGrammar:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import time
@@ -49,6 +50,17 @@ def clear_hecke_caches():
     and no value built under a patch outlives the test."""
     for f in HECKE_CACHES:
         f.cache_clear()
+
+
+def longest_cached(f):
+    """The greatest length of a tuple or list among the keys and values
+    the lru_cache f holds, nested ones too, as the collector sees it."""
+    def longest(x):
+        if isinstance(x, (tuple, list)):
+            return max([len(x), *map(longest, x)])
+        return 0
+
+    return max(map(longest, gc.get_referents(f)), default=0)
 
 
 def v_pow(q, k):
@@ -399,8 +411,7 @@ class TestCosets:
         self._assert_equals_scan(cases)
 
     def test_returned_list_is_fresh(self):
-        # the members are cached per (m, p); changing a returned list
-        # must leave the next call as it was
+        # changing a returned list must leave the next call as it was
         for lam, p in (((2, 0), 3), ((1, 0, -1), 2), ((2,), 5)):
             reps = coset_decompose(lam, len(lam), p)
             reps.reverse()
@@ -408,15 +419,19 @@ class TestCosets:
             assert coset_decompose(lam, len(lam), p) \
                 == list(hermite_scan_cosets(lam, p)), (lam, p)
 
-    def test_memo_keeps_no_long_list(self):
-        # (12, 0) at p = 2 has 6 144 members, above MEMO_MAX: built each
-        # time, and only its rank-1 block (0,) is kept; (5, 0) at p = 5
-        # has 3 750, so it is kept, with its block (0,) at p = 5
-        hecke._kept_members.cache_clear()
-        assert len(coset_decompose((12, 0), 2, 2)) == 6144 > hecke.MEMO_MAX
-        assert hecke._kept_members.cache_info().currsize == 1
-        assert len(coset_decompose((5, 0), 2, 5)) == 3750 <= hecke.MEMO_MAX
-        assert hecke._kept_members.cache_info().currsize == 3
+    def test_no_cache_keeps_a_member_list(self):
+        # (12, 0) at p = 2 has 6 144 members; after its cosets, its
+        # transform and its oracle, no cache of the layer holds a tuple
+        # that long, while a cache that kept them would be seen
+        clear_hecke_caches()
+        assert len(coset_decompose((12, 0), 2, 2)) == 6144
+        f = HeckeElement.basis((12, 0), 2)
+        assert satake_by_coset_count(f) == satake_transform(f)
+        assert longest_cached(hecke._diagonals) > 0
+        assert max(map(longest_cached, HECKE_CACHES)) < 6144
+        kept = functools.lru_cache(maxsize=1)(hecke._members)
+        kept((12, 0), 2)
+        assert longest_cached(kept) == 6144
 
     def test_closed_form_count_is_the_oracle(self):
         # the int closed form the cap is charged with, against the
@@ -469,8 +484,10 @@ class TestCachesPerM:
     def test_shifts_read_the_cached_values(self, lam, p):
         n = len(lam)
         scan = hermite_scan_cosets(lam, p)
-        # the forms, so their minors, are those of lam for every shift
+        # the forms, so their minors and diagonals, are those of lam for
+        # every shift
         profile = Counter(minor_profile(form, p) for _, form in scan)
+        diagonals = Counter(iwasawa_torus_part(form, p) for _, form in scan)
         fresh = {}
         for c in range(-2, 3):
             lam_c = tuple(x + c for x in lam)
@@ -492,6 +509,7 @@ class TestCachesPerM:
                 assert hecke._forms(lam_c, n, p)[2] == charge
                 assert coset_decompose(lam_c, n, p) == cosets
                 assert dict(hecke._profile(m, p)) == profile
+                assert dict(hecke._diagonals(m, p)) == diagonals
                 assert satake_transform(f).coeffs == image
                 assert satake_by_coset_count(f).coeffs == oracle
 
@@ -504,15 +522,18 @@ class TestCachesPerM:
         for lam, p in (((2, 0), 3), ((1, 0, -1), 2)):
             m = tuple(x - lam[-1] for x in lam)
             assert frozen(hecke._profile(m, p))
+            assert frozen(hecke._diagonals(m, p))
             assert frozen(hecke._basis_image(m, p))
             # a caller changing a returned element leaves the next as it was
             f = HeckeElement.basis(lam, p)
             square, image = convolve(f, f), satake_transform(f)
-            want = dict(square.support), dict(image.coeffs)
-            square.support.clear()
-            image.coeffs.clear()
-            assert (convolve(f, f).support, satake_transform(f).coeffs) \
-                == want
+            oracle = satake_by_coset_count(f)
+            want = (dict(square.support), dict(image.coeffs),
+                    dict(oracle.coeffs))
+            for d in (square.support, image.coeffs, oracle.coeffs):
+                d.clear()
+            assert (convolve(f, f).support, satake_transform(f).coeffs,
+                    satake_by_coset_count(f).coeffs) == want
 
 
 class TestConvolution:

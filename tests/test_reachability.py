@@ -64,15 +64,24 @@ ALLOWLIST = (
      "(TRACER_LOOKUPS), and the test-side references (reference_iwasawa, "
      "membership, the FractionHalf comparison, which also subtracts "
      "HalfPowerLaurent values) and the algebraic-law tests are written in "
-     "it; it leaves src/ when the tests take it over (ROADMAP item 6)",
+     "it; it leaves src/ when the tests take it over (ROADMAP item 6).  "
+     "With it, HalfPowerLaurent's Fraction views a and b: the CLI prints "
+     "from the ints, and the tracer's convolve counter, __repr__ and the "
+     "tests read them",
      ("rings.Mat", "rings.Mat.*", "rings.LocalRingElement.*",
       "rings.FqElement", "rings.TruncatedLocalRing.element",
       "rings.TruncatedLocalRing.one", "rings.TruncatedLocalRing.valuation",
       "rings.HalfPowerLaurent.__neg__",
-      "rings.HalfPowerLaurent.__sub__", "rings.HalfPowerLaurent.__rsub__")),
+      "rings.HalfPowerLaurent.__sub__", "rings.HalfPowerLaurent.__rsub__",
+      "rings.HalfPowerLaurent.a", "rings.HalfPowerLaurent.b")),
     ("value semantics: equality, hashing, printing and immutability of "
      "the value classes, which the tests and a debugger use",
      ("*.__eq__", "*.__hash__", "*.__repr__", "*.__setattr__")),
+    ("the packed rings' dot, which only the kernels of s x s matrices, "
+     "s >= 2, call: such a ring has more than 256 elements, so GL_2 over "
+     "it has more than 10^9 and the default cap refuses every such request "
+     "before a product; test_kernels_agree_with_the_dot_path checks it",
+     ("rings._poly_ops.<locals>.dot",)),
 )
 
 # Looked up by perfbench/tracer.py in a class's own __dict__ (or in the

@@ -189,8 +189,16 @@ def dot_inverse(R, s, a):
                      for c in range(s) if c != i))])
 
 
-@pytest.mark.parametrize("pnd", KERNEL_RINGS)
-@pytest.mark.parametrize("s", [1, 2, 3])
+# s = 1 on every ring of the finite-rings pool too, where mat_inv is inv;
+# a case's id is s and the ring's index in DOT_PATH_RINGS
+DOT_PATH_RINGS = KERNEL_RINGS + [r for r in POOL_RINGS
+                                 if r not in KERNEL_RINGS]
+DOT_PATH_CASES = [(s, r) for s in (1, 2, 3) for r in KERNEL_RINGS] + [
+    (1, r) for r in DOT_PATH_RINGS[len(KERNEL_RINGS):]]
+
+
+@pytest.mark.parametrize("s, pnd", DOT_PATH_CASES, ids=[
+    f"{s}-pnd{DOT_PATH_RINGS.index(r)}" for s, r in DOT_PATH_CASES])
 def test_kernels_agree_with_the_dot_path(pnd, s):
     R = TruncatedLocalRing(*pnd)
     mul = R.mat_product(s)
