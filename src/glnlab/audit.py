@@ -49,8 +49,9 @@ def h1_triviality(cap, seed):
     # GL_1(F_9); GL_1 and GL_2 at levels 1 and 2 of the quadratic
     # unramified tower over Z/4, with the congruence kernel between them
     for s, p, d, top in [(1, 3, 2, 1), (1, 2, 2, 2), (2, 2, 2, 2)]:
-        tower = lang.h1_level_tower(s, p, d, top, cli.h1_level, cap)
-        levels += tower["levels"]
+        tower = lang.h1_level_tower(s, p, d, top, cap)
+        levels += [cli.h1_level(ring, s, cocycles)
+                   for ring, cocycles in tower["levels"]]
         ok &= tower["compatible"] \
             and all(k["h1_size"] == 1 for k in tower["kernels"])
     return cli.holds(*levels) and ok, None

@@ -446,7 +446,7 @@ def satake_transform(f, box_bound=None):
     return SatakeImage(n, q, coeffs)
 
 
-def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
+def satake_by_coset_count(f, cap=DEFAULT_GROUP_CAP):
     """Independent oracle: f-hat(lam) = delta^{1/2} * #{i : g_i in
     N(F) p^lam GL_n(O)}, counting the cosets of coset_decompose.
 
@@ -454,8 +454,7 @@ def satake_by_coset_count(f, box_bound=None, cap=DEFAULT_GROUP_CAP):
     shift plus the diagonal exponents of M (_diagonals), charged first
     (_forms); it is counted when lam lies in the box |lam_i| <= bound.
     """
-    n, q = f.n, f.p
-    b = f.bound() if box_bound is None else box_bound
+    n, q, b = f.n, f.p, f.bound()
     acc = {}
     for mu, cmu in f.support.items():
         shift, m, forms = _forms(mu, n, q)

@@ -3,17 +3,17 @@
 Groups are handled by exhaustive enumeration below a hard size cap, so
 every statement verified here (surjectivity counts, H^1 triviality, the
 norm-vs-conjugacy matching) is exact, never sampled.  The Lang image,
-twisted classes, H^1 classes and plain conjugacy classes are orbits of
-c -> g^-1 c sigma(g), each closed under a generating set of the group
-(for GL_s(O/p^n): at most three matrices plus one diagonal unit per
-F_p-basis vector of each layer of 1 + pR); the Lang image is the orbit
-of 1, and plain classes are the orbits with sigma = 1, each named by
-the rational canonical form of its least element.  The H^1 cocycles
-come from one pass up the levels: those of GL_s(F_q) from its elements,
-and those of GL_s(O/p^n), n >= 2, from the lifts of those of
-GL_s(O/p^(n-1)), each level once, so only GL_s(F_q) is ever enumerated
-for them; those of the congruence kernel 1 + p^(n-1) M_s are the ones
-over 1.
+twisted classes and H^1 classes are orbits of c -> g^-1 c sigma(g),
+each closed under a generating set of the group (for GL_s(O/p^n): at
+most three matrices plus one diagonal unit per F_p-basis vector of each
+layer of 1 + pR); the Lang image is the orbit of 1.  The plain classes
+of GL_s(F_q) are not enumerated: each is named by its rational canonical
+form and has |GL_s(F_q)| / |C(g)| elements, |C(g)| from the factors of
+that form (J. A. Green, Trans. AMS 80, 1955).  The H^1 cocycles come
+from one pass up the levels: those of GL_s(F_q) from its elements, and
+those of GL_s(O/p^n), n >= 2, from the lifts of those of GL_s(O/p^(n-1)),
+each level once, so only GL_s(F_q) is ever enumerated for them; those of
+the congruence kernel 1 + p^(n-1) M_s are the ones over 1.
 
 A ``GaloisModule`` is plain data: the ring, the matrix size, the
 exponent of the action and a tuple of generators.  It holds no
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from .errors import InvalidConfig, MatchFailure, NotACocycle, charge
 from .rings import (
@@ -123,19 +124,16 @@ def _plus(ring, s, j, l, c):
     return tuple(out)
 
 
-def _gl_generators(ring, s, zeta=None):
+def _gl_generators(ring, s):
     """Flat codes generating GL_s(R), R = O/p^n with residue field F_q:
     diag(zeta, 1, ..) unless zeta = 1, zeta the code of
-    ``residue_primitive_root`` unless given; 1 + E_12 and the cyclic
-    shift P when s >= 2; and diag(1 + p^k x^i, 1, ..) for 1 <= k < n,
-    i < d.  Over a field, a given zeta of multiplicative order q' - 1
-    makes them generate GL_s(F_q'), F_q' the subfield F_p[zeta].
+    ``residue_primitive_root``; 1 + E_12 and the cyclic shift P when
+    s >= 2; and diag(1 + p^k x^i, 1, ..) for 1 <= k < n, i < d.
 
     Proof.  Conjugating 1 + E_12 by diag(zeta, 1, ..)^k gives
     1 + zeta^k E_12, and products of these give 1 + r E_12 for every r
     in Z[zeta].  The residue of zeta generates F_q, so Z[zeta] + pR = R,
-    and Z[zeta] = R by Nakayama's lemma (over a field with a given zeta,
-    Z[zeta] = F_q' and R = F_q' below).  Conjugating by P moves E_12
+    and Z[zeta] = R by Nakayama's lemma.  Conjugating by P moves E_12
     around the cycle E_12, E_23, .., E_s1; commutators
     [1 + a E_ij, 1 + b E_jl] = 1 + ab E_il (i != l) then give every
     elementary transvection, and these generate SL_s(R), R being local.
@@ -144,9 +142,7 @@ def _gl_generators(ring, s, zeta=None):
     F_p-basis of each layer (1 + p^k R)/(1 + p^(k+1) R) = F_q.
     """
     one = ring.one_code
-    if zeta is None:
-        zeta = residue_primitive_root(ring)
-    zeta_minus_one = ring.add(zeta, ring.neg(one))
+    zeta_minus_one = ring.add(residue_primitive_root(ring), ring.neg(one))
     gens = [_plus(ring, s, 0, 0, zeta_minus_one)] if zeta_minus_one else []
     if s >= 2:
         gens.append(_plus(ring, s, 0, 1, one))
@@ -313,12 +309,11 @@ def congruence_kernel(ring, s):
         for c in ring.weights for j in range(s) for l in range(s)])
 
 
-def h1_level_tower(s, p, d, max_level, at_level, cap=DEFAULT_GROUP_CAP):
-    """The report ``at_level(ring, s, cocycles)`` of each truncation level
-    (the h1 claim), |H^1| of the congruence kernels between consecutive
-    levels, and level-compatibility: the level-n cocycles must reduce
-    onto the level-(n-1) ones, so each of those must have a lift that is
-    a cocycle.
+def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
+    """Each truncation level's (ring, cocycles), |H^1| of the congruence
+    kernels between consecutive levels, and level-compatibility: the
+    level-n cocycles must reduce onto the level-(n-1) ones, so each of
+    those must have a lift that is a cocycle.
 
     The levels are those of ``_cocycle_levels``, each found once.  The
     kernel 1 + p^(n-1) M_s is the set of lifts of 1, so its cocycles are
@@ -327,7 +322,7 @@ def h1_level_tower(s, p, d, max_level, at_level, cap=DEFAULT_GROUP_CAP):
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
     for ring, cocycles in _cocycle_levels(p, d, max_level, s, cap):
-        report["levels"].append(at_level(ring, s, cocycles))
+        report["levels"].append((ring, cocycles))
         if low is not None:
             reduced = [tuple(low.encode(ring.decode(a)) for a in c)
                        for c in cocycles]
@@ -392,6 +387,36 @@ def _invariant_factors(ring, s, codes):
     return tuple(factors)
 
 
+def _centralizer_order(ring, sub, key):
+    """|C(g)| for g in GL_s(F_q) with the invariant factors key, whose
+    coefficients lie in the subfield sub = F_q of the field ring.  An
+    irreducible f of degree k with exponents lambda across the factors
+    gives a_lambda(q^k), a_lambda(Q) = Q^(|lambda| + 2 n(lambda))
+    prod_i phi_(m_i)(1/Q), m_i the multiplicities of the parts (Macdonald,
+    Symmetric Functions and Hall Polynomials, II (1.6)).  The factors are
+    split by trial division by the monic polynomials over sub of each
+    degree in turn, so each divisor found is irreducible."""
+    q, parts = len(sub), {}
+    for f in key:
+        for deg in range(1, (len(f) + 1) // 2):  # up to half of deg f
+            for tail in itertools.product(sorted(sub), repeat=deg):
+                g, e = tail + (ring.one_code,), 0
+                while not (qr := _poly_divmod(ring, f, g))[1]:
+                    f, e = tuple(qr[0]), e + 1
+                if e:
+                    parts.setdefault(g, []).append(e)
+        if len(f) > 1:
+            parts.setdefault(f, []).append(1)
+    order = 1
+    for f, lam in parts.items():  # on ints: 1 - Q^-k = (Q^k - 1) / Q^k
+        big_q, mult = q ** (len(f) - 1), Counter(lam).values()
+        lam.sort(reverse=True)
+        order *= big_q ** (sum((2 * i + 1) * x for i, x in enumerate(lam))
+                           - sum(m * (m + 1) // 2 for m in mult))
+        order *= math.prod(big_q**k - 1 for m in mult for k in range(1, m + 1))
+    return order
+
+
 def shintani_law(s, q, n, twisted_size, plain_size):
     """Shintani's centralizer law for a matched pair (T. Shintani, J. Math.
     Soc. Japan 28, 1976): the sigma-centralizer of A in G = GL_s(F_(q^n))
@@ -404,26 +429,20 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     """Match plain conjugacy classes of GL_s(F_q) with twisted classes of
     GL_s(F_{q^n}) under the q-power Frobenius sigma (Shintani descent).
 
-    Everything happens in F_{q^n}: GL_s(F_q) is the sigma-fixed subgroup,
-    generated by diag(w, 1, ..), 1 + E_12 and the cyclic shift, w of
-    order q - 1 (``_gl_generators``), and its conjugacy classes are the
-    orbits of c -> g^-1 c g under them; at n = 1 (sigma^v = 1, w = zeta,
-    every element fixed) they are the twisted classes, closed once.
-    Each is named by the invariant factors of X - g at its least element
-    g (rational canonical form), one call per class.  For each
-    representative A of ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
+    Only the twisted side is enumerated.  For each representative A of
+    ``twisted_classes``, the norm N(A) = A sigma(A) ... sigma^{n-1}(A)
     satisfies sigma(N(A)) = A^-1 N(A) A, so the invariant factors of
-    N(A)^-1 lie in F_q[X]; they name the plain class A goes to.
-    ``bijective`` reports that the counts agree and that each twisted
-    class names a plain class no other names, the pair (a ``matches``
-    entry) obeying ``shintani_law``.  Only what cannot be reported
-    raises MatchFailure: a sigma^v-fixed subfield other than F_q, a plain
-    class leaving GL_s(F_q), or two plain classes with one name.
+    N(A)^-1, its key, name the plain class A goes to: a key names a
+    class of GL_s(F_q) exactly when its coefficients lie in F_q, and
+    that class has |GL_s(F_q)| / |C(g)| elements (``_centralizer_order``).
+    ``bijective`` reports that the keys are valid, pairwise distinct and
+    as many as ``gl_class_count``, each pair (a ``matches`` entry)
+    obeying ``shintani_law``.  Only a sigma^v-fixed subfield other than
+    F_q, or a twisted class leaving the group, raises MatchFailure.
     """
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
     elements = gl_elements(ext, s, cap)  # the one charge, |F_(q^n)|^(s^2)
-    module = gl_module(ext, s, sigma_exponent=v)
     # F_q is 0 and the powers of w = N(zeta) = zeta^((q^n - 1)/(q - 1)),
     # of order q - 1 for a primitive zeta
     (w,) = ext.norm_map(1, n, v)((residue_primitive_root(ext),))
@@ -432,40 +451,27 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
         raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
     twisted = twisted_classes(
-        module, elements, MatchFailure("a twisted class leaves the group"))
-    if n == 1:  # sigma^v = 1 and w = zeta: the plain side is the twisted
-        plain_classes = twisted
-    else:  # sigma^(ext.d) = 1: the orbits are the plain conjugacy classes
-        plain_classes = twisted_classes(
-            GaloisModule(ext, s, _gl_generators(ext, s, w), ext.d),
-            [g for g in elements if sub.issuperset(g)],
-            MatchFailure(f"a plain class leaves GL_{s}(F_{q})"))
-    # invariant factors -> (least element, size) of its class
-    plain = {_invariant_factors(ext, s, cl["representative"]):
-             (cl["representative"], cl["size"]) for cl in plain_classes}
-    if len(plain) != len(plain_classes):
-        raise MatchFailure("two plain classes have the same invariant factors")
+        gl_module(ext, s, sigma_exponent=v), elements,
+        MatchFailure("a twisted class leaves the group"))
 
     norm = ext.norm_map(s, n, v)
     matches, used = [], set()
-    bijective = len(twisted) == len(plain)  # and one-to-one, tested below
     for cl in twisted:
         a = cl["representative"]
         key = _invariant_factors(ext, s, ext.mat_inv(s, norm(a)))
-        if key not in plain or key in used:
-            bijective = False
+        if key in used or not sub.issuperset(itertools.chain(*key)):
             continue
         used.add(key)
-        rep, size = plain[key]
-        bijective &= shintani_law(s, q, n, cl["size"], size)
+        size = gl_order(s, q) // _centralizer_order(ext, sub, key)
         matches.append({"twisted_rep": a,
-                        "plain_rep": rep,
                         "invariant_factors": key,
                         "twisted_size": cl["size"],
                         "plain_size": size})
     return {
-        "plain_class_count": len(plain),
+        "plain_class_count": len(used),
         "twisted_class_count": len(twisted),
-        "bijective": bijective,
+        "bijective": len(used) == len(twisted) == gl_class_count(s, q)
+        and all(shintani_law(s, q, n, m["twisted_size"], m["plain_size"])
+                for m in matches),
         "matches": matches,
     }

@@ -933,27 +933,17 @@ class HalfPowerLaurent:
             return other.numerator, 0, other.denominator
         return None
 
-    def _plus(self, a, b, d):
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = o
         if d == self.D:
             return _half(self.q, self.A + a, self.B + b, d)
         return _half(self.q, self.A * d + a * self.D, self.B * d + b * self.D,
                      self.D * d)
 
-    def __add__(self, other):
-        o = self._operand(other)
-        return NotImplemented if o is None else self._plus(*o)
-
     __radd__ = __add__
-
-    def __neg__(self):
-        return _half(self.q, -self.A, -self.B, self.D)
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        return NotImplemented if o is None else self._plus(-o[0], -o[1], o[2])
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         o = self._operand(other)

@@ -765,9 +765,13 @@ class TestTransformGl2:
         for p in (2, 3):
             for lam in [(1, 0), (1, 1), (2, 0), (2, 1)]:
                 f = HeckeElement.basis(lam, p)
-                for bb in (None, 1):
-                    assert satake_transform(f, box_bound=bb) \
-                        == satake_by_coset_count(f, box_bound=bb)
+                oracle = satake_by_coset_count(f)
+                assert satake_transform(f) == oracle
+                # the oracle's coefficients in the box |lam_i| <= 1
+                boxed = {nu: c for nu, c in oracle.coeffs.items()
+                         if max(map(abs, nu)) <= 1}
+                assert satake_transform(f, box_bound=1) \
+                    == SatakeImage(2, p, boxed)
 
     def test_oracle_agreement_combination(self):
         p = 2

@@ -15,6 +15,7 @@ from glnlab.errors import (CapExceeded, InvalidConfig, MatchFailure,
                            NotACocycle)
 from glnlab.lang import (
     GaloisModule,
+    _centralizer_order,
     _cocycle_levels,
     _cocycles,
     _gl_generators,
@@ -125,13 +126,15 @@ def poly_divides(F, g, f):
     return not any(poly_divmod(F, f, g)[1])
 
 
-def irreducible_powers(F, f):
+def irreducible_powers(F, f, coeffs=None):
     """{g: e} over the monic irreducible g with g^e exactly dividing the
-    monic f: trial division by the monic polynomials of each degree in
+    monic f, over the subfield of F with the codes coeffs (all of F when
+    None): trial division by the monic polynomials of each degree in
     turn, so every divisor found is irreducible."""
+    coeffs = range(F.size()) if coeffs is None else sorted(coeffs)
     out, deg = {}, 1
     while len(f) > 1:
-        for tail in itertools.product(range(F.size()), repeat=deg):
+        for tail in itertools.product(coeffs, repeat=deg):
             g = tail + (F.one_code,)
             while poly_divides(F, g, f):
                 f = poly_divmod(F, f, g)[0]
@@ -140,19 +143,21 @@ def irreducible_powers(F, f):
     return out
 
 
-def centralizer_order(F, factors):
-    """|C_G(g)| for g in GL_s(F_q) with these invariant factors: the
+def centralizer_order(F, factors, coeffs=None):
+    """|C_G(g)| for g in GL_s(F_q) with these invariant factors, F_q the
+    subfield of F with the codes coeffs (all of F when None): the
     product over irreducible f of a_lam(q^deg f), lam the partition of
     f's exponents and a_lam(Q) = Q^(|lam| + 2 n(lam)) prod_i
     phi_(m_i(lam))(1/Q) (Macdonald, Symmetric Functions and Hall
     Polynomials, II (1.6) and IV 2)."""
+    q = F.q if coeffs is None else len(coeffs)
     exponents = {}
     for inv in factors:
-        for f, e in irreducible_powers(F, inv).items():
+        for f, e in irreducible_powers(F, inv, coeffs).items():
             exponents.setdefault(f, []).append(e)
     order = Fraction(1)
     for f, lam in exponents.items():
-        big_q = Fraction(F.q ** (len(f) - 1))
+        big_q = Fraction(q ** (len(f) - 1))
         lam = sorted(lam, reverse=True)
         n_lam = sum(i * x for i, x in enumerate(lam))
         order *= big_q ** (sum(lam) + 2 * n_lam)
@@ -174,7 +179,7 @@ def whole_group_lang_image(module):
 def per_element_plain_classes(s, q, n):
     """{invariant factors: (least element, size)} of the conjugacy
     classes of GL_s(F_q) inside GL_s(F_(q^n)), from one Smith elimination
-    per sigma-fixed element: the reference for the plain orbits of
+    per sigma-fixed element: the reference for the plain sizes of
     dm_bijection_check."""
     p, v = factor_prime_power(q)
     module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
@@ -515,6 +520,25 @@ class TestInvariantFactors:
         assert len(fibres) == gl_class_count(s, p**d)
         assert time.monotonic() - start < 5.0
 
+    # s <= 3, q in {2, 3, 4, 5} and n in {1, 2}, at most 10^5 candidate
+    # matrices over F_(q^n)
+    @pytest.mark.parametrize("s,q,n", [
+        (s, q, n) for s in (1, 2, 3) for q in (2, 3, 4, 5) for n in (1, 2)
+        if q ** (n * s * s) <= 10**5])
+    def test_centralizer_order_on_every_fibre(self, s, q, n):
+        # dm-check's closed form against the test-side factorization and
+        # against the fibre sizes, over the subfield F_q of F_(q^n)
+        p, v = factor_prime_power(q)
+        F = FiniteField(p, v * n)
+        sub = {c for c in range(F.size()) if F.sigma(c, v) == c}
+        assert len(sub) == q
+        fibres = per_element_plain_classes(s, q, n)
+        assert len(fibres) == gl_class_count(s, q)
+        for key, (_, size) in fibres.items():
+            order = _centralizer_order(F, sub, key)
+            assert order == centralizer_order(F, key, sub)
+            assert size * order == gl_order(p, 1, v, s)
+
     def test_class_count_closed_form(self):
         # the class numbers of GL_s(F_2) and GL_s(F_3), s = 1..6 and 1..4,
         # and q^2 - 1 and q^3 - q at s = 2 and 3
@@ -562,11 +586,13 @@ class TestDMBijection:
         (1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2),
         (2, 5, 1), (2, 2, 3)])
     def test_plain_orbits_are_the_invariant_factor_fibres(self, s, q, n):
-        # the same least elements and sizes as one Smith elimination per
+        # the same keys and sizes as one Smith elimination per sigma-fixed
         # element, and every pair obeys Shintani's centralizer law
         rep = dm_bijection_check(s, q, n)
-        assert {m["invariant_factors"]: (m["plain_rep"], m["plain_size"])
-                for m in rep["matches"]} == per_element_plain_classes(s, q, n)
+        assert {m["invariant_factors"]: m["plain_size"]
+                for m in rep["matches"]} == {
+            key: size for key, (_, size)
+            in per_element_plain_classes(s, q, n).items()}
         p, v = factor_prime_power(q)
         small, big = gl_order(p, 1, v, s), gl_order(p, 1, v * n, s)
         for m in rep["matches"]:
@@ -584,12 +610,13 @@ class TestDMBijection:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(["dm-check", "--s", str(s), "--q", str(q),
                         "--n", str(n)]) == 0
-        assert len(calls) <= 2 * gl_class_count(s, q)
+        # one call per twisted class; the plain side reads its keys
+        assert len(calls) == gl_class_count(s, q)
 
-    @pytest.mark.parametrize("n,passes", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("n,passes", [(1, 1), (2, 1)])
     def test_orbit_passes(self, n, passes, monkeypatch):
-        # at n = 1 sigma^v = 1, so the plain classes are the twisted
-        # ones, closed once; at n = 2 each side closes its own
+        # only the twisted classes are closed, at every n: the plain
+        # side is read off their keys
         import glnlab.lang as lang
         calls = []
         real = lang._twisted_orbits
@@ -603,13 +630,11 @@ class TestDMBijection:
     def test_a_broken_centralizer_law_is_refused(self, monkeypatch):
         # twisted classes of the right number but the wrong sizes: the
         # counts agree and every class is matched, the law does not hold,
-        # and the report says so.  Only the twisted side, whose action
-        # sigma^v is not the identity, is changed.
+        # and the report says so
         import glnlab.lang as lang
         real = lang.twisted_classes
-        monkeypatch.setattr(lang, "twisted_classes", lambda module, *args: [
-            dict(cl, size=cl["size"] + (module.exponent < module.ring.d))
-            for cl in real(module, *args)])
+        monkeypatch.setattr(lang, "twisted_classes", lambda *args: [
+            dict(cl, size=cl["size"] + 1) for cl in real(*args)])
         rep = dm_bijection_check(1, 3, 2)
         assert rep["plain_class_count"] == rep["twisted_class_count"] == 2
         assert len(rep["matches"]) == 2
@@ -617,31 +642,36 @@ class TestDMBijection:
 
     def test_a_map_that_is_not_one_to_one_is_reported(self, monkeypatch):
         # every norm the identity: each twisted class names the class of
-        # 1, which only the first may take
+        # 1, which only the first may take, so one plain class is taken
         import glnlab.lang as lang
         monkeypatch.setattr(TruncatedLocalRing, "norm_map",
                             lambda ring, s, m, e: lambda a: lang._identity(
                                 ring, s))
         rep = dm_bijection_check(2, 2, 2)
-        assert rep["plain_class_count"] == rep["twisted_class_count"] == 3
-        assert len(rep["matches"]) == 1
+        assert (rep["plain_class_count"], rep["twisted_class_count"]) == (1, 3)
+        (match,) = rep["matches"]
+        least, size = per_element_plain_classes(2, 2, 2)[
+            match["invariant_factors"]]
+        assert least == lang._identity(FiniteField(2, 2), 2)
+        assert match["plain_size"] == size == 1
         assert not rep["bijective"]
 
     @pytest.mark.parametrize("s,q,n", [(1, 4, 2), (1, 5, 2), (2, 2, 2),
                                        (2, 2, 3), (2, 3, 2)])
     def test_matches_are_conjugate(self, s, q, n):
         # each match holds up to an explicit conjugator: some g in
-        # GL_s(F_{q^n}) has g N(A)^-1 g^-1 = plain_rep
+        # GL_s(F_{q^n}) has g N(A)^-1 g^-1 = g0, g0 the least element of
+        # the plain class that the match's key names
         rep = dm_bijection_check(s, q, n)
         p, v = factor_prime_power(q)
         module = gl_module(FiniteField(p, v * n), s, sigma_exponent=v)
-        assert len(rep["matches"]) == rep["plain_class_count"]
+        plain = per_element_plain_classes(s, q, n)
+        assert len(rep["matches"]) == rep["plain_class_count"] == len(plain)
         for match in rep["matches"]:
-            assert module.sigma(match["plain_rep"]) == match["plain_rep"]
+            least, _ = plain[match["invariant_factors"]]
             na_inv = module.ring.mat_inv(s, norm(module, n)(
                 match["twisted_rep"]))
-            assert reference_conjugator(
-                module, match["plain_rep"], na_inv) is not None
+            assert reference_conjugator(module, least, na_inv) is not None
 
 
 class TestH1:
@@ -660,8 +690,9 @@ class TestH1:
         assert len(h1_classes(m, level_cocycles(m.ring, 2))) == 1
 
     def test_level_tower_s1(self):
-        rep = h1_level_tower(1, 2, 2, 2, h1_level)
-        assert all(l["results"]["h1_size"] == 1 for l in rep["levels"])
+        rep = h1_level_tower(1, 2, 2, 2)
+        assert all(h1_level(ring, 1, cocycles)["results"]["h1_size"] == 1
+                   for ring, cocycles in rep["levels"])
         assert all(k["h1_size"] == 1 for k in rep["kernels"])
         assert rep["compatible"]
 
@@ -718,12 +749,12 @@ class TestGenerators:
         # enumerating the elements builds no generating set; a module
         # builds one, and the twisted classes and H^1 read it; the Lang
         # image builds its own, once its charge has passed; dm-check
-        # builds two (the twisted and the plain side)
+        # builds one, for the twisted side
         import glnlab.lang as lang
         built = []
         real = lang._gl_generators
-        monkeypatch.setattr(lang, "_gl_generators", lambda ring, s, *zeta:
-                            built.append(s) or real(ring, s, *zeta))
+        monkeypatch.setattr(lang, "_gl_generators", lambda ring, s:
+                            built.append(s) or real(ring, s))
         codes = gl_elements(FiniteField(2, 2), 2)
         assert len(codes) == 180
         assert built == []
@@ -738,7 +769,7 @@ class TestGenerators:
         lang_image(m.ring, 2)
         assert built == [2, 2]
         dm_bijection_check(1, 2, 2)
-        assert built == [2, 2, 1, 1]
+        assert built == [2, 2, 1]
 
 
 class TestH1Orbits:
@@ -831,8 +862,8 @@ class TestH1Orbits:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(["h1", "--p", str(p), "--d", str(d),
                             "--s", str(s), "--level", str(n)]) == 0
-        h1_level_tower(2, 2, 2, 2, h1_level)
-        h1_level_tower(1, 3, 2, 4, h1_level)
+        h1_level_tower(2, 2, 2, 2)
+        h1_level_tower(1, 3, 2, 4)
         assert levels and set(levels) == {1}
 
     def test_tower_finds_each_level_once(self, monkeypatch):
@@ -845,7 +876,7 @@ class TestH1Orbits:
         real = lang._cocycles
         monkeypatch.setattr(lang, "_cocycles", lambda *args:
                             passes.append(1) or real(*args))
-        h1_level_tower(1, 2, 2, 4, h1_level)
+        h1_level_tower(1, 2, 2, 4)
         assert len(passes) == 4
 
     # criterion 3's towers, and more degrees, primes and levels
@@ -864,7 +895,7 @@ class TestH1Orbits:
         monkeypatch.setattr(lang, "twisted_classes", lambda module, codes, *a:
                             calls.append((module, codes)) or real_classes(
                                 module, codes, *a))
-        rep = h1_level_tower(s, p, d, top, h1_level)
+        rep = h1_level_tower(s, p, d, top)
         found = [(m, codes) for m, codes in calls
                  if any(m is k for k in kernels)]
         assert len(found) == len(rep["kernels"]) == top - 1
@@ -885,15 +916,19 @@ class TestH1Orbits:
         # that level alone, and its closed form the quotient of the group
         # orders
         for s, p, d, top in [(1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 1, 3)]:
-            rep = h1_level_tower(s, p, d, top, h1_level)
+            rep = h1_level_tower(s, p, d, top)
             assert rep["compatible"]
-            for level in rep["levels"]:
+            assert [ring.n for ring, _ in rep["levels"]] \
+                == list(range(1, top + 1))
+            for ring, tower_cocycles in rep["levels"]:
+                level = h1_level(ring, s, tower_cocycles)
                 results = level["results"]
                 n = results["level"]
                 assert results["expected_cocycle_count"] \
                     == gl_order(p, n, d, s) // gl_order(p, n, 1, s)
                 module = gl_module(TruncatedLocalRing(p, n, d), s)
                 cocycles = level_cocycles(module.ring, s)
+                assert tower_cocycles == cocycles
                 assert results["cocycle_count"] == len(cocycles)
                 assert results["h1_size"] == len(h1_classes(module,
                                                             cocycles))
@@ -907,8 +942,8 @@ class TestH1Orbits:
         import glnlab.lang as lang
         monkeypatch.setattr(lang, "_lifts",
                             lambda ring, low, cocycles: iter(()))
-        assert not h1_level_tower(1, 2, 2, 2, h1_level)["compatible"]
-        assert h1_level_tower(1, 2, 2, 1, h1_level)["compatible"]
+        assert not h1_level_tower(1, 2, 2, 2)["compatible"]
+        assert h1_level_tower(1, 2, 2, 1)["compatible"]
 
 
 def digest(obj):
@@ -933,6 +968,6 @@ class TestSchoolbookCodeOrder:
 
     def test_dm_check_over_f_1024(self):
         rep = dm_bijection_check(1, 2, 10)
-        assert digest([(m["twisted_rep"], m["plain_rep"],
-                        m["invariant_factors"]) for m in rep["matches"]]) == (
-            "96c87080909f4aefecf354c9381208b28c93f01338d90bb5744bc52eb07bf00c")
+        assert digest([(m["twisted_rep"], m["invariant_factors"])
+                       for m in rep["matches"]]) == (
+            "954dd74e6f0bee0584ac4b88798a7226ba569a95f4bf8239ca2af5793c2f55e4")

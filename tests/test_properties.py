@@ -41,9 +41,6 @@ class FractionHalf:
     def __add__(self, other):
         return FractionHalf(self.q, self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other):
-        return FractionHalf(self.q, self.a - other.a, self.b - other.b)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FractionHalf(self.q, self.a * other, self.b * other)
@@ -85,7 +82,6 @@ class TestFractionReference:
         rx, ry = FractionHalf(q, xa, xb), FractionHalf(q, ya, yb)
         agree(x, rx)
         agree(x + y, rx + ry)
-        agree(x - y, rx - ry)
         agree(x * y, rx * ry)
         agree(x * k, rx * k)
         agree(x * f, rx * f)
@@ -99,7 +95,7 @@ class TestFractionReference:
         else:
             agree(x.inverse(), inv)
         # equal values built along different paths hash equal
-        for z in ((x + y) - y, x * 1, half_of(q, str(xa), str(xb))):
+        for z in ((x + y) + y * -1, x * 1, half_of(q, str(xa), str(xb))):
             assert z == x and hash(z) == hash(x)
 
     @pytest.mark.parametrize("q, a, b", [

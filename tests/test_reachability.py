@@ -62,17 +62,15 @@ ALLOWLIST = (
      "element constructors and code valuation, which no claim uses, since "
      "every claim works on codes.  perfbench/tracer.py looks names of it up "
      "(TRACER_LOOKUPS), and the test-side references (reference_iwasawa, "
-     "membership, the FractionHalf comparison, which also subtracts "
-     "HalfPowerLaurent values) and the algebraic-law tests are written in "
-     "it; it leaves src/ when the tests take it over (ROADMAP item 6).  "
+     "membership, the FractionHalf comparison) and the algebraic-law "
+     "tests are written in it; it leaves src/ when the tests take it over "
+     "(ROADMAP item 6).  "
      "With it, HalfPowerLaurent's Fraction views a and b: the CLI prints "
      "from the ints, and the tracer's convolve counter, __repr__ and the "
      "tests read them",
      ("rings.Mat", "rings.Mat.*", "rings.LocalRingElement.*",
       "rings.FqElement", "rings.TruncatedLocalRing.element",
       "rings.TruncatedLocalRing.one", "rings.TruncatedLocalRing.valuation",
-      "rings.HalfPowerLaurent.__neg__",
-      "rings.HalfPowerLaurent.__sub__", "rings.HalfPowerLaurent.__rsub__",
       "rings.HalfPowerLaurent.a", "rings.HalfPowerLaurent.b")),
     ("value semantics: equality, hashing, printing and immutability of "
      "the value classes, which the tests and a debugger use",

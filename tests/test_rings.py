@@ -490,15 +490,11 @@ class TestHalfPowerLaurent:
         x, half = HalfPowerLaurent(3, 1, 1), Fraction(1, 2)
         assert x + half == half_of(3, Fraction(3, 2), 1)
         assert half + x == x + half
-        assert x - half == half_of(3, half, 1)
-        assert half - x == half_of(3, -half, -1)
         assert x * half == half * x == half_of(3, half, half)
 
     def test_int_operands(self):
         x = HalfPowerLaurent(3, 1, 1)
         assert x + 2 == 2 + x == HalfPowerLaurent(3, 3, 1)
-        assert x - 2 == HalfPowerLaurent(3, -1, 1)
-        assert 2 - x == HalfPowerLaurent(3, 1, -1)
         assert x * 2 == 2 * x == HalfPowerLaurent(3, 2, 2)
 
     def test_scalar_equality(self):
@@ -516,8 +512,8 @@ class TestHalfPowerLaurent:
     def test_other_operands_raise(self):
         x = HalfPowerLaurent(3, 1, 1)
         for other in (1.5, "1", None):
-            for op in (lambda: x + other, lambda: x - other,
-                       lambda: x * other, lambda: other - x):
+            for op in (lambda: x + other, lambda: other + x,
+                       lambda: x * other, lambda: other * x):
                 with pytest.raises(TypeError):
                     op()
         with pytest.raises(ValueError):
