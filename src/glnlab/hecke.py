@@ -65,8 +65,9 @@ def is_dominant(lam):
 def coset_decompose(lam, n, p, cap=DEFAULT_GROUP_CAP):
     """Representatives (shift, M) of the cosets g K in K p^lam K: g =
     p^shift M, shift = lam[-1], M an upper-triangular int Hermite form
-    with p-power diagonal; sorted by the diagonal, then by the entries
-    above it row by row.  |lam_i| <= MAX_ENTRY; charged first (_forms)."""
+    with p-power diagonal, in the recursion's order (_members); callers
+    read them as a multiset.  |lam_i| <= MAX_ENTRY; charged first
+    (_forms)."""
     shift, m, forms = _forms(lam, n, p)
     charge(cap, f"{forms} Hermite forms to test", forms)
     return [(shift, form) for form in _members(m, p)]
@@ -113,8 +114,8 @@ def _form_count(m, p):
 
 
 def _members(m, p):
-    """The members of K p^m K, m dominant with m[-1] = 0, in the order
-    of coset_decompose; a tuple of tuples, built anew on each call.
+    """The members of K p^m K, m dominant with m[-1] = 0, in a fixed
+    order; a tuple of tuples, built anew on each call.
 
     Rank 1 is the form (1).  Deleting the first row of a member leaves
     a block whose exponents mu interlace m (Thompson, Linear Algebra
@@ -131,7 +132,7 @@ def _members(m, p):
     if n == 1:
         return (((1,),),)
     ptop, logs = p**sum(m), {p**k: k for k in range(sum(m) + 1)}
-    forms, diags = [], []
+    forms = []
     for mu in _interlacing(m):
         d0, low = sum(m) - sum(mu), mu[-1]
         # per k: the k-row subsets on row 0, the other minors' bound, D_k
@@ -149,12 +150,7 @@ def _members(m, p):
                 xs = (x for x in xs if all(min(bound, *_minor_valuations(
                     (x,) + block, level, ptop, logs)) == target
                     for level, bound, target in checks))
-            diags.append((p**d0,) + tuple(r[i] for i, r in enumerate(block)))
             forms += [((p**d0,) + x,) + lower for x in xs]
-    # the forms over one block come in order, so all do if diags rise
-    if diags != sorted(set(diags)):
-        order = [(i, i) for i in range(n)] + _PAIRS[n]
-        forms.sort(key=lambda f: [f[i][j] for i, j in order])
     return tuple(forms)
 
 
@@ -237,9 +233,6 @@ class HeckeElement:
         if not is_dominant(lam):
             raise ValueError("basis elements are indexed by dominant vectors")
         return cls(len(lam), p, {lam: 1})
-
-    def bound(self):
-        return max((abs(c) for lam in self.support for c in lam), default=0)
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
@@ -422,27 +415,27 @@ def _basis_image(m, q):
     return tuple((nu, scale * c) for nu, c in _hall_littlewood(m, q))
 
 
-def satake_transform(f, box_bound=None):
-    """The transform f -> f-hat on the box |lam_i| <= bound.
+def satake_transform(f):
+    """The whole transform f -> f-hat.
 
     By Macdonald's formula (Macdonald V (3.3)), the indicator of
     K p^mu K goes to q^<rho, mu> P_mu(x; 1/q), x^nu standing for e_nu
-    (_basis_image).  The sum over S_n has no cap, so the rank is
-    limited to 3.  The image is returned as computed: whether it is
-    Weyl-invariant is the caller's verdict (SatakeImage.weyl_invariant).
+    (_basis_image).  P_mu is m_mu plus terms lower in the dominance
+    order (Macdonald III), so every weight lies in [mu_n, mu_1]^n.  The
+    sum over S_n has no cap, so the rank is limited to 3.  The image is
+    returned as computed: whether it is Weyl-invariant is the caller's
+    verdict (SatakeImage.weyl_invariant).
     """
     n, q = f.n, f.p
     if n not in (1, 2, 3):
         raise UnsupportedRank(f"rank {n} not supported")
-    b = f.bound() if box_bound is None else box_bound
     coeffs = {}
     for mu, cmu in f.support.items():
         shift = mu[-1]
         for nu, c in _basis_image(tuple(a - shift for a in mu), q):
             nu = tuple([a + shift for a in nu])
-            if max(map(abs, nu)) <= b:
-                c = cmu * c
-                coeffs[nu] = coeffs[nu] + c if nu in coeffs else c
+            c = cmu * c
+            coeffs[nu] = coeffs[nu] + c if nu in coeffs else c
     return SatakeImage(n, q, coeffs)
 
 
@@ -452,18 +445,17 @@ def satake_by_coset_count(f, cap=DEFAULT_GROUP_CAP):
 
     A representative p^shift * M lies in N(F) p^lam GL_n(O) for lam the
     shift plus the diagonal exponents of M (_diagonals), charged first
-    (_forms); it is counted when lam lies in the box |lam_i| <= bound.
+    (_forms); every such lam lies in [mu_n, mu_1]^n, and each is counted.
     """
-    n, q, b = f.n, f.p, f.bound()
+    n, q = f.n, f.p
     acc = {}
     for mu, cmu in f.support.items():
         shift, m, forms = _forms(mu, n, q)
         charge(cap, f"{forms} Hermite forms to test", forms)
         for diag, count in _diagonals(m, q):
             lam = tuple([shift + e for e in diag])
-            if max(map(abs, lam)) <= b:
-                c = cmu * count
-                acc[lam] = acc[lam] + c if lam in acc else c
+            c = cmu * count
+            acc[lam] = acc[lam] + c if lam in acc else c
     return SatakeImage(n, q, {
         lam: HalfPowerLaurent.v_power(q, modulus_delta_exponent(lam, n)) * c
         for lam, c in acc.items()})

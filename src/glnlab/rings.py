@@ -8,7 +8,7 @@ case, where sigma is the p-power map.  An element is an int code in
 most significant, so code order is coefficient-tuple order.  The ring
 fixes its arithmetic at construction from (p, n, d): native ints mod p^n
 when d = 1; add and mul row tables (``A[a][b]``, ``M[a][b]``) and
-negation, inverse and sigma tables when d > 1 and the ring has at most
+negation, unit and sigma tables when d > 1 and the ring has at most
 256 elements (so an N x N table holds at most 2^16 codes); packed codes
 otherwise, the coefficients in the slots of one int, so that a sum of
 products costs one integer product a term, a fold through F and one
@@ -17,7 +17,8 @@ on flat code tuples (``mul2``, ``form``, ``sandwich``: those of
 ``_op_kernels``, unrolled over the tables).  sigma^e is one map of codes
 per e mod d (``sigma_map``), built on first use.  The norm
 a sigma^e(a) ... sigma^(e(m-1))(a) (``norm_map``) is one addition chain,
-and the packed inverse its norm form (Itoh-Tsujii, Inf. Comput. 78, 1988).
+and the inverse of every ring with d > 1 its norm form (Itoh-Tsujii,
+Inf. Comput. 78, 1988).
 
 Claims work on codes and flat code tuples alone.  The element layer at
 the end (thin (ring, code) objects, and ``Mat``: a flat code tuple plus
@@ -226,7 +227,7 @@ def _unit_inverse(p, n):
 
 # ---------------------------------------------------------------------------
 # the three arithmetics of a ring's codes; each returns add, mul, neg, dot
-# (sum of products), inv (None for the packed codes: the ring's norm form),
+# (sum of products), inv (None when d > 1: the ring's norm form),
 # is_unit, decode, and linear (images of the basis 1, x, .., x^(d-1) -> the
 # additive map of codes they define), then the matrix kernels mul2, form
 # and sandwich: unrolled over the tables, those of _op_kernels elsewhere,
@@ -274,8 +275,9 @@ def _native_ops(ring):
 
 
 def _table_ops(ring):
-    """Row tables A[a][b] = a + b and M[a][b] = a b, and the negation,
-    inverse and unit tables; the unrolled kernels read the rows directly."""
+    """Row tables A[a][b] = a + b and M[a][b] = a b, and the negation
+    and unit tables; the unrolled kernels read the rows directly.  No
+    inverse: the ring's norm form inverts."""
     p, pn, d, size = ring.p, ring.pn, ring.d, ring.size()
     coeffs = list(itertools.product(range(pn), repeat=d))  # code order
     A = []
@@ -305,19 +307,12 @@ def _table_ops(ring):
         M.append(linear(images))
     unit = [any(c % p for c in ca) for ca in coeffs]
     neg = [ring.encode([-c for c in ca]) for ca in coeffs]
-    inverse = [M[a].index(ring.one_code) if unit[a] else -1
-               for a in range(size)]
 
     def dot(xs, ys):
         acc = 0
         for a, b in zip(xs, ys):
             acc = A[acc][M[a][b]]
         return acc
-
-    def inv(a):
-        if inverse[a] < 0:
-            raise NotInvertible("not a unit")
-        return inverse[a]
 
     def mul2(x, y):
         a, b, c, e = x
@@ -351,7 +346,7 @@ def _table_ops(ring):
         return apply
 
     return ((lambda a, b: A[a][b], lambda a, b: M[a][b], neg.__getitem__,
-             dot, inv, unit.__getitem__, coeffs.__getitem__,
+             dot, None, unit.__getitem__, coeffs.__getitem__,
              lambda images: linear(images).__getitem__,
              mul2, form, sandwich))
 
@@ -518,7 +513,7 @@ class TruncatedLocalRing:
                 y = sigma(y)
             if y != self.weights[1]:
                 raise GlnLabError("Frobenius lift does not have order d")
-        if self.inv is None:  # packed codes: the norm form, built on sigma
+        if self.inv is None:  # d > 1: the norm form, built on sigma
             self.inv = partial(_norm_inverse, self, self.norm_map(1, d - 1))
 
     # -- Frobenius ------------------------------------------------------------

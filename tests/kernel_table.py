@@ -15,8 +15,10 @@ import time
 
 from glnlab.rings import DEFAULT_GROUP_CAP, TruncatedLocalRing
 
-SHAPES = [(2, 1, 10), (2, 1, 16), (3, 1, 12), (2, 1, 19), (31, 1, 4),
-          (997, 1, 2), (2, 4, 3), (3, 4, 2)]
+# four tabulated rings (d > 1, at most 256 elements), then packed ones
+SHAPES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 8), (2, 1, 10),
+          (2, 1, 16), (3, 1, 12), (2, 1, 19), (31, 1, 4), (997, 1, 2),
+          (2, 4, 3), (3, 4, 2)]
 UNITS, PASSES = 500, 3
 
 
@@ -60,7 +62,7 @@ def main():
     print("| ring (p, n, d) | norm N_d, s = 1 | norm N_d, s = 2 | inverse |")
     print("| --- | --- | --- | --- |")
     for shape in SHAPES:
-        cells = " | ".join(f"{t:.1f}" for t in row(*shape))
+        cells = " | ".join(f"{t:.2f}" for t in row(*shape))
         print(f"| {shape} | {cells} |", flush=True)
 
 

@@ -1169,8 +1169,9 @@ class TestNoTraceback:
     def test_norm_sigma_off_by_one(self, monkeypatch, capsys):
         # the non-cocycles that the mutant norm lets in leave the cocycle
         # set under the orbit closure, which h1 runs before its verdict;
-        # the paper audit fails the h1 row so and the class-matching row
-        # by its verdict
+        # the paper audit fails the h1 row so, and the Lang-image and
+        # class-matching rows by their verdicts: every ring with d > 1
+        # inverts by its norm form, which the mutant breaks too
         TestVerdictsDecide.norm_sigma_off_by_one(monkeypatch)
         self.invariant_failure("h1 --p 2 --d 2 --s 1",
                                "a class leaves the cocycle set", capsys)
@@ -1178,7 +1179,7 @@ class TestNoTraceback:
         verdicts = json.loads(capsys.readouterr()[0])["verdicts"]
         assert [(i, v["anchor"]) for i, v in enumerate(verdicts)
                 if v["status"] == "fail"] == [
-            (2, "claim:h1-triviality"),
+            (2, "claim:h1-triviality"), (3, "claim:lang-image-size"),
             (4, "claim:twisted-conjugacy-bijection")]
         assert verdicts[2]["detail"] == "a class leaves the cocycle set"
 

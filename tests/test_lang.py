@@ -641,12 +641,14 @@ class TestDMBijection:
         assert not rep["bijective"]
 
     def test_a_map_that_is_not_one_to_one_is_reported(self, monkeypatch):
-        # every norm the identity: each twisted class names the class of
-        # 1, which only the first may take, so one plain class is taken
+        # every norm N_2 the identity: each twisted class names the class
+        # of 1, which only the first may take, so one plain class is
+        # taken; the norm N_(d-1) of the ring's inverse is left as it is
         import glnlab.lang as lang
+        real = TruncatedLocalRing.norm_map
         monkeypatch.setattr(TruncatedLocalRing, "norm_map",
-                            lambda ring, s, m, e: lambda a: lang._identity(
-                                ring, s))
+                            lambda ring, s, m, e=1: (lambda a: lang._identity(
+                                ring, s)) if m == 2 else real(ring, s, m, e))
         rep = dm_bijection_check(2, 2, 2)
         assert (rep["plain_class_count"], rep["twisted_class_count"]) == (1, 3)
         (match,) = rep["matches"]

@@ -3,9 +3,9 @@ inverse-free Frobenius lift.
 
 The norm N_m(a) = a sigma^e(a) ... sigma^(e(m-1))(a) is checked against a
 left-to-right product written here, and its addition chain against the
-words it builds; the inverse by a a^-1 = 1; the lift against Newton's
-method with the ring's inverse, the way the lift was computed before it
-needed none.
+words it builds; the inverse by a a^-1 = 1, and over the tables against
+a scan of the products; the lift against Newton's method with the
+ring's inverse, the way the lift was computed before it needed none.
 """
 
 import random
@@ -108,6 +108,27 @@ def test_inverse_times_unit_is_one(pnd):
     for a in bad:
         with pytest.raises(NotInvertible, match="not a unit"):
             R.inv(a)
+
+
+# every tabulated ring (d > 1, at most 256 elements) of POOL_RINGS
+TABLE_RINGS = [(p, n, d) for p, n, d in POOL_RINGS
+               if d > 1 and p**(n * d) <= 256]
+
+
+@pytest.mark.parametrize("pnd", TABLE_RINGS)
+def test_table_inverse_on_every_code(pnd):
+    # the norm form against a scan of the multiplication: a unit has one
+    # inverse, and every non-unit is refused
+    R = ring(*pnd)
+    assert R.d > 1 and R.size() <= 256
+    for a in range(R.size()):
+        inverses = [b for b in range(R.size()) if R.mul(a, b) == R.one_code]
+        if R.is_unit(a):
+            assert inverses == [R.inv(a)], a
+        else:
+            assert inverses == []
+            with pytest.raises(NotInvertible, match="not a unit"):
+                R.inv(a)
 
 
 def newton_lift(R):
