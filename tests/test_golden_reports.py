@@ -57,6 +57,8 @@ COMMANDS = {
         "lfactor --rep sym(3) --params 2,1/3,-1 --q 3"),
     "lfactor_bc_d3_wedge2_abc_q2": (
         "lfactor bc --d 3 --rep wedge(2) --params a,b,c --q 2"),
+    "lfactor_bc_d4_dual_a_half_c_q3": (
+        "lfactor bc --d 4 --rep dual --params a,1/2,c --q 3"),
 }
 
 
