@@ -139,8 +139,12 @@ def local_factors(cap, seed):
                              "--left alpha,beta --right gamma,delta", cap))
     ok = True
     for d in (2, 3):
-        # 1 - alpha^d X^d
-        ok &= lfactor.conjugate_orbit_product("alpha", d) \
+        # the library's base change of the standard factor at alpha is
+        # the product over the d-th roots of unity, 1 - alpha^d X^d
+        reports.append(run_claim(cli.lfactor_claim, f"lfactor bc --d {d} "
+                                 f"--q 2 --params alpha", cap))
+        ok &= reports[-1]["factor"].terms \
+            == lfactor.conjugate_orbit_product("alpha", d) \
             == {(0, (0,)): 1, (d, (d,)): -1}
     for p in (2, 3):
         # the X coefficient of the standard factor at (alpha, beta) is

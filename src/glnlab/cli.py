@@ -353,9 +353,10 @@ def _check_lfactor_cap(rho, params, cap, d=1):
     """Charge the factor of rho at params, after base change of degree d,
     against cap, counted as terms times degree.
 
-    The d - 1 passes of the degree-d norm come first: pass i forms n
-    products of i + 1 parameters (monomials of degree i + 1, or
-    rationals of i + 1 factors), charged i + 1 each.  Then the X^j
+    A term n * (d(d + 1)/2 - 1), quadratic in d, comes first.  It bounds
+    the growth of the cycle products c_C^(d/g) that base change raises
+    to powers up to d, and it is kept so that no exit code moves: it
+    alone refuses ``lfactor bc --d 100000 --params a,b``.  Then the X^j
     coefficient of the factor, of degree dim*d in X, sums C(dim, j)
     products of j weights, each a monomial of degree at most j*k*d in
     the s distinct symbols (k = 2 for tensor, the degree for sym/wedge,
@@ -376,8 +377,7 @@ def lfactor_claim(args):
     prints it, so the paper audit, which runs this claim too, loads no
     sympy."""
     from .lang import factor_prime_power
-    from .lfactor import (DualRep, SatakeParameter, base_change_factor,
-                          l_factor, rankin_selberg)
+    from .lfactor import DualRep, SatakeParameter, base_change_factor, l_factor
     mode = args.mode
     if mode == "rankin" and not (args.left and args.right):
         raise InvalidConfig("rankin needs --left and --right")
@@ -390,7 +390,7 @@ def lfactor_claim(args):
         t1 = SatakeParameter(_parse_symbols(args.left), args.q)
         t2 = SatakeParameter(_parse_symbols(args.right), args.q)
         _check_lfactor_cap(DualRep("tensor"), (t1, t2), args.cap)
-        fac = rankin_selberg(t1, t2)
+        fac = l_factor(DualRep("tensor"), t1, t2=t2)
         expect_deg = t1.n * t2.n
     else:
         rho = _parse_rep(args.rep)
@@ -425,8 +425,18 @@ def _lfactor_report(fac):
     A Laurent coefficient (dual) prints as one fraction over the field of
     the names, so those coefficients go through ``Poly.from_dict``; it is
     not used otherwise, as it costs seconds on a few thousand terms, and
-    ``Poly(expr, X)`` on the expanded denominator costs far more."""
+    ``Poly(expr, X)`` on the expanded denominator costs far more.
+
+    A coefficient whose numerator or denominator has more digits than
+    the interpreter converts to a string is refused (CapExceeded) before
+    anything is printed."""
     import sympy
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(max(abs(c.numerator), c.denominator)
+                     for c in fac.terms.values()) >= 10**limit:
+        raise CapExceeded(f"a coefficient of more than {limit} digits "
+                          f"exceeds the int/str conversion limit")
 
     symbols = [sympy.Symbol(name) for name in fac.names]
     x = sympy.Symbol(L_VARIABLE)
@@ -491,6 +501,9 @@ def _parse_symbols(text):
                 out.append(Fraction(tok))
             except ZeroDivisionError:
                 raise InvalidConfig(f"zero denominator in {tok!r}")
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise InvalidConfig(f"parameter entry of {len(tok)} "
+                                    f"characters is too long")
         elif tok == L_VARIABLE:
             raise InvalidConfig(f"{tok} is the variable of the L-factor")
         elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):

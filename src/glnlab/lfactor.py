@@ -6,14 +6,16 @@ twisted by a coordinate permutation sigma recording the Galois action;
 the local factor is 1/det(1 - rho(t sigma) X) with X standing for
 q^(-s).  On the index-tuple basis of rho, rho(t sigma) is a monomial
 matrix, so det(1 - rho(t sigma) X) is the product over its cycles C of
-(1 - c_C X^|C|), c_C the product of the signed weights around C.
+(1 - c_C X^|C|), c_C the product of the signed weights around C.  Base
+change of degree d reads the same cycles: (t sigma)^d splits C into
+g = gcd(|C|, d) cycles of length |C|/g and product c_C^(d/g).
 
 Every number is an exact int or Fraction; no floats anywhere.  A
 parameter entry is a rational or a symbol name, so every weight is one
 signed Laurent monomial in the names, held as (coefficient, ((name,
 exponent), ...)) with the names sorted and each exponent nonzero.  A
-factor is the dict of its terms, so the cycle products, the Galois norm
-and X -> X^d are dict convolutions or exponent maps.
+factor is the dict of its terms, so each cycle's binomial is a dict
+convolution.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, gcd
 from types import SimpleNamespace
 
 from .errors import NonIntegral, RankMismatch, ZeroEntry
@@ -53,6 +55,12 @@ def _times(x, y):
         (name, e) for name, e in powers.items() if e))
 
 
+def _power(m, e):
+    """The monomial m to the power e >= 1."""
+    c, powers = m
+    return c**e, tuple((name, x * e) for name, x in powers)
+
+
 def _exponents(m, names):
     """The exponent tuple of the monomial m over the sorted names."""
     powers = dict(m[1])
@@ -75,10 +83,6 @@ class SatakeParameter:
     def names(self):
         """The symbol names the entries use."""
         return {name for _, powers in self.values for name, _ in powers}
-
-    def __eq__(self, other):
-        return (isinstance(other, SatakeParameter)
-                and self.q == other.q and self.values == other.values)
 
     def __repr__(self):
         return f"SatakeParameter({self.values}, q={self.q})"
@@ -119,58 +123,6 @@ class DualRep:
 
     def __repr__(self):
         return f"DualRep({self.kind!r}{'' if self.k is None else f', k={self.k}'})"
-
-
-class DualTorusElement:
-    """Pair (sigma^power, t) in the semidirect product of the Galois
-    group with the dual torus; sigma permutes torus coordinates."""
-
-    def __init__(self, galois_power, t, action=None):
-        self.t = t
-        n = t.n
-        self.action = tuple(action) if action is not None else tuple(range(n))
-        if sorted(self.action) != list(range(n)):
-            raise ValueError("action must be a permutation of the coordinates")
-        self.galois_power = galois_power
-
-    def apply_action(self, values, times=1):
-        """Coordinate permutation: sigma(t)_i = t_{action(i)}."""
-        perm = _perm_power(self.action, times)
-        return tuple(values[perm[i]] for i in range(len(values)))
-
-    def __eq__(self, other):
-        return (isinstance(other, DualTorusElement)
-                and self.galois_power == other.galois_power
-                and self.t == other.t and self.action == other.action)
-
-    def __repr__(self):
-        return (f"DualTorusElement(sigma^{self.galois_power}, "
-                f"{self.t}, action={self.action})")
-
-
-def _perm_power(perm, m):
-    """perm applied m times, read off the cycle of each point."""
-    out = []
-    for i in range(len(perm)):
-        cycle = [i]
-        while perm[cycle[-1]] != i:
-            cycle.append(perm[cycle[-1]])
-        out.append(cycle[m % len(cycle)])
-    return tuple(out)
-
-
-def semidirect_power(e, m):
-    """(sigma, t)^m = (sigma^m, t * sigma(t) * ... * sigma^(m-1)(t)),
-    following the convention (sigma, g)(sigma', g') = (sigma sigma',
-    g sigma(g'))."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    vals = e.t.values
-    acc = vals
-    for j in range(1, m):
-        acc = tuple(map(_times, acc, e.apply_action(vals, times=j)))
-    return DualTorusElement(e.galois_power * m, SatakeParameter(acc, e.t.q),
-                            action=_perm_power(e.action, m))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +214,11 @@ def _times_binomial(terms, a, length, e):
     return out
 
 
-def l_factor(rho, t, t2=None, action=None):
-    """det(1 - rho(t sigma) X)^-1 exactly: the product over the cycles C
-    of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
-    product of the signed weights around C."""
+def _cycle_factor(rho, t, t2, action, d):
+    """det(1 - rho(t sigma)^d X^d), read off the cycles of the monomial
+    matrix rho(t sigma): the d-th power splits a cycle C, of length |C|
+    and product c_C, into g = gcd(|C|, d) cycles of length |C|/g and
+    product c_C^(d/g), so C gives (1 - c_C^(d/g) X^(d|C|/g))^g."""
     images = _basis_action(rho, t, t2, action)
     names = sorted(t.names() | (set() if t2 is None else t2.names()))
     terms = {(0, (0,) * len(names)): 1}
@@ -278,28 +231,30 @@ def l_factor(rho, t, t2=None, action=None):
             c = _times(c, w)
             length += 1
         if length:
-            terms = _times_binomial(terms, -c[0], length,
-                                    _exponents(c, names))
+            g = gcd(length, d)
+            c = _power(c, d // g)
+            for _ in range(g):
+                terms = _times_binomial(terms, -c[0], d * length // g,
+                                        _exponents(c, names))
     return LocalLFactor(terms, names, t.q)
 
 
-def base_change_factor(rho, t, d, action=None, t2=None):
-    """Local factor after unramified base change of degree d.
+def l_factor(rho, t, t2=None, action=None):
+    """det(1 - rho(t sigma) X)^-1 exactly: the product over the cycles C
+    of the monomial matrix rho(t sigma) of (1 - c_C X^|C|), c_C the
+    product of the signed weights around C."""
+    return _cycle_factor(rho, t, t2, action, 1)
 
-    The parameter is replaced by its degree-d Galois norm and the
-    variable by X^d (the extension's q^(-s) is q^(-ds)).  A tensor
-    partner t2 is normed too, under the trivial action its coordinates
-    have in ``l_factor``: it becomes t2^d."""
+
+def base_change_factor(rho, t, d, action=None, t2=None):
+    """Local factor after unramified base change of degree d:
+    det(1 - rho(t sigma)^d X^d)^-1, t sigma replaced by its degree-d
+    Galois norm (t sigma)^d and X by X^d (the extension's q^(-s) is
+    q^(-ds)).  A tensor partner t2 has the trivial action it has in
+    ``l_factor``, so it is normed to t2^d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    ed = semidirect_power(DualTorusElement(1, t, action=action), d)
-    if t2 is not None:
-        t2 = semidirect_power(DualTorusElement(1, t2), d).t
-    residual = ed.action
-    base = l_factor(rho, ed.t, t2=t2,
-                    action=None if residual == tuple(range(t.n)) else residual)
-    return LocalLFactor({(k * d, e): c for (k, e), c in base.terms.items()},
-                        base.names, base.q)
+    return _cycle_factor(rho, t, t2, action, d)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +301,3 @@ def conjugate_orbit_product(alpha, d):
             terms[(k, tuple(k * x for x in e))] = rest[0] * c**k
     return terms
 
-
-def rankin_selberg(t1, t2):
-    """The 2-variable pairing factor: rho = tensor of the two standard
-    representations, denominator prod(1 - alpha_i beta_j X)."""
-    return l_factor(DualRep("tensor"), t1, t2=t2)

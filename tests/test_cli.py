@@ -22,7 +22,7 @@ from glnlab.cli import (_check_lfactor_cap, canonical_json, lint_report,
 from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
-                            l_factor, rankin_selberg)
+                            l_factor)
 from glnlab.rings import HalfPowerLaurent
 from test_hecke import clear_hecke_caches, coset_count, rho_point
 from test_rings import half_of
@@ -91,6 +91,8 @@ INVALID_CONFIG_ARGVS = (
     "lfactor --q 2 --params 0",
     "lfactor --q 4 --params 1,2 --rep wedge(3)",
     "lfactor --q 2 --params 2/0",
+    # past the interpreter's 4300-digit int/str limit
+    "lfactor --q 2 --params " + "7" * 5000,
     # X is the variable of the L-factor, not a parameter
     "lfactor --q 2 --params a,X",
     "lfactor rankin --q 2 --left X --right a",
@@ -149,7 +151,10 @@ CAP_EXCEEDED_ARGVS = (
     "h1 --p 2 --d 1 --s 2 --level 6",
     # the suite honours --cap: criterion 3 charges the 2^16 candidate
     # matrices of GL_2(W_2(F_4))
-    "--cap 5000 suite paper-audit")
+    "--cap 5000 suite paper-audit",
+    # a coefficient of 4400 digits, past the interpreter's int/str limit,
+    # is refused before it is printed
+    "lfactor --q 2 --rep sym(2) --params " + "7" * 2200)
 
 # each exits 3 in under 1 s
 CAP_EXCEEDED_AT_ONCE_ARGVS = (
@@ -468,7 +473,7 @@ class TestLFactorCap:
             t = SatakeParameter(vals, 3)
             cases = [(rho, (t,), l_factor(rho, t)) for rho in reps]
             cases.append((DualRep("tensor"), (t, t),
-                          rankin_selberg(t, t)))
+                          l_factor(DualRep("tensor"), t, t2=t)))
             for rho, params, fac in cases:
                 dim = rho.dimension(*[u.n for u in params])
                 terms = len(fac.terms)
@@ -484,8 +489,9 @@ class TestLFactorCap:
                 _check_lfactor_cap(rho, params, dim * (dim + 1) - 1)
 
     def test_base_change_charges_the_norm_passes(self):
-        # bc at degree d is charged its d - 1 norm passes on top of terms
-        # x degree of the base-changed factor, and never below them
+        # bc at degree d is charged n * (d(d + 1)/2 - 1) for its powered
+        # cycle products on top of terms x degree of the base-changed
+        # factor, and never below them
         reps = [DualRep("standard"), DualRep("sym", 2), DualRep("wedge", 2)]
         for vals in [("alpha", "beta"), ("alpha", Fraction(1, 3), -1)]:
             t = SatakeParameter(vals, 3)
@@ -497,7 +503,7 @@ class TestLFactorCap:
                 with pytest.raises(CapExceeded):
                     _check_lfactor_cap(rho, (t,), passes + dim * d * terms - 1,
                                        d)
-        # the norm alone of 10^5 passes is about 10^10
+        # that quadratic term alone is about 10^10 at d = 10^5
         with pytest.raises(CapExceeded):
             _check_lfactor_cap(DualRep("standard"),
                                (SatakeParameter(("alpha", "beta"), 2),), 10**9,
@@ -912,6 +918,15 @@ class TestVerdictsDecide:
                            "claim:lfactor-constant-term", capsys)
         assert rep["verdicts"][0]["status"] == "pass"  # the degree
 
+    def test_base_change_skipping_the_norm(self, monkeypatch, capsys):
+        # each cycle product left unpowered: lfactor bc prints
+        # 1 - alpha X^2 at d = 2, whose degree and constant term pass,
+        # and the paper audit's base change against the orbit product
+        # fails criterion 10 alone
+        from glnlab import lfactor
+        monkeypatch.setattr(lfactor, "_power", lambda m, e: m)
+        self.failing_row(9, "claim:lfactor-degree", capsys)
+
     def test_satake_invariance(self, monkeypatch, capsys):
         real = hecke._basis_image
         clear_hecke_caches()
@@ -1084,7 +1099,8 @@ class TestOneDefinition:
     # fifth configuration, (2, 3, 1), adds one dm-check and its one
     # orbit pass (18 -> 19).  dm-check reads its plain classes off the
     # twisted keys, so its three n = 2 rows lose their second pass
-    # (19 -> 16).
+    # (19 -> 16).  Criterion 10 runs base change at d = 2 and 3, which
+    # calls no l_factor.
     WORK = {(lang, "_cocycle_levels"): 3, (lang, "congruence_kernel"): 2,
             (lang, "_cocycles"): 5, (lang, "_twisted_orbits"): 16,
             (lang, "lang_image"): 4, (lang, "dm_bijection_check"): 5,
@@ -1092,7 +1108,7 @@ class TestOneDefinition:
             (building, "iwasawa_sample_failures"): 1,
             (hecke, "satake_transform"): 728,
             (hecke, "satake_by_coset_count"): 2, (hecke, "convolve"): 242,
-            (lfactor, "l_factor"): 8}
+            (lfactor, "l_factor"): 8, (lfactor, "base_change_factor"): 2}
 
     @staticmethod
     def spy(monkeypatch, module, name, calls):

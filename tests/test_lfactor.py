@@ -8,15 +8,12 @@ import sympy
 from glnlab.errors import RankMismatch, ZeroEntry
 from glnlab.lfactor import (
     DualRep,
-    DualTorusElement,
     SatakeParameter,
     _basis_action,
     _cyclotomic,
     base_change_factor,
     conjugate_orbit_product,
     l_factor,
-    rankin_selberg,
-    semidirect_power,
 )
 
 X = sympy.Symbol("X")
@@ -63,17 +60,6 @@ def rep_apply(rho, t, t2=None):
 
 def values(t):
     return [mono(v) for v in t.values]
-
-
-def semidirect_multiply(e1, e2):
-    """(sigma^a, g)(sigma^b, g') = (sigma^(a+b), g * sigma^a(g')), the
-    product that semidirect_power iterates; e1's action permutation is
-    the action of its own Galois component."""
-    g = [sympy.expand(a * b) for a, b in
-         zip(values(e1.t), e1.apply_action(values(e2.t), times=1))]
-    action = tuple(e1.action[e2.action[i]] for i in range(len(e1.action)))
-    return DualTorusElement(e1.galois_power + e2.galois_power,
-                            param(g, e1.t.q), action=action)
 
 
 def sympy_orbit_product(alpha, d):
@@ -254,6 +240,26 @@ class TestLFactor:
             for perm in itertools.permutations(t):
                 assert l_factor(rho, param(perm)) == base
 
+    def test_weyl_conjugation_invariance(self):
+        # the factor depends on the class of t sigma alone: conjugating by
+        # w in S_n sends t to t'_i = t_w(i) and sigma to w^-1 sigma w,
+        # and changes neither l_factor nor base change
+        changed = []
+        for rho, t, t2, action in twisted_cases():
+            want = [l_factor(rho, t, t2=t2, action=action)] + [
+                base_change_factor(rho, t, d, action=action, t2=t2)
+                for d in range(1, 5)]
+            for w in itertools.permutations(range(t.n)):
+                w_inv = [w.index(i) for i in range(t.n)]
+                t_w = SatakeParameter([t.values[i] for i in w], t.q)
+                action_w = tuple(w_inv[action[i]] for i in w)
+                got = [l_factor(rho, t_w, t2=t2, action=action_w)] + [
+                    base_change_factor(rho, t_w, d, action=action_w, t2=t2)
+                    for d in range(1, 5)]
+                if got != want:
+                    changed.append((rho, t, action, w))
+        assert changed == []
+
     def test_twisted_gl2_swap(self):
         # det(1 - diag(alpha, beta) P X) with P the coordinate swap
         f = l_factor(DualRep("standard"), param((alpha, beta)),
@@ -317,42 +323,6 @@ class TestMatrixOracle:
         assert mismatches == []
 
 
-class TestSemidirect:
-    def test_power_one_is_identity(self):
-        e = DualTorusElement(1, param((alpha, beta)), action=(1, 0))
-        assert semidirect_power(e, 1) == e
-
-    def test_trivial_action_power(self):
-        e = DualTorusElement(1, param((alpha, beta)))
-        ed = semidirect_power(e, 3)
-        assert values(ed.t) == [alpha**3, beta**3]
-
-    def test_swap_action_square(self):
-        e = DualTorusElement(1, param((alpha, beta)), action=(1, 0))
-        e2 = semidirect_power(e, 2)
-        assert values(e2.t) == [alpha * beta, alpha * beta]
-        assert e2.action == (0, 1)
-
-    def test_power_additivity(self):
-        # x^(a+b) = x^a * x^b, exhaustively for small exponents
-        cases = [
-            DualTorusElement(1, param((alpha, beta)), action=(1, 0)),
-            DualTorusElement(1, param((alpha, beta, gamma)), action=(1, 2, 0)),
-            DualTorusElement(1, param((alpha, beta))),
-        ]
-        for e in cases:
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    if a + b > 4:
-                        continue
-                    lhs = semidirect_power(e, a + b)
-                    rhs = semidirect_multiply(semidirect_power(e, a),
-                                              semidirect_power(e, b))
-                    assert lhs.action == rhs.action
-                    assert all(sympy.expand(x - y) == 0 for x, y in
-                               zip(values(lhs.t), values(rhs.t)))
-
-
 class TestBaseChange:
     def test_d1_is_plain(self):
         t = param((alpha, beta))
@@ -409,16 +379,23 @@ class TestBaseChange:
 
 
 class TestRankinSelberg:
+    """The pairing factor is the factor of the tensor of the two standard
+    representations, denominator prod(1 - alpha_i beta_j X)."""
+
+    @staticmethod
+    def pairing(t1, t2):
+        return l_factor(DualRep("tensor"), t1, t2=t2)
+
     def test_rank_one(self):
-        f = rankin_selberg(param((alpha,)), param((beta,)))
+        f = self.pairing(param((alpha,)), param((beta,)))
         assert expr(f) == sympy.expand(1 - alpha * beta * X)
 
     def test_trivial_right_reduces_to_standard(self):
-        f = rankin_selberg(param((alpha, beta)), param((1,)))
+        f = self.pairing(param((alpha, beta)), param((1,)))
         assert f == l_factor(DualRep("standard"), param((alpha, beta)))
 
     def test_gl2_gl2_degree_four(self):
-        f = rankin_selberg(param((alpha, beta)), param((gamma, delta)))
+        f = self.pairing(param((alpha, beta)), param((gamma, delta)))
         assert f.degree() == 4
         want = sympy.expand((1 - alpha * gamma * X) * (1 - alpha * delta * X)
                             * (1 - beta * gamma * X) * (1 - beta * delta * X))
