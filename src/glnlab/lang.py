@@ -11,9 +11,11 @@ of GL_s(F_q) are not enumerated: each is named by its rational canonical
 form and has |GL_s(F_q)| / |C(g)| elements, |C(g)| from the factors of
 that form (J. A. Green, Trans. AMS 80, 1955).  The H^1 cocycles come
 from one pass up the levels: those of GL_s(F_q) from its elements, and
-those of GL_s(O/p^n), n >= 2, from the lifts of those of GL_s(O/p^(n-1)),
-each level once, so only GL_s(F_q) is ever enumerated for them; those of
-the congruence kernel 1 + p^(n-1) M_s are the ones over 1.
+those of GL_s(O/p^n), n >= 2, from the lifts of those of GL_s(O/p^(n-1))
+whose norm the linear part of the norm map sends to 1 (one F_p row
+reduction per residue mod p), each level once, so only GL_s(F_q) is
+ever enumerated for them; those of the congruence kernel
+1 + p^(n-1) M_s are the ones over 1.
 
 A ``GaloisModule`` is plain data: the ring, the matrix size, the
 exponent of the action and a tuple of generators.  It holds no
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 
 from .errors import InvalidConfig, MatchFailure, NotACocycle, charge
@@ -253,16 +256,123 @@ def twisted_classes(module, codes, leaving):
 # ---------------------------------------------------------------------------
 # H^1 for cyclic actions
 
-def _lifts(ring, low, cocycles):
-    """Every lift to ring = O/p^n of the flat code matrices ``cocycles``
-    over low = O/p^(n-1): each entry's coefficients plus p^(n-1) times a
-    digit vector in [0, p)^d."""
-    digits = list(itertools.product(range(ring.p), repeat=ring.d))
+def _solver(columns, p):
+    """(solve, kernel) for the F_p-linear map with these columns, every
+    entry an int in [0, p): solve(b) is one y with sum_j y_j columns[j]
+    = b, or None when there is none, and kernel is a basis of the
+    solutions at b = 0, one vector per free column.  One Gauss-Jordan
+    pass on the int rows of [A | I] keeps the row operations, so each
+    right side b costs one product by them."""
+    m = len(columns)
+    rows = [list(row) + [0] * m for row in zip(*columns)]
+    for r, row in enumerate(rows):
+        row[m + r] = 1
+    pivots = []
+    for j in range(m):
+        r = len(pivots)
+        for i in range(r, m):
+            if rows[i][j]:
+                break
+        else:
+            continue
+        k = pow(rows[i][j], -1, p)
+        top = [x * k % p for x in rows[i]]
+        rows[i], rows[r] = rows[r], top
+        for i, row in enumerate(rows):
+            f = row[j]
+            if f and i != r:
+                rows[i] = [(x - f * t) % p for x, t in zip(row, top)]
+        pivots.append(j)
+    ops, rank = [row[m:] for row in rows], len(pivots)
+
+    def solve(b):
+        t = [sum(map(operator.mul, op, b)) % p for op in ops]
+        if any(t[rank:]):
+            return None
+        y = [0] * m
+        for j, v in zip(pivots, t):
+            y[j] = v
+        return y
+
+    kernel = []
+    for f in sorted(set(range(m)).difference(pivots)):
+        v = [0] * m
+        v[f] = 1
+        for row, j in zip(rows, pivots):
+            v[j] = -row[f] % p
+        kernel.append(v)
+    return solve, kernel
+
+
+def _span(y, kernel, p):
+    """Every y + sum_i k_i kernel[i] mod p, k_i in [0, p)."""
+    out = [y]
+    for v in kernel:
+        out = [[(a + k * b) % p for a, b in zip(x, v)]
+               for x in out for k in range(p)]
+    return out
+
+
+def _lift_candidates(ring, low, s, cocycles, solvers):
+    """Lifts to ring = O/p^n, n >= 2, of the flat code matrices
+    ``cocycles`` over low = O/p^(n-1), among which are all the lifts
+    that are cocycles, each once.
+
+    With eps = p^(n-1) and c-hat the lift of c with coefficients in
+    [0, eps), every lift is c-hat + eps Y, Y in M_s(F_q), and since
+    eps^2 = 0, N(c-hat + eps Y) = N(c-hat) + eps L(Y), with L linear over
+    F_p and fixed by the residue c mod p, whatever n is.  So for each
+    residue L is read off the d s^2 norms of c-hat plus eps times an
+    F_p-basis vector, against N(c-hat) (the top base-p digits of their
+    coefficients), and row-reduced once (``_solver``); ``solvers`` keeps
+    them from level to level.  Each cocycle then costs its own norm
+    N(c-hat), and its lifts of norm 1 are the solutions of
+    L(Y) = (1 - N(c-hat)) / eps mod p: one solution plus the span of the
+    kernel, whose rank is (d - 1) s^2 when H^1 is trivial.  When those
+    d s^2 + 1 + p^((d-1) s^2) norms are no fewer than the q^(s^2) lifts
+    of a cocycle, every lift is listed instead.  The caller tests every
+    norm."""
+    p, d, weights = ring.p, ring.d, ring.weights
+    m = d * s * s
+    # the code of eps x^i, whose quotient is the top digit of coefficient i
+    tops = [low.pn * w for w in weights]
+
+    if p**m <= m + 1 + p**(m - s * s):
+        every = list(itertools.product([
+            sum(map(operator.mul, y, tops))
+            for y in itertools.product(range(p), repeat=d)], repeat=s * s))
+    else:
+        every, norm = None, ring.norm_map(s, d)
+
+    def digits(x):
+        return [a // t % p for a in x for t in tops]
+
     for c in cocycles:
-        yield from itertools.product(*[
-            [ring.encode([x + low.pn * t for x, t in zip(low.decode(a), ts)])
-             for ts in digits]
-            for a in c])
+        # at d = 1 a code is its one coefficient, so c is its own lift
+        base = c if d == 1 else tuple(map(ring.encode, map(low.decode, c)))
+        if every is None:
+            n0 = digits(norm(base))
+            residue = tuple([x // w % p for x in base for w in weights])
+            if residue not in solvers:
+                columns = []
+                for e in range(s * s):
+                    for t in tops:
+                        moved = list(base)
+                        moved[e] += t
+                        columns.append([(a - b) % p for a, b in
+                                        zip(digits(norm(tuple(moved))), n0)])
+                solvers[residue] = _solver(columns, p)
+            solve, kernel = solvers[residue]
+            y = solve([-b % p for b in n0])
+            if y is None:
+                continue
+            # the codes eps Y of the solutions, entry by entry
+            moves = [[sum(map(operator.mul, v[i:i + d], tops))
+                      for i in range(0, m, d)] for v in _span(y, kernel, p)]
+        else:
+            moves = every
+        for move in moves:
+            yield tuple(map(operator.add, base, move))
 
 
 def _cocycles(ring, s, codes):
@@ -282,18 +392,20 @@ def _cocycle_levels(p, d, top, s, cap):
     canonical Frobenius lift reduces to the canonical lift), so every
     cocycle at level n lies over one at level n - 1.  Level 1 tests the
     elements of GL_s(F_q) (``gl_elements``), and each level n >= 2 only
-    the |Z_(n-1)| q^(s^2) lifts of the level below (``_lifts``), each
-    level once.  The (p^(top d))^(s^2) candidates of the top level are
-    charged once, before any ring is formed, and bound every level below.
+    the lifts of the level below that solve the linearised norm equation
+    (``_lift_candidates``), each level once.  The (p^(top d))^(s^2)
+    candidates of the top level are charged once, before any ring is
+    formed, and bound every level below.
     """
     e = top * d * s * s
     if is_prime(p) and d >= 1:  # else the first ring refuses p or d
         charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
     low = cocycles = None
+    solvers = {}  # the solver of L for each residue, for every level
     for n in range(1, top + 1):
         level = TruncatedLocalRing(p, n, d, cap=cap)
         codes = (gl_elements(level, s, cap) if low is None
-                 else _lifts(level, low, cocycles))
+                 else _lift_candidates(level, low, s, cocycles, solvers))
         cocycles = sorted(_cocycles(level, s, codes))
         yield level, cocycles
         low = level

@@ -687,18 +687,36 @@ class FiniteField(TruncatedLocalRing):
         return f"FiniteField({self.p}, {self.d})"
 
 
+def _prime_factors(m):
+    """The primes dividing m >= 1, read off the divisor pairs (r, m/r) of
+    m, r up to its square root."""
+    return [f for r in range(1, math.isqrt(m) + 1) if m % r == 0
+            for f in (r, m // r) if is_prime(f)]
+
+
 def residue_primitive_root(ring):
     """The code of the first element, in code order, with every
     coefficient in [0, p) whose residue generates F_q^*: no power
     (q-1)/r of it, r a prime dividing q - 1, is 1 mod p.  On a field it
-    is the least primitive element.  The primes r are read off the
-    divisor pairs (r, (q - 1)/r) of q - 1, r up to its square root."""
-    q, minus_one, unit = ring.q, ring.neg(ring.one_code), ring.is_unit
-    primes = [f for r in range(1, math.isqrt(q - 1) + 1) if (q - 1) % r == 0
-              for f in (r, (q - 1) // r) if is_prime(f)]
-    for z in map(ring.encode, itertools.product(range(ring.p), repeat=ring.d)):
-        if unit(z) and all(unit(ring.add(ring.pow(z, (q - 1) // r),
-                                         minus_one)) for r in primes):
+    is the least primitive element.
+
+    The residue of z^((q-1)/(p-1)) is the norm of z's residue to F_p, a
+    constant: the constant coefficient (the leading digit of the code)
+    mod p.  When z generates F_q^*, that norm generates F_p^*; the test
+    on ints comes first, at the primes of p - 1.  The units it keeps take
+    the test in the ring, at the primes that do not divide p - 1 first,
+    where the two tests can differ."""
+    p, q, one, unit = ring.p, ring.q, ring.one_code, ring.is_unit
+    minus_one, e = ring.neg(one), (q - 1) // (p - 1)
+    small = _prime_factors(p - 1)
+    primes = sorted(_prime_factors(q - 1), key=lambda r: (p - 1) % r == 0)
+    for z in map(ring.encode, itertools.product(range(p), repeat=ring.d)):
+        if not unit(z):
+            continue
+        n = ring.pow(z, e) // one % p if small else 1
+        if all(pow(n, (p - 1) // r, p) != 1 for r in small) and all(
+                unit(ring.add(ring.pow(z, (q - 1) // r), minus_one))
+                for r in primes):
             return z
     raise GlnLabError(f"no primitive root in F_{q}")
 
@@ -884,7 +902,7 @@ class HalfPowerLaurent:
     is a + b*v for ints a and b.  Arithmetic stays on ints and
     each result is reduced by one gcd (_half), never through Fraction;
     a = A/D and b = B/D are read-only Fractions for reports.  An int or
-    a Fraction operand of +, -, * or == is the scalar it stands for.
+    a Fraction operand of +, * or == is the scalar it stands for.
     Values are immutable: setting an attribute raises.  The
     substitution v -> sqrt(q) is never performed, even when q is a
     perfect square.

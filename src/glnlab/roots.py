@@ -2,8 +2,10 @@
 
 Vectors are integer (or rational) tuples in the character lattice Z^n.
 Arithmetic keeps the type of its input, so integer roots stay on ints;
-every quotient is an exact ``Fraction(num, den)``.  The bilinear form is
-the standard dot product.  The Weyl group of GL_n is S_n acting on the
+a quotient is tested by ``divmod`` and becomes an exact
+``Fraction(num, den)`` only when it is not an integer.  The axiom check
+scales a rational set to ints first.  The bilinear form is the standard
+dot product.  The Weyl group of GL_n is S_n acting on the
 coordinates; it is counted by the lengths of its elements, never stored
 whole.
 """
@@ -47,8 +49,13 @@ def pairing(beta, alpha):
 
 
 def reflect(alpha, beta):
-    """Reflection of beta in the hyperplane perpendicular to alpha."""
-    c = Fraction(2 * inner(alpha, beta), inner(alpha, alpha))
+    """Reflection of beta in the hyperplane perpendicular to alpha; the
+    coefficient 2(alpha,beta)/(alpha,alpha) is a Fraction only when it is
+    not an integer."""
+    num, den = 2 * inner(alpha, beta), inner(alpha, alpha)
+    c, rest = divmod(num, den)
+    if rest:
+        c = Fraction(num, den)
     return tuple(b - c * a for a, b in zip(alpha, beta))
 
 
@@ -154,19 +161,28 @@ def ds_decompose(simple):
 
 
 def _rank(vectors):
-    rows = [list(map(Fraction, v)) for v in vectors]
+    """The rank of the vectors, by fraction-free elimination: each row is
+    scaled to ints by the lcm of its denominators, and each row below a
+    pivot row r (pivot in column c) becomes row * r[c] - r * row[c],
+    divided by its content; no step changes the rank."""
+    rows = []
+    for v in vectors:
+        k = math.lcm(*(x.denominator for x in v))
+        rows.append([int(x * k) for x in v])
     cols = len(rows[0]) if rows else 0
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                for cc in range(cols):
-                    rows[i][cc] -= f * rows[r][cc]
+        top, pv = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                row = [x * pv - y * f for x, y in zip(rows[i], top)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         r += 1
     return r
 
@@ -175,11 +191,17 @@ def check_root_system(roots):
     """Axiom report for a finite set of nonzero vectors.
 
     Spanning is reported as a codimension rather than a hard failure,
-    since GL_n root sets only span the sum-zero sublattice.  Equal ints
-    and Fractions hash alike, so a reflected root is found in the set
-    whatever the type of its coordinates.
+    since GL_n root sets only span the sum-zero sublattice.  Every axiom
+    is unchanged when the whole set is scaled by a positive number, so
+    rational vectors are first scaled to ints by the lcm of their
+    denominators, and the report is computed on ints.  A projection
+    coefficient is tested for integrality by divmod; only a non-integral
+    one becomes a ``Fraction``, and the reflected vector then holds
+    Fractions, which hash like the ints they equal.  A pair with
+    coefficient 0 reflects b to b itself, which is in the set.
     """
-    roots = [tuple(v) for v in roots]
+    k = math.lcm(*(x.denominator for v in roots for x in v))
+    roots = [tuple([int(x * k) for x in v]) for v in roots]
     n = len(roots[0])
     report = {}
 
@@ -188,16 +210,17 @@ def check_root_system(roots):
     report["span_codimension"] = n - rank
     rootset = set(roots)
 
-    reduced = True
-    for a in roots:
-        k = next(i for i, y in enumerate(a) if y != 0)
-        for b in roots:
-            if a == b:
-                continue
-            # b a scalar multiple of a other than -a violates reducedness
-            if all((x == 0) == (y == 0) and x * a[k] == y * b[k]
-                   for x, y in zip(b, a)) and b[k] != -a[k]:
-                reduced = False
+    # b is a scalar multiple of a exactly when both have one primitive
+    # direction (the vector over the gcd of its entries, its first
+    # nonzero entry positive); so the set is reduced when no direction
+    # holds two distinct multiples other than a pair m, -m
+    multiples = {}
+    for a in set(roots):
+        g = math.gcd(*a)
+        g = g if next(x for x in a if x) > 0 else -g
+        multiples.setdefault(tuple(x // g for x in a), set()).add(g)
+    reduced = all(len(ms) == 1 or len(ms) == 2 and sum(ms) == 0
+                  for ms in multiples.values())
     report["reduced"] = reduced
 
     closed = crystallographic = True
@@ -210,7 +233,9 @@ def check_root_system(roots):
             if rest:
                 crystallographic = False
                 c = Fraction(num, den)
-            if tuple(y - c * x for x, y in zip(a, b)) not in rootset:
+            elif not c:
+                continue
+            if tuple([y - c * x for x, y in zip(a, b)]) not in rootset:
                 closed = False
     report["reflection_closed"] = closed
     report["crystallographic"] = crystallographic
@@ -221,12 +246,14 @@ def check_root_system(roots):
     for a in roots:
         norm = inner(a, a)
         for b in roots:
-            c = Fraction(2 * inner(a, b), norm)
-            if c.denominator != 1:
+            num = 2 * inner(a, b)
+            c, rest = divmod(num, norm)
+            if rest:
                 integral_prime = False
-            else:
-                c = int(c)
-            if tuple(x - c * y for x, y in zip(b, a)) not in rootset:
+                c = Fraction(num, norm)
+            elif not c:
+                continue
+            if tuple([x - c * y for x, y in zip(b, a)]) not in rootset:
                 closed_prime = False
     report["reflection_closed_prime"] = closed_prime
     report["crystallographic_prime"] = integral_prime

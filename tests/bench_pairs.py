@@ -3,8 +3,9 @@
 Usage, from anywhere inside the repository:
 
     python tests/bench_pairs.py BASE CHANGE [--workloads W,W] [--seeds 1-5]
+    python tests/bench_pairs.py TREE [--workloads W,W] [--seeds 1-12]
 
-BASE and CHANGE are anything ``git archive`` takes.  To time uncommitted
+BASE, CHANGE and TREE are anything ``git archive`` takes.  To time uncommitted
 work, stage it and pass the commit that ``git stash create`` prints,
 which moves no branch.  Each revision is unpacked into a temporary
 directory, and each seed runs ``perfbench/run.py --workload W --seed S
@@ -17,6 +18,12 @@ end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles and the pairs in which the change is better.  Only the
 standard library is used, and nothing is written into the repository;
 pytest does not collect it.
+
+Given one revision, it runs that tree once per seed and prints, per
+workload and end-to-end metric, the median and the spread IQR/median
+(the distance between the quartiles over the median) beside the
+metric's bound: a bound that is not well above the spread cannot tell a
+change from noise.
 """
 
 import argparse
@@ -67,7 +74,8 @@ def seeds(text):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
-    ap.add_argument("change")
+    ap.add_argument("change", nargs="?",
+                    help="omitted: time the one tree base, once per seed")
     ap.add_argument("--workloads", help="comma-separated; default all")
     ap.add_argument("--seeds", type=seeds, default=seeds("1-5"),
                     help="a seed or a range a-b; default 1-5")
@@ -80,14 +88,21 @@ def main():
         bench = json.load(fh)
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
+    sides = (("base", args.base),) + (
+        (("change", args.change),) if args.change else ())
     print(f"python {platform.python_version()} on {platform.machine()}, "
-          f"{os.cpu_count()} cpus; base {args.base}, change {args.change}; "
-          f"seeds {args.seeds[0]}-{args.seeds[-1]}")
+          f"{os.cpu_count()} cpus; "
+          + ", ".join(f"{side} {rev}" for side, rev in sides)
+          + f"; seeds {args.seeds[0]}-{args.seeds[-1]}")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: unpack(rev, root, tempfile.mkdtemp(dir=tmp))
-                 for side, rev in (("base", args.base),
-                                   ("change", args.change))}
+                 for side, rev in sides}
         for workload in workloads:
+            if not args.change:
+                runs = [one_run(trees["base"], workload, seed, args.seconds)
+                        for seed in args.seeds]
+                report_one(workload, args.seeds, runs, bench["end_to_end"])
+                continue
             runs = {"base": [], "change": []}
             for i, seed in enumerate(args.seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change",
@@ -98,30 +113,59 @@ def main():
             report(workload, args.seeds, runs, bench["end_to_end"])
 
 
+# the unscaled sum of the request spans, from the detail record: a run
+# that takes no host-speed sample is not scaled, so read it beside run_s
+WALL = {"name": "wall_run_s", "better": "lower", "bound": None}
+
+
+def values(runs, name):
+    """The metric name of each run, from its metrics or its detail."""
+    return [v[name] if name in v else d[name] for v, d in runs]
+
+
+def speed_cells(seed_list, runs):
+    return ", ".join(
+        f"{seed}: {d['speed_samples']} ({1000 * d['kernel_mean_s']:.2f})"
+        + ("" if d["correct"] else f", {d['failed']} failed")
+        for seed, (_, d) in zip(seed_list, runs))
+
+
+def bound_text(m):
+    return "none" if m["bound"] is None else f"{m['bound']:.0%}"
+
+
+def report_one(workload, seed_list, runs, metrics):
+    print(f"\n## {workload}")
+    print(f"seed: speed_samples (kernel_mean ms): "
+          f"{speed_cells(seed_list, runs)}")
+    print("| metric | median [q1, q3] | IQR / median | bound |")
+    print("| --- | --- | --- | --- |")
+    for m in metrics + [WALL]:
+        mid, q1, q3 = spread(values(runs, m["name"]))
+        print(f"| {m['name']} | {mid:.4g} [{q1:.4g}, {q3:.4g}] "
+              f"| {(q3 - q1) / mid if mid else 0:.1%} | {bound_text(m)} |",
+              flush=True)
+
+
 def report(workload, seed_list, runs, metrics):
     print(f"\n## {workload}")
     for side in ("base", "change"):
-        cells = ", ".join(
-            f"{seed}: {d['speed_samples']} ({1000 * d['kernel_mean_s']:.2f})"
-            + ("" if d["correct"] else f", {d['failed']} failed")
-            for seed, (_, d) in zip(seed_list, runs[side]))
-        print(f"seed: speed_samples (kernel_mean ms), {side}: {cells}")
+        print(f"seed: speed_samples (kernel_mean ms), {side}: "
+              f"{speed_cells(seed_list, runs[side])}")
     print("| metric | base median [q1, q3] | change median [q1, q3] "
           "| change | change better |")
     print("| --- | --- | --- | --- | --- |")
-    for m in metrics:
+    for m in metrics + [WALL]:
         name, lower = m["name"], m["better"] == "lower"
-        base = [v[name] for v, _ in runs["base"]]
-        change = [v[name] for v, _ in runs["change"]]
+        base, change = values(runs["base"], name), values(runs["change"], name)
         (bm, b1, b3), (cm, c1, c3) = spread(base), spread(change)
         wins = sum((c < b) if lower else (c > b)
                    for b, c in zip(base, change))
         print(f"| {name} | {bm:.4g} [{b1:.4g}, {b3:.4g}] "
               f"| {cm:.4g} [{c1:.4g}, {c3:.4g}] "
               f"| {100 * (cm - bm) / bm if bm else 0:+.1f}% "
-              f"(bound {m['bound']:.0%}) "
+              f"(bound {bound_text(m)}) "
               f"| {wins} of {len(base)} |", flush=True)
-
 
 if __name__ == "__main__":
     main()

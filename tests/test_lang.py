@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import glnlab.lang as lang
 from glnlab.cli import h1_level, run
 from glnlab.errors import (CapExceeded, InvalidConfig, MatchFailure,
                            NotACocycle)
@@ -942,10 +943,93 @@ class TestH1Orbits:
         # a cocycle: with no lifts tested, level 2 has no cocycles.  (A
         # part of the lifts fails sooner: its classes leave the set.)
         import glnlab.lang as lang
-        monkeypatch.setattr(lang, "_lifts",
-                            lambda ring, low, cocycles: iter(()))
+        monkeypatch.setattr(lang, "_lift_candidates",
+                            lambda ring, low, s, cocycles, solvers: iter(()))
         assert not h1_level_tower(1, 2, 2, 2)["compatible"]
         assert h1_level_tower(1, 2, 2, 1)["compatible"]
+
+
+
+def scan_lifts(ring, low, cocycles):
+    """Every lift to ring = O/p^n of the flat code matrices ``cocycles``
+    over low = O/p^(n-1): each entry's coefficients plus p^(n-1) times a
+    digit vector in [0, p)^d."""
+    digits = list(itertools.product(range(ring.p), repeat=ring.d))
+    for c in cocycles:
+        yield from itertools.product(*[
+            [ring.encode([x + low.pn * t for x, t in zip(low.decode(a), ts)])
+             for ts in digits]
+            for a in c])
+
+
+def scan_levels(p, d, top, s):
+    """The cocycles of each level, in code order, by the scan: those of
+    GL_s(F_q) among its elements, and at each level above every lift of
+    the cocycles below whose norm is 1."""
+    low = cocycles = None
+    out = []
+    for n in range(1, top + 1):
+        ring = TruncatedLocalRing(p, n, d)
+        codes = (gl_elements(ring, s) if low is None
+                 else scan_lifts(ring, low, cocycles))
+        norm, one = ring.norm_map(s, d), tuple(
+            ring.one_code * (i == j) for i in range(s) for j in range(s))
+        cocycles = sorted(c for c in codes if norm(c) == one)
+        out.append(cocycles)
+        low = ring
+    return out
+
+
+class TestLiftSolver:
+    """The cocycles above level 1 are the solutions of the linearised
+    norm equation: the same cocycles, in the same order, as the norm test
+    of every lift."""
+
+    # (p, d, s, top): criterion 3's towers, then towers whose levels
+    # read their norm equation (kernel rank 4 at (2, 2, 2)) or list
+    # every lift ((2, 3, 1), where the two cost as many norms)
+    TOWERS = [(3, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2), (2, 2, 2, 3),
+              (2, 3, 1, 4), (2, 4, 1, 4), (3, 2, 1, 4), (5, 2, 1, 3),
+              (3, 1, 2, 2), (2, 1, 3, 2)]
+
+    @pytest.mark.parametrize("p, d, s, top", TOWERS)
+    def test_same_cocycles_as_the_scan(self, p, d, s, top):
+        # (2, 2, 2) to level 3 is charged (2^6)^4 candidates
+        levels = [cocycles for _, cocycles in
+                  _cocycle_levels(p, d, top, s, 1 << 24)]
+        assert levels == scan_levels(p, d, top, s)
+
+    def test_solver_against_every_vector(self):
+        # the solutions of random systems over F_p, by the solver and by
+        # testing every vector
+        import random
+        rng = random.Random(11)
+        for _ in range(300):
+            p, m = rng.choice([2, 3, 5]), rng.randint(1, 4)
+            columns = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                        for _ in range(m)] for _ in range(m)]
+            b = [rng.randrange(p) for _ in range(m)]
+            solve, kernel = lang._solver(columns, p)
+            want = sorted(list(y) for y in itertools.product(range(p),
+                                                            repeat=m)
+                          if all(sum(y[j] * columns[j][r] for j in range(m))
+                                 % p == b[r] for r in range(m)))
+            y = solve(b)
+            got = [] if y is None else sorted(lang._span(y, kernel, p))
+            assert got == want
+
+    def test_one_solver_per_residue_for_the_whole_tower(self, monkeypatch):
+        # the 30 cocycles of GL_2(F_4) are the residues; each solver is
+        # built once for levels 2 and 3, and its kernel has rank
+        # (d - 1) s^2 = 4, as trivial H^1 predicts
+        kernels = []
+        real = lang._solver
+        monkeypatch.setattr(lang, "_solver", lambda columns, p: (
+            lambda built: kernels.append(len(built[1])) or built)(
+                real(columns, p)))
+        levels = list(_cocycle_levels(2, 2, 3, 2, 1 << 24))
+        assert [len(cocycles) for _, cocycles in levels] == [30, 480, 7680]
+        assert kernels == [4] * 30
 
 
 def digest(obj):

@@ -16,6 +16,7 @@ from glnlab.rings import (
     _is_irreducible,
 )
 from test_lang import poly_mul
+from test_ring_core import POOL_RINGS
 
 
 def half_of(q, a=0, b=0):
@@ -196,6 +197,22 @@ class TestFieldArithmetic:
             F = FiniteField(p, d, cap)
             assert rings.residue_primitive_root(F) \
                 == self.primitive_root_reference(F), (p, d)
+
+    @staticmethod
+    def order(F, z):
+        """The multiplicative order of the unit z: the least divisor e of
+        q - 1, tried in increasing order, with z^e = 1."""
+        return next(e for e in range(1, F.q) if (F.q - 1) % e == 0
+                    and F.pow(z, e) == F.one_code)
+
+    @pytest.mark.parametrize("p, d", sorted(
+        {(p, d) for p, n, d in POOL_RINGS if n == 1} | {(997, 2)}))
+    def test_residue_primitive_root_is_the_first_of_order_q_minus_1(self, p,
+                                                                     d):
+        # the norm prefilter keeps the first root, in code order
+        F = FiniteField(p, d, 10**6)
+        first = next(z for z in range(1, F.q) if self.order(F, z) == F.q - 1)
+        assert rings.residue_primitive_root(F) == first
 
 
 class TestFrobenius:

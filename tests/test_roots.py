@@ -275,6 +275,164 @@ class TestReflectionAndPairing:
                     assert inner(reflect(a, b), reflect(a, c)) == inner(b, c)
 
 
+def reference_rank(vectors):
+    """The rank by Gauss-Jordan elimination over Fraction."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                for cc in range(cols):
+                    rows[i][cc] -= f * rows[r][cc]
+        r += 1
+    return r
+
+
+def reference_check_root_system(roots):
+    """The axiom report on the vectors as given: every pairing a Fraction
+    in the primed pass, every pair's reflection looked up, and
+    reducedness by comparing each pair's coordinates."""
+    roots = [tuple(v) for v in roots]
+    n = len(roots[0])
+    report = {}
+
+    rank = reference_rank(roots)
+    report["spans"] = (rank == n)
+    report["span_codimension"] = n - rank
+    rootset = set(roots)
+
+    reduced = True
+    for a in roots:
+        k = next(i for i, y in enumerate(a) if y != 0)
+        for b in roots:
+            if a == b:
+                continue
+            if all((x == 0) == (y == 0) and x * a[k] == y * b[k]
+                   for x, y in zip(b, a)) and b[k] != -a[k]:
+                reduced = False
+    report["reduced"] = reduced
+
+    closed = crystallographic = True
+    for a in roots:
+        den = inner(a, a)
+        for b in roots:
+            num = 2 * inner(a, b)
+            c, rest = divmod(num, den)
+            if rest:
+                crystallographic = False
+                c = Fraction(num, den)
+            if tuple(y - c * x for x, y in zip(a, b)) not in rootset:
+                closed = False
+    report["reflection_closed"] = closed
+    report["crystallographic"] = crystallographic
+
+    closed_prime = True
+    integral_prime = True
+    for a in roots:
+        norm = inner(a, a)
+        for b in roots:
+            c = Fraction(2 * inner(a, b), norm)
+            if c.denominator != 1:
+                integral_prime = False
+            else:
+                c = int(c)
+            if tuple(x - c * y for x, y in zip(b, a)) not in rootset:
+                closed_prime = False
+    report["reflection_closed_prime"] = closed_prime
+    report["crystallographic_prime"] = integral_prime
+    report["primed_agree"] = (closed == closed_prime
+                              and crystallographic == integral_prime)
+    report["all_pass_in_span"] = (reduced and closed and crystallographic)
+    return report
+
+
+def with_negatives(pos):
+    return list(pos) + [tuple(-x for x in v) for v in pos]
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+G2_ROOTS = full_root_set_gl(3) + with_negatives(
+    [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)])
+B2_ROOTS = with_negatives([(1, 0), (0, 1), (1, 1), (1, -1)])
+C2_ROOTS = with_negatives([(2, 0), (0, 2), (1, 1), (1, -1)])
+# the root sets of the oracle: type A, G2, B2 and C2, non-reduced sets,
+# rational vectors, and sets that do not span, are not crystallographic
+# or are not closed
+ORACLE_SETS = {f"A{n - 1} in Z^{n}": full_root_set_gl(n) for n in range(2, 8)}
+ORACLE_SETS.update({
+    "G2": G2_ROOTS, "B2": B2_ROOTS, "C2": C2_ROOTS,
+    "BC1": with_negatives([(1, 0), (2, 0)]),
+    "BC2": B2_ROOTS + with_negatives([(2, 0), (0, 2)]),
+    "v, 2v, 3v": with_negatives([(1, -1), (2, -2), (3, -3)]),
+    "v, 2v without -v": [(1, 1), (2, 2), (-2, -2)],
+    "v and 2v alone": [(1, 0), (2, 0)],
+    "repeated roots": B2_ROOTS + B2_ROOTS[:3],
+    "G2 over 2": [tuple(HALF * x for x in v) for v in G2_ROOTS],
+    "B2 over 3": [tuple(THIRD * x for x in v) for v in B2_ROOTS],
+    "A1 at a half": [(HALF, HALF), (-HALF, -HALF)],
+    "mixed ints and Fractions": [(1, 0), (-1, 0), (HALF, 0), (-HALF, 0),
+                                 (0, Fraction(2, 3)), (0, Fraction(-2, 3))],
+    "A1 in Z^3": with_negatives([(1, -1, 0)]),
+    "A1 x A1 in Z^4": with_negatives([(1, -1, 0, 0), (0, 0, 1, -1)]),
+    "pairing 4/5": with_negatives([(1, 0), (1, 2)]),
+    "B2 long roots twice too long": with_negatives(
+        [(1, 0), (0, 1), (2, 2), (2, -2)]),
+    "not closed": with_negatives([(1, 0), (0, 1), (1, 1)]),
+    "A2 missing a root": full_root_set_gl(3)[:-1],
+})
+
+
+def random_sets(count, seed=5):
+    """Seeded small sets of small nonzero int vectors, some with their
+    negatives and multiples."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        vs = set()
+        while len(vs) < rng.randint(1, 6):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v):
+                vs.add(v)
+        vs = sorted(vs)
+        if rng.random() < 0.5:
+            vs = with_negatives(vs)
+        if rng.random() < 0.3:
+            vs.append(tuple(2 * x for x in vs[0]))
+        out.append(vs)
+    return out
+
+
+class TestRootSystemOracle:
+    """check_root_system (on ints, fraction-free rank) gives the whole
+    report of the Fraction reference."""
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_named_sets(self, name):
+        vectors = ORACLE_SETS[name]
+        assert check_root_system(vectors) \
+            == reference_check_root_system(vectors)
+        assert roots._rank(vectors) == reference_rank(vectors)
+
+    def test_random_sets(self):
+        for vectors in random_sets(300):
+            assert check_root_system(vectors) \
+                == reference_check_root_system(vectors), vectors
+
+    def test_sets_cover_each_failure(self):
+        reports = [reference_check_root_system(r)
+                   for r in ORACLE_SETS.values()]
+        for key in ("spans", "reduced", "reflection_closed",
+                    "crystallographic"):
+            assert {rep[key] for rep in reports} == {True, False}, key
+
+
 class TestRootSystemChecker:
     def test_full_a2_in_ambient_z3(self):
         report = check_root_system(full_root_set_gl(3))
