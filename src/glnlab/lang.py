@@ -436,8 +436,10 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
     for ring, cocycles in _cocycle_levels(p, d, max_level, s, cap):
         report["levels"].append((ring, cocycles))
         if low is not None:
-            reduced = [tuple(low.encode(ring.decode(a)) for a in c)
-                       for c in cocycles]
+            # each code reduced once, however many cocycles hold it
+            down = {a: low.encode(ring.decode(a))
+                    for a in set(itertools.chain.from_iterable(cocycles))}
+            reduced = [tuple(map(down.__getitem__, c)) for c in cocycles]
             if set(reduced) != prev_cocycles:
                 report["compatible"] = False
             one = _identity(low, s)
