@@ -12,10 +12,10 @@ form and has |GL_s(F_q)| / |C(g)| elements, |C(g)| from the factors of
 that form (J. A. Green, Trans. AMS 80, 1955).  The H^1 cocycles come
 from one pass up the levels: those of GL_s(F_q) from its elements, and
 those of GL_s(O/p^n), n >= 2, from the lifts of those of GL_s(O/p^(n-1))
-whose norm the linear part of the norm map sends to 1 (one F_p row
-reduction per residue mod p), each level once, so only GL_s(F_q) is
-ever enumerated for them; those of the congruence kernel
-1 + p^(n-1) M_s are the ones over 1.
+that solve the linear part of the norm equation (one F_p row reduction
+per residue mod p), each level once, so only GL_s(F_q) is ever
+enumerated for them; those of the congruence kernel 1 + p^(n-1) M_s
+are the ones over 1.
 
 A ``GaloisModule`` is plain data: the ring, the matrix size, the
 exponent of the action and a tuple of generators.  It holds no
