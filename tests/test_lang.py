@@ -1024,9 +1024,13 @@ class TestLiftSolver:
         # (d - 1) s^2 = 4, as trivial H^1 predicts
         kernels = []
         real = lang._solver
-        monkeypatch.setattr(lang, "_solver", lambda columns, p: (
-            lambda built: kernels.append(len(built[1])) or built)(
-                real(columns, p)))
+
+        def spy(columns, p):
+            solve, kernel = real(columns, p)
+            kernels.append(len(kernel))
+            return solve, kernel
+
+        monkeypatch.setattr(lang, "_solver", spy)
         levels = list(_cocycle_levels(2, 2, 3, 2, 1 << 24))
         assert [len(cocycles) for _, cocycles in levels] == [30, 480, 7680]
         assert kernels == [4] * 30
