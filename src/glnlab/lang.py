@@ -328,21 +328,12 @@ def _lift_candidates(ring, low, s, cocycles, solvers):
     them from level to level.  Each cocycle then costs its own norm
     N(c-hat), and its lifts of norm 1 are the solutions of
     L(Y) = (1 - N(c-hat)) / eps mod p: one solution plus the span of the
-    kernel, whose rank is (d - 1) s^2 when H^1 is trivial.  When those
-    d s^2 + 1 + p^((d-1) s^2) norms are no fewer than the q^(s^2) lifts
-    of a cocycle, every lift is listed instead.  The caller tests every
-    norm."""
+    kernel, whose rank is (d - 1) s^2 when H^1 is trivial.  The caller
+    tests every norm."""
     p, d, weights = ring.p, ring.d, ring.weights
-    m = d * s * s
+    m, norm = d * s * s, ring.norm_map(s, d)
     # the code of eps x^i, whose quotient is the top digit of coefficient i
     tops = [low.pn * w for w in weights]
-
-    if p**m <= m + 1 + p**(m - s * s):
-        every = list(itertools.product([
-            sum(map(operator.mul, y, tops))
-            for y in itertools.product(range(p), repeat=d)], repeat=s * s))
-    else:
-        every, norm = None, ring.norm_map(s, d)
 
     def digits(x):
         return [a // t % p for a in x for t in tops]
@@ -350,29 +341,26 @@ def _lift_candidates(ring, low, s, cocycles, solvers):
     for c in cocycles:
         # at d = 1 a code is its one coefficient, so c is its own lift
         base = c if d == 1 else tuple(map(ring.encode, map(low.decode, c)))
-        if every is None:
-            n0 = digits(norm(base))
-            residue = tuple([x // w % p for x in base for w in weights])
-            if residue not in solvers:
-                columns = []
-                for e in range(s * s):
-                    for t in tops:
-                        moved = list(base)
-                        moved[e] += t
-                        columns.append([(a - b) % p for a, b in
-                                        zip(digits(norm(tuple(moved))), n0)])
-                solvers[residue] = _solver(columns, p)
-            solve, kernel = solvers[residue]
-            y = solve([-b % p for b in n0])
-            if y is None:
-                continue
-            # the codes eps Y of the solutions, entry by entry
-            moves = [[sum(map(operator.mul, v[i:i + d], tops))
-                      for i in range(0, m, d)] for v in _span(y, kernel, p)]
-        else:
-            moves = every
-        for move in moves:
-            yield tuple(map(operator.add, base, move))
+        n0 = digits(norm(base))
+        residue = tuple([x // w % p for x in base for w in weights])
+        if residue not in solvers:
+            columns = []
+            for e in range(s * s):
+                for t in tops:
+                    moved = list(base)
+                    moved[e] += t
+                    columns.append([(a - b) % p for a, b in
+                                    zip(digits(norm(tuple(moved))), n0)])
+            solvers[residue] = _solver(columns, p)
+        solve, kernel = solvers[residue]
+        y = solve([-b % p for b in n0])
+        if y is None:
+            continue
+        # the codes eps Y of the solutions, entry by entry
+        for v in _span(y, kernel, p):
+            yield tuple(map(operator.add, base, [
+                sum(map(operator.mul, v[i:i + d], tops))
+                for i in range(0, m, d)]))
 
 
 def _cocycles(ring, s, codes):

@@ -700,16 +700,15 @@ def residue_primitive_root(ring):
     (q-1)/r of it, r a prime dividing q - 1, is 1 mod p.  On a field it
     is the least primitive element.
 
-    The residue of z^((q-1)/(p-1)) is the norm of z's residue to F_p, a
-    constant: the constant coefficient (the leading digit of the code)
-    mod p.  When z generates F_q^*, that norm generates F_p^*; the test
-    on ints comes first, at the primes of p - 1.  The units it keeps take
-    the test in the ring, at the primes that do not divide p - 1 first,
-    where the two tests can differ."""
+    The residue of z^((q-1)/(p-1)) is the norm N(z) of z's residue to
+    F_p, a constant: the constant coefficient (the leading digit of the
+    code) mod p.  At a prime r of p - 1, z^((q-1)/r) = N(z)^((p-1)/r), so
+    the test there is on ints; the units that pass it take the test in
+    the ring only at the primes of q - 1 that do not divide p - 1."""
     p, q, one, unit = ring.p, ring.q, ring.one_code, ring.is_unit
     minus_one, e = ring.neg(one), (q - 1) // (p - 1)
     small = _prime_factors(p - 1)
-    primes = sorted(_prime_factors(q - 1), key=lambda r: (p - 1) % r == 0)
+    primes = [r for r in _prime_factors(q - 1) if (p - 1) % r]
     for z in map(ring.encode, itertools.product(range(p), repeat=ring.d)):
         if not unit(z):
             continue

@@ -161,14 +161,10 @@ def ds_decompose(simple):
 
 
 def _rank(vectors):
-    """The rank of the vectors, by fraction-free elimination: each row is
-    scaled to ints by the lcm of its denominators, and each row below a
-    pivot row r (pivot in column c) becomes row * r[c] - r * row[c],
-    divided by its content; no step changes the rank."""
-    rows = []
-    for v in vectors:
-        k = math.lcm(*(x.denominator for x in v))
-        rows.append([int(x * k) for x in v])
+    """The rank of int vectors, by fraction-free elimination: each row
+    below a pivot row r (pivot in column c) becomes row * r[c] - r *
+    row[c], divided by its content; no step changes the rank."""
+    rows = [list(v) for v in vectors]
     cols = len(rows[0]) if rows else 0
     r = 0
     for c in range(cols):

@@ -985,9 +985,9 @@ class TestLiftSolver:
     norm equation: the same cocycles, in the same order, as the norm test
     of every lift."""
 
-    # (p, d, s, top): criterion 3's towers, then towers whose levels
-    # read their norm equation (kernel rank 4 at (2, 2, 2)) or list
-    # every lift ((2, 3, 1), where the two cost as many norms)
+    # (p, d, s, top): criterion 3's towers, then deeper towers, over
+    # F_p and over its extensions, with s up to 3 (kernel rank 4 at
+    # (2, 2, 2))
     TOWERS = [(3, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2), (2, 2, 2, 3),
               (2, 3, 1, 4), (2, 4, 1, 4), (3, 2, 1, 4), (5, 2, 1, 3),
               (3, 1, 2, 2), (2, 1, 3, 2)]

@@ -198,21 +198,14 @@ class TestFieldArithmetic:
             assert rings.residue_primitive_root(F) \
                 == self.primitive_root_reference(F), (p, d)
 
-    @staticmethod
-    def order(F, z):
-        """The multiplicative order of the unit z: the least divisor e of
-        q - 1, tried in increasing order, with z^e = 1."""
-        return next(e for e in range(1, F.q) if (F.q - 1) % e == 0
-                    and F.pow(z, e) == F.one_code)
-
-    @pytest.mark.parametrize("p, d", sorted(
-        {(p, d) for p, n, d in POOL_RINGS if n == 1} | {(997, 2)}))
-    def test_residue_primitive_root_is_the_first_of_order_q_minus_1(self, p,
-                                                                     d):
-        # the norm prefilter keeps the first root, in code order
-        F = FiniteField(p, d, 10**6)
-        first = next(z for z in range(1, F.q) if self.order(F, z) == F.q - 1)
-        assert rings.residue_primitive_root(F) == first
+    @pytest.mark.parametrize("p, n, d", [r for r in POOL_RINGS if r[1] > 1])
+    def test_residue_primitive_root_of_a_truncated_ring(self, p, n, d):
+        # the modulus of O/p^n is that of F_q read mod p^n, so the root of
+        # the ring has the coefficients of the reference root of F_q,
+        # though the powers the ring forms have higher digits
+        R, F = TruncatedLocalRing(p, n, d), FiniteField(p, d)
+        assert tuple(R.decode(rings.residue_primitive_root(R))) \
+            == tuple(F.decode(self.primitive_root_reference(F)))
 
 
 class TestFrobenius:
