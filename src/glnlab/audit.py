@@ -52,8 +52,8 @@ def h1_triviality(cap, seed):
         tower = lang.h1_level_tower(s, p, d, top, cap)
         levels += [cli.h1_level(ring, s, cocycles)
                    for ring, cocycles in tower["levels"]]
-        ok &= tower["compatible"] \
-            and all(k["h1_size"] == 1 for k in tower["kernels"])
+        ok &= tower["compatible"] and all(
+            k["h1_size"] == 1 and k["closed"] for k in tower["kernels"])
     return cli.holds(*levels) and ok, None
 
 

@@ -2,6 +2,8 @@
 
 Every hard failure in the library is one of these, so callers (and the
 CLI exit-code mapping) can dispatch on type rather than message text.
+A claim that does not hold is not one of them: the library returns
+what it found, and the report's verdicts decide.
 """
 
 
@@ -42,14 +44,6 @@ class NonIntegral(GlnLabError):
 
 class NotPositiveDefinite(GlnLabError):
     pass
-
-
-class NotACocycle(GlnLabError):
-    pass
-
-
-class MatchFailure(GlnLabError):
-    """A claimed bijection could not be completed."""
 
 
 class InvalidConfig(GlnLabError):

@@ -40,14 +40,11 @@ from .errors import (GlnLabError, InvalidConfig, NotPrime, UnsupportedRank,
                      charge)
 from .rings import DEFAULT_GROUP_CAP, HalfPowerLaurent, is_prime
 
-BIG = 10**9  # stands in for +infinity in valuation comparisons
 MAX_ENTRY = 24  # largest |lam_i| coset_decompose accepts
 
 
 def _vint(x, p):
-    """p-adic valuation of an int; BIG for zero."""
-    if x == 0:
-        return BIG
+    """p-adic valuation of a nonzero int."""
     v = 0
     while x % p == 0:
         x //= p

@@ -17,15 +17,17 @@ per residue mod p), each level once, so only GL_s(F_q) is ever
 enumerated for them; those of the congruence kernel 1 + p^(n-1) M_s
 are the ones over 1.
 
-A ``GaloisModule`` is plain data: the ring, the matrix size, the
-exponent of the action and a tuple of generators.  It holds no
-elements; the checks that need them take them from ``gl_elements`` or
-from the caller.  Group elements, cocycles, Lang images and the class
-representatives and matches that ``twisted_classes`` and
-``dm_bijection_check`` return are flat row-major tuples of the ring's
-codes (see ``rings``).  Each loop binds the ring's kernels once
-(``mat_product``, ``form``, ``sandwich``, and ``norm_map`` for the
-cocycle test and dm-check's norms) and runs on the tuples.
+A group with its Frobenius action is plain data, (ring, s, generators,
+exponent); the checks that need its elements take them from
+``gl_elements`` or from the caller.  A move that leaves the codes a
+class is formed on joins the class unfollowed, so the sizes sum past
+the codes, which the verdicts read.  Group elements, cocycles, Lang
+images and the class representatives and matches that
+``twisted_classes`` and ``dm_bijection_check`` return are flat
+row-major tuples of the ring's codes (see ``rings``).  Each loop binds
+the ring's kernels once (``mat_product``, ``form``, ``sandwich``, and
+``norm_map`` for the cocycle test and dm-check's norms) and runs on the
+tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 import operator
 from collections import Counter
 
-from .errors import InvalidConfig, MatchFailure, NotACocycle, charge
+from .errors import InvalidConfig, charge
 from .rings import (
     DEFAULT_GROUP_CAP,
     FiniteField,
@@ -64,27 +66,6 @@ def factor_prime_power(q):
                 return lo, v
             break
     raise InvalidConfig(f"{q} is not a prime power")
-
-
-class GaloisModule:
-    """A group of s x s matrices over ``ring`` with a cyclic Frobenius
-    action, as plain data: ``generators`` is a tuple of flat code tuples
-    that generate the group, and the action is entrywise sigma^exponent,
-    sigma the Frobenius lift of ``ring``.  The orbit routines close under
-    the generators, so a module without them is refused.
-    """
-
-    def __init__(self, ring, s, generators, exponent=1):
-        if generators is None:
-            raise InvalidConfig("a Galois module needs a generating set")
-        self.ring = ring
-        self.s = s
-        self.generators = tuple(generators)
-        self.exponent = exponent
-
-    def sigma(self, x):
-        """sigma^exponent of a flat code tuple."""
-        return self.ring.mat_sigma(x, self.exponent)
 
 
 def gl_elements(ring, s, cap=DEFAULT_GROUP_CAP):
@@ -156,33 +137,23 @@ def _gl_generators(ring, s):
     return gens
 
 
-def gl_module(ring, s, sigma_exponent=1):
-    """GL_s over a finite field or truncated local ring R = O/p^n with
-    entrywise Frobenius^sigma_exponent as the Galois action, generated
-    by ``_gl_generators``.  Nothing is enumerated, so nothing is charged:
-    a caller that goes on to enumerate charges its own work.
-    """
-    return GaloisModule(ring, s, _gl_generators(ring, s), sigma_exponent)
-
-
 # ---------------------------------------------------------------------------
 # the Lang map
 
-def _twisted_orbits(module, codes, allowed, leaving):
-    """The orbits of c -> g^-1 c sigma(g) through codes, each once, in the
-    order of codes, as sets of codes.
+def _twisted_orbits(ring, s, generators, codes, exponent=1, allowed=None):
+    """The orbits of c -> g^-1 c sigma^exponent(g) through codes, each
+    once, in the order of codes, as sets of codes.
 
-    Each orbit is closed under g in the module's generating set, which
-    reaches a^-1 c sigma(a) for every a in the group.  Each generator's
-    move is the ring's ``sandwich`` of g^-1 and sigma(g), built once:
-    its nonzero terms (at most 4 an entry for the generators) are
-    resolved then, so a move costs one call per element.  A move that
-    lands outside ``allowed`` raises the exception ``leaving``; with
-    ``allowed`` None no move is tested.
+    Each orbit is closed under g in ``generators``, which reaches
+    a^-1 c sigma(a) for every a in the group they generate.  Each
+    generator's move is the ring's ``sandwich`` of g^-1 and sigma(g),
+    built once: its nonzero terms (at most 4 an entry for the generators)
+    are resolved then, so a move costs one call per element.  A move that
+    lands outside ``allowed`` joins the orbit but is not followed; with
+    ``allowed`` None every move is followed.
     """
-    ring, s = module.ring, module.s
-    moves = [ring.sandwich(s, ring.mat_inv(s, g), module.sigma(g))
-             for g in module.generators]
+    moves = [ring.sandwich(s, ring.mat_inv(s, g), ring.mat_sigma(g, exponent))
+             for g in generators]
     seen = set()
     for c in codes:
         if c in seen:
@@ -193,10 +164,9 @@ def _twisted_orbits(module, codes, allowed, leaving):
             for move in moves:
                 y = move(x)
                 if y not in orbit:
-                    if allowed is not None and y not in allowed:
-                        raise leaving
                     orbit.add(y)
-                    todo.append(y)
+                    if allowed is None or y in allowed:
+                        todo.append(y)
         seen |= orbit
         yield orbit
 
@@ -231,26 +201,29 @@ def fixed_index(s, p, d, level=1):
 def lang_image(ring, s, cap=DEFAULT_GROUP_CAP):
     """The image {x^-1 sigma(x)} of the Lang map of GL_s(ring), as a set
     of code tuples: the orbit of 1 under c -> g^-1 c sigma(g), closed
-    from the generators of ``gl_module``.  No element is inverted, and
-    no move is tested, since a move by an invertible matrix cannot leave
-    the group.  The (p^(n d))^(s^2) candidate matrices are charged
-    first, before any generator is built."""
+    from ``_gl_generators``.  No element is inverted, and every move is
+    followed, since a move by an invertible matrix cannot leave the
+    group.  The (p^(n d))^(s^2) candidate matrices are charged first,
+    before any generator is built."""
     p, e = ring.p, ring.n * ring.d * s * s
     charge(cap, f"{p}^{e} candidate matrices", lambda: p**e, e)
-    return next(_twisted_orbits(gl_module(ring, s), [_identity(ring, s)],
-                                None, None))
+    return next(_twisted_orbits(ring, s, _gl_generators(ring, s),
+                                [_identity(ring, s)]))
 
 
-def twisted_classes(module, codes, leaving):
-    """Partition of the code tuples ``codes`` under a ~ g^-1 a sigma(g),
-    g in the module's group: the twisted conjugacy classes when codes is
-    the group, the classes of H^1 when it is the cocycles.  The classes
-    come in the order of codes, as dicts of the least element
-    (``representative``) and the ``size``.  A generator that moves an
-    element out of codes raises the exception ``leaving``.
+def twisted_classes(ring, s, generators, codes, exponent=1):
+    """Partition of the distinct code tuples ``codes`` under
+    a ~ g^-1 a sigma^exponent(g), g in the group of s x s matrices over
+    ``ring`` that ``generators`` generate: the twisted conjugacy classes
+    when codes is the group, the classes of H^1 when it is the cocycles.
+    The classes come in the order of codes, as dicts of the least element
+    (``representative``) and the ``size``.  A move that leaves codes
+    joins its class but is not followed, so the sizes sum to len(codes)
+    exactly when codes is closed under the action, and past it when not.
     """
     return [{"representative": min(orbit), "size": len(orbit)}
-            for orbit in _twisted_orbits(module, codes, set(codes), leaving)]
+            for orbit in _twisted_orbits(ring, s, generators, codes,
+                                         exponent, set(codes))]
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +373,11 @@ def _cocycle_levels(p, d, top, s, cap):
 
 
 def congruence_kernel(ring, s):
-    """The kernel 1 + p^(n-1) M_s of GL_s(ring) -> GL_s(O/p^(n-1)), ring =
-    O/p^n with n >= 2, with the lifted Frobenius action, as a
-    ``GaloisModule``: its generators 1 + p^(n-1) x^i E_jl, i < d, are an
-    F_p-basis of the kernel, which is M_s(F_q) under addition."""
-    return GaloisModule(ring, s, [
-        _plus(ring, s, j, l, ring.pn // ring.p * c)
-        for c in ring.weights for j in range(s) for l in range(s)])
+    """Generators of the kernel 1 + p^(n-1) M_s of GL_s(ring) ->
+    GL_s(O/p^(n-1)), ring = O/p^n with n >= 2: the 1 + p^(n-1) x^i E_jl,
+    i < d, an F_p-basis of the kernel, which is M_s(F_q) under addition."""
+    return [_plus(ring, s, j, l, ring.pn // ring.p * c)
+            for c in ring.weights for j in range(s) for l in range(s)]
 
 
 def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
@@ -417,7 +388,8 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
 
     The levels are those of ``_cocycle_levels``, each found once.  The
     kernel 1 + p^(n-1) M_s is the set of lifts of 1, so its cocycles are
-    the level-n cocycles that reduce to 1, and its order is q^(s^2).
+    the level-n cocycles that reduce to 1, and its order is q^(s^2).  A
+    kernel's row is ``closed`` when no class leaves its cocycles.
     """
     report = {"levels": [], "kernels": [], "compatible": True}
     low = prev_cocycles = None
@@ -431,13 +403,13 @@ def h1_level_tower(s, p, d, max_level, cap=DEFAULT_GROUP_CAP):
             if set(reduced) != prev_cocycles:
                 report["compatible"] = False
             one = _identity(low, s)
-            classes = twisted_classes(
-                congruence_kernel(ring, s),
-                [c for c, r in zip(cocycles, reduced) if r == one],
-                NotACocycle("a class leaves the cocycle set"))
-            report["kernels"].append({"from_level": low.n, "to_level": ring.n,
-                                      "group_order": ring.q**(s * s),
-                                      "h1_size": len(classes)})
+            codes = [c for c, r in zip(cocycles, reduced) if r == one]
+            classes = twisted_classes(ring, s, congruence_kernel(ring, s),
+                                      codes)
+            report["kernels"].append({
+                "from_level": low.n, "to_level": ring.n,
+                "group_order": ring.q**(s * s), "h1_size": len(classes),
+                "closed": sum(cl["size"] for cl in classes) == len(codes)})
         low, prev_cocycles = ring, set(cocycles)
     return report
 
@@ -537,10 +509,11 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     N(A)^-1, its key, name the plain class A goes to: a key names a
     class of GL_s(F_q) exactly when its coefficients lie in F_q, and
     that class has |GL_s(F_q)| / |C(g)| elements (``_centralizer_order``).
-    ``bijective`` reports that the keys are valid, pairwise distinct and
-    as many as ``gl_class_count``, each pair (a ``matches`` entry)
-    obeying ``shintani_law``.  Only a sigma^v-fixed subfield other than
-    F_q, or a twisted class leaving the group, raises MatchFailure.
+    ``bijective`` reports that the sigma^v-fixed subfield is F_q, that
+    the twisted class sizes sum to the order of the group (no class
+    leaves it), and that the keys are valid, pairwise distinct and as
+    many as ``gl_class_count``, each pair (a ``matches`` entry) obeying
+    ``shintani_law``.  Nothing is raised when one of these fails.
     """
     p, v = factor_prime_power(q)
     ext = FiniteField(p, v * n)
@@ -550,11 +523,8 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     (w,) = ext.norm_map(1, n, v)((residue_primitive_root(ext),))
     sub = {0, *itertools.accumulate([w] * (q - 2), ext.mul,
                                     initial=ext.one_code)}
-    if len(sub) != q or any(ext.sigma(c, v) != c for c in sub):
-        raise MatchFailure(f"the sigma^{v}-fixed subfield is not F_{q}")
-    twisted = twisted_classes(
-        gl_module(ext, s, sigma_exponent=v), elements,
-        MatchFailure("a twisted class leaves the group"))
+    fixed = len(sub) == q and all(ext.sigma(c, v) == c for c in sub)
+    twisted = twisted_classes(ext, s, _gl_generators(ext, s), elements, v)
 
     norm = ext.norm_map(s, n, v)
     matches, used = [], set()
@@ -572,7 +542,9 @@ def dm_bijection_check(s, q, n, cap=DEFAULT_GROUP_CAP):
     return {
         "plain_class_count": len(used),
         "twisted_class_count": len(twisted),
-        "bijective": len(used) == len(twisted) == gl_class_count(s, q)
+        "bijective": fixed
+        and sum(cl["size"] for cl in twisted) == len(elements)
+        and len(used) == len(twisted) == gl_class_count(s, q)
         and all(shintani_law(s, q, n, m["twisted_size"], m["plain_size"])
                 for m in matches),
         "matches": matches,

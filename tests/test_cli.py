@@ -19,7 +19,7 @@ import glnlab
 from glnlab import audit, building, cli, hecke, lang, lfactor, rings, roots
 from glnlab.cli import (_check_lfactor_cap, canonical_json, lint_report,
                         run, verdict)
-from glnlab.errors import CapExceeded, InvalidConfig, NotACocycle, charge
+from glnlab.errors import CapExceeded, GlnLabError, InvalidConfig, charge
 from glnlab.hecke import SatakeImage
 from glnlab.lfactor import (DualRep, SatakeParameter, base_change_factor,
                             l_factor)
@@ -1034,6 +1034,29 @@ class TestVerdictsDecide:
         real = hecke._vint
         monkeypatch.setattr(hecke, "_vint", lambda x, p: real(x, p) + 1)
 
+    def solver_drops_a_kernel_vector(monkeypatch):
+        # half the cocycle lifts of each residue are missing at level 2:
+        # h1 prints 240 cocycles against 480, and its classes leave them
+        real = lang._solver
+        monkeypatch.setattr(lang, "_solver", lambda columns, p: (
+            lambda solve, kernel: (solve, kernel[:-1]))(*real(columns, p)))
+
+    def sigma_is_the_identity(monkeypatch):
+        # the orbits at exponent 0 are conjugacy classes, and GL_1 is
+        # abelian: the three cocycles of GL_1(F_4) fall into three classes
+        real = lang._twisted_orbits
+        monkeypatch.setattr(
+            lang, "_twisted_orbits",
+            lambda ring, s, gens, codes, exponent=1, allowed=None: real(
+                ring, s, gens, codes, 0, allowed))
+
+    def drop_last_generator(monkeypatch):
+        # GL_1(F_4) loses diag(zeta), its one generator: the orbit of 1
+        # is {1}, not the three norm-one elements
+        real = lang._gl_generators
+        monkeypatch.setattr(lang, "_gl_generators",
+                            lambda ring, s: real(ring, s)[:-1])
+
     # (anchor, argv, its paper-audit row or None, mutant): the mutant
     # fails the anchor's verdict, and only it, on argv and on that row
     @pytest.mark.parametrize("anchor, argv, row, mutate", [
@@ -1051,10 +1074,18 @@ class TestVerdictsDecide:
          None, norm_sigma_off_by_one),
         ("claim:twisted-conjugacy-bijection", "dm-check --s 3 --q 2 --n 1",
          4, move_one_twisted_element),
+        ("claim:h1-triviality", "h1 --p 2 --d 2 --s 2 --level 2", 2,
+         solver_drops_a_kernel_vector),
+        ("claim:h1-triviality", "h1 --p 2 --d 2 --s 1", None,
+         sigma_is_the_identity),
+        ("claim:lang-image-size", "lang --p 2 --d 2 --s 1", None,
+         drop_last_generator),
     ], ids=["lfactor-degree", "hecke-commutativity",
             "hecke-commutativity-profile", "satake-oracle-agreement",
             "twisted-conjugacy-bijection-norm",
-            "twisted-conjugacy-bijection-moved-element"])
+            "twisted-conjugacy-bijection-moved-element",
+            "h1-triviality-solver", "h1-triviality-exponent-0",
+            "lang-image-size-generators"])
     def test_mutant(self, anchor, argv, row, mutate, monkeypatch, capsys):
         # a mutant is reached only through empty caches, and no value
         # built under it outlives the test
@@ -1075,14 +1106,13 @@ class TestVerdictsDecide:
         from glnlab import lang
 
         def broken(*args):
-            raise NotACocycle("a class leaves the cocycle set")
+            raise GlnLabError("the tower broke")
 
         monkeypatch.setattr(lang, "h1_level_tower", broken)
         rep = self.failing("--seed 0 suite paper-audit",
                            "claim:h1-triviality", capsys)
         assert len(rep["verdicts"]) == 10
-        assert rep["verdicts"][2]["detail"] \
-            == "a class leaves the cocycle set"
+        assert rep["verdicts"][2]["detail"] == "the tower broke"
         assert [v["status"] for v in rep["verdicts"]].count("fail") == 1
 
 
@@ -1160,9 +1190,35 @@ class TestOneDefinition:
                         f"{path.name}:{node.lineno}"
 
 
+class TestMutantCoverage:
+    """Every anchor that a claim issues is failed by some test of
+    ``TestVerdictsDecide``, but for a checked-in set that may only
+    shrink: an anchor cannot lose its last mutant unnoticed."""
+
+    WITHOUT_MUTANT = {"claim:root-axioms", "claim:weyl-order-factorial",
+                      "claim:g2-cartan-factorization", "claim:simplex-count",
+                      "claim:ub-residue-coverage"}
+
+    def test_anchors_without_a_mutant(self):
+        # issued: the anchors of cli.py and of the paper audit's rows;
+        # failed: every claim anchor written in TestVerdictsDecide, whose
+        # tests each assert that their anchor's verdict fails
+        issued = set(TestOneDefinition.issuers()) | {
+            row.anchor for row in audit.CRITERIA + (audit.RANDOM_ORACLE,)}
+        (cls,) = [node for node in ast.parse(Path(__file__).read_text()).body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "TestVerdictsDecide"]
+        failed = {node.value for node in ast.walk(cls)
+                  if isinstance(node, ast.Constant)
+                  and str(node.value).startswith("claim:")}
+        assert failed <= issued
+        assert issued - failed == self.WITHOUT_MUTANT
+
+
 class TestNoTraceback:
     """A consistency check that fails inside the library exits 1 with its
-    message on stderr, not with a traceback."""
+    message on stderr, not with a traceback; a wrong answer that a
+    verdict reads exits 1 with the failing report."""
 
     @staticmethod
     def invariant_failure(argv, message, capsys):
@@ -1187,37 +1243,23 @@ class TestNoTraceback:
                                capsys)
 
     def test_norm_sigma_off_by_one(self, monkeypatch, capsys):
-        # the non-cocycles that the mutant norm lets in leave the cocycle
-        # set under the orbit closure, which h1 runs before its verdict;
-        # the paper audit fails the h1 row so, and the Lang-image and
-        # class-matching rows by their verdicts: every ring with d > 1
-        # inverts by its norm form, which the mutant breaks too
+        # the mutant norm finds one cocycle of GL_1(F_4) where there are
+        # three; h1 prints its report and fails its verdict, and the paper
+        # audit fails the h1 and class-matching rows so, with no message.
+        # Every ring with d > 1 inverts by its norm form, which the mutant
+        # breaks too: the Lang-image row fails on the ring's own check
         TestVerdictsDecide.norm_sigma_off_by_one(monkeypatch)
-        self.invariant_failure("h1 --p 2 --d 2 --s 1",
-                               "a class leaves the cocycle set", capsys)
+        rep = TestVerdictsDecide.failing("h1 --p 2 --d 2 --s 1",
+                                         "claim:h1-triviality", capsys)
+        assert (rep["results"]["cocycle_count"],
+                rep["results"]["expected_cocycle_count"]) == (1, 3)
         assert run("--seed 0 suite paper-audit".split()) == 1
         verdicts = json.loads(capsys.readouterr()[0])["verdicts"]
-        assert [(i, v["anchor"]) for i, v in enumerate(verdicts)
-                if v["status"] == "fail"] == [
-            (2, "claim:h1-triviality"), (3, "claim:lang-image-size"),
-            (4, "claim:twisted-conjugacy-bijection")]
-        assert verdicts[2]["detail"] == "a class leaves the cocycle set"
-
-    def test_solver_drops_a_kernel_vector(self, monkeypatch, capsys):
-        # half the cocycle lifts of each residue are missing at level 2;
-        # the rest are not closed under the twisted action, so h1 stops
-        # before its verdict, and the paper audit fails the h1 row alone
-        from glnlab import lang
-        real = lang._solver
-        monkeypatch.setattr(lang, "_solver", lambda columns, p: (
-            lambda solve, kernel: (solve, kernel[:-1]))(*real(columns, p)))
-        self.invariant_failure("h1 --p 2 --d 2 --s 2 --level 2",
-                               "a class leaves the cocycle set", capsys)
-        assert run("--seed 0 suite paper-audit".split()) == 1
-        verdicts = json.loads(capsys.readouterr()[0])["verdicts"]
-        assert [(i, v["anchor"]) for i, v in enumerate(verdicts)
-                if v["status"] == "fail"] == [(2, "claim:h1-triviality")]
-        assert verdicts[2]["detail"] == "a class leaves the cocycle set"
+        assert [(i, v["anchor"], v.get("detail"))
+                for i, v in enumerate(verdicts) if v["status"] == "fail"] == [
+            (2, "claim:h1-triviality", None),
+            (3, "claim:lang-image-size", "a norm is not in Z/p^n"),
+            (4, "claim:twisted-conjugacy-bijection", None)]
 
     def test_primitive_root(self, monkeypatch, capsys):
         from glnlab import rings

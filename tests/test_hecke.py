@@ -12,7 +12,6 @@ import sympy
 from glnlab import hecke
 from glnlab.errors import CapExceeded, UnsupportedRank, ZeroEntry
 from glnlab.hecke import (
-    BIG,
     HeckeElement,
     SatakeImage,
     _vint,
@@ -68,9 +67,9 @@ def v_pow(q, k):
 
 
 def vp(x, p):
-    """p-adic valuation of an int or Fraction; BIG for zero."""
+    """p-adic valuation of an int or Fraction; infinity for zero."""
     if x == 0:
-        return BIG
+        return math.inf
     return _vint(x.numerator, p) - _vint(x.denominator, p)
 
 
@@ -239,7 +238,7 @@ def minor_profile(form, p):
 
     n = len(form)
     return tuple(
-        tuple(min(_vint(det([[form[r][c] for c in cols] for r in rows]), p)
+        tuple(min(vp(det([[form[r][c] for c in cols] for r in rows]), p)
                   for cols in itertools.combinations(range(n), k))
               for rows in itertools.combinations(range(n), k))
         for k in range(1, n))

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glnlab.errors import NotInvertible
-from glnlab.hecke import BIG
 from glnlab.rings import FiniteField, HalfPowerLaurent, TruncatedLocalRing
 from test_building import iwasawa
 from test_hecke import smith_exponents, vp
@@ -201,7 +200,7 @@ def fr_det(rows):
 
 def minors_min_valuation(rows, k, p):
     """Minimum valuation over all k x k minors of a rational matrix."""
-    best = BIG
+    best = math.inf
     for rr in itertools.combinations(range(len(rows)), k):
         for cc in itertools.combinations(range(len(rows[0])), k):
             sub = [[rows[i][j] for j in cc] for i in rr]
